@@ -2,35 +2,34 @@
 """Benchmark regression gate: match-work counters vs. a committed baseline.
 
 Runs a fixed set of deterministic scenarios with :class:`MatchStats`
-attached, writes the counters (plus informational wall-clock timings)
-to ``BENCH_9.json``, and — under ``--check`` — fails if any gated work
+attached, writes the counters to ``BENCH_12.json``, and — under
+``--check`` — fails if any gated work
 counter regressed more than 10% against the newest committed
 ``benchmarks/BENCH_<n>.json`` report (falling back to
 ``benchmarks/BENCH_baseline.json`` when none exists; a clear error and
 exit code 2 when there is no baseline at all).
 
-The ``kernel_*`` scenarios benchmark the compiled match kernels
+The ``kernel_*`` scenarios exercise the compiled match kernels
 (``docs/KERNELS.md``): 10k- and 100k-WME bulk loads plus an
-incremental-update run, each at kernels ``off`` (interpreted),
-``closure``, and ``exec``.  The runner refuses to write a report
-unless all three modes produced identical firings, conflict sets, and
-outputs; the ``kernels.speedup_vs_off`` section records the wall-clock
-ratios, and ``kernels_compiled`` / ``kernel_cache_hits`` are gated
-exactly so a silently-lost compilation fails the build.
+incremental-update run, each at kernels ``off`` (interpreted) and
+``closure``.  The runner refuses to write a report unless both modes
+produced identical firings, conflict sets, and outputs, and
+``kernels_compiled`` / ``kernel_cache_hits`` are gated exactly so a
+silently-lost compilation fails the build.
 
 The ``storage_1m_*`` scenarios exercise the relational substrate
 itself: one million WMEs streamed through :class:`CondStore` in
 batched set-oriented statements, ten thousand incremental updates,
 and one grouped SOI-retrieval query — once on the memory backend and
 once on sqlite with native SQL pushdown.  Their gated counters are
-statement and row counts (exact on any machine); the recorded timings
-document the §8 claim that grouped retrieval belongs in the database.
+statement and row counts (exact on any machine).
 
 Only *work counters* are gated (join activations, join tests, alpha
 activations, index/group probes): they are exact and machine
-independent, unlike timings, which are recorded in the report but never
-compared.  Counter *improvements* beyond 10% are reported as a hint to
-refresh the baseline with ``--write-baseline``.
+independent.  Timings are the repo benchmark's job (``perf/run.py``,
+repeated and bounded); the per-scenario ``elapsed_s`` here only says
+how long the gate took.  Counter *improvements* beyond 10% are
+reported as a hint to refresh the baseline with ``--write-baseline``.
 
 Usage::
 
@@ -49,7 +48,7 @@ from repro import MatchStats, RuleEngine
 from repro.rete import ReteNetwork, ShardedReteNetwork
 
 BASELINE_PATH = Path(__file__).parent / "BENCH_baseline.json"
-DEFAULT_OUTPUT = Path("BENCH_10.json")
+DEFAULT_OUTPUT = Path("BENCH_12.json")
 
 
 def latest_reference(exclude=None):
@@ -334,15 +333,15 @@ def scenario_storage_1m_sqlite():
     return _storage_scenario(SqliteBackend())
 
 
-# -- compiled-kernel scenarios (off vs closure vs exec, ISSUE PR 7) -------
+# -- compiled-kernel scenarios (off vs closure) ----------------------------
 #
 # Match-work-dominated runs: multi-constant-test alpha chains most WMEs
 # fail, an indexed join with a residual test, a *non-indexed* join (no
 # equality test, so left activations scan the whole — columnar — alpha
 # memory), and a negated CE.  Set-oriented rules keep the firing count
-# tiny, so wall clock measures the match kernels, not the RHS.  The
-# runner asserts the three modes produce identical firings, conflict
-# sets, and outputs before the report is written.
+# tiny, so the work is match work, not RHS work.  The runner asserts
+# the two modes produce identical firings, conflict sets, and outputs
+# before the report is written.
 
 KERNEL_PROGRAM = """
 (literalize order dept status priority qty)
@@ -448,7 +447,7 @@ def _kernel_incremental(mode, label):
 
 def _kernel_scenarios():
     scenarios = {}
-    for mode in ("off", "closure", "exec"):
+    for mode in ("off", "closure"):
         for label, count in (
             ("kernel_bulk_load_10k", N_KERNEL_SMALL),
             ("kernel_bulk_load_100k", N_KERNEL_LARGE),
@@ -468,8 +467,8 @@ def _kernel_scenarios():
 def verify_kernel_equivalence():
     """Every kernel scenario must be result-identical across modes.
 
-    Raises ``SystemExit`` on divergence: a report documenting a speedup
-    is meaningless if the modes did different work.
+    Raises ``SystemExit`` on divergence: compiled kernels may change
+    speed, never results.
     """
     for label, by_mode in _KERNEL_OUTCOMES.items():
         baseline = by_mode.get("off")
@@ -481,22 +480,6 @@ def verify_kernel_equivalence():
                 )
 
 
-def kernel_speedups(report):
-    """off/<mode> wall-clock ratios per kernel scenario family."""
-    scenarios = report["scenarios"]
-    speedups = {}
-    for label in ("kernel_bulk_load_10k", "kernel_bulk_load_100k",
-                  "kernel_incremental"):
-        off = scenarios.get(f"{label}_off", {}).get("elapsed_s")
-        if not off:
-            continue
-        for mode in ("closure", "exec"):
-            elapsed = scenarios.get(f"{label}_{mode}", {}).get("elapsed_s")
-            if elapsed:
-                speedups[f"{label}_{mode}"] = round(off / elapsed, 3)
-    return speedups
-
-
 # -- service scenarios -------------------------------------------------
 #
 # Each one boots an in-process rule service and drives it with the
@@ -504,13 +487,10 @@ def kernel_speedups(report):
 # counters (requests, facts, firings) are deterministic for a fixed
 # fleet; the rule-base counters pin the sharing contract — however
 # many sessions, one compile per distinct (program, matcher, kernels).
-# Wall-clock throughput and latency percentiles are recorded in the
-# report's informational ``service`` section, never gated.
 
 SERVICE_SESSIONS = 8
 SERVICE_TICKS = 5
 SERVICE_FACTS = 40
-_SERVICE_RESULTS = {}
 
 
 class _ServiceCounters:
@@ -540,14 +520,6 @@ def _service_scenario(label, matchers):
             f"service scenario {label}: {result['errors']}"
         )
     stats = result["server"]
-    _SERVICE_RESULTS[label] = {
-        "sessions": result["sessions"],
-        "matchers": result["matchers"],
-        "events_total": result["events_total"],
-        "events_per_s": result["events_per_s"],
-        "latency": result["latency"],
-        "busy_retries": result["busy_retries"],
-    }
     return _ServiceCounters({
         "service_requests": stats["server"].get("requests", 0),
         "service_facts_ingested": stats["server"].get(
@@ -588,8 +560,7 @@ SERVICE_CHAOS = ("disconnect=0.03,partial=0.02,delay=0.05,"
 
 def scenario_service_chaos_keyed():
     """A durable idempotent fleet under chaos lands *exactly* the same
-    ingest/firing totals as a quiet one: retries dedup, kills resume.
-    Retry overhead and latency are recorded as informational."""
+    ingest/firing totals as a quiet one: retries dedup, kills resume."""
     import tempfile
 
     from repro.service.loadgen import run_load
@@ -622,21 +593,6 @@ def scenario_service_chaos_keyed():
         raise SystemExit(
             f"service scenario {label}: chaos layer injected nothing"
         )
-    _SERVICE_RESULTS[label] = {
-        "sessions": result["sessions"],
-        "matchers": result["matchers"],
-        "events_total": result["events_total"],
-        "events_per_s": result["events_per_s"],
-        "latency": result["latency"],
-        "busy_retries": result["busy_retries"],
-        # Informational resilience overhead; machine/timing dependent.
-        "retries": result["retries"],
-        "reconnects": result["reconnects"],
-        "deduped": result["deduped"],
-        "busy_shed": result["busy_shed"],
-        "session_restarts": result["session_restarts"],
-        "chaos_injected": dict(injected),
-    }
     return _ServiceCounters({
         "service_chaos_facts_ingested": stats["server"].get(
             "facts_ingested", 0
@@ -669,7 +625,6 @@ def scenario_service_reload():
 
     label = "svc-reload"
     fired = 0
-    start = time.perf_counter()
     with ServiceThread(ServiceConfig(port=0, engine_workers=4)) as server:
         with ServiceClient(*server.address) as client:
             sessions = [f"{label}-{i}" for i in range(RELOAD_SESSIONS)]
@@ -681,26 +636,11 @@ def scenario_service_reload():
                 client.assert_facts(sid, _facts(RELOAD_FACTS))
                 response, _ = client.run(sid)
                 fired += response["fired"]
-            reload_latencies = []
             for sid in sessions:
-                tick = time.perf_counter()
                 client.replace_rule(sid, "dept-size", RELOAD_RULE)
-                reload_latencies.append(time.perf_counter() - tick)
                 response, _ = client.run(sid)
                 fired += response["fired"]
             stats = client.stats()
-    elapsed = time.perf_counter() - start
-    _SERVICE_RESULTS[label] = {
-        "sessions": RELOAD_SESSIONS,
-        "reloads": RELOAD_SESSIONS,
-        "elapsed_s": round(elapsed, 3),
-        "reload_ms": {
-            "first": round(reload_latencies[0] * 1000, 3),
-            "rest_max": round(max(reload_latencies[1:]) * 1000, 3),
-        },
-        "rulebase_forks": stats["server"]["rulebase_forks"],
-        "rules_replaced": stats["server"]["rules_replaced"],
-    }
     bases = stats["rule_bases"]
     return _ServiceCounters({
         "service_reload_rulebase_compiles": bases["compiles"],
@@ -739,23 +679,6 @@ SHARD_PROGRAM = PROGRAM + """
   (write depts (count <D>)))
 """
 SHARD_COUNT = 4
-SHARD_WORKERS = (1, 2, 4)
-
-
-def timed_sharded_match(workers):
-    """Wall clock of one sharded bulk-load propagation (no stats)."""
-    engine = RuleEngine(
-        matcher=ShardedReteNetwork(shards=SHARD_COUNT, workers=workers)
-    )
-    engine.load(SHARD_PROGRAM)
-    for d in range(N_DEPTS):
-        engine.make("dept", name=f"d{d}")
-    facts = _facts()
-    start = time.perf_counter()
-    engine.load_facts(facts)
-    elapsed = time.perf_counter() - start
-    engine.close()
-    return elapsed
 
 
 def run_scenarios():
@@ -768,24 +691,7 @@ def run_scenarios():
             "counters": dict(stats.totals),
             "elapsed_s": round(elapsed, 4),
         }
-    # Informational wall-clock of the sharded match at several pool
-    # sizes.  Timings are machine dependent and never gated; they are
-    # recorded so reports document how the shard pool scales.
-    report["parallel"] = {
-        "sharded_match": {
-            "shards": SHARD_COUNT,
-            "elapsed_s": {
-                str(workers): round(timed_sharded_match(workers), 4)
-                for workers in SHARD_WORKERS
-            },
-        }
-    }
     verify_kernel_equivalence()
-    report["kernels"] = {"speedup_vs_off": kernel_speedups(report)}
-    # Informational service throughput/latency: machine dependent,
-    # recorded so reports document sessions x events/sec and p50/p99.
-    if _SERVICE_RESULTS:
-        report["service"] = dict(_SERVICE_RESULTS)
     return report
 
 
@@ -830,37 +736,6 @@ def print_report(report):
         for counter in GATED_COUNTERS:
             if counter in data["counters"]:
                 print(f"  {counter:<24}{data['counters'][counter]:>12}")
-    sharded = report.get("parallel", {}).get("sharded_match")
-    if sharded:
-        timings = " ".join(
-            f"w{workers}={elapsed:.3f}s"
-            for workers, elapsed in sharded["elapsed_s"].items()
-        )
-        print(f"sharded_match wall clock ({sharded['shards']} shards): "
-              f"{timings}")
-    speedups = report.get("kernels", {}).get("speedup_vs_off")
-    if speedups:
-        print("kernel wall-clock speedup vs interpreted (off):")
-        for name, ratio in speedups.items():
-            print(f"  {name:<32}{ratio:>6.2f}x")
-    for label, svc in report.get("service", {}).items():
-        if "latency" in svc:
-            run = svc["latency"]["run"]
-            print(
-                f"service {label}: {svc['sessions']} sessions "
-                f"({','.join(svc['matchers'])}) "
-                f"{svc['events_per_s']:.0f} events/s, run "
-                f"p50={run['p50_ms']:.1f}ms p99={run['p99_ms']:.1f}ms"
-            )
-        elif "reload_ms" in svc:
-            reload_ms = svc["reload_ms"]
-            print(
-                f"service {label}: {svc['sessions']} sessions, "
-                f"{svc['reloads']} reloads "
-                f"({svc['rulebase_forks']} fork), first="
-                f"{reload_ms['first']:.1f}ms "
-                f"rest_max={reload_ms['rest_max']:.1f}ms"
-            )
 
 
 def main(argv=None):

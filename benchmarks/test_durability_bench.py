@@ -142,7 +142,7 @@ def test_recovery_time_tracks_wal_tail_length(tmp_path, benchmark):
 
 @pytest.mark.parametrize("matcher", ["rete", "treat", "naive", "dips"])
 def test_recovery_is_matcher_faithful_at_scale(tmp_path, matcher):
-    from repro.durability.checkpoint import build_matcher
+    from repro.match import build_matcher
 
     engine = RuleEngine(
         matcher=build_matcher(matcher),

@@ -5,7 +5,7 @@ Usage::
     python -m repro.cli [program.ops]
                         [--matcher rete|treat|naive|dips|sharded]
                         [--backend memory|sqlite|sqlite:PATH]
-                        [--kernels off|closure|exec]
+                        [--kernels off|closure]
                         [--strategy lex|mea] [--run N] [--watch LEVEL]
                         [--on-error POLICY] [--workers N]
                         [--profile] [--profile-json FILE]
@@ -22,10 +22,14 @@ matchers ignore it.  See ``docs/STORAGE.md``.
 
 ``--kernels`` picks the compiled-match-kernel mode for the Rete-family
 matchers — ``closure`` (default: per-node test chains composed into
-specialized closures at build time), ``exec`` (test chains rendered to
-Python source and exec-compiled), or ``off`` (the interpreted test
-walk).  ``REPRO_KERNELS`` supplies the default; the flag wins.
-Results are identical in every mode.  See ``docs/KERNELS.md``.
+specialized closures at build time) or ``off`` (the interpreted test
+walk the tests use as oracle).  ``REPRO_KERNELS`` supplies the default;
+the flag wins.  Results are identical in both.  See ``docs/KERNELS.md``.
+
+The ``--matcher`` names come from the registry in :mod:`repro.match`;
+the flags the three commands share (``--matcher``, ``--backend``,
+``--kernels``, ``--strategy``, ``--on-error``, ``--workers``) are
+declared once, in :func:`_add_engine_options`.
 
 ``--on-error`` sets the engine-wide firing error policy — ``halt``
 (default), ``skip``, ``retry[:n[:backoff[:then]]]``, or
@@ -89,31 +93,9 @@ from repro.engine.conflict import strategy_named
 from repro.engine.engine import RuleEngine
 from repro.errors import ReproError
 from repro.lang.printer import format_ce
+from repro.match import MATCHER_NAMES, build_matcher
+from repro.rete.kernels import KERNEL_MODES
 from repro.symbols import coerce_literal
-
-
-def _build_matcher(name, backend=None, kernels=None):
-    if name == "rete":
-        from repro.rete import ReteNetwork
-
-        return ReteNetwork(kernels=kernels)
-    if name == "sharded":
-        from repro.rete import ShardedReteNetwork
-
-        return ShardedReteNetwork(kernels=kernels)
-    if name == "treat":
-        from repro.match import TreatMatcher
-
-        return TreatMatcher()
-    if name == "naive":
-        from repro.match import NaiveMatcher
-
-        return NaiveMatcher()
-    if name == "dips":
-        from repro.dips import DipsMatcher
-
-        return DipsMatcher(backend=backend)
-    raise ValueError(f"unknown matcher {name!r}")
 
 
 def _parse_attribute_args(tokens):
@@ -154,9 +136,9 @@ class ReplSession:
                 from repro.durability import DurabilityConfig
 
                 durability = DurabilityConfig(wal_dir, fsync=fsync)
-            self.engine = RuleEngine(matcher=_build_matcher(matcher,
-                                                            backend,
-                                                            kernels),
+            self.engine = RuleEngine(matcher=build_matcher(matcher,
+                                                           backend,
+                                                           kernels),
                                      strategy=strategy,
                                      stats=self.profile_stats,
                                      durability=durability,
@@ -516,50 +498,63 @@ def _run_session(session, options):
         session.close()
 
 
-def _recover_main(argv):
+def _add_engine_options(parser, *, matcher, strategy, on_error,
+                        workers=True):
+    """Declare the engine-configuration flags every command shares.
+
+    *matcher* / *strategy* / *on_error* are the command's defaults;
+    ``recover`` passes None for all three, meaning "what the log
+    recorded" (error policies are not persisted, so there None means
+    the engine default).  ``serve`` sizes its own engine pool
+    (``--engine-workers``) and declines ``--workers``.
+    """
+
+    def default_of(value):
+        return f"default: {value or 'as recorded in the log'}"
+
+    parser.add_argument(
+        "--matcher", choices=MATCHER_NAMES, default=matcher,
+        help=f"match algorithm ({default_of(matcher)})",
+    )
+    parser.add_argument(
+        "--backend", metavar="SPEC", default=None,
+        help="storage backend for the dips matcher: memory, sqlite "
+        "(in-memory SQL pushdown), or sqlite:PATH (file-backed, "
+        "out-of-core); default: a recovered checkpoint's backend, else "
+        "REPRO_RDB_BACKEND, else memory",
+    )
+    parser.add_argument(
+        "--kernels", choices=KERNEL_MODES, default=None,
+        help="compiled match kernels for the rete/sharded matchers "
+        "(default: REPRO_KERNELS, else closure); off restores the "
+        "interpreted test walk — see docs/KERNELS.md",
+    )
+    parser.add_argument(
+        "--strategy", choices=("lex", "mea"), default=strategy,
+        help=f"conflict-resolution strategy ({default_of(strategy)})",
+    )
+    parser.add_argument(
+        "--on-error", metavar="POLICY", default=on_error,
+        help="firing error policy: halt, skip, "
+        "retry[:n[:backoff[:then]]], or quarantine[:k] "
+        f"(default: {on_error or 'halt'}; policies are not persisted, "
+        "so restate yours when recovering)",
+    )
+    if workers:
+        parser.add_argument(
+            "--workers", type=int, metavar="N", default=None,
+            help="firing-pool size for the `parallel` command "
+            "(default: REPRO_WORKERS or 1; 1 = sequential)",
+        )
+
+
+def _recover_parser():
     parser = argparse.ArgumentParser(
         prog="repro-ops recover",
         description="rebuild a session from its write-ahead log",
     )
     parser.add_argument("wal_dir", help="WAL directory to recover from")
-    parser.add_argument(
-        "--matcher",
-        choices=("rete", "treat", "naive", "dips", "sharded"),
-        default=None,
-        help="override the checkpointed matcher",
-    )
-    parser.add_argument(
-        "--backend",
-        metavar="SPEC",
-        default=None,
-        help="storage backend for the dips matcher "
-        "(memory, sqlite, or sqlite:PATH; default: the checkpoint "
-        "manifest's backend, else REPRO_RDB_BACKEND, else memory)",
-    )
-    parser.add_argument(
-        "--kernels",
-        choices=("off", "closure", "exec"),
-        default=None,
-        help="compiled match kernels for the recovered rete/sharded "
-        "matcher (default: REPRO_KERNELS, else closure)",
-    )
-    parser.add_argument("--strategy", choices=("lex", "mea"), default=None)
-    parser.add_argument(
-        "--workers",
-        type=int,
-        metavar="N",
-        default=None,
-        help="firing-pool size for the `parallel` command "
-        "(default: REPRO_WORKERS or 1)",
-    )
-    parser.add_argument(
-        "--on-error",
-        metavar="POLICY",
-        default=None,
-        help="firing error policy for the recovered session "
-        "(halt|skip|retry[:n[:backoff[:then]]]|quarantine[:k]); "
-        "policies are not persisted, so restate yours here",
-    )
+    _add_engine_options(parser, matcher=None, strategy=None, on_error=None)
     parser.add_argument("--run", type=int, metavar="N")
     parser.add_argument("--watch", type=int, default=1)
     parser.add_argument("--profile", action="store_true")
@@ -574,7 +569,11 @@ def _recover_main(argv):
         action="store_true",
         help="recover read-only: do not resume logging to the WAL",
     )
-    options = parser.parse_args(argv)
+    return parser
+
+
+def _recover_main(argv):
+    options = _recover_parser().parse_args(argv)
 
     stats = None
     if options.profile or options.profile_json is not None:
@@ -620,7 +619,7 @@ def _recover_main(argv):
     return _run_session(session, options)
 
 
-def _serve_main(argv):
+def _serve_parser():
     parser = argparse.ArgumentParser(
         prog="repro-ops serve",
         description="run the multi-tenant rule service "
@@ -642,24 +641,9 @@ def _serve_main(argv):
         "--fsync", choices=("always", "batch", "off"), default="batch",
         help="session WAL fsync policy (default: batch)",
     )
-    parser.add_argument(
-        "--matcher",
-        choices=("rete", "treat", "naive", "dips", "sharded"),
-        default="rete",
-        help="default matcher for sessions that do not choose one",
-    )
-    parser.add_argument(
-        "--kernels", choices=("off", "closure", "exec"), default=None,
-        help="default compiled-kernel mode (REPRO_KERNELS, else closure)",
-    )
-    parser.add_argument("--backend", metavar="SPEC", default=None,
-                        help="default dips storage backend")
-    parser.add_argument("--strategy", choices=("lex", "mea"),
-                        default="lex")
-    parser.add_argument(
-        "--on-error", metavar="POLICY", default="halt",
-        help="default per-session firing error policy",
-    )
+    # Per-session defaults: a create request may override each one.
+    _add_engine_options(parser, matcher="rete", strategy="lex",
+                        on_error="halt", workers=False)
     parser.add_argument(
         "--max-sessions", type=int, default=256,
         help="session table size; beyond it the LRU idle session is "
@@ -722,7 +706,11 @@ def _serve_main(argv):
         help="seconds an open breaker rejects requests before "
         "admitting a half-open probe (default 1)",
     )
-    options = parser.parse_args(argv)
+    return parser
+
+
+def _serve_main(argv):
+    options = _serve_parser().parse_args(argv)
 
     import asyncio
     import signal
@@ -815,56 +803,15 @@ def _serve_main(argv):
     return 0
 
 
-def main(argv=None):
-    if argv is None:
-        argv = sys.argv[1:]
-    if argv and argv[0] == "recover":
-        return _recover_main(argv[1:])
-    if argv and argv[0] == "serve":
-        return _serve_main(argv[1:])
+def _main_parser():
     parser = argparse.ArgumentParser(
         prog="repro-ops",
         description="OPS5/C5 interpreter with set-oriented constructs "
         "(Gordin & Pasik, SIGMOD 1991 reproduction)",
     )
     parser.add_argument("program", nargs="?", help="program file to load")
-    parser.add_argument(
-        "--matcher",
-        choices=("rete", "treat", "naive", "dips", "sharded"),
-        default="rete",
-    )
-    parser.add_argument(
-        "--backend",
-        metavar="SPEC",
-        default=None,
-        help="storage backend for the dips matcher: memory (default), "
-        "sqlite (in-memory SQL pushdown), or sqlite:PATH (file-backed, "
-        "out-of-core); REPRO_RDB_BACKEND sets the default",
-    )
-    parser.add_argument(
-        "--kernels",
-        choices=("off", "closure", "exec"),
-        default=None,
-        help="compiled match kernels for the rete/sharded matchers "
-        "(default: REPRO_KERNELS, else closure); off restores the "
-        "interpreted test walk — see docs/KERNELS.md",
-    )
-    parser.add_argument("--strategy", choices=("lex", "mea"), default="lex")
-    parser.add_argument(
-        "--workers",
-        type=int,
-        metavar="N",
-        default=None,
-        help="firing-pool size for the `parallel` command "
-        "(default: REPRO_WORKERS or 1; 1 = sequential)",
-    )
-    parser.add_argument(
-        "--on-error",
-        metavar="POLICY",
-        default="halt",
-        help="firing error policy: halt (default), skip, "
-        "retry[:n[:backoff[:then]]], or quarantine[:k]",
-    )
+    _add_engine_options(parser, matcher="rete", strategy="lex",
+                        on_error="halt")
     parser.add_argument(
         "--run",
         type=int,
@@ -900,7 +847,17 @@ def main(argv=None):
         action="store_true",
         help="write a durability checkpoint after --run completes",
     )
-    options = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None):
+    if argv is None:
+        argv = sys.argv[1:]
+    if argv and argv[0] == "recover":
+        return _recover_main(argv[1:])
+    if argv and argv[0] == "serve":
+        return _serve_main(argv[1:])
+    options = _main_parser().parse_args(argv)
 
     try:
         session = ReplSession(

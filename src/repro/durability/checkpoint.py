@@ -36,7 +36,7 @@ import shutil
 import zlib
 
 from repro.durability.wal import fsync_dir
-from repro.errors import DurabilityError, RecoveryError
+from repro.errors import RecoveryError
 
 MANIFEST_VERSION = 1
 CHECKPOINT_PREFIX = "checkpoint-"
@@ -308,43 +308,3 @@ def program_source(engine):
     for rule in engine.rules.values():
         lines.append(format_rule(rule))
     return "\n".join(lines)
-
-
-def matcher_name(matcher):
-    """The registry name of *matcher*'s class, or None if unknown."""
-    from repro.dips.matcher import DipsMatcher
-    from repro.match import NaiveMatcher, TreatMatcher
-    from repro.rete.network import ReteNetwork
-    from repro.rete.sharded import ShardedReteNetwork
-
-    for name, cls in (("rete", ReteNetwork), ("treat", TreatMatcher),
-                      ("naive", NaiveMatcher), ("dips", DipsMatcher),
-                      ("sharded", ShardedReteNetwork)):
-        if type(matcher) is cls:
-            return name
-    return None
-
-
-def build_matcher(name, backend=None, kernels=None):
-    """Instantiate a matcher by registry name.
-
-    *backend* is a storage backend spec for matchers that run on the
-    relational substrate (dips); the others ignore it.  *kernels* is a
-    compiled-kernel mode spec for the Rete-family matchers (rete,
-    sharded); the interpreted comparison matchers ignore it.
-    """
-    from repro.dips.matcher import DipsMatcher
-    from repro.match import NaiveMatcher, TreatMatcher
-    from repro.rete.network import ReteNetwork
-    from repro.rete.sharded import ShardedReteNetwork
-
-    factories = {"rete": ReteNetwork, "treat": TreatMatcher,
-                 "naive": NaiveMatcher, "dips": DipsMatcher,
-                 "sharded": ShardedReteNetwork}
-    if name not in factories:
-        raise DurabilityError(f"unknown matcher {name!r}")
-    if name == "dips":
-        return DipsMatcher(backend=backend)
-    if name in ("rete", "sharded"):
-        return factories[name](kernels=kernels)
-    return factories[name]()

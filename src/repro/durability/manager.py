@@ -357,6 +357,7 @@ class DurabilityManager:
         pruned.
         """
         from repro.durability import checkpoint as ckpt
+        from repro.match import matcher_name
         from repro.wm.snapshot import dump_wm
 
         if engine.wm.in_batch:
@@ -384,7 +385,7 @@ class DurabilityManager:
             wal_position=position,
             next_tag=engine.wm.latest_time_tag + 1,
             program=ckpt.program_source(engine),
-            matcher_name=ckpt.matcher_name(engine.matcher),
+            matcher_name=matcher_name(engine.matcher),
             strategy_name=engine.strategy.name,
             fired=collect_fired(engine),
             cycle_count=engine.cycle_count,

@@ -87,7 +87,7 @@ def recover_engine(engine_cls, path, *, program=None, matcher=None,
     """Rebuild a :class:`RuleEngine` from the WAL directory *path*.
 
     *matcher* may be a matcher instance or a registry name
-    (``rete``/``treat``/``naive``/``dips``); by default the manifest's
+    (:data:`repro.match.MATCHERS`); by default the manifest's
     recorded matcher (falling back to Rete) is used, so recovery is
     matcher-faithful without the caller restating it.  *backend*
     overrides the storage backend spec for substrate-backed matchers
@@ -97,9 +97,10 @@ def recover_engine(engine_cls, path, *, program=None, matcher=None,
     the policy).  The recovered engine carries a
     :class:`RecoveryReport` as ``engine.recovery_report``.
     """
-    from repro.durability.checkpoint import build_matcher, load_checkpoint
+    from repro.durability.checkpoint import load_checkpoint
     from repro.durability.manager import DurabilityConfig, DurabilityManager
     from repro.durability.wal import read_log_tail, truncate_after
+    from repro.match import build_matcher, matcher_name
     from repro.wm.snapshot import restore_wm
 
     if not os.path.isdir(path):
@@ -205,8 +206,6 @@ def recover_engine(engine_cls, path, *, program=None, matcher=None,
             if isinstance(durability, DurabilityConfig)
             else DurabilityConfig(path)
         )
-        from repro.durability.checkpoint import matcher_name
-
         if dropped:
             # Logging resumes past the rolled-back firing, so cut it
             # out of the file too: otherwise a second crash-and-recover

@@ -39,7 +39,7 @@ from repro.engine.tracing import Tracer
 from repro.errors import EngineError, RuleError
 from repro.lang.ast import Rule
 from repro.lang.parser import parse_program, parse_rule
-from repro.rete.network import ReteNetwork
+from repro.match import build_matcher, matcher_class, matcher_name
 from repro.wm.memory import WorkingMemory
 
 
@@ -65,7 +65,7 @@ class RuleEngine:
         environment variable, else 1 — the sequential simulation);
         see ``docs/PARALLELISM.md``.
         *kernels*: compiled-match-kernel mode for Rete-family matchers
-        built here — ``off`` / ``closure`` / ``exec`` (default: the
+        built here — ``off`` / ``closure`` (default: the
         ``REPRO_KERNELS`` environment variable, else ``closure``);
         ignored when *matcher* is a pre-built matcher object.  See
         ``docs/KERNELS.md``.
@@ -73,8 +73,6 @@ class RuleEngine:
         self.wm = WorkingMemory()
         self.stats = stats if stats is not None else NULL_STATS
         if isinstance(matcher, str):
-            from repro.durability.checkpoint import build_matcher
-
             matcher = build_matcher(matcher, kernels=kernels)
         self.matcher = (
             matcher
@@ -92,7 +90,6 @@ class RuleEngine:
         self.durability = None
         if durability is not None:
             from repro.durability import DurabilityManager
-            from repro.durability.checkpoint import matcher_name
 
             self.durability = DurabilityManager(
                 durability, stats=self.stats
@@ -134,10 +131,8 @@ class RuleEngine:
         """
         shards = int(os.environ.get("REPRO_MATCH_SHARDS", "0") or 0)
         if shards > 1:
-            from repro.rete.sharded import ShardedReteNetwork
-
-            return ShardedReteNetwork(shards=shards, kernels=kernels)
-        return ReteNetwork(kernels=kernels)
+            return matcher_class("sharded")(shards=shards, kernels=kernels)
+        return build_matcher("rete", kernels=kernels)
 
     @staticmethod
     def _default_workers(workers):

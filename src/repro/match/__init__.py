@@ -6,17 +6,33 @@
 * :class:`~repro.match.treat.TreatMatcher` — Miranker's TREAT: alpha
   memories only, joins recomputed seeded by each change;
 * :class:`~repro.match.naive.NaiveMatcher` — recompute-everything
-  baseline, the reference oracle for differential testing.
+  baseline, the reference oracle for differential testing;
+* :mod:`~repro.match.registry` — the one table naming every matcher
+  (these three plus ``dips`` and ``sharded``) and what each takes.
 """
 
 from repro.match.base import ConflictListener, Matcher, NullListener
 from repro.match.naive import NaiveMatcher
+from repro.match.registry import (
+    MATCHER_NAMES,
+    MATCHERS,
+    build_matcher,
+    matcher_class,
+    matcher_name,
+    matcher_spec,
+)
 from repro.match.treat import TreatMatcher
 
 __all__ = [
     "ConflictListener",
+    "MATCHERS",
+    "MATCHER_NAMES",
     "Matcher",
     "NaiveMatcher",
     "NullListener",
     "TreatMatcher",
+    "build_matcher",
+    "matcher_class",
+    "matcher_name",
+    "matcher_spec",
 ]

@@ -18,9 +18,9 @@ honoured: S-nodes are attached after the last join, and all alpha/beta
 sharing applies uniformly to set-oriented and regular rules.
 
 Node test lists are compiled to specialized match kernels at build
-time by :mod:`repro.rete.kernels` (``off`` / ``closure`` / ``exec``,
-selected via ``kernels=`` / ``REPRO_KERNELS``); the interpreted walk
-remains the always-available fallback.  See ``docs/KERNELS.md``.
+time by :mod:`repro.rete.kernels` (``closure``, or ``off`` for the
+interpreted walk the tests use as oracle; selected via ``kernels=`` /
+``REPRO_KERNELS``).  See ``docs/KERNELS.md``.
 """
 
 from repro.rete.network import ReteNetwork

@@ -31,7 +31,7 @@ class AlphaMemory:
     compiled kernel when the network carries a
     :class:`~repro.rete.kernels.KernelPack`.
 
-    With ``columnar=True`` the memory additionally mirrors its WMEs
+    A kernelized memory is also ``columnar``: it mirrors its WMEs
     into parallel per-attribute arrays (``wme_list`` + ``columns``),
     kept in insertion order so columnar scans visit candidates exactly
     like an ``items`` iteration.  Columns are built lazily per
@@ -44,8 +44,7 @@ class AlphaMemory:
                  "stats", "stats_key", "passes", "columnar", "wme_list",
                  "columns", "_columns_dirty")
 
-    def __init__(self, key, analysis, stats=None, kernels=None,
-                 columnar=False):
+    def __init__(self, key, analysis, stats=None, kernels=None):
         self.key = key
         self.analysis = analysis
         # dict used as an ordered set: insertion order, O(1) removal.
@@ -59,7 +58,7 @@ class AlphaMemory:
             if kernels is not None
             else analysis.wme_passes_alpha
         )
-        self.columnar = bool(columnar)
+        self.columnar = kernels is not None
         self.wme_list = []
         self.columns = {}
         self._columns_dirty = False
@@ -203,16 +202,15 @@ class AlphaNetwork:
     """Builds and feeds the shared alpha memories.
 
     *kernels* (a :class:`~repro.rete.kernels.KernelPack` or None) makes
-    every memory's admission predicate a compiled kernel; *columnar*
-    additionally gives each memory the parallel-array mirror columnar
-    scans and the process-pool mask offload evaluate against.
+    every memory's admission predicate a compiled kernel and gives
+    each memory the parallel-array mirror columnar scans evaluate
+    against.
     """
 
-    def __init__(self, stats=None, kernels=None, columnar=False):
+    def __init__(self, stats=None, kernels=None):
         self._memories = {}
         self._by_class = {}
         self.kernels = kernels
-        self.columnar = bool(columnar)
         self.stats = stats if stats is not None else NULL_STATS
 
     def attach_stats(self, stats):
@@ -232,8 +230,7 @@ class AlphaNetwork:
         memory = self._memories.get(key)
         if memory is None:
             memory = AlphaMemory(key, ce_analysis, stats=self.stats,
-                                 kernels=self.kernels,
-                                 columnar=self.columnar)
+                                 kernels=self.kernels)
             self._memories[key] = memory
             self._by_class.setdefault(ce_analysis.ce.wme_class, []).append(
                 memory
@@ -246,14 +243,6 @@ class AlphaNetwork:
     def handles_class(self, wme_class):
         """Does any alpha memory admit WMEs of *wme_class*?"""
         return wme_class in self._by_class
-
-    def classes(self):
-        """The WME classes this network has memories for."""
-        return tuple(self._by_class)
-
-    def memories_of_class(self, wme_class):
-        """The alpha memories fed by *wme_class* (possibly empty)."""
-        return self._by_class.get(wme_class, [])
 
     @property
     def memory_count(self):
@@ -274,7 +263,7 @@ class AlphaNetwork:
             if memory.passes(wme):
                 memory.add(wme)
 
-    def add_batch(self, wmes, alpha_filter=None):
+    def add_batch(self, wmes):
         """Route a delta-set into the alpha network, partitioned by class.
 
         Each alpha memory receives its passing subset as one
@@ -282,22 +271,14 @@ class AlphaNetwork:
         per successor).  Memories are processed one at a time —
         insert-then-activate per memory — which preserves the
         exactly-once pair discovery of the per-event path.
-
-        *alpha_filter*, if given, is ``f(memory, group) -> passing``
-        replacing the inline constant-test evaluation — the sharded
-        matcher's process-pool mode precomputes the passing subsets
-        out-of-process and injects them here.
         """
         by_class = {}
         for wme in wmes:
             by_class.setdefault(wme.wme_class, []).append(wme)
         for wme_class, group in by_class.items():
             for memory in self._by_class.get(wme_class, []):
-                if alpha_filter is not None:
-                    passing = alpha_filter(memory, group)
-                else:
-                    passes = memory.passes
-                    passing = [w for w in group if passes(w)]
+                passes = memory.passes
+                passing = [w for w in group if passes(w)]
                 if passing:
                     memory.add_batch(passing)
 

@@ -10,13 +10,15 @@ network-build time** into a specialized Python function:
 * **closure mode** (the default) composes per-predicate closures with
   the operands captured as locals — no string dispatch, no generator,
   early exit between tests;
-* **exec mode** (``REPRO_KERNELS=exec``) renders the whole test chain
-  as Python source and ``exec``-compiles it into a single code object
-  with the literals inlined in the bytecode;
-* **off** restores the interpreted test walk — the always-available
-  fallback seam, mirroring the storage layer's pushdown seam
-  (``docs/STORAGE.md``): kernels may only change *speed*, never
-  results, and every kernelized call site keeps its interpreted twin.
+* **off** restores the interpreted test walk — the test oracle,
+  mirroring the storage layer's pushdown seam (``docs/STORAGE.md``):
+  kernels may only change *speed*, never results, and every kernelized
+  call site keeps its interpreted twin.
+
+There is deliberately one compiled mode: a second, source-rendering
+``exec`` mode measured inside run-to-run noise of ``closure`` while
+paying ~60 % more engine setup, and was deleted (``docs/KERNELS.md``
+has the numbers).
 
 Kernels are cached per :class:`KernelPack` under a *structural key*
 over the test list (the same ``key()`` tuples alpha/beta node sharing
@@ -25,22 +27,19 @@ compiled function.  ``MatchStats`` counts ``kernels_compiled`` and
 ``kernel_cache_hits``; the bench gate pins ``kernels_compiled`` exactly
 so a silently-lost compilation fails the build.
 
-The module also supplies the **columnar** half of the story: alpha
-memories can mirror their WMEs into parallel per-attribute arrays
-(:class:`repro.rete.alpha.AlphaMemory` with ``columnar=True``), and
-:func:`columnar_mask` evaluates a compiled constant-test chain over
-those arrays column-at-a-time — the representation the sharded
-matcher's process-pool offload ships across process boundaries instead
-of pickled WME objects (see ``docs/PARALLELISM.md``).
+The module also supplies the **columnar** half of the story: under a
+kernelized network alpha memories mirror their WMEs into parallel
+per-attribute arrays (:attr:`repro.rete.alpha.AlphaMemory.columnar`),
+and the scan kernels (:meth:`KernelPack.scan`) evaluate a join-test
+chain over those arrays for one fixed left token.
 
 Selection is uniform: ``RuleEngine(kernels=...)``, the CLI
 ``--kernels`` flag, or the ``REPRO_KERNELS`` environment variable, all
-taking ``off`` | ``closure`` | ``exec``.  See ``docs/KERNELS.md``.
+taking ``off`` | ``closure``.  See ``docs/KERNELS.md``.
 """
 
 from __future__ import annotations
 
-import math
 import os
 import threading
 
@@ -49,7 +48,7 @@ from repro.errors import ReproError
 from repro.symbols import same_type, values_equal
 
 #: Recognised kernel modes, in documentation order.
-KERNEL_MODES = ("off", "closure", "exec")
+KERNEL_MODES = ("off", "closure")
 
 #: Mode used when neither the caller nor ``REPRO_KERNELS`` chooses.
 DEFAULT_MODE = "closure"
@@ -58,7 +57,7 @@ NUMBER_TYPES = (int, float)
 
 
 def resolve_kernels(spec=None):
-    """Resolve a kernel-mode spec to ``off`` / ``closure`` / ``exec``.
+    """Resolve a kernel-mode spec to ``off`` / ``closure``.
 
     *spec* ``None`` falls back to the ``REPRO_KERNELS`` environment
     variable, then to :data:`DEFAULT_MODE`.  Booleans are accepted as
@@ -83,8 +82,7 @@ def resolve_kernels(spec=None):
 # -- predicate comparators (pairwise, exact OPS5 semantics) ---------------
 #
 # Each comparator mirrors symbols.apply_predicate for one fixed
-# predicate, skipping the string-dispatch chain.  They are module-level
-# (not lambdas) so exec'd kernels and pickled specs can reference them.
+# predicate, skipping the string-dispatch chain.
 
 def _cmp_eq(left, right):
     return values_equal(left, right)
@@ -141,15 +139,14 @@ def _is_ops_number(value):
 
 # -- alpha specs ----------------------------------------------------------
 #
-# A spec is the picklable, structural description of one alpha memory's
+# A spec is the structural description of one alpha memory's
 # constant-test chain: (wme_class, (descriptor, ...)).  Descriptors:
 #   ("const", attribute, predicate, operand)   constant / disjunction
 #   ("intra", attribute, predicate, other_attribute)
-# The spec doubles as the kernel cache key and as the payload the
-# sharded matcher ships to process-pool workers.
+# The spec doubles as the kernel cache key.
 
 def alpha_spec(analysis):
-    """The structural spec of *analysis*'s alpha tests (picklable)."""
+    """The structural spec of *analysis*'s alpha tests (hashable)."""
     checks = tuple(
         ("const", check.attribute, check.predicate, check.operand)
         for check in analysis.constant_checks
@@ -236,8 +233,7 @@ def _alpha_column_ops(spec):
 
     Returns ``[("value", attribute, fn(value)), ...]`` and
     ``[("pair", attribute, other, fn(left, right)), ...]`` merged in
-    spec order — the shared core of the per-WME kernel and the
-    columnar mask.
+    spec order.
     """
     ops = []
     for desc in spec[1]:
@@ -285,149 +281,6 @@ def _closure_alpha_kernel(spec):
     return kernel
 
 
-# -- exec-mode source rendering -------------------------------------------
-
-_EXEC_HELPERS = {
-    "values_equal": values_equal,
-    "same_type": same_type,
-    "isinstance": isinstance,
-    "_N": NUMBER_TYPES,
-    "_B": bool,
-}
-
-
-class _Unrenderable(Exception):
-    """An operand the source renderer cannot embed as a literal."""
-
-
-def _literal(value):
-    """Render *value* as a Python source literal (or refuse)."""
-    if value is None or isinstance(value, (bool, int, str)):
-        return repr(value)
-    if isinstance(value, float):
-        if not math.isfinite(value):
-            raise _Unrenderable(f"non-finite float {value!r}")
-        return repr(value)
-    raise _Unrenderable(f"operand {value!r} is not a literal")
-
-
-def _number_guard(name):
-    return f"isinstance({name}, _N) and not isinstance({name}, _B)"
-
-
-def _render_const_condition(predicate, operand, name="v"):
-    """The source expression testing one constant check against *name*."""
-    if isinstance(operand, tuple):
-        symbols_lit = tuple(x for x in operand if isinstance(x, str))
-        numbers_lit = tuple(x for x in operand if _is_ops_number(x))
-        sym_src = ", ".join(_literal(x) for x in symbols_lit)
-        num_src = ", ".join(_literal(x) for x in numbers_lit)
-        parts = []
-        if symbols_lit:
-            parts.append(f"(isinstance({name}, str) and {name} in "
-                         f"({sym_src},))")
-        if numbers_lit:
-            parts.append(f"({_number_guard(name)} and {name} in "
-                         f"({num_src},))")
-        return " or ".join(parts) if parts else "False"
-    literal = _literal(operand)
-    if predicate in ("=", "<>"):
-        if _is_ops_number(operand):
-            positive = f"({_number_guard(name)} and {name} == {literal})"
-        elif isinstance(operand, str):
-            positive = f"(isinstance({name}, str) and {name} == {literal})"
-        else:
-            positive = "False"
-        return positive if predicate == "=" else f"not {positive}"
-    if predicate == "<=>":
-        if _is_ops_number(operand):
-            return f"({_number_guard(name)})"
-        if isinstance(operand, str):
-            return f"isinstance({name}, str)"
-        return "False"
-    if predicate in _ORDER_PREDICATES:
-        if not _is_ops_number(operand):
-            return "False"
-        return (f"({_number_guard(name)} and {name} {predicate} "
-                f"{literal})")
-    raise _Unrenderable(f"predicate {predicate!r}")
-
-
-def _render_pair_condition(predicate, left="v", right="b"):
-    """The source expression comparing two runtime values."""
-    if predicate == "=":
-        return f"values_equal({left}, {right})"
-    if predicate == "<>":
-        return f"not values_equal({left}, {right})"
-    if predicate == "<=>":
-        return f"same_type({left}, {right})"
-    if predicate in _ORDER_PREDICATES:
-        return (f"({_number_guard(left)} and {_number_guard(right)} "
-                f"and {left} {predicate} {right})")
-    raise _Unrenderable(f"predicate {predicate!r}")
-
-
-def render_alpha_source(spec):
-    """Exec-mode Python source for one alpha spec (or _Unrenderable)."""
-    lines = [
-        "def alpha_kernel(wme):",
-        f"    if wme.wme_class != {_literal(spec[0])}:",
-        "        return False",
-    ]
-    for desc in spec[1]:
-        if desc[0] == "const":
-            _, attribute, predicate, operand = desc
-            lines.append(f"    v = wme.get({attribute!r})")
-            condition = _render_const_condition(predicate, operand)
-            lines.append(f"    if not ({condition}):")
-            lines.append("        return False")
-        else:
-            _, attribute, predicate, other = desc
-            lines.append(f"    v = wme.get({attribute!r})")
-            lines.append(f"    b = wme.get({other!r})")
-            condition = _render_pair_condition(predicate)
-            lines.append(f"    if not ({condition}):")
-            lines.append("        return False")
-    lines.append("    return True")
-    return "\n".join(lines) + "\n"
-
-
-def render_join_source(test_keys):
-    """Exec-mode Python source for one join-test chain.
-
-    *test_keys* are ``JoinTest.key()`` tuples:
-    ``("join", attribute, predicate, bound_level, bound_attribute)``.
-    """
-    lines = ["def join_kernel(wme, lookup):"]
-    if not test_keys:
-        lines.append("    return True")
-        return "\n".join(lines) + "\n"
-    for _, attribute, predicate, level, bound_attribute in test_keys:
-        lines.append(f"    v = wme.get({attribute!r})")
-        lines.append(f"    b = lookup({level!r}, {bound_attribute!r})")
-        condition = _render_pair_condition(predicate)
-        lines.append(f"    if not ({condition}):")
-        lines.append("        return False")
-    lines.append("    return True")
-    return "\n".join(lines) + "\n"
-
-
-def _exec_compile(source, name):
-    namespace = dict(_EXEC_HELPERS)
-    code = compile(source, f"<repro-kernel:{name}>", "exec")
-    exec(code, namespace)  # noqa: S102 - trusted, rendered from our AST
-    fn = namespace[name]
-    fn.__kernel_source__ = source
-    return fn
-
-
-def _exec_alpha_kernel(spec):
-    try:
-        return _exec_compile(render_alpha_source(spec), "alpha_kernel")
-    except _Unrenderable:
-        return _closure_alpha_kernel(spec)
-
-
 # -- join kernels ---------------------------------------------------------
 
 def _closure_join_kernel(tests):
@@ -467,16 +320,6 @@ def _closure_join_kernel(tests):
         return True
 
     return kernel
-
-
-def _exec_join_kernel(tests):
-    try:
-        return _exec_compile(
-            render_join_source(tuple(t.key() for t in tests)),
-            "join_kernel",
-        )
-    except _Unrenderable:
-        return _closure_join_kernel(tests)
 
 
 def _scan_kernel(tests):
@@ -528,56 +371,6 @@ def _scan_kernel(tests):
     return kernel
 
 
-# -- columnar mask evaluation (process-pool offload) ----------------------
-
-#: Per-process compile cache for shipped alpha specs (worker side).
-_SPEC_CACHE = {}
-
-
-def columnar_mask(spec, columns, count):
-    """Evaluate *spec*'s constant tests over parallel arrays.
-
-    *columns* maps attribute name to a list of *count* values (one per
-    candidate WME, all of the spec's class).  Returns a boolean mask.
-    Used by the sharded matcher's ``executor="process"`` offload: the
-    arrays pickle instead of the WME objects, and the kernel compiles
-    once per worker process (cached by structural key).
-    """
-    ops = _SPEC_CACHE.get(spec)
-    if ops is None:
-        ops = _SPEC_CACHE[spec] = _alpha_column_ops(spec)
-    mask = [True] * count
-    for op in ops:
-        if op[0] == "value":
-            predicate = op[2]
-            column = columns[op[1]]
-            for i in range(count):
-                if mask[i] and not predicate(column[i]):
-                    mask[i] = False
-        else:
-            comparator = op[3]
-            left = columns[op[1]]
-            right = columns[op[2]]
-            for i in range(count):
-                if mask[i] and not comparator(left[i], right[i]):
-                    mask[i] = False
-    return mask
-
-
-def spec_attributes(spec):
-    """The attribute names *spec*'s tests read (for column shipping)."""
-    attributes = []
-    for desc in spec[1]:
-        if desc[0] == "const":
-            if desc[1] not in attributes:
-                attributes.append(desc[1])
-        else:
-            for attribute in (desc[1], desc[3]):
-                if attribute not in attributes:
-                    attributes.append(attribute)
-    return tuple(attributes)
-
-
 # -- the pack -------------------------------------------------------------
 
 class KernelPack:
@@ -607,8 +400,9 @@ class KernelPack:
         self.mode = resolve_kernels(mode)
         if self.mode == "off":
             raise ReproError(
-                "KernelPack requires a compiled mode (closure or exec); "
-                "use kernels=None at the network level for 'off'"
+                "KernelPack requires the compiled mode (closure); "
+                "use kernels='off' at the network level for the "
+                "interpreted walk"
             )
         self.stats = stats if stats is not None else NULL_STATS
         self.compiled = 0
@@ -638,9 +432,6 @@ class KernelPack:
     def alpha(self, analysis):
         """Compiled ``fn(wme) -> bool`` for a CE's alpha-test chain."""
         spec = alpha_spec(analysis)
-        if self.mode == "exec":
-            return self._get(("alpha", spec),
-                             lambda: _exec_alpha_kernel(spec))
         return self._get(("alpha", spec),
                          lambda: _closure_alpha_kernel(spec))
 
@@ -648,8 +439,6 @@ class KernelPack:
         """Compiled ``fn(wme, lookup) -> bool`` for a join-test list."""
         tests = tuple(tests)
         key = ("join", tuple(t.key() for t in tests))
-        if self.mode == "exec":
-            return self._get(key, lambda: _exec_join_kernel(tests))
         return self._get(key, lambda: _closure_join_kernel(tests))
 
     def scan(self, tests):

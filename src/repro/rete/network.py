@@ -51,7 +51,7 @@ class ReteNetwork(Matcher):
 
     def __init__(self, strict_paper_decide=False, share_alpha=True,
                  share_beta=True, indexed_joins=True, batched=True,
-                 stats=None, kernels=None, columnar=None):
+                 stats=None, kernels=None):
         super().__init__()
         self.match_stats = stats if stats is not None else NULL_STATS
         self.share_alpha = share_alpha
@@ -63,9 +63,9 @@ class ReteNetwork(Matcher):
         # propagation, staged S-nodes); False replays them per event —
         # the reference semantics the property tests compare against.
         self.batched = batched
-        # Compiled match kernels (off|closure|exec; None defers to the
+        # Compiled match kernels (off|closure; None defers to the
         # REPRO_KERNELS env var, default closure).  Columnar alpha
-        # mirrors default to on whenever kernels are on.  A ready-made
+        # mirrors are on exactly when kernels are on.  A ready-made
         # KernelPack — the service layer's shared, per-rule-base pack —
         # is adopted as-is so sessions share compiled functions.
         if isinstance(kernels, KernelPack):
@@ -75,13 +75,9 @@ class ReteNetwork(Matcher):
             self.kernel_mode = resolve_kernels(kernels)
             self.kernels = build_kernels(self.kernel_mode,
                                          stats=self.match_stats)
-        self.columnar = (
-            self.kernels is not None if columnar is None else bool(columnar)
-        )
         self._private_counter = 0
         self.alpha = AlphaNetwork(stats=self.match_stats,
-                                  kernels=self.kernels,
-                                  columnar=self.columnar)
+                                  kernels=self.kernels)
         self.dummy_top = BetaMemory(None, -1, stats=self.match_stats)
         self._beta_nodes = [self.dummy_top]
         self._dummy_token = DummyToken()
@@ -315,7 +311,7 @@ class ReteNetwork(Matcher):
         """
         return self.alpha.handles_class(wme_class)
 
-    def on_batch(self, events, alpha_filter=None):
+    def on_batch(self, events):
         """Propagate one flushed delta-set set-oriented.
 
         Removes run first (per WME — deletion is a token cascade), then
@@ -325,10 +321,6 @@ class ReteNetwork(Matcher):
         flush.  The outcome — conflict set, firing order, refire
         eligibility — is the atomic net-delta semantics the per-event
         replay of the same flushed batch produces.
-
-        *alpha_filter* forwards to
-        :meth:`~repro.rete.alpha.AlphaNetwork.add_batch` (precomputed
-        constant-test results from the sharded matcher's process pool).
         """
         if not self.batched or self.strict_paper_decide:
             # strict_paper_decide is a per-event ablation of Figure 3's
@@ -348,7 +340,7 @@ class ReteNetwork(Matcher):
                     self._remove_wme(event.wme)
             if adds:
                 self.stats.right_activations += len(adds)
-                self.alpha.add_batch(adds, alpha_filter)
+                self.alpha.add_batch(adds)
         finally:
             for snode in snodes:
                 snode.flush_batch()

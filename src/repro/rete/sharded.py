@@ -1,4 +1,4 @@
-"""Sharded batched match: rule-subnetwork partitions on a worker pool.
+"""Sharded batched match: rule-subnetwork partitions on a thread pool.
 
 :class:`ShardedReteNetwork` implements the
 :class:`~repro.match.base.Matcher` contract by partitioning the rule
@@ -30,9 +30,7 @@ selection, not arrival).
 
 **Caveats** (see ``docs/PARALLELISM.md``): constant tests and joins
 are pure Python, so under the GIL thread-level sharding overlaps
-little CPU; ``executor="process"`` opts the pure alpha-filter stage
-into a process pool (constant tests evaluated out-of-process, results
-injected via the ``alpha_filter`` hook).  When a live
+little CPU.  When a live
 :class:`~repro.engine.stats.MatchStats` hook is attached, shards
 propagate serially — the collector is not thread-safe and counter
 determinism is part of the bench gate's contract.
@@ -45,7 +43,6 @@ import zlib
 from repro.engine.stats import NULL_STATS
 from repro.errors import RuleError
 from repro.match.base import ConflictListener, Matcher
-from repro.rete.kernels import alpha_spec, columnar_mask, spec_attributes
 from repro.rete.network import ReteNetwork, ReteStats
 
 
@@ -89,25 +86,15 @@ class _DeltaBuffer(ConflictListener):
         return len(ops)
 
 
-def _alpha_mask(analysis, wmes):
-    """Process-pool worker: evaluate one memory's constant tests."""
-    return [analysis.wme_passes_alpha(wme) for wme in wmes]
-
-
 class ShardedReteNetwork(Matcher):
     """N Rete shards behind one Matcher facade (see module docstring)."""
 
-    def __init__(self, shards=2, workers=None, executor="thread",
-                 stats=None, **network_options):
+    def __init__(self, shards=2, workers=None, stats=None,
+                 **network_options):
         super().__init__()
         if shards < 1:
             raise RuleError(f"need at least 1 shard, got {shards}")
-        if executor not in ("thread", "process"):
-            raise RuleError(
-                f"executor must be 'thread' or 'process', got {executor!r}"
-            )
         self.match_stats = stats if stats is not None else NULL_STATS
-        self.executor_kind = executor
         self.workers = workers if workers is not None else shards
         self.shards = [
             ReteNetwork(stats=self.match_stats, **network_options)
@@ -118,9 +105,8 @@ class ShardedReteNetwork(Matcher):
             shard.set_listener(buffer)
         self._rule_shard = {}
         self._pool = None
-        self._process_pool = None
 
-    # -- pools ---------------------------------------------------------
+    # -- pool ----------------------------------------------------------
 
     def _thread_pool(self):
         if self._pool is None:
@@ -132,23 +118,11 @@ class ShardedReteNetwork(Matcher):
             )
         return self._pool
 
-    def _processes(self):
-        if self._process_pool is None:
-            from concurrent.futures import ProcessPoolExecutor
-
-            self._process_pool = ProcessPoolExecutor(
-                max_workers=self.workers
-            )
-        return self._process_pool
-
     def close(self):
-        """Shut down the worker pools (idempotent)."""
+        """Shut down the worker pool (idempotent)."""
         if self._pool is not None:
             self._pool.shutdown(wait=True)
             self._pool = None
-        if self._process_pool is not None:
-            self._process_pool.shutdown(wait=True)
-            self._process_pool = None
 
     # -- Matcher contract ----------------------------------------------
 
@@ -232,13 +206,9 @@ class ShardedReteNetwork(Matcher):
                 shard.on_batch(part)
             self._merge()
             return
-        alpha_filter = None
-        if self.executor_kind == "process":
-            alpha_filter = self._prefilter(live)
         pool = self._thread_pool()
         futures = [
-            pool.submit(shard.on_batch, part, alpha_filter)
-            for shard, part in live
+            pool.submit(shard.on_batch, part) for shard, part in live
         ]
         failure = None
         for future in futures:  # the barrier
@@ -255,70 +225,6 @@ class ShardedReteNetwork(Matcher):
         """Drain per-shard delta buffers in shard-index order."""
         for buffer in self._buffers:
             buffer.drain_into(self.listener)
-
-    def _prefilter(self, live):
-        """Evaluate the alpha constant tests on the process pool.
-
-        Returns an ``alpha_filter`` callable for
-        :meth:`~repro.rete.alpha.AlphaNetwork.add_batch` mapping each
-        alpha memory to its precomputed passing subset, or None when
-        the work cannot be shipped (unpicklable values, dead pool) —
-        the shards then filter inline, which is always correct.
-
-        Kernelized shards ship the **columnar** form: the memory's
-        structural :func:`~repro.rete.kernels.alpha_spec` plus parallel
-        per-attribute value arrays for just the attributes the tests
-        read, evaluated by :func:`~repro.rete.kernels.columnar_mask`
-        (compiled once per worker process, cached by spec).  Shards
-        without kernels ship the analysis + WME objects as before.
-        """
-        tasks = []
-        for shard, part in live:
-            by_class = {}
-            for event in part:
-                if event.is_add:
-                    by_class.setdefault(
-                        event.wme.wme_class, []
-                    ).append(event.wme)
-            for wme_class, group in by_class.items():
-                for memory in shard.alpha.memories_of_class(wme_class):
-                    tasks.append((memory, group, shard.kernels is not None))
-        if not tasks:
-            return None
-        try:
-            pool = self._processes()
-            futures = []
-            for memory, group, kernelized in tasks:
-                if kernelized:
-                    spec = alpha_spec(memory.analysis)
-                    columns = {
-                        attribute: [wme.get(attribute) for wme in group]
-                        for attribute in spec_attributes(spec)
-                    }
-                    futures.append(pool.submit(
-                        columnar_mask, spec, columns, len(group)
-                    ))
-                else:
-                    futures.append(pool.submit(
-                        _alpha_mask, memory.analysis, group
-                    ))
-            table = {}
-            for (memory, group, _), future in zip(tasks, futures):
-                mask = future.result()
-                table[id(memory)] = [
-                    wme for wme, passed in zip(group, mask) if passed
-                ]
-        except Exception:
-            return None
-
-        def alpha_filter(memory, group):
-            passing = table.get(id(memory))
-            if passing is None:  # a memory added mid-flight: inline
-                passes = memory.passes
-                passing = [w for w in group if passes(w)]
-            return passing
-
-        return alpha_filter
 
     # -- inspection ----------------------------------------------------
 
@@ -353,5 +259,5 @@ class ShardedReteNetwork(Matcher):
         rules = len(self._rule_shard)
         return (
             f"ShardedReteNetwork({len(self.shards)} shards, "
-            f"{rules} rules, {self.executor_kind} pool x{self.workers})"
+            f"{rules} rules, thread pool x{self.workers})"
         )

@@ -33,26 +33,25 @@ from __future__ import annotations
 import hashlib
 import threading
 
-from repro.durability.checkpoint import build_matcher
 from repro.lang.parser import parse_program
+from repro.match import build_matcher, matcher_spec
 from repro.rete.kernels import KernelPack, resolve_kernels
-
-#: Matchers whose networks consume compiled kernel packs.
-KERNELIZED_MATCHERS = ("rete", "sharded")
 
 
 def rule_base_key(source, matcher="rete", kernels=None, backend=None):
     """The cache key for one compiled rule base.
 
     The program source is content-hashed; matcher/kernel/backend specs
-    are normalised so equivalent spellings collide.  Kernel mode is
-    irrelevant to (and normalised away for) the interpreted matchers.
+    are normalised so equivalent spellings collide.  Kernel mode and
+    backend are normalised away for the matchers whose registry row
+    does not take them, so tenants differing only in an option their
+    matcher ignores share one parse and one kernel compile.
     """
-    mode = resolve_kernels(kernels)
-    if matcher not in KERNELIZED_MATCHERS:
-        mode = "-"
+    spec = matcher_spec(matcher)
+    mode = resolve_kernels(kernels) if spec.takes_kernels else "-"
+    store = (backend or "memory") if spec.takes_backend else "-"
     digest = hashlib.sha256(source.encode("utf-8")).hexdigest()
-    return (digest, matcher, mode, backend or "memory")
+    return (digest, matcher, mode, store)
 
 
 class RuleBase:
@@ -72,7 +71,7 @@ class RuleBase:
         self.backend = backend
         self.literalizations, self.rules = parse_program(source)
         self.kernel_pack = None
-        if (matcher in KERNELIZED_MATCHERS
+        if (matcher_spec(matcher).takes_kernels
                 and self.kernel_mode != "off"):
             self.kernel_pack = KernelPack(self.kernel_mode, shared=True)
         self.sessions_built = 0

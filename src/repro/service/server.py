@@ -63,6 +63,7 @@ from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from time import monotonic
 
+from repro.engine.conflict import strategy_named
 from repro.errors import (
     AdmissionError,
     DeadlineError,
@@ -70,6 +71,8 @@ from repro.errors import (
     ServiceError,
     WalError,
 )
+from repro.match import matcher_spec
+from repro.rete.kernels import resolve_kernels
 from repro.service import protocol
 from repro.service.chaos import ChaosInjector
 from repro.service.rulebase import RuleBaseCache
@@ -83,6 +86,24 @@ from repro.service.protocol import (
     fact_event,
     firing_event,
     ok_response,
+)
+
+
+def _check_backend(spec):
+    # Imported on use: only dips tenants need the relational substrate
+    # loaded into the server process.
+    from repro.rdb.backend import resolve_backend
+
+    resolve_backend(spec).close()
+
+
+#: ``create`` fields naming engine configuration, each with the call
+#: that raises a typed error for a value it does not know.
+_ENGINE_CONFIG_CHECKS = (
+    ("matcher", matcher_spec),
+    ("kernels", resolve_kernels),
+    ("strategy", strategy_named),
+    ("backend", _check_backend),
 )
 
 #: Ops served even while draining and never load-shed.
@@ -642,6 +663,7 @@ class RuleService:
         session_id = request.get("session")
         if not isinstance(session_id, str):
             raise ServiceError("create needs a 'session' field")
+        self._validate_engine_config(request)
         key = self._request_key(request)
         self._breaker_check(session_id)
         self._admit_global(tier="create")
@@ -680,6 +702,24 @@ class RuleService:
             durable=session.wal_dir is not None,
             **({"deduped": True} if deduped else {}),
         ))
+
+    @staticmethod
+    def _validate_engine_config(request):
+        """Reject an unknown matcher/kernels/strategy/backend up front.
+
+        A misspelt option is the client's mistake, not the session's:
+        it answers ``bad_request`` before admission instead of failing
+        inside the engine build, where it would count as an engine
+        error against the session id's circuit breaker.
+        """
+        for field, check in _ENGINE_CONFIG_CHECKS:
+            value = request.get(field)
+            if value is None:
+                continue
+            try:
+                check(value)
+            except (ReproError, TypeError) as error:
+                raise ServiceError(f"bad {field!r}: {error}") from None
 
     @staticmethod
     def _validate_facts(raw):

@@ -7,17 +7,15 @@ import pytest
 
 from repro import RuleEngine
 from repro.durability.checkpoint import (
-    build_matcher,
     checkpoint_dirname,
     list_checkpoints,
     load_checkpoint,
-    matcher_name,
     program_source,
     prune_checkpoints,
     read_current,
     write_checkpoint,
 )
-from repro.errors import DurabilityError, RecoveryError
+from repro.errors import RecoveryError
 from repro.wm.snapshot import dump_wm
 
 
@@ -149,22 +147,6 @@ class TestEngineSupport:
         assert clone.wm.registry.attributes_of("player") == (
             "name", "team",
         )
-
-    def test_matcher_names(self):
-        from repro.match import NaiveMatcher, TreatMatcher
-        from repro.rete import ReteNetwork
-
-        assert matcher_name(ReteNetwork()) == "rete"
-        assert matcher_name(TreatMatcher()) == "treat"
-        assert matcher_name(NaiveMatcher()) == "naive"
-        assert matcher_name(object()) is None
-
-    def test_build_matcher(self):
-        from repro.rete import ReteNetwork
-
-        assert type(build_matcher("rete")) is ReteNetwork
-        with pytest.raises(DurabilityError, match="unknown matcher"):
-            build_matcher("oracle")
 
     def test_dump_wm_feeds_checkpoint(self, tmp_path):
         engine = RuleEngine()

@@ -5,9 +5,9 @@ Two differential axes:
 * **Across kernel modes** — for hypothesis-generated rule programs
   (randomized constant predicates, disjunctions, join predicates, a
   negated CE, a set-oriented aggregate) and random op sequences, a
-  Rete network with ``kernels=off`` / ``closure`` / ``exec`` and a
-  sharded network reach bit-identical conflict sets, firing sequences,
-  and outputs.
+  Rete network with ``kernels=off`` / ``closure`` and a sharded
+  network reach bit-identical conflict sets, firing sequences, and
+  outputs.
 * **Across matchers** — the interpreted comparison matchers (treat,
   naive, dips) agree with every kernelized configuration on the same
   scenarios, so a kernel bug cannot hide behind a matcher-specific
@@ -15,7 +15,7 @@ Two differential axes:
 
 A direct network-level test additionally drives the defensive paths
 working memory cannot produce — unhashable join-key values (lists) and
-out-of-domain values (None) — through all three kernel modes, since
+out-of-domain values (None) — through both kernel modes, since
 those fall back from index probes to scans post-filtered by the full
 (compiled) test list.
 """
@@ -92,7 +92,6 @@ def _build_engines(program):
     configs = {
         "rete-off": ReteNetwork(kernels="off"),
         "rete-closure": ReteNetwork(kernels="closure"),
-        "rete-exec": ReteNetwork(kernels="exec"),
         "sharded-closure": ShardedReteNetwork(
             shards=2, kernels="closure"
         ),
@@ -174,7 +173,7 @@ class TestKernelModeEquivalence:
         """Rules added after WMEs exercise the kernelized backfill."""
         program = _program(*shape)
         results = {}
-        for mode in ("off", "closure", "exec"):
+        for mode in ("off", "closure"):
             engine = RuleEngine(matcher=ReteNetwork(kernels=mode))
             engine.load("(literalize item owner v)\n"
                         "(literalize owner name cap)")
@@ -188,7 +187,6 @@ class TestKernelModeEquivalence:
                 engine.output,
             )
         assert results["closure"] == results["off"]
-        assert results["exec"] == results["off"]
 
 
 class _OddWME:
@@ -213,7 +211,7 @@ class TestUnhashableJoinKeys:
         An unhashable probe value falls back from the index probe to a
         full scan post-filtered by the (compiled) test list; stored
         unhashable values live in the sentinel bucket every probe also
-        returns.  All three modes must produce identical insert/retract
+        returns.  Both modes must produce identical insert/retract
         streams.
         """
         from repro.lang import parse_rule
@@ -222,7 +220,7 @@ class TestUnhashableJoinKeys:
 
         rule = parse_rule("(p self (a ^k <v>) (a ^k <v>) --> (halt))")
         streams = {}
-        for mode in ("off", "closure", "exec"):
+        for mode in ("off", "closure"):
             network = ReteNetwork(kernels=mode)
             listener = CountingListener()
             network.set_listener(listener)
@@ -242,6 +240,5 @@ class TestUnhashableJoinKeys:
             streams[mode] = (inserted, listener.inserts,
                              listener.retracts)
         assert streams["closure"] == streams["off"]
-        assert streams["exec"] == streams["off"]
         # The two k=5 WMEs self-join both ways, plus each with itself.
         assert streams["off"][0] == 4

@@ -1,9 +1,8 @@
 """Unit tests for the compiled match-kernel layer.
 
 Covers mode resolution (flag / env / default), the structural cache
-(sharing, keyspace separation), the exec-mode source renderer, exact
-predicate semantics against the interpreter, the columnar alpha
-mirror, and the process-pool columnar mask.
+(sharing, keyspace separation), exact predicate semantics against the
+interpreter, and the columnar alpha mirror.
 """
 
 import pytest
@@ -16,17 +15,10 @@ from repro.lang.parser import parse_rule
 from repro.rete import ReteNetwork
 from repro.rete.kernels import (
     DEFAULT_MODE,
-    KERNEL_MODES,
     KernelPack,
-    _closure_alpha_kernel,
     _const_value_predicate,
-    alpha_spec,
     build_kernels,
-    columnar_mask,
-    render_alpha_source,
-    render_join_source,
     resolve_kernels,
-    spec_attributes,
 )
 from repro.wm import WME
 
@@ -68,28 +60,25 @@ class TestModeResolution:
         assert resolve_kernels(None) == DEFAULT_MODE == "closure"
 
     def test_env_variable_supplies_the_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNELS", "exec")
-        assert resolve_kernels(None) == "exec"
+        monkeypatch.setenv("REPRO_KERNELS", "closure")
+        assert resolve_kernels(None) == "closure"
         monkeypatch.setenv("REPRO_KERNELS", "off")
         assert resolve_kernels(None) == "off"
 
     def test_explicit_spec_beats_the_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNELS", "exec")
-        assert resolve_kernels("off") == "off"
+        monkeypatch.setenv("REPRO_KERNELS", "off")
+        assert resolve_kernels("closure") == "closure"
 
     def test_boolean_conveniences(self):
         assert resolve_kernels(True) == DEFAULT_MODE
         assert resolve_kernels(False) == "off"
 
     def test_case_and_whitespace_insensitive(self):
-        assert resolve_kernels(" EXEC ") == "exec"
+        assert resolve_kernels(" CLOSURE ") == "closure"
 
     def test_unknown_mode_raises(self):
         with pytest.raises(ReproError, match="unknown kernel mode"):
             resolve_kernels("jit")
-
-    def test_modes_tuple_is_the_contract(self):
-        assert KERNEL_MODES == ("off", "closure", "exec")
 
     def test_build_kernels_off_returns_none(self):
         assert build_kernels("off") is None
@@ -101,9 +90,8 @@ class TestModeResolution:
 
 
 class TestStructuralCache:
-    @pytest.mark.parametrize("mode", ["closure", "exec"])
-    def test_identical_alpha_chains_share_one_kernel(self, mode):
-        pack = KernelPack(mode)
+    def test_identical_alpha_chains_share_one_kernel(self):
+        pack = KernelPack("closure")
         first = pack.alpha(ce_analysis("(p r1 (a ^k 1) --> (halt))"))
         second = pack.alpha(ce_analysis("(p r2 (a ^k 1) --> (halt))"))
         third = pack.alpha(ce_analysis("(p r3 (a ^k 2) --> (halt))"))
@@ -112,9 +100,8 @@ class TestStructuralCache:
         assert pack.compiled == 2
         assert pack.cache_hits == 1
 
-    @pytest.mark.parametrize("mode", ["closure", "exec"])
-    def test_identical_join_chains_share_one_kernel(self, mode):
-        pack = KernelPack(mode)
+    def test_identical_join_chains_share_one_kernel(self):
+        pack = KernelPack("closure")
         first = pack.join(join_tests(TWO_CE_RULE))
         second = pack.join(join_tests(TWO_CE_RULE))
         assert first is second
@@ -153,53 +140,12 @@ class TestStructuralCache:
         assert network.kernels.compiled == before
 
 
-class TestExecRenderer:
-    def test_alpha_source_is_attached_and_compilable(self):
-        pack = KernelPack("exec")
-        kernel = pack.alpha(
-            ce_analysis("(p r (a ^k 1 ^name red) --> (halt))")
-        )
-        source = kernel.__kernel_source__
-        assert "def alpha_kernel(wme):" in source
-        assert "wme.wme_class != 'a'" in source
-
-    def test_join_source_renders_the_lookup_chain(self):
-        source = render_join_source(
-            tuple(t.key() for t in join_tests(TWO_CE_RULE))
-        )
-        assert "def join_kernel(wme, lookup):" in source
-        assert "lookup(" in source
-
-    def test_empty_join_chain_renders_true(self):
-        assert "return True" in render_join_source(())
-
-    def test_disjunction_renders_category_guards(self):
-        spec = alpha_spec(
-            ce_analysis("(p r (item ^c << red green 3 >>) --> (halt))")
-        )
-        source = render_alpha_source(spec)
-        assert "isinstance(v, str)" in source
-        assert "'red'" in source and "'green'" in source
-
-    def test_unrenderable_operand_falls_back_to_closure(self):
-        # A non-literal operand (here: a non-finite float smuggled into
-        # the spec) cannot be rendered; the pack silently compiles the
-        # closure form instead.
-        pack = KernelPack("exec")
-        analysis = ce_analysis("(p r (a ^k 1) --> (halt))")
-        spec = alpha_spec(analysis)
-        bad_spec = (spec[0], (("const", "k", "=", float("nan")),))
-        with pytest.raises(Exception):
-            render_alpha_source(bad_spec)
-        kernel = pack.alpha(analysis)
-        assert kernel(WME("a", {"k": 1}, 1))
-
-    @pytest.mark.parametrize("mode", ["closure", "exec"])
-    def test_exec_and_closure_agree_with_the_interpreter(self, mode):
+class TestPredicateSemantics:
+    def test_alpha_kernel_agrees_with_the_interpreter(self):
         analysis = ce_analysis(
             "(p r (a ^k << red 2 >> ^n { > 2 <= 9 } ^s blue) --> (halt))"
         )
-        kernel = KernelPack(mode).alpha(analysis)
+        kernel = KernelPack("closure").alpha(analysis)
         probes = [
             {"k": "red", "n": 5, "s": "blue"},
             {"k": 2, "n": 5, "s": "blue"},
@@ -218,8 +164,6 @@ class TestExecRenderer:
             wme = StubWME(1, **values)
             assert kernel(wme) == analysis.wme_passes_alpha(wme), values
 
-
-class TestPredicateSemantics:
     def test_equality_respects_ops_value_categories(self):
         eq = _const_value_predicate("=", 2)
         assert eq(2) and eq(2.0)
@@ -242,15 +186,14 @@ class TestPredicateSemantics:
         assert not _const_value_predicate("=", None)(1)
         assert _const_value_predicate("<>", None)("x")
 
-    @pytest.mark.parametrize("mode", ["closure", "exec"])
     @pytest.mark.parametrize(
         "predicate", ["=", "<>", "<", "<=", ">", ">=", "<=>"]
     )
-    def test_join_kernels_match_apply_predicate(self, mode, predicate):
+    def test_join_kernels_match_apply_predicate(self, predicate):
         from repro.analysis import JoinTest
 
         test = JoinTest("x", predicate, 0, "y")
-        kernel = KernelPack(mode).join((test,))
+        kernel = KernelPack("closure").join((test,))
         values = [0, 1, 2, 2.0, -1, 0.5, True, "a", "b", None]
         for left in values:
             for right in values:
@@ -262,16 +205,16 @@ class TestPredicateSemantics:
 
 
 class TestColumnarAlpha:
-    def _network(self):
-        network = ReteNetwork(kernels="closure")
+    def _network(self, kernels="closure"):
+        network = ReteNetwork(kernels=kernels)
         network.add_rule(parse_rule(TWO_CE_RULE))
         return network
 
-    def test_memories_are_columnar_when_kernels_are_on(self):
-        network = self._network()
-        for memory in network.alpha.memories():
+    def test_memories_are_columnar_exactly_when_kernels_are_on(self):
+        for memory in self._network().alpha.memories():
             assert memory.columnar
-        assert not ReteNetwork(kernels="off").columnar
+        for memory in self._network("off").alpha.memories():
+            assert not memory.columnar
 
     def test_scan_view_preserves_insertion_order_across_removals(self):
         network = self._network()
@@ -295,100 +238,29 @@ class TestColumnarAlpha:
         view, columns = memory.scan_view(("dept",))
         assert view[-1] is late and columns["dept"][-1] == "zz"
 
-    def test_columnar_mask_agrees_with_the_per_wme_kernel(self):
-        analysis = ce_analysis(
-            "(p r (a ^k << red 2 >> ^n { > 2 <= 9 }) --> (halt))"
-        )
-        spec = alpha_spec(analysis)
-        kernel = _closure_alpha_kernel(spec)
-        wmes = [
-            StubWME(i, k=k, n=n)
-            for i, (k, n) in enumerate([
-                ("red", 5), (2, 3), (2.0, 9), ("red", 2), (True, 5),
-                ("green", 5), ("red", 9.5), ("red", True), (None, None),
-            ])
-        ]
-        columns = {
-            attribute: [wme.get(attribute) for wme in wmes]
-            for attribute in spec_attributes(spec)
-        }
-        mask = columnar_mask(spec, columns, len(wmes))
-        assert mask == [kernel(wme) for wme in wmes]
-
-    def test_spec_attributes_deduplicate(self):
-        spec = ("a", (("const", "x", "=", 1), ("intra", "x", "<", "y")))
-        assert spec_attributes(spec) == ("x", "y")
-
 
 class TestUniformSelection:
     def test_engine_kernels_parameter(self):
         from repro.engine.engine import RuleEngine
 
-        assert RuleEngine(kernels="exec").matcher.kernel_mode == "exec"
+        assert RuleEngine(kernels="closure").matcher.kernel_mode == "closure"
         assert RuleEngine(kernels="off").matcher.kernels is None
 
     def test_build_matcher_forwards_kernels(self):
-        from repro.durability.checkpoint import build_matcher
+        from repro.match import build_matcher
 
-        assert build_matcher("rete", kernels="exec").kernel_mode == "exec"
+        assert build_matcher("rete", kernels="off").kernel_mode == "off"
         sharded = build_matcher("sharded", kernels="off")
         assert all(shard.kernels is None for shard in sharded.shards)
 
     def test_cli_kernels_flag(self, capsys):
         from repro.cli import ReplSession
 
-        session = ReplSession(matcher="rete", kernels="exec")
-        assert session.engine.matcher.kernel_mode == "exec"
+        session = ReplSession(matcher="rete", kernels="off")
+        assert session.engine.matcher.kernel_mode == "off"
 
     def test_env_selects_for_default_networks(self, monkeypatch):
         monkeypatch.setenv("REPRO_KERNELS", "off")
         assert ReteNetwork().kernels is None
-        monkeypatch.setenv("REPRO_KERNELS", "exec")
-        assert ReteNetwork().kernel_mode == "exec"
-
-
-class TestShardedColumnarOffload:
-    def test_prefilter_ships_columnar_specs(self, monkeypatch):
-        """The process-pool offload sends (spec, columns), not WMEs."""
-        from repro.rete.sharded import ShardedReteNetwork
-        from repro.wm.events import ADD, WMEvent
-
-        network = ShardedReteNetwork(shards=2, kernels="closure")
-        network.shards[0].add_rule(parse_rule(TWO_CE_RULE))
-
-        class _InlinePool:
-            """Runs submissions synchronously in-process."""
-
-            def submit(self, fn, *args):
-                class _Future:
-                    def __init__(self, value):
-                        self._value = value
-
-                    def result(self):
-                        return self._value
-
-                return _Future(fn(*args))
-
-        shipped = []
-        real_mask = columnar_mask
-
-        def spy(spec, columns, count):
-            shipped.append((spec, tuple(columns)))
-            return real_mask(spec, columns, count)
-
-        monkeypatch.setattr(
-            "repro.rete.sharded.columnar_mask", spy
-        )
-        monkeypatch.setattr(network, "_processes", lambda: _InlinePool())
-        wmes = [
-            WME("emp", {"dept": "d", "salary": i}, i) for i in range(4)
-        ]
-        events = [WMEvent(ADD, wme) for wme in wmes]
-        live = [(network.shards[0], events)]
-        alpha_filter = network._prefilter(live)
-        assert alpha_filter is not None
-        assert shipped, "kernelized shard should ship columnar tasks"
-        for memory in network.shards[0].alpha.memories_of_class("emp"):
-            passing = alpha_filter(memory, wmes)
-            passes = memory.passes
-            assert passing == [w for w in wmes if passes(w)]
+        monkeypatch.setenv("REPRO_KERNELS", "closure")
+        assert ReteNetwork().kernel_mode == "closure"

@@ -33,12 +33,24 @@ class TestKey:
     def test_kernel_mode_irrelevant_for_interpreted_matchers(self):
         assert (rule_base_key(PROGRAM, matcher="treat", kernels="off")
                 == rule_base_key(PROGRAM, matcher="treat",
-                                 kernels="exec"))
+                                 kernels="closure"))
+
+    def test_backend_irrelevant_for_matchers_that_take_none(self):
+        # Only dips runs on the relational substrate; a rete tenant
+        # naming a backend shares the entry of one that names none.
+        assert (rule_base_key(PROGRAM, "rete", None, "sqlite")
+                == rule_base_key(PROGRAM, "rete", None, None))
+        assert (rule_base_key(PROGRAM, "dips", None, "sqlite")
+                != rule_base_key(PROGRAM, "dips", None, None))
+        cache = RuleBaseCache()
+        first, _ = cache.get(PROGRAM, matcher="rete", backend="sqlite")
+        second, hit = cache.get(PROGRAM, matcher="rete")
+        assert hit and second is first and cache.compiles == 1
 
     def test_kernel_mode_distinguishes_rete(self):
         assert (rule_base_key(PROGRAM, matcher="rete", kernels="closure")
                 != rule_base_key(PROGRAM, matcher="rete",
-                                 kernels="exec"))
+                                 kernels="off"))
 
 
 class TestRuleBase:

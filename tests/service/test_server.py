@@ -129,6 +129,53 @@ class TestErrors:
             client.create("../escape", PROGRAM)
         assert info.value.code == "bad_request"
 
+    @pytest.mark.parametrize("field, value", [
+        ("matcher", "bogus"),
+        ("matcher", ["rete"]),
+        ("kernels", "exec"),
+        ("kernels", "jit"),
+        ("strategy", "zzz"),
+        ("strategy", ["lex"]),
+        ("backend", "oracle"),
+        ("backend", 7),
+    ])
+    def test_unknown_engine_config_is_the_clients_mistake(
+        self, server, client, request, field, value
+    ):
+        # Past the breaker threshold (5): were these engine failures,
+        # the id's breaker would be open by the final valid create.
+        sid = "badcfg-" + request.node.callspec.id
+        before = client.stats()
+        for _ in range(10):
+            with pytest.raises(ServiceClientError) as info:
+                client.request("create", session=sid, program=PROGRAM,
+                               durable=False, **{field: value})
+            assert info.value.code == "bad_request"
+            assert field in str(info.value)
+        after = client.stats()
+        assert after["server"].get("engine_errors", 0) == before[
+            "server"
+        ].get("engine_errors", 0)
+        assert after["breakers"] == before["breakers"]
+        assert sid not in server.service._breakers
+        assert client.create(sid, PROGRAM, durable=False)["rules"] == 1
+        client.close_session(sid)
+
+    def test_rete_tenants_differing_only_in_backend_share_one_compile(
+        self, client, request
+    ):
+        sid = _unique(request)
+        program = PROGRAM + "; backend-normalisation probe\n"
+        before = client.stats()["rule_bases"]["compiles"]
+        client.create(sid + "-a", program, durable=False, matcher="rete",
+                      backend="sqlite")
+        second = client.create(sid + "-b", program, durable=False,
+                               matcher="rete")
+        assert second["rulebase_hit"] is True
+        assert client.stats()["rule_bases"]["compiles"] == before + 1
+        client.close_session(sid + "-a")
+        client.close_session(sid + "-b")
+
     def test_duplicate_session(self, client, request):
         sid = _unique(request)
         client.create(sid, PROGRAM, durable=False)

@@ -102,7 +102,7 @@ class TestMainFlags:
         rc = main([
             "recover", str(tmp_path / "wal"),
             "--matcher", "dips", "--backend", "sqlite",
-            "--kernels", "exec",
+            "--kernels", "off",
             "--run", "5", "--no-wal",
         ])
         assert rc == 0
@@ -110,7 +110,7 @@ class TestMainFlags:
         assert "1 WME(s) restored" in out or "1 delta(s)" in out
         assert "t1" in out
 
-    def test_recover_rete_exec_kernels_with_backend_flag(
+    def test_recover_rete_off_kernels_with_backend_flag(
         self, tmp_path, capsys
     ):
         session = _durable_session(tmp_path)
@@ -118,7 +118,7 @@ class TestMainFlags:
         session.close()
         rc = main([
             "recover", str(tmp_path / "wal"),
-            "--matcher", "rete", "--kernels", "exec",
+            "--matcher", "rete", "--kernels", "off",
             "--backend", "sqlite",
             "--run", "5", "--no-wal",
         ])
