@@ -117,12 +117,7 @@ class AlphaMemory:
         back to a full scan.  The unhashable bucket is always included
         — its members are post-filtered by the join's full test list.
         """
-        index = self.indexes[attribute]
-        matches = list(index.get(value, ()))
-        extra = index.get(UNHASHABLE)
-        if extra:
-            matches.extend(extra)
-        return matches
+        return _index_probe(self.indexes[attribute], value)
 
     def add(self, wme):
         self.items[wme] = None
@@ -183,6 +178,18 @@ def _index_add(index, value, member):
     except TypeError:
         bucket = index.setdefault(UNHASHABLE, {})
     bucket[member] = None
+
+
+def _index_probe(index, value):
+    """Members filed under *value*, then the sentinel bucket, as a list.
+
+    Raises ``TypeError`` when *value* is unhashable.
+    """
+    matches = list(index.get(value, ()))
+    extra = index.get(UNHASHABLE)
+    if extra:
+        matches.extend(extra)
+    return matches
 
 
 def _index_discard(index, value, member):

@@ -7,12 +7,12 @@ every token carrying it plus all descendants — following the
 Rete/UL-style bookkeeping of child lists and per-WME token indexes kept
 by :class:`repro.rete.network.ReteNetwork`.
 
-Join nodes with an equality test probe hash indexes on both inputs
-(see :class:`repro.rete.alpha.AlphaMemory`); an unhashable probe value
-falls back to a full memory scan instead of raising mid-propagation,
-and unhashable stored values live in a sentinel bucket every probe
-also returns (candidates are post-filtered by the full test list, so
-this only costs, never changes, results).
+Join and negative nodes with an equality test probe hash indexes on
+both inputs (:class:`TwoInputNode` is the one place that decides);
+an unhashable probe value falls back to a full memory scan instead of
+raising mid-propagation, and unhashable stored values live in a
+sentinel bucket every probe also returns (candidates are post-filtered
+by the full test list, so this only costs, never changes, results).
 """
 
 from __future__ import annotations
@@ -20,7 +20,12 @@ from __future__ import annotations
 from repro import symbols
 from repro.core.instantiation import recency_key
 from repro.engine.stats import NULL_STATS
-from repro.rete.alpha import UNHASHABLE, _index_add, _index_discard
+from repro.rete.alpha import (
+    UNHASHABLE,
+    _index_add,
+    _index_discard,
+    _index_probe,
+)
 
 
 def _interpreted_matcher(tests):
@@ -36,6 +41,18 @@ def _interpreted_matcher(tests):
         return all(test.matches(wme, lookup) for test in _tests)
 
     return matcher
+
+
+def _compile_tests(network, tests):
+    """``fn(wme, lookup) -> bool``: the kernel pack's, else interpreted."""
+    kernels = getattr(network, "kernels", None)
+    if kernels is not None:
+        return kernels.join(tests)
+    return _interpreted_matcher(tests)
+
+
+def _active(tokens):
+    return [token for token in tokens if token.active]
 
 
 class Token:
@@ -115,36 +132,17 @@ class DummyToken(Token):
         super().__init__(None, None, None, -1)
 
 
-class BetaMemory:
-    """Stores the tokens matching a prefix of a rule's CEs.
+class TokenStore:
+    """Token ``items`` plus on-demand hash indexes over their bindings.
 
-    ``successors`` are join/negative nodes using this memory as their
-    left input; ``observers`` are terminal nodes (P-nodes / S-nodes)
-    notified of token arrival and departure.
+    ``indexes`` maps a binding site ``(level, attribute)`` to
+    ``{binding value -> {token: None}}``; an index is created by the
+    first node whose equality test reads that site, so its right
+    activations probe instead of scanning (see the join-index ablation
+    benchmark).  Buckets keep insertion order, like ``items``.
     """
 
-    __slots__ = ("parent_join", "level", "items", "successors", "observers",
-                 "indexes", "stats", "stats_key")
-
-    def __init__(self, parent_join, level, stats=None):
-        self.parent_join = parent_join
-        self.level = level
-        self.items = {}
-        self.successors = []
-        self.observers = []
-        # (level, attribute) -> {binding value -> {token: None}}; built
-        # on demand by joins whose first test is an equality, so
-        # right activations probe instead of scanning (see the
-        # join-index ablation benchmark).
-        self.indexes = {}
-        self.attach_stats(stats if stats is not None else NULL_STATS)
-
-    def attach_stats(self, stats):
-        self.stats = stats
-        self.stats_key = stats.register_node("beta", f"L{self.level}")
-
-    def active_tokens(self):
-        return list(self.items)
+    __slots__ = ()
 
     def ensure_index(self, site):
         """Create (once) the token index keyed by *site*'s binding value."""
@@ -162,20 +160,50 @@ class BetaMemory:
         to a scan); always includes the sentinel bucket of tokens whose
         own binding was unhashable.
         """
-        index = self.indexes[site]
-        matches = list(index.get(value, ()))
-        extra = index.get(UNHASHABLE)
-        if extra:
-            matches.extend(extra)
-        return matches
+        return _index_probe(self.indexes[site], value)
+
+    def _index_token(self, token):
+        for site, index in self.indexes.items():
+            _index_add(index, token.lookup(*site), token)
+
+    def _unindex_token(self, token):
+        for site, index in self.indexes.items():
+            _index_discard(index, token.lookup(*site), token)
+
+
+class BetaMemory(TokenStore):
+    """Stores the tokens matching a prefix of a rule's CEs.
+
+    ``successors`` are join/negative nodes using this memory as their
+    left input; ``observers`` are terminal nodes (P-nodes / S-nodes)
+    notified of token arrival and departure.
+    """
+
+    __slots__ = ("parent_join", "level", "items", "successors", "observers",
+                 "indexes", "stats", "stats_key")
+
+    def __init__(self, parent_join, level, stats=None):
+        self.parent_join = parent_join
+        self.level = level
+        self.items = {}
+        self.successors = []
+        self.observers = []
+        self.indexes = {}
+        self.attach_stats(stats if stats is not None else NULL_STATS)
+
+    def attach_stats(self, stats):
+        self.stats = stats
+        self.stats_key = stats.register_node("beta", f"L{self.level}")
+
+    def active_tokens(self):
+        return list(self.items)
 
     def left_activate(self, parent_token, wme, network):
         """A (token, wme) pair survived the parent join: store + propagate."""
         token = Token(parent_token, wme, self, self.level)
         network.register_token(token)
         self.items[token] = None
-        for site, index in self.indexes.items():
-            _index_add(index, token.lookup(*site), token)
+        self._index_token(token)
         self.stats.memory_size(self.stats_key, len(self.items))
         for successor in self.successors:
             successor.left_activate(token)
@@ -186,8 +214,7 @@ class BetaMemory:
     def remove_token(self, token):
         """Called by the deletion cascade; descendants are already gone."""
         self.items.pop(token, None)
-        for site, index in self.indexes.items():
-            _index_discard(index, token.lookup(*site), token)
+        self._unindex_token(token)
         for observer in self.observers:
             observer.token_removed(token)
 
@@ -198,67 +225,56 @@ class BetaMemory:
         return f"BetaMemory(level={self.level}, {len(self.items)} tokens)"
 
 
-class JoinNode:
-    """Joins a left beta memory with a right alpha memory.
+class TwoInputNode:
+    """What join and negative nodes share: tests, access path, candidates.
 
     ``tests`` are :class:`repro.analysis.JoinTest` instances comparing
-    the candidate WME against values bound in the left token.  Output
-    flows into exactly one :class:`BetaMemory` (created by the network
-    compiler; shared when two rules have an identical join prefix).
+    a WME of the right input (``amem``) against values bound in a token
+    of ``store`` — the left memory for a join, the node itself for a
+    negative node.  This class is the one implementation of "equality
+    test → probe the index, else scan": when ``network.indexed_joins``
+    is on and the tests hold an equality, the first one becomes
+    ``index_test`` and both sides get a hash index on it (``store`` by
+    binding value at ``site``, ``amem`` by attribute value).
 
-    When the network carries a :class:`~repro.rete.kernels.KernelPack`,
-    the test list (and its index-residual subset) is compiled once into
-    a match kernel at construction; ``_match``/``_match_residual`` are
-    then single specialized functions instead of an interpreted walk of
-    the test objects, and full scans over a columnar alpha memory run
-    through a columnar scan kernel with the token's bindings hoisted
-    out of the candidate loop.  Candidate order, pass/fail results, and
-    every stats counter are identical to the interpreted path.
+    When the network carries a :class:`~repro.rete.kernels.KernelPack`
+    the test list is compiled once into a match kernel, and a node left
+    without an index test scans a columnar alpha memory through a
+    columnar scan kernel with the token's bindings hoisted out of the
+    candidate loop.  Candidate order, pass/fail results, and every
+    stats counter are identical to the interpreted path.
     """
 
-    __slots__ = ("left", "amem", "tests", "level", "output", "network",
-                 "index_test", "residual_tests", "stats", "stats_key",
-                 "_match", "_match_residual", "_scan", "_scan_attrs")
+    __slots__ = ("left", "amem", "tests", "level", "network", "store",
+                 "active_only", "index_test", "site", "stats", "stats_key",
+                 "_match", "_scan", "_scan_attrs")
+    kind = None  # MatchStats node kind
 
-    def __init__(self, left, amem, tests, level, network):
+    def __init__(self, left, amem, tests, level, network, store):
         self.left = left
         self.amem = amem
         self.tests = tuple(tests)
         self.level = level
         self.network = network
-        self.output = None  # set by the compiler
-        # When the first equality test can be probed instead of scanned,
-        # remember it and build the two side indexes (left memory by
-        # binding value, alpha memory by attribute value).
+        self.store = store
+        # A negative node's tokens reach the nodes below only while
+        # active; its own right activations must see the blocked ones too.
+        self.active_only = (
+            store is not self and isinstance(store, TwoInputNode)
+        )
         self.index_test = None
-        self.residual_tests = self.tests
+        self.site = None
         if getattr(network, "indexed_joins", False):
-            equalities = [t for t in tests if t.predicate == "="]
-            if equalities and isinstance(left, BetaMemory):
-                self.index_test = equalities[0]
-                self.residual_tests = tuple(
-                    t for t in self.tests if t is not self.index_test
-                )
-                left.ensure_index(
-                    (self.index_test.bound_level,
-                     self.index_test.bound_attribute)
-                )
-                amem.ensure_index(self.index_test.attribute)
+            self.index_test = next(
+                (t for t in self.tests if t.predicate == "="), None
+            )
+        if self.index_test is not None:
+            self.site = (self.index_test.bound_level,
+                         self.index_test.bound_attribute)
+            store.ensure_index(self.site)
+            amem.ensure_index(self.index_test.attribute)
+        self._match = _compile_tests(network, self.tests)
         kernels = getattr(network, "kernels", None)
-        if kernels is not None:
-            self._match = kernels.join(self.tests)
-            self._match_residual = (
-                self._match
-                if self.residual_tests is self.tests
-                else kernels.join(self.residual_tests)
-            )
-        else:
-            self._match = _interpreted_matcher(self.tests)
-            self._match_residual = (
-                self._match
-                if self.residual_tests is self.tests
-                else _interpreted_matcher(self.residual_tests)
-            )
         self._scan = None
         self._scan_attrs = ()
         if (kernels is not None and self.index_test is None
@@ -271,90 +287,124 @@ class JoinNode:
 
     def attach_stats(self, stats):
         self.stats = stats
-        self.stats_key = stats.register_node("join", f"L{self.level}")
+        self.stats_key = stats.register_node(self.kind, f"L{self.level}")
 
-    def _passes(self, token, wme):
-        return self._match(wme, token.lookup)
+    def access_path(self):
+        """``probe ^attr`` or ``scan``: how this node finds candidates."""
+        if self.index_test is None:
+            return "scan"
+        return f"probe ^{self.index_test.attribute}"
+
+    def matching_wmes(self, token):
+        """Left activation: the ``amem`` WMEs passing every test on *token*.
+
+        Alpha-index probe, else the columnar scan kernel, else a plain
+        list scan — in memory insertion order either way.
+        """
+        probed = self.index_test is not None
+        if probed:
+            try:
+                candidates = self.amem.indexed_wmes(
+                    self.index_test.attribute, token.lookup(*self.site)
+                )
+            except TypeError:
+                probed = False  # unhashable probe value: scan instead
+        if probed or self._scan is None:
+            if not probed:
+                candidates = list(self.amem.items)
+            passing = candidates
+            if candidates:  # most probes come back empty
+                match = self._match
+                lookup = token.lookup
+                passing = [wme for wme in candidates if match(wme, lookup)]
+        else:
+            candidates, columns = self.amem.scan_view(self._scan_attrs)
+            passing = self._scan(token.lookup, candidates, columns)
+        if self.stats.enabled:
+            self._record(False, probed, len(candidates), len(passing))
+        return passing
+
+    def matching_tokens(self, wme):
+        """Right activation: the ``store`` tokens passing every test on *wme*.
+
+        Token-index probe, else every token — in store insertion order.
+        """
+        probed = self.index_test is not None
+        if probed:
+            try:
+                candidates = self.store.indexed_tokens(
+                    self.site, wme.get(self.index_test.attribute)
+                )
+            except TypeError:
+                probed = False
+        if not probed:
+            candidates = list(self.store.items)
+        if self.active_only:
+            candidates = _active(candidates)
+        passing = candidates
+        if candidates:
+            match = self._match
+            passing = [t for t in candidates if match(wme, t.lookup)]
+        if self.stats.enabled:
+            self._record(True, probed, len(candidates), len(passing))
+        return passing
+
+    def _record(self, right, probed, candidates, passed):
+        stats = self.stats
+        key = self.stats_key
+        if right:
+            stats.right_activation(key)
+        else:
+            stats.left_activation(key)
+        if probed:
+            stats.index_probe(key, candidates)
+        else:
+            stats.full_scan(key, candidates)
+        stats.join_batch(key, candidates, passed)
+
+    def right_retract(self, wme):
+        """WME left the alpha memory; the token cascade handles cleanup."""
+
+
+class JoinNode(TwoInputNode):
+    """Joins a left token store with a right alpha memory.
+
+    Output flows into exactly one :class:`BetaMemory` (created by the
+    network compiler; shared when two rules have an identical join
+    prefix).  The left input is a beta memory or, after a negated CE,
+    a negative node.
+    """
+
+    __slots__ = ("output", "residual_tests", "_match_residual")
+    kind = "join"
+
+    def __init__(self, left, amem, tests, level, network):
+        super().__init__(left, amem, tests, level, network, store=left)
+        self.output = None  # set by the compiler
+        # The batch path probe-verifies the index test and runs the rest.
+        self.residual_tests = self.tests
+        self._match_residual = self._match
+        if self.index_test is not None:
+            self.residual_tests = tuple(
+                t for t in self.tests if t is not self.index_test
+            )
+            self._match_residual = _compile_tests(
+                network, self.residual_tests
+            )
 
     def left_activate(self, token):
         """A new token arrived in the left memory."""
         if not token.active:
             return
-        probed = False
-        scanned = None
-        if self.index_test is not None:
-            try:
-                candidates = self.amem.indexed_wmes(
-                    self.index_test.attribute,
-                    token.lookup(
-                        self.index_test.bound_level,
-                        self.index_test.bound_attribute,
-                    ),
-                )
-                probed = True
-            except TypeError:
-                # Unhashable probe value: fall back to the scan.
-                candidates = list(self.amem.items)
-        elif self._scan is not None:
-            candidates, columns = self.amem.scan_view(self._scan_attrs)
-            scanned = self._scan(token.lookup, candidates, columns)
-        else:
-            candidates = list(self.amem.items)
         output = self.output
         network = self.network
-        if scanned is not None:
-            passed = len(scanned)
-            for wme in scanned:
-                output.left_activate(token, wme, network)
-        else:
-            match = self._match
-            lookup = token.lookup
-            passed = 0
-            for wme in candidates:
-                if match(wme, lookup):
-                    passed += 1
-                    output.left_activate(token, wme, network)
-        stats = self.stats
-        if stats.enabled:
-            stats.left_activation(self.stats_key)
-            if probed:
-                stats.index_probe(self.stats_key, len(candidates))
-            else:
-                stats.full_scan(self.stats_key, len(candidates))
-            stats.join_batch(self.stats_key, len(candidates), passed)
+        for wme in self.matching_wmes(token):
+            output.left_activate(token, wme, network)
 
     def right_activate(self, wme):
         """A new WME arrived in the right alpha memory."""
-        probed = False
-        if self.index_test is not None:
-            try:
-                candidates = self.left.indexed_tokens(
-                    (self.index_test.bound_level,
-                     self.index_test.bound_attribute),
-                    wme.get(self.index_test.attribute),
-                )
-                probed = True
-            except TypeError:
-                candidates = self.left.active_tokens()
-        else:
-            candidates = self.left.active_tokens()
-        match = self._match
-        passed = 0
-        for token in candidates:
-            if match(wme, token.lookup):
-                passed += 1
-                self.output.left_activate(token, wme, self.network)
-        stats = self.stats
-        if stats.enabled:
-            stats.right_activation(self.stats_key)
-            if probed:
-                stats.index_probe(self.stats_key, len(candidates))
-            else:
-                stats.full_scan(self.stats_key, len(candidates))
-            stats.join_batch(self.stats_key, len(candidates), passed)
-
-    def right_retract(self, wme):
-        """WME left the alpha memory; the token cascade handles cleanup."""
+        for token in self.matching_tokens(wme):
+            self.output.left_activate(token, wme, self.network)
 
     def right_activate_batch(self, wmes):
         """A group of WMEs arrived in the right alpha memory at once.
@@ -374,8 +424,7 @@ class JoinNode:
             for wme in wmes:
                 self.right_activate(wme)
             return
-        site = (self.index_test.bound_level,
-                self.index_test.bound_attribute)
+        site = self.site
         attribute = self.index_test.attribute
         groups = {}
         leftovers = []
@@ -385,7 +434,8 @@ class JoinNode:
                 groups.setdefault(value, []).append(wme)
             else:
                 leftovers.append(wme)
-        index = self.left.indexes[site]
+        index = self.store.indexes[site]
+        live = _active if self.active_only else list
         residual = self.residual_tests
         match_full = self._match
         match_residual = self._match_residual
@@ -395,9 +445,8 @@ class JoinNode:
         attempted = 0
         passed = 0
         for value, group in groups.items():
-            exact = list(index.get(value, ()))
-            extras = index.get(UNHASHABLE)
-            extras = list(extras) if extras else ()
+            exact = live(index.get(value, ()))
+            extras = live(index.get(UNHASHABLE, ()))
             candidates_total += len(exact) + len(extras)
             for token in exact:
                 bound = token.lookup(*site)

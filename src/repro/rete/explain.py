@@ -55,27 +55,27 @@ def _describe_memory(memory, lines, indent):
         _describe_terminal(observer, lines, indent + 1)
 
 
+def _render_inputs(node, empty):
+    tests = ", ".join(
+        f"^{t.attribute} {t.predicate} "
+        f"ce{t.bound_level + 1}.^{t.bound_attribute}"
+        for t in node.tests
+    ) or empty
+    return f"({node.amem.key[0]}) [{tests}] {node.access_path()}"
+
+
 def _describe_node(node, lines, indent):
     pad = "  " * indent
     if isinstance(node, JoinNode):
-        tests = ", ".join(
-            f"^{t.attribute} {t.predicate} "
-            f"ce{t.bound_level + 1}.^{t.bound_attribute}"
-            for t in node.tests
-        ) or "cross"
         lines.append(
-            f"{pad}join L{node.level} on ({node.amem.key[0]}) [{tests}]"
+            f"{pad}join L{node.level} on {_render_inputs(node, 'cross')}"
         )
         _describe_memory(node.output, lines, indent + 1)
     elif isinstance(node, NegativeNode):
-        tests = ", ".join(
-            f"^{t.attribute} {t.predicate} "
-            f"ce{t.bound_level + 1}.^{t.bound_attribute}"
-            for t in node.tests
-        ) or "class only"
         lines.append(
-            f"{pad}negative L{node.level} on ({node.amem.key[0]}) "
-            f"[{tests}]: {len(node.items)} token(s)"
+            f"{pad}negative L{node.level} on "
+            f"{_render_inputs(node, 'class only')}: "
+            f"{len(node.items)} token(s)"
         )
         for successor in node.successors:
             _describe_node(successor, lines, indent + 1)

@@ -13,64 +13,29 @@ descendants are deleted); when the last blocker disappears it
 
 from __future__ import annotations
 
-from repro.rete.beta import Token, _interpreted_matcher
+from repro.rete.beta import Token, TokenStore, TwoInputNode
 
 
-class NegativeNode:
+class NegativeNode(TwoInputNode, TokenStore):
     """Beta node for one negated CE.
 
-    Like :class:`~repro.rete.beta.JoinNode`, the test list is compiled
-    to a match kernel when the network carries a
-    :class:`~repro.rete.kernels.KernelPack`; full scans over a columnar
-    alpha memory run through the columnar scan kernel.  Candidate
-    order, blocker lists, and stats counters are identical either way.
+    Candidate selection is :class:`~repro.rete.beta.TwoInputNode`'s: a
+    negated equality CE probes the alpha index on left activation and
+    the node's own token index (a :class:`~repro.rete.beta.TokenStore`
+    over ``items``, blocked tokens included) on right activation.
+    Candidate order, blocker lists, and stats counters are identical
+    whichever access path runs.
     """
 
-    __slots__ = (
-        "left",
-        "amem",
-        "tests",
-        "level",
-        "network",
-        "items",
-        "successors",
-        "observers",
-        "stats",
-        "stats_key",
-        "_match",
-        "_scan",
-        "_scan_attrs",
-    )
+    __slots__ = ("items", "indexes", "successors", "observers")
+    kind = "neg"
 
     def __init__(self, left, amem, tests, level, network):
-        self.left = left
-        self.amem = amem
-        self.tests = tuple(tests)
-        self.level = level
-        self.network = network
         self.items = {}
+        self.indexes = {}
         self.successors = []
         self.observers = []
-        kernels = getattr(network, "kernels", None)
-        if kernels is not None:
-            self._match = kernels.join(self.tests)
-        else:
-            self._match = _interpreted_matcher(self.tests)
-        self._scan = None
-        self._scan_attrs = ()
-        if kernels is not None and getattr(amem, "columnar", False):
-            self._scan = kernels.scan(self.tests)
-            self._scan_attrs = tuple(
-                dict.fromkeys(t.attribute for t in self.tests)
-            )
-        self.attach_stats(network.match_stats)
-
-    def attach_stats(self, stats):
-        self.stats = stats
-        self.stats_key = stats.register_node("neg", f"L{self.level}")
-
-    def _passes(self, token, wme):
-        return self._match(wme, token.lookup)
+        super().__init__(left, amem, tests, level, network, store=self)
 
     def active_tokens(self):
         return [token for token in self.items if token.active]
@@ -84,29 +49,13 @@ class NegativeNode:
         token = Token(parent_token, None, self, self.level)
         self.network.register_token(token)
         self.items[token] = None
+        self._index_token(token)
         register = self.network.register_neg_result
-        if self._scan is not None:
-            candidates, columns = self.amem.scan_view(self._scan_attrs)
-            for wme in self._scan(token.lookup, candidates, columns):
-                token.neg_results.append(wme)
-                register(wme, token)
-        else:
-            candidates = list(self.amem.items)
-            match = self._match
-            lookup = token.lookup
-            for wme in candidates:
-                if match(wme, lookup):
-                    token.neg_results.append(wme)
-                    register(wme, token)
+        for wme in self.matching_wmes(token):
+            token.neg_results.append(wme)
+            register(wme, token)
         token.active = not token.neg_results
-        stats = self.stats
-        if stats.enabled:
-            stats.left_activation(self.stats_key)
-            stats.full_scan(self.stats_key, len(candidates))
-            stats.join_batch(
-                self.stats_key, len(candidates), len(token.neg_results)
-            )
-            stats.memory_size(self.stats_key, len(self.items))
+        self.stats.memory_size(self.stats_key, len(self.items))
         if token.active:
             self._propagate(token)
 
@@ -119,6 +68,7 @@ class NegativeNode:
     def remove_token(self, token):
         """Deletion-cascade hook; also releases this token's join results."""
         self.items.pop(token, None)
+        self._unindex_token(token)
         if token.active:
             for observer in self.observers:
                 observer.token_removed(token)
@@ -130,24 +80,11 @@ class NegativeNode:
 
     def right_activate(self, wme):
         """A WME joined the negated pattern's alpha memory."""
-        candidates = list(self.items)
-        match = self._match
-        passed = 0
-        for token in candidates:
-            if match(wme, token.lookup):
-                passed += 1
-                token.neg_results.append(wme)
-                self.network.register_neg_result(wme, token)
-                if token.active:
-                    self._deactivate(token)
-        stats = self.stats
-        if stats.enabled:
-            stats.right_activation(self.stats_key)
-            stats.full_scan(self.stats_key, len(candidates))
-            stats.join_batch(self.stats_key, len(candidates), passed)
-
-    def right_retract(self, wme):
-        """Join-result cleanup is driven by the network's index."""
+        for token in self.matching_tokens(wme):
+            token.neg_results.append(wme)
+            self.network.register_neg_result(wme, token)
+            if token.active:
+                self._deactivate(token)
 
     def right_activate_batch(self, wmes):
         """Batch entry point: negation is processed per WME.

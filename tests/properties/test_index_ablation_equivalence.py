@@ -9,9 +9,12 @@ For any random interleaving of makes and removes:
 * all of them run under ONE shared :class:`MatchStats` hook, proving
   the instrumentation itself never perturbs matching.
 
-The portfolio deliberately spans positive joins, a negated CE, and a
-set-oriented rule so index maintenance, negative-node counts, and
-S-node γ-memories all get exercised by the same op sequence.
+The portfolio deliberately spans positive joins, a negated CE, a
+positive CE below a negated one, and a set-oriented rule so index
+maintenance (memories' and negative nodes'), negative-node counts, and
+S-node γ-memories all get exercised by the same op sequence.  The key
+domain holds ``1`` and ``1.0`` (one bucket: ``values_equal`` is
+numeric) and a missing attribute (``nil``) beside two symbols.
 """
 
 from hypothesis import given, settings
@@ -26,6 +29,10 @@ PROGRAM = """
 (literalize owner name)
 (p pair (item ^owner <o> ^v <v>) (owner ^name <o>) --> (write <o> <v>))
 (p lonely (item ^owner <o>) -(owner ^name <o>) --> (write <o>))
+(p unclaimed
+  (item ^owner <o> ^v <v>) -(owner ^name <o>) (item ^owner <o> ^v > <v>)
+  -->
+  (write <o> <v>))
 (p tally { [item ^owner <o> ^v <v>] <S> }
   :scalar (<o>)
   :test ((count <S>) >= 2)
@@ -33,12 +40,12 @@ PROGRAM = """
   (write <o> (count <S>)))
 """
 
+_keys = st.sampled_from(["a", "b", 1, 1.0, None])  # None: attribute unset
+
 _ops = st.lists(
     st.one_of(
-        st.tuples(st.just("item"), st.sampled_from(["a", "b"]),
-                  st.integers(0, 3)),
-        st.tuples(st.just("owner"), st.sampled_from(["a", "b"]),
-                  st.just(0)),
+        st.tuples(st.just("item"), _keys, st.integers(0, 3)),
+        st.tuples(st.just("owner"), _keys, st.just(0)),
         st.tuples(st.just("remove"), st.integers(0, 30), st.just(0)),
     ),
     min_size=1,
@@ -65,9 +72,11 @@ def _apply(engine, ops):
     made = []
     for kind, first, second in ops:
         if kind == "item":
-            made.append(engine.make("item", owner=first, v=second))
+            keyed = {} if first is None else {"owner": first}
+            made.append(engine.make("item", v=second, **keyed))
         elif kind == "owner":
-            made.append(engine.make("owner", name=first))
+            keyed = {} if first is None else {"name": first}
+            made.append(engine.make("owner", **keyed))
         else:
             live = [w for w in made if w in engine.wm]
             if live:

@@ -43,7 +43,17 @@ class TestDescribeNetwork:
         wm, net = build("(p r (goal) -(done) --> (halt))")
         wm.make("goal")
         text = describe_network(net)
-        assert "negative L1" in text
+        assert "negative L1 on (done) [class only] scan: 1 token(s)" in text
+
+    def test_access_path_shown_per_node(self):
+        wm, net = build(
+            "(p r (a ^k <v> ^m <w>) -(b ^k <v>) (c ^k <v> ^j > <w>)"
+            " (d ^j > <w>) --> (halt))"
+        )
+        text = describe_network(net)
+        assert "negative L1 on (b) [^k = ce1.^k] probe ^k:" in text
+        assert "join L2 on (c) [^k = ce1.^k, ^j > ce1.^m] probe ^k\n" in text
+        assert "join L3 on (d) [^j > ce1.^m] scan\n" in text
 
     def test_disjunction_rendered(self):
         wm, net = build("(p r (a ^c << red green >>) --> (halt))")

@@ -1,16 +1,22 @@
 """Unit tests for negated condition elements."""
 
+import pytest
+
+from repro import MatchStats
 from repro.lang.parser import parse_rule
 from repro.rete import ReteNetwork
+from repro.rete.beta import JoinNode
+from repro.rete.negative import NegativeNode
 from repro.wm import WorkingMemory
+from repro.wm.events import ADD, REMOVE, WMEvent
 
 from tests.rete.test_network import Listener
 
 
-def build(*sources):
+def build(*sources, **options):
     wm = WorkingMemory()
     listener = Listener()
-    net = ReteNetwork()
+    net = ReteNetwork(**options)
     net.set_listener(listener)
     net.attach(wm)
     for source in sources:
@@ -114,3 +120,170 @@ class TestNegationAndSetRules:
         assert len(listener.live[0].tokens()) == 2
         wm.make("stop")
         assert len(listener.live) == 0
+
+
+def node_of(net, kind, level):
+    [node] = [n for n in net._beta_nodes
+              if isinstance(n, kind) and n.level == level]
+    return node
+
+
+def counters(stats, node):
+    return dict(stats.nodes[node.stats_key])
+
+
+class _OddWME:
+    """WME-shaped, carrying values working memory itself would refuse."""
+
+    def __init__(self, wme_class, tag, **values):
+        self.wme_class = wme_class
+        self.time_tag = tag
+        self._values = values
+
+    def get(self, attribute):
+        return self._values.get(attribute, "nil")
+
+
+class TestNegativeNodeAccessPath:
+    """A negated equality CE probes both indexes (ROADMAP item 1a)."""
+
+    RULE = "(p r (task ^id <i>) -(lock ^id <i>) --> (halt))"
+
+    def test_right_activation_tests_only_its_bucket(self):
+        stats = MatchStats()
+        wm, net, listener = build(self.RULE, stats=stats)
+        for i in range(10):
+            wm.make("task", id=i)
+        wm.make("task", id=3)
+        neg = node_of(net, NegativeNode, 1)
+        before = counters(stats, neg)
+        wm.make("lock", id=3)
+        after = counters(stats, neg)
+        assert after["join_tests"] - before["join_tests"] == 2  # not 11
+        assert after["index_probes"] - before["index_probes"] == 1
+        assert after["full_scans"] == 0
+        assert len(listener.live) == 9
+
+    def test_left_activation_probes_the_alpha_index(self):
+        stats = MatchStats()
+        wm, net, listener = build(self.RULE, stats=stats)
+        for i in range(10):
+            wm.make("lock", id=i)
+        neg = node_of(net, NegativeNode, 1)
+        before = counters(stats, neg)
+        wm.make("task", id=3)
+        after = counters(stats, neg)
+        assert after["join_tests"] - before["join_tests"] == 1  # not 10
+        assert after["index_probes"] - before["index_probes"] == 1
+        assert after["full_scans"] == 0
+        assert listener.live == []
+
+    def test_numeric_keys_block_across_int_and_float(self):
+        wm, net, listener = build(self.RULE)
+        wm.make("task", id=1)
+        lock = wm.make("lock", id=1.0)
+        assert listener.live == []
+        wm.remove(lock)
+        assert len(listener.live) == 1
+
+    def test_scan_oracle_reports_only_full_scans(self):
+        stats = MatchStats()
+        wm, net, listener = build(self.RULE, stats=stats, indexed_joins=False)
+        for i in range(4):
+            wm.make("task", id=i)
+        wm.make("lock", id=2)
+        neg = node_of(net, NegativeNode, 1)
+        after = counters(stats, neg)
+        assert after["index_probes"] == 0
+        assert after["full_scans"] == 5
+        assert neg.indexes == {} and neg.access_path() == "scan"
+        assert len(listener.live) == 3
+
+    def test_token_index_is_empty_after_everything_is_removed(self):
+        wm, net, listener = build(self.RULE)
+        made = [wm.make("task", id=i % 3) for i in range(6)]
+        made += [wm.make("lock", id=i) for i in range(2)]
+        neg = node_of(net, NegativeNode, 1)
+        assert sum(len(b) for b in neg.indexes[(0, "id")].values()) == 6
+        for wme in made:
+            wm.remove(wme)
+        assert neg.items == {}
+        assert neg.indexes == {(0, "id"): {}}
+        assert neg.amem.indexes == {"id": {}}
+        assert net.stats.tokens_created == net.stats.tokens_deleted
+
+    @pytest.mark.parametrize("odd_side", ["task", "lock"])
+    def test_unhashable_value_scans_and_never_matches(self, odd_side):
+        stats = MatchStats()
+        _, net, listener = build(self.RULE, stats=stats)
+        neg = node_of(net, NegativeNode, 1)
+        plain_side = "lock" if odd_side == "task" else "task"
+        net.on_event(WMEvent(ADD, _OddWME(plain_side, 1, id=5)))
+        before = counters(stats, neg)
+        # Its own activation cannot probe with [5]: it scans.
+        odd = _OddWME(odd_side, 2, id=[5])
+        net.on_event(WMEvent(ADD, odd))
+        after = counters(stats, neg)
+        assert after["full_scans"] - before["full_scans"] == 1
+        assert after["index_probes"] == before["index_probes"]
+        assert after["join_tests"] - before["join_tests"] == 1
+        # Stored, it sits in the sentinel bucket every later probe
+        # returns, and the full test list rejects it there too.
+        net.on_event(WMEvent(ADD, _OddWME(plain_side, 3, id=7)))
+        final = counters(stats, neg)
+        assert final["index_probes"] - after["index_probes"] == 1
+        assert final["join_tests"] - after["join_tests"] == 1
+        assert final["join_passed"] == 0
+        assert all(token.active for token in neg.items)
+        net.on_event(WMEvent(REMOVE, odd))
+        odd_index = (
+            neg.indexes[(0, "id")] if odd_side == "task"
+            else neg.amem.indexes["id"]
+        )
+        assert set(odd_index) == set()
+
+
+class TestJoinBelowNegation:
+    """A positive CE after a negated one probes the negative node's index."""
+
+    RULE = "(p r (a ^k <v>) -(b ^k <v>) (c ^k <v>) --> (halt))"
+
+    def test_join_below_negative_node_probes_both_sides(self):
+        stats = MatchStats()
+        wm, net, listener = build(self.RULE, stats=stats)
+        for k in range(5):
+            wm.make("a", k=k)
+            wm.make("c", k=k)
+        wm.make("a", k=9)
+        join = node_of(net, JoinNode, 2)
+        after = counters(stats, join)
+        assert after["index_probes"] > 0
+        assert after["full_scans"] == 0
+        assert after["join_tests"] == after["join_passed"] == 5
+        assert len(listener.live) == 5
+
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_probe_never_hands_over_a_deactivated_token(self, batched):
+        stats = MatchStats()
+        wm, net, listener = build(self.RULE, stats=stats)
+        wm.make("a", k=1)
+        wm.make("a", k=2)
+        blocker = wm.make("b", k=1)
+        join = node_of(net, JoinNode, 2)
+        # The k=1 token sits, deactivated, in the bucket the join probes.
+        [blocked] = [t for t in join.left.items if not t.active]
+        assert blocked in join.left.indexes[(0, "k")][1]
+        if batched:
+            with wm.batch():
+                wm.make("c", k=1)
+                wm.make("c", k=2)
+        else:
+            wm.make("c", k=1)
+            wm.make("c", k=2)
+        assert [i.token.wme_at(0).get("k") for i in listener.live] == [2]
+        assert counters(stats, join)["full_scans"] == 0
+        assert blocked.children == []
+        wm.remove(blocker)
+        assert sorted(
+            i.token.wme_at(0).get("k") for i in listener.live
+        ) == [1, 2]
