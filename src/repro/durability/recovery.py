@@ -361,7 +361,7 @@ def _replay_abort(engine, payload, open_firings):
     engine.reliability.record_failure(payload["r"])
     if outcome == "halt":
         if instantiation is not None:
-            instantiation.restore_refraction(prior)
+            engine.conflict_set.restore_refraction(instantiation, prior)
         return
     if outcome in ("skip", "quarantine"):
         engine.reliability.add_dead_letter(DeadLetter(

@@ -9,13 +9,22 @@ Both classic strategies are provided:
 * **MEA** — like LEX but the recency of the *first* CE's WME is
   compared before the full tag list (means-ends analysis).
 
-Set-oriented instantiations are ranked by their head token (paper §5);
-a ``time`` mark from the S-node repositions an SOI, which here simply
-bumps a counter — ordering is computed at selection time from the live
-recency keys, so repositioning is implicit.
+A regular instantiation's key never changes, so the conflict set keeps
+those ranked: ``insert``/``retract`` are dict operations, ``select``
+ranks only the arrivals that survived to it and reads the dominant one
+off the end of a sorted list, discarding retracted entries as they
+surface — O(log N) a cycle, not a ``max`` over every live instantiation.
+Set-oriented instantiations are ranked by their head token (paper §5),
+and both that key and their eligibility are live views of the SOI (an
+S-node can make a fired SOI eligible again without sending any mark), so
+they are ranked at selection time, every time; a ``time`` mark only
+bumps a counter.  Key ties go to the earlier member of the set.
 """
 
 from __future__ import annotations
+
+from bisect import insort
+from itertools import count
 
 from repro.errors import ConflictResolutionError
 from repro.match.base import ConflictListener
@@ -63,7 +72,16 @@ def strategy_named(name):
 
 
 class ConflictSet(ConflictListener):
-    """The live set of satisfied instantiations."""
+    """The live set of satisfied instantiations.
+
+    ``_instantiations`` is the one source of truth for membership and
+    iteration order.  Beside it every regular member has one record
+    ``(key, -stamp, instantiation)`` in ``_pending`` (admitted, not yet
+    keyed), ``_ranked`` (sorted under ``_strategy``, dominant last) or
+    ``_spent`` (found fired at the top).  A departed member's record is
+    dropped when it surfaces, and by :meth:`_trim` before such records
+    outnumber the members: :meth:`ordering_size` <= ``2 * len(self)``.
+    """
 
     def __init__(self):
         self._instantiations = {}
@@ -72,9 +90,43 @@ class ConflictSet(ConflictListener):
         # current through insert/retract) but are invisible to
         # selection until released.
         self._parked = {}
+        # identity -> admission stamp, rising in iteration order: it
+        # breaks key ties the way ``max`` over the members would (first
+        # wins) and tells a member's record from a stale one.
+        self._stamps = {}
+        self._clock = count()
+        self._sois = {}  # the set-oriented members, in the same order
+        self._pending = []
+        self._ranked = []
+        self._spent = []
+        self._strategy = None
         self.inserts = 0
         self.retracts = 0
         self.repositions = 0
+
+    def _admit(self, identity, instantiation):
+        self._instantiations[identity] = instantiation
+        stamp = self._stamps[identity] = next(self._clock)
+        if instantiation.is_set_oriented:
+            self._sois[identity] = instantiation
+        else:
+            self._pending.append((None, -stamp, instantiation))
+
+    def _evict(self, identity):
+        instantiation = self._instantiations.pop(identity, None)
+        if instantiation is not None:
+            del self._stamps[identity]
+            if instantiation.is_set_oriented:
+                del self._sois[identity]
+        return instantiation
+
+    def _live(self, record):
+        return self._stamps.get(record[2].identity()) == -record[1]
+
+    def _trim(self):
+        if self.ordering_size() > 2 * len(self._instantiations):
+            for records in (self._pending, self._ranked, self._spent):
+                records[:] = filter(self._live, records)
 
     # -- listener side -----------------------------------------------------
 
@@ -83,22 +135,35 @@ class ConflictSet(ConflictListener):
         if pool is not None:
             pool[instantiation.identity()] = instantiation
         else:
-            self._instantiations[instantiation.identity()] = instantiation
+            self._admit(instantiation.identity(), instantiation)
         self.inserts += 1
 
     def retract(self, instantiation):
         identity = instantiation.identity()
-        if self._instantiations.pop(identity, None) is None:
+        if self._evict(identity) is not None:
+            self._trim()
+        else:
             pool = self._parked.get(instantiation.rule.name)
             if pool is not None:
                 pool.pop(identity, None)
         self.retracts += 1
 
     def reposition(self, instantiation):
-        # Ordering is recomputed from live keys at selection time, so a
+        # SOIs are ranked from their live keys at selection time, so a
         # 'time' mark needs no structural work; we record it for the
         # S-node protocol tests and statistics.
         self.repositions += 1
+
+    def restore_refraction(self, instantiation, state):
+        """Restore a ``refraction_state`` snapshot where selection sees it.
+
+        A rolled-back firing goes through here, not through the
+        instantiation alone: a member found fired at the top of the
+        order has left it for ``_spent`` and must be ranked again.
+        """
+        instantiation.restore_refraction(state)
+        self._pending += self._spent
+        self._spent.clear()
 
     # -- engine side ------------------------------------------------------
 
@@ -143,7 +208,8 @@ class ConflictSet(ConflictListener):
             if inst.rule.name == rule_name
         ]
         for identity in moved:
-            pool[identity] = self._instantiations.pop(identity)
+            pool[identity] = self._evict(identity)
+        self._trim()
         return len(pool)
 
     def release_rule(self, rule_name):
@@ -151,7 +217,8 @@ class ConflictSet(ConflictListener):
         pool = self._parked.pop(rule_name, None)
         if not pool:
             return 0
-        self._instantiations.update(pool)
+        for identity, instantiation in pool.items():
+            self._admit(identity, instantiation)
         return len(pool)
 
     def drop_rule(self, rule_name):
@@ -173,14 +240,52 @@ class ConflictSet(ConflictListener):
         """Parked instantiations of one quarantined rule."""
         return list(self._parked.get(rule_name, {}).values())
 
+    def ordering_size(self):
+        """Records the ordering holds, departed members' included."""
+        return len(self._ranked) + len(self._pending) + len(self._spent)
+
     def select(self, strategy):
         """The dominant eligible instantiation, or None (refraction applies)."""
-        eligible = [
-            inst for inst in self._instantiations.values() if inst.eligible()
-        ]
-        if not eligible:
-            return None
-        return max(eligible, key=strategy.key)
+        top = self._dominant_regular(strategy)
+        stamps = self._stamps
+        for identity, soi in self._sois.items():
+            if soi.eligible():
+                record = (strategy.key(soi), -stamps[identity], soi)
+                if top is None or record > top:
+                    top = record
+        return None if top is None else top[2]
+
+    def _dominant_regular(self, strategy):
+        """The record of the dominant eligible regular member, or None."""
+        ranked = self._ranked
+        if strategy is not self._strategy:
+            # The cached order belongs to one strategy: rank afresh.
+            self._strategy = strategy
+            self._pending += ranked + self._spent
+            ranked.clear()
+            self._spent.clear()
+        if self._pending:
+            key = strategy.key
+            fresh = [
+                (key(record[2]), record[1], record[2])
+                for record in self._pending if self._live(record)
+            ]
+            self._pending.clear()
+            if len(fresh) * 16 < len(ranked):
+                # A few arrivals: log N comparisons each beat a re-sort.
+                for record in fresh:
+                    insort(ranked, record)
+            else:
+                ranked.extend(fresh)
+                ranked.sort()
+        while ranked:
+            if not self._live(ranked[-1]):
+                ranked.pop()  # retracted or parked since it was ranked
+            elif ranked[-1][2].eligible():
+                return ranked[-1]
+            else:
+                self._spent.append(ranked.pop())
+        return None
 
     def ordered(self, strategy):
         """All instantiations, dominant first (ignores refraction)."""

@@ -324,7 +324,7 @@ class _FiringTransaction:
                 # The bracket never opened: nothing durable happened, so
                 # undo the in-memory half and let the failure escape raw
                 # (an unusable log is infrastructure, not a rule fault).
-                self.instantiation.restore_refraction(self.refraction)
+                self.restore_refraction()
                 engine.wm.rollback_transaction(self.savepoint, engine.stats)
                 raise
 
@@ -381,10 +381,12 @@ class _FiringTransaction:
         output = engine.tracer.output
         while len(output) > self.output_mark:
             output.pop()
-        self.instantiation.restore_refraction(self.refraction)
+        self.restore_refraction()
 
     def restore_refraction(self):
-        self.instantiation.restore_refraction(self.refraction)
+        self.engine.conflict_set.restore_refraction(
+            self.instantiation, self.refraction
+        )
 
     def log_abort(self, outcome, error):
         """Close the WAL bracket as rolled back, recording the outcome.

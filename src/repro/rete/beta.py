@@ -4,8 +4,8 @@ Tokens form the classic parent-linked chains: a token at level *i* pairs
 its parent (levels ``< i``) with the WME matching CE *i* (``None`` at a
 negated level).  Deletion is tree-structured — removing a WME deletes
 every token carrying it plus all descendants — following the
-Rete/UL-style bookkeeping of child lists and per-WME token indexes kept
-by :class:`repro.rete.network.ReteNetwork`.
+Rete/UL-style bookkeeping of intrusive child chains (O(1) unlink) and
+per-WME token indexes kept by :class:`repro.rete.network.ReteNetwork`.
 
 Join and negative nodes with an equality test probe hash indexes on
 both inputs (:class:`TwoInputNode` is the one place that decides);
@@ -63,7 +63,9 @@ class Token:
         "wme",
         "node",
         "level",
-        "children",
+        "last_child",
+        "prev_sibling",
+        "next_sibling",
         "neg_results",
         "active",
         "_tags",
@@ -74,15 +76,31 @@ class Token:
         self.wme = wme
         self.node = node
         self.level = level
-        self.children = []
-        # For tokens owned by a negative node: the alpha WMEs currently
-        # blocking this token (the "join results").
-        self.neg_results = []
+        # Children are an intrusive doubly linked chain, newest at
+        # ``last_child``: O(1) append and unlink whatever the fan-out.
+        self.last_child = self.prev_sibling = self.next_sibling = None
+        # Negative-node tokens only: ``{wme: None}`` of the alpha WMEs
+        # blocking this token (the "join results"), in arrival order.
+        self.neg_results = None
         # For negative-node tokens: propagated downstream iff active.
         self.active = True
         self._tags = None
         if parent is not None:
-            parent.children.append(self)
+            older = self.prev_sibling = parent.last_child
+            if older is not None:
+                older.next_sibling = self
+            parent.last_child = self
+
+    def unlink(self):
+        """Leave the parent's child chain, keeping no link to a sibling."""
+        older, newer = self.prev_sibling, self.next_sibling
+        if newer is None:
+            self.parent.last_child = older
+        else:
+            newer.prev_sibling = older
+        if older is not None:
+            older.next_sibling = newer
+        self.prev_sibling = self.next_sibling = None
 
     # -- instantiation protocol ------------------------------------------
 

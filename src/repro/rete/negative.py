@@ -4,7 +4,7 @@ A negative node sits in the beta chain at its CE's level.  For each left
 token it stores a token of its own (``wme=None``) along with the *join
 results* — the alpha WMEs currently satisfying the negated pattern
 against the token's bindings.  The token propagates downstream only
-while its join-result list is empty.
+while it has no join results.
 
 When a blocking WME appears the token *deactivates* (its downstream
 descendants are deleted); when the last blocker disappears it
@@ -23,7 +23,7 @@ class NegativeNode(TwoInputNode, TokenStore):
     negated equality CE probes the alpha index on left activation and
     the node's own token index (a :class:`~repro.rete.beta.TokenStore`
     over ``items``, blocked tokens included) on right activation.
-    Candidate order, blocker lists, and stats counters are identical
+    Candidate order, blocker order, and stats counters are identical
     whichever access path runs.
     """
 
@@ -47,12 +47,12 @@ class NegativeNode(TwoInputNode, TokenStore):
         if not parent_token.active:
             return
         token = Token(parent_token, None, self, self.level)
+        token.neg_results = {}
         self.network.register_token(token)
         self.items[token] = None
         self._index_token(token)
         register = self.network.register_neg_result
         for wme in self.matching_wmes(token):
-            token.neg_results.append(wme)
             register(wme, token)
         token.active = not token.neg_results
         self.stats.memory_size(self.stats_key, len(self.items))
@@ -81,7 +81,6 @@ class NegativeNode(TwoInputNode, TokenStore):
     def right_activate(self, wme):
         """A WME joined the negated pattern's alpha memory."""
         for token in self.matching_tokens(wme):
-            token.neg_results.append(wme)
             self.network.register_neg_result(wme, token)
             if token.active:
                 self._deactivate(token)
@@ -98,10 +97,7 @@ class NegativeNode(TwoInputNode, TokenStore):
 
     def release_blocker(self, wme, token):
         """*wme* (a join result of *token*) was removed from WM."""
-        try:
-            token.neg_results.remove(wme)
-        except ValueError:
-            return
+        del token.neg_results[wme]
         if not token.neg_results and not token.active:
             token.active = True
             self._propagate(token)
@@ -109,8 +105,8 @@ class NegativeNode(TwoInputNode, TokenStore):
     def _deactivate(self, token):
         token.active = False
         # Downstream matches built on this token are no longer valid.
-        while token.children:
-            self.network.delete_token(token.children[-1])
+        while token.last_child is not None:
+            self.network.delete_token(token.last_child)
         for observer in self.observers:
             observer.token_removed(token)
 

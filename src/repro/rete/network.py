@@ -88,6 +88,7 @@ class ReteNetwork(Matcher):
         self.snodes = {}
         self._terminals = {}  # rule name -> (host memory, observer)
         self._wme_tokens = {}
+        # blocker WME -> {negative-node token: None}, in blocking order
         self._wme_neg_results = {}
 
     def set_stats(self, stats):
@@ -110,23 +111,21 @@ class ReteNetwork(Matcher):
             self._wme_tokens.setdefault(token.wme, set()).add(token)
 
     def register_neg_result(self, wme, token):
-        self._wme_neg_results.setdefault(wme, []).append(token)
+        """*wme* now blocks *token*: record it on both sides, O(1)."""
+        token.neg_results[wme] = None
+        self._wme_neg_results.setdefault(wme, {})[token] = None
 
     def unregister_neg_result(self, wme, token):
-        entries = self._wme_neg_results.get(wme)
-        if entries is None:
-            return
-        try:
-            entries.remove(token)
-        except ValueError:
-            pass
+        """A deleted *token* lets go of its blocker *wme*."""
+        entries = self._wme_neg_results[wme]
+        del entries[token]
         if not entries:
             del self._wme_neg_results[wme]
 
     def delete_token(self, token):
-        """Delete *token* and all its descendants (children first)."""
-        while token.children:
-            self.delete_token(token.children[-1])
+        """Delete *token* and all its descendants (newest child first)."""
+        while token.last_child is not None:
+            self.delete_token(token.last_child)
         node = token.node
         if node is None:
             return
@@ -135,10 +134,7 @@ class ReteNetwork(Matcher):
         self.match_stats.token_deleted()
         node.remove_token(token)
         if token.parent is not None:
-            try:
-                token.parent.children.remove(token)
-            except ValueError:
-                pass
+            token.unlink()
         if token.wme is not None:
             bucket = self._wme_tokens.get(token.wme)
             if bucket is not None:

@@ -1,10 +1,24 @@
 """Unit tests for conflict resolution: LEX, MEA, refraction, SOI ranking."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import RuleEngine
-from repro.errors import ConflictResolutionError
-from repro.engine.conflict import strategy_named
+from repro.core.instantiation import (
+    Instantiation,
+    MatchToken,
+    SetInstantiation,
+)
+from repro.errors import ConflictResolutionError, FiringError
+from repro.engine.conflict import (
+    ConflictSet,
+    LexStrategy,
+    MeaStrategy,
+    strategy_named,
+)
+from repro.lang.parser import parse_rule
+from repro.wm import WME
 
 
 class TestStrategySelection:
@@ -122,3 +136,164 @@ class TestConflictSetApi:
         engine.remove(wme)
         assert engine.conflict_set.inserts == 1
         assert engine.conflict_set.retracts == 1
+
+
+# ---------------------------------------------------------------------------
+# The ordered structure behind select: same answer as a max over the members
+# ---------------------------------------------------------------------------
+
+_RULES = {
+    # A self-join: (w1, w2) and (w2, w1) share recency, specificity and
+    # name, so equal keys occur and only membership order decides.
+    "pair": parse_rule("(p pair (n ^v <a>) (n ^v <b>) --> (halt))"),
+    "solo": parse_rule("(p solo (n ^v <a>) --> (halt))"),
+    "watch": parse_rule("(p watch { [n] <S> } --> (halt))"),
+}
+_WMES = [WME("n", {"v": tag}, tag) for tag in range(1, 4)]
+
+
+class _Soi:
+    """Just enough of an SOI for SetInstantiation: live tokens + version."""
+
+    def __init__(self, head):
+        self.tokens = [MatchToken([_WMES[head]])]
+        self.version = 0
+
+
+def reference_select(conflict_set, strategy):
+    """``ConflictSet.select`` as it was: a max over every live member."""
+    eligible = [i for i in conflict_set.instantiations() if i.eligible()]
+    return max(eligible, key=strategy.key) if eligible else None
+
+
+_index = st.integers(0, len(_WMES) - 1)
+_conflict_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("insert"), st.sampled_from(["pair", "solo"]),
+                  _index, _index),
+        st.tuples(st.just("insert-soi"), _index),
+        st.tuples(st.just("retract"), st.integers(0, 40)),
+        st.tuples(st.just("fire")),
+        st.tuples(st.just("restore"), st.integers(0, 40)),
+        st.tuples(st.just("touch-soi"), st.integers(0, 40)),
+        st.tuples(st.sampled_from(["quarantine", "release", "drop"]),
+                  st.sampled_from(sorted(_RULES))),
+        st.tuples(st.just("switch")),
+    ),
+    min_size=1,
+    max_size=60,
+)
+
+
+class TestOrderedSelection:
+    @given(_conflict_ops)
+    @settings(max_examples=300, deadline=None)
+    def test_select_is_the_max_over_the_members(self, ops):
+        conflict_set = ConflictSet()
+        strategies = [LexStrategy(), MeaStrategy()]
+        known = []  # inserted and not retracted: live or parked
+        fired = []  # (instantiation, refraction state before it fired)
+        for op in ops:
+            kind = op[0]
+            if kind == "insert":
+                wmes = [_WMES[op[2]], _WMES[op[3]]]
+                rule = _RULES[op[1]]
+                token = MatchToken(wmes if op[1] == "pair" else wmes[:1])
+                self._insert(conflict_set, known, Instantiation(rule, token))
+            elif kind == "insert-soi":
+                self._insert(conflict_set, known, SetInstantiation(
+                    _RULES["watch"], _Soi(op[1])
+                ))
+            elif kind == "retract" and known:
+                conflict_set.retract(known.pop(op[1] % len(known)))
+            elif kind == "fire":
+                chosen = conflict_set.select(strategies[0])
+                if chosen is not None:
+                    fired.append((chosen, chosen.refraction_state()))
+                    chosen.mark_fired()
+            elif kind == "restore" and fired:
+                conflict_set.restore_refraction(
+                    *fired.pop(op[1] % len(fired))
+                )
+            elif kind == "touch-soi":
+                # A change below the head: the S-node bumps the version
+                # and sends no mark, yet the SOI may fire again.
+                sois = [i for i in known if i.is_set_oriented]
+                if sois:
+                    soi = sois[op[1] % len(sois)].soi
+                    soi.tokens.append(MatchToken([_WMES[0]]))
+                    soi.version += 1
+            elif kind == "quarantine":
+                conflict_set.quarantine_rule(op[1])
+            elif kind == "release":
+                conflict_set.release_rule(op[1])
+            elif kind == "drop":
+                for parked in conflict_set.parked_of_rule(op[1]):
+                    known.remove(parked)
+                conflict_set.drop_rule(op[1])
+            elif kind == "switch":
+                strategies.reverse()
+            assert conflict_set.ordering_size() <= 2 * len(conflict_set)
+            assert conflict_set.select(strategies[0]) is reference_select(
+                conflict_set, strategies[0]
+            )
+
+    @staticmethod
+    def _insert(conflict_set, known, instantiation):
+        # Matchers never insert an identity that is already live or parked.
+        if all(i.identity() != instantiation.identity() for i in known):
+            known.append(instantiation)
+            conflict_set.insert(instantiation)
+
+    def test_a_reinserted_identity_is_not_its_old_record(self):
+        conflict_set = ConflictSet()
+        strategy = LexStrategy()
+        rule = _RULES["solo"]
+        old, middle, top = (
+            Instantiation(rule, MatchToken([wme])) for wme in _WMES
+        )
+        for instantiation in (old, middle, top):
+            conflict_set.insert(instantiation)
+        assert conflict_set.select(strategy) is top  # all three ranked
+        conflict_set.retract(old)  # its record stays, below the top
+        again = Instantiation(rule, MatchToken([_WMES[0]]))
+        conflict_set.insert(again)
+        conflict_set.retract(top)
+        assert conflict_set.select(strategy) is middle
+        middle.mark_fired()
+        assert conflict_set.select(strategy) is again
+
+    def test_halted_firing_is_selectable_after_a_nested_select(self):
+        """The RHS looked at the conflict set (as a nested run would)
+        while its own instantiation was stamped fired, then failed: the
+        halt policy's restored stamp must make it selectable again."""
+        engine = RuleEngine()
+        engine.add_rule("(p r (item) --> (call peek) (call boom))")
+        seen = []
+        engine.register_function("peek", lambda: seen.append(
+            engine.conflict_set.select(engine.strategy)
+        ))
+        engine.register_function("boom", lambda: 1 / 0)
+        engine.make("item")
+        [instantiation] = engine.conflict_set.instantiations()
+        with pytest.raises(FiringError):
+            engine.step()
+        assert seen == [None]
+        assert engine.conflict_set.select(engine.strategy) is instantiation
+
+    @pytest.mark.parametrize("select_every", [0, 7])
+    def test_churn_below_the_top_does_not_accumulate(self, select_every):
+        conflict_set = ConflictSet()
+        strategy = LexStrategy()
+        rule = _RULES["solo"]
+        dominant = Instantiation(rule, MatchToken([WME("n", {}, 10 ** 6)]))
+        conflict_set.insert(dominant)
+        for tag in range(1, 10_001):
+            passing = Instantiation(rule, MatchToken([WME("n", {}, tag)]))
+            conflict_set.insert(passing)
+            if select_every and tag % select_every == 0:
+                assert conflict_set.select(strategy) is dominant
+            conflict_set.retract(passing)
+            assert conflict_set.ordering_size() <= 2 * len(conflict_set)
+        assert conflict_set.select(strategy) is dominant
+        assert conflict_set.ordering_size() == 1

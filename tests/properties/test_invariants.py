@@ -13,9 +13,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.instantiation import MatchToken
+from repro.engine.conflict import ConflictSet, LexStrategy
 from repro.lang.parser import parse_rule
-from repro.match.base import CountingListener, NullListener
+from repro.match.base import NullListener
 from repro.rete import ReteNetwork
+from repro.rete.negative import NegativeNode
 from repro.rete.aggregates import AggregateSpec, AggregateState
 from repro.wm import WME, WorkingMemory
 
@@ -212,9 +214,10 @@ class TestNoLeaks:
     @settings(max_examples=60, deadline=None)
     def test_everything_cleans_up(self, ops):
         wm = WorkingMemory()
-        listener = CountingListener()
+        conflict_set = ConflictSet()
+        strategy = LexStrategy()
         net = ReteNetwork()
-        net.set_listener(listener)
+        net.set_listener(conflict_set)
         net.attach(wm)
         for source in PORTFOLIO:
             net.add_rule(parse_rule(source))
@@ -222,6 +225,10 @@ class TestNoLeaks:
         for op in ops:
             if op[0] == "make":
                 made.append(wm.make("item", owner=op[1], v=op[2]))
+                if op[2] >= 3:  # sometimes a blocker of rule n as well
+                    made.append(wm.make("owner", name=op[1]))
+                # Rank what arrived, so the ordering has records to shed.
+                conflict_set.select(strategy)
             else:
                 live = [w for w in made if w in wm]
                 if live:
@@ -230,6 +237,12 @@ class TestNoLeaks:
         assert net.stats.tokens_created == net.stats.tokens_deleted
         assert not net._wme_tokens
         assert not net._wme_neg_results
-        assert listener.inserts == listener.retracts
+        assert net._dummy_token.last_child is None
+        for node in net._beta_nodes:
+            if isinstance(node, NegativeNode):
+                assert not node.items  # so no token holds blockers
+        assert conflict_set.inserts == conflict_set.retracts
+        assert len(conflict_set) == 0
+        assert conflict_set.ordering_size() == 0
         for snode in net.snodes.values():
             assert snode.gamma == {}

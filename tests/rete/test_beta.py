@@ -51,7 +51,21 @@ class TestTokenChains:
     def test_children_registered_on_parent(self):
         parent = chain(wme(1))
         child = Token(parent, wme(2), None, 1)
-        assert child in parent.children
+        assert parent.last_child is child
+        assert child.prev_sibling is None and child.next_sibling is None
+
+    def test_unlink_is_positional_and_keeps_sibling_order(self):
+        parent = chain(wme(1))
+        first, middle, last = (
+            Token(parent, wme(tag), None, 1) for tag in (2, 3, 4)
+        )
+        middle.unlink()
+        assert (first.next_sibling, last.prev_sibling) == (last, first)
+        assert middle.prev_sibling is None and middle.next_sibling is None
+        last.unlink()
+        assert parent.last_child is first and first.next_sibling is None
+        first.unlink()
+        assert parent.last_child is None
 
     def test_dummy_token_properties(self):
         dummy = DummyToken()

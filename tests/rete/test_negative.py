@@ -282,7 +282,7 @@ class TestJoinBelowNegation:
             wm.make("c", k=2)
         assert [i.token.wme_at(0).get("k") for i in listener.live] == [2]
         assert counters(stats, join)["full_scans"] == 0
-        assert blocked.children == []
+        assert blocked.last_child is None
         wm.remove(blocker)
         assert sorted(
             i.token.wme_at(0).get("k") for i in listener.live
