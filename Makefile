@@ -6,8 +6,8 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test bench-smoke bench bench-report batch-demo profile-demo \
-	durability-demo
+.PHONY: test bench-smoke bench bench-report perf-quick batch-demo \
+	profile-demo durability-demo
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -20,10 +20,17 @@ bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only -s
 
 # Regression gate: measure match-work counters for the benchmark
-# scenarios, write BENCH_2.json, and fail if join activations regress
-# more than 10% against benchmarks/BENCH_baseline.json.
+# scenarios, write BENCH_19.json, and fail if a gated counter regresses
+# more than 10% against the newest committed report,
+# benchmarks/BENCH_19.json.
 bench-report:
 	$(PYTHON) benchmarks/bench_report.py --check
+
+# The repository benchmark's correctness checks (perf/README.md): a
+# --quick pass of all five workloads, then the instrument's self-tests.
+# No timing is judged.  CI's perf-checks job runs exactly this.
+perf-quick:
+	python3 perf/run.py --quick && $(PYTHON) -m pytest perf/tests -q
 
 batch-demo:
 	$(PYTHON) -W error::DeprecationWarning examples/bulk_load.py

@@ -2,11 +2,13 @@
 
 The γ-memory design means one token arrival costs a group lookup plus
 an O(1) aggregate delta, independent of how many tokens the SOI already
-holds (only the ordered insert scans, and new WMEs land at the head).
+holds (the ordered insert bisects, and new WMEs land at the head, which
+is the end of the list).
 This bench grows an SOI and measures per-token cost, then sweeps the
 number of groups to show the keyed lookup stays flat.
 """
 
+import gc
 import random
 import time
 
@@ -120,6 +122,45 @@ def test_soi_10k_maintenance_subquadratic(benchmark):
     benchmark(churn_one_group, 2500)
 
 
+def drain_head_first(total):
+    """Build a *total*-token SOI, then retract every WME newest-first.
+
+    This is the order ``set-modify`` / ``set-remove`` walk an SOI in.
+    γ-memory keeps the dominant token last, so each removal pops the
+    end of the list; kept head-first it was ``del tokens[0]``, a
+    memmove of everything behind it per member.
+    """
+    wm, net = build()
+    wmes = [wm.make("item", g="only", v=index) for index in range(total)]
+    gc.collect()
+    gc.disable()  # a collection's cost grows with the heap, not the list
+    try:
+        start = time.perf_counter()
+        for wme in reversed(wmes):
+            wm.remove(wme)
+        return time.perf_counter() - start
+    finally:
+        gc.enable()
+
+
+def test_head_first_drain_is_flat_per_member(benchmark):
+    sizes = (2500, 20000)
+    best = dict.fromkeys(sizes, float("inf"))
+    for _ in range(5):  # interleaved, so a slow spell hits both sizes
+        for total in sizes:
+            best[total] = min(best[total], drain_head_first(total))
+    per_member = {total: best[total] / total * 1e6 for total in sizes}
+    print_table(
+        "F3b — head-first drain of one SOI (the set-remove order)",
+        ["tokens", "drain (s)", "us/member"],
+        [(total, f"{best[total]:.4f}", f"{per_member[total]:.1f}")
+         for total in sizes],
+    )
+    assert per_member[20000] < per_member[2500] * 1.3
+
+    benchmark(drain_head_first, 2500)
+
+
 class _StubToken:
     """Bare token standing in for a beta token: just the recency key."""
 
@@ -158,9 +199,8 @@ def test_soi_ordering_matches_seed_reference(benchmark):
     Random insert/remove interleavings with heavy key ties (tags drawn
     from a small range) must leave the token list — and every head
     change signal, which is what drives conflict-set ordering — equal
-    to the linear-scan reference.  Tokens within one SOI always carry
-    the same number of tags (one rule, fixed CE count), which the
-    sign-flipped bisect keys rely on.
+    to the linear-scan reference (the SOI stores them dominant-last;
+    ``snapshot()`` is the head-first view the reference keeps).
     """
     rng = random.Random(1991)
     soi = SetOrientedInstance(key="ref", key_wmes={}, p_values={},
@@ -180,7 +220,7 @@ def test_soi_ordering_matches_seed_reference(benchmark):
             got = soi.insert_token(token)
             expected = _reference_insert(reference, token)
         assert got == expected
-        assert soi.tokens == reference
+        assert soi.snapshot() == reference
 
     benchmark(churn_one_group, 1000)
 

@@ -280,7 +280,7 @@ class RuleAnalysis:
         for action in ast.walk_actions(self.rule.actions):
             if isinstance(action, ast.BindAction):
                 bound_names.add(action.name)
-            for expression in _action_expressions(action):
+            for expression in ast.action_expressions(action):
                 for node in ast.walk_expr(expression):
                     if isinstance(node, ast.Var) and node.name == name:
                         if name in element_vars or name in bound_names:
@@ -308,18 +308,3 @@ class RuleAnalysis:
                 f"CE {level + 1}"
             )
         return wme.get(attribute)
-
-
-def _action_expressions(action):
-    """The expression operands of one action (non-recursive)."""
-    if isinstance(action, ast.MakeAction):
-        return [expr for _, expr in action.assignments]
-    if isinstance(action, (ast.ModifyAction, ast.SetModifyAction)):
-        return [expr for _, expr in action.assignments]
-    if isinstance(action, ast.WriteAction):
-        return list(action.arguments)
-    if isinstance(action, ast.BindAction):
-        return [action.expression]
-    if isinstance(action, ast.IfAction):
-        return [action.condition]
-    return []

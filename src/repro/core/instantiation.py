@@ -136,10 +136,12 @@ class Instantiation:
 class SetInstantiation:
     """A set-oriented instantiation: live view onto an SOI.
 
-    *soi* must provide: ``tokens`` (list ordered like the conflict set,
-    head first), ``version`` (int bumped on every content change),
-    ``key_wme(level)`` (the WME of a scalar CE), and ``p_value(name)``
-    (the partition value of a ``:scalar`` variable).
+    *soi* must provide: ``head()`` (the dominant token, None when
+    empty), ``snapshot()`` (a copy of the tokens ordered like the
+    conflict set, head first), ``len()``, ``version`` (int bumped on
+    every content change), ``key_wme(level)`` (the WME of a scalar CE),
+    and ``p_value(name)`` (the partition value of a ``:scalar``
+    variable).
     """
 
     __slots__ = ("rule", "soi", "_fired_version")
@@ -155,16 +157,12 @@ class SetInstantiation:
 
     def recency_key(self):
         """Ranked by the head (most dominant) token, per paper section 5."""
-        tokens = self.soi.tokens
-        if not tokens:
-            return ()
-        return tokens[0].time_tags()
+        head = self.soi.head()
+        return head.time_tags() if head is not None else ()
 
     def mea_tag(self):
-        tokens = self.soi.tokens
-        if not tokens:
-            return 0
-        wme = tokens[0].wme_at(0)
+        head = self.soi.head()
+        wme = head.wme_at(0) if head is not None else None
         return wme.time_tag if wme is not None else 0
 
     def specificity(self):
@@ -191,7 +189,7 @@ class SetInstantiation:
 
     def tokens(self):
         """Snapshot of the SOI's relation, head token first."""
-        return list(self.soi.tokens)
+        return self.soi.snapshot()
 
     def wme_at(self, level):
         """The WME of a scalar (non-set, non-negated) CE."""
@@ -205,6 +203,6 @@ class SetInstantiation:
 
     def __repr__(self):
         return (
-            f"<SOI {self.rule.name}: {len(self.soi.tokens)} tokens, "
+            f"<SOI {self.rule.name}: {len(self.soi)} tokens, "
             f"v{self.soi.version}>"
         )

@@ -39,8 +39,10 @@ Two layers live here:
 
 Speculation safety: the RHS reads working memory only through
 liveness checks on its own targets and mutates it only through
-make/remove/modify — everything else (expressions, foreach, aggregates)
-reads the instantiation's token snapshot.  The sandbox records the
+make/remove/modify — everything else (expressions, foreach) reads the
+instantiation's token snapshot, and aggregates the SOI's γ-memory, which
+only a commit moves and whose every move bumps the SOI version checked
+below.  The sandbox records the
 evaluated action list plus the set of base time tags the firing
 depends on; a plan is replayed only when (a) the instantiation
 survived commit-time validation (still present, SOI version unchanged,

@@ -2,7 +2,9 @@
 
 A firing executes against a fire-time *snapshot* of the instantiation's
 relation (its tokens), so RHS actions that mutate working memory do not
-disturb the iteration in progress.  The executor maintains:
+disturb the iteration in progress; aggregates over the whole relation
+are read from γ-memory, which an atomic firing cannot move either.  The
+executor maintains:
 
 * **bind frames** — ``(bind <v> expr)`` assigns in the nearest enclosing
   frame already defining ``<v>``, else the current frame; ``foreach``
@@ -168,20 +170,28 @@ class RhsExecutor:
         )
 
     def aggregate_value(self, node):
-        """Evaluate an RHS aggregate over the current subinstantiation."""
-        if node.target in self.element_vars:
-            level = self.element_vars[node.target]
-            spec = AggregateSpec(
-                node.op, node.target, "ce", level, node.attribute
+        """The value of an RHS aggregate over the current subinstantiation.
+
+        Outside any ``foreach`` that is the whole SOI, whose aggregates
+        γ-memory maintains (Figure 3): the state is read, not rebuilt.
+        Firings are atomic — the WM changes of this RHS stay staged
+        until it returns — so γ-memory cannot move under a running RHS
+        and the live value is the fire-time snapshot's.  A ``sum`` or
+        ``avg`` is read only while it is exact (see
+        :meth:`AggregateState.is_exact`); otherwise, for an aggregate
+        γ-memory does not keep, and inside a ``foreach`` (whose narrowed
+        group nobody maintains) the state is folded afresh.
+        """
+        if not self.narrows and self.instantiation.is_set_oriented:
+            state = self.instantiation.soi.aggregate_state(
+                (node.op, node.target, node.attribute)
             )
-        elif node.target in self.analysis.set_variable_sites:
-            level, attribute = self.analysis.set_variable_sites[node.target]
-            spec = AggregateSpec(node.op, node.target, "pv", level, attribute)
-        else:
-            self._error(
-                f"aggregate target <{node.target}> is not set-oriented"
-            )
-        state = AggregateState(spec)
+            if state is not None and state.is_exact():
+                return state.value()
+        state = AggregateState(AggregateSpec.for_node(
+            node, self.rule.name, self.element_vars,
+            self.analysis.set_variable_sites,
+        ))
         for token in self.current_tokens():
             state.add_token(token)
         return state.value()

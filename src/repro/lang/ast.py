@@ -554,3 +554,30 @@ def walk_actions(actions):
         elif isinstance(action, IfAction):
             yield from walk_actions(action.then_body)
             yield from walk_actions(action.else_body)
+
+
+def action_expressions(action):
+    """The expression operands *action* itself evaluates (not its body's)."""
+    if isinstance(action, (MakeAction, ModifyAction, SetModifyAction)):
+        return [expression for _, expression in action.assignments]
+    if isinstance(action, (WriteAction, CallAction)):
+        return list(action.arguments)
+    if isinstance(action, BindAction):
+        return [action.expression]
+    if isinstance(action, IfAction):
+        return [action.condition]
+    return []
+
+
+def top_level_expressions(actions):
+    """Yield every expression the RHS evaluates outside a ``foreach``.
+
+    These see the whole instantiation; a ``foreach`` body sees one
+    narrowed group at a time, so its expressions are not yielded.
+    ``if`` bodies are descended into.
+    """
+    for action in actions:
+        yield from action_expressions(action)
+        if isinstance(action, IfAction):
+            yield from top_level_expressions(action.then_body)
+            yield from top_level_expressions(action.else_body)

@@ -1,63 +1,22 @@
 """SOI grouping for the non-Rete matchers.
 
-TREAT and the naive matcher produce flat streams of regular match
+TREAT, DIPS and the naive matcher produce flat streams of regular match
 tokens.  For set-oriented rules those tokens must be aggregated into
 SOIs with the same semantics the S-node provides: grouped by scalar CEs
-and ``:scalar`` values, token lists ordered like the conflict set,
-``:test`` evaluated over incremental aggregates, and conflict-set
+and ``:scalar`` values, tokens ordered like the conflict set, ``:test``
+evaluated over incremental aggregates, and conflict-set
 ``+``/``-``/``time`` deltas emitted on transitions.
 
-:class:`SoiGrouper` reuses the S-node's own aggregate machinery so the
-three matchers cannot drift apart semantically — differential tests
+:class:`SoiGrouper` puts the S-node's own
+:class:`~repro.rete.snode.GammaMemory` behind a conflict-set listener,
+so the matchers cannot drift apart semantically — differential tests
 (`tests/match/test_equivalence.py`) rely on this.
 """
 
 from __future__ import annotations
 
 from repro.core.instantiation import SetInstantiation
-from repro.rete.aggregates import AggregateState
-from repro.rete.snode import (
-    ACTIVE,
-    INACTIVE,
-    SetOrientedInstance,
-    _is_truthy,
-    build_aggregate_specs,
-)
-from repro.core.expr import evaluate
-
-
-class _GrouperTestResolver:
-    """Duplicates the S-node's :test resolution against a grouped SOI."""
-
-    __slots__ = ("grouper", "soi")
-
-    def __init__(self, grouper, soi):
-        self.grouper = grouper
-        self.soi = soi
-
-    def var(self, name):
-        if name in self.soi._p_values:
-            return self.soi._p_values[name]
-        site = self.grouper.analysis.binding_sites.get(name)
-        if site is not None and site[0] in self.grouper.scalar_levels:
-            return self.soi.key_wme(site[0]).get(site[1])
-        from repro.errors import EngineError
-
-        raise EngineError(
-            f"rule {self.grouper.rule.name}: :test references <{name}>, "
-            f"which is not a scalar binding"
-        )
-
-    def aggregate(self, node):
-        for spec, state in zip(self.grouper.agg_specs, self.soi.agg_states):
-            if spec.matches(node.op, node.target, node.attribute):
-                return state.value()
-        from repro.errors import EngineError
-
-        raise EngineError(
-            f"rule {self.grouper.rule.name}: no aggregate state for "
-            f"({node.op} <{node.target}>)"
-        )
+from repro.rete.snode import ACTIVE, CHG_DELETE, INACTIVE, GammaMemory
 
 
 class SoiGrouper:
@@ -65,100 +24,44 @@ class SoiGrouper:
 
     def __init__(self, rule, analysis, listener):
         self.rule = rule
-        self.analysis = analysis
         self.listener = listener
-        self.scalar_levels = analysis.scalar_ce_levels
-        self.p_specs = self._build_p_specs(rule, analysis)
-        self.agg_specs = tuple(build_aggregate_specs(rule, analysis))
-        self.test = rule.test
-        self.sois = {}
+        self.memory = GammaMemory(rule, analysis)
+        self.sois = self.memory.sois
         self._instantiations = {}
-
-    @staticmethod
-    def _build_p_specs(rule, analysis):
-        specs = []
-        for name in rule.scalar_vars:
-            site = analysis.binding_sites.get(name)
-            if site is None:
-                continue
-            level, attribute = site
-            if rule.ces[level].set_oriented:
-                specs.append((name, level, attribute))
-        return tuple(specs)
 
     # -- token stream -------------------------------------------------------
 
     def add_token(self, token):
-        key = self._key_of(token)
-        soi = self.sois.get(key)
-        if soi is None:
-            soi = self._new_soi(key, token)
-            self.sois[key] = soi
-        soi.insert_token(token)
-        soi.version += 1
-        for state in soi.agg_states:
-            state.add_token(token)
+        soi, _ = self.memory.add(token)
         self._reconcile(soi)
 
     def remove_token(self, token):
-        key = self._key_of(token)
-        soi = self.sois.get(key)
-        if soi is None:
+        placed = self.memory.remove(token)
+        if placed is None:
             return
-        soi.remove_token(token)
-        soi.version += 1
-        if not soi.tokens:
-            del self.sois[key]
-            self._deactivate(soi, deleted=True)
-            return
-        for state in soi.agg_states:
-            state.remove_token(token)
-        self._reconcile(soi)
+        soi, chg = placed
+        if chg == CHG_DELETE:
+            self._deactivate(soi)
+        else:
+            self._reconcile(soi)
 
     # -- internals ------------------------------------------------------------
 
-    def _key_of(self, token):
-        parts = [
-            token.wme_at(level).time_tag for level in self.scalar_levels
-        ]
-        parts.extend(
-            token.wme_at(level).get(attribute)
-            for _, level, attribute in self.p_specs
-        )
-        return tuple(parts)
-
-    def _new_soi(self, key, token):
-        key_wmes = {
-            level: token.wme_at(level) for level in self.scalar_levels
-        }
-        p_values = {
-            name: token.wme_at(level).get(attribute)
-            for name, level, attribute in self.p_specs
-        }
-        agg_states = [AggregateState(spec) for spec in self.agg_specs]
-        return SetOrientedInstance(key, key_wmes, p_values, agg_states)
-
-    def _test_passes(self, soi):
-        if self.test is None:
-            return True
-        resolver = _GrouperTestResolver(self, soi)
-        return _is_truthy(evaluate(self.test, resolver))
-
     def _reconcile(self, soi):
-        passes = self._test_passes(soi)
+        passes = self.memory.passes(soi)
         if passes and soi.status == INACTIVE:
             soi.status = ACTIVE
             instantiation = SetInstantiation(self.rule, soi)
             self._instantiations[id(soi)] = instantiation
             self.listener.insert(instantiation)
         elif not passes and soi.status == ACTIVE:
-            self._deactivate(soi, deleted=False)
+            self._deactivate(soi)
         elif passes and soi.status == ACTIVE:
             instantiation = self._instantiations.get(id(soi))
             if instantiation is not None:
                 self.listener.reposition(instantiation)
 
-    def _deactivate(self, soi, deleted):
+    def _deactivate(self, soi):
         if soi.status == ACTIVE:
             soi.status = INACTIVE
             instantiation = self._instantiations.pop(id(soi), None)

@@ -25,17 +25,23 @@ from repro.errors import EngineError
 
 
 class AggregateSpec:
-    """Static description of one aggregate operation in a ``:test``.
+    """Static description of one aggregate operation of a rule.
 
     ``kind`` is ``"pv"`` or ``"ce"``.  For a PV target, ``level`` and
     ``attribute`` give the variable's binding site.  For a CE target,
     ``level`` is the CE's position and ``attribute`` the optional value
-    attribute (required for numeric aggregates).
+    attribute (required for numeric aggregates).  ``identity`` is the
+    ``(op, target, attribute)`` of the source expression the spec was
+    built for — what a reader looks its maintained state up by — and
+    ``readers`` names the halves of the rule (``"test"``, ``"rhs"``)
+    that read it from γ-memory.
     """
 
-    __slots__ = ("op", "target", "kind", "level", "attribute")
+    __slots__ = ("op", "target", "kind", "level", "attribute", "identity",
+                 "readers")
 
-    def __init__(self, op, target, kind, level, attribute=None):
+    def __init__(self, op, target, kind, level, attribute=None,
+                 identity=None):
         if kind not in ("pv", "ce"):
             raise ValueError(f"aggregate kind must be 'pv' or 'ce': {kind!r}")
         if kind == "ce" and attribute is None and op != "count":
@@ -48,6 +54,29 @@ class AggregateSpec:
         self.kind = kind
         self.level = level
         self.attribute = attribute
+        self.identity = identity or (op, target, attribute)
+        self.readers = ()
+
+    @classmethod
+    def for_node(cls, node, rule_name, element_vars, set_sites):
+        """The spec of aggregate expression *node* in rule *rule_name*.
+
+        *element_vars* maps element variables to CE levels, *set_sites*
+        set-oriented PVs to their binding sites.  Raises
+        :class:`EngineError` for a target that is neither.
+        """
+        identity = (node.op, node.target, node.attribute)
+        if node.target in element_vars:
+            return cls(node.op, node.target, "ce",
+                       element_vars[node.target], node.attribute, identity)
+        if node.target in set_sites:
+            level, attribute = set_sites[node.target]
+            return cls(node.op, node.target, "pv", level, attribute,
+                       identity)
+        raise EngineError(
+            f"rule {rule_name}: aggregate target <{node.target}> is not "
+            f"set-oriented"
+        )
 
     def contribution(self, token):
         """(key, value) this token contributes, or None if inapplicable.
@@ -65,13 +94,6 @@ class AggregateSpec:
         value = wme.get(self.attribute) if self.attribute else None
         return (wme.time_tag, value)
 
-    def matches(self, op, target, attribute=None):
-        return (
-            self.op == op
-            and self.target == target
-            and (attribute is None or attribute == self.attribute)
-        )
-
     def __repr__(self):
         attr = f" ^{self.attribute}" if self.attribute else ""
         return f"AggregateSpec({self.op} <{self.target}>{attr} [{self.kind}])"
@@ -87,6 +109,8 @@ class AggregateState:
         "_extremum",
         "_dirty",
         "_non_numeric",
+        "_mixed",
+        "_floats",
     )
 
     def __init__(self, spec):
@@ -97,6 +121,13 @@ class AggregateState:
         self._extremum = None
         self._dirty = False
         self._non_numeric = 0
+        # ``_sum`` holds the int contributions only, so it stays exact
+        # across any sequence of adds and removes.  Floats are counted,
+        # the way non-numerics are; while there are any, ``_mixed`` is
+        # the running total of all numbers in arrival order — what a
+        # fold over the same tokens has always produced, bit for bit.
+        self._mixed = 0
+        self._floats = 0
 
     # -- updates -----------------------------------------------------------
 
@@ -129,10 +160,17 @@ class AggregateState:
     def _on_key_added(self, value):
         op = self.spec.op
         if op in ("sum", "avg"):
-            if symbols.is_number(value):
-                self._sum += value
-            else:
+            if not symbols.is_number(value):
                 self._non_numeric += 1
+                return
+            if isinstance(value, float):
+                if not self._floats:
+                    self._mixed = self._sum
+                self._floats += 1
+            else:
+                self._sum += value
+            if self._floats:
+                self._mixed += value
         elif op in ("min", "max") and not self._dirty:
             if self._extremum is None or self._beats(value, self._extremum):
                 self._extremum = value
@@ -140,10 +178,15 @@ class AggregateState:
     def _on_key_removed(self, value):
         op = self.spec.op
         if op in ("sum", "avg"):
-            if symbols.is_number(value):
-                self._sum -= value
-            else:
+            if not symbols.is_number(value):
                 self._non_numeric -= 1
+                return
+            if isinstance(value, float):
+                self._floats -= 1
+            else:
+                self._sum -= value
+            if self._floats:
+                self._mixed -= value
         elif op in ("min", "max"):
             # Recompute lazily only when the current extremum left —
             # the paper's (value, counter) bookkeeping makes this exact.
@@ -157,19 +200,26 @@ class AggregateState:
 
     # -- reads -------------------------------------------------------------
 
+    def is_exact(self):
+        """Does :meth:`value` equal a fresh fold over the same tokens,
+        bit for bit?  Always for ``count``/``min``/``max``; for
+        ``sum``/``avg`` while no contribution is a float (a float sum
+        kept across adds and removes differs in the last bits)."""
+        return not self._floats
+
     def value(self):
         """The aggregate's current value (None for empty min/max/avg)."""
         op = self.spec.op
         if op == "count":
             return len(self.contributions)
-        if op == "sum":
+        if op in ("sum", "avg"):
             self._check_numeric()
-            return self._sum
-        if op == "avg":
-            self._check_numeric()
+            total = self._mixed if self._floats else self._sum
+            if op == "sum":
+                return total
             if not self.contributions:
                 return None
-            return self._sum / len(self.contributions)
+            return total / len(self.contributions)
         # min / max
         if not self.contributions:
             self._extremum = None

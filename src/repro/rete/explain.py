@@ -85,15 +85,23 @@ def _describe_node(node, lines, indent):
         lines.append(f"{pad}{node!r}")
 
 
+def _render_aggregate(spec):
+    """A maintained aggregate as written, and which half of the rule
+    reads it from γ-memory: ``avg <staff> ^salary [rhs]``."""
+    op, target, attribute = spec.identity
+    written = f"{op} <{target}>" + (f" ^{attribute}" if attribute else "")
+    return f"{written} [{','.join(spec.readers)}]"
+
+
 def _describe_terminal(terminal, lines, indent):
     pad = "  " * indent
     if isinstance(terminal, _SNodeCounter):
         snode = terminal.snode
-        c, p, apvs, aces, test = snode.static_data()
+        c, p, _, _, test = snode.static_data()
         pieces = [f"C={list(c)}", f"P={list(p)}"]
-        if apvs or aces:
+        if snode.memory.agg_specs:
             aggregates = ", ".join(
-                spec.op for spec in tuple(apvs) + tuple(aces)
+                map(_render_aggregate, snode.memory.agg_specs)
             )
             pieces.append(f"aggregates=({aggregates})")
         pieces.append(f"test={'yes' if test is not None else 'no'}")

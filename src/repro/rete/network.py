@@ -21,7 +21,7 @@ from repro.rete.beta import BetaMemory, DummyToken, JoinNode
 from repro.rete.kernels import KernelPack, build_kernels, resolve_kernels
 from repro.rete.negative import NegativeNode
 from repro.rete.pnode import PNode, SetPNode
-from repro.rete.snode import SNode, build_aggregate_specs
+from repro.rete.snode import SNode
 
 
 class ReteStats:
@@ -246,11 +246,9 @@ class ReteNetwork(Matcher):
             self.productions[rule.name] = terminal
             return terminal
         set_pnode = SetPNode(rule, self)
-        agg_specs = build_aggregate_specs(rule, analysis)
         snode = SNode(
             rule,
             analysis,
-            agg_specs,
             emit=set_pnode.receive,
             strict_paper_decide=self.strict_paper_decide,
             stats=self.match_stats,

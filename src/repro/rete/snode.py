@@ -12,14 +12,20 @@ clauses".  Its static, rule-derived data is the paper's five-tuple
 * ``T`` — the ``:test`` expression.
 
 Its γ-memory is a list of candidate SOIs, each a ``(Tokens, Status,
-AV)`` triple: :class:`SetOrientedInstance` keeps the token list ordered
-like the conflict set (head = dominant), the active/inactive status,
-and one :class:`~repro.rete.aggregates.AggregateState` per aggregate.
+AV)`` triple: :class:`SetOrientedInstance` keeps the tokens ordered
+like the conflict set, the active/inactive status, and one
+:class:`~repro.rete.aggregates.AggregateState` per aggregate — those of
+``:test`` and, beyond the paper's tuple, those the RHS reads outside a
+``foreach``, so neither half of the rule recomputes what Figure 3
+maintains.
 
 The token-arrival algorithm is the paper's Figure 3 verbatim — find the
 SOI and the token's place in it, update aggregates and re-evaluate the
 test, then decide whether to flow ``<S,+>``, ``<S,->`` or ``<S,time>``
-to the P-node — with one documented amendment: when a ``same-time``
+to the P-node.  The first two stages are :class:`GammaMemory`, shared
+with :class:`~repro.match.grouping.SoiGrouper` so all five matchers run
+one implementation; the S-node adds the decide stage, its batched form
+and the marks.  One documented amendment: when a ``same-time``
 change flips the test expression from false to true (reachable only
 when two tokens of one WM change share the newest time tag), the SOI is
 activated; the paper's figure leaves it inactive, which contradicts its
@@ -29,7 +35,7 @@ figure's literal behaviour.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 
 from repro.engine.stats import NULL_STATS
 from repro.errors import EngineError
@@ -55,41 +61,50 @@ MARK_TIME = "time"
 
 
 class SetOrientedInstance:
-    """One candidate SOI in an S-node's γ-memory.
+    """One candidate SOI in a γ-memory.
 
     Implements the protocol expected by
-    :class:`repro.core.instantiation.SetInstantiation`: ``tokens``
-    (head first), ``version``, ``key_wme(level)``, ``p_value(name)``.
+    :class:`repro.core.instantiation.SetInstantiation`: ``head()``,
+    ``snapshot()``, ``len()``, ``version``, ``key_wme(level)``,
+    ``p_value(name)``, ``aggregate_state(identity)``.
     """
 
     __slots__ = (
         "key",
-        "tokens",
         "status",
         "version",
         "agg_states",
+        "_tokens",
+        "_keys",
         "_key_wmes",
         "_p_values",
-        "_neg_keys",
     )
 
     def __init__(self, key, key_wmes, p_values, agg_states):
         self.key = key
-        self.tokens = []
         self.status = INACTIVE
         self.version = 0
         self.agg_states = agg_states
         self._key_wmes = key_wmes
         self._p_values = p_values
-        # Parallel list of cached, sign-flipped recency keys: the token
-        # list is descending by recency, so the flipped keys ascend and
-        # bisect finds insertion/removal points in O(log n) instead of
-        # the former O(n) scan calling time_tags() per comparison.
-        self._neg_keys = []
+        # Ascending by recency, dominant token last: arrivals mostly
+        # append and a head-first drain (set-modify, set-remove) pops,
+        # where a head-first list memmoves all of γ-memory per member.
+        # ``_keys`` is the parallel list of cached recency keys bisect
+        # searches.
+        self._tokens = []
+        self._keys = []
 
-    @staticmethod
-    def _neg_key(token):
-        return tuple(-tag for tag in token.time_tags())
+    def __len__(self):
+        return len(self._tokens)
+
+    def head(self):
+        """The dominant (most recent) token; None when empty."""
+        return self._tokens[-1] if self._tokens else None
+
+    def snapshot(self):
+        """A copy of the tokens ordered like the conflict set, head first."""
+        return self._tokens[::-1]
 
     def key_wme(self, level):
         """The WME matched by scalar CE *level* (None if not scalar)."""
@@ -99,41 +114,50 @@ class SetOrientedInstance:
         """The partition value of ``:scalar`` variable *name*."""
         return self._p_values[name]
 
+    def aggregate_state(self, identity):
+        """The maintained state of aggregate ``(op, target, attribute)``,
+        or None when γ-memory does not keep it."""
+        for state in self.agg_states:
+            if state.spec.identity == identity:
+                return state
+        return None
+
     def insert_token(self, token):
         """Insert ordered like the conflict set; True if it became head.
 
-        Ties on recency keep arrival order (the new token goes after
-        existing equals), matching the original linear-scan semantics.
+        Ties on recency keep arrival order: the new token is dominated
+        by existing equals, so it goes before them in the ascending list.
         """
-        neg_key = self._neg_key(token)
-        index = bisect_right(self._neg_keys, neg_key)
-        self._neg_keys.insert(index, neg_key)
-        self.tokens.insert(index, token)
-        return index == 0
+        key = token.time_tags()
+        index = bisect_left(self._keys, key)
+        self._keys.insert(index, key)
+        self._tokens.insert(index, token)
+        return index == len(self._tokens) - 1
 
     def remove_token(self, token):
         """Remove by identity; True if it was the head token."""
-        neg_key = self._neg_key(token)
-        lo = bisect_left(self._neg_keys, neg_key)
-        hi = bisect_right(self._neg_keys, neg_key, lo=lo)
-        for index in range(lo, hi):
-            if self.tokens[index] is token:
-                del self.tokens[index]
-                del self._neg_keys[index]
-                return index == 0
+        tokens = self._tokens
+        key = token.time_tags()
+        index = bisect_left(self._keys, key)
+        while index < len(tokens) and self._keys[index] == key:
+            if tokens[index] is token:
+                del tokens[index]
+                del self._keys[index]
+                return index == len(tokens)
+            index += 1
         raise EngineError("token not present in SOI")
 
     def gamma_entry(self):
         """The paper's (Tokens, Status, AV) triple, for inspection/tests."""
         return (
-            list(self.tokens),
+            self.snapshot(),
             self.status,
             [state.snapshot() for state in self.agg_states],
         )
 
     def __repr__(self):
         return (
-            f"SOI(key={self.key!r}, {len(self.tokens)} tokens, "
+            f"SOI(key={self.key!r}, {len(self)} tokens, "
             f"{self.status}, v{self.version})"
         )
 
@@ -141,61 +165,58 @@ class SetOrientedInstance:
 class _TestResolver:
     """Resolves variables/aggregates while evaluating an SOI's ``:test``."""
 
-    __slots__ = ("snode", "soi")
+    __slots__ = ("memory", "soi")
 
-    def __init__(self, snode, soi):
-        self.snode = snode
+    def __init__(self, memory, soi):
+        self.memory = memory
         self.soi = soi
 
     def var(self, name):
         if name in self.soi._p_values:
             return self.soi._p_values[name]
-        site = self.snode.analysis.binding_sites.get(name)
-        if site is not None and site[0] in self.snode.scalar_levels:
-            wme = self.soi.key_wme(site[0])
-            return wme.get(site[1])
+        site = self.memory.analysis.binding_sites.get(name)
+        if site is not None and site[0] in self.memory.scalar_levels:
+            return self.soi.key_wme(site[0]).get(site[1])
         raise EngineError(
-            f"rule {self.snode.rule.name}: :test references <{name}>, "
+            f"rule {self.memory.rule.name}: :test references <{name}>, "
             f"which is not a scalar binding"
         )
 
     def aggregate(self, node):
-        for spec, state in zip(self.snode.agg_specs, self.soi.agg_states):
-            if spec.matches(node.op, node.target, node.attribute):
-                return state.value()
-        raise EngineError(
-            f"rule {self.snode.rule.name}: no aggregate state for "
-            f"({node.op} <{node.target}>)"
+        state = self.soi.aggregate_state(
+            (node.op, node.target, node.attribute)
         )
+        if state is None:
+            raise EngineError(
+                f"rule {self.memory.rule.name}: no aggregate state for "
+                f"({node.op} <{node.target}>)"
+            )
+        return state.value()
 
 
-class SNode:
-    """The S-node proper: γ-memory plus the Figure 3 algorithm."""
+class GammaMemory:
+    """One set-oriented rule's γ-memory and Figure 3's first two stages.
 
-    def __init__(self, rule, analysis, agg_specs, emit,
-                 strict_paper_decide=False, stats=None):
+    :meth:`add` / :meth:`remove` find the token's SOI, place the token
+    in it and fold the aggregates; :meth:`passes` evaluates ``:test``
+    over the maintained values.  What to tell the conflict set (stage 3)
+    is the caller's: the S-node's decide table and marks, or the
+    grouper's listener reconcile.
+
+    While :attr:`journal` is a dict (the S-node's batched propagation),
+    each SOI's pre-image ``(status, head)`` is recorded at first touch
+    and the version is left for the flush to bump once.
+    """
+
+    def __init__(self, rule, analysis):
         self.rule = rule
         self.analysis = analysis
         self.scalar_levels = analysis.scalar_ce_levels
         self.p_specs = self._build_p_specs(rule, analysis)
-        self.agg_specs = tuple(agg_specs)
+        self.agg_specs = tuple(build_aggregate_specs(rule, analysis))
         self.test = rule.test
-        self.emit = emit
-        self.strict_paper_decide = strict_paper_decide
-        self.gamma = {}
-        self._token_total = 0
-        # Batched-propagation staging: while _batch_depth > 0, token
-        # arrivals update γ-memory and aggregates immediately but defer
-        # test evaluation and decide-flow to flush_batch(), which runs
-        # them once per touched SOI.  _staged maps each touched SOI
-        # (insertion order) to its pre-batch snapshot.
-        self._batch_depth = 0
-        self._staged = {}
-        self.attach_stats(stats if stats is not None else NULL_STATS)
-
-    def attach_stats(self, stats):
-        self.stats = stats
-        self.stats_key = stats.register_node("snode", self.rule.name)
+        self.sois = {}
+        self.journal = None
 
     @staticmethod
     def _build_p_specs(rule, analysis):
@@ -213,22 +234,6 @@ class SNode:
         # Scalar vars computed from the rule (not listed, but occurring
         # in regular CEs) are covered by C (scalar levels) already.
         return tuple(specs)
-
-    # -- observer protocol (terminal node) --------------------------------
-
-    def token_added(self, token):
-        if self._batch_depth:
-            self._process_staged(token, "+")
-        else:
-            self._process(token, "+")
-
-    def token_removed(self, token):
-        if self._batch_depth:
-            self._process_staged(token, "-")
-        else:
-            self._process(token, "-")
-
-    # -- Figure 3 ---------------------------------------------------------
 
     def _key_of(self, token):
         parts = [
@@ -251,46 +256,98 @@ class SNode:
         agg_states = [AggregateState(spec) for spec in self.agg_specs]
         return SetOrientedInstance(key, key_wmes, p_values, agg_states)
 
-    def _process(self, token, sign):
-        # Stage 1: find the SOI and place the token within it.
+    def _touch(self, soi):
+        if self.journal is None:
+            soi.version += 1
+        elif soi not in self.journal:
+            self.journal[soi] = (soi.status, soi.head())
+
+    def add(self, token):
+        """Place an arriving token; returns ``(soi, chg)``."""
         key = self._key_of(token)
-        soi = self.gamma.get(key)
-        if sign == "+":
-            if soi is None:
-                soi = self._new_soi(key, token)
-                self.gamma[key] = soi
-                soi.insert_token(token)
-                chg = CHG_NEW
-                soi.status = INACTIVE
-            else:
-                at_head = soi.insert_token(token)
-                chg = CHG_NEW_TIME if at_head else CHG_SAME_TIME
+        soi = self.sois.get(key)
+        if soi is None:
+            soi = self.sois[key] = self._new_soi(key, token)
+            self._touch(soi)
+            soi.insert_token(token)
+            chg = CHG_NEW
         else:
-            if soi is None:
-                return
-            was_head = soi.remove_token(token)
-            if not soi.tokens:
-                chg = CHG_DELETE
-                del self.gamma[key]
-            elif was_head:
-                chg = CHG_NEW_TIME
-            else:
-                chg = CHG_SAME_TIME
-        soi.version += 1
+            self._touch(soi)
+            at_head = soi.insert_token(token)
+            chg = CHG_NEW_TIME if at_head else CHG_SAME_TIME
+        for state in soi.agg_states:
+            state.add_token(token)
+        return soi, chg
 
-        # Stage 2: update the aggregates and re-evaluate the test.
-        if chg != CHG_DELETE:
-            for state in soi.agg_states:
-                if sign == "+":
-                    state.add_token(token)
-                else:
-                    state.remove_token(token)
-            if self.test is not None and not self._eval_test(soi):
-                chg = CHG_FAIL
+    def remove(self, token):
+        """Take a departing token out; returns ``(soi, chg)``, or None
+        when its SOI is not here.  An emptied SOI (``chg`` delete)
+        leaves γ-memory at once, so a later same-key arrival builds a
+        fresh one — the delete-then-recreate a per-event replay of a
+        batch would produce."""
+        key = self._key_of(token)
+        soi = self.sois.get(key)
+        if soi is None:
+            return None
+        self._touch(soi)
+        was_head = soi.remove_token(token)
+        if not len(soi):
+            del self.sois[key]
+            return soi, CHG_DELETE
+        for state in soi.agg_states:
+            state.remove_token(token)
+        return soi, CHG_NEW_TIME if was_head else CHG_SAME_TIME
 
-        # Stage 3: decide the flow of the SOI.
+    def passes(self, soi):
+        """Does *soi* satisfy ``:test`` (true when there is none)?"""
+        return self.test is None or _is_truthy(
+            evaluate(self.test, _TestResolver(self, soi))
+        )
+
+
+class SNode:
+    """The S-node proper: a γ-memory plus Figure 3's decide stage."""
+
+    def __init__(self, rule, analysis, emit, strict_paper_decide=False,
+                 stats=None):
+        self.rule = rule
+        self.memory = GammaMemory(rule, analysis)
+        self.gamma = self.memory.sois
+        self.emit = emit
+        self.strict_paper_decide = strict_paper_decide
+        self._token_total = 0
+        # Batched propagation: while _batch_depth > 0 the γ-memory
+        # journals each touched SOI's pre-batch image and token arrivals
+        # skip test evaluation and decide-flow; flush_batch() runs them
+        # once per touched SOI.
+        self._batch_depth = 0
+        self.attach_stats(stats if stats is not None else NULL_STATS)
+
+    def attach_stats(self, stats):
+        self.stats = stats
+        self.stats_key = stats.register_node("snode", self.rule.name)
+
+    # -- observer protocol (terminal node) --------------------------------
+
+    def token_added(self, token):
+        soi, chg = self.memory.add(token)
+        self._token_total += 1
+        if not self._batch_depth:
+            self._settle(soi, chg)
+
+    def token_removed(self, token):
+        placed = self.memory.remove(token)
+        if placed is None:
+            return
+        self._token_total -= 1
+        if not self._batch_depth:
+            self._settle(*placed)
+
+    def _settle(self, soi, chg):
+        """Per-event Figure 3: re-evaluate the test, decide the flow."""
+        if chg != CHG_DELETE and not self.memory.passes(soi):
+            chg = CHG_FAIL
         self._decide(soi, chg)
-        self._token_total += 1 if sign == "+" else -1
         if self.stats.enabled:
             self.stats.gamma_size(
                 self.stats_key, len(self.gamma), self._token_total
@@ -301,46 +358,13 @@ class SNode:
     def begin_batch(self):
         """Enter staged mode: defer decide-flow until :meth:`flush_batch`."""
         self._batch_depth += 1
-
-    def _process_staged(self, token, sign):
-        """Figure 3, stages 1-2 only: place the token, fold aggregates.
-
-        The SOI's pre-batch snapshot (existed?, status, head token) is
-        captured at first touch; stage 3 runs once per SOI at flush.
-        An SOI emptied mid-batch leaves γ-memory immediately, so a
-        later same-key arrival builds a fresh SOI — exactly the
-        delete-then-recreate a per-event replay would produce.
-        """
-        key = self._key_of(token)
-        soi = self.gamma.get(key)
-        if sign == "+":
-            if soi is None:
-                soi = self._new_soi(key, token)
-                self.gamma[key] = soi
-                if soi not in self._staged:
-                    self._staged[soi] = (False, INACTIVE, None)
-            elif soi not in self._staged:
-                self._staged[soi] = (True, soi.status, soi.tokens[0])
-            soi.insert_token(token)
-            for state in soi.agg_states:
-                state.add_token(token)
-            self._token_total += 1
-        else:
-            if soi is None:
-                return
-            if soi not in self._staged:
-                self._staged[soi] = (True, soi.status, soi.tokens[0])
-            soi.remove_token(token)
-            for state in soi.agg_states:
-                state.remove_token(token)
-            if not soi.tokens:
-                del self.gamma[key]
-            self._token_total -= 1
+        if self.memory.journal is None:
+            self.memory.journal = {}
 
     def flush_batch(self):
         """Leave staged mode: run test + decide once per touched SOI.
 
-        The per-SOI outcome is computed from the pre-batch snapshot and
+        The per-SOI outcome is computed from the pre-batch image and
         the post-batch state, reproducing what a per-event replay of
         the net delta-set would leave behind: status, membership, and
         a single ``+``/``-``/``time`` mark (the version is bumped once,
@@ -349,22 +373,20 @@ class SNode:
         self._batch_depth -= 1
         if self._batch_depth > 0:
             return
-        staged, self._staged = self._staged, {}
+        staged, self.memory.journal = self.memory.journal, None
         reevals = 0
-        for soi, (existed, status0, head0) in staged.items():
+        for soi, (status0, head0) in staged.items():
             soi.version += 1
-            if not soi.tokens:
+            if not len(soi):
                 # Emptied (and already evicted from γ-memory).
                 if status0 == ACTIVE:
                     self._send(MARK_REMOVE, soi)
                 continue
-            passes = True
-            if self.test is not None:
+            if self.memory.test is not None:
                 reevals += 1
-                passes = self._eval_test(soi)
-            if passes:
+            if self.memory.passes(soi):
                 if status0 == ACTIVE:
-                    if soi.tokens[0] is not head0:
+                    if soi.head() is not head0:
                         self._send(MARK_TIME, soi)
                 else:
                     soi.status = ACTIVE
@@ -377,11 +399,6 @@ class SNode:
             self.stats.gamma_size(
                 self.stats_key, len(self.gamma), self._token_total
             )
-
-    def _eval_test(self, soi):
-        resolver = _TestResolver(self, soi)
-        result = evaluate(self.test, resolver)
-        return _is_truthy(result)
 
     def _send(self, kind, soi):
         """Forward one mark to the P-node, counting it by kind."""
@@ -420,15 +437,19 @@ class SNode:
         return [soi.gamma_entry() for soi in self.gamma.values()]
 
     def static_data(self):
-        """The paper's five-tuple (C, P, APVs, ACEs, T)."""
-        apvs = tuple(s for s in self.agg_specs if s.kind == "pv")
-        aces = tuple(s for s in self.agg_specs if s.kind == "ce")
+        """The paper's five-tuple (C, P, APVs, ACEs, T).
+
+        APVs/ACEs are the aggregates of ``:test``; what γ-memory keeps
+        for the RHS alone is extra state, not part of the tuple.
+        """
+        memory = self.memory
+        tested = [s for s in memory.agg_specs if "test" in s.readers]
         return (
-            self.scalar_levels,
-            tuple(name for name, _, _ in self.p_specs),
-            apvs,
-            aces,
-            self.test,
+            memory.scalar_levels,
+            tuple(name for name, _, _ in memory.p_specs),
+            tuple(s for s in tested if s.kind == "pv"),
+            tuple(s for s in tested if s.kind == "ce"),
+            memory.test,
         )
 
     def __repr__(self):
@@ -436,32 +457,39 @@ class SNode:
 
 
 def build_aggregate_specs(rule, analysis):
-    """Derive the S-node's APVs/ACEs from the rule's ``:test``."""
-    specs = []
-    seen = set()
-    if rule.test is None:
-        return specs
-    element_vars = rule.element_vars()
-    set_vars = set(rule.set_variables())
-    for node in ast.walk_aggregates(rule.test):
-        identity = (node.op, node.target, node.attribute)
-        if identity in seen:
-            continue
-        seen.add(identity)
-        if node.target in element_vars:
-            level = element_vars[node.target]
-            specs.append(
-                AggregateSpec(node.op, node.target, "ce", level,
-                              node.attribute)
-            )
-        elif node.target in set_vars:
-            level, attribute = analysis.binding_sites[node.target]
-            specs.append(
-                AggregateSpec(node.op, node.target, "pv", level, attribute)
-            )
-        else:
-            raise EngineError(
-                f"rule {rule.name}: aggregate target <{node.target}> is "
-                f"not set-oriented"
-            )
-    return specs
+    """The aggregates γ-memory maintains for *rule*, ``:test``'s first.
+
+    Collected from ``:test`` and from the RHS expressions evaluated
+    outside any ``foreach`` (inside one the aggregate ranges over a
+    narrowed group, which is not maintained), one spec per distinct
+    ``(op, target, attribute)``; ``spec.readers`` says which half reads
+    it.  A ``:test`` aggregate that cannot be specified raises; an RHS
+    one is left out, so it fails when the rule fires, under the rule's
+    error policy, and never at ``add_rule``.
+    """
+    set_element_vars = {
+        name: level for name, level in rule.element_vars().items()
+        if rule.ces[level].set_oriented
+    }
+    sources = [("rhs", expression)
+               for expression in ast.top_level_expressions(rule.actions)]
+    if rule.test is not None:
+        sources.insert(0, ("test", rule.test))
+    specs = {}
+    for reader, expression in sources:
+        for node in ast.walk_aggregates(expression):
+            identity = (node.op, node.target, node.attribute)
+            spec = specs.get(identity)
+            if spec is None:
+                try:
+                    spec = specs[identity] = AggregateSpec.for_node(
+                        node, rule.name, set_element_vars,
+                        analysis.set_variable_sites,
+                    )
+                except EngineError:
+                    if reader == "test":
+                        raise
+                    continue
+            if reader not in spec.readers:
+                spec.readers += (reader,)
+    return list(specs.values())

@@ -7,9 +7,10 @@ first-class, *deterministic* part of the service: a seeded
 :class:`ChaosConfig` and
 
 * **wire faults** — tears the connection down mid-stream, delays a
-  response line (slow-loris in reverse), or writes only a prefix of a
-  line before dropping the socket.  The server consults
-  :meth:`ChaosInjector.wire_fault` once per outbound line;
+  response write (slow-loris in reverse), or writes only a prefix of
+  one, cut inside a line, before dropping the socket.  The server
+  consults :meth:`ChaosInjector.wire_fault` once per outbound write
+  (a response's lines leave in groups);
 * **lifecycle faults** — kills a session outright between admission
   and execution (:meth:`should_kill_session`), and arms per-session
   :class:`~repro.durability.faultfs.FaultInjector` instances
@@ -147,7 +148,7 @@ class ChaosInjector:
 
     def wire_fault(self):
         """``None`` or one of ``disconnect``/``partial``/``delay`` for
-        the next outbound line (at most one fault per line)."""
+        the next outbound write (at most one fault per write)."""
         config = self.config
         if self._roll(config.disconnect):
             self.counters["disconnects"] += 1
@@ -166,7 +167,7 @@ class ChaosInjector:
             return self.config.delay_s * (0.5 + self._rng.random() / 2)
 
     def partial_prefix(self, size):
-        """How many bytes of a *size*-byte line a torn write keeps."""
+        """How many bytes of a *size*-byte write a torn one keeps."""
         with self._lock:
             return max(0, min(size - 1, int(size * self._rng.random())))
 

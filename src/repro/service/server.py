@@ -61,6 +61,7 @@ import contextlib
 import threading
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
+from itertools import chain, islice
 from time import monotonic
 
 from repro.engine.conflict import strategy_named
@@ -108,6 +109,11 @@ _ENGINE_CONFIG_CHECKS = (
 
 #: Ops served even while draining and never load-shed.
 _CONTROL_OPS = frozenset({"ping", "health", "stats", "close"})
+
+#: Response lines per socket write (and ``drain``): amortises the
+#: syscall over a ``run``'s events while keeping the transport buffer
+#: of a large ``facts`` dump bounded.
+_LINES_PER_WRITE = 128
 
 #: Session-scoped work ops whose failures feed the circuit breaker.
 _SESSION_OPS = frozenset({"assert", "run", "facts", "checkpoint",
@@ -572,22 +578,40 @@ class RuleService:
             ))
 
     async def _send(self, writer, obj):
-        data = encode_line(obj)
-        if self.chaos is not None:
-            fault = self.chaos.wire_fault()
-            if fault == "delay":
-                await asyncio.sleep(self.chaos.delay_seconds())
-            elif fault is not None:
-                if fault == "partial":
-                    writer.write(
-                        data[:self.chaos.partial_prefix(len(data))]
+        await self._send_lines(writer, (obj,))
+
+    async def _send_lines(self, writer, objs):
+        """Encode *objs* lazily and write them at most
+        :data:`_LINES_PER_WRITE` lines per ``write`` + ``drain``.
+
+        A chaos wire fault is drawn once per write; a ``partial`` one
+        keeps a prefix that ends inside a line.
+        """
+        objs = iter(objs)
+        while True:
+            data = b"".join(
+                map(encode_line, islice(objs, _LINES_PER_WRITE))
+            )
+            if not data:
+                return
+            if self.chaos is not None:
+                fault = self.chaos.wire_fault()
+                if fault == "delay":
+                    await asyncio.sleep(self.chaos.delay_seconds())
+                elif fault is not None:
+                    if fault == "partial":
+                        cut = self.chaos.partial_prefix(len(data))
+                        if data[cut - 1:cut] == b"\n":
+                            cut -= 1
+                        writer.write(data[:cut])
+                        with contextlib.suppress(Exception):
+                            await writer.drain()
+                    writer.close()
+                    raise ConnectionResetError(
+                        f"chaos wire fault: {fault}"
                     )
-                    with contextlib.suppress(Exception):
-                        await writer.drain()
-                writer.close()
-                raise ConnectionResetError(f"chaos wire fault: {fault}")
-        writer.write(data)
-        await writer.drain()
+            writer.write(data)
+            await writer.drain()
 
     async def _with_session(self, request, fn):
         """Admit, check out, lock, and run ``fn(session)`` on the
@@ -828,17 +852,14 @@ class RuleService:
             return
         records, outputs, derived = events
         self.counters["firings"] += summary["fired"]
-        for record in records:
-            await self._send(writer, firing_event(request_id, record))
-        for text in outputs:
-            await self._send(writer, event_line(
-                request_id, "write", text=text,
-            ))
-        for event in derived:
-            await self._send(writer, fact_event(
-                request_id, event.sign, event.wme,
-            ))
-        await self._send(writer, ok_response(request_id, **summary))
+        await self._send_lines(writer, chain(
+            (firing_event(request_id, record) for record in records),
+            (event_line(request_id, "write", text=text)
+             for text in outputs),
+            (fact_event(request_id, event.sign, event.wme)
+             for event in derived),
+            (ok_response(request_id, **summary),),
+        ))
 
     async def _op_facts(self, request, request_id, writer):
         wme_class = request.get("class")
@@ -851,12 +872,12 @@ class RuleService:
             return [(w.wme_class, w.time_tag, w.as_dict()) for w in wmes]
 
         rows = await self._with_session(request, dump)
-        for wme_class_, tag, values in rows:
-            await self._send(writer, event_line(
-                request_id, "fact", sign="+",
-                **{"class": wme_class_}, tag=tag, values=values,
-            ))
-        await self._send(writer, ok_response(request_id, count=len(rows)))
+        await self._send_lines(writer, chain(
+            (event_line(request_id, "fact", sign="+",
+                        **{"class": wme_class_}, tag=tag, values=values)
+             for wme_class_, tag, values in rows),
+            (ok_response(request_id, count=len(rows)),),
+        ))
 
     # -- runtime rule surgery ----------------------------------------------
     #

@@ -159,6 +159,9 @@ class _Soi:
         self.tokens = [MatchToken([_WMES[head]])]
         self.version = 0
 
+    def head(self):
+        return self.tokens[0]
+
 
 def reference_select(conflict_set, strategy):
     """``ConflictSet.select`` as it was: a max over every live member."""

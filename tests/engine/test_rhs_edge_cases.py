@@ -153,3 +153,112 @@ class TestNestedForeachTargets:
         engine.run(limit=1)
         remaining = [w.get("g") for w in engine.wm.find("item")]
         assert remaining == ["b"]
+
+
+class TestMaintainedAggregates:
+    """RHS aggregates outside a foreach are read from γ-memory."""
+
+    def test_count_after_set_remove_is_the_fire_time_count(self):
+        # The firing is atomic: the removals stay staged until the RHS
+        # returns, so the live γ-memory still is the fire-time snapshot.
+        engine = engine_with(
+            """
+            (p drop { [item ^v <v>] <S> }
+              -->
+              (set-remove <S>)
+              (write (count <S>) (sum <S> ^v)))
+            """
+        )
+        for v in (1, 2, 3):
+            engine.make("item", v=v)
+        engine.run()
+        assert engine.output == ["3 6"]
+        assert not engine.wm.find("item")
+
+    def test_aggregate_inside_foreach_is_over_the_narrowed_group(self):
+        engine = engine_with(
+            """
+            (p per-group { [item ^g <g> ^v <v>] <S> }
+              -->
+              (write all (count <S>) (sum <S> ^v))
+              (foreach <g> ascending
+                (write <g> (count <S>) (sum <S> ^v))))
+            """
+        )
+        for g, v in (("a", 1), ("a", 2), ("b", 10)):
+            engine.make("item", g=g, v=v)
+        engine.run(limit=1)
+        assert engine.output == ["all 3 13", "a 2 3", "b 1 10"]
+
+    @pytest.mark.parametrize("policy", ["skip", "retry:2", "quarantine:1"])
+    def test_unsummable_aggregate_fails_at_fire_time_not_add_rule(
+        self, policy
+    ):
+        engine = RuleEngine(on_error=policy)
+        # Neither a sum over a symbol nor one over a CE without ^attr
+        # is an add_rule error ...
+        engine.load(
+            """
+            (p symbolic { [item ^sym <s>] <S> } --> (write (sum <S> ^sym)))
+            (p bare { [item ^sym <s>] <S> } --> (write (sum <S>)))
+            """
+        )
+        engine.make("item", sym="x")
+        engine.run()
+        # ... both fail when fired, under the rule's policy.
+        assert engine.output == []
+        assert sorted(d.rule_name for d in engine.dead_letters) == [
+            "bare", "symbolic",
+        ]
+        assert "non-numeric" in str(
+            [d.error for d in engine.dead_letters
+             if d.rule_name == "symbolic"]
+        )
+
+    def test_retry_after_rollback_reads_the_same_value(self):
+        engine = RuleEngine(on_error="retry:2")
+        engine.load(
+            """
+            (p drop { [item ^v <v>] <S> }
+              -->
+              (set-remove <S>)
+              (write (count <S>) (max <S> ^v))
+              (call flaky))
+            """
+        )
+        calls = []
+
+        def flaky():
+            calls.append(list(engine.output))
+            if len(calls) == 1:
+                raise RuntimeError("first attempt fails")
+
+        engine.register_function("flaky", flaky)
+        for v in (4, 9):
+            engine.make("item", v=v)
+        engine.run()
+        # Both attempts saw the same maintained values; the first one's
+        # output was rolled back with its removals.
+        assert calls == [["2 9"], ["2 9"]]
+        assert engine.output == ["2 9"]
+
+    @pytest.mark.parametrize("matcher", ["rete", "treat"])
+    def test_firing_folds_no_token(self, matcher, monkeypatch):
+        """(count <S>) over 1 000 tokens costs the firing no add_token:
+        through both users of the shared γ-memory."""
+        from repro.rete.aggregates import AggregateState
+
+        engine = RuleEngine(matcher=matcher)
+        engine.load("(p tally { [item] <S> } --> (write (count <S>)))")
+        with engine.batch():
+            for _ in range(1000):
+                engine.make("item")
+        folds = []
+        original = AggregateState.add_token
+        monkeypatch.setattr(
+            AggregateState, "add_token",
+            lambda self, token: (folds.append(1), original(self, token)),
+        )
+        engine.run(limit=1)
+        assert engine.output == ["1000"]
+        assert folds == []

@@ -5,6 +5,11 @@ scratch and is "obviously correct".  Hypothesis drives random WM
 operation sequences through a fixed rule portfolio and asserts the
 conflict sets (as comparable snapshots) stay identical across Rete,
 TREAT, naive, and DIPS.
+
+A snapshot also carries what γ-memory maintains for each SOI — the
+aggregates of ``:test`` and those only the RHS reads — and holds every
+exact value to a fold of the SOI's tokens from nothing, so the matchers
+agree with each other and with what an RHS would have computed itself.
 """
 
 import pytest
@@ -12,10 +17,36 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.dips import DipsMatcher
+from repro.errors import EngineError, ReproError
 from repro.lang.parser import parse_rule
 from repro.match import NaiveMatcher, TreatMatcher
 from repro.rete import ReteNetwork
+from repro.rete.aggregates import AggregateState
 from repro.wm import WorkingMemory
+
+
+def _value_or_error(state):
+    try:
+        return state.value()
+    except EngineError as error:
+        return str(error)
+
+
+def _maintained(inst):
+    """The SOI's maintained aggregates, each checked against a rebuild."""
+    if not inst.is_set_oriented:
+        return ()
+    values = []
+    for state in inst.soi.agg_states:
+        fresh = AggregateState(state.spec)
+        for token in inst.tokens():
+            fresh.add_token(token)
+        assert state.is_exact() == fresh.is_exact()
+        value = _value_or_error(state)
+        if state.is_exact():
+            assert repr(value) == repr(_value_or_error(fresh))
+            values.append((state.spec.identity, state.spec.readers, value))
+    return tuple(values)
 
 
 class SnapshotListener:
@@ -43,8 +74,10 @@ class SnapshotListener:
                 )
                 for token in inst.tokens()
             )
-            entries.append((inst.rule.name, tuple(token_tags)))
-        return sorted(entries)
+            entries.append(
+                (inst.rule.name, tuple(token_tags), _maintained(inst))
+            )
+        return sorted(entries, key=repr)
 
 
 RULES = [
@@ -62,6 +95,15 @@ RULES = [
     ":test ((sum <S> ^v) > 10) --> (halt))",
     # Same-class self-join between a scalar and a set CE.
     "(p selfjoin (item ^owner <o>) [item ^owner <o>] --> (halt))",
+    # Aggregates only the RHS reads: over a CE ^attr with :scalar ...
+    "(p rhs-ce { [item ^owner <o> ^w <w>] <S> } :scalar (<o>) "
+    "--> (write (avg <S> ^w) (min <S> ^w)) (if ((max <S> ^w) > 1) (halt)))",
+    # ... over a set PV's domain without it ...
+    "(p rhs-pv [item ^w <w>] --> (make owner ^name (sum <w>)) "
+    "(bind <top> (max <w>)) (foreach <w> (write (count <w>))))",
+    # ... and one aggregate read by both halves of the rule.
+    "(p rhs-both (owner ^name <o>) { [item ^owner <o> ^w <w>] <S> } "
+    ":test ((count <S>) >= 1) --> (write (count <S>) (sum <S> ^w)))",
 ]
 
 # DIPS now supports negation through residual blocker checks, so it
@@ -70,10 +112,14 @@ DIPS_RULES = RULES
 
 OWNERS = ["ann", "bob", "cat"]
 
+# ^w, which only RHS aggregates read: ints, floats whose running sum is
+# order-sensitive in the last bits, and a symbol no sum or avg accepts.
+W_VALUES = [0, 1, 2, 7, 0.1, 0.2, 2.5, "x"]
+
 
 @st.composite
 def operation_sequences(draw):
-    """A list of ops: ('make-item', owner, v) | ('make-owner', o) | ('remove', i)."""
+    """Ops: ('make-item', owner, v, w) | ('make-owner', o) | ('remove', i)."""
     ops = draw(
         st.lists(
             st.one_of(
@@ -81,6 +127,7 @@ def operation_sequences(draw):
                     st.just("make-item"),
                     st.sampled_from(OWNERS),
                     st.integers(0, 9),
+                    st.sampled_from(W_VALUES),
                 ),
                 st.tuples(st.just("make-owner"), st.sampled_from(OWNERS)),
                 st.tuples(st.just("remove"), st.integers(0, 30)),
@@ -104,7 +151,7 @@ def drive(matcher, rules, ops):
     snapshots = []
     for op in ops:
         if op[0] == "make-item":
-            made.append(wm.make("item", owner=op[1], v=op[2]))
+            made.append(wm.make("item", owner=op[1], v=op[2], w=op[3]))
         elif op[0] == "make-owner":
             made.append(wm.make("owner", name=op[1]))
         elif op[0] == "remove":
@@ -112,8 +159,6 @@ def drive(matcher, rules, ops):
             if live:
                 wm.remove(live[op[1] % len(live)])
         else:  # excise the self-join rule (idempotent)
-            from repro.errors import ReproError
-
             try:
                 matcher.remove_rule("selfjoin")
             except ReproError:

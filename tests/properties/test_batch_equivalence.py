@@ -18,6 +18,16 @@ probing, per-event negation, and the staged S-node flush are all
 exercised by the same op sequences.  Interleaved ``run()`` calls
 between batches check refire behaviour: an SOI whose set was touched by
 a batch must become eligible again, an untouched one must not.
+
+Four more rules read aggregates on the RHS — over a CE ``^attr`` and
+over a set PV, with and without ``:scalar``, one of them the aggregate
+its own ``:test`` reads — over values that mix ints, floats and a
+symbol.  γ-memory maintains those for the RHS, so their written values
+are held to a second oracle: every ``kept`` line (the maintained read)
+is followed by a ``fresh`` line written inside a ``foreach`` over
+``^k``, which is 0 on every item — one group holding the whole set,
+folded from nothing the way every RHS aggregate used to be.  A ``sum``
+or ``avg`` over the symbol fails the firing; the engines skip it alike.
 """
 
 from hypothesis import given, settings
@@ -29,7 +39,7 @@ from repro.match import NaiveMatcher, TreatMatcher
 from repro.rete import ReteNetwork
 
 PROGRAM = """
-(literalize item owner v)
+(literalize item owner v k)
 (literalize owner name)
 (p pair (item ^owner <o> ^v <v>) (owner ^name <o>) --> (write <o> <v>))
 (p lonely (item ^owner <o>) -(owner ^name <o>) --> (write <o>))
@@ -38,13 +48,37 @@ PROGRAM = """
   :test ((count <S>) >= 2)
   -->
   (write <o> (count <S>)))
+(p spread { [item ^owner <o> ^v <v> ^k <k>] <S> }
+  :scalar (<o>)
+  -->
+  (write kept <o> (min <S> ^v) (max <S> ^v) (count <v>) (max <v>))
+  (foreach <k>
+    (write fresh <o> (min <S> ^v) (max <S> ^v) (count <v>) (max <v>))))
+(p total { [item ^v <v> ^k <k>] <S> }
+  -->
+  (write kept all (sum <S> ^v) (avg <S> ^v))
+  (foreach <k> (write fresh all (sum <S> ^v) (avg <S> ^v))))
+(p domain { [item ^owner <o> ^v <v> ^k <k>] <S> }
+  :scalar (<o>)
+  -->
+  (write kept <o> (sum <v>) (avg <v>) (min <v>))
+  (foreach <k> (write fresh <o> (sum <v>) (avg <v>) (min <v>))))
+(p both (owner ^name <o>) { [item ^owner <o> ^v <v> ^k <k>] <S> }
+  :test ((count <S>) >= 2)
+  -->
+  (write kept <o> (count <S>) (avg <S> ^v))
+  (foreach <k> (write fresh <o> (count <S>) (avg <S> ^v))))
 """
 
+# Ints, floats whose running sum is order-sensitive in the last bits,
+# and a symbol no sum or avg accepts.
+_VALUES = [0, 1, 2, 3, 0.1, 0.2, 2.5, "x"]
+_value = st.sampled_from(_VALUES)
+
 _op = st.one_of(
-    st.tuples(st.just("item"), st.sampled_from(["a", "b"]),
-              st.integers(0, 3)),
+    st.tuples(st.just("item"), st.sampled_from(["a", "b"]), _value),
     st.tuples(st.just("owner"), st.sampled_from(["a", "b"]), st.just(0)),
-    st.tuples(st.just("modify"), st.integers(0, 30), st.integers(0, 3)),
+    st.tuples(st.just("modify"), st.integers(0, 30), _value),
     st.tuples(st.just("remove"), st.integers(0, 30), st.just(0)),
 )
 
@@ -70,10 +104,19 @@ def _build_engines():
     }
     engines = {}
     for name, matcher in configs.items():
-        engine = RuleEngine(matcher=matcher, stats=MatchStats())
+        engine = RuleEngine(matcher=matcher, stats=MatchStats(),
+                            on_error="skip")
         engine.load(PROGRAM)
         engines[name] = engine
     return engines
+
+
+def _assert_kept_equals_fresh(output):
+    """Every maintained read is followed by the same values, rebuilt."""
+    lines = [line.split() for line in output]
+    for index, line in enumerate(lines):
+        if line[0] == "kept":
+            assert lines[index + 1] == ["fresh"] + line[1:], (index, output)
 
 
 def _apply_batch(engine, ops, made):
@@ -81,7 +124,7 @@ def _apply_batch(engine, ops, made):
     with engine.batch():
         for kind, first, second in ops:
             if kind == "item":
-                made.append(engine.make("item", owner=first, v=second))
+                made.append(engine.make("item", owner=first, v=second, k=0))
             elif kind == "owner":
                 made.append(engine.make("owner", name=first))
             else:
@@ -145,13 +188,15 @@ class TestBatchEquivalence:
         baseline = outputs["rete-replay"]
         for name, result in outputs.items():
             assert result == baseline, name
+        _assert_kept_equals_fresh(baseline[1])
 
     @given(st.lists(_op, min_size=1, max_size=8))
     @settings(max_examples=40, deadline=None)
     def test_single_batch_equals_incremental(self, ops):
         """One batch vs. the same ops applied without batching."""
         batched = _build_engines()["rete-batched"]
-        plain_engine = RuleEngine(matcher=ReteNetwork(batched=True))
+        plain_engine = RuleEngine(matcher=ReteNetwork(batched=True),
+                                  on_error="skip")
         plain_engine.load(PROGRAM)
 
         made = []
@@ -161,7 +206,7 @@ class TestBatchEquivalence:
         for kind, first, second in ops:
             if kind == "item":
                 plain_made.append(
-                    plain_engine.make("item", owner=first, v=second)
+                    plain_engine.make("item", owner=first, v=second, k=0)
                 )
             elif kind == "owner":
                 plain_made.append(plain_engine.make("owner", name=first))

@@ -114,7 +114,7 @@ class TestGammaMemoryInvariants:
                 if live:
                     wm.remove(live[op[1] % len(live)])
             for soi in snode.gamma.values():
-                keys = [t.time_tags() for t in soi.tokens]
+                keys = [t.time_tags() for t in soi.snapshot()]
                 assert keys == sorted(keys, reverse=True)
                 # Hold the SOI object itself so CPython cannot recycle
                 # its id() for a successor SOI.

@@ -55,6 +55,23 @@ class TestDescribeNetwork:
         assert "join L2 on (c) [^k = ce1.^k, ^j > ce1.^m] probe ^k\n" in text
         assert "join L3 on (d) [^j > ce1.^m] scan\n" in text
 
+    def test_snode_line_lists_maintained_aggregates_and_readers(self):
+        # The shape of the served WINDOW program's roll-up: one aggregate
+        # read by both halves of the rule, one by the RHS alone, and one
+        # inside a foreach, which ranges over a narrowed group and so is
+        # not maintained.
+        wm, net = build(
+            "(p rollup (dept ^name <d>) { [emp ^dept <d> ^grade <g>] <staff> }"
+            " :test ((count <staff>) >= 1) -->"
+            " (write rollup <d> (count <staff>) (avg <staff> ^salary))"
+            " (foreach <g> (write <g> (max <staff> ^salary))))"
+        )
+        text = describe_network(net)
+        assert (
+            "S-node [rollup] C=[0] P=[] aggregates=(count <staff> "
+            "[test,rhs], avg <staff> ^salary [rhs]) test=yes: 0 SOI(s)"
+        ) in text
+
     def test_disjunction_rendered(self):
         wm, net = build("(p r (a ^c << red green >>) --> (halt))")
         text = describe_network(net)

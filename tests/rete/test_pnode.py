@@ -59,8 +59,10 @@ class TestPNode:
 
 
 class _Soi:
-    tokens = []
     version = 0
+
+    def head(self):
+        return None
 
     def key_wme(self, level):
         return None

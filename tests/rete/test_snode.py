@@ -61,7 +61,7 @@ class TestFindStage:
         wm.make("control", phase="run")
         assert len(snode.gamma) == 2  # one SOI per control WME
         for entry in snode.gamma.values():
-            assert len(entry.tokens) == 2
+            assert len(entry) == 2
 
     def test_scalar_pv_partitions(self):
         wm, net, listener, snode, marks = build(
@@ -71,7 +71,7 @@ class TestFindStage:
         wm.make("item", owner="y")
         wm.make("item", owner="x")
         assert len(snode.gamma) == 2
-        sizes = sorted(len(soi.tokens) for soi in snode.gamma.values())
+        sizes = sorted(len(soi) for soi in snode.gamma.values())
         assert sizes == [1, 2]
 
     def test_tokens_ordered_like_conflict_set(self):
@@ -82,7 +82,7 @@ class TestFindStage:
         wm.make("item", v=2)
         wm.make("item", v=3)
         (soi,) = snode.gamma.values()
-        tags = [t.time_tags() for t in soi.tokens]
+        tags = [t.time_tags() for t in soi.snapshot()]
         assert tags == sorted(tags, reverse=True)  # head = most recent
 
 
@@ -132,7 +132,7 @@ class TestDecideStage:
         wm.remove(older)  # same-time: no flow, content updated in place
         assert marks == []
         (soi,) = snode.gamma.values()
-        assert len(soi.tokens) == 1
+        assert len(soi) == 1
 
 
 class TestTestExpression:

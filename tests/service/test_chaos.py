@@ -3,6 +3,7 @@ live server surviving wire/lifecycle faults with exactly-once retries."""
 
 from __future__ import annotations
 
+import asyncio
 import errno
 
 import pytest
@@ -17,6 +18,8 @@ from repro.service import (
     ServiceConfig,
     ServiceThread,
 )
+from repro.service.protocol import encode_line
+from repro.service.server import RuleService
 
 PROGRAM = """
 (literalize order id status)
@@ -102,11 +105,49 @@ class TestChaosInjector:
         assert quiet.fault_for_session("s1") is None
 
 
+class _Sink:
+    """A stream writer that keeps what it is given."""
+
+    def __init__(self):
+        self.sent = b""
+        self.closed = False
+
+    def write(self, data):
+        self.sent += data
+
+    async def drain(self):
+        pass
+
+    def close(self):
+        self.closed = True
+
+
+class TestTornWrites:
+    def test_partial_fault_cuts_a_group_of_lines_inside_a_line(self):
+        service = RuleService(ServiceConfig(chaos="partial=1.0,seed=3"))
+        lines = [{"event": "fact", "n": i} for i in range(5)]
+        whole = b"".join(map(encode_line, lines))
+        boundary = len(encode_line(lines[0])) + len(encode_line(lines[1]))
+        try:
+            # A cut that falls between two lines moves back into the
+            # first of them; any other stays where the dice put it.
+            for cut, kept in ((boundary, boundary - 1),
+                              (boundary + 3, boundary + 3), (0, 0)):
+                service.chaos.partial_prefix = lambda size, cut=cut: cut
+                sink = _Sink()
+                with pytest.raises(ConnectionResetError):
+                    asyncio.run(service._send_lines(sink, lines))
+                assert sink.closed
+                assert sink.sent == whole[:kept]
+                assert not sink.sent.endswith(b"\n")
+        finally:
+            service._executor.shutdown()
+
+
 class TestLiveWireChaos:
     def test_keyed_workload_survives_wire_faults(self, tmp_path):
-        # Rates are per outbound *line*: multi-line responses (runs,
-        # facts dumps) compound them, so these per-line rates already
-        # tear down roughly every third response.
+        # Rates are per outbound *write*; a response's lines leave in
+        # groups, so most responses are one roll of these dice.
         with ServiceThread(ServiceConfig(
             port=0, wal_root=str(tmp_path / "wal"), engine_workers=2,
             chaos="disconnect=0.04,partial=0.03,delay=0.1,"

@@ -97,6 +97,38 @@ class TestBasicOps:
         assert {e["values"]["id"] for e in events} == {1, 2}
         client.close_session(sid)
 
+    def test_long_responses_arrive_complete_and_in_order(
+        self, client, request
+    ):
+        # Event lines leave the server in groups of 128; a response of
+        # several groups and a remainder must read as one stream.
+        sid = _unique(request)
+        client.create(sid, PROGRAM, durable=False)
+        client.assert_facts(sid, [
+            ("order", {"id": i, "status": "open"}) for i in range(150)
+        ])
+        response, events = client.run(sid)
+        assert response["fired"] == 150
+        assert [e["event"] for e in events] == (
+            ["firing"] * 150 + ["write"] * 150 + ["fact"] * 150
+        )
+        # LEX fires the most recent order first; writes and derived
+        # facts follow in firing order.
+        shipped = [150 - e["cycle"] for e in events[:150]]
+        assert shipped == list(range(149, -1, -1))
+        assert [e["text"] for e in events[150:300]] == [
+            f"shipping {i}" for i in shipped
+        ]
+        assert [e["values"]["id"] for e in events[300:]] == shipped
+        assert [e["tag"] for e in events[300:]] == list(range(151, 301))
+        response, events = client.facts(sid)
+        assert response["count"] == len(events) == 300
+        assert sorted(e["tag"] for e in events) == list(range(1, 301))
+        assert [e["tag"] for e in events if e["class"] == "shipped"] == (
+            list(range(151, 301))
+        )
+        client.close_session(sid)
+
     def test_stats_surface(self, client, request):
         sid = _unique(request)
         client.create(sid, PROGRAM, durable=False)

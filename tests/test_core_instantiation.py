@@ -69,8 +69,17 @@ class TestInstantiation:
 
 class _FakeSoi:
     def __init__(self):
-        self.tokens = []
+        self.tokens = []  # head first
         self.version = 0
+
+    def __len__(self):
+        return len(self.tokens)
+
+    def head(self):
+        return self.tokens[0] if self.tokens else None
+
+    def snapshot(self):
+        return list(self.tokens)
 
     def key_wme(self, level):
         return None
