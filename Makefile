@@ -14,15 +14,15 @@ test:
 
 bench-smoke:
 	$(PYTHON) -m pytest benchmarks/ -q -p no:cacheprovider \
-	  -k "ablation or no_regression or snode_scaling or batch or durability or claim_firings"
+	  -k "ablation or no_regression or snode_scaling or batch or durability or claim_firings or dips_work"
 
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only -s
 
 # Regression gate: measure match-work counters for the benchmark
-# scenarios, write BENCH_19.json, and fail if a gated counter regresses
+# scenarios, write BENCH_23.json, and fail if a gated counter regresses
 # more than 10% against the newest committed report,
-# benchmarks/BENCH_19.json.
+# benchmarks/BENCH_23.json.
 bench-report:
 	$(PYTHON) benchmarks/bench_report.py --check
 

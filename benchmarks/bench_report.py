@@ -2,7 +2,7 @@
 """Benchmark regression gate: match-work counters vs. a committed baseline.
 
 Runs a fixed set of deterministic scenarios with :class:`MatchStats`
-attached, writes the counters to ``BENCH_19.json``, and — under
+attached, writes the counters to ``BENCH_23.json``, and — under
 ``--check`` — fails if any gated work
 counter regressed more than 10% against the newest committed
 ``benchmarks/BENCH_<n>.json`` report (falling back to
@@ -23,6 +23,12 @@ batched set-oriented statements, ten thousand incremental updates,
 and one grouped SOI-retrieval query — once on the memory backend and
 once on sqlite with native SQL pushdown.  Their gated counters are
 statement and row counts (exact on any machine).
+
+The ``dips_update_stream`` scenario runs a DIPS program through bulk
+loads, small modify batches and a negated CE's blocker coming and
+going, and gates what the matcher asked of the database: queries run,
+rows retrieved, rows its plans read, and how often a rule fell back to
+its full query (exactly twice — the two blocker batches).
 
 Only *work counters* are gated (join activations, join tests, alpha
 activations, index/group probes): they are exact and machine
@@ -48,7 +54,7 @@ from repro import MatchStats, RuleEngine
 from repro.rete import ReteNetwork, ShardedReteNetwork
 
 BASELINE_PATH = Path(__file__).parent / "BENCH_baseline.json"
-DEFAULT_OUTPUT = Path("BENCH_19.json")
+DEFAULT_OUTPUT = Path("BENCH_23.json")
 
 
 def latest_reference(exclude=None):
@@ -91,6 +97,11 @@ GATED_COUNTERS = (
     "storage_soi_groups",
     "storage_soi_rows",
     "storage_statements_pushed",
+    # DIPS scenario: what the delta-driven matcher asks of the rdb.
+    "dips_queries_run",
+    "dips_rows_retrieved",
+    "dips_rows_scanned",
+    "dips_full_refreshes",
     # Kernel scenarios: compilation and cache behaviour are structural.
     "kernels_compiled",
     "kernel_cache_hits",
@@ -119,6 +130,9 @@ GATED_COUNTERS = (
 # kernel compilation likewise shows as kernels_compiled dropping.
 EXACT_COUNTERS = (
     "storage_statements_pushed",
+    # The negation fallback fires for the two blocker batches only; a
+    # tolerance gate cannot see a count this small move.
+    "dips_full_refreshes",
     "kernels_compiled",
     "kernel_cache_hits",
     # N sessions of one program must cost exactly one parse/compile.
@@ -285,7 +299,7 @@ def _storage_scenario(backend):
                 (base + i) % 97,
             ))
             for i in range(STORAGE_CHUNK)
-        ])
+        ]).statements
     load_elapsed = time.perf_counter() - load_start
     update_start = time.perf_counter()
     for base in range(0, N_STORAGE_UPDATES, STORAGE_UPDATE_CHUNK):
@@ -298,7 +312,7 @@ def _storage_scenario(backend):
                 f"o{old_tag % N_STORAGE_OWNERS}",
                 old_tag % 97,
             )))
-        statements += store.apply_batch(events)
+        statements += store.apply_batch(events).statements
     update_elapsed = time.perf_counter() - update_start
     retrieve_start = time.perf_counter()
     groups = run_sql(store.db, STORAGE_RETRIEVAL)
@@ -331,6 +345,65 @@ def scenario_storage_1m_sqlite():
     from repro.rdb.sqlite_backend import SqliteBackend
 
     return _storage_scenario(SqliteBackend())
+
+
+# -- delta-driven DIPS (ISSUE 23) ------------------------------------------
+
+DIPS_PROGRAM = PROGRAM + """
+(literalize hold dept)
+(p top-paid
+  (dept ^name <d>)
+  (emp ^dept <d> ^salary > 1990 ^name <n>)
+  -->
+  (write top <n> <d>))
+(p open-dept
+  (dept ^name <d>)
+  -(hold ^dept <d>)
+  -->
+  (write open <d>))
+"""
+DIPS_LOAD_BATCH = 500
+DIPS_UPDATE_BATCHES = 20
+DIPS_UPDATE_BATCH = 25
+
+
+def scenario_dips_update_stream():
+    """Bulk loads, modify batches, then a blocker added and removed."""
+    from repro.dips import DipsMatcher
+    from repro.rdb import plan_counters
+
+    stats = MatchStats()
+    engine = RuleEngine(matcher=DipsMatcher(backend="memory"), stats=stats)
+    engine.load(DIPS_PROGRAM)
+    facts = _facts()
+    with plan_counters() as work:
+        engine.load_facts([("dept", {"name": f"d{d}"})
+                           for d in range(N_DEPTS)])
+        staff = []
+        for base in range(0, len(facts), DIPS_LOAD_BATCH):
+            staff.extend(
+                engine.load_facts(facts[base:base + DIPS_LOAD_BATCH])
+            )
+            engine.run()
+        for batch in range(DIPS_UPDATE_BATCHES):
+            with engine.batch():
+                for offset in range(DIPS_UPDATE_BATCH):
+                    index = (batch * 97 + offset * 41) % len(staff)
+                    staff[index] = engine.modify(
+                        staff[index], salary=1000 + (batch * 53 + offset)
+                    )
+            engine.run()
+        hold = engine.make("hold", dept="d3")
+        engine.run()
+        engine.remove(hold)
+        engine.run()
+    for name in ("dips_queries_run", "dips_rows_retrieved",
+                 "dips_full_refreshes", "dips_batch_statements"):
+        stats.totals[name] = stats.counters[name]
+    stats.totals["dips_rows_scanned"] = work.rows_scanned
+    stats.totals["dips_firings"] = len(engine.tracer.firings)
+    engine.close()
+    return stats
 
 
 # -- compiled-kernel scenarios (off vs closure) ----------------------------
@@ -659,6 +732,7 @@ SCENARIOS = {
     "sharded_match": scenario_sharded_match,
     "storage_1m_memory": scenario_storage_1m_memory,
     "storage_1m_sqlite": scenario_storage_1m_sqlite,
+    "dips_update_stream": scenario_dips_update_stream,
     "service_shared_rete": scenario_service_shared_rete,
     "service_mixed_matchers": scenario_service_mixed_matchers,
     "service_chaos_keyed": scenario_service_chaos_keyed,

@@ -11,12 +11,13 @@ paper's set-oriented extension:
 * :mod:`repro.dips.soi_query` — generates, for any rule, the SQL query
   of Figure 6: join the rule's COND tables on shared variables, keep
   rows whose WME-TAGS are NOT NULL, and GROUP BY the scalar CEs' tags
-  and the ``:scalar`` variables to carve out the SOIs;
+  and the ``:scalar`` variables to carve out the SOIs — and its
+  pre-grouping form, optionally restricted to a batch's WME tags;
 * :mod:`repro.dips.matcher` — a full :class:`repro.match.base.Matcher`
-  that matches *by running that query*, so the engine can run whole
-  programs on the DBMS back end (negated CEs — which section 8 leaves
-  untreated — are applied as residual blocker checks over the negated
-  pattern's own COND instance rows);
+  that matches *by querying what each batch changed*, so the engine can
+  run whole programs on the DBMS back end (negated CEs — which section
+  8 leaves untreated — are applied as residual blocker checks over the
+  negated pattern's own COND instance rows);
 * :mod:`repro.dips.concurrency` — the concurrent-firing simulator for
   the paper's critique: tuple-oriented instantiations executed as
   parallel transactions "frequently conflict … multiple instantiations

@@ -76,6 +76,25 @@ class _CondCE:
         return analysis.ce_analyses[self.level].wme_passes_alpha(wme)
 
 
+class BatchDelta:
+    """What one :meth:`CondStore.apply_batch` changed, per rule.
+
+    ``removed`` lists the deleted WMEs' tags; ``inserted`` maps a rule
+    name to ``{CE level: [tags]}`` for the instance rows its *positive*
+    CEs gained; ``negated`` names the rules whose negated CEs gained or
+    lost instance rows.  ``statements`` counts the set-oriented
+    DELETE/INSERT statements issued.
+    """
+
+    __slots__ = ("statements", "removed", "inserted", "negated")
+
+    def __init__(self):
+        self.statements = 0
+        self.removed = []
+        self.inserted = {}
+        self.negated = set()
+
+
 class CondStore:
     """Builds and maintains the COND tables for a set of rules."""
 
@@ -241,24 +260,31 @@ class CondStore:
         one INSERT/DELETE per WME event, the batch becomes *one*
         ``DELETE ... WHERE wme_tag IN (...)`` per affected COND table
         and *one* multi-row INSERT per (class, tables') template scan.
-        Returns the number of statements issued.
+        Returns a :class:`BatchDelta`: the statements issued and which
+        instance rows of which (rule, CE) came and went — what the
+        matcher's delta queries start from.
         """
+        delta = BatchDelta()
         removed_tags = {}
         added = {}
         for event in events:
+            wme = event.wme
             if event.is_add:
-                added.setdefault(event.wme.wme_class, []).append(event.wme)
-            else:
-                removed_tags.setdefault(event.wme.wme_class, set()).add(
-                    event.wme.time_tag
-                )
-        statements = 0
+                added.setdefault(wme.wme_class, []).append(wme)
+                continue
+            removed_tags.setdefault(wme.wme_class, set()).add(wme.time_tag)
+            delta.removed.append(wme.time_tag)
+            for rule, analysis, cond_ce in self._cond_ces.get(
+                wme.wme_class, ()
+            ):
+                if cond_ce.ce.negated and cond_ce.matches(wme, analysis):
+                    delta.negated.add(rule.name)
         for wme_class, tags in removed_tags.items():
             table_name = cond_table_name(wme_class)
             if not self.db.has_table(table_name):
                 continue
             self.db.table(table_name).delete_in("wme_tag", sorted(tags))
-            statements += 1
+            delta.statements += 1
         for wme_class, wmes in added.items():
             registrations = self._cond_ces.get(wme_class, ())
             if not registrations:
@@ -266,12 +292,19 @@ class CondStore:
             rows = []
             for wme in wmes:
                 for rule, analysis, cond_ce in registrations:
-                    if cond_ce.matches(wme, analysis):
-                        rows.append(self._instance_row(rule, cond_ce, wme))
+                    if not cond_ce.matches(wme, analysis):
+                        continue
+                    rows.append(self._instance_row(rule, cond_ce, wme))
+                    if cond_ce.ce.negated:
+                        delta.negated.add(rule.name)
+                    else:
+                        delta.inserted.setdefault(rule.name, {}).setdefault(
+                            cond_ce.level, []
+                        ).append(wme.time_tag)
             if rows:
                 self.cond_table(wme_class).insert_many(rows)
-                statements += 1
-        return statements
+                delta.statements += 1
+        return delta
 
     # -- access -------------------------------------------------------------------
 

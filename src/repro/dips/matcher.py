@@ -2,38 +2,52 @@
 
 Where Rete pushes deltas through a compiled network, the DIPS matcher
 does what the paper's section 8 describes: working-memory changes
-update the COND tables (instance rows keyed by WME identifier), and the
-conflict set is obtained by running each rule's SOI-retrieval query
-(:func:`repro.dips.soi_query.soi_query_sql`) and diffing the result
-against the previous cycle.  SOIs found this way reuse the grouped-SOI
-semantics of :class:`repro.match.grouping.SoiGrouper`, so ``:test``
-evaluation, ordering, and refire versions match the other matchers —
-the differential tests hold DIPS to the same behaviour as Rete.
+update the COND tables (instance rows keyed by WME identifier), and one
+set-oriented query retrieves what changed.  A batch's deletions retract
+through a per-rule ``tag -> tokens`` index with no query at all; its
+insertions run the rule's instantiation query once per affected
+positive CE with that CE's alias restricted to the inserted tags — the
+incremental-view rewrite ΔR ⋈ S, then R' ⋈ ΔS
+(:func:`repro.dips.soi_query.instantiation_query_sql`).  The one
+fallback is a rule whose *negated* CE gained or lost instance rows:
+that rule re-runs the unrestricted query and diffs it against what it
+holds, as ``add_rule`` backfill and ``end_restore`` do.  SOIs reuse the
+grouped-SOI semantics of :class:`repro.match.grouping.SoiGrouper`, so
+``:test`` evaluation, ordering, and refire versions match the other
+matchers — the differential tests hold DIPS to the same behaviour as
+Rete.
 """
 
 from __future__ import annotations
 
-from repro.core.instantiation import MatchToken
+from repro.core.instantiation import Instantiation, MatchToken
 from repro.dips.cond import CondStore
-from repro.dips.soi_query import soi_query_sql
+from repro.dips.soi_query import instantiation_query_sql, soi_query_sql
 from repro.errors import DipsError
 from repro.match.base import Matcher
 from repro.match.grouping import SoiGrouper
-from repro.core.instantiation import Instantiation
 from repro.rdb.sql import run_sql
 
 
 class _DipsRule:
-    __slots__ = ("rule", "analysis", "grouper", "sql", "tokens",
-                 "instantiations")
+    __slots__ = ("rule", "analysis", "grouper", "sql", "negated",
+                 "tokens", "by_tag")
 
     def __init__(self, rule, analysis, grouper, sql):
         self.rule = rule
         self.analysis = analysis
         self.grouper = grouper
         self.sql = sql
-        self.tokens = set()
-        self.instantiations = {}
+        self.negated = [
+            ce_analysis
+            for ce_analysis in analysis.ce_analyses
+            if ce_analysis.ce.negated
+        ]
+        #: live token -> its Instantiation (None under a grouper, which
+        #: keeps the SOIs); the keys are the objects the grouper holds.
+        self.tokens = {}
+        #: WME tag -> the live tokens that contain that WME.
+        self.by_tag = {}
 
 
 class DipsMatcher(Matcher):
@@ -44,7 +58,6 @@ class DipsMatcher(Matcher):
         self.store = CondStore(db, backend=backend)
         self._rules = {}
         self._restoring = False
-        self.stats = {"queries_run": 0, "rows_retrieved": 0}
 
     @property
     def db(self):
@@ -68,7 +81,7 @@ class DipsMatcher(Matcher):
         self._restoring = True
 
     def end_restore(self):
-        """Leave restore mode and run every rule's SOI query once."""
+        """Leave restore mode and run every rule's full query once."""
         self._restoring = False
         for state in self._rules.values():
             self._refresh(state)
@@ -97,12 +110,9 @@ class DipsMatcher(Matcher):
             raise DipsError(f"no rule named {rule_name}")
         self.store.remove_rule(rule_name)
         if state.grouper is not None:
-            for instantiation in list(
-                state.grouper._instantiations.values()
-            ):
-                self.listener.retract(instantiation)
+            state.grouper.retract_all()
         else:
-            for instantiation in state.instantiations.values():
+            for instantiation in state.tokens.values():
                 self.listener.retract(instantiation)
 
     def set_listener(self, listener):
@@ -114,57 +124,87 @@ class DipsMatcher(Matcher):
     # -- events ------------------------------------------------------------
 
     def on_event(self, event):
-        if self._restoring:
-            return
-        if event.is_add:
-            self.store.wme_added(event.wme)
-        else:
-            self.store.wme_removed(event.wme)
-        for state in self._rules.values():
-            self._refresh(state)
+        self.on_batch((event,))
 
     def on_batch(self, events):
         """One set-oriented pass per delta-set (paper section 8).
 
         The whole batch updates the COND tables as one grouped
-        DELETE/INSERT per table (:meth:`CondStore.apply_batch`), then
-        each rule's SOI query runs *once* against the settled tables —
-        instead of table-update plus full refresh per event.
+        DELETE/INSERT per table (:meth:`CondStore.apply_batch`); each
+        rule then retrieves only what the batch changed for it.
         """
         if not events or self._restoring:
             return
-        statements = self.store.apply_batch(events)
-        self.match_stats.incr("dips_batch_statements", statements)
+        delta = self.store.apply_batch(events)
+        self.match_stats.incr("dips_batch_statements", delta.statements)
         for state in self._rules.values():
-            self._refresh(state)
+            if state.rule.name in delta.negated:
+                # A blocker came or went: which held tokens that blocks
+                # or frees is not a function of the delta's tags.
+                self.match_stats.incr("dips_full_refreshes")
+                self._refresh(state)
+            else:
+                self._apply_delta(state, delta)
 
-    # -- query-and-diff ------------------------------------------------------
+    # -- retrieval ---------------------------------------------------------
+
+    def _apply_delta(self, state, delta):
+        """Retract by tag index, add by one delta query per affected CE."""
+        stale = set()
+        for tag in delta.removed:
+            stale.update(state.by_tag.get(tag, ()))
+        new = {}
+        inserted = delta.inserted.get(state.rule.name)
+        if inserted:
+            blockers = self._blocker_rows(state)
+            for restrict in inserted.items():
+                # Two CEs matched in one batch meet in both queries.
+                new.update(dict.fromkeys(
+                    self._query_tokens(state, blockers, restrict)
+                ))
+        self._replace(state, stale, new)
 
     def _refresh(self, state):
-        fresh = set(self._query_tokens(state))
-        stale = state.tokens - fresh
-        new = fresh - state.tokens
-        # Keep the ORIGINAL objects for surviving tokens: the grouper
-        # removes by identity, so handing it freshly-built equal tokens
-        # later would not match.
-        state.tokens = (state.tokens - stale) | new
-        if state.grouper is not None:
-            for token in stale:
-                state.grouper.remove_token(token)
-            for token in sorted(new, key=lambda t: t.time_tags()):
-                state.grouper.add_token(token)
-            return
-        for token in stale:
-            instantiation = state.instantiations.pop(token, None)
-            if instantiation is not None:
-                self.listener.retract(instantiation)
-        for token in new:
-            instantiation = Instantiation(state.rule, token)
-            state.instantiations[token] = instantiation
-            self.listener.insert(instantiation)
+        """Run the unrestricted query and diff it against what is held."""
+        fresh = dict.fromkeys(
+            self._query_tokens(state, self._blocker_rows(state))
+        )
+        stale = [token for token in state.tokens if token not in fresh]
+        new = [token for token in fresh if token not in state.tokens]
+        self._replace(state, stale, new)
 
-    def _query_tokens(self, state):
-        """Run the rule's instantiation query; decode rows into tokens.
+    def _replace(self, state, stale, new):
+        """Retract the *stale* tokens, then admit the *new* ones, both
+        in time-tag order.  *stale* must hold the very objects in
+        ``state.tokens``: the grouper removes by identity."""
+        grouper = state.grouper
+        for token in sorted(stale, key=MatchToken.time_tags):
+            instantiation = state.tokens.pop(token)
+            # A self-join can hold one WME at two levels: unlink once.
+            for tag in set(token.time_tags()):
+                bucket = state.by_tag[tag]
+                bucket.discard(token)
+                if not bucket:
+                    del state.by_tag[tag]
+            if grouper is not None:
+                grouper.remove_token(token)
+            else:
+                self.listener.retract(instantiation)
+        for token in sorted(new, key=MatchToken.time_tags):
+            for tag in token.time_tags():
+                state.by_tag.setdefault(tag, set()).add(token)
+            if grouper is not None:
+                state.tokens[token] = None
+                grouper.add_token(token)
+            else:
+                instantiation = Instantiation(state.rule, token)
+                state.tokens[token] = instantiation
+                self.listener.insert(instantiation)
+
+    def _query_tokens(self, state, blockers, restrict=None):
+        """Run the rule's instantiation query — restricted to the
+        ``(level, tags)`` delta when *restrict* is given — and decode
+        its unblocked rows into tokens.
 
         For set-oriented rules we deliberately query the *ungrouped*
         instantiation relation (the grouping and :test live in the
@@ -172,11 +212,9 @@ class DipsMatcher(Matcher):
         :meth:`soi_rows` for inspection and the figure's reproduction.
         """
         rule = state.rule
-        sql = _ungrouped_query(rule, state.analysis)
-        self.stats["queries_run"] += 1
+        sql = instantiation_query_sql(rule, state.analysis, restrict)
         self.match_stats.incr("dips_queries_run")
         rows = run_sql(self.db, sql)
-        self.stats["rows_retrieved"] += len(rows)
         self.match_stats.incr("dips_rows_retrieved", len(rows))
         tokens = []
         for row in rows:
@@ -192,39 +230,24 @@ class DipsMatcher(Matcher):
                 wmes.append(wme)
             else:
                 token = MatchToken(wmes)
-                if not self._blocked(state, token):
+                if not _blocked(token, blockers):
                     tokens.append(token)
         return tokens
 
-    def _blocked(self, state, token):
-        """Residual negation: does any COND instance row block *token*?
-
-        For each negated CE the blocker candidates are exactly its
-        instance rows (rule_id, cen, wme_tag NOT NULL) in the class's
-        COND table; the CE's join tests are evaluated between the row's
-        stored attribute values and the token's bindings.
-        """
-        for ce_analysis in state.analysis.ce_analyses:
-            if not ce_analysis.ce.negated:
-                continue
+    def _blocker_rows(self, state):
+        """Per negated CE, its instance rows: the blocker candidates
+        (rule_id, cen, wme_tag NOT NULL) in the class's COND table,
+        fetched through the ``rule_id`` index."""
+        blockers = []
+        for ce_analysis in state.negated:
             table = self.store.cond_table(ce_analysis.ce.wme_class)
-            for row in table.select(
-                lambda r, level=ce_analysis.level: (
-                    r.get("rule_id") == state.rule.name
-                    and r.get("cen") == level + 1
-                    and r.get("wme_tag") is not None
-                )
-            ):
-                blocker = _RowView(row)
-                if ce_analysis.wme_passes_joins(
-                    blocker, lambda lvl, attr: (
-                        None
-                        if token.wme_at(lvl) is None
-                        else token.wme_at(lvl).get(attr)
-                    )
-                ):
-                    return True
-        return False
+            blockers.append((ce_analysis, [
+                _RowView(row)
+                for row in table.lookup("rule_id", state.rule.name)
+                if row["cen"] == ce_analysis.level + 1
+                and row["wme_tag"] is not None
+            ]))
+        return blockers
 
     def soi_rows(self, rule_name):
         """Run the rule's Figure 6 grouped query; returns its rows."""
@@ -234,6 +257,21 @@ class DipsMatcher(Matcher):
     def soi_query(self, rule_name):
         """The SQL text of the rule's SOI-retrieval query."""
         return self._rules[rule_name].sql
+
+
+def _blocked(token, blockers):
+    """Residual negation: does any blocker row's stored attribute
+    values pass its CE's join tests against *token*'s bindings?"""
+
+    def binding(level, attribute):
+        wme = token.wme_at(level)
+        return None if wme is None else wme.get(attribute)
+
+    for ce_analysis, rows in blockers:
+        for blocker in rows:
+            if ce_analysis.wme_passes_joins(blocker, binding):
+                return True
+    return False
 
 
 class _RowView:
@@ -247,30 +285,3 @@ class _RowView:
     def get(self, attribute):
         value = self.row.get(attribute)
         return "nil" if value is None else value
-
-
-def _ungrouped_query(rule, analysis):
-    """The pre-grouping instantiation query (one row per match)."""
-    from repro.dips.soi_query import _alias, _join_conditions
-    from repro.dips.cond import cond_table_name
-
-    from_parts = []
-    where_parts = []
-    for level, ce in enumerate(rule.ces):
-        if ce.negated:
-            continue
-        alias = _alias(level)
-        from_parts.append(f'"{cond_table_name(ce.wme_class)}" AS {alias}')
-        where_parts.append(f"{alias}.rule_id = '{rule.name}'")
-        where_parts.append(f"{alias}.cen = {level + 1}")
-        where_parts.append(f"{alias}.wme_tag IS NOT NULL")
-    where_parts.extend(_join_conditions(rule, analysis))
-    select_clause = ", ".join(
-        f"{_alias(level)}.wme_tag AS tag_{level + 1}"
-        for level, ce in enumerate(rule.ces)
-        if not ce.negated
-    )
-    return (
-        f"SELECT {select_clause} FROM {', '.join(from_parts)} "
-        f"WHERE {' AND '.join(where_parts)}"
-    )

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from repro.analysis import RuleAnalysis
 from repro.dips.cond import cond_table_name
+from repro.errors import DipsError
 
 
 def _alias(level):
@@ -46,8 +47,6 @@ _SQL_PREDICATES = {
 
 def _join_conditions(rule, analysis):
     """Cross-CE conditions, straight from the analysed join tests."""
-    from repro.errors import DipsError
-
     conditions = []
     for ce_analysis in analysis.ce_analyses:
         if ce_analysis.ce.negated:
@@ -69,17 +68,10 @@ def _join_conditions(rule, analysis):
     return conditions
 
 
-def soi_query_sql(rule, analysis=None):
-    """The SQL statement retrieving this rule's (set) instantiations.
-
-    For a set-oriented rule the result has one row per SOI: the scalar
-    CEs' tags and ``:scalar`` values as grouping columns, and a
-    ``collect``-ed tag list per set-oriented CE.  For a tuple-oriented
-    rule there is no GROUP BY and each row is one instantiation.
-    """
-    if analysis is None:
-        analysis = RuleAnalysis(rule)
-
+def _from_where(rule, analysis):
+    """The FROM and WHERE clauses every retrieval query shares: one
+    COND-table alias per positive CE restricted to the rule, the CE
+    ordinal and instance rows, plus the join conditions."""
     from_parts = []
     where_parts = []
     for level, ce in enumerate(rule.ces):
@@ -91,6 +83,41 @@ def soi_query_sql(rule, analysis=None):
         where_parts.append(f"{alias}.cen = {level + 1}")
         where_parts.append(f"{alias}.wme_tag IS NOT NULL")
     where_parts.extend(_join_conditions(rule, analysis))
+    return f"FROM {', '.join(from_parts)} WHERE {' AND '.join(where_parts)}"
+
+
+def instantiation_query_sql(rule, analysis, restrict=None):
+    """The pre-grouping instantiation query: one row per match, the
+    positive CEs' tags as ``tag_<ordinal>`` columns.
+
+    *restrict*, a ``(level, tags)`` pair, makes it the delta query of
+    the incremental-view rewrite (ΔR ⋈ S): only matches whose CE at
+    *level* is one of the WMEs *tags* are retrieved.
+    """
+    select_clause = ", ".join(
+        f"{_alias(level)}.wme_tag AS tag_{level + 1}"
+        for level, ce in enumerate(rule.ces)
+        if not ce.negated
+    )
+    sql = f"SELECT {select_clause} {_from_where(rule, analysis)}"
+    if restrict is not None:
+        level, tags = restrict
+        sql += f" AND {_alias(level)}.wme_tag IN ({', '.join(map(str, tags))})"
+    return sql
+
+
+def soi_query_sql(rule, analysis=None):
+    """The SQL statement retrieving this rule's (set) instantiations.
+
+    For a set-oriented rule the result has one row per SOI: the scalar
+    CEs' tags and ``:scalar`` values as grouping columns, and a
+    ``collect``-ed tag list per set-oriented CE.  For a tuple-oriented
+    rule there is no GROUP BY and each row is one instantiation.
+    """
+    if analysis is None:
+        analysis = RuleAnalysis(rule)
+    if not rule.is_set_oriented:
+        return instantiation_query_sql(rule, analysis)
 
     group_keys = []
     select_parts = []
@@ -108,33 +135,14 @@ def soi_query_sql(rule, analysis=None):
         column = f"{_alias(level)}.{_quote(attribute)}"
         select_parts.append(f'{column} AS "{name}"')
         group_keys.append(column)
-
-    if rule.is_set_oriented:
-        for level in analysis.set_ce_levels:
-            select_parts.append(
-                f"COLLECT({_alias(level)}.wme_tag) AS tags_{level + 1}"
-            )
-        select_clause = ", ".join(select_parts)
-        group_clause = (
-            f" GROUP BY {', '.join(group_keys)}" if group_keys else ""
+    for level in analysis.set_ce_levels:
+        select_parts.append(
+            f"COLLECT({_alias(level)}.wme_tag) AS tags_{level + 1}"
         )
-        if not group_keys:
-            # Pure-set rule: one SOI of everything -> aggregate query.
-            return (
-                f"SELECT {select_clause} FROM {', '.join(from_parts)} "
-                f"WHERE {' AND '.join(where_parts)}"
-            )
-        return (
-            f"SELECT {select_clause} FROM {', '.join(from_parts)} "
-            f"WHERE {' AND '.join(where_parts)}{group_clause}"
-        )
-
-    select_clause = ", ".join(
-        f"{_alias(level)}.wme_tag AS tag_{level + 1}"
-        for level, ce in enumerate(rule.ces)
-        if not ce.negated
-    )
+    # A pure-set rule has no grouping key: one SOI of everything, an
+    # aggregate query without GROUP BY.
+    group_clause = f" GROUP BY {', '.join(group_keys)}" if group_keys else ""
     return (
-        f"SELECT {select_clause} FROM {', '.join(from_parts)} "
-        f"WHERE {' AND '.join(where_parts)}"
+        f"SELECT {', '.join(select_parts)} {_from_where(rule, analysis)}"
+        f"{group_clause}"
     )

@@ -45,6 +45,11 @@ class SoiGrouper:
         else:
             self._reconcile(soi)
 
+    def retract_all(self):
+        """Retract every live SOI from the listener (rule excision)."""
+        for soi in list(self.sois.values()):
+            self._deactivate(soi)
+
     # -- internals ------------------------------------------------------------
 
     def _reconcile(self, soi):

@@ -76,10 +76,7 @@ class TreatMatcher(Matcher):
         if state is None:
             raise RuleError(f"no rule named {rule_name}")
         if state.grouper is not None:
-            for instantiation in list(
-                state.grouper._instantiations.values()
-            ):
-                self.listener.retract(instantiation)
+            state.grouper.retract_all()
         else:
             for instantiation in state.instantiations.values():
                 self.listener.retract(instantiation)

@@ -33,6 +33,7 @@ from repro.rdb.query import (
     Distinct,
     Filter,
     GroupBy,
+    InList,
     IsNull,
     Join,
     Limit,
@@ -46,7 +47,7 @@ from repro.rdb.query import (
     execute_plan,
 )
 from repro.rdb.sql import run_sql
-from repro.rdb.planner import HashJoin, optimize
+from repro.rdb.planner import HashJoin, IndexScan, optimize
 from repro.rdb.stats import PlanCounters, plan_counters
 from repro.rdb.transaction import (
     Transaction,
@@ -63,6 +64,8 @@ __all__ = [
     "Filter",
     "GroupBy",
     "HashJoin",
+    "InList",
+    "IndexScan",
     "IsNull",
     "Join",
     "Limit",

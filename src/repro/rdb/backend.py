@@ -112,8 +112,8 @@ class TableStorage:
 
     def create_index(self, column):
         """Ensure an index on *column*; returns an index view exposing
-        ``lookup(value) -> set[row_id]``, ``distinct_values()``, and
-        ``len()``."""
+        ``lookup(value) -> set[row_id]``, ``count(value)`` (the size of
+        that set), ``distinct_values()``, and ``len()``."""
         raise NotImplementedError
 
     def index_view(self, column):

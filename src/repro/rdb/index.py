@@ -52,6 +52,10 @@ class HashIndex:
         """Row ids whose column equals *value* (or is NULL for None)."""
         return set(self._buckets.get(_key(value), ()))
 
+    def count(self, value):
+        """How many rows :meth:`lookup` would return for *value*."""
+        return len(self._buckets.get(_key(value), ()))
+
     def distinct_values(self):
         return [key for key in self._buckets if key is not NULL_KEY]
 

@@ -1,6 +1,6 @@
-"""Logical-plan optimisation: hash joins and filter pushdown.
+"""Logical-plan optimisation: hash joins, filter pushdown, index scans.
 
-Two classic rewrites, applied by :func:`optimize`:
+Three classic rewrites, applied by :func:`optimize`:
 
 * **hash join** — a :class:`~repro.rdb.query.Join` whose condition is
   (a conjunction containing) an equality between a left-side and a
@@ -9,7 +9,13 @@ Two classic rewrites, applied by :func:`optimize`:
   residual condition applied per probe hit;
 * **filter pushdown** — a :class:`~repro.rdb.query.Filter` directly
   above a join moves into the join's condition, where the hash-join
-  rewrite can then exploit it.
+  rewrite can then exploit it;
+* **index scan** — a filter that has reached a :class:`~repro.rdb.query.Scan`
+  and holds ``col = literal`` or ``col IN (literals)`` on an indexed
+  column reads only those rows through the index (:class:`IndexScan`);
+  the whole filter still runs above it, so the index only has to
+  return a superset.  This is what makes the DIPS delta query
+  (``wme_tag IN (<inserted tags>)``) cost the delta, not the table.
 
 The DIPS SOI queries are pure equi-joins over COND tables, so this is
 exactly the optimisation a disk-based production system would lean on;
@@ -41,7 +47,7 @@ def _conjoin(conditions):
 
 def _aliases_of(plan):
     """The table aliases a subplan produces."""
-    if isinstance(plan, q.Scan):
+    if isinstance(plan, (q.Scan, IndexScan)):
         return {plan.alias}
     if isinstance(plan, (q.Join, HashJoin)):
         return _aliases_of(plan.left) | _aliases_of(plan.right)
@@ -115,49 +121,138 @@ class HashJoin:
         )
 
 
+class IndexScan:
+    """Read the rows of one table whose *column* holds any of *values*.
+
+    The access path behind ``col = literal`` / ``col IN (literals)`` on
+    an indexed column.  Rows come back in insertion order, exactly the
+    subsequence a :class:`~repro.rdb.query.Scan` would have produced,
+    and ``rows_scanned`` counts the rows fetched.
+    """
+
+    __slots__ = ("table_name", "alias", "column", "values")
+
+    def __init__(self, table_name, alias, column, values):
+        self.table_name = table_name
+        self.alias = alias
+        self.column = column
+        self.values = values
+
+    def execute(self, db):
+        table = db.table(self.table_name)
+        view = table.index_on(self.column)
+        row_ids = set()
+        for value in self.values:
+            row_ids |= view.lookup(value)
+        # Plan nodes never mutate a frame, so the stored rows need no copy.
+        envs = [
+            q.Env({self.alias: table.get(row_id)})
+            for row_id in sorted(row_ids)
+        ]
+        work = _plan_stats.counters
+        if work is not None:
+            work.rows_scanned += len(envs)
+        return envs
+
+    def __repr__(self):
+        return (
+            f"IndexScan({self.table_name} AS {self.alias}, {self.column} "
+            f"IN {len(self.values)} value(s))"
+        )
+
+
+def _probe_of(conjunct, alias):
+    """``(column, values)`` when *conjunct* is ``col = literal`` or
+    ``col IN (literals)`` over *alias*, else None."""
+    if isinstance(conjunct, q.InList):
+        ref, values = conjunct.operand, conjunct.values
+    elif isinstance(conjunct, q.Comparison) and conjunct.op == "=":
+        ref, literal = conjunct.left, conjunct.right
+        if isinstance(ref, q.Literal):
+            ref, literal = literal, ref
+        if not isinstance(literal, q.Literal):
+            return None
+        values = [literal.value]
+    else:
+        return None
+    if not isinstance(ref, q.ColumnRef) or ref.qualifier not in (None, alias):
+        return None
+    # NULL equals nothing, so it selects no row.
+    return ref.name, [value for value in values if value is not None]
+
+
+def _index_scan(scan, predicate, db):
+    """The index access path reading the fewest rows for
+    ``Filter(scan, predicate)``, or None when no conjunct has one."""
+    if db is None or not db.has_table(scan.table_name):
+        return None
+    table = db.table(scan.table_name)
+    best = None
+    for conjunct in _conjuncts(predicate):
+        probe = _probe_of(conjunct, scan.alias)
+        if probe is None:
+            continue
+        column, values = probe
+        view = table.index_on(column)
+        if view is None:
+            continue
+        rows = sum(view.count(value) for value in values)
+        if best is None or rows < best[0]:
+            best = (rows, column, values)
+    if best is None:
+        return None
+    return IndexScan(scan.table_name, scan.alias, best[1], best[2])
+
+
 def _hash_key(value):
     # 2 == 2.0 must land in one bucket; Python hashing already agrees.
     return value
 
 
-def optimize(plan):
-    """Return an optimised copy of *plan* (the input is not mutated)."""
-    return _rewrite(plan)
+def optimize(plan, db=None):
+    """Return an optimised copy of *plan* (the input is not mutated).
+
+    Index scans are chosen from *db*'s indexes and their bucket sizes;
+    without a database only the join rewrites apply.
+    """
+    return _rewrite(plan, db)
 
 
-def _rewrite(plan):
+def _rewrite(plan, db):
     if isinstance(plan, q.Filter):
-        child = _rewrite(plan.child)
+        child = _rewrite(plan.child, db)
         if isinstance(child, q.Join):
             merged = _conjoin(
                 _conjuncts(plan.predicate)
                 + (_conjuncts(child.condition) if child.condition else [])
             )
-            return _rewrite(q.Join(child.left, child.right, merged))
+            return _rewrite(q.Join(child.left, child.right, merged), db)
+        if isinstance(child, q.Scan):
+            child = _index_scan(child, plan.predicate, db) or child
         return q.Filter(child, plan.predicate)
     if isinstance(plan, q.Join):
-        return _rewrite_join(plan)
+        return _rewrite_join(plan, db)
     if isinstance(plan, q.Project):
         rewritten = q.Project.__new__(q.Project)
-        rewritten.child = _rewrite(plan.child)
+        rewritten.child = _rewrite(plan.child, db)
         rewritten.outputs = plan.outputs
         return rewritten
     if isinstance(plan, q.GroupBy):
         rewritten = q.GroupBy.__new__(q.GroupBy)
-        rewritten.child = _rewrite(plan.child)
+        rewritten.child = _rewrite(plan.child, db)
         rewritten.keys = plan.keys
         rewritten.aggregates = plan.aggregates
         rewritten.having = plan.having
         return rewritten
     if isinstance(plan, q.OrderBy):
         rewritten = q.OrderBy.__new__(q.OrderBy)
-        rewritten.child = _rewrite(plan.child)
+        rewritten.child = _rewrite(plan.child, db)
         rewritten.sort_keys = plan.sort_keys
         return rewritten
     if isinstance(plan, q.Distinct):
-        return q.Distinct(_rewrite(plan.child))
+        return q.Distinct(_rewrite(plan.child, db))
     if isinstance(plan, q.Limit):
-        return q.Limit(_rewrite(plan.child), plan.count)
+        return q.Limit(_rewrite(plan.child, db), plan.count)
     return plan
 
 
@@ -177,12 +272,12 @@ def _referenced_aliases(condition):
             stack.extend((node.left, node.right))
         elif isinstance(node, q.LogicalNot):
             stack.append(node.operand)
-        elif isinstance(node, q.IsNull):
+        elif isinstance(node, (q.IsNull, q.InList)):
             stack.append(node.operand)
     return refs
 
 
-def _rewrite_join(plan):
+def _rewrite_join(plan, db):
     conjuncts = (
         _conjuncts(plan.condition) if plan.condition is not None else []
     )
@@ -208,8 +303,8 @@ def _rewrite_join(plan):
     right = plan.right
     if right_only:
         right = q.Filter(right, _conjoin(right_only))
-    left = _rewrite(left)
-    right = _rewrite(right)
+    left = _rewrite(left, db)
+    right = _rewrite(right, db)
 
     # Pick one spanning equality as the hash key; the rest is residual.
     equi = None

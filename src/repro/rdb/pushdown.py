@@ -24,6 +24,9 @@ Notable translations:
 * ungrouped, non-DISTINCT queries get the tables' ``__rid__`` columns
   as trailing ORDER BY terms, reproducing the interpreter's insertion
   order / stable sort exactly;
+* ``IN (literals)`` renders as ``IN`` lists of at most ``_MAX_PARAMS``
+  bound parameters each, OR-ed together; a SELECT binding more
+  parameters than this sqlite build allows falls back;
 * ``HAVING``, multi-table ``*``, negative LIMIT, DISTINCT with
   non-alias ORDER BY keys, and aggregates inside WHERE all fall back.
 """
@@ -33,7 +36,7 @@ from __future__ import annotations
 import json
 
 from repro.rdb import query as q
-from repro.rdb.sqlite_backend import quote_ident
+from repro.rdb.sqlite_backend import _MAX_PARAMS, quote_ident
 
 _OPS = {"=": "=", "!=": "<>", "<>": "<>", "<": "<", "<=": "<=",
         ">": ">", ">=": ">="}
@@ -105,6 +108,8 @@ class _SelectRenderer:
             operand = self._render_value(cond.operand)
             negated = " NOT" if cond.negated else ""
             return f"({operand} IS{negated} NULL)"
+        if isinstance(cond, q.InList):
+            return self._render_in(cond)
         if isinstance(cond, q.LogicalAnd):
             return (
                 f"({self._render_condition(cond.left)} AND "
@@ -118,6 +123,17 @@ class _SelectRenderer:
         if isinstance(cond, q.LogicalNot):
             return f"(NOT {self._render_condition(cond.operand)})"
         raise _Fallback
+
+    def _render_in(self, cond):
+        """``IN`` lists of at most ``_MAX_PARAMS`` parameters, OR-ed:
+        the same three-valued result as one list of them all."""
+        lists = []
+        for start in range(0, max(len(cond.values), 1), _MAX_PARAMS):
+            chunk = cond.values[start:start + _MAX_PARAMS]
+            operand = self._render_value(cond.operand)
+            self.params.extend(chunk)
+            lists.append(f"{operand} IN ({', '.join('?' * len(chunk))})")
+        return f"({' OR '.join(lists)})"
 
     # -- the statement -------------------------------------------------------
 
@@ -213,6 +229,8 @@ class _SelectRenderer:
                 raise _Fallback
             sql += " LIMIT ?"
             self.params.append(spec["limit"])
+        if len(self.params) > self.db.backend.max_params:
+            raise _Fallback  # a long IN list; the interpreter has no cap
         return sql, self.params, collect_names
 
     def _order_terms(self, grouped, output_names):

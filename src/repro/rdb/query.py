@@ -141,6 +141,51 @@ def _values_equal(left, right):
     return type(left) is type(right) and left == right
 
 
+def _equality_key(value):
+    """Two non-NULL values are ``=`` exactly when their keys are equal."""
+    return value if symbols.is_number(value) else (type(value), value)
+
+
+class InList:
+    """``expr IN (literal, ...)`` under 3VL.
+
+    True when the operand equals a listed value; otherwise unknown if
+    the operand or a listed value is NULL, else false.  An empty list
+    is false whatever the operand (sqlite's reading, which the native
+    rendering shares).
+    """
+
+    __slots__ = ("operand", "values", "_keys", "_has_null")
+
+    def __init__(self, operand, values):
+        self.operand = operand
+        self.values = list(values)
+        self._keys = frozenset(
+            _equality_key(value)
+            for value in self.values
+            if value is not None
+        )
+        self._has_null = any(value is None for value in self.values)
+
+    def evaluate(self, env):
+        if not self.values:
+            return False
+        left = self.operand.evaluate(env)
+        if left is None:
+            return None
+        try:
+            if _equality_key(left) in self._keys:
+                return True
+        except TypeError:
+            # An unhashable cell (a list in an ``any`` column) equals
+            # no literal: literals are numbers and strings.
+            pass
+        return None if self._has_null else False
+
+    def __repr__(self):
+        return f"InList({self.operand!r} IN {self.values!r})"
+
+
 class IsNull:
     """``expr IS [NOT] NULL`` — always two-valued."""
 

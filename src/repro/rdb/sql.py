@@ -14,10 +14,11 @@ Supported statements::
 Select items are column references (``a.b`` or ``b``), literals, or
 aggregates (``COUNT(*)``, ``COUNT(x)``, ``SUM/MIN/MAX/AVG/COLLECT(x)``),
 optionally ``AS name``.  Conditions combine comparisons
-(``= != <> < <= > >=``), ``IS [NOT] NULL``, ``AND``/``OR``/``NOT`` and
-parentheses.  Identifiers may be double-quoted (``"COND-E"``) to allow
-the paper's hyphenated table names; strings use single quotes; keywords
-are case-insensitive.
+(``= != <> < <= > >=``), ``IS [NOT] NULL``, ``IN (literal, ...)``
+(the list may be empty), ``AND``/``OR``/``NOT`` and parentheses.
+Identifiers may be double-quoted (``"COND-E"``) to allow the paper's
+hyphenated table names; strings use single quotes; keywords are
+case-insensitive.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ _KEYWORDS = {
     "select", "distinct", "from", "where", "group", "by", "having",
     "order", "asc", "desc", "limit", "and", "or", "not", "is", "null",
     "insert", "into", "values", "update", "set", "delete", "create",
-    "table", "drop", "as",
+    "table", "drop", "as", "in",
 }
 
 _AGG_FUNCS = {"count", "sum", "min", "max", "avg", "collect"}
@@ -259,6 +260,15 @@ class _SqlParser:
             negated = bool(self.accept("keyword", "not"))
             self.expect("keyword", "null")
             return q.IsNull(left, negated)
+        if self.accept("keyword", "in"):
+            self.expect("op", "(")
+            values = []
+            if not self.accept("op", ")"):
+                values.append(self._parse_literal_value())
+                while self.accept("op", ","):
+                    values.append(self._parse_literal_value())
+                self.expect("op", ")")
+            return q.InList(left, values)
         op_token = self.peek()
         if op_token.kind == "op" and op_token.value in (
             "=", "!=", "<>", "<", "<=", ">", ">=",
@@ -492,8 +502,8 @@ def run_sql(db, sql, optimize=True):
 
     SELECT returns a list of row dicts; DML returns an affected-row
     count; DDL returns the table.  ``optimize=False`` skips the
-    planner rewrites (hash joins, filter pushdown) — used by the
-    ablation benchmark.
+    planner rewrites (hash joins, filter pushdown, index scans) — used
+    by the ablation benchmark.
     """
     kind, spec = parse_sql(sql)
     backend = getattr(db, "backend", None)
@@ -509,7 +519,7 @@ def run_sql(db, sql, optimize=True):
         if optimize:
             from repro.rdb.planner import optimize as optimize_plan
 
-            plan = optimize_plan(plan)
+            plan = optimize_plan(plan, db)
         return q.execute_plan(plan, db)
     if kind == "insert":
         table = db.table(spec["table"])

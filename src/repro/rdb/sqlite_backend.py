@@ -90,6 +90,13 @@ class SqliteIndexView:
         rows = self._storage.backend.query(sql, (check_storable(value),))
         return {row[0] for row in rows}
 
+    def count(self, value):
+        sql = (
+            f"SELECT COUNT(*) FROM {quote_ident(self._storage.name)} "
+            f"WHERE {quote_ident(self.column)} IS ?"
+        )
+        return self._storage.backend.query(sql, (check_storable(value),))[0][0]
+
     def distinct_values(self):
         sql = (
             f"SELECT DISTINCT {quote_ident(self.column)} "
@@ -308,6 +315,10 @@ class SqliteBackend(StorageBackend):
             path or ":memory:",
             check_same_thread=False,
             isolation_level=None,  # autocommit; we issue BEGIN explicitly
+        )
+        #: Most ``?`` parameters one statement may bind on this build.
+        self.max_params = self._conn.getlimit(
+            sqlite3.SQLITE_LIMIT_VARIABLE_NUMBER
         )
         self._conn.execute("PRAGMA journal_mode=MEMORY")
         self._conn.execute("PRAGMA synchronous=OFF")

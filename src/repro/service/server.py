@@ -269,6 +269,7 @@ class RuleService:
         self.counters = Counter()
         self._server = None
         self._sweeper = None
+        self._connections = {}  # handler task -> its StreamWriter
         self._draining = False
         self._closed = False
 
@@ -356,12 +357,26 @@ class RuleService:
             self._server.close()
             await self._server.wait_closed()
             self._server = None
+        await self._close_connections()
         if not self._closed:
             self._closed = True
             await asyncio.get_running_loop().run_in_executor(
                 self._executor, self.registry.close_all
             )
             self._executor.shutdown(wait=True)
+
+    async def _close_connections(self):
+        """Hang up on every open connection and wait for its handler.
+
+        A handler left parked in ``readline`` would be cancelled by
+        ``asyncio.run`` at exit, and the stream protocol's done-callback
+        prints that ``CancelledError`` as a traceback per connection.
+        Closing the writer ends the handler through its own EOF path.
+        """
+        handlers = list(self._connections)
+        for writer in self._connections.values():
+            writer.close()
+        await asyncio.gather(*handlers, return_exceptions=True)
 
     async def _stop_sweeper(self):
         if self._sweeper is not None:
@@ -453,6 +468,7 @@ class RuleService:
 
     async def _handle_connection(self, reader, writer):
         self.counters["connections"] += 1
+        self._connections[asyncio.current_task()] = writer
         try:
             while True:
                 try:
@@ -485,6 +501,7 @@ class RuleService:
         except (ConnectionResetError, BrokenPipeError):
             pass
         finally:
+            del self._connections[asyncio.current_task()]
             writer.close()
             try:
                 await writer.wait_closed()

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import RuleEngine
+from repro import MatchStats, RuleEngine
 from repro.dips import DipsMatcher, soi_query_sql
 from repro.lang.parser import parse_rule
 
@@ -105,11 +105,72 @@ class TestQueryGeneration:
         assert "COLLECT" in sql
 
     def test_queries_run_counter(self):
-        matcher = DipsMatcher()
-        engine = RuleEngine(matcher=matcher)
+        stats = MatchStats()
+        engine = RuleEngine(matcher=DipsMatcher(), stats=stats)
         engine.add_rule("(p r (a) --> (halt))")
         engine.make("a")
-        assert matcher.stats["queries_run"] >= 1
+        assert stats.counters["dips_queries_run"] >= 1
+
+
+class TestDeltaRetrieval:
+    """The matcher queries the delta, not the table (ISSUE 23)."""
+
+    JOIN = "(p r (E ^name <x>) (W ^name <x>) --> (write pair))"
+
+    def engine(self, program, backend):
+        stats = MatchStats()
+        engine = RuleEngine(matcher=DipsMatcher(backend=backend),
+                            stats=stats)
+        engine.load(program)
+        for index in range(20):
+            engine.make("E", name=f"n{index}")
+            engine.make("W", name=f"n{index}")
+        for name in list(stats.counters):
+            del stats.counters[name]
+        return engine, stats.counters
+
+    @pytest.mark.parametrize("backend", ["memory", "sqlite"])
+    def test_additions_run_one_restricted_query_per_affected_ce(
+        self, backend
+    ):
+        engine, counters = self.engine(self.JOIN, backend)
+        with engine.batch():
+            engine.make("E", name="n3")
+            engine.make("E", name="fresh")
+            engine.make("W", name="fresh")
+        assert engine.conflict_set_size() == 22
+        assert counters["dips_queries_run"] == 2  # one per CE touched
+        # (E n3, W n3) once; (E fresh, W fresh) from either side.
+        assert counters["dips_rows_retrieved"] == 3
+        assert "dips_full_refreshes" not in counters
+
+    @pytest.mark.parametrize("backend", ["memory", "sqlite"])
+    def test_removals_retract_without_a_query(self, backend):
+        engine, counters = self.engine(self.JOIN, backend)
+        with engine.batch():
+            engine.remove(1)
+            engine.remove(4)
+        assert engine.conflict_set_size() == 18
+        assert "dips_queries_run" not in counters
+
+    @pytest.mark.parametrize("backend", ["memory", "sqlite"])
+    def test_negated_ce_change_takes_the_full_refresh(self, backend):
+        engine, counters = self.engine(
+            "(p r (E ^name <x>) -(W ^name <x>) --> (write lone))", backend
+        )
+        assert engine.conflict_set_size() == 0
+        blocker = engine.wm.find("W", name="n7")[0]
+        engine.remove(blocker)
+        assert engine.conflict_set_size() == 1
+        assert counters["dips_full_refreshes"] == 1
+        engine.make("W", name="n7")
+        assert engine.conflict_set_size() == 0
+        assert counters["dips_full_refreshes"] == 2
+        # A positive-CE change beside an untouched blocker set does not.
+        engine.make("E", name="n8")
+        engine.make("E", name="free")
+        assert engine.conflict_set_size() == 1
+        assert counters["dips_full_refreshes"] == 2
 
 
 class TestUnsupportedPredicates:

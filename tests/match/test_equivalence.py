@@ -13,7 +13,7 @@ agree with each other and with what an RHS would have computed itself.
 """
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.dips import DipsMatcher
@@ -95,6 +95,9 @@ RULES = [
     ":test ((sum <S> ^v) > 10) --> (halt))",
     # Same-class self-join between a scalar and a set CE.
     "(p selfjoin (item ^owner <o>) [item ^owner <o>] --> (halt))",
+    # Tuple self-join over one class: one WME can sit at both levels.
+    "(p twins (item ^owner <o> ^v <v>) (item ^owner <o> ^v >= <v>) "
+    "--> (halt))",
     # Aggregates only the RHS reads: over a CE ^attr with :scalar ...
     "(p rhs-ce { [item ^owner <o> ^w <w>] <S> } :scalar (<o>) "
     "--> (write (avg <S> ^w) (min <S> ^w)) (if ((max <S> ^w) > 1) (halt)))",
@@ -117,27 +120,62 @@ OWNERS = ["ann", "bob", "cat"]
 W_VALUES = [0, 1, 2, 7, 0.1, 0.2, 2.5, "x"]
 
 
+_WM_OPS = st.one_of(
+    st.tuples(
+        st.just("make-item"),
+        st.sampled_from(OWNERS),
+        st.integers(0, 9),
+        st.sampled_from(W_VALUES),
+    ),
+    st.tuples(st.just("make-owner"), st.sampled_from(OWNERS)),
+    st.tuples(st.just("remove"), st.integers(0, 30)),
+    st.tuples(
+        st.just("modify"),
+        st.integers(0, 30),
+        st.sampled_from(OWNERS),
+        st.integers(0, 9),
+    ),
+)
+
+
 @st.composite
 def operation_sequences(draw):
-    """Ops: ('make-item', owner, v, w) | ('make-owner', o) | ('remove', i)."""
+    """Ops: ('make-item', owner, v, w) | ('make-owner', o) | ('remove', i)
+    | ('modify', i, owner, v) — an item's join key and value, an owner's
+    name — | ('batch', (op, ...)), one delta-set | ('excise', 0)."""
     ops = draw(
         st.lists(
             st.one_of(
-                st.tuples(
-                    st.just("make-item"),
-                    st.sampled_from(OWNERS),
-                    st.integers(0, 9),
-                    st.sampled_from(W_VALUES),
-                ),
-                st.tuples(st.just("make-owner"), st.sampled_from(OWNERS)),
-                st.tuples(st.just("remove"), st.integers(0, 30)),
+                _WM_OPS,
                 st.tuples(st.just("excise"), st.just(0)),
+                st.tuples(
+                    st.just("batch"),
+                    st.lists(_WM_OPS, min_size=1, max_size=6).map(tuple),
+                ),
             ),
             min_size=1,
             max_size=25,
         )
     )
     return ops
+
+
+def _apply(wm, made, op):
+    if op[0] == "make-item":
+        made.append(wm.make("item", owner=op[1], v=op[2], w=op[3]))
+    elif op[0] == "make-owner":
+        made.append(wm.make("owner", name=op[1]))
+    else:
+        live = [w for w in made if w in wm]
+        if not live:
+            return
+        target = live[op[1] % len(live)]
+        if op[0] == "remove":
+            wm.remove(target)
+        elif target.wme_class == "item":
+            made.append(wm.modify(target, owner=op[2], v=op[3]))
+        else:
+            made.append(wm.modify(target, name=op[2]))
 
 
 def drive(matcher, rules, ops):
@@ -150,21 +188,49 @@ def drive(matcher, rules, ops):
     made = []
     snapshots = []
     for op in ops:
-        if op[0] == "make-item":
-            made.append(wm.make("item", owner=op[1], v=op[2], w=op[3]))
-        elif op[0] == "make-owner":
-            made.append(wm.make("owner", name=op[1]))
-        elif op[0] == "remove":
-            live = [w for w in made if w in wm]
-            if live:
-                wm.remove(live[op[1] % len(live)])
-        else:  # excise the self-join rule (idempotent)
+        if op[0] == "batch":
+            with wm.batch():
+                for inner in op[1]:
+                    _apply(wm, made, inner)
+        elif op[0] == "excise":  # the self-join rule (idempotent)
             try:
                 matcher.remove_rule("selfjoin")
             except ReproError:
                 pass  # already excised earlier in the sequence
+        else:
+            _apply(wm, made, op)
         snapshots.append(listener.snapshot())
     return snapshots
+
+
+# What a delta-driven matcher can get wrong, pinned: each is one batch
+# (after a little set-up) that the random sequences only sometimes draw.
+_ITEM = ("make-item", "ann", 3, 1)
+DELTA_CASES = [
+    # Both sides of a join arrive in one delta-set (ΔR ⋈ ΔS).
+    [("batch", (_ITEM, ("make-owner", "ann"), ("make-item", "ann", 5, 2)))],
+    # A self-join's two levels matched by the same new WMEs.
+    [("batch", (_ITEM, _ITEM, ("make-item", "ann", 4, 0)))],
+    # A modify that keeps the join key, then one that changes it.
+    [("make-owner", "ann"), ("make-owner", "bob"), _ITEM, _ITEM,
+     ("batch", (("modify", 2, "ann", 7),)),
+     ("batch", (("modify", 3, "bob", 7),))],
+    # Remove, then re-add the same content, inside one batch.
+    [("make-owner", "ann"), _ITEM, _ITEM,
+     ("batch", (("remove", 1), _ITEM))],
+    # A negated CE's blocker added and removed, alone and beside a
+    # positive change: the one case that takes the full refresh.
+    [_ITEM, ("make-item", "bob", 1, 1),
+     ("batch", (("make-owner", "ann"),)),
+     ("batch", (("remove", 2), ("make-item", "bob", 2, 2))),
+     ("batch", (("make-owner", "bob"), ("remove", 0)))],
+]
+
+
+def _delta_examples(test):
+    for case in DELTA_CASES:
+        test = example(case)(test)
+    return test
 
 
 class TestIncrementalEquivalence:
@@ -190,16 +256,22 @@ class TestIncrementalEquivalence:
             NaiveMatcher(), RULES, ops
         )
 
+    @pytest.mark.parametrize("backend", ["memory", "sqlite"])
+    @_delta_examples
     @given(operation_sequences())
     @settings(
         max_examples=30,
         deadline=None,
         suppress_health_check=[HealthCheck.too_slow],
     )
-    def test_dips_equals_naive(self, ops):
-        assert drive(DipsMatcher(), DIPS_RULES, ops) == drive(
-            NaiveMatcher(), DIPS_RULES, ops
-        )
+    def test_dips_equals_naive(self, backend, ops):
+        matcher = DipsMatcher(backend=backend)
+        try:
+            assert drive(matcher, DIPS_RULES, ops) == drive(
+                NaiveMatcher(), DIPS_RULES, ops
+            )
+        finally:
+            matcher.close()
 
 
 class TestEngineLevelEquivalence:

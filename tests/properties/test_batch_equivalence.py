@@ -28,9 +28,16 @@ is followed by a ``fresh`` line written inside a ``foreach`` over
 ``^k``, which is 0 on every item — one group holding the whole set,
 folded from nothing the way every RHS aggregate used to be.  A ``sum``
 or ``avg`` over the symbol fails the firing; the engines skip it alike.
+
+DIPS runs on both storage backends, and the inputs include what a
+delta-driven matcher can get wrong: a same-class self-join (``twins``),
+a ``rekey`` that moves a WME to another join partner, and pinned batches
+that touch both sides of a join, re-add what they removed, or add and
+remove a negated CE's blocker (the one case DIPS answers by re-running
+its full query).
 """
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import MatchStats, RuleEngine
@@ -43,6 +50,8 @@ PROGRAM = """
 (literalize owner name)
 (p pair (item ^owner <o> ^v <v>) (owner ^name <o>) --> (write <o> <v>))
 (p lonely (item ^owner <o>) -(owner ^name <o>) --> (write <o>))
+(p twins (item ^owner <o> ^v <v>) (item ^owner <o> ^v <v>)
+  --> (write twins <o> <v>))
 (p tally { [item ^owner <o> ^v <v>] <S> }
   :scalar (<o>)
   :test ((count <S>) >= 2)
@@ -79,6 +88,8 @@ _op = st.one_of(
     st.tuples(st.just("item"), st.sampled_from(["a", "b"]), _value),
     st.tuples(st.just("owner"), st.sampled_from(["a", "b"]), st.just(0)),
     st.tuples(st.just("modify"), st.integers(0, 30), _value),
+    st.tuples(st.just("rekey"), st.integers(0, 30),
+              st.sampled_from(["a", "b"])),
     st.tuples(st.just("remove"), st.integers(0, 30), st.just(0)),
 )
 
@@ -100,7 +111,8 @@ def _build_engines():
         "rete-replay": ReteNetwork(batched=False),
         "treat": TreatMatcher(),
         "naive": NaiveMatcher(),
-        "dips": DipsMatcher(),
+        "dips": DipsMatcher(backend="memory"),
+        "dips-sqlite": DipsMatcher(backend="sqlite"),
     }
     engines = {}
     for name, matcher in configs.items():
@@ -119,26 +131,34 @@ def _assert_kept_equals_fresh(output):
             assert lines[index + 1] == ["fresh"] + line[1:], (index, output)
 
 
-def _apply_batch(engine, ops, made):
-    """One engine.batch() applying *ops*; mutates *made* in WM order."""
-    with engine.batch():
-        for kind, first, second in ops:
-            if kind == "item":
-                made.append(engine.make("item", owner=first, v=second, k=0))
-            elif kind == "owner":
-                made.append(engine.make("owner", name=first))
-            else:
-                live = [w for w in made if w in engine.wm]
-                if not live:
-                    continue
-                target = live[first % len(live)]
-                if kind == "modify":
-                    if target.wme_class == "item":
-                        made.append(engine.modify(target, v=second))
-                    else:
-                        made.append(engine.modify(target))
+def _apply_ops(engine, ops, made):
+    """Apply *ops* one by one; mutates *made* in WM order."""
+    for kind, first, second in ops:
+        if kind == "item":
+            made.append(engine.make("item", owner=first, v=second, k=0))
+        elif kind == "owner":
+            made.append(engine.make("owner", name=first))
+        else:
+            live = [w for w in made if w in engine.wm]
+            if not live:
+                continue
+            target = live[first % len(live)]
+            if kind == "modify":
+                if target.wme_class == "item":
+                    made.append(engine.modify(target, v=second))
                 else:
-                    engine.remove(target)
+                    made.append(engine.modify(target))
+            elif kind == "rekey":
+                key = "owner" if target.wme_class == "item" else "name"
+                made.append(engine.modify(target, **{key: second}))
+            else:
+                engine.remove(target)
+
+
+def _apply_batch(engine, ops, made):
+    """One engine.batch() applying *ops*."""
+    with engine.batch():
+        _apply_ops(engine, ops, made)
 
 
 def _conflict_order(engine):
@@ -149,7 +169,21 @@ def _conflict_order(engine):
     ]
 
 
+_A1 = ("item", "a", 1)
+
+
 class TestBatchEquivalence:
+    # Both sides of a join, and a self-join's two levels, in one batch.
+    @example([[_A1, ("owner", "a", 0), _A1], True])
+    # A modify that keeps the join key, then one that changes it.
+    @example([[("owner", "a", 0), ("owner", "b", 0), _A1, _A1], True,
+              [("modify", 2, 3)], True, [("rekey", 3, "b")], True])
+    # Remove, then re-add the same content, inside one batch.
+    @example([[("owner", "a", 0), _A1, _A1], True,
+              [("remove", 1, 0), _A1], True])
+    # A negated CE's blocker added, then removed beside a positive change.
+    @example([[_A1, ("item", "b", 2)], True, [("owner", "a", 0)], True,
+              [("remove", 2, 0), ("item", "b", 3)], True])
     @given(_scenario)
     @settings(max_examples=60, deadline=None)
     def test_identical_conflict_sets_and_firings(self, scenario):
@@ -201,29 +235,8 @@ class TestBatchEquivalence:
 
         made = []
         _apply_batch(batched, ops, made)
-        plain_made = []
         # Apply per-event (no batch): same ops, immediate propagation.
-        for kind, first, second in ops:
-            if kind == "item":
-                plain_made.append(
-                    plain_engine.make("item", owner=first, v=second, k=0)
-                )
-            elif kind == "owner":
-                plain_made.append(plain_engine.make("owner", name=first))
-            else:
-                live = [w for w in plain_made if w in plain_engine.wm]
-                if not live:
-                    continue
-                target = live[first % len(live)]
-                if kind == "modify":
-                    if target.wme_class == "item":
-                        plain_made.append(
-                            plain_engine.modify(target, v=second)
-                        )
-                    else:
-                        plain_made.append(plain_engine.modify(target))
-                else:
-                    plain_engine.remove(target)
+        _apply_ops(plain_engine, ops, [])
 
         assert _conflict_order(batched) == _conflict_order(plain_engine)
         batched.run()

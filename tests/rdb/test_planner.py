@@ -1,4 +1,5 @@
-"""Unit tests for the plan optimiser (hash joins, filter pushdown)."""
+"""Unit tests for the plan optimiser (hash joins, filter pushdown,
+index scans)."""
 
 import pytest
 
@@ -8,12 +9,15 @@ from repro.rdb import (
     Database,
     Filter,
     HashJoin,
+    IndexScan,
+    InList,
     Join,
     Literal,
     LogicalAnd,
     Scan,
     execute_plan,
     optimize,
+    plan_counters,
     run_sql,
 )
 
@@ -144,3 +148,94 @@ class TestEquivalence:
         rows = run_sql(db, sql)
         assert {r["e.name"] for r in rows} == {"ann", "bob"}
         assert rows == run_sql(db, sql, optimize=False)
+
+
+class TestIndexScan:
+    """``col = literal`` / ``col IN (...)`` on an indexed column reads
+    through the index; every result must equal the plain scan's, rows
+    and order."""
+
+    @pytest.fixture(params=["memory", "sqlite"])
+    def tags(self, request):
+        database = Database(request.param)
+        table = database.create_table("t", ["rule", "tag", "v"])
+        table.create_index("rule")
+        table.create_index("tag")
+        table.insert_many(
+            {"rule": f"r{i % 2}", "tag": None if i % 7 == 0 else i,
+             "v": 2.0 if i == 3 else i}
+            for i in range(40)
+        )
+        yield database
+        database.close()
+
+    def plan(self, predicate, db):
+        return optimize(Filter(Scan("t"), predicate), db)
+
+    def test_in_on_indexed_column_becomes_index_scan(self, tags):
+        predicate = InList(col("tag", "t"), [5, 9, 11])
+        plan = self.plan(predicate, tags)
+        assert isinstance(plan, Filter) and plan.predicate is predicate
+        assert isinstance(plan.child, IndexScan)
+        assert (plan.child.column, plan.child.values) == ("tag", [5, 9, 11])
+
+    def test_the_index_promising_fewest_rows_wins(self, tags):
+        by_rule = Comparison("=", col("rule", "t"), Literal("r1"))
+        by_tag = InList(col("tag", "t"), [5, 9, 11])
+        for predicate in (LogicalAnd(by_rule, by_tag),
+                          LogicalAnd(by_tag, by_rule)):
+            assert self.plan(predicate, tags).child.column == "tag"
+        # 20 rows of r1 against 30-odd tagged rows listed one by one.
+        many = InList(col("tag", "t"), list(range(40)))
+        assert self.plan(
+            LogicalAnd(by_rule, many), tags
+        ).child.column == "rule"
+
+    def test_unindexed_column_or_no_database_keeps_the_scan(self, tags):
+        by_v = Comparison("=", col("v", "t"), Literal(3))
+        assert isinstance(self.plan(by_v, tags).child, Scan)
+        by_tag = InList(col("tag", "t"), [5])
+        assert isinstance(self.plan(by_tag, None).child, Scan)
+        other = Comparison("=", col("tag", "u"), Literal(5))
+        assert isinstance(self.plan(other, tags).child, Scan)
+
+    @pytest.mark.parametrize("where", [
+        "tag IN (11, 5, 9)",
+        "t.tag IN (5, 5, 5.0)",
+        "tag IN (3, NULL)",
+        "NOT (tag IN (3, NULL))",
+        "tag IN ()",
+        "tag = 9",
+        "9 = tag",
+        "tag = NULL",
+        "rule = 'r1' AND tag IN (1, 2, 3, 4)",
+        "rule IN ('r0', 'r1') AND v = 2",
+        "rule = 'r1' OR tag = 2",
+        pytest.param(
+            "tag IN (" + ", ".join(str(n) for n in range(-600, 600)) + ")",
+            id="tag IN (1200 values)",
+        ),
+    ])
+    def test_same_rows_same_order_as_the_scan(self, tags, where):
+        sql = f"SELECT tag, v FROM t WHERE {where}"
+        assert run_sql(tags, sql) == run_sql(tags, sql, optimize=False)
+
+    def test_index_scan_below_a_join_keeps_nested_loop_order(self, tags):
+        sql = (
+            "SELECT a.tag, b.tag FROM t a, t b "
+            "WHERE a.v = b.v AND a.tag IN (30, 3, 12) AND b.rule = 'r0'"
+        )
+        assert run_sql(tags, sql) == run_sql(tags, sql, optimize=False)
+
+    def test_rows_scanned_counts_the_rows_fetched(self):
+        database = Database("memory")
+        table = database.create_table("t", ["tag"])
+        table.create_index("tag")
+        table.insert_many({"tag": i % 100} for i in range(1000))
+        with plan_counters() as work:
+            rows = run_sql(database, "SELECT tag FROM t WHERE tag IN (1, 2)")
+        assert len(rows) == 20 and work.rows_scanned == 20
+        with plan_counters() as work:
+            run_sql(database, "SELECT tag FROM t WHERE tag IN (1, 2)",
+                    optimize=False)
+        assert work.rows_scanned == 1000

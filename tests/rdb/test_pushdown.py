@@ -16,7 +16,7 @@ from repro.rdb import Database
 from repro.rdb.memory_backend import MemoryBackend
 from repro.rdb.pushdown import build_select
 from repro.rdb.sql import parse_sql, run_sql
-from repro.rdb.sqlite_backend import SqliteBackend
+from repro.rdb.sqlite_backend import _MAX_PARAMS, SqliteBackend
 
 PLAYERS = [
     ("Jack", "A", 10, 3),
@@ -94,6 +94,19 @@ SELECTS = [
      "WHERE p.team = t.id AND t.coast = 'west' ORDER BY p.name", True),
     ("SELECT a.name FROM player AS a, player AS b "
      "WHERE a.name = b.name AND a.team < b.team", True),
+    ("SELECT name FROM player WHERE score IN (10, 5)", True),
+    ("SELECT name FROM player WHERE team IN ('A', 'C') AND rank IN (4)",
+     True),
+    ("SELECT name FROM player WHERE score IN (10, NULL)", True),
+    ("SELECT name FROM player WHERE NOT (score IN (10, NULL))", True),
+    ("SELECT name FROM player WHERE NOT (score IN (10))", True),
+    ("SELECT name FROM player WHERE score IN ()", True),
+    ("SELECT name FROM player WHERE NOT (score IN ())", True),
+    ("SELECT name FROM player WHERE score IN (10.0, 2.0)", True),
+    ("SELECT name FROM player WHERE score IN ('10', '2')", True),
+    ("SELECT name FROM player WHERE 'B' IN ('A', 'B')", True),
+    ("SELECT p.name FROM player AS p, team AS t WHERE p.team = t.id "
+     "AND t.coast IN ('west', 'east') AND p.score IN (10, 7)", True),
     # -- interpreter-fallback territory --------------------------------
     ("SELECT team FROM player GROUP BY team HAVING team != 'A'", False),
     ("SELECT * FROM player AS p, team AS t WHERE p.team = t.id", False),
@@ -143,6 +156,8 @@ DML = [
     "DELETE FROM player WHERE score IS NULL",
     "DELETE FROM player WHERE team = 'A' OR rank = 1",
     "DELETE FROM player",
+    "DELETE FROM player WHERE rank IN (1, 4, NULL)",
+    "UPDATE player SET score = 0 WHERE team IN ('A', 'C')",
 ]
 
 
@@ -175,6 +190,27 @@ class TestPushdownInternals:
         sql_text, params = rendered[0], rendered[1]
         assert "DROP TABLE" not in sql_text
         assert any("DROP TABLE" in str(p) for p in params)
+
+    def test_in_lists_stay_within_the_parameter_cap(self, pair):
+        memory, sqlite = pair
+        values = ", ".join(str(n) for n in range(5, 2 * _MAX_PARAMS + 6))
+        sql = f"SELECT name FROM player WHERE score IN ({values})"
+        _, spec = parse_sql(sql)
+        sql_text, params, _ = build_select(sqlite, spec)
+        assert len(params) == 2 * _MAX_PARAMS + 1
+        assert sql_text.count(" IN (") == 3
+        assert sql_text.count(" OR ") == 2
+        rows = run_sql(sqlite, sql)
+        assert rows == run_sql(memory, sql)
+        assert [r["name"] for r in rows] == ["Jack", "Janice", "Sue", "Sue"]
+
+    def test_more_parameters_than_sqlite_binds_fall_back(self, pair):
+        memory, sqlite = pair
+        sql = "SELECT name FROM player WHERE score IN (10, 7, 5, 2)"
+        assert native_side(sqlite, sql)
+        sqlite.backend.max_params = 3
+        assert not native_side(sqlite, sql)
+        assert run_sql(sqlite, sql) == run_sql(memory, sql)
 
     def test_stats_count_native_statements(self, pair):
         _, sqlite = pair

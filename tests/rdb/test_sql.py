@@ -46,6 +46,46 @@ class TestSelect:
         )
         assert len(rows) == 3
 
+    def test_in_list(self, db):
+        rows = run_sql(
+            db, "SELECT name FROM emp WHERE salary IN (90, 120, 7)"
+        )
+        assert [r["name"] for r in rows] == ["ann", "cat"]
+        rows = run_sql(db, "SELECT name FROM emp WHERE dept IN ('ops')")
+        assert [r["name"] for r in rows] == ["cat", "dan"]
+
+    def test_in_list_three_valued(self, db):
+        # NULL on the left is unknown, under NOT too.
+        names = "SELECT name FROM emp WHERE "
+        assert run_sql(db, names + "salary IN (90)") == [{"name": "cat"}]
+        rows = run_sql(db, names + "NOT (salary IN (90))")
+        assert [r["name"] for r in rows] == ["ann", "bob"]
+        # NULL in the list: a hit is still true, a miss is unknown.
+        rows = run_sql(db, names + "salary IN (90, NULL)")
+        assert [r["name"] for r in rows] == ["cat"]
+        assert run_sql(db, names + "NOT (salary IN (90, NULL))") == []
+
+    def test_in_empty_list_is_false_even_for_null(self, db):
+        assert run_sql(db, "SELECT name FROM emp WHERE salary IN ()") == []
+        rows = run_sql(db, "SELECT name FROM emp WHERE NOT (salary IN ())")
+        assert len(rows) == 4
+
+    def test_in_compares_like_equals(self, db):
+        # 2 and 2.0 are one number; '2' is not a number.
+        run_sql(db, "CREATE TABLE v (x)")
+        run_sql(db, "INSERT INTO v (x) VALUES (2), (2.0), ('2'), (3)")
+        assert len(run_sql(db, "SELECT x FROM v WHERE x IN (2.0)")) == 2
+        assert len(run_sql(db, "SELECT x FROM v WHERE x IN (2)")) == 2
+        assert run_sql(db, "SELECT x FROM v WHERE x IN ('2')") == [
+            {"x": "2"}
+        ]
+
+    def test_in_takes_literals_only(self, db):
+        with pytest.raises(SqlError):
+            run_sql(db, "SELECT name FROM emp WHERE salary IN (salary)")
+        with pytest.raises(SqlError):
+            run_sql(db, "SELECT name FROM emp WHERE salary IN (1, )")
+
     def test_group_by_with_aggregates(self, db):
         rows = run_sql(
             db,
@@ -115,6 +155,12 @@ class TestDml:
 
     def test_delete(self, db):
         assert run_sql(db, "DELETE FROM emp WHERE dept = 'eng'") == 2
+        assert len(run_sql(db, "SELECT * FROM emp")) == 2
+
+    def test_delete_in(self, db):
+        assert run_sql(
+            db, "DELETE FROM emp WHERE name IN ('ann', 'dan', 'zed')"
+        ) == 2
         assert len(run_sql(db, "SELECT * FROM emp")) == 2
 
     def test_delete_all(self, db):

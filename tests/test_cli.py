@@ -1,5 +1,10 @@
 """Unit tests for the command-line interpreter session."""
 
+import signal
+import socket
+import subprocess
+import sys
+
 import pytest
 
 from repro.cli import ReplSession, _parse_attribute_args, main
@@ -223,3 +228,28 @@ class TestReliabilityCommands:
         assert main(
             [str(program), "--run", "5", "--on-error", "bogus"]
         ) == 1
+
+
+class TestServeCommand:
+    def test_sigterm_drain_with_idle_connection_prints_no_traceback(self):
+        # A handler parked in readline used to be cancelled by
+        # asyncio.run at exit, one CancelledError traceback apiece.
+        server = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "serve", "--port", "0"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        )
+        try:
+            banner = server.stdout.readline()
+            port = int(banner.split("listening on ")[1].split()[0]
+                       .rsplit(":", 1)[1])
+            with socket.create_connection(("127.0.0.1", port), 10) as idle:
+                idle.sendall(b'{"op":"ping","id":1}\n')
+                assert b'"pong":true' in idle.recv(4096)
+                server.send_signal(signal.SIGTERM)
+                _, stderr = server.communicate(timeout=30)
+        finally:
+            server.kill()
+            server.wait()
+        assert server.returncode == 0
+        assert "draining" in stderr
+        assert "Traceback" not in stderr
