@@ -4,7 +4,8 @@ Two claims are measured:
 
 * **fsync-policy overhead** — appending the same workload under
   ``off`` / ``batch`` / ``always`` shows the durability/throughput
-  trade: ``batch`` pays one fsync per delta-batch, ``always`` one per
+  trade: ``batch`` pays one fsync per commit unit (a delta-batch, or a
+  whole ``run()`` of N firings — group commit), ``always`` one per
   record, ``off`` none.  The WAL byte volume is identical across
   policies (the policy changes *when* data reaches stable storage, not
   what is written).
@@ -30,6 +31,15 @@ PROGRAM = """
 """
 
 BATCH = 50
+
+#: One firing per reading, each logging ``f``, a ``d`` and ``e``.
+RUN_PROGRAM = """
+(literalize reading sensor value)
+(literalize seen sensor value)
+(p note (reading ^sensor <s> ^value <v>) -(seen ^sensor <s> ^value <v>)
+  --> (make seen ^sensor <s> ^value <v>))
+"""
+RUN_FIRINGS = 200
 
 
 def _workload(wal_dir, n, fsync="off"):
@@ -99,6 +109,47 @@ def test_fsync_policy_overhead(tmp_path, benchmark):
     benchmark(
         lambda: _workload(tmp_path / f"bench-{next(rounds)}", 500, "off")
     )
+
+
+def test_run_is_one_commit_unit(tmp_path):
+    rows = []
+    measured = {}
+    for policy in ("off", "batch", "always"):
+        stats = MatchStats()
+        engine = RuleEngine(
+            durability=DurabilityConfig(tmp_path / policy, fsync=policy),
+            stats=stats,
+        )
+        engine.load(RUN_PROGRAM)
+        with engine.batch():
+            for i in range(RUN_FIRINGS):
+                engine.make("reading", sensor=f"s{i % 7}", value=i)
+        before = dict(stats.counters)
+        start = time.perf_counter()
+        assert engine.run() == RUN_FIRINGS
+        elapsed = time.perf_counter() - start
+        measured[policy] = {
+            name: stats.counters.get(name, 0) - before.get(name, 0)
+            for name in ("wal_appends", "wal_bytes", "wal_fsyncs")
+        }
+        engine.close()
+        rows.append((policy, *measured[policy].values(), f"{elapsed:.3f}"))
+    print()
+    print_table(
+        f"one run() of {RUN_FIRINGS} firings",
+        ["policy", "appends", "bytes", "fsyncs", "run time (s)"],
+        rows,
+    )
+    assert (
+        measured["off"]["wal_bytes"]
+        == measured["batch"]["wal_bytes"]
+        == measured["always"]["wal_bytes"]
+    )
+    assert measured["off"]["wal_fsyncs"] == 0
+    assert measured["batch"]["wal_fsyncs"] == 1
+    assert measured["always"]["wal_fsyncs"] == (
+        measured["always"]["wal_appends"]
+    ) == 3 * RUN_FIRINGS
 
 
 def test_recovery_time_tracks_wal_tail_length(tmp_path, benchmark):

@@ -639,7 +639,9 @@ def _serve_parser():
     )
     parser.add_argument(
         "--fsync", choices=("always", "batch", "off"), default="batch",
-        help="session WAL fsync policy (default: batch)",
+        help="session WAL fsync policy: always = per record, batch = "
+        "once per served request, before its response (default), "
+        "off = never",
     )
     # Per-session defaults: a create request may override each one.
     _add_engine_options(parser, matcher="rete", strategy="lex",
@@ -840,7 +842,8 @@ def _main_parser():
         "--fsync",
         choices=("always", "batch", "off"),
         default="batch",
-        help="WAL fsync policy (default: batch)",
+        help="WAL fsync policy: always = per record, batch = once per "
+        "batch or whole run (default), off = never",
     )
     parser.add_argument(
         "--checkpoint",

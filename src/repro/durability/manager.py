@@ -14,8 +14,10 @@ firing the crash cut short.
 A manager opened on a directory that already holds a previous
 session's records refuses to attach: time tags would restart at 1 and
 a later recovery would replay two interleaved histories.  Recovery
-(:func:`repro.durability.recovery.recover_engine`) passes
-``resume=True`` after it has replayed the existing log.
+(:func:`repro.durability.recovery.recover_engine`) passes *resume*
+after it has replayed the existing log: ``True``, or the validated
+``(seq, offset)`` end of that log, which spares the append side a
+second decode of the final segment.
 """
 
 from __future__ import annotations
@@ -187,6 +189,7 @@ class DurabilityManager:
             segment_bytes=config.segment_bytes,
             stats=self.stats,
             fault=config.fault,
+            tail=None if isinstance(resume, bool) else resume,
         )
         self.wm = None
         # Idempotency key of the request whose delta record is about to
@@ -329,9 +332,10 @@ class DurabilityManager:
     def log_request(self, key, response):
         """Record a completed idempotent request's journal entry.
 
-        Written *after* the request's effects are durable (a run's
-        firing brackets, an assert's delta record), so replay restores
-        the exact response a retried request should see.  A crash
+        Written *after* the request's effects are logged (a run's
+        firing brackets, an assert's delta record) and synced with them
+        when the request's commit scope closes, so replay restores the
+        exact response a retried request should see.  A crash
         between the effects and this record is safe for ``run``:
         replay restores refraction stamps, so re-running to quiescence
         fires nothing new — the retry converges on the same state and
@@ -340,6 +344,11 @@ class DurabilityManager:
         self.wal.append(
             {"k": "j", "key": key, "resp": response}, batch=False
         )
+
+    def commit_scope(self):
+        """Group commit — everything logged inside shares one fsync
+        (:meth:`~repro.durability.wal.WriteAheadLog.commit_scope`)."""
+        return self.wal.commit_scope()
 
     @staticmethod
     def decode_delta(entry):

@@ -214,7 +214,7 @@ def recover_engine(engine_cls, path, *, program=None, matcher=None,
             if cut is not None:
                 end_position = cut
         manager = DurabilityManager(config, stats=engine.stats,
-                                    resume=True)
+                                    resume=end_position)
         manager.attach(engine.wm)
         manager.log_meta(matcher_name(engine.matcher),
                          engine.strategy.name)

@@ -41,9 +41,13 @@ Damage classification, shared by append-open and recovery:
   :class:`~repro.errors.WalError` when opening for append).
 
 The fsync policy trades durability for throughput: ``always`` fsyncs
-after every record, ``batch`` only after batch records (and on sync
-points such as checkpoints, segment rollover, and close), ``off``
-never fsyncs — data still reaches the OS on every append via
+after every record; ``batch`` once per *commit unit* — a batch record
+appended outside any :meth:`WriteAheadLog.commit_scope`, or everything
+appended inside the outermost one (``RuleEngine.run()`` and a served
+request each open one, so their ``d``/``f``/``e``/``j`` frames share
+one fsync, issued after the last frame and before the caller is
+answered) — and on sync points (checkpoint, segment rollover, close);
+``off`` never fsyncs — data still reaches the OS on every append via
 ``flush``, so it survives a process crash, just not a power failure.
 Under ``always`` and ``batch``, segment rollover fsyncs the outgoing
 segment and then the directory entry of the new one, so a durable
@@ -52,9 +56,11 @@ record in segment N+1 implies all of segment N is durable.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import struct
+import threading
 import zlib
 
 from repro.engine.stats import NULL_STATS
@@ -184,11 +190,14 @@ class WriteAheadLog:
     garbage from a torn append is truncated away so new records start
     on a valid frame boundary; corruption *followed by* valid frames
     raises :class:`~repro.errors.WalError` (run recovery instead).
+    *tail* is the ``(seq, offset)`` end recovery has already validated:
+    the final segment is cut there, not decoded again.  ``records`` and
+    ``fsyncs`` are plain-int counts kept whatever the stats sink.
     """
 
     def __init__(self, directory, fsync="batch",
                  segment_bytes=DEFAULT_SEGMENT_BYTES, stats=None,
-                 fault=None):
+                 fault=None, tail=None):
         if fsync not in FSYNC_POLICIES:
             raise WalError(
                 f"unknown fsync policy {fsync!r}; expected one of "
@@ -205,35 +214,43 @@ class WriteAheadLog:
         self._file = None
         self._seq = 0
         self._offset = 0
+        self.records = 0
+        self.fsyncs = 0
+        # commit_scope() nesting, and whether a frame awaits its fsync.
+        self._scope_depth = 0
+        self._scope_unsynced = False
         # Appends must be whole-frame atomic with respect to each
         # other.  The firing pool serialises commits, so in-engine
         # appends are single-threaded by construction; the lock makes
         # frame integrity independent of that discipline (e.g. hosts
         # driving several engines' firings from their own threads).
-        import threading
-
         self._append_lock = threading.RLock()
-        self._open_tail()
+        self._open_tail(tail)
 
     # -- opening -----------------------------------------------------------
 
-    def _open_tail(self):
+    def _open_tail(self, tail):
         segments = list_segments(self.directory)
         if not segments:
             self._start_segment(1)
             return
         seq, path = segments[-1]
-        with open(path, "rb") as handle:
-            data = handle.read()
-        _, end, damage = scan_segment(data)
-        if damage is not None:
-            if damage.trailing:
-                raise WalError(
-                    f"segment {segment_name(seq)} is corrupt at offset "
-                    f"{damage.offset} with records after the damage; "
-                    f"refusing to append — run RuleEngine.recover()"
-                )
-            end = damage.offset
+        if tail is not None and tail[0] == seq:
+            end = tail[1]
+        else:
+            with open(path, "rb") as handle:
+                data = handle.read()
+            _, end, damage = scan_segment(data)
+            if damage is not None:
+                if damage.trailing:
+                    raise WalError(
+                        f"segment {segment_name(seq)} is corrupt at "
+                        f"offset {damage.offset} with records after the "
+                        f"damage; refusing to append — run "
+                        f"RuleEngine.recover()"
+                    )
+                end = damage.offset
+        if os.path.getsize(path) > end:
             with open(path, "r+b") as handle:
                 handle.truncate(end)
         self._file = open(path, "ab")
@@ -297,9 +314,12 @@ class WriteAheadLog:
             self._file.write(frame)
             self._file.flush()
             self._offset += len(frame)
+            self.records += 1
             self.stats.incr("wal_appends")
             self.stats.incr("wal_bytes", len(frame))
-            if self.fsync == "always" or (self.fsync == "batch" and batch):
+            if self.fsync == "batch" and self._scope_depth:
+                self._scope_unsynced = True
+            elif self.fsync == "always" or (self.fsync == "batch" and batch):
                 self.sync()
             return (self._seq, self._offset)
 
@@ -311,7 +331,31 @@ class WriteAheadLog:
             if self.fault is not None:
                 self.fault.hit("wal.fsync")
             os.fsync(self._file.fileno())
+            self._scope_unsynced = False
+            self.fsyncs += 1
             self.stats.incr("wal_fsyncs")
+
+    @contextlib.contextmanager
+    def commit_scope(self):
+        """Group commit: one fsync for everything appended inside.
+
+        Re-entrant.  Under ``batch`` the policy sync in :meth:`append`
+        is recorded, not issued; leaving the *outermost* scope issues
+        one :meth:`sync` if any frame was appended — on an exception
+        exit too, never after a simulated crash.  A sync that fails
+        raises out of the scope and stays owed to the next one, so a
+        retried request is not acknowledged un-synced.
+        """
+        with self._append_lock:
+            self._scope_depth += 1
+        try:
+            yield self
+        finally:
+            with self._append_lock:
+                self._scope_depth -= 1
+                dead = self.fault is not None and self.fault.crashed
+                if self._scope_unsynced and not self._scope_depth and not dead:
+                    self.sync()
 
     def tell(self):
         """``(segment_seq, offset)`` of the append position."""

@@ -42,6 +42,7 @@ way forward.
 from __future__ import annotations
 
 import time
+from contextlib import nullcontext
 from time import monotonic, perf_counter
 
 from repro.engine.parallel import ParallelRunResult, PlanReplayer
@@ -599,6 +600,13 @@ def _livelock(engine, on_livelock, rule_name, count):
         )
 
 
+def commit_scope(engine):
+    """The group-commit scope of *engine*'s log (nothing when it has
+    none): the frames of one run, or one served request, share a sync."""
+    durability = engine.durability
+    return nullcontext() if durability is None else durability.commit_scope()
+
+
 def run_guarded(engine, limit=None, *, wall_clock=None, deadline=None,
                 livelock_threshold=None, on_livelock="stop"):
     """``RuleEngine.run`` with budgets and the livelock watchdog.
@@ -618,35 +626,36 @@ def run_guarded(engine, limit=None, *, wall_clock=None, deadline=None,
     fired = 0
     reason = "quiescent"
     culprit = None
-    while True:
-        if limit is not None and fired >= limit:
-            reason = "limit"
-            break
-        if deadline is not None and monotonic() >= deadline:
-            reason = "deadline"
-            break
-        if (wall_clock is not None
-                and perf_counter() - started >= wall_clock):
-            reason = "wall_clock"
-            break
-        if engine.halted:
-            reason = "halt"
-            break
-        instantiation = engine.conflict_set.select(engine.strategy)
-        if instantiation is None:
-            reason = "quiescent"
-            break
-        if engine.fire(instantiation) is None:
-            continue  # abandoned (skip/quarantine): nothing changed
-        fired += 1
-        if detector is not None and detector.observe(
-            content_identity(instantiation),
-            engine.wm.content_fingerprint(),
-        ):
-            culprit = instantiation.rule.name
-            _livelock(engine, on_livelock, culprit, detector.threshold)
-            reason = "livelock"
-            break
+    with commit_scope(engine):
+        while True:
+            if limit is not None and fired >= limit:
+                reason = "limit"
+                break
+            if deadline is not None and monotonic() >= deadline:
+                reason = "deadline"
+                break
+            if (wall_clock is not None
+                    and perf_counter() - started >= wall_clock):
+                reason = "wall_clock"
+                break
+            if engine.halted:
+                reason = "halt"
+                break
+            instantiation = engine.conflict_set.select(engine.strategy)
+            if instantiation is None:
+                reason = "quiescent"
+                break
+            if engine.fire(instantiation) is None:
+                continue  # abandoned (skip/quarantine): nothing changed
+            fired += 1
+            if detector is not None and detector.observe(
+                content_identity(instantiation),
+                engine.wm.content_fingerprint(),
+            ):
+                culprit = instantiation.rule.name
+                _livelock(engine, on_livelock, culprit, detector.threshold)
+                reason = "livelock"
+                break
     engine.last_run_report = RunReport(
         fired, reason, perf_counter() - started, livelock_rule=culprit
     )
@@ -676,38 +685,39 @@ def run_parallel_guarded(engine, max_cycles=None, *, wall_clock=None,
     total_abandoned = 0
     reason = "quiescent"
     culprit = None
-    while max_cycles is None or cycles < max_cycles:
-        if deadline is not None and monotonic() >= deadline:
-            reason = "deadline"
-            break
-        if (wall_clock is not None
-                and perf_counter() - started >= wall_clock):
-            reason = "wall_clock"
-            break
-        if (firing_budget is not None
-                and total_fired >= firing_budget):
+    with commit_scope(engine):
+        while max_cycles is None or cycles < max_cycles:
+            if deadline is not None and monotonic() >= deadline:
+                reason = "deadline"
+                break
+            if (wall_clock is not None
+                    and perf_counter() - started >= wall_clock):
+                reason = "wall_clock"
+                break
+            if (firing_budget is not None
+                    and total_fired >= firing_budget):
+                reason = "limit"
+                break
+            fired, conflicted, abandoned = engine.parallel_cycle()
+            if fired == 0 and conflicted == 0 and abandoned == 0:
+                reason = "halt" if engine.halted else "quiescent"
+                break
+            cycles += 1
+            total_fired += fired
+            total_conflicted += conflicted
+            total_abandoned += abandoned
+            if engine.halted:
+                reason = "halt"
+                break
+            if detector is not None and fired and detector.observe(
+                "(cycle)", engine.wm.content_fingerprint()
+            ):
+                culprit = "(parallel cycle)"
+                _livelock(engine, on_livelock, culprit, detector.threshold)
+                reason = "livelock"
+                break
+        else:
             reason = "limit"
-            break
-        fired, conflicted, abandoned = engine.parallel_cycle()
-        if fired == 0 and conflicted == 0 and abandoned == 0:
-            reason = "halt" if engine.halted else "quiescent"
-            break
-        cycles += 1
-        total_fired += fired
-        total_conflicted += conflicted
-        total_abandoned += abandoned
-        if engine.halted:
-            reason = "halt"
-            break
-        if detector is not None and fired and detector.observe(
-            "(cycle)", engine.wm.content_fingerprint()
-        ):
-            culprit = "(parallel cycle)"
-            _livelock(engine, on_livelock, culprit, detector.threshold)
-            reason = "livelock"
-            break
-    else:
-        reason = "limit"
     engine.last_run_report = RunReport(
         total_fired, reason, perf_counter() - started, cycles=cycles,
         conflicted=total_conflicted, abandoned=total_abandoned,

@@ -65,6 +65,7 @@ from itertools import chain, islice
 from time import monotonic
 
 from repro.engine.conflict import strategy_named
+from repro.engine.reliability import commit_scope
 from repro.errors import (
     AdmissionError,
     DeadlineError,
@@ -638,7 +639,9 @@ class RuleService:
         claim) is atomic under the registry lock, so the sweeper and
         LRU evictor can never checkpoint this session out from under
         an admitted request; a request that loses the race gets a
-        clean ``no_session`` before any work happens.
+        clean ``no_session`` before any work happens.  The op runs in
+        the session's commit scope: its one fsync follows its last WAL
+        frame and precedes the first response byte, or fails it.
         """
         session_id = request.get("session")
         if not isinstance(session_id, str):
@@ -668,7 +671,7 @@ class RuleService:
                         f"no session named {session_id!r}"
                     )
                 session.requests += 1
-                return await self._in_executor(fn, session)
+                return await self._in_executor(_committed, fn, session)
         finally:
             self.global_pending -= 1
             self.registry.checkin(session)
@@ -1010,6 +1013,11 @@ class RuleService:
                 if self.chaos is not None else {}
             ),
         ))
+
+
+def _committed(fn, session):
+    with commit_scope(session.engine):
+        return fn(session)
 
 
 class ServiceThread:

@@ -259,7 +259,17 @@ class Session:
         self.engine.close()
 
     def info(self):
-        """JSON-safe session summary for the stats surface."""
+        """JSON-safe session summary for the stats surface.
+
+        A durable session adds ``wal_records`` and ``wal_fsyncs``: under
+        ``fsync=batch`` the second tracks its mutating requests (group
+        commit), not its firings.
+        """
+        durability = self.engine.durability
+        wal = {} if durability is None else {
+            "wal_records": durability.wal.records,
+            "wal_fsyncs": durability.wal.fsyncs,
+        }
         return {
             "session": self.id,
             "requests": self.requests,
@@ -274,6 +284,7 @@ class Session:
             "idle_s": round(self.idle_for(), 3),
             "resumed": self.resumed,
             "durable": self.wal_dir is not None,
+            **wal,
         }
 
     def __repr__(self):

@@ -120,6 +120,30 @@ class TestBasicRecovery:
         assert wm_state(second) == wm_state(recovered)
         del engine
 
+    @pytest.mark.parametrize("torn", [False, True])
+    def test_resume_decodes_the_final_segment_once(self, tmp_path,
+                                                   monkeypatch, torn):
+        from repro.durability import wal
+
+        engine = _workload(tmp_path)
+        if torn:
+            engine.make("player", name="torn", team="C", score=0)
+            tear_tail(tmp_path, keep=0.4)
+        scans = []
+        scan_segment = wal.scan_segment
+        monkeypatch.setattr(
+            wal, "scan_segment",
+            lambda *args: scans.append(args) or scan_segment(*args),
+        )
+        recovered = RuleEngine.recover(tmp_path)
+        assert len(scans) == 1  # read_log_tail's; the append side reuses it
+        assert recovered.recovery_report.tail_damaged == torn
+        recovered.make("player", name="after", team="C", score=0)
+        recovered.close()
+        second = RuleEngine.recover(tmp_path, durability=False)
+        assert not second.recovery_report.tail_damaged
+        assert wm_state(second) == wm_state(recovered)
+
     def test_replayed_deltas_counter(self, tmp_path):
         _workload(tmp_path)
         stats = MatchStats()

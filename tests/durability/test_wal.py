@@ -4,6 +4,7 @@ import os
 
 import pytest
 
+from repro.durability.faultfs import FaultInjector, SimulatedCrash
 from repro.durability.wal import (
     DEFAULT_SEGMENT_BYTES,
     MAGIC,
@@ -128,7 +129,9 @@ class TestAppend:
         payloads, _, _ = read_log_tail(tmp_path)
         assert [p["i"] for p in payloads] == [1, 2]
 
-    def test_reopen_truncates_torn_tail(self, tmp_path):
+    @pytest.mark.parametrize("handed_over", [False, True])
+    def test_reopen_truncates_torn_tail(self, tmp_path, monkeypatch,
+                                        handed_over):
         wal = WriteAheadLog(tmp_path, fsync="off")
         wal.append({"k": "d", "i": 1})
         wal.append({"k": "d", "i": 2})
@@ -136,7 +139,14 @@ class TestAppend:
         path = list_segments(tmp_path)[-1][1]
         with open(path, "r+b") as handle:
             handle.truncate(os.path.getsize(path) - 3)
-        wal = WriteAheadLog(tmp_path, fsync="off")
+        if handed_over:
+            # Recovery already validated the end: no second decode.
+            _, tail, _ = read_log_tail(tmp_path)
+            with monkeypatch.context() as patch:
+                patch.delattr("repro.durability.wal.scan_segment")
+                wal = WriteAheadLog(tmp_path, fsync="off", tail=tail)
+        else:
+            wal = WriteAheadLog(tmp_path, fsync="off")
         wal.append({"k": "d", "i": 3})
         wal.close()
         payloads, _, damage = read_log_tail(tmp_path)
@@ -182,13 +192,102 @@ class TestAppend:
 
 
 class TestFsyncPolicies:
-    def _fsyncs(self, tmp_path, policy, batches):
+    def _fsyncs(self, tmp_path, policy, batches, **options):
+        """fsyncs over *batches* plus the close; a nested list is the
+        appends of one ``commit_scope()``."""
         stats = MatchStats()
-        wal = WriteAheadLog(tmp_path, fsync=policy, stats=stats)
-        for batch in batches:
-            wal.append({"k": "d"}, batch=batch)
+        wal = WriteAheadLog(tmp_path, fsync=policy, stats=stats, **options)
+
+        def append(batches):
+            for batch in batches:
+                if isinstance(batch, list):
+                    with wal.commit_scope():
+                        append(batch)
+                else:
+                    wal.append({"k": "d", "pad": "x" * 40}, batch=batch)
+
+        append(batches)
         wal.close()
-        return stats.counters.get("wal_fsyncs", 0)
+        assert wal.records == stats.counters.get("wal_appends", 0)
+        assert wal.fsyncs == stats.counters.get("wal_fsyncs", 0)
+        return wal.fsyncs
+
+    @pytest.mark.parametrize("policy, batches, expected", [
+        # one sync for the scope + the close
+        ("batch", [[True, True, True, True]], 2),
+        ("batch", [[True, False, False]], 2),
+        # a scope of non-batch records only (f … e, j) is synced too
+        ("batch", [[False, False]], 2),
+        # nested scopes: only the outermost exit syncs
+        ("batch", [[True, [True, [True]], True]], 2),
+        # an empty scope syncs nothing
+        ("batch", [[], [[]]], 1),
+        # one sync per scope; a batch record outside any syncs as before
+        ("batch", [[True, True], True, [True]], 4),
+        # the other two policies do not defer
+        ("always", [[True, False, False]], 4),
+        ("off", [[True, False], True], 0),
+    ])
+    def test_commit_scope(self, tmp_path, policy, batches, expected):
+        assert self._fsyncs(tmp_path, policy, batches) == expected
+
+    def test_rollover_inside_a_scope_syncs_the_outgoing_segment(
+            self, tmp_path):
+        # Each record fills a segment: 3 rollovers synced at once,
+        # then one scope sync for the last segment, then the close.
+        assert self._fsyncs(
+            tmp_path, "batch", [[True] * 4], segment_bytes=80
+        ) == 3 + 1 + 1
+        assert len(list_segments(tmp_path)) == 4
+
+    def test_scope_syncs_what_was_appended_on_an_exception(self, tmp_path):
+        wal = WriteAheadLog(tmp_path, fsync="batch")
+        with pytest.raises(KeyError):
+            with wal.commit_scope():
+                wal.append({"k": "d"}, batch=True)
+                raise KeyError("the caller failed")
+        assert wal.fsyncs == 1
+        wal.close()
+
+    def test_failed_scope_sync_raises_and_stays_owed(self, tmp_path):
+        fault = FaultInjector(error_at={"wal.fsync": 1})
+        wal = WriteAheadLog(tmp_path, fsync="batch", fault=fault)
+        with pytest.raises(OSError, match="injected at wal.fsync"):
+            with wal.commit_scope():
+                wal.append({"k": "d"}, batch=True)
+        assert wal.fsyncs == 0
+        with wal.commit_scope():
+            pass  # a retry that appends nothing still owes the sync
+        assert wal.fsyncs == 1
+        with wal.commit_scope():
+            pass
+        assert wal.fsyncs == 1
+        wal.close()
+
+    @pytest.mark.parametrize("crash", [
+        {"crash_at": {"wal.append.before": 2}},
+        {"torn_append": (2, 0.5)},
+    ])
+    def test_scope_exit_after_a_crash_syncs_nothing(self, tmp_path, crash):
+        fault = FaultInjector(**crash)
+        wal = WriteAheadLog(tmp_path, fsync="batch", fault=fault)
+        with pytest.raises(SimulatedCrash):
+            with wal.commit_scope():
+                wal.append({"k": "d"}, batch=True)
+                wal.append({"k": "d"}, batch=True)
+        assert fault.crashed
+        assert wal.fsyncs == 0
+        assert "wal.fsync" not in fault.counts
+
+    def test_crash_at_the_scope_sync_propagates(self, tmp_path):
+        fault = FaultInjector(crash_at={"wal.fsync": 1})
+        wal = WriteAheadLog(tmp_path, fsync="batch", fault=fault)
+        with pytest.raises(SimulatedCrash):
+            with wal.commit_scope():
+                wal.append({"k": "d"}, batch=True)
+        assert wal.fsyncs == 0
+        payloads, _, damage = read_log_tail(tmp_path)
+        assert len(payloads) == 1 and damage is None  # flushed, un-synced
 
     def test_always_fsyncs_every_record(self, tmp_path):
         # 4 appends + 1 close

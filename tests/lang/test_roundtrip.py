@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.lang import ast
-from repro.lang.parser import parse_rule
+from repro.lang.parser import ACTION_HEADS, parse_rule
 from repro.lang.printer import format_rule
 
 _identifiers = st.from_regex(r"[a-z][a-z0-9-]{0,6}", fullmatch=True).filter(
@@ -43,7 +43,9 @@ def attr_tests(draw):
 
 @st.composite
 def condition_elements(draw, set_oriented=None):
-    wme_class = draw(_identifiers)
+    # A class named like an action (``if``, ``make``) is not in the
+    # language: its form would start the RHS.
+    wme_class = draw(_identifiers.filter(lambda s: s not in ACTION_HEADS))
     tests = draw(st.lists(attr_tests(), max_size=3, unique_by=lambda t: t.attribute))
     if set_oriented is None:
         set_oriented = draw(st.booleans())

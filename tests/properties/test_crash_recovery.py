@@ -20,6 +20,11 @@ Workloads are randomized (seeded for the cross-matcher matrix,
 hypothesis-driven for Rete) over makes, modifies, removes, and
 interleaved ``run()`` calls, against a rule portfolio with a join, a
 negation, and a set-oriented aggregate.
+
+Every model runs under each fsync policy: ``always`` (a sync per
+record) is the oracle for ``batch`` (one sync per batch, ``run()`` or
+served request — group commit), and both must leave the bytes ``off``
+leaves.  :class:`TestGroupCommit` pins that down for one ``run()``.
 """
 
 import random
@@ -30,7 +35,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import DurabilityConfig, RuleEngine
+from repro import DurabilityConfig, MatchStats, RuleEngine
 from repro.durability import FaultInjector, SimulatedCrash
 from repro.dips.matcher import DipsMatcher
 from repro.match import NaiveMatcher, TreatMatcher
@@ -47,6 +52,8 @@ PROGRAM = """
   -->
   (write <o> (count <S>)))
 """
+
+FSYNC = ("off", "batch", "always")
 
 MATCHERS = {
     "rete": ReteNetwork,
@@ -156,14 +163,15 @@ def _reference_run(ops):
 
 
 class TestAbruptStopAllMatchers:
+    @pytest.mark.parametrize("fsync", FSYNC)
     @pytest.mark.parametrize("matcher", sorted(MATCHERS))
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_recovered_equals_uninterrupted(self, matcher, seed,
+    def test_recovered_equals_uninterrupted(self, matcher, seed, fsync,
                                             tmp_path):
         ops = _random_ops(random.Random(seed * 31 + 7), 25)
         durable = RuleEngine(
             matcher=MATCHERS[matcher](),
-            durability=DurabilityConfig(tmp_path, fsync="off"),
+            durability=DurabilityConfig(tmp_path, fsync=fsync),
         )
         durable.load(PROGRAM)
         for op in ops:
@@ -176,8 +184,9 @@ class TestAbruptStopAllMatchers:
 
 
 class TestTornAppend:
+    @pytest.mark.parametrize("fsync", FSYNC)
     @pytest.mark.parametrize("seed", [3, 4, 5])
-    def test_recovery_rolls_back_to_before_the_torn_op(self, seed,
+    def test_recovery_rolls_back_to_before_the_torn_op(self, seed, fsync,
                                                        tmp_path):
         rng = random.Random(seed)
         # Pure-WM workload, every op wrapped in a batch: each op emits
@@ -188,7 +197,7 @@ class TestTornAppend:
         tear_at = rng.randrange(8, 8 + len(ops) // 2)
         fault = FaultInjector(torn_append=(tear_at, 0.5))
         durable = RuleEngine(
-            durability=DurabilityConfig(tmp_path, fsync="off",
+            durability=DurabilityConfig(tmp_path, fsync=fsync,
                                         fault=fault)
         )
         durable.load(PROGRAM)
@@ -220,11 +229,13 @@ class TestCheckpointCrashes:
         "checkpoint.current",
         "checkpoint.truncate",
     ])
-    def test_any_checkpoint_crash_preserves_state(self, point, tmp_path):
+    @pytest.mark.parametrize("fsync", FSYNC)
+    def test_any_checkpoint_crash_preserves_state(self, point, fsync,
+                                                  tmp_path):
         ops = _random_ops(random.Random(99), 20)
         fault = FaultInjector(crash_at={point: 1})
         durable = RuleEngine(
-            durability=DurabilityConfig(tmp_path, fsync="off",
+            durability=DurabilityConfig(tmp_path, fsync=fsync,
                                         fault=fault)
         )
         durable.load(PROGRAM)
@@ -271,14 +282,15 @@ _op = st.one_of(
 
 class TestHypothesisRete:
     @settings(max_examples=25, deadline=None)
-    @given(ops=st.lists(_op, min_size=1, max_size=20))
-    def test_abrupt_stop_round_trip(self, ops):
+    @given(ops=st.lists(_op, min_size=1, max_size=20),
+           fsync=st.sampled_from(FSYNC))
+    def test_abrupt_stop_round_trip(self, ops, fsync):
         # tempfile instead of tmp_path: hypothesis reuses the fixture
         # across examples, which would accrete WAL state.
         wal_dir = tempfile.mkdtemp(prefix="crashprop-")
         try:
             durable = RuleEngine(
-                durability=DurabilityConfig(wal_dir, fsync="off")
+                durability=DurabilityConfig(wal_dir, fsync=fsync)
             )
             durable.load(PROGRAM)
             for op in ops:
@@ -287,3 +299,92 @@ class TestHypothesisRete:
             _assert_equal_state(recovered, _reference_run(ops))
         finally:
             shutil.rmtree(wal_dir, ignore_errors=True)
+
+
+RUN_PROGRAM = PROGRAM + """
+(literalize done owner v)
+(p mark (item ^owner <o> ^v <v>) -(done ^owner <o> ^v <v>)
+  --> (make done ^owner <o> ^v <v>))
+"""
+
+
+def _loaded(wal_dir=None, fsync="off", fault=None):
+    """An engine one ``run()`` of many firings away from quiescence."""
+    stats = MatchStats()
+    engine = RuleEngine(stats=stats, durability=None if wal_dir is None else (
+        DurabilityConfig(wal_dir, fsync=fsync, fault=fault)
+    ))
+    engine.load(RUN_PROGRAM)
+    with engine.batch():
+        for i in range(8):
+            engine.make("item", owner="ab"[i % 2], v=i)
+        engine.make("owner", name="a")
+    return engine, stats
+
+
+def _wal_bytes(wal_dir):
+    return [(path.name, path.read_bytes())
+            for path in sorted(wal_dir.glob("*.wal"))]
+
+
+class TestGroupCommit:
+    """One ``run()`` is one commit unit under ``batch``: same frames,
+    one fsync, and a crash inside it still lands on a firing boundary."""
+
+    @pytest.mark.parametrize("fsync", FSYNC)
+    def test_one_run_is_one_fsync_and_the_same_bytes(self, fsync, tmp_path):
+        engine, stats = _loaded(tmp_path / "run", fsync)
+        appends = stats.counters["wal_appends"]
+        fsyncs = stats.counters.get("wal_fsyncs", 0)
+        fired = engine.run()
+        assert fired >= 16
+        appended = stats.counters["wal_appends"] - appends
+        assert appended > 2 * fired  # f + e per firing, d for each make
+        assert stats.counters.get("wal_fsyncs", 0) - fsyncs == {
+            "off": 0, "batch": 1, "always": appended,
+        }[fsync]
+        # Firing by firing, outside any scope and never synced: the
+        # policy and the scope change when fsync is called, not a byte.
+        stepped, _ = _loaded(tmp_path / "step")
+        while stepped.step() is not None:
+            pass
+        assert _wal_bytes(tmp_path / "run") == _wal_bytes(tmp_path / "step")
+
+    def test_run_parallel_is_one_fsync(self, tmp_path):
+        engine, stats = _loaded(tmp_path, "batch")
+        fsyncs = stats.counters["wal_fsyncs"]
+        assert engine.run_parallel().fired >= 16
+        assert stats.counters["wal_fsyncs"] - fsyncs == 1
+        engine.close()
+
+    @pytest.mark.parametrize("fsync", ["batch", "always"])
+    def test_crash_at_any_append_of_a_run_recovers_to_a_firing_boundary(
+            self, fsync, tmp_path):
+        probe, stats = _loaded(tmp_path / "probe")
+        setup = stats.counters["wal_appends"]
+        total = probe.run()
+        appended = stats.counters["wal_appends"] - setup
+        boundaries = set()
+        for nth in range(1, appended + 1):
+            wal_dir = tmp_path / f"crash-{nth}"
+            fault = FaultInjector(
+                crash_at={"wal.append.before": setup + nth}
+            )
+            durable, _ = _loaded(wal_dir, fsync, fault)
+            synced = fault.counts.get("wal.fsync", 0)
+            with pytest.raises(SimulatedCrash):
+                durable.run()
+            # The dead process synced nothing on its way out of the
+            # scope; ``always`` had synced each record it did append.
+            assert fault.counts.get("wal.fsync", 0) - synced == (
+                nth - 1 if fsync == "always" else 0
+            )
+            recovered = RuleEngine.recover(wal_dir, durability=False)
+            completed = recovered.recovery_report.replayed_firings
+            boundaries.add(completed)
+            reference, _ = _loaded()
+            for _ in range(completed):
+                reference.step()
+            reference.tracer.output.clear()
+            _assert_equal_state(recovered, reference)
+        assert boundaries == set(range(total))

@@ -250,3 +250,48 @@ class TestLiveWireChaos:
                 stats = client.stats()
                 assert stats["server"]["unavailable_errors"] >= 1
                 assert client.retries >= 1
+
+    def test_failed_group_sync_fails_the_request_then_converges(
+            self, tmp_path):
+        # The one fsync of a durable request runs after its in-memory
+        # effects: an EIO from it must answer ``unavailable`` (never be
+        # swallowed with the best-effort journal append), and the keyed
+        # retry — a journal hit that appends nothing — must still issue
+        # the owed sync before it is acknowledged.
+        fault = FaultInjector()
+        with ServiceThread(ServiceConfig(
+            port=0, wal_root=str(tmp_path / "wal"), engine_workers=2,
+        )) as thread:
+            thread.service.registry.fault_factory = lambda sid: fault
+            with ServiceClient(*thread.address) as client:
+                client.create("synced", PROGRAM, durable=True)
+                client.assert_facts("synced", [
+                    ("order", {"id": i, "status": "open"})
+                    for i in range(5)
+                ])
+                assert fault.counts["wal.fsync"] == 1  # one per request
+                fault.error_at["wal.fsync"] = (2, errno.EIO)
+                with pytest.raises(ServiceClientError) as info:
+                    client.run("synced", key="run-1")
+                assert info.value.code == "unavailable"
+                assert info.value.response["retry_after"] > 0
+                [session] = client.stats()["sessions"]
+                assert session["wal_fsyncs"] == 1
+                records = session["wal_records"]
+                again, events = client.run("synced", key="run-1")
+                assert again["deduped"] is True and again["fired"] == 5
+                assert events == []  # nothing new fired
+                stats = client.stats()
+                [session] = stats["sessions"]
+                assert session["wal_fsyncs"] == 2  # 5 firings, one sync
+                assert session["wal_records"] == records
+                assert stats["server"]["unavailable_errors"] == 1
+                assert stats["breakers"]["tracked"] == 1
+                response, _ = client.facts("synced", "shipped")
+                assert response["count"] == 5
+                # The ``j`` frame was written and is now synced: the
+                # answer survives a close-without-checkpoint + resume.
+                client.close_session("synced")
+                client.create("synced", "", resume=True)
+                resumed, _ = client.run("synced", key="run-1")
+                assert resumed["deduped"] is True and resumed["fired"] == 5
