@@ -139,9 +139,11 @@ class SetInstantiation:
     *soi* must provide: ``head()`` (the dominant token, None when
     empty), ``snapshot()`` (a copy of the tokens ordered like the
     conflict set, head first), ``len()``, ``version`` (int bumped on
-    every content change), ``key_wme(level)`` (the WME of a scalar CE),
-    and ``p_value(name)`` (the partition value of a ``:scalar``
-    variable).
+    every content change), ``on_change`` (None, or a callable the
+    holding conflict set installs: every ``version`` bump must call it,
+    or the conflict set keeps ranking the SOI at its older version),
+    ``key_wme(level)`` (the WME of a scalar CE), and ``p_value(name)``
+    (the partition value of a ``:scalar`` variable).
     """
 
     __slots__ = ("rule", "soi", "_fired_version")

@@ -462,10 +462,14 @@ def _mark_fired(engine, entry):
     rule_name = entry["r"]
     wants_soi = bool(entry["s"])
     signature = entry["t"]
+    # The head token's tags are the signature's largest entry, so
+    # comparing them first filters exactly and signs one candidate.
+    head = tuple(signature[-1]) if signature else ()
     candidates = engine.conflict_set.of_rule(rule_name)
     candidates.extend(engine.conflict_set.parked_of_rule(rule_name))
     for instantiation in candidates:
-        if instantiation.is_set_oriented != wants_soi:
+        if (instantiation.is_set_oriented != wants_soi
+                or instantiation.recency_key() != head):
             continue
         if fired_signature(instantiation) == signature:
             prior = instantiation.refraction_state()

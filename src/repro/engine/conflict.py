@@ -9,21 +9,21 @@ Both classic strategies are provided:
 * **MEA** — like LEX but the recency of the *first* CE's WME is
   compared before the full tag list (means-ends analysis).
 
-A regular instantiation's key never changes, so the conflict set keeps
-those ranked: ``insert``/``retract`` are dict operations, ``select``
-ranks only the arrivals that survived to it and reads the dominant one
-off the end of a sorted list, discarding retracted entries as they
-surface — O(log N) a cycle, not a ``max`` over every live instantiation.
-Set-oriented instantiations are ranked by their head token (paper §5),
-and both that key and their eligibility are live views of the SOI (an
-S-node can make a fired SOI eligible again without sending any mark), so
-they are ranked at selection time, every time; a ``time`` mark only
-bumps a counter.  Key ties go to the earlier member of the set.
+The conflict set keeps its members ranked: ``insert``/``retract`` are
+dict operations, ``select`` ranks only the arrivals that survived to it
+and reads the dominant one off the end of a sorted list, discarding
+retracted entries as they surface — O(log N) a cycle, not a ``max`` over
+every live instantiation.  An SOI's key (its head token, paper §5) and
+eligibility are live views of it, and γ-memory reports each change
+through its ``on_change`` hook: ``select`` re-keys the changed SOIs like
+arrivals and discards records keyed at an older version.  A ``time``
+mark only bumps a counter.  Key ties go to the earlier member of the set.
 """
 
 from __future__ import annotations
 
 from bisect import insort
+from functools import partial
 from itertools import count
 
 from repro.errors import ConflictResolutionError
@@ -75,12 +75,14 @@ class ConflictSet(ConflictListener):
     """The live set of satisfied instantiations.
 
     ``_instantiations`` is the one source of truth for membership and
-    iteration order.  Beside it every regular member has one record
-    ``(key, -stamp, instantiation)`` in ``_pending`` (admitted, not yet
-    keyed), ``_ranked`` (sorted under ``_strategy``, dominant last) or
-    ``_spent`` (found fired at the top).  A departed member's record is
-    dropped when it surfaces, and by :meth:`_trim` before such records
-    outnumber the members: :meth:`ordering_size` <= ``2 * len(self)``.
+    iteration order.  Beside it every member has one record
+    ``(key, -stamp, instantiation, version)`` in ``_pending`` (admitted,
+    not yet keyed), ``_ranked`` (sorted under ``_strategy``, dominant
+    last) or ``_spent`` (found fired at the top); ``version`` is the SOI
+    version keyed, None for a regular member.  A departed member's
+    record, or an SOI's older one, is dropped when it surfaces, and by
+    :meth:`_trim` before such records outnumber the members:
+    :meth:`ordering_size` <= ``2 * len(self)``.
     """
 
     def __init__(self):
@@ -95,7 +97,10 @@ class ConflictSet(ConflictListener):
         # wins) and tells a member's record from a stale one.
         self._stamps = {}
         self._clock = count()
-        self._sois = {}  # the set-oriented members, in the same order
+        # SOIs admitted or changed since the last select.  Shards add to
+        # it from pool threads in no fixed order, which select's answer
+        # does not depend on: records are totally ordered.
+        self._changed = set()
         self._pending = []
         self._ranked = []
         self._spent = []
@@ -108,20 +113,26 @@ class ConflictSet(ConflictListener):
         self._instantiations[identity] = instantiation
         stamp = self._stamps[identity] = next(self._clock)
         if instantiation.is_set_oriented:
-            self._sois[identity] = instantiation
+            instantiation.soi.on_change = partial(
+                self._changed.add, instantiation
+            )
+            self._changed.add(instantiation)
         else:
-            self._pending.append((None, -stamp, instantiation))
+            self._pending.append((None, -stamp, instantiation, None))
 
     def _evict(self, identity):
         instantiation = self._instantiations.pop(identity, None)
         if instantiation is not None:
             del self._stamps[identity]
             if instantiation.is_set_oriented:
-                del self._sois[identity]
+                instantiation.soi.on_change = None
+                self._changed.discard(instantiation)
         return instantiation
 
     def _live(self, record):
-        return self._stamps.get(record[2].identity()) == -record[1]
+        _, stamp, member, version = record
+        return self._stamps.get(member.identity()) == -stamp and (
+            version is None or version == member.soi.version)
 
     def _trim(self):
         if self.ordering_size() > 2 * len(self._instantiations):
@@ -149,8 +160,8 @@ class ConflictSet(ConflictListener):
         self.retracts += 1
 
     def reposition(self, instantiation):
-        # SOIs are ranked from their live keys at selection time, so a
-        # 'time' mark needs no structural work; we record it for the
+        # The SOI's change already reached _changed through on_change,
+        # so a 'time' mark needs no structural work; we count it for the
         # S-node protocol tests and statistics.
         self.repositions += 1
 
@@ -246,17 +257,6 @@ class ConflictSet(ConflictListener):
 
     def select(self, strategy):
         """The dominant eligible instantiation, or None (refraction applies)."""
-        top = self._dominant_regular(strategy)
-        stamps = self._stamps
-        for identity, soi in self._sois.items():
-            if soi.eligible():
-                record = (strategy.key(soi), -stamps[identity], soi)
-                if top is None or record > top:
-                    top = record
-        return None if top is None else top[2]
-
-    def _dominant_regular(self, strategy):
-        """The record of the dominant eligible regular member, or None."""
         ranked = self._ranked
         if strategy is not self._strategy:
             # The cached order belongs to one strategy: rank afresh.
@@ -264,10 +264,17 @@ class ConflictSet(ConflictListener):
             self._pending += ranked + self._spent
             ranked.clear()
             self._spent.clear()
+        if self._changed:
+            self._pending.extend(
+                (None, -self._stamps[inst.identity()], inst, inst.soi.version)
+                for inst in self._changed
+            )
+            self._changed.clear()
+            self._trim()  # the changed SOIs' older records are stale now
         if self._pending:
             key = strategy.key
             fresh = [
-                (key(record[2]), record[1], record[2])
+                (key(record[2]), record[1], record[2], record[3])
                 for record in self._pending if self._live(record)
             ]
             self._pending.clear()
@@ -280,9 +287,9 @@ class ConflictSet(ConflictListener):
                 ranked.sort()
         while ranked:
             if not self._live(ranked[-1]):
-                ranked.pop()  # retracted or parked since it was ranked
+                ranked.pop()  # retracted, parked or changed since ranked
             elif ranked[-1][2].eligible():
-                return ranked[-1]
+                return ranked[-1][2]
             else:
                 self._spent.append(ranked.pop())
         return None

@@ -65,14 +65,15 @@ class SetOrientedInstance:
 
     Implements the protocol expected by
     :class:`repro.core.instantiation.SetInstantiation`: ``head()``,
-    ``snapshot()``, ``len()``, ``version``, ``key_wme(level)``,
-    ``p_value(name)``, ``aggregate_state(identity)``.
+    ``snapshot()``, ``len()``, ``version``, ``on_change``,
+    ``key_wme(level)``, ``p_value(name)``, ``aggregate_state(identity)``.
     """
 
     __slots__ = (
         "key",
         "status",
         "version",
+        "on_change",
         "agg_states",
         "_tokens",
         "_keys",
@@ -84,6 +85,7 @@ class SetOrientedInstance:
         self.key = key
         self.status = INACTIVE
         self.version = 0
+        self.on_change = None
         self.agg_states = agg_states
         self._key_wmes = key_wmes
         self._p_values = p_values
@@ -97,6 +99,13 @@ class SetOrientedInstance:
 
     def __len__(self):
         return len(self._tokens)
+
+    def bump(self):
+        """Bump the version and report it to the holding conflict set:
+        the one place an SOI changes, marked or not."""
+        self.version += 1
+        if self.on_change is not None:
+            self.on_change()
 
     def head(self):
         """The dominant (most recent) token; None when empty."""
@@ -258,7 +267,7 @@ class GammaMemory:
 
     def _touch(self, soi):
         if self.journal is None:
-            soi.version += 1
+            soi.bump()
         elif soi not in self.journal:
             self.journal[soi] = (soi.status, soi.head())
 
@@ -376,7 +385,7 @@ class SNode:
         staged, self.memory.journal = self.memory.journal, None
         reevals = 0
         for soi, (status0, head0) in staged.items():
-            soi.version += 1
+            soi.bump()
             if not len(soi):
                 # Emptied (and already evicted from γ-memory).
                 if status0 == ACTIVE:

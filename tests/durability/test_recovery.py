@@ -155,6 +155,36 @@ class TestBasicRecovery:
         )
         assert stats.counters["replayed_deltas"] > 0
 
+    def test_replay_signs_one_candidate_per_fired_record(self, tmp_path,
+                                                         monkeypatch):
+        from repro.durability import manager
+
+        engine = RuleEngine(
+            durability=DurabilityConfig(tmp_path, fsync="off")
+        )
+        engine.load("""
+        (literalize item n)
+        (p note (item ^n <n>) --> (write noted <n>))
+        (p tally { [item] <S> } --> (write items (count <S>)))
+        """)
+        with engine.batch():
+            for n in range(20):
+                engine.make("item", n=n)
+        fired = engine.run()
+        signed = []
+        sign = manager.fired_signature
+        monkeypatch.setattr(
+            manager, "fired_signature",
+            lambda instantiation: signed.append(1) or sign(instantiation),
+        )
+        recovered = RuleEngine.recover(tmp_path, durability=False)
+        # Twenty 'note' candidates are live at every 'note' record; only
+        # the one whose head tags match is signed.
+        assert recovered.recovery_report.replayed_firings == fired == 21
+        assert len(signed) == fired
+        monkeypatch.undo()
+        assert cs_state(recovered) == cs_state(engine)
+
     def test_program_override(self, tmp_path):
         _workload(tmp_path)
         override = PROGRAM + """

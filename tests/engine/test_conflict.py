@@ -1,10 +1,13 @@
 """Unit tests for conflict resolution: LEX, MEA, refraction, SOI ranking."""
 
+import sys
+from itertools import count
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import RuleEngine
+from repro import ReteNetwork, RuleEngine, ShardedReteNetwork
 from repro.core.instantiation import (
     Instantiation,
     MatchToken,
@@ -153,14 +156,40 @@ _WMES = [WME("n", {"v": tag}, tag) for tag in range(1, 4)]
 
 
 class _Soi:
-    """Just enough of an SOI for SetInstantiation: live tokens + version."""
+    """Just enough of an SOI for SetInstantiation: live tokens, version
+    and the change hook, bumped the way γ-memory bumps a real one."""
 
     def __init__(self, head):
         self.tokens = [MatchToken([_WMES[head]])]
         self.version = 0
+        self.on_change = None
 
     def head(self):
         return self.tokens[0]
+
+    def add(self, wme, at_head):
+        self.tokens.insert(0 if at_head else len(self.tokens),
+                           MatchToken([wme]))
+        self.bump()
+
+    def drop_head(self):
+        if len(self.tokens) > 1:
+            del self.tokens[0]
+            self.bump()
+
+    def bump(self):
+        self.version += 1
+        if self.on_change is not None:
+            self.on_change()
+
+
+class _CountingLex(LexStrategy):
+    def __init__(self):
+        self.calls = 0
+
+    def key(self, instantiation):
+        self.calls += 1
+        return super().key(instantiation)
 
 
 def reference_select(conflict_set, strategy):
@@ -179,6 +208,8 @@ _conflict_ops = st.lists(
         st.tuples(st.just("fire")),
         st.tuples(st.just("restore"), st.integers(0, 40)),
         st.tuples(st.just("touch-soi"), st.integers(0, 40)),
+        st.tuples(st.just("raise-head"), st.integers(0, 40)),
+        st.tuples(st.just("drop-head"), st.integers(0, 40)),
         st.tuples(st.sampled_from(["quarantine", "release", "drop"]),
                   st.sampled_from(sorted(_RULES))),
         st.tuples(st.just("switch")),
@@ -196,6 +227,7 @@ class TestOrderedSelection:
         strategies = [LexStrategy(), MeaStrategy()]
         known = []  # inserted and not retracted: live or parked
         fired = []  # (instantiation, refraction state before it fired)
+        newer = count(len(_WMES) + 1)  # time tags above every _WMES one
         for op in ops:
             kind = op[0]
             if kind == "insert":
@@ -218,14 +250,21 @@ class TestOrderedSelection:
                 conflict_set.restore_refraction(
                     *fired.pop(op[1] % len(fired))
                 )
-            elif kind == "touch-soi":
-                # A change below the head: the S-node bumps the version
-                # and sends no mark, yet the SOI may fire again.
+            elif kind in ("touch-soi", "raise-head", "drop-head"):
+                # touch-soi: a change below the head, which the S-node
+                # reports with no mark, yet the SOI may fire again.
+                # raise-head: a newer token, so the re-keyed SOI must
+                # overtake the current top; drop-head: its key falls.
                 sois = [i for i in known if i.is_set_oriented]
                 if sois:
                     soi = sois[op[1] % len(sois)].soi
-                    soi.tokens.append(MatchToken([_WMES[0]]))
-                    soi.version += 1
+                    if kind == "touch-soi":
+                        soi.add(_WMES[0], at_head=False)
+                    elif kind == "raise-head":
+                        tag = next(newer)
+                        soi.add(WME("n", {"v": tag}, tag), at_head=True)
+                    else:
+                        soi.drop_head()
             elif kind == "quarantine":
                 conflict_set.quarantine_rule(op[1])
             elif kind == "release":
@@ -300,3 +339,63 @@ class TestOrderedSelection:
             assert conflict_set.ordering_size() <= 2 * len(conflict_set)
         assert conflict_set.select(strategy) is dominant
         assert conflict_set.ordering_size() == 1
+
+    @pytest.mark.parametrize("k", [10, 100, 1000])
+    def test_select_keys_only_the_changed_sois(self, k):
+        conflict_set = ConflictSet()
+        strategy = _CountingLex()
+        sois = [_Soi(0) for _ in range(k)]
+        for soi in sois:
+            conflict_set.insert(SetInstantiation(_RULES["watch"], soi))
+        conflict_set.select(strategy)  # ranks all k once
+        strategy.calls = 0
+        for cycle in range(50):
+            # One SOI changes per cycle and overtakes the rest: only its
+            # record is keyed, however many SOIs are live.
+            soi = sois[cycle * 7 % k]
+            tag = 10 + cycle
+            soi.add(WME("n", {"v": tag}, tag), at_head=True)
+            chosen = conflict_set.select(strategy)
+            assert chosen.soi is soi
+            chosen.mark_fired()
+        assert strategy.calls == 50
+        assert conflict_set.ordering_size() <= 2 * len(conflict_set)
+
+
+class TestShardedChangeReports:
+    """Shards report SOI changes from pool threads; a lost report would
+    leave an SOI ranked at an old version and never fire again."""
+
+    CLASSES = [f"c{i}" for i in range(8)]
+
+    def drive(self, matcher):
+        engine = RuleEngine(matcher=matcher)
+        engine.load("\n".join(
+            f"(p watch-{c} {{ [{c} ^v <v>] <S> }} "
+            f"--> (write {c} (count <S>) (sum <S> ^v)))"
+            for c in self.CLASSES
+        ))
+        members = {c: [] for c in self.CLASSES}
+        for round_ in range(40):
+            with engine.batch():
+                for c in self.CLASSES:
+                    members[c].append(engine.make(c, v=round_))
+                    if round_ % 2:
+                        # Below the head: reported with no mark at all.
+                        engine.remove(members[c].pop(0))
+            engine.run()
+        return engine.output
+
+    def test_reports_from_shard_threads_all_arrive(self):
+        sharded = ShardedReteNetwork(shards=4, workers=8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            output = self.drive(sharded)
+            assert sharded._pool is not None  # shards ran concurrently
+        finally:
+            sys.setswitchinterval(interval)
+            sharded.close()
+        # Every batch changes every SOI once, so each refires once.
+        assert len(output) == 40 * len(self.CLASSES)
+        assert output == self.drive(ReteNetwork())

@@ -244,7 +244,7 @@ class TestUniformSelection:
         from repro.engine.engine import RuleEngine
 
         assert RuleEngine(kernels="closure").matcher.kernel_mode == "closure"
-        assert RuleEngine(kernels="off").matcher.kernels is None
+        assert RuleEngine(kernels="off").matcher.kernel_mode == "off"
 
     def test_build_matcher_forwards_kernels(self):
         from repro.match import build_matcher
@@ -252,6 +252,7 @@ class TestUniformSelection:
         assert build_matcher("rete", kernels="off").kernel_mode == "off"
         sharded = build_matcher("sharded", kernels="off")
         assert all(shard.kernels is None for shard in sharded.shards)
+        assert sharded.kernel_mode == "off"
 
     def test_cli_kernels_flag(self, capsys):
         from repro.cli import ReplSession
