@@ -2,20 +2,12 @@
 """Benchmark regression gate: match-work counters vs. a committed baseline.
 
 Runs a fixed set of deterministic scenarios with :class:`MatchStats`
-attached, writes the counters to ``BENCH_23.json``, and — under
+attached, writes the counters to ``BENCH_26.json``, and — under
 ``--check`` — fails if any gated work
 counter regressed more than 10% against the newest committed
 ``benchmarks/BENCH_<n>.json`` report (falling back to
 ``benchmarks/BENCH_baseline.json`` when none exists; a clear error and
 exit code 2 when there is no baseline at all).
-
-The ``kernel_*`` scenarios exercise the compiled match kernels
-(``docs/KERNELS.md``): 10k- and 100k-WME bulk loads plus an
-incremental-update run, each at kernels ``off`` (interpreted) and
-``closure``.  The runner refuses to write a report unless both modes
-produced identical firings, conflict sets, and outputs, and
-``kernels_compiled`` / ``kernel_cache_hits`` are gated exactly so a
-silently-lost compilation fails the build.
 
 The ``storage_1m_*`` scenarios exercise the relational substrate
 itself: one million WMEs streamed through :class:`CondStore` in
@@ -54,7 +46,7 @@ from repro import MatchStats, RuleEngine
 from repro.rete import ReteNetwork, ShardedReteNetwork
 
 BASELINE_PATH = Path(__file__).parent / "BENCH_baseline.json"
-DEFAULT_OUTPUT = Path("BENCH_23.json")
+DEFAULT_OUTPUT = Path("BENCH_26.json")
 
 
 def latest_reference(exclude=None):
@@ -102,9 +94,6 @@ GATED_COUNTERS = (
     "dips_rows_retrieved",
     "dips_rows_scanned",
     "dips_full_refreshes",
-    # Kernel scenarios: compilation and cache behaviour are structural.
-    "kernels_compiled",
-    "kernel_cache_hits",
     # Service scenarios: request/ingest/firing volume is deterministic
     # for a fixed fleet; compile counts prove rule-base sharing.
     "service_requests",
@@ -117,24 +106,20 @@ GATED_COUNTERS = (
     "service_chaos_facts_ingested",
     "service_chaos_firings",
     # Hot-reload scenario: N tenants replacing the same rule fork one
-    # rule base and compile the new kernels once — never N times.
+    # rule base — never N.
     "service_reload_rulebase_compiles",
     "service_reload_forks",
     "service_reload_sessions_built",
-    "service_reload_kernels_compiled",
     "service_reload_firings",
 )
 # Deterministic counters that must match the baseline *exactly*:
 # losing native pushdown shows as a decrease, which the one-sided
-# tolerance gate would misread as an improvement — and a silently-lost
-# kernel compilation likewise shows as kernels_compiled dropping.
+# tolerance gate would misread as an improvement.
 EXACT_COUNTERS = (
     "storage_statements_pushed",
     # The negation fallback fires for the two blocker batches only; a
     # tolerance gate cannot see a count this small move.
     "dips_full_refreshes",
-    "kernels_compiled",
-    "kernel_cache_hits",
     # N sessions of one program must cost exactly one parse/compile.
     "service_rulebase_compiles",
     "service_sessions_built",
@@ -147,7 +132,6 @@ EXACT_COUNTERS = (
     "service_reload_rulebase_compiles",
     "service_reload_forks",
     "service_reload_sessions_built",
-    "service_reload_kernels_compiled",
     "service_reload_firings",
 )
 TOLERANCE = 0.10
@@ -406,160 +390,13 @@ def scenario_dips_update_stream():
     return stats
 
 
-# -- compiled-kernel scenarios (off vs closure) ----------------------------
-#
-# Match-work-dominated runs: multi-constant-test alpha chains most WMEs
-# fail, an indexed join with a residual test, a *non-indexed* join (no
-# equality test, so left activations scan the whole — columnar — alpha
-# memory), and a negated CE.  Set-oriented rules keep the firing count
-# tiny, so the work is match work, not RHS work.  The runner asserts
-# the two modes produce identical firings, conflict sets, and outputs
-# before the report is written.
-
-KERNEL_PROGRAM = """
-(literalize order dept status priority qty)
-(literalize dept name cap)
-(p open-volume
-  (dept ^name <d>)
-  { [order ^dept <d> ^status open ^priority > 5] <S> }
-  :test ((count <S>) >= 1)
-  -->
-  (write open <d> (count <S>)))
-(p over-cap
-  (dept ^cap <c>)
-  { [order ^status held ^qty > <c>] <B> }
-  :test ((count <B>) >= 1)
-  -->
-  (write over (count <B>)))
-(p all-quiet
-  (dept ^name <d>)
-  -(order ^dept <d> ^status open ^priority > 8)
-  -->
-  (write quiet <d>))
-"""
-
-N_KERNEL_SMALL = 10_000
-N_KERNEL_LARGE = 100_000
-N_KERNEL_UPDATES = 2_000
-
-#: (scenario label) -> (firings, eligible conflict order, write output);
-#: filled by the kernel scenarios, checked identical across modes.
-_KERNEL_OUTCOMES = {}
-
-
-def _kernel_facts(count):
-    statuses = ("open", "closed", "held", "void", "hold2")
-    return [
-        ("order", {
-            "dept": f"d{i % N_DEPTS}",
-            "status": statuses[i % len(statuses)],
-            "priority": i % 10,
-            "qty": i % 97,
-        })
-        for i in range(count)
-    ]
-
-
-def _kernel_engine(mode):
-    stats = MatchStats()
-    engine = RuleEngine(
-        matcher=ReteNetwork(batched=True, kernels=mode), stats=stats
-    )
-    engine.load(KERNEL_PROGRAM)
-    return engine, stats
-
-
-def _kernel_depts(engine):
-    # Depts load *after* the orders: each dept token then left-activates
-    # the joins, so the non-indexed CEs scan the (columnar) order
-    # memories — the path the scan kernels compile.
-    for d in range(N_DEPTS):
-        engine.make("dept", name=f"d{d}", cap=90 + (d % 5))
-
-
-def _record_outcome(label, mode, engine):
-    outcome = (
-        engine.cycle_count,
-        [
-            (inst.rule.name, inst.recency_key())
-            for inst in engine.conflict_set.ordered(engine.strategy)
-        ],
-        engine.output,
-    )
-    _KERNEL_OUTCOMES.setdefault(label, {})[mode] = outcome
-
-
-def _kernel_bulk(mode, count, label):
-    engine, stats = _kernel_engine(mode)
-    engine.load_facts(_kernel_facts(count))
-    _kernel_depts(engine)
-    engine.run()
-    _record_outcome(label, mode, engine)
-    return stats
-
-
-def _kernel_incremental(mode, label):
-    engine, stats = _kernel_engine(mode)
-    orders = engine.load_facts(_kernel_facts(N_KERNEL_SMALL))
-    _kernel_depts(engine)
-    engine.run()
-    with engine.batch():
-        for i in range(N_KERNEL_UPDATES):
-            wme = orders[(i * 7) % len(orders)]
-            if wme not in engine.wm:
-                continue
-            orders.append(engine.modify(
-                wme,
-                status="open" if i % 2 else "held",
-                priority=(i % 10),
-            ))
-    engine.run()
-    _record_outcome(label, mode, engine)
-    return stats
-
-
-def _kernel_scenarios():
-    scenarios = {}
-    for mode in ("off", "closure"):
-        for label, count in (
-            ("kernel_bulk_load_10k", N_KERNEL_SMALL),
-            ("kernel_bulk_load_100k", N_KERNEL_LARGE),
-        ):
-            scenarios[f"{label}_{mode}"] = (
-                lambda mode=mode, count=count, label=label:
-                _kernel_bulk(mode, count, label)
-            )
-        scenarios[f"kernel_incremental_{mode}"] = (
-            lambda mode=mode: _kernel_incremental(
-                mode, "kernel_incremental"
-            )
-        )
-    return scenarios
-
-
-def verify_kernel_equivalence():
-    """Every kernel scenario must be result-identical across modes.
-
-    Raises ``SystemExit`` on divergence: compiled kernels may change
-    speed, never results.
-    """
-    for label, by_mode in _KERNEL_OUTCOMES.items():
-        baseline = by_mode.get("off")
-        for mode, outcome in by_mode.items():
-            if outcome != baseline:
-                raise SystemExit(
-                    f"kernel scenario {label}: mode {mode} diverged "
-                    f"from the interpreter (firings/conflict/output)"
-                )
-
-
 # -- service scenarios -------------------------------------------------
 #
 # Each one boots an in-process rule service and drives it with the
 # load generator: N concurrent sessions x assert/run ticks.  The work
 # counters (requests, facts, firings) are deterministic for a fixed
 # fleet; the rule-base counters pin the sharing contract — however
-# many sessions, one compile per distinct (program, matcher, kernels).
+# many sessions, one compile per distinct (program, matcher, backend).
 
 SERVICE_SESSIONS = 8
 SERVICE_TICKS = 5
@@ -603,12 +440,6 @@ def _service_scenario(label, matchers):
         "service_rulebase_hits": stats["rule_bases"]["hits"],
         "service_sessions_built": stats["rule_bases"][
             "sessions_built"
-        ],
-        "service_kernels_compiled": stats["rule_bases"][
-            "kernels_compiled"
-        ],
-        "service_kernel_cache_hits": stats["rule_bases"][
-            "kernel_cache_hits"
         ],
     })
 
@@ -691,8 +522,8 @@ RELOAD_RULE = """
 def scenario_service_reload():
     """N tenants share one program; each hot-replaces the same rule
     with the same new body.  The copy-on-write contract is exact: one
-    rule-base compile, ONE fork (tenants converge on it), one batch of
-    kernel compiles — the N-1 later reloads reuse everything."""
+    rule-base compile and ONE fork (tenants converge on it) — the N-1
+    later reloads reuse it."""
     from repro.service.client import ServiceClient
     from repro.service.server import ServiceConfig, ServiceThread
 
@@ -719,8 +550,6 @@ def scenario_service_reload():
         "service_reload_rulebase_compiles": bases["compiles"],
         "service_reload_forks": bases["forks"],
         "service_reload_sessions_built": bases["sessions_built"],
-        "service_reload_kernels_compiled": bases["kernels_compiled"],
-        "service_reload_kernel_cache_hits": bases["kernel_cache_hits"],
         "service_reload_firings": fired,
     })
 
@@ -738,7 +567,6 @@ SCENARIOS = {
     "service_chaos_keyed": scenario_service_chaos_keyed,
     "service_reload": scenario_service_reload,
 }
-SCENARIOS.update(_kernel_scenarios())
 
 # Rules over three distinct CE-class sets ({dept,emp}, {emp}, {dept})
 # so the sharded scenarios exercise three busy shards, not one.
@@ -765,7 +593,6 @@ def run_scenarios():
             "counters": dict(stats.totals),
             "elapsed_s": round(elapsed, 4),
         }
-    verify_kernel_equivalence()
     return report
 
 

@@ -5,7 +5,6 @@ Usage::
     python -m repro.cli [program.ops]
                         [--matcher rete|treat|naive|dips|sharded]
                         [--backend memory|sqlite|sqlite:PATH]
-                        [--kernels off|closure]
                         [--strategy lex|mea] [--run N] [--watch LEVEL]
                         [--on-error POLICY] [--workers N]
                         [--profile] [--profile-json FILE]
@@ -20,16 +19,10 @@ in-memory database, queries pushed down to real SQL), or
 environment variable supplies the default; the flag wins.  Other
 matchers ignore it.  See ``docs/STORAGE.md``.
 
-``--kernels`` picks the compiled-match-kernel mode for the Rete-family
-matchers — ``closure`` (default: per-node test chains composed into
-specialized closures at build time) or ``off`` (the interpreted test
-walk the tests use as oracle).  ``REPRO_KERNELS`` supplies the default;
-the flag wins.  Results are identical in both.  See ``docs/KERNELS.md``.
-
 The ``--matcher`` names come from the registry in :mod:`repro.match`;
 the flags the three commands share (``--matcher``, ``--backend``,
-``--kernels``, ``--strategy``, ``--on-error``, ``--workers``) are
-declared once, in :func:`_add_engine_options`.
+``--strategy``, ``--on-error``, ``--workers``) are declared once, in
+:func:`_add_engine_options`.
 
 ``--on-error`` sets the engine-wide firing error policy — ``halt``
 (default), ``skip``, ``retry[:n[:backoff[:then]]]``, or
@@ -94,7 +87,6 @@ from repro.engine.engine import RuleEngine
 from repro.errors import ReproError
 from repro.lang.printer import format_ce
 from repro.match import MATCHER_NAMES, build_matcher
-from repro.rete.kernels import KERNEL_MODES
 from repro.symbols import coerce_literal
 
 
@@ -119,7 +111,7 @@ class ReplSession:
     def __init__(self, matcher="rete", strategy="lex", watch=1,
                  profile=False, wal_dir=None, fsync="batch",
                  on_error="halt", engine=None, workers=None,
-                 backend=None, kernels=None):
+                 backend=None):
         from repro.engine.stats import MatchStats
 
         self.profile_stats = None
@@ -137,8 +129,7 @@ class ReplSession:
 
                 durability = DurabilityConfig(wal_dir, fsync=fsync)
             self.engine = RuleEngine(matcher=build_matcher(matcher,
-                                                           backend,
-                                                           kernels),
+                                                           backend),
                                      strategy=strategy,
                                      stats=self.profile_stats,
                                      durability=durability,
@@ -524,12 +515,6 @@ def _add_engine_options(parser, *, matcher, strategy, on_error,
         "REPRO_RDB_BACKEND, else memory",
     )
     parser.add_argument(
-        "--kernels", choices=KERNEL_MODES, default=None,
-        help="compiled match kernels for the rete/sharded matchers "
-        "(default: REPRO_KERNELS, else closure); off restores the "
-        "interpreted test walk — see docs/KERNELS.md",
-    )
-    parser.add_argument(
         "--strategy", choices=("lex", "mea"), default=strategy,
         help=f"conflict-resolution strategy ({default_of(strategy)})",
     )
@@ -585,7 +570,6 @@ def _recover_main(argv):
             options.wal_dir,
             matcher=options.matcher,
             backend=options.backend,
-            kernels=options.kernels,
             strategy=options.strategy,
             stats=stats,
             durability=not options.no_wal,
@@ -728,7 +712,6 @@ def _serve_main(argv):
         wal_root=options.wal_root,
         fsync=options.fsync,
         matcher=options.matcher,
-        kernels=options.kernels,
         backend=options.backend,
         strategy=options.strategy,
         on_error=options.on_error,
@@ -873,7 +856,6 @@ def main(argv=None):
             on_error=options.on_error,
             workers=options.workers,
             backend=options.backend,
-            kernels=options.kernels,
         )
     except ReproError as error:
         # E.g. --wal-dir pointing at a previous session's log: a fresh

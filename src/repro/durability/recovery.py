@@ -83,7 +83,7 @@ class RecoveryReport:
 def recover_engine(engine_cls, path, *, program=None, matcher=None,
                    strategy=None, stats=None, echo=False,
                    durability=True, trace_limit=None, on_error=None,
-                   workers=None, backend=None, kernels=None):
+                   workers=None, backend=None):
     """Rebuild a :class:`RuleEngine` from the WAL directory *path*.
 
     *matcher* may be a matcher instance or a registry name
@@ -145,8 +145,7 @@ def recover_engine(engine_cls, path, *, program=None, matcher=None,
         )
     if isinstance(matcher, str):
         matcher = build_matcher(
-            matcher, backend=backend or manifest.get("rdb_backend"),
-            kernels=kernels,
+            matcher, backend=backend or manifest.get("rdb_backend")
         )
     if strategy is None:
         strategy = (

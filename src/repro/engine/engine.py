@@ -48,7 +48,7 @@ class RuleEngine:
 
     def __init__(self, matcher=None, strategy="lex", echo=False,
                  stats=None, trace_limit=None, durability=None,
-                 on_error="halt", workers=None, kernels=None):
+                 on_error="halt", workers=None):
         """*stats*: a :class:`repro.engine.stats.MatchStats` collector,
         wired through the matcher, the tracer, and the cycle timer
         (default: the no-op :data:`~repro.engine.stats.NULL_STATS`).
@@ -64,20 +64,13 @@ class RuleEngine:
         :meth:`run_parallel` (default: the ``REPRO_WORKERS``
         environment variable, else 1 — the sequential simulation);
         see ``docs/PARALLELISM.md``.
-        *kernels*: compiled-match-kernel mode for Rete-family matchers
-        built here — ``off`` / ``closure`` (default: the
-        ``REPRO_KERNELS`` environment variable, else ``closure``);
-        ignored when *matcher* is a pre-built matcher object.  See
-        ``docs/KERNELS.md``.
         """
         self.wm = WorkingMemory()
         self.stats = stats if stats is not None else NULL_STATS
         if isinstance(matcher, str):
-            matcher = build_matcher(matcher, kernels=kernels)
+            matcher = build_matcher(matcher)
         self.matcher = (
-            matcher
-            if matcher is not None
-            else self._default_matcher(kernels)
+            matcher if matcher is not None else self._default_matcher()
         )
         if stats is not None:
             self.matcher.set_stats(stats)
@@ -120,19 +113,18 @@ class RuleEngine:
         self.request_journal = {}
 
     @staticmethod
-    def _default_matcher(kernels=None):
+    def _default_matcher():
         """The default matcher; honours ``REPRO_MATCH_SHARDS``.
 
         Setting the environment variable to N > 1 makes default-built
         engines match on a :class:`~repro.rete.sharded.ShardedReteNetwork`
         of N shards — the lever the CI parallel-soak job pulls to run
-        ordinary suites against the sharded path.  *kernels* forwards
-        the compiled-kernel mode (``REPRO_KERNELS`` applies when None).
+        ordinary suites against the sharded path.
         """
         shards = int(os.environ.get("REPRO_MATCH_SHARDS", "0") or 0)
         if shards > 1:
-            return matcher_class("sharded")(shards=shards, kernels=kernels)
-        return build_matcher("rete", kernels=kernels)
+            return matcher_class("sharded")(shards=shards)
+        return build_matcher("rete")
 
     @staticmethod
     def _default_workers(workers):

@@ -115,12 +115,6 @@ class NullStats:
     def shard_batch(self, shards, events):
         pass
 
-    def kernel_compiled(self):
-        pass
-
-    def kernel_cache_hit(self):
-        pass
-
     def cycle(self, rule_name, duration):
         pass
 
@@ -217,8 +211,6 @@ class MatchStats(NullStats):
         "snode_batch_reevals",
         "shard_batches",
         "shard_events_routed",
-        "kernels_compiled",
-        "kernel_cache_hits",
     )
 
     def __init__(self, event_sink=None):
@@ -388,14 +380,6 @@ class MatchStats(NullStats):
         """A sharded matcher fanned one delta-set out to *shards*."""
         self.totals["shard_batches"] += 1
         self.totals["shard_events_routed"] += events
-
-    def kernel_compiled(self):
-        """A node's test list was compiled to a fresh match kernel."""
-        self.totals["kernels_compiled"] += 1
-
-    def kernel_cache_hit(self):
-        """A node reused a structurally identical compiled kernel."""
-        self.totals["kernel_cache_hits"] += 1
 
     def cycle(self, rule_name, duration):
         self.cycle_count += 1

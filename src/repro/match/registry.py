@@ -21,18 +21,15 @@ class MatcherSpec(NamedTuple):
     engine-level construction options it consumes."""
 
     path: str  # "module:ClassName", imported lazily
-    takes_kernels: bool  # compiled-kernel mode / shared KernelPack
     takes_backend: bool  # relational storage backend spec
 
 
 MATCHERS = {
-    "rete": MatcherSpec("repro.rete.network:ReteNetwork", True, False),
-    "treat": MatcherSpec("repro.match.treat:TreatMatcher", False, False),
-    "naive": MatcherSpec("repro.match.naive:NaiveMatcher", False, False),
-    "dips": MatcherSpec("repro.dips.matcher:DipsMatcher", False, True),
-    "sharded": MatcherSpec(
-        "repro.rete.sharded:ShardedReteNetwork", True, False
-    ),
+    "rete": MatcherSpec("repro.rete.network:ReteNetwork", False),
+    "treat": MatcherSpec("repro.match.treat:TreatMatcher", False),
+    "naive": MatcherSpec("repro.match.naive:NaiveMatcher", False),
+    "dips": MatcherSpec("repro.dips.matcher:DipsMatcher", True),
+    "sharded": MatcherSpec("repro.rete.sharded:ShardedReteNetwork", False),
 }
 
 #: Registry names in documentation order (argparse ``choices``).
@@ -56,20 +53,13 @@ def matcher_class(name):
     return getattr(import_module(module), cls)
 
 
-def build_matcher(name, backend=None, kernels=None):
+def build_matcher(name, backend=None):
     """Instantiate a matcher by registry name.
 
-    *backend* (a storage backend spec) and *kernels* (a compiled-kernel
-    mode spec or a ready-made :class:`~repro.rete.kernels.KernelPack`)
-    reach only the matchers whose registry row takes them; the others
-    ignore them.
+    *backend* (a storage backend spec) reaches only the matchers whose
+    registry row takes it; the others ignore it.
     """
-    spec = matcher_spec(name)
-    options = {}
-    if spec.takes_kernels:
-        options["kernels"] = kernels
-    if spec.takes_backend:
-        options["backend"] = backend
+    options = {"backend": backend} if matcher_spec(name).takes_backend else {}
     return matcher_class(name)(**options)
 
 

@@ -17,32 +17,21 @@ except at the end of the network for each set-oriented rule" — is
 honoured: S-nodes are attached after the last join, and all alpha/beta
 sharing applies uniformly to set-oriented and regular rules.
 
-Node test lists are compiled to specialized match kernels at build
-time by :mod:`repro.rete.kernels` (``closure``, or ``off`` for the
-interpreted walk the tests use as oracle; selected via ``kernels=`` /
-``REPRO_KERNELS``).  See ``docs/KERNELS.md``.
+Every node compiles its test list into one Python function when it is
+built (:mod:`repro.rete.kernels`); that is the only way the network
+tests a WME.
 """
 
 from repro.rete.network import ReteNetwork
 from repro.rete.sharded import ShardedReteNetwork
 from repro.rete.snode import SNode, SetOrientedInstance
 from repro.rete.aggregates import AggregateSpec, AggregateState
-from repro.rete.kernels import (
-    KERNEL_MODES,
-    KernelPack,
-    build_kernels,
-    resolve_kernels,
-)
 
 __all__ = [
     "AggregateSpec",
     "AggregateState",
-    "KERNEL_MODES",
-    "KernelPack",
     "ReteNetwork",
     "ShardedReteNetwork",
     "SNode",
     "SetOrientedInstance",
-    "build_kernels",
-    "resolve_kernels",
 ]

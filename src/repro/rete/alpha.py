@@ -15,6 +15,7 @@ them with the full test list instead of raising mid-propagation.
 from __future__ import annotations
 
 from repro.engine.stats import NULL_STATS
+from repro.rete import kernels
 
 #: Sentinel bucket key for index entries whose value is unhashable.
 UNHASHABLE = object()
@@ -26,25 +27,14 @@ class AlphaMemory:
     ``successors`` are beta-side consumers (join or negative nodes)
     right-activated when the memory changes.
 
-    ``passes`` is the memory's admission predicate: the interpreted
-    :meth:`repro.analysis.CEAnalysis.wme_passes_alpha` by default, or a
-    compiled kernel when the network carries a
-    :class:`~repro.rete.kernels.KernelPack`.
-
-    A kernelized memory is also ``columnar``: it mirrors its WMEs
-    into parallel per-attribute arrays (``wme_list`` + ``columns``),
-    kept in insertion order so columnar scans visit candidates exactly
-    like an ``items`` iteration.  Columns are built lazily per
-    attribute (joins ask only for the attributes their tests read) and
-    rebuilt wholesale after removals rather than spending O(columns)
-    per retract.
+    ``passes`` is the memory's admission predicate, compiled from the
+    CE's tests when the memory is built (:func:`repro.rete.kernels.alpha`).
     """
 
     __slots__ = ("key", "analysis", "items", "successors", "indexes",
-                 "stats", "stats_key", "passes", "columnar", "wme_list",
-                 "columns", "_columns_dirty")
+                 "stats", "stats_key", "passes")
 
-    def __init__(self, key, analysis, stats=None, kernels=None):
+    def __init__(self, key, analysis, stats=None):
         self.key = key
         self.analysis = analysis
         # dict used as an ordered set: insertion order, O(1) removal.
@@ -53,53 +43,12 @@ class AlphaMemory:
         # attribute -> {value -> {wme: None}}; built on demand by
         # equality joins so left activations probe instead of scanning.
         self.indexes = {}
-        self.passes = (
-            kernels.alpha(analysis)
-            if kernels is not None
-            else analysis.wme_passes_alpha
-        )
-        self.columnar = kernels is not None
-        self.wme_list = []
-        self.columns = {}
-        self._columns_dirty = False
+        self.passes = kernels.alpha(analysis)
         self.attach_stats(stats if stats is not None else NULL_STATS)
 
     def attach_stats(self, stats):
         self.stats = stats
         self.stats_key = stats.register_node("alpha", str(self.key[0]))
-
-    # -- columnar mirror ---------------------------------------------------
-
-    def ensure_column(self, attribute):
-        """Create (once) the parallel value array for *attribute*."""
-        if attribute not in self.columns:
-            self.columns[attribute] = [
-                wme.get(attribute) for wme in self.wme_list
-            ]
-
-    def scan_view(self, attributes):
-        """``(wmes, columns)`` aligned arrays for a columnar scan.
-
-        Refreshes the mirror if removals invalidated it; the returned
-        order equals ``items`` insertion order.
-        """
-        if self._columns_dirty or len(self.wme_list) != len(self.items):
-            self.wme_list = list(self.items)
-            for attribute in self.columns:
-                self.columns[attribute] = [
-                    wme.get(attribute) for wme in self.wme_list
-                ]
-            self._columns_dirty = False
-        for attribute in attributes:
-            self.ensure_column(attribute)
-        return self.wme_list, self.columns
-
-    def _columnar_add(self, wme):
-        if self._columns_dirty:
-            return  # the next scan_view rebuilds everything anyway
-        self.wme_list.append(wme)
-        for attribute, column in self.columns.items():
-            column.append(wme.get(attribute))
 
     def ensure_index(self, attribute):
         """Create (once) the WME index on *attribute*."""
@@ -121,8 +70,6 @@ class AlphaMemory:
 
     def add(self, wme):
         self.items[wme] = None
-        if self.columnar:
-            self._columnar_add(wme)
         for attribute, index in self.indexes.items():
             _index_add(index, wme.get(attribute), wme)
         self.stats.alpha_activation(self.stats_key, "+", len(self.items))
@@ -140,8 +87,6 @@ class AlphaMemory:
         """
         for wme in wmes:
             self.items[wme] = None
-            if self.columnar:
-                self._columnar_add(wme)
             for attribute, index in self.indexes.items():
                 _index_add(index, wme.get(attribute), wme)
         self.stats.alpha_activation(self.stats_key, "+", len(self.items))
@@ -150,8 +95,6 @@ class AlphaMemory:
 
     def remove(self, wme):
         self.items.pop(wme, None)
-        if self.columnar:
-            self._columns_dirty = True
         for attribute, index in self.indexes.items():
             _index_discard(index, wme.get(attribute), wme)
         self.stats.alpha_activation(self.stats_key, "-", len(self.items))
@@ -206,18 +149,11 @@ def _index_discard(index, value, member):
 
 
 class AlphaNetwork:
-    """Builds and feeds the shared alpha memories.
+    """Builds and feeds the shared alpha memories."""
 
-    *kernels* (a :class:`~repro.rete.kernels.KernelPack` or None) makes
-    every memory's admission predicate a compiled kernel and gives
-    each memory the parallel-array mirror columnar scans evaluate
-    against.
-    """
-
-    def __init__(self, stats=None, kernels=None):
+    def __init__(self, stats=None):
         self._memories = {}
         self._by_class = {}
-        self.kernels = kernels
         self.stats = stats if stats is not None else NULL_STATS
 
     def attach_stats(self, stats):
@@ -236,8 +172,7 @@ class AlphaNetwork:
             key = key + (("private", key_extra),)
         memory = self._memories.get(key)
         if memory is None:
-            memory = AlphaMemory(key, ce_analysis, stats=self.stats,
-                                 kernels=self.kernels)
+            memory = AlphaMemory(key, ce_analysis, stats=self.stats)
             self._memories[key] = memory
             self._by_class.setdefault(ce_analysis.ce.wme_class, []).append(
                 memory

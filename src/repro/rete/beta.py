@@ -20,35 +20,13 @@ from __future__ import annotations
 from repro import symbols
 from repro.core.instantiation import recency_key
 from repro.engine.stats import NULL_STATS
+from repro.rete import kernels
 from repro.rete.alpha import (
     UNHASHABLE,
     _index_add,
     _index_discard,
     _index_probe,
 )
-
-
-def _interpreted_matcher(tests):
-    """Uncompiled fallback with the kernel calling convention.
-
-    Gives nodes one uniform ``fn(wme, lookup) -> bool`` entry point
-    whether or not a kernel pack is attached.
-    """
-    if not tests:
-        return lambda wme, lookup: True
-
-    def matcher(wme, lookup, _tests=tests):
-        return all(test.matches(wme, lookup) for test in _tests)
-
-    return matcher
-
-
-def _compile_tests(network, tests):
-    """``fn(wme, lookup) -> bool``: the kernel pack's, else interpreted."""
-    kernels = getattr(network, "kernels", None)
-    if kernels is not None:
-        return kernels.join(tests)
-    return _interpreted_matcher(tests)
 
 
 def _active(tokens):
@@ -255,17 +233,15 @@ class TwoInputNode:
     ``index_test`` and both sides get a hash index on it (``store`` by
     binding value at ``site``, ``amem`` by attribute value).
 
-    When the network carries a :class:`~repro.rete.kernels.KernelPack`
-    the test list is compiled once into a match kernel, and a node left
-    without an index test scans a columnar alpha memory through a
-    columnar scan kernel with the token's bindings hoisted out of the
-    candidate loop.  Candidate order, pass/fail results, and every
-    stats counter are identical to the interpreted path.
+    The test list is compiled once, when the node is built
+    (:mod:`repro.rete.kernels`): a join predicate for the candidates of
+    a probe or a right activation, and a scan for a left activation
+    that reads the whole alpha memory.
     """
 
     __slots__ = ("left", "amem", "tests", "level", "network", "store",
                  "active_only", "index_test", "site", "stats", "stats_key",
-                 "_match", "_scan", "_scan_attrs")
+                 "_match", "_scan")
     kind = None  # MatchStats node kind
 
     def __init__(self, left, amem, tests, level, network, store):
@@ -291,16 +267,8 @@ class TwoInputNode:
                          self.index_test.bound_attribute)
             store.ensure_index(self.site)
             amem.ensure_index(self.index_test.attribute)
-        self._match = _compile_tests(network, self.tests)
-        kernels = getattr(network, "kernels", None)
-        self._scan = None
-        self._scan_attrs = ()
-        if (kernels is not None and self.index_test is None
-                and getattr(amem, "columnar", False)):
-            self._scan = kernels.scan(self.tests)
-            self._scan_attrs = tuple(
-                dict.fromkeys(t.attribute for t in self.tests)
-            )
+        self._match = kernels.join(self.tests)
+        self._scan = kernels.scan(self.tests)
         self.attach_stats(network.match_stats)
 
     def attach_stats(self, stats):
@@ -316,8 +284,8 @@ class TwoInputNode:
     def matching_wmes(self, token):
         """Left activation: the ``amem`` WMEs passing every test on *token*.
 
-        Alpha-index probe, else the columnar scan kernel, else a plain
-        list scan — in memory insertion order either way.
+        Alpha-index probe, else a scan of every WME — in memory
+        insertion order either way.
         """
         probed = self.index_test is not None
         if probed:
@@ -327,17 +295,15 @@ class TwoInputNode:
                 )
             except TypeError:
                 probed = False  # unhashable probe value: scan instead
-        if probed or self._scan is None:
-            if not probed:
-                candidates = list(self.amem.items)
+        if probed:
             passing = candidates
             if candidates:  # most probes come back empty
                 match = self._match
                 lookup = token.lookup
                 passing = [wme for wme in candidates if match(wme, lookup)]
         else:
-            candidates, columns = self.amem.scan_view(self._scan_attrs)
-            passing = self._scan(token.lookup, candidates, columns)
+            candidates = self.amem.items
+            passing = self._scan(token.lookup, candidates)
         if self.stats.enabled:
             self._record(False, probed, len(candidates), len(passing))
         return passing
@@ -406,9 +372,7 @@ class JoinNode(TwoInputNode):
             self.residual_tests = tuple(
                 t for t in self.tests if t is not self.index_test
             )
-            self._match_residual = _compile_tests(
-                network, self.residual_tests
-            )
+            self._match_residual = kernels.join(self.residual_tests)
 
     def left_activate(self, token):
         """A new token arrived in the left memory."""

@@ -1,99 +1,44 @@
-"""Compiled alpha/beta match kernels: the network's codegen layer.
+"""Compiled match predicates: how every Rete node tests a WME.
 
-The interpreted hot path evaluates every alpha constant test and every
-beta join test by walking a list of test objects per activation —
-``all(check.matches(wme) for check in checks)`` pays a generator, a
-method dispatch, and a predicate-string comparison chain per test per
-candidate.  This module compiles each node's test list **once, at
-network-build time** into a specialized Python function:
+Each alpha memory and each join or negative node turns its test list
+into one Python function when the node is built.  The function holds
+its comparators and operands as locals, so matching a candidate pays
+no string dispatch on the predicate and no generator, and a chain of
+tests stops at the first one that fails.  There is one path: a node
+always matches through these functions.
 
-* **closure mode** (the default) composes per-predicate closures with
-  the operands captured as locals — no string dispatch, no generator,
-  early exit between tests;
-* **off** restores the interpreted test walk — the test oracle,
-  mirroring the storage layer's pushdown seam (``docs/STORAGE.md``):
-  kernels may only change *speed*, never results, and every kernelized
-  call site keeps its interpreted twin.
+The builders:
 
-There is deliberately one compiled mode: a second, source-rendering
-``exec`` mode measured inside run-to-run noise of ``closure`` while
-paying ~60 % more engine setup, and was deleted (``docs/KERNELS.md``
-has the numbers).
+* :func:`constant` — ``fn(value) -> bool`` for one constant test or
+  disjunction;
+* :func:`alpha` — ``fn(wme) -> bool`` for a CE's class, constant and
+  intra-element tests (an alpha memory's admission predicate);
+* :func:`join` — ``fn(wme, lookup) -> bool`` for a join-test list,
+  run on each candidate of an index probe or right activation;
+* :func:`scan` — ``fn(lookup, wmes) -> passing`` for a left activation
+  that reads every WME of an alpha memory: the token's bound values
+  are read once, then each candidate's attributes, in the memory's
+  insertion order.
 
-Kernels are cached per :class:`KernelPack` under a *structural key*
-over the test list (the same ``key()`` tuples alpha/beta node sharing
-uses), so two nodes with identical tests — across rules — share one
-compiled function.  ``MatchStats`` counts ``kernels_compiled`` and
-``kernel_cache_hits``; the bench gate pins ``kernels_compiled`` exactly
-so a silently-lost compilation fails the build.
-
-The module also supplies the **columnar** half of the story: under a
-kernelized network alpha memories mirror their WMEs into parallel
-per-attribute arrays (:attr:`repro.rete.alpha.AlphaMemory.columnar`),
-and the scan kernels (:meth:`KernelPack.scan`) evaluate a join-test
-chain over those arrays for one fixed left token.
-
-Selection is uniform: ``RuleEngine(kernels=...)``, the CLI
-``--kernels`` flag, or the ``REPRO_KERNELS`` environment variable, all
-taking ``off`` | ``closure``.  See ``docs/KERNELS.md``.
+The comparators reproduce OPS5's truth table
+(:func:`repro.symbols.apply_predicate`): numbers compare by value
+across ``int``/``float``, symbols by string equality, comparisons
+across categories are false, and order predicates hold only between
+two numbers.  ``apply_predicate`` and the ``matches`` methods of
+:mod:`repro.analysis` stay the implementation the treat and naive
+matchers use, so the differential suites check these builders against
+an independent one.
 """
 
 from __future__ import annotations
 
-import os
-import threading
-
-from repro.engine.stats import NULL_STATS
-from repro.errors import ReproError
-from repro.symbols import same_type, values_equal
-
-#: Recognised kernel modes, in documentation order.
-KERNEL_MODES = ("off", "closure")
-
-#: Mode used when neither the caller nor ``REPRO_KERNELS`` chooses.
-DEFAULT_MODE = "closure"
-
-NUMBER_TYPES = (int, float)
+from repro.symbols import NUMBER_TYPES, is_number, same_type, values_equal
 
 
-def resolve_kernels(spec=None):
-    """Resolve a kernel-mode spec to ``off`` / ``closure``.
-
-    *spec* ``None`` falls back to the ``REPRO_KERNELS`` environment
-    variable, then to :data:`DEFAULT_MODE`.  Booleans are accepted as
-    conveniences: ``True`` means the default compiled mode, ``False``
-    means ``off``.
-    """
-    if spec is None:
-        spec = os.environ.get("REPRO_KERNELS") or DEFAULT_MODE
-    if spec is True:
-        return DEFAULT_MODE
-    if spec is False:
-        return "off"
-    mode = str(spec).strip().lower()
-    if mode not in KERNEL_MODES:
-        raise ReproError(
-            f"unknown kernel mode {spec!r} "
-            f"(expected one of {', '.join(KERNEL_MODES)})"
-        )
-    return mode
-
-
-# -- predicate comparators (pairwise, exact OPS5 semantics) ---------------
-#
-# Each comparator mirrors symbols.apply_predicate for one fixed
-# predicate, skipping the string-dispatch chain.
-
-def _cmp_eq(left, right):
-    return values_equal(left, right)
-
+# -- comparators (pairwise, exact OPS5 semantics) -------------------------
 
 def _cmp_ne(left, right):
     return not values_equal(left, right)
-
-
-def _cmp_same_type(left, right):
-    return same_type(left, right)
 
 
 def _cmp_lt(left, right):
@@ -120,348 +65,171 @@ def _cmp_ge(left, right):
             and not isinstance(right, bool) and left >= right)
 
 
+#: Predicate token -> ``fn(left, right) -> bool``.
 COMPARATORS = {
-    "=": _cmp_eq,
+    "=": values_equal,
     "<>": _cmp_ne,
-    "<=>": _cmp_same_type,
+    "<=>": same_type,
     "<": _cmp_lt,
     "<=": _cmp_le,
     ">": _cmp_gt,
     ">=": _cmp_ge,
 }
 
-_ORDER_PREDICATES = ("<", "<=", ">", ">=")
+
+def _never(value):
+    return False
 
 
-def _is_ops_number(value):
-    return isinstance(value, NUMBER_TYPES) and not isinstance(value, bool)
+# -- alpha ----------------------------------------------------------------
 
+def constant(predicate, operand):
+    """``fn(value) -> bool`` for one constant test.
 
-# -- alpha specs ----------------------------------------------------------
-#
-# A spec is the structural description of one alpha memory's
-# constant-test chain: (wme_class, (descriptor, ...)).  Descriptors:
-#   ("const", attribute, predicate, operand)   constant / disjunction
-#   ("intra", attribute, predicate, other_attribute)
-# The spec doubles as the kernel cache key.
-
-def alpha_spec(analysis):
-    """The structural spec of *analysis*'s alpha tests (hashable)."""
-    checks = tuple(
-        ("const", check.attribute, check.predicate, check.operand)
-        for check in analysis.constant_checks
-    ) + tuple(
-        ("intra", test.attribute, test.predicate, test.other_attribute)
-        for test in analysis.intra_tests
-    )
-    return (analysis.ce.wme_class, checks)
-
-
-def _const_value_predicate(predicate, operand):
-    """Compile one constant check into ``fn(value) -> bool``."""
+    A tuple *operand* is a disjunction (always ``=``): membership by
+    category, with numbers matching across ``int``/``float`` through
+    hash equality, exactly like ``values_equal``.
+    """
     if isinstance(operand, tuple):
-        # Disjunction (always '='): category-checked set membership.
-        # Numeric candidates match across int/float via hash equality,
-        # exactly like values_equal.
-        symbols_set = frozenset(x for x in operand if isinstance(x, str))
-        numbers_set = frozenset(x for x in operand if _is_ops_number(x))
+        symbols = frozenset(x for x in operand if isinstance(x, str))
+        numbers = frozenset(x for x in operand if is_number(x))
 
-        def fn(value, _s=symbols_set, _n=numbers_set):
+        def member(value):
             if isinstance(value, str):
-                return value in _s
-            if isinstance(value, NUMBER_TYPES) and not isinstance(
-                value, bool
-            ):
-                return value in _n
-            return False
+                return value in symbols
+            return (isinstance(value, NUMBER_TYPES)
+                    and not isinstance(value, bool) and value in numbers)
 
-        return fn
+        return member
     if predicate in ("=", "<>"):
-        if _is_ops_number(operand):
-            def eq(value, _c=operand):
+        if is_number(operand):
+            def eq(value):
                 return (isinstance(value, NUMBER_TYPES)
-                        and not isinstance(value, bool) and value == _c)
+                        and not isinstance(value, bool) and value == operand)
         elif isinstance(operand, str):
-            def eq(value, _c=operand):
-                return isinstance(value, str) and value == _c
+            def eq(value):
+                return isinstance(value, str) and value == operand
         else:
             # Out-of-domain operand: values_equal is False for every
             # WME value, so '=' never matches and '<>' always does.
-            def eq(value):
-                return False
+            eq = _never
         if predicate == "=":
             return eq
-
-        def ne(value, _eq=eq):
-            return not _eq(value)
-
-        return ne
+        return lambda value: not eq(value)
     if predicate == "<=>":
-        if _is_ops_number(operand):
-            def fn(value):
-                return (isinstance(value, NUMBER_TYPES)
-                        and not isinstance(value, bool))
-        elif isinstance(operand, str):
-            def fn(value):
-                return isinstance(value, str)
-        else:
-            def fn(value):
-                return False
-        return fn
-    if predicate in _ORDER_PREDICATES:
-        if not _is_ops_number(operand):
-            def fn(value):
-                return False
-            return fn
-        comparator = COMPARATORS[predicate]
-
-        def fn(value, _cmp=comparator, _c=operand):
-            return _cmp(value, _c)
-
-        return fn
-    # Unknown predicate: defer to the interpreter's error behaviour.
-    from repro import symbols
-
-    def fn(value, _p=predicate, _c=operand):
-        return symbols.apply_predicate(_p, value, _c)
-
-    return fn
+        if is_number(operand):
+            return is_number
+        if isinstance(operand, str):
+            return lambda value: isinstance(value, str)
+        return _never
+    if not is_number(operand):
+        return _never  # an order predicate against a non-number
+    comparator = COMPARATORS[predicate]
+    return lambda value: comparator(value, operand)
 
 
-def _alpha_column_ops(spec):
-    """Per-attribute value predicates / pair comparators for *spec*.
+def alpha(analysis):
+    """``fn(wme) -> bool``: the class, constant and intra tests of the
+    CE *analysis* describes."""
+    wme_class = analysis.ce.wme_class
+    values = tuple(
+        (check.attribute, constant(check.predicate, check.operand))
+        for check in analysis.constant_checks
+    )
+    pairs = tuple(
+        (test.attribute, COMPARATORS[test.predicate], test.other_attribute)
+        for test in analysis.intra_tests
+    )
+    if not values and not pairs:
+        return lambda wme: wme.wme_class == wme_class
+    if len(values) == 1 and not pairs:
+        ((attribute, test),) = values
 
-    Returns ``[("value", attribute, fn(value)), ...]`` and
-    ``[("pair", attribute, other, fn(left, right)), ...]`` merged in
-    spec order.
-    """
-    ops = []
-    for desc in spec[1]:
-        if desc[0] == "const":
-            _, attribute, predicate, operand = desc
-            ops.append(
-                ("value", attribute,
-                 _const_value_predicate(predicate, operand))
-            )
-        else:
-            _, attribute, predicate, other = desc
-            ops.append(("pair", attribute, other, COMPARATORS[predicate]))
-    return ops
+        def single(wme):
+            return wme.wme_class == wme_class and test(wme.get(attribute))
 
+        return single
 
-def _closure_alpha_kernel(spec):
-    """Closure-mode ``fn(wme) -> bool`` for one alpha spec."""
-    wme_class = spec[0]
-    ops = _alpha_column_ops(spec)
-    if not ops:
-        def kernel(wme, _cls=wme_class):
-            return wme.wme_class == _cls
-        return kernel
-    if len(ops) == 1 and ops[0][0] == "value":
-        _, attribute, predicate = ops[0]
-
-        def kernel(wme, _cls=wme_class, _a=attribute, _p=predicate):
-            return wme.wme_class == _cls and _p(wme.get(_a))
-
-        return kernel
-    compiled = tuple(ops)
-
-    def kernel(wme, _cls=wme_class, _ops=compiled):
-        if wme.wme_class != _cls:
+    def chain(wme):
+        if wme.wme_class != wme_class:
             return False
         get = wme.get
-        for op in _ops:
-            if op[0] == "value":
-                if not op[2](get(op[1])):
-                    return False
-            elif not op[3](get(op[1]), get(op[2])):
+        for attribute, test in values:
+            if not test(get(attribute)):
+                return False
+        for attribute, comparator, other in pairs:
+            if not comparator(get(attribute), get(other)):
                 return False
         return True
 
-    return kernel
+    return chain
 
 
-# -- join kernels ---------------------------------------------------------
+# -- beta -----------------------------------------------------------------
 
-def _closure_join_kernel(tests):
-    """Closure-mode ``fn(wme, lookup) -> bool`` for a join-test chain."""
-    if not tests:
-        def kernel(wme, lookup):
-            return True
-        return kernel
-    compiled = tuple(
+def _join_chain(tests):
+    return tuple(
         (t.attribute, COMPARATORS[t.predicate], t.bound_level,
          t.bound_attribute)
         for t in tests
     )
+
+
+def join(tests):
+    """``fn(wme, lookup) -> bool``: every join test of *tests* between
+    *wme* and the values ``lookup(level, attribute)`` resolves."""
+    compiled = _join_chain(tests)
+    if not compiled:
+        return lambda wme, lookup: True
     if len(compiled) == 1:
-        attribute, comparator, level, bound = compiled[0]
+        ((attribute, comparator, level, bound),) = compiled
 
-        def kernel(wme, lookup, _a=attribute, _c=comparator, _l=level,
-                   _b=bound):
-            return _c(wme.get(_a), lookup(_l, _b))
+        def single(wme, lookup):
+            return comparator(wme.get(attribute), lookup(level, bound))
 
-        return kernel
-    if len(compiled) == 2:
-        (a0, c0, l0, b0), (a1, c1, l1, b1) = compiled
+        return single
 
-        def kernel(wme, lookup, _a0=a0, _c0=c0, _l0=l0, _b0=b0,
-                   _a1=a1, _c1=c1, _l1=l1, _b1=b1):
-            return (_c0(wme.get(_a0), lookup(_l0, _b0))
-                    and _c1(wme.get(_a1), lookup(_l1, _b1)))
-
-        return kernel
-
-    def kernel(wme, lookup, _tests=compiled):
+    def chain(wme, lookup):
         get = wme.get
-        for attribute, comparator, level, bound in _tests:
+        for attribute, comparator, level, bound in compiled:
             if not comparator(get(attribute), lookup(level, bound)):
                 return False
         return True
 
-    return kernel
+    return chain
 
 
-def _scan_kernel(tests):
-    """Columnar full-scan kernel ``fn(lookup, wmes, columns) -> passing``.
+def scan(tests):
+    """``fn(lookup, wmes) -> [wme, ...]``: the *wmes* passing every
+    join test of *tests* against one token, in iteration order.
 
-    Evaluates a join-test chain over an alpha memory's parallel
-    per-attribute arrays for one fixed left token, hoisting every
-    ``lookup`` (a walk up the token chain in the interpreted path —
-    once per candidate per test) out of the loop entirely.  Candidate
-    order is the arrays' order, which the columnar alpha memory keeps
-    identical to insertion order, so downstream propagation order is
-    unchanged.
+    The token's bound values are resolved once per call — a lookup walks
+    the token chain — instead of once per candidate.
     """
-    compiled = tuple(
-        (t.attribute, COMPARATORS[t.predicate], t.bound_level,
-         t.bound_attribute)
-        for t in tests
-    )
+    compiled = _join_chain(tests)
     if not compiled:
-        def kernel(lookup, wmes, columns):
-            return list(wmes)
-        return kernel
+        return lambda lookup, wmes: list(wmes)
     if len(compiled) == 1:
-        attribute, comparator, level, bound = compiled[0]
+        ((attribute, comparator, level, bound),) = compiled
 
-        def kernel(lookup, wmes, columns, _a=attribute, _c=comparator,
-                   _l=level, _b=bound):
-            target = lookup(_l, _b)
-            column = columns[_a]
-            return [
-                wmes[i] for i, value in enumerate(column)
-                if _c(value, target)
-            ]
+        def single(lookup, wmes):
+            target = lookup(level, bound)
+            return [wme for wme in wmes
+                    if comparator(wme.get(attribute), target)]
 
-        return kernel
+        return single
 
-    def kernel(lookup, wmes, columns, _tests=compiled):
-        bounds = [lookup(level, bound) for _, _, level, bound in _tests]
-        cols = [columns[attribute] for attribute, _, _, _ in _tests]
+    def chain(lookup, wmes):
+        checks = [(attribute, comparator, lookup(level, bound))
+                  for attribute, comparator, level, bound in compiled]
         passing = []
-        for i, wme in enumerate(wmes):
-            for k, (_, comparator, _, _) in enumerate(_tests):
-                if not comparator(cols[k][i], bounds[k]):
+        for wme in wmes:
+            get = wme.get
+            for attribute, comparator, target in checks:
+                if not comparator(get(attribute), target):
                     break
             else:
                 passing.append(wme)
         return passing
 
-    return kernel
-
-
-# -- the pack -------------------------------------------------------------
-
-class KernelPack:
-    """One network's kernel compiler + structural cache.
-
-    Shared by every node of a :class:`~repro.rete.network.ReteNetwork`
-    (each shard of a sharded network owns its own pack), so nodes with
-    identical test lists — within and across rules — share one compiled
-    function.  Counters surface through the attached
-    :class:`~repro.engine.stats.MatchStats` (``kernels_compiled`` /
-    ``kernel_cache_hits``) and locally as ``compiled`` / ``cache_hits``.
-
-    A pack constructed with ``shared=True`` is meant to outlive any one
-    network: the service layer's rule-base cache
-    (:mod:`repro.service.rulebase`) hands the same pack to every
-    session built from the same program, so a thousand tenants compile
-    each structural test chain once.  Shared packs are thread-safe
-    (networks for different sessions may be built concurrently) and pin
-    their stats hook: per-session ``set_stats`` calls must not
-    re-attribute the shared compile counters to one tenant's collector.
-    """
-
-    __slots__ = ("mode", "stats", "compiled", "cache_hits", "_cache",
-                 "shared", "_lock")
-
-    def __init__(self, mode=None, stats=None, shared=False):
-        self.mode = resolve_kernels(mode)
-        if self.mode == "off":
-            raise ReproError(
-                "KernelPack requires the compiled mode (closure); "
-                "use kernels='off' at the network level for the "
-                "interpreted walk"
-            )
-        self.stats = stats if stats is not None else NULL_STATS
-        self.compiled = 0
-        self.cache_hits = 0
-        self._cache = {}
-        self.shared = shared
-        self._lock = threading.Lock()
-
-    def attach_stats(self, stats):
-        if self.shared:
-            return
-        self.stats = stats
-
-    def _get(self, key, build):
-        with self._lock:
-            fn = self._cache.get(key)
-            if fn is not None:
-                self.cache_hits += 1
-                self.stats.kernel_cache_hit()
-                return fn
-            fn = build()
-            self._cache[key] = fn
-            self.compiled += 1
-            self.stats.kernel_compiled()
-            return fn
-
-    def alpha(self, analysis):
-        """Compiled ``fn(wme) -> bool`` for a CE's alpha-test chain."""
-        spec = alpha_spec(analysis)
-        return self._get(("alpha", spec),
-                         lambda: _closure_alpha_kernel(spec))
-
-    def join(self, tests):
-        """Compiled ``fn(wme, lookup) -> bool`` for a join-test list."""
-        tests = tuple(tests)
-        key = ("join", tuple(t.key() for t in tests))
-        return self._get(key, lambda: _closure_join_kernel(tests))
-
-    def scan(self, tests):
-        """Columnar scan kernel for a join-test list (see _scan_kernel)."""
-        tests = tuple(tests)
-        key = ("scan", tuple(t.key() for t in tests))
-        return self._get(key, lambda: _scan_kernel(tests))
-
-    def __repr__(self):
-        return (f"KernelPack(mode={self.mode}, {len(self._cache)} cached, "
-                f"{self.compiled} compiled, {self.cache_hits} hits)")
-
-
-def build_kernels(spec=None, stats=None):
-    """Resolve *spec* and return a :class:`KernelPack`, or None for off.
-
-    *spec* may also be a ready-made :class:`KernelPack` — typically a
-    ``shared=True`` pack from the service layer's rule-base cache — in
-    which case it is returned as-is (its own stats binding wins).
-    """
-    if isinstance(spec, KernelPack):
-        return spec
-    mode = resolve_kernels(spec)
-    if mode == "off":
-        return None
-    return KernelPack(mode, stats=stats)
+    return chain

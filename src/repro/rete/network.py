@@ -18,7 +18,6 @@ from repro.errors import RuleError
 from repro.match.base import Matcher
 from repro.rete.alpha import AlphaNetwork
 from repro.rete.beta import BetaMemory, DummyToken, JoinNode
-from repro.rete.kernels import KernelPack, build_kernels, resolve_kernels
 from repro.rete.negative import NegativeNode
 from repro.rete.pnode import PNode, SetPNode
 from repro.rete.snode import SNode
@@ -51,7 +50,7 @@ class ReteNetwork(Matcher):
 
     def __init__(self, strict_paper_decide=False, share_alpha=True,
                  share_beta=True, indexed_joins=True, batched=True,
-                 stats=None, kernels=None):
+                 stats=None):
         super().__init__()
         self.match_stats = stats if stats is not None else NULL_STATS
         self.share_alpha = share_alpha
@@ -63,21 +62,8 @@ class ReteNetwork(Matcher):
         # propagation, staged S-nodes); False replays them per event —
         # the reference semantics the property tests compare against.
         self.batched = batched
-        # Compiled match kernels (off|closure; None defers to the
-        # REPRO_KERNELS env var, default closure).  Columnar alpha
-        # mirrors are on exactly when kernels are on.  A ready-made
-        # KernelPack — the service layer's shared, per-rule-base pack —
-        # is adopted as-is so sessions share compiled functions.
-        if isinstance(kernels, KernelPack):
-            self.kernel_mode = kernels.mode
-            self.kernels = kernels
-        else:
-            self.kernel_mode = resolve_kernels(kernels)
-            self.kernels = build_kernels(self.kernel_mode,
-                                         stats=self.match_stats)
         self._private_counter = 0
-        self.alpha = AlphaNetwork(stats=self.match_stats,
-                                  kernels=self.kernels)
+        self.alpha = AlphaNetwork(stats=self.match_stats)
         self.dummy_top = BetaMemory(None, -1, stats=self.match_stats)
         self._beta_nodes = [self.dummy_top]
         self._dummy_token = DummyToken()
@@ -94,8 +80,6 @@ class ReteNetwork(Matcher):
     def set_stats(self, stats):
         """Swap in a (possibly live) stats hook, re-registering all nodes."""
         self.match_stats = stats
-        if self.kernels is not None:
-            self.kernels.attach_stats(stats)
         self.alpha.attach_stats(stats)
         for node in self._beta_nodes:
             node.attach_stats(stats)

@@ -229,11 +229,6 @@ class ShardedReteNetwork(Matcher):
     # -- inspection ----------------------------------------------------
 
     @property
-    def kernel_mode(self):
-        """The match-kernel mode every shard was built with."""
-        return self.shards[0].kernel_mode
-
-    @property
     def stats(self):
         """Aggregated :class:`ReteStats` across the shards."""
         total = ReteStats()

@@ -5,8 +5,8 @@ clients, one shared compiled rule program, per-client working
 memories.  This package is that shape —
 
 * :mod:`repro.service.protocol` — the NDJSON wire protocol;
-* :mod:`repro.service.rulebase` — parse-once/kernel-compile-once
-  shared rule bases keyed by content hash;
+* :mod:`repro.service.rulebase` — parse-once shared rule bases keyed
+  by content hash;
 * :mod:`repro.service.session` — per-tenant engine sessions with
   TTL/LRU eviction, WAL-backed resume, and the exactly-once request
   journal;

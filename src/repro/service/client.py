@@ -305,13 +305,13 @@ class ServiceClient:
         """The server's readiness/drain state (never load-shed)."""
         return self.request("health")
 
-    def create(self, session, program, *, matcher=None, kernels=None,
-               backend=None, strategy=None, on_error=None, durable=True,
-               resume=False, workers=None, retry=False, key=None,
-               idempotent=False, deadline_ms=None):
+    def create(self, session, program, *, matcher=None, backend=None,
+               strategy=None, on_error=None, durable=True, resume=False,
+               workers=None, retry=False, key=None, idempotent=False,
+               deadline_ms=None):
         return self.request(
             "create", session=session, program=program, matcher=matcher,
-            kernels=kernels, backend=backend, strategy=strategy,
+            backend=backend, strategy=strategy,
             on_error=on_error, durable=durable, resume=resume or None,
             workers=workers, retry=retry, key=key,
             idempotent=idempotent, deadline_ms=deadline_ms,

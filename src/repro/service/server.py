@@ -74,7 +74,6 @@ from repro.errors import (
     WalError,
 )
 from repro.match import matcher_spec
-from repro.rete.kernels import resolve_kernels
 from repro.service import protocol
 from repro.service.chaos import ChaosInjector
 from repro.service.rulebase import RuleBaseCache
@@ -103,7 +102,6 @@ def _check_backend(spec):
 #: that raises a typed error for a value it does not know.
 _ENGINE_CONFIG_CHECKS = (
     ("matcher", matcher_spec),
-    ("kernels", resolve_kernels),
     ("strategy", strategy_named),
     ("backend", _check_backend),
 )
@@ -128,7 +126,7 @@ class ServiceConfig:
     *wal_root* — per-session WAL directories live under it (None
     disables durability);
     *fsync* — the sessions' WAL fsync policy;
-    *matcher*/*kernels*/*backend*/*strategy*/*on_error* — per-session
+    *matcher*/*backend*/*strategy*/*on_error* — per-session
     defaults a ``create`` may override;
     *max_sessions*/*idle_ttl*/*sweep_interval* — registry sizing and
     the idle-eviction cadence (seconds);
@@ -147,7 +145,7 @@ class ServiceConfig:
     """
 
     __slots__ = ("host", "port", "wal_root", "fsync", "matcher",
-                 "kernels", "backend", "strategy", "on_error",
+                 "backend", "strategy", "on_error",
                  "max_sessions", "idle_ttl", "sweep_interval",
                  "session_queue", "global_queue", "engine_workers",
                  "run_limit", "run_wall_clock", "trace_limit",
@@ -155,8 +153,8 @@ class ServiceConfig:
                  "journal_limit", "drain_grace")
 
     def __init__(self, host="127.0.0.1", port=0, wal_root=None,
-                 fsync="batch", matcher="rete", kernels=None,
-                 backend=None, strategy="lex", on_error="halt",
+                 fsync="batch", matcher="rete", backend=None,
+                 strategy="lex", on_error="halt",
                  max_sessions=256, idle_ttl=300.0, sweep_interval=5.0,
                  session_queue=16, global_queue=128, engine_workers=4,
                  run_limit=10_000, run_wall_clock=30.0,
@@ -168,7 +166,6 @@ class ServiceConfig:
         self.wal_root = wal_root
         self.fsync = fsync
         self.matcher = matcher
-        self.kernels = kernels
         self.backend = backend
         self.strategy = strategy
         self.on_error = on_error
@@ -251,7 +248,6 @@ class RuleService:
             max_sessions=self.config.max_sessions,
             idle_ttl=self.config.idle_ttl,
             default_matcher=self.config.matcher,
-            default_kernels=self.config.kernels,
             default_backend=self.config.backend,
             default_strategy=self.config.strategy,
             default_on_error=self.config.on_error,
@@ -717,7 +713,6 @@ class RuleService:
                 lambda: self.registry.create(
                     session_id, program,
                     matcher=request.get("matcher"),
-                    kernels=request.get("kernels"),
                     backend=request.get("backend"),
                     strategy=request.get("strategy"),
                     on_error=request.get("on_error"),
@@ -749,7 +744,7 @@ class RuleService:
 
     @staticmethod
     def _validate_engine_config(request):
-        """Reject an unknown matcher/kernels/strategy/backend up front.
+        """Reject an unknown matcher/strategy/backend up front.
 
         A misspelt option is the client's mistake, not the session's:
         it answers ``bad_request`` before admission instead of failing
@@ -904,9 +899,8 @@ class RuleService:
     # Hot reload without restarting the tenant: the engine performs the
     # surgery (WAL-logging it so recovery replays the reload in order),
     # and the session re-keys onto a copy-on-write fork of its shared
-    # rule base — untouched tenants keep sharing the parent entry and
-    # its kernel pack, so a reload shared by N tenants compiles each
-    # genuinely new alpha/join/scan chain exactly once.
+    # rule base — untouched tenants keep sharing the parent entry, and
+    # tenants reloading to the same program share one fork.
 
     async def _surgery(self, request, request_id, writer, action,
                        counter, *, source=None, rule_name=None):

@@ -6,8 +6,7 @@ isolation is composed from the subsystems earlier PRs built:
 
 * **state** — working memory, conflict set, refraction, and trace are
   engine-private; nothing about one tenant's facts is visible to
-  another (shared rule bases expose only immutable ASTs and compiled
-  kernel functions);
+  another (shared rule bases expose only immutable ASTs);
 * **durability** — each session owns a WAL directory
   (``<wal_root>/<session_id>``), so a crash recovers every tenant
   independently and an evicted session can be resumed later;
@@ -188,12 +187,11 @@ class Session:
 
         Copy-on-write divergence: after the surgery the session's
         program source no longer matches its shared rule base, so the
-        session re-keys onto a fork (sharing the parent's kernel pack)
-        via ``rule_bases.fork``.  Untouched tenants keep sharing the
-        parent entry; a second tenant reloading to a byte-identical
-        program converges on the same fork, and replacing a rule shared
-        by N tenants costs exactly one new kernel compile (the
-        structural-key cache spans the fork).
+        session re-keys onto a fork via ``rule_bases.fork``.  Untouched
+        tenants keep sharing the parent entry, and a second tenant
+        reloading to a byte-identical program converges on the same
+        fork: replacing a rule shared by N tenants parses the new
+        program once.
         """
         engine = self.engine
         if key is not None:
@@ -297,9 +295,9 @@ class SessionRegistry:
 
     def __init__(self, rule_bases, wal_root=None, fsync="batch",
                  max_sessions=256, idle_ttl=300.0,
-                 default_matcher="rete", default_kernels=None,
-                 default_backend=None, default_strategy="lex",
-                 default_on_error="halt", fault_factory=None,
+                 default_matcher="rete", default_backend=None,
+                 default_strategy="lex", default_on_error="halt",
+                 fault_factory=None,
                  clock=time.monotonic):
         self.rule_bases = rule_bases
         self.wal_root = str(wal_root) if wal_root is not None else None
@@ -310,7 +308,6 @@ class SessionRegistry:
         self.max_sessions = max_sessions
         self.idle_ttl = idle_ttl
         self.default_matcher = default_matcher
-        self.default_kernels = default_kernels
         self.default_backend = default_backend
         self.default_strategy = default_strategy
         self.default_on_error = default_on_error
@@ -388,17 +385,18 @@ class SessionRegistry:
             return None
         return os.path.join(self.wal_root, session_id)
 
-    def create(self, session_id, source, *, matcher=None, kernels=None,
-               backend=None, strategy=None, on_error=None, durable=True,
-               resume=False, workers=None, key=None):
+    def create(self, session_id, source, *, matcher=None, backend=None,
+               strategy=None, on_error=None, durable=True, resume=False,
+               workers=None, key=None):
         """Admit a new tenant; returns ``(session, rulebase_hit)``.
 
         The engine is stamped out of the shared rule base for
-        ``(source, matcher, kernels, backend)``.  With a ``wal_root``
-        configured and *durable*, the session logs to its own WAL
-        directory; *resume* recovers an evicted/crashed session from
-        that directory instead (the request's program must match the
-        logged one — the log is authoritative).  A fresh create whose
+        ``(source, matcher, backend)``.  With a ``wal_root`` configured
+        and *durable*, the session logs to its own WAL directory, and
+        the program's frames are committed (one fsync under ``batch``)
+        before this returns; *resume* recovers an evicted/crashed
+        session from that directory instead (the request's program
+        must match the logged one — the log is authoritative).  A fresh create whose
         directory already holds history raises
         :class:`~repro.errors.DurabilityError` naming the session.
 
@@ -410,7 +408,6 @@ class SessionRegistry:
         """
         validate_session_id(session_id)
         matcher = matcher or self.default_matcher
-        kernels = kernels if kernels is not None else self.default_kernels
         backend = backend or self.default_backend
         strategy = strategy or self.default_strategy
         on_error = on_error or self.default_on_error
@@ -443,7 +440,7 @@ class SessionRegistry:
 
                 engine = recover_engine(
                     RuleEngine, wal_dir, on_error=on_error,
-                    kernels=kernels, workers=workers,
+                    workers=workers,
                     durability=DurabilityConfig(
                         wal_dir, fsync=self.fsync, label=session_id,
                         fault=fault,
@@ -454,8 +451,7 @@ class SessionRegistry:
                 self.resumed += 1
             else:
                 base, hit = self.rule_bases.get(
-                    source, matcher=matcher, kernels=kernels,
-                    backend=backend,
+                    source, matcher=matcher, backend=backend,
                 )
                 durability = None
                 if wal_dir is not None:

@@ -1,17 +1,17 @@
 """The match-acceleration lattice, pinned in one place.
 
-Matcher names live in :data:`repro.match.MATCHERS`, kernel modes in
-:data:`repro.rete.kernels.KERNEL_MODES`; every surface that offers a
-choice must read those, and the options this lattice used to have
-(``exec`` kernels, a process executor, a columnar knob, an alpha-filter
-hook) must stay gone.
+Matcher names live in :data:`repro.match.MATCHERS`; every surface that
+offers a choice must read them, and the options this lattice used to
+have (a kernel mode in any spelling, a process executor, a columnar
+knob, an alpha-filter hook) must stay gone.
 """
 
 import inspect
 
 import pytest
 
-from repro import cli
+from repro import RuleEngine, cli
+from repro.durability import recover_engine
 from repro.errors import ReproError
 from repro.match import (
     MATCHER_NAMES,
@@ -21,8 +21,9 @@ from repro.match import (
     matcher_name,
 )
 from repro.rete import ReteNetwork, ShardedReteNetwork
-from repro.rete.alpha import AlphaNetwork
-from repro.rete.kernels import KERNEL_MODES, resolve_kernels
+from repro.rete.alpha import AlphaMemory, AlphaNetwork
+from repro.service import ServiceClient, ServiceConfig
+from repro.service.session import SessionRegistry
 
 PARSERS = {
     "main": cli._main_parser,
@@ -36,14 +37,13 @@ def _choices(parser, flag):
     return tuple(action.choices)
 
 
-def test_the_lattice_is_five_matchers_and_two_kernel_modes():
+def test_the_lattice_is_five_matchers():
     assert MATCHER_NAMES == ("rete", "treat", "naive", "dips", "sharded")
-    assert KERNEL_MODES == ("off", "closure")
 
 
 @pytest.mark.parametrize("name", MATCHER_NAMES)
 def test_registry_names_round_trip(name):
-    matcher = build_matcher(name, kernels="off", backend="memory")
+    matcher = build_matcher(name, backend="memory")
     assert type(matcher) is matcher_class(name)
     assert matcher_name(matcher) == name
     assert hasattr(matcher, "storage_backend") == MATCHERS[name].takes_backend
@@ -66,20 +66,15 @@ def test_unregistered_matchers_are_typed_errors_or_unnamed():
 def test_cli_choices_come_from_the_registry(command, capsys):
     parser = PARSERS[command]()
     assert _choices(parser, "--matcher") == MATCHER_NAMES
-    assert _choices(parser, "--kernels") == KERNEL_MODES
+
+
+@pytest.mark.parametrize("command", sorted(PARSERS))
+def test_kernels_flag_is_a_usage_error(command, capsys):
     positional = ["wal"] if command == "recover" else []
     with pytest.raises(SystemExit) as info:
-        parser.parse_args(positional + ["--kernels", "exec"])
+        PARSERS[command]().parse_args(positional + ["--kernels", "off"])
     assert info.value.code == 2
-    assert "invalid choice: 'exec'" in capsys.readouterr().err
-
-
-def test_exec_kernels_are_an_unknown_mode(monkeypatch):
-    with pytest.raises(ReproError, match="unknown kernel mode 'exec'"):
-        resolve_kernels("exec")
-    monkeypatch.setenv("REPRO_KERNELS", "exec")
-    with pytest.raises(ReproError, match="unknown kernel mode 'exec'"):
-        ReteNetwork()
+    assert "unrecognized arguments: --kernels" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("callable_, removed", [
@@ -88,6 +83,17 @@ def test_exec_kernels_are_an_unknown_mode(monkeypatch):
     (AlphaNetwork.__init__, "columnar"),
     (ReteNetwork.on_batch, "alpha_filter"),
     (AlphaNetwork.add_batch, "alpha_filter"),
+    (RuleEngine.__init__, "kernels"),
+    (ReteNetwork.__init__, "kernels"),
+    (AlphaNetwork.__init__, "kernels"),
+    (AlphaMemory.__init__, "kernels"),
+    (build_matcher, "kernels"),
+    (recover_engine, "kernels"),
+    (SessionRegistry.__init__, "default_kernels"),
+    (SessionRegistry.create, "kernels"),
+    (ServiceConfig.__init__, "kernels"),
+    (ServiceClient.create, "kernels"),
+    (cli.ReplSession.__init__, "kernels"),
 ])
 def test_removed_options_stay_removed(callable_, removed):
     assert removed not in inspect.signature(callable_).parameters
@@ -96,3 +102,11 @@ def test_removed_options_stay_removed(callable_, removed):
 def test_process_executor_is_not_an_option():
     with pytest.raises(TypeError):
         ShardedReteNetwork(executor="process")
+
+
+def test_kernel_mode_is_not_an_option(monkeypatch):
+    with pytest.raises(TypeError):
+        ShardedReteNetwork(kernels="off")
+    # Once a typed error for "exec"; now no code reads the variable.
+    monkeypatch.setenv("REPRO_KERNELS", "exec")
+    assert ReteNetwork().alpha.memory_count == 0

@@ -269,21 +269,21 @@ class TestLiveWireChaos:
                     ("order", {"id": i, "status": "open"})
                     for i in range(5)
                 ])
-                assert fault.counts["wal.fsync"] == 1  # one per request
-                fault.error_at["wal.fsync"] = (2, errno.EIO)
+                assert fault.counts["wal.fsync"] == 2  # one per request
+                fault.error_at["wal.fsync"] = (3, errno.EIO)
                 with pytest.raises(ServiceClientError) as info:
                     client.run("synced", key="run-1")
                 assert info.value.code == "unavailable"
                 assert info.value.response["retry_after"] > 0
                 [session] = client.stats()["sessions"]
-                assert session["wal_fsyncs"] == 1
+                assert session["wal_fsyncs"] == 2
                 records = session["wal_records"]
                 again, events = client.run("synced", key="run-1")
                 assert again["deduped"] is True and again["fired"] == 5
                 assert events == []  # nothing new fired
                 stats = client.stats()
                 [session] = stats["sessions"]
-                assert session["wal_fsyncs"] == 2  # 5 firings, one sync
+                assert session["wal_fsyncs"] == 3  # 5 firings, one sync
                 assert session["wal_records"] == records
                 assert stats["server"]["unavailable_errors"] == 1
                 assert stats["breakers"]["tracked"] == 1

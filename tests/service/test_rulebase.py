@@ -1,4 +1,4 @@
-"""Shared rule bases: parse once, kernel-compile once, serve N tenants."""
+"""Shared rule bases: parse once, serve N tenants."""
 
 from __future__ import annotations
 
@@ -30,49 +30,20 @@ class TestKey:
         assert (rule_base_key(PROGRAM, matcher="rete")
                 != rule_base_key(PROGRAM, matcher="treat"))
 
-    def test_kernel_mode_irrelevant_for_interpreted_matchers(self):
-        assert (rule_base_key(PROGRAM, matcher="treat", kernels="off")
-                == rule_base_key(PROGRAM, matcher="treat",
-                                 kernels="closure"))
-
     def test_backend_irrelevant_for_matchers_that_take_none(self):
         # Only dips runs on the relational substrate; a rete tenant
         # naming a backend shares the entry of one that names none.
-        assert (rule_base_key(PROGRAM, "rete", None, "sqlite")
-                == rule_base_key(PROGRAM, "rete", None, None))
-        assert (rule_base_key(PROGRAM, "dips", None, "sqlite")
-                != rule_base_key(PROGRAM, "dips", None, None))
+        assert (rule_base_key(PROGRAM, "rete", "sqlite")
+                == rule_base_key(PROGRAM, "rete", None))
+        assert (rule_base_key(PROGRAM, "dips", "sqlite")
+                != rule_base_key(PROGRAM, "dips", None))
         cache = RuleBaseCache()
         first, _ = cache.get(PROGRAM, matcher="rete", backend="sqlite")
         second, hit = cache.get(PROGRAM, matcher="rete")
         assert hit and second is first and cache.compiles == 1
 
-    def test_kernel_mode_distinguishes_rete(self):
-        assert (rule_base_key(PROGRAM, matcher="rete", kernels="closure")
-                != rule_base_key(PROGRAM, matcher="rete",
-                                 kernels="off"))
-
 
 class TestRuleBase:
-    def test_engines_share_one_kernel_pack(self):
-        base = RuleBase(PROGRAM, matcher="rete", kernels="closure")
-        engines = [base.build_engine() for _ in range(4)]
-        try:
-            # The acceptance contract: N sessions, one compile's worth
-            # of kernels; every later network hits the shared cache.
-            stats = base.kernel_stats()
-            one_session = RuleBase(
-                PROGRAM, matcher="rete", kernels="closure"
-            )
-            one_session.build_engine().close()
-            assert (stats["compiled"]
-                    == one_session.kernel_stats()["compiled"])
-            assert stats["cache_hits"] > stats["compiled"]
-            assert base.sessions_built == 4
-        finally:
-            for engine in engines:
-                engine.close()
-
     def test_engines_are_isolated(self):
         base = RuleBase(PROGRAM)
         first = base.build_engine()
@@ -95,18 +66,6 @@ class TestRuleBase:
         second = base.build_matcher()
         assert first is not second
         assert isinstance(first, ReteNetwork)
-        # ... but both ride the same compiled-kernel pack.
-        assert first.kernels is second.kernels
-        assert first.kernels is base.kernel_pack
-
-    def test_interpreted_matcher_has_no_pack(self):
-        base = RuleBase(PROGRAM, matcher="treat")
-        assert base.kernel_pack is None
-        assert base.kernel_stats() == {"compiled": 0, "cache_hits": 0}
-
-    def test_kernels_off_has_no_pack(self):
-        base = RuleBase(PROGRAM, matcher="rete", kernels="off")
-        assert base.kernel_pack is None
 
 
 class TestRuleBaseCache:
@@ -137,7 +96,6 @@ class TestRuleBaseCache:
         assert stats["compiles"] == 1
         assert stats["hits"] == 1
         assert stats["sessions_built"] == 1
-        assert stats["kernels_compiled"] > 0
 
     def test_bad_program_is_not_cached(self):
         cache = RuleBaseCache()

@@ -164,8 +164,6 @@ class TestErrors:
     @pytest.mark.parametrize("field, value", [
         ("matcher", "bogus"),
         ("matcher", ["rete"]),
-        ("kernels", "exec"),
-        ("kernels", "jit"),
         ("strategy", "zzz"),
         ("strategy", ["lex"]),
         ("backend", "oracle"),
@@ -290,6 +288,25 @@ class TestDurableSessions:
                 client.create(sid, PROGRAM)
             assert info.value.code == "engine"
             assert sid in str(info.value)
+
+    @pytest.mark.parametrize("policy, fsyncs", [
+        ("batch", 1), ("always", 4), ("off", 0),
+    ])
+    def test_durable_create_is_synced_before_its_ok(
+        self, tmp_path, policy, fsyncs
+    ):
+        # A fresh create logs four frames (meta, two literalizes, the
+        # rule).  Under batch they are one commit unit, synced once
+        # before the response; always syncs each frame, off none.
+        with ServiceThread(ServiceConfig(
+            port=0, wal_root=str(tmp_path), fsync=policy,
+            engine_workers=1,
+        )) as thread:
+            with ServiceClient(*thread.address) as client:
+                client.create("synced", PROGRAM)
+                [session] = client.stats()["sessions"]
+        assert session["wal_records"] == 4
+        assert session["wal_fsyncs"] == fsyncs
 
 
 class TestBackpressure:

@@ -130,13 +130,13 @@ class TestCheckWithoutBaseline:
 class TestCommittedReference:
     def test_newest_reference_matches_the_scenario_set(self, bench_report):
         """``compare`` treats a reference scenario the script no longer
-        runs as a regression, so trimming scenarios (the ``exec`` kernel
-        runs went in PR 12) must come with a fresh committed reference
-        under the default output's name."""
+        runs as a regression, so trimming scenarios (the kernel-mode
+        runs went with the mode) must come with a fresh committed
+        reference under the default output's name."""
         reference = bench_report.latest_reference()
         assert reference.name == bench_report.DEFAULT_OUTPUT.name
         committed = json.loads(reference.read_text())
         assert set(committed["scenarios"]) == set(bench_report.SCENARIOS)
         assert set(committed) == {"schema", "scenarios"}
-        assert not any(name.endswith("_exec") for name in
+        assert not any(name.startswith("kernel_") for name in
                        bench_report.SCENARIOS)

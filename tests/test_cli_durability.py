@@ -89,20 +89,15 @@ class TestMainFlags:
         assert "recovered from checkpoint" in out
         assert "1 WME(s) restored" in out
 
-    def test_recover_with_sqlite_backend_and_exec_kernels(
-        self, tmp_path, capsys
-    ):
+    def test_recover_with_sqlite_backend(self, tmp_path, capsys):
         # Both overrides on one command line: the recovered dips
-        # matcher takes the sqlite backend, and the kernel flag (which
-        # only the rete family consumes) must be accepted alongside it
-        # rather than rejected as contradictory.
+        # matcher takes the sqlite backend.
         session = _durable_session(tmp_path)
         session.execute("make reading ^sensor t1 ^value 10")
         session.close()
         rc = main([
             "recover", str(tmp_path / "wal"),
             "--matcher", "dips", "--backend", "sqlite",
-            "--kernels", "off",
             "--run", "5", "--no-wal",
         ])
         assert rc == 0
@@ -110,16 +105,14 @@ class TestMainFlags:
         assert "1 WME(s) restored" in out or "1 delta(s)" in out
         assert "t1" in out
 
-    def test_recover_rete_off_kernels_with_backend_flag(
-        self, tmp_path, capsys
-    ):
+    def test_recover_rete_with_backend_flag(self, tmp_path, capsys):
+        # rete takes no backend; the flag is accepted and ignored.
         session = _durable_session(tmp_path)
         session.execute("make reading ^sensor t1 ^value 10")
         session.close()
         rc = main([
             "recover", str(tmp_path / "wal"),
-            "--matcher", "rete", "--kernels", "off",
-            "--backend", "sqlite",
+            "--matcher", "rete", "--backend", "sqlite",
             "--run", "5", "--no-wal",
         ])
         assert rc == 0
