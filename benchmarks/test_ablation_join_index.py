@@ -1,10 +1,11 @@
-"""Ablation — hash-indexed join activations in the Rete network.
+"""Ablation — indexed join activations in the Rete network.
 
-Equality joins probe a value index on both inputs instead of scanning
-the whole opposite memory (`ReteNetwork(indexed_joins=False)` restores
-the scan).  Candidate filtering is unchanged — every candidate still
-passes the full test list — so this is purely a cost ablation, guarded
-by the differential equivalence suite.
+Equality joins probe a hash index on both inputs, and range-only joins
+(`<`, `<=`, `>`, `>=`) an ordered index, instead of scanning the whole
+opposite memory (`ReteNetwork(indexed_joins=False)` restores the scan).
+Candidate filtering is unchanged — every candidate still passes the
+full test list — so this is purely a cost ablation, guarded by the
+differential equivalence suite.
 """
 
 import time
@@ -17,6 +18,9 @@ from repro.rete import ReteNetwork
 from repro.wm import WorkingMemory
 
 RULE = "(p pair (left ^k <k>) (right ^k <k>) --> (halt))"
+
+#: The shape of ``over-cap`` in the repo benchmark: no equality test.
+RANGE_RULE = "(p over (limit ^cap <c>) (order ^qty > <c>) --> (halt))"
 
 
 def run(indexed, size):
@@ -84,6 +88,59 @@ def test_join_index_ablation(benchmark):
     assert float(rows[-1][5].rstrip("x")) > 3.0
 
     benchmark(run, True, 200)
+
+
+def run_range(indexed, size):
+    """Orders, then ten caps near the top (left activations), then the
+    orders again (right activations): a few per cent of pairs pass."""
+    wm, net, stats = build_stats_network(RANGE_RULE, indexed_joins=indexed)
+    start = time.perf_counter()
+    for qty in range(size):
+        wm.make("order", qty=qty)
+    for cap in range(size - 10, size):
+        wm.make("limit", cap=cap)
+    for qty in range(size):
+        wm.make("order", qty=qty)
+    return time.perf_counter() - start, net, stats
+
+
+def test_range_join_index_ablation(benchmark):
+    rows = []
+    for size in (100, 200, 400):
+        scan_time, scan_net, scan_stats = run_range(False, size)
+        probe_time, probe_net, probe_stats = run_range(True, size)
+        scan_work = scan_stats.totals
+        probe_work = probe_stats.totals
+        assert (
+            scan_net.stats.tokens_created
+            == probe_net.stats.tokens_created
+        )
+        assert (
+            scan_work["join_tests_passed"]
+            == probe_work["join_tests_passed"]
+        )
+        assert scan_work["index_probes"] == 0
+        assert probe_work["index_probes"] > 0
+        assert (
+            probe_work["full_scan_candidates"]
+            + probe_work["index_probe_candidates"]
+            < scan_work["full_scan_candidates"] / 10
+        )
+        rows.append((
+            size * 2 + 10,
+            f"{scan_time:.4f}",
+            f"{probe_time:.4f}",
+            scan_work["full_scan_candidates"],
+            probe_work["index_probe_candidates"],
+        ))
+    print_table(
+        "Ablation — range joins: memory scan vs ordered-index probe "
+        "(^qty > <c>, ten caps near the top)",
+        ["WMEs", "scan s", "indexed s", "scan cands", "probe cands"],
+        rows,
+    )
+
+    benchmark(run_range, True, 200)
 
 
 def test_index_maintained_under_churn(benchmark):

@@ -6,19 +6,97 @@ any rule, set-oriented or not — with the same tests.  The
 :class:`AlphaNetwork` indexes memories by WME class so an event only
 visits candidate memories.
 
-Index buckets are keyed by attribute value.  Unhashable values (a WME
-made programmatically can carry lists or dicts) go into a sentinel
-bucket that every probe also returns, so join nodes still post-filter
-them with the full test list instead of raising mid-propagation.
+Two index kinds serve the join nodes, on alpha memories and token
+stores alike.  A hash index keys buckets by attribute value.
+Unhashable values (a WME made programmatically can carry lists or
+dicts) go into a sentinel bucket that every probe also returns, so
+join nodes still post-filter them with the full test list instead of
+raising mid-propagation.  An :class:`OrderedIndex` keeps numeric values
+sorted for ``<``/``<=``/``>``/``>=`` probes, and hands a slice back in
+the memory's insertion order, the order a scan would produce.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right, insort
+from itertools import count
+
 from repro.engine.stats import NULL_STATS
 from repro.rete import kernels
+from repro.symbols import is_number
 
 #: Sentinel bucket key for index entries whose value is unhashable.
 UNHASHABLE = object()
+
+#: The predicates an :class:`OrderedIndex` answers.
+ORDER_PREDICATES = frozenset(("<", "<=", ">", ">="))
+
+
+def _orderable(value):
+    """Can *value* satisfy an order predicate?  Numbers other than NaN."""
+    return is_number(value) and value == value
+
+
+class OrderedIndex:
+    """Members keyed by a number, for order-predicate probes.
+
+    ``keys`` holds the distinct values ascending (searched with
+    ``bisect``); ``buckets`` maps each to an insertion-ordered
+    ``{member: arrival number}``.  ``1`` and ``1.0`` share a bucket.  A
+    value that no order predicate can hold for (a symbol, ``nil``, NaN)
+    is never filed, and a probe with one returns nothing.
+
+    Members are filed in their memory's insertion order, so arrival
+    numbers follow it: a slice spanning several buckets is sorted by
+    them, which costs O(k log k) in the members returned only, and
+    comes back in the order a scan of the memory would produce.
+    """
+
+    __slots__ = ("keys", "buckets", "arrival")
+
+    def __init__(self):
+        self.keys = []
+        self.buckets = {}
+        self.arrival = count().__next__
+
+    def add(self, value, member):
+        if not _orderable(value):
+            return
+        bucket = self.buckets.get(value)
+        if bucket is None:
+            insort(self.keys, value)
+            bucket = self.buckets[value] = {}
+        bucket[member] = self.arrival()
+
+    def discard(self, value, member):
+        bucket = self.buckets.get(value) if _orderable(value) else None
+        if bucket is not None:
+            bucket.pop(member, None)
+            if not bucket:
+                del self.buckets[value]
+                del self.keys[bisect_left(self.keys, value)]
+
+    def select(self, predicate, value):
+        """Members whose key ``k`` satisfies ``k <predicate> value``, in
+        arrival order."""
+        keys = self.keys
+        if not keys or not _orderable(value):
+            return []
+        if predicate == "<":
+            keys = keys[:bisect_left(keys, value)]
+        elif predicate == "<=":
+            keys = keys[:bisect_right(keys, value)]
+        elif predicate == ">":
+            keys = keys[bisect_right(keys, value):]
+        else:
+            keys = keys[bisect_left(keys, value):]
+        buckets = self.buckets
+        if len(keys) == 1:
+            return list(buckets[keys[0]])
+        filed = [(arrival, member) for key in keys
+                 for member, arrival in buckets[key].items()]
+        filed.sort()  # arrival numbers are distinct: members never compared
+        return [member for _, member in filed]
 
 
 class AlphaMemory:
@@ -32,7 +110,7 @@ class AlphaMemory:
     """
 
     __slots__ = ("key", "analysis", "items", "successors", "indexes",
-                 "stats", "stats_key", "passes")
+                 "ranges", "stats", "stats_key", "passes")
 
     def __init__(self, key, analysis, stats=None):
         self.key = key
@@ -43,6 +121,8 @@ class AlphaMemory:
         # attribute -> {value -> {wme: None}}; built on demand by
         # equality joins so left activations probe instead of scanning.
         self.indexes = {}
+        # attribute -> OrderedIndex; built on demand by range joins.
+        self.ranges = {}
         self.passes = kernels.alpha(analysis)
         self.attach_stats(stats if stats is not None else NULL_STATS)
 
@@ -68,10 +148,20 @@ class AlphaMemory:
         """
         return _index_probe(self.indexes[attribute], value)
 
+    def ensure_range(self, attribute):
+        """Create (once) the ordered WME index on *attribute*."""
+        if attribute not in self.ranges:
+            index = self.ranges[attribute] = OrderedIndex()
+            for wme in self.items:
+                index.add(wme.get(attribute), wme)
+        return self.ranges[attribute]
+
     def add(self, wme):
         self.items[wme] = None
         for attribute, index in self.indexes.items():
             _index_add(index, wme.get(attribute), wme)
+        for attribute, index in self.ranges.items():
+            index.add(wme.get(attribute), wme)
         self.stats.alpha_activation(self.stats_key, "+", len(self.items))
         for successor in self.successors:
             successor.right_activate(wme)
@@ -85,10 +175,15 @@ class AlphaMemory:
         exactly-once pair-discovery invariant.  Successor order is the
         same deepest-first order ``add`` uses.
         """
+        items = self.items
         for wme in wmes:
-            self.items[wme] = None
-            for attribute, index in self.indexes.items():
+            items[wme] = None
+        for attribute, index in self.indexes.items():
+            for wme in wmes:
                 _index_add(index, wme.get(attribute), wme)
+        for attribute, index in self.ranges.items():
+            for wme in wmes:
+                index.add(wme.get(attribute), wme)
         self.stats.alpha_activation(self.stats_key, "+", len(self.items))
         for successor in self.successors:
             successor.right_activate_batch(wmes)
@@ -97,6 +192,8 @@ class AlphaMemory:
         self.items.pop(wme, None)
         for attribute, index in self.indexes.items():
             _index_discard(index, wme.get(attribute), wme)
+        for attribute, index in self.ranges.items():
+            index.discard(wme.get(attribute), wme)
         self.stats.alpha_activation(self.stats_key, "-", len(self.items))
         for successor in self.successors:
             successor.right_retract(wme)

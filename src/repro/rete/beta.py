@@ -8,11 +8,13 @@ Rete/UL-style bookkeeping of intrusive child chains (O(1) unlink) and
 per-WME token indexes kept by :class:`repro.rete.network.ReteNetwork`.
 
 Join and negative nodes with an equality test probe hash indexes on
-both inputs (:class:`TwoInputNode` is the one place that decides);
-an unhashable probe value falls back to a full memory scan instead of
-raising mid-propagation, and unhashable stored values live in a
-sentinel bucket every probe also returns (candidates are post-filtered
-by the full test list, so this only costs, never changes, results).
+both inputs, and those with only an order test (``<``, ``<=``, ``>``,
+``>=``) probe ordered indexes (:class:`TwoInputNode` is the one place
+that decides); an unhashable probe value falls back to a full memory
+scan instead of raising mid-propagation, and unhashable stored values
+live in a sentinel bucket every probe also returns (candidates are
+post-filtered by the full test list, so this only costs, never changes,
+results).
 """
 
 from __future__ import annotations
@@ -22,15 +24,30 @@ from repro.core.instantiation import recency_key
 from repro.engine.stats import NULL_STATS
 from repro.rete import kernels
 from repro.rete.alpha import (
+    ORDER_PREDICATES,
     UNHASHABLE,
+    OrderedIndex,
     _index_add,
     _index_discard,
     _index_probe,
 )
 
+#: A predicate seen from the other side: ``wme.v > c`` is ``c < wme.v``.
+_FLIPPED = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}
+
 
 def _active(tokens):
     return [token for token in tokens if token.active]
+
+
+def _choose_index_test(tests):
+    """The test a node's indexes serve: the first ``=``, else the first
+    order predicate, else None (the node scans)."""
+    for wanted in (("=",), ORDER_PREDICATES):
+        for test in tests:
+            if test.predicate in wanted:
+                return test
+    return None
 
 
 class Token:
@@ -129,13 +146,16 @@ class DummyToken(Token):
 
 
 class TokenStore:
-    """Token ``items`` plus on-demand hash indexes over their bindings.
+    """Token ``items`` plus on-demand indexes over their bindings.
 
     ``indexes`` maps a binding site ``(level, attribute)`` to
     ``{binding value -> {token: None}}``; an index is created by the
     first node whose equality test reads that site, so its right
     activations probe instead of scanning (see the join-index ablation
-    benchmark).  Buckets keep insertion order, like ``items``.
+    benchmark).  ``ranges`` maps a site to an
+    :class:`~repro.rete.alpha.OrderedIndex` the same way, for a node
+    whose index test is an order predicate.  Buckets keep insertion
+    order, like ``items``.
     """
 
     __slots__ = ()
@@ -149,6 +169,14 @@ class TokenStore:
             _index_add(index, token.lookup(*site), token)
         self.indexes[site] = index
 
+    def ensure_range(self, site):
+        """Create (once) the ordered token index on *site*'s binding."""
+        if site not in self.ranges:
+            index = self.ranges[site] = OrderedIndex()
+            for token in self.items:
+                index.add(token.lookup(*site), token)
+        return self.ranges[site]
+
     def indexed_tokens(self, site, value):
         """Tokens whose binding at *site* equals *value* (index probe).
 
@@ -161,10 +189,14 @@ class TokenStore:
     def _index_token(self, token):
         for site, index in self.indexes.items():
             _index_add(index, token.lookup(*site), token)
+        for site, index in self.ranges.items():
+            index.add(token.lookup(*site), token)
 
     def _unindex_token(self, token):
         for site, index in self.indexes.items():
             _index_discard(index, token.lookup(*site), token)
+        for site, index in self.ranges.items():
+            index.discard(token.lookup(*site), token)
 
 
 class BetaMemory(TokenStore):
@@ -176,7 +208,7 @@ class BetaMemory(TokenStore):
     """
 
     __slots__ = ("parent_join", "level", "items", "successors", "observers",
-                 "indexes", "stats", "stats_key")
+                 "indexes", "ranges", "stats", "stats_key")
 
     def __init__(self, parent_join, level, stats=None):
         self.parent_join = parent_join
@@ -185,6 +217,7 @@ class BetaMemory(TokenStore):
         self.successors = []
         self.observers = []
         self.indexes = {}
+        self.ranges = {}
         self.attach_stats(stats if stats is not None else NULL_STATS)
 
     def attach_stats(self, stats):
@@ -228,10 +261,13 @@ class TwoInputNode:
     a WME of the right input (``amem``) against values bound in a token
     of ``store`` — the left memory for a join, the node itself for a
     negative node.  This class is the one implementation of "equality
-    test → probe the index, else scan": when ``network.indexed_joins``
-    is on and the tests hold an equality, the first one becomes
-    ``index_test`` and both sides get a hash index on it (``store`` by
-    binding value at ``site``, ``amem`` by attribute value).
+    test → hash probe, else order test → ordered probe, else scan":
+    when ``network.indexed_joins`` is on, the first ``=`` test — or,
+    with none, the first ``<``/``<=``/``>``/``>=`` test — becomes
+    ``index_test``, and both sides get an index on it (``store`` by
+    binding value at ``site``, ``amem`` by attribute value).  An order
+    test's indexes are :class:`~repro.rete.alpha.OrderedIndex` objects,
+    held as ``wme_range`` and ``token_range``.
 
     The test list is compiled once, when the node is built
     (:mod:`repro.rete.kernels`): a join predicate for the candidates of
@@ -240,8 +276,8 @@ class TwoInputNode:
     """
 
     __slots__ = ("left", "amem", "tests", "level", "network", "store",
-                 "active_only", "index_test", "site", "stats", "stats_key",
-                 "_match", "_scan")
+                 "active_only", "index_test", "site", "wme_range",
+                 "token_range", "stats", "stats_key", "_match", "_scan")
     kind = None  # MatchStats node kind
 
     def __init__(self, left, amem, tests, level, network, store):
@@ -258,15 +294,18 @@ class TwoInputNode:
         )
         self.index_test = None
         self.site = None
+        self.wme_range = self.token_range = None
         if getattr(network, "indexed_joins", False):
-            self.index_test = next(
-                (t for t in self.tests if t.predicate == "="), None
-            )
-        if self.index_test is not None:
-            self.site = (self.index_test.bound_level,
-                         self.index_test.bound_attribute)
-            store.ensure_index(self.site)
-            amem.ensure_index(self.index_test.attribute)
+            self.index_test = _choose_index_test(self.tests)
+        test = self.index_test
+        if test is not None:
+            self.site = (test.bound_level, test.bound_attribute)
+            if test.predicate == "=":
+                store.ensure_index(self.site)
+                amem.ensure_index(test.attribute)
+            else:
+                self.token_range = store.ensure_range(self.site)
+                self.wme_range = amem.ensure_range(test.attribute)
         self._match = kernels.join(self.tests)
         self._scan = kernels.scan(self.tests)
         self.attach_stats(network.match_stats)
@@ -276,25 +315,32 @@ class TwoInputNode:
         self.stats_key = stats.register_node(self.kind, f"L{self.level}")
 
     def access_path(self):
-        """``probe ^attr`` or ``scan``: how this node finds candidates."""
-        if self.index_test is None:
+        """``probe ^attr``, ``range ^attr <op>`` or ``scan``: how this
+        node finds candidates."""
+        test = self.index_test
+        if test is None:
             return "scan"
-        return f"probe ^{self.index_test.attribute}"
+        if self.wme_range is not None:
+            return f"range ^{test.attribute} {test.predicate}"
+        return f"probe ^{test.attribute}"
 
     def matching_wmes(self, token):
         """Left activation: the ``amem`` WMEs passing every test on *token*.
 
-        Alpha-index probe, else a scan of every WME — in memory
-        insertion order either way.
+        Alpha-index probe (hash bucket or ordered slice), else a scan of
+        every WME — in memory insertion order either way.
         """
-        probed = self.index_test is not None
+        test = self.index_test
+        probed = test is not None
         if probed:
-            try:
-                candidates = self.amem.indexed_wmes(
-                    self.index_test.attribute, token.lookup(*self.site)
-                )
-            except TypeError:
-                probed = False  # unhashable probe value: scan instead
+            value = token.lookup(*self.site)
+            if self.wme_range is not None:
+                candidates = self.wme_range.select(test.predicate, value)
+            else:
+                try:
+                    candidates = self.amem.indexed_wmes(test.attribute, value)
+                except TypeError:
+                    probed = False  # unhashable probe value: scan instead
         if probed:
             passing = candidates
             if candidates:  # most probes come back empty
@@ -312,15 +358,22 @@ class TwoInputNode:
         """Right activation: the ``store`` tokens passing every test on *wme*.
 
         Token-index probe, else every token — in store insertion order.
+        An ordered probe flips the test: ``wme.v > c`` selects the tokens
+        whose ``c < wme.v``.
         """
-        probed = self.index_test is not None
+        test = self.index_test
+        probed = test is not None
         if probed:
-            try:
-                candidates = self.store.indexed_tokens(
-                    self.site, wme.get(self.index_test.attribute)
+            value = wme.get(test.attribute)
+            if self.token_range is not None:
+                candidates = self.token_range.select(
+                    _FLIPPED[test.predicate], value
                 )
-            except TypeError:
-                probed = False
+            else:
+                try:
+                    candidates = self.store.indexed_tokens(self.site, value)
+                except TypeError:
+                    probed = False
         if not probed:
             candidates = list(self.store.items)
         if self.active_only:
@@ -365,10 +418,11 @@ class JoinNode(TwoInputNode):
     def __init__(self, left, amem, tests, level, network):
         super().__init__(left, amem, tests, level, network, store=left)
         self.output = None  # set by the compiler
-        # The batch path probe-verifies the index test and runs the rest.
+        # The batch path probe-verifies a hash index test and runs the
+        # rest; an ordered index test goes per event.
         self.residual_tests = self.tests
         self._match_residual = self._match
-        if self.index_test is not None:
+        if self.index_test is not None and self.wme_range is None:
             self.residual_tests = tuple(
                 t for t in self.tests if t is not self.index_test
             )
@@ -391,18 +445,21 @@ class JoinNode(TwoInputNode):
     def right_activate_batch(self, wmes):
         """A group of WMEs arrived in the right alpha memory at once.
 
-        With an index test the batch is partitioned by the indexed
+        With a hash index test the batch is partitioned by the indexed
         attribute's value; the left token index is probed *once per
         group* instead of once per WME.  Tokens from a group's exact
-        bucket whose own binding is a plain number or symbol are
-        *probe-verified* — the bucket key equality coincides with
-        ``values_equal`` for those types, so only the residual tests
-        run.  Sentinel-bucket tokens (unhashable bindings) and tokens
-        with exotic bindings always run the full test list, and WMEs
-        whose probe value is neither number nor symbol fall back to the
-        per-event path — so results never change, only work.
+        bucket whose own binding is a plain number or symbol, and not
+        NaN, are *probe-verified* — the bucket key equality coincides
+        with ``values_equal`` for those types, so only the residual
+        tests run.  (A NaN binding sits in the bucket of the very same
+        float object, found by identity, yet equals nothing.)
+        Sentinel-bucket tokens (unhashable bindings) and tokens with
+        exotic bindings always run the full test list, and WMEs whose
+        probe value is neither number nor symbol fall back to the
+        per-event path — so results never change, only work.  Without a
+        hash index test every WME takes the per-event path.
         """
-        if self.index_test is None:
+        if self.index_test is None or self.wme_range is not None:
             for wme in wmes:
                 self.right_activate(wme)
             return
@@ -432,7 +489,7 @@ class JoinNode(TwoInputNode):
             candidates_total += len(exact) + len(extras)
             for token in exact:
                 bound = token.lookup(*site)
-                verified = (
+                verified = bound == bound and (
                     symbols.is_number(bound) or symbols.is_symbol(bound)
                 )
                 if verified and not residual:

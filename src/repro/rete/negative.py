@@ -20,19 +20,20 @@ class NegativeNode(TwoInputNode, TokenStore):
     """Beta node for one negated CE.
 
     Candidate selection is :class:`~repro.rete.beta.TwoInputNode`'s: a
-    negated equality CE probes the alpha index on left activation and
-    the node's own token index (a :class:`~repro.rete.beta.TokenStore`
-    over ``items``, blocked tokens included) on right activation.
-    Candidate order, blocker order, and stats counters are identical
-    whichever access path runs.
+    negated equality or range CE probes the alpha index on left
+    activation and the node's own token index (a
+    :class:`~repro.rete.beta.TokenStore` over ``items``, blocked tokens
+    included) on right activation.  Candidate order, blocker order, and
+    the join tests that pass are identical whichever access path runs.
     """
 
-    __slots__ = ("items", "indexes", "successors", "observers")
+    __slots__ = ("items", "indexes", "ranges", "successors", "observers")
     kind = "neg"
 
     def __init__(self, left, amem, tests, level, network):
         self.items = {}
         self.indexes = {}
+        self.ranges = {}
         self.successors = []
         self.observers = []
         super().__init__(left, amem, tests, level, network, store=self)

@@ -55,8 +55,9 @@ class ReteNetwork(Matcher):
         self.match_stats = stats if stats is not None else NULL_STATS
         self.share_alpha = share_alpha
         self.share_beta = share_beta
-        # Probe equality joins through hash indexes instead of scanning
-        # memories (disable for the ablation benchmark).
+        # Probe equality joins through hash indexes and range joins
+        # through ordered ones instead of scanning memories (disable for
+        # the ablation benchmark).
         self.indexed_joins = indexed_joins
         # Process flushed delta-sets set-oriented (grouped alpha/join
         # propagation, staged S-nodes); False replays them per event —

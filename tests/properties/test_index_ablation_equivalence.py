@@ -12,10 +12,19 @@ For any random interleaving of makes and removes:
 The portfolio deliberately spans positive joins, a negated CE, a
 positive CE below a negated one, and a set-oriented rule so index
 maintenance (memories' and negative nodes'), negative-node counts, and
-S-node γ-memories all get exercised by the same op sequence.  The key
-domain holds ``1`` and ``1.0`` (one bucket: ``values_equal`` is
-numeric) and a missing attribute (``nil``) beside two symbols.
+S-node γ-memories all get exercised by the same op sequence.  Range-only
+joins (no ``=`` test, so they probe an ordered index) appear in both
+directions, negated, and as a set-oriented CE that retires what it
+matches, like the served program's ``expire-emps``.
+
+One value domain feeds every attribute: ties (values repeat), ``1``
+and ``1.0`` (one bucket: ``values_equal`` and the order predicates are
+numeric), a float, ``inf``, one shared NaN object (equal to nothing,
+itself included, and ordered against nothing), two symbols, and a
+missing attribute (``nil``).
 """
+
+import math
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -38,14 +47,21 @@ PROGRAM = """
   :test ((count <S>) >= 2)
   -->
   (write <o> (count <S>)))
+(p below (item ^v <v>) (item ^v < <v>) --> (write <v>))
+(p at-least (owner ^name <n>) (item ^owner <> <n> ^v >= <n>) --> (write <n>))
+(p topmost (item ^v <v>) -(item ^v > <v>) --> (write <v>))
+(p retire (owner ^name <k>) { [item ^v < <k>] <old> } --> (set-remove <old>))
 """
 
-_keys = st.sampled_from(["a", "b", 1, 1.0, None])  # None: attribute unset
+_NAN = float("nan")
+
+# None: attribute unset (nil).
+_values = st.sampled_from(["a", "b", 0, 1, 1.0, 2.5, math.inf, _NAN, None])
 
 _ops = st.lists(
     st.one_of(
-        st.tuples(st.just("item"), _keys, st.integers(0, 3)),
-        st.tuples(st.just("owner"), _keys, st.just(0)),
+        st.tuples(st.just("item"), _values, _values),
+        st.tuples(st.just("owner"), _values, st.just(0)),
         st.tuples(st.just("remove"), st.integers(0, 30), st.just(0)),
     ),
     min_size=1,
@@ -72,8 +88,11 @@ def _apply(engine, ops):
     made = []
     for kind, first, second in ops:
         if kind == "item":
-            keyed = {} if first is None else {"owner": first}
-            made.append(engine.make("item", v=second, **keyed))
+            values = {"owner": first, "v": second}
+            made.append(engine.make("item", **{
+                name: value for name, value in values.items()
+                if value is not None
+            }))
         elif kind == "owner":
             keyed = {} if first is None else {"name": first}
             made.append(engine.make("owner", **keyed))
@@ -112,6 +131,14 @@ class TestIndexAblationEquivalence:
         baseline = conflict_orders["rete-indexed"]
         for name, order in conflict_orders.items():
             assert order == baseline, name
+        # The two Rete builds also create instantiations in the same
+        # order: a probe hands back its candidates in scan order.
+        arrivals = [
+            [(inst.rule.name, inst.recency_key())
+             for inst in engines[name].conflict_set]
+            for name in ("rete-indexed", "rete-scan")
+        ]
+        assert arrivals[0] == arrivals[1]
 
         firings = {
             name: _firing_sequence(engine)

@@ -152,3 +152,52 @@ class TestUnhashableIndexValues:
         memory.remove(odd)
         assert memory.indexed_wmes("k", 42) == []
         assert not memory.indexes["k"]
+
+
+class TestOrderedIndex:
+    def _memory(self, *values):
+        memory = AlphaNetwork().memory_for(
+            ce_analysis("(p r (c ^k <v>) --> (halt))")
+        )
+        index = memory.ensure_range("k")
+        made = [_OddWME(tag, k=value) for tag, value in enumerate(values)]
+        for wme in made:
+            memory.add(wme)
+        return memory, index, made
+
+    def test_slices_come_back_in_arrival_order(self):
+        _, index, (w3, w1, w2, w1f, w5) = self._memory(3, 1, 2, 1.0, 5)
+        assert index.select("<", 3) == [w1, w2, w1f]
+        assert index.select("<=", 3) == [w3, w1, w2, w1f]
+        assert index.select(">", 1) == [w3, w2, w5]
+        assert index.select(">=", 2) == [w3, w2, w5]
+        assert index.select(">", 5) == []
+        # 1 and 1.0 share one bucket, in arrival order.
+        assert index.select("<", 2) == [w1, w1f]
+
+    def test_only_orderable_numbers_are_filed_or_probed(self):
+        nan = float("nan")
+        _, index, made = self._memory(
+            "sym", "nil", nan, True, float("inf"), 0
+        )
+        assert index.keys == [0, float("inf")]
+        assert index.select(">=", float("-inf")) == [made[4], made[5]]
+        for probe in ("sym", "nil", nan, True, [1]):
+            assert index.select("<", probe) == []
+
+    def test_removal_prunes_keys_and_buckets(self):
+        memory, index, made = self._memory(2, 2.0, 7, "x")
+        for wme in made:
+            memory.remove(wme)
+        assert (index.keys, index.buckets) == ([], {})
+
+    def test_backfills_existing_members_once(self):
+        memory = AlphaNetwork().memory_for(
+            ce_analysis("(p r (c ^k <v>) --> (halt))")
+        )
+        made = [_OddWME(1, k=4), _OddWME(2, k=1)]
+        for wme in made:
+            memory.add(wme)
+        index = memory.ensure_range("k")
+        assert memory.ensure_range("k") is index
+        assert index.select(">", 0) == made

@@ -1,7 +1,9 @@
 """Unit tests for tokens and beta memories, and the join paths that
 working memory cannot reach."""
 
+from repro import RuleEngine
 from repro.lang import parse_rule
+from repro.match import NaiveMatcher
 from repro.match.base import CountingListener
 from repro.rete import ReteNetwork
 from repro.rete.beta import BetaMemory, DummyToken, Token
@@ -159,3 +161,27 @@ class TestUnhashableJoinKeys:
         network.on_batch([WMEvent(REMOVE, plain_b)])
         # Every pair holding plain_b goes: (3,4), (4,3) and (4,4).
         assert (listener.inserts, listener.retracts) == (4, 3)
+
+
+class TestBatchedJoinNaN:
+    def test_shared_nan_object_never_joins_itself(self):
+        """NaN is a legal OPS5 float and equals nothing, itself included.
+
+        A batched right activation finds the token bound to the very same
+        NaN object in the bucket (dict lookup succeeds by identity), but
+        must still run ``values_equal`` on it rather than count the bucket
+        hit as a passed ``=`` test.
+        """
+        nan = float("nan")
+        sizes = {}
+        for name, matcher in (
+            ("batched", ReteNetwork()),
+            ("per-event", ReteNetwork(batched=False)),
+            ("naive", NaiveMatcher()),
+        ):
+            engine = RuleEngine(matcher=matcher)
+            engine.load("(p same (a ^v <x>) (b ^v <x>) --> (halt))")
+            engine.make("a", v=nan)
+            engine.load_facts([("b", {"v": nan})])
+            sizes[name] = len(engine.conflict_set)
+        assert sizes == {"batched": 0, "per-event": 0, "naive": 0}

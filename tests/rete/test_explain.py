@@ -48,12 +48,13 @@ class TestDescribeNetwork:
     def test_access_path_shown_per_node(self):
         wm, net = build(
             "(p r (a ^k <v> ^m <w>) -(b ^k <v>) (c ^k <v> ^j > <w>)"
-            " (d ^j > <w>) --> (halt))"
+            " (d ^j > <w>) (e ^j <> <w>) --> (halt))"
         )
         text = describe_network(net)
         assert "negative L1 on (b) [^k = ce1.^k] probe ^k:" in text
         assert "join L2 on (c) [^k = ce1.^k, ^j > ce1.^m] probe ^k\n" in text
-        assert "join L3 on (d) [^j > ce1.^m] scan\n" in text
+        assert "join L3 on (d) [^j > ce1.^m] range ^j >\n" in text
+        assert "join L4 on (e) [^j <> ce1.^m] scan\n" in text
 
     def test_snode_line_lists_maintained_aggregates_and_readers(self):
         # The shape of the served WINDOW program's roll-up: one aggregate
