@@ -288,13 +288,12 @@ class RuleEngine:
         Returns the created WMEs in input order.  This is the bulk-load
         entry point the paper's database framing calls for: one
         set-oriented pass through the match network (and, under DIPS,
-        one INSERT statement per table) instead of one per fact.
+        one INSERT statement per table) instead of one per fact, and
+        one pass of working memory's own that builds, checks, tags and
+        buffers the facts (:meth:`~repro.wm.memory.WorkingMemory.make_all`).
         """
-        made = []
         with self.batch():
-            for wme_class, values in facts:
-                made.append(self.wm.make(wme_class, **values))
-        return made
+            return self.wm.make_all(facts)
 
     # -- the cycle ------------------------------------------------------------
 

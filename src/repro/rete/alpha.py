@@ -7,13 +7,11 @@ any rule, set-oriented or not — with the same tests.  The
 visits candidate memories.
 
 Two index kinds serve the join nodes, on alpha memories and token
-stores alike.  A hash index keys buckets by attribute value.
-Unhashable values (a WME made programmatically can carry lists or
-dicts) go into a sentinel bucket that every probe also returns, so
-join nodes still post-filter them with the full test list instead of
-raising mid-propagation.  An :class:`OrderedIndex` keeps numeric values
-sorted for ``<``/``<=``/``>``/``>=`` probes, and hands a slice back in
-the memory's insertion order, the order a scan would produce.
+stores alike.  A hash index keys buckets by attribute value; every
+value is hashable, since working memory admits only symbols and
+numbers.  An :class:`OrderedIndex` keeps numeric values sorted for
+``<``/``<=``/``>``/``>=`` probes, and hands a slice back in the
+memory's insertion order, the order a scan would produce.
 """
 
 from __future__ import annotations
@@ -24,9 +22,6 @@ from itertools import count
 from repro.engine.stats import NULL_STATS
 from repro.rete import kernels
 from repro.symbols import is_number
-
-#: Sentinel bucket key for index entries whose value is unhashable.
-UNHASHABLE = object()
 
 #: The predicates an :class:`OrderedIndex` answers.
 ORDER_PREDICATES = frozenset(("<", "<=", ">", ">="))
@@ -140,13 +135,8 @@ class AlphaMemory:
         self.indexes[attribute] = index
 
     def indexed_wmes(self, attribute, value):
-        """WMEs whose *attribute* equals *value* (index probe).
-
-        Raises ``TypeError`` when *value* is unhashable; callers fall
-        back to a full scan.  The unhashable bucket is always included
-        — its members are post-filtered by the join's full test list.
-        """
-        return _index_probe(self.indexes[attribute], value)
+        """WMEs whose *attribute* equals *value* (index probe)."""
+        return list(self.indexes[attribute].get(value, ()))
 
     def ensure_range(self, attribute):
         """Create (once) the ordered WME index on *attribute*."""
@@ -212,33 +202,13 @@ class AlphaMemory:
 
 
 def _index_add(index, value, member):
-    """Insert *member* into the bucket for *value* (sentinel if unhashable)."""
-    try:
-        bucket = index.setdefault(value, {})
-    except TypeError:
-        bucket = index.setdefault(UNHASHABLE, {})
-    bucket[member] = None
-
-
-def _index_probe(index, value):
-    """Members filed under *value*, then the sentinel bucket, as a list.
-
-    Raises ``TypeError`` when *value* is unhashable.
-    """
-    matches = list(index.get(value, ()))
-    extra = index.get(UNHASHABLE)
-    if extra:
-        matches.extend(extra)
-    return matches
+    """Insert *member* into the bucket for *value*."""
+    index.setdefault(value, {})[member] = None
 
 
 def _index_discard(index, value, member):
     """Drop *member* from its bucket, pruning the bucket when empty."""
-    try:
-        bucket = index.get(value)
-    except TypeError:
-        value = UNHASHABLE
-        bucket = index.get(value)
+    bucket = index.get(value)
     if bucket is not None:
         bucket.pop(member, None)
         if not bucket:

@@ -10,26 +10,20 @@ per-WME token indexes kept by :class:`repro.rete.network.ReteNetwork`.
 Join and negative nodes with an equality test probe hash indexes on
 both inputs, and those with only an order test (``<``, ``<=``, ``>``,
 ``>=``) probe ordered indexes (:class:`TwoInputNode` is the one place
-that decides); an unhashable probe value falls back to a full memory
-scan instead of raising mid-propagation, and unhashable stored values
-live in a sentinel bucket every probe also returns (candidates are
-post-filtered by the full test list, so this only costs, never changes,
-results).
+that decides).  Candidates are post-filtered by the full test list, so
+an index only saves work, never changes results.
 """
 
 from __future__ import annotations
 
-from repro import symbols
 from repro.core.instantiation import recency_key
 from repro.engine.stats import NULL_STATS
 from repro.rete import kernels
 from repro.rete.alpha import (
     ORDER_PREDICATES,
-    UNHASHABLE,
     OrderedIndex,
     _index_add,
     _index_discard,
-    _index_probe,
 )
 
 #: A predicate seen from the other side: ``wme.v > c`` is ``c < wme.v``.
@@ -178,13 +172,8 @@ class TokenStore:
         return self.ranges[site]
 
     def indexed_tokens(self, site, value):
-        """Tokens whose binding at *site* equals *value* (index probe).
-
-        Raises ``TypeError`` for unhashable *value* (callers fall back
-        to a scan); always includes the sentinel bucket of tokens whose
-        own binding was unhashable.
-        """
-        return _index_probe(self.indexes[site], value)
+        """Tokens whose binding at *site* equals *value* (index probe)."""
+        return list(self.indexes[site].get(value, ()))
 
     def _index_token(self, token):
         for site, index in self.indexes.items():
@@ -337,11 +326,7 @@ class TwoInputNode:
             if self.wme_range is not None:
                 candidates = self.wme_range.select(test.predicate, value)
             else:
-                try:
-                    candidates = self.amem.indexed_wmes(test.attribute, value)
-                except TypeError:
-                    probed = False  # unhashable probe value: scan instead
-        if probed:
+                candidates = self.amem.indexed_wmes(test.attribute, value)
             passing = candidates
             if candidates:  # most probes come back empty
                 match = self._match
@@ -363,19 +348,16 @@ class TwoInputNode:
         """
         test = self.index_test
         probed = test is not None
-        if probed:
-            value = wme.get(test.attribute)
-            if self.token_range is not None:
-                candidates = self.token_range.select(
-                    _FLIPPED[test.predicate], value
-                )
-            else:
-                try:
-                    candidates = self.store.indexed_tokens(self.site, value)
-                except TypeError:
-                    probed = False
         if not probed:
             candidates = list(self.store.items)
+        elif self.token_range is not None:
+            candidates = self.token_range.select(
+                _FLIPPED[test.predicate], wme.get(test.attribute)
+            )
+        else:
+            candidates = self.store.indexed_tokens(
+                self.site, wme.get(test.attribute)
+            )
         if self.active_only:
             candidates = _active(candidates)
         passing = candidates
@@ -447,17 +429,14 @@ class JoinNode(TwoInputNode):
 
         With a hash index test the batch is partitioned by the indexed
         attribute's value; the left token index is probed *once per
-        group* instead of once per WME.  Tokens from a group's exact
-        bucket whose own binding is a plain number or symbol, and not
-        NaN, are *probe-verified* — the bucket key equality coincides
-        with ``values_equal`` for those types, so only the residual
-        tests run.  (A NaN binding sits in the bucket of the very same
-        float object, found by identity, yet equals nothing.)
-        Sentinel-bucket tokens (unhashable bindings) and tokens with
-        exotic bindings always run the full test list, and WMEs whose
-        probe value is neither number nor symbol fall back to the
-        per-event path — so results never change, only work.  Without a
-        hash index test every WME takes the per-event path.
+        group* instead of once per WME.  Tokens from a group's bucket
+        are *probe-verified* — for symbols and numbers, the only values
+        working memory holds, bucket key equality coincides with
+        ``values_equal`` — so only the residual tests run.  The one
+        exception is a NaN binding: it sits in the bucket of the very
+        same float object, found by identity, yet equals nothing, so it
+        runs the full test list.  Without a hash index test every WME
+        takes the per-event path.
         """
         if self.index_test is None or self.wme_range is not None:
             for wme in wmes:
@@ -466,13 +445,8 @@ class JoinNode(TwoInputNode):
         site = self.site
         attribute = self.index_test.attribute
         groups = {}
-        leftovers = []
         for wme in wmes:
-            value = wme.get(attribute)
-            if symbols.is_number(value) or symbols.is_symbol(value):
-                groups.setdefault(value, []).append(wme)
-            else:
-                leftovers.append(wme)
+            groups.setdefault(wme.get(attribute), []).append(wme)
         index = self.store.indexes[site]
         live = _active if self.active_only else list
         residual = self.residual_tests
@@ -485,13 +459,10 @@ class JoinNode(TwoInputNode):
         passed = 0
         for value, group in groups.items():
             exact = live(index.get(value, ()))
-            extras = live(index.get(UNHASHABLE, ()))
-            candidates_total += len(exact) + len(extras)
+            candidates_total += len(exact)
             for token in exact:
                 bound = token.lookup(*site)
-                verified = bound == bound and (
-                    symbols.is_number(bound) or symbols.is_symbol(bound)
-                )
+                verified = bound == bound  # False only for NaN
                 if verified and not residual:
                     passed += len(group)
                     for wme in group:
@@ -504,20 +475,11 @@ class JoinNode(TwoInputNode):
                     if check(wme, lookup):
                         passed += 1
                         output.left_activate(token, wme, network)
-            for token in extras:
-                lookup = token.lookup
-                for wme in group:
-                    attempted += 1
-                    if match_full(wme, lookup):
-                        passed += 1
-                        output.left_activate(token, wme, network)
         stats = self.stats
         if stats.enabled:
             stats.right_activation(self.stats_key)
             stats.group_probe(self.stats_key, len(groups), candidates_total)
             stats.join_batch(self.stats_key, attempted, passed)
-        for wme in leftovers:
-            self.right_activate(wme)
 
     def share_key(self):
         """Key for beta-level sharing of identical joins."""

@@ -151,10 +151,7 @@ class Session:
         savepoint = wm.begin_transaction()
         try:
             try:
-                made = [
-                    wm.make(wme_class, **values)
-                    for wme_class, values in pairs
-                ]
+                made = wm.make_all(pairs)
             except BaseException:
                 wm.rollback_transaction(savepoint, engine.stats)
                 raise

@@ -8,6 +8,39 @@ from repro.errors import WorkingMemoryError
 #: Attribute value used for attributes a WME does not mention.
 NIL = "nil"
 
+#: The exact types a value may have without a closer look.  Anything
+#: else (a ``bool``, a ``str`` subclass, a list) takes the per-pair
+#: check, which decides and words the error.
+_PLAIN_TYPES = frozenset((str, int, float))
+
+_SYMBOL_TYPES = frozenset((str,))
+
+
+def check_values(values, names_declared=False):
+    """Raise :class:`WorkingMemoryError` unless every attribute name in
+    the dict *values* is a symbol and every value a symbol or number.
+
+    Exact ``str``/``int``/``float`` types pass on one set test; only
+    otherwise are the pairs looked at one by one, in insertion order,
+    so the error names the first offending pair.  *names_declared*
+    skips the attribute names, already checked when the class's
+    declared attribute set covers them.
+    """
+    if (_PLAIN_TYPES.issuperset(map(type, values.values()))
+            and (names_declared
+                 or _SYMBOL_TYPES.issuperset(map(type, values)))):
+        return
+    for attribute, value in values.items():
+        if not symbols.is_symbol(attribute):
+            raise WorkingMemoryError(
+                f"attribute name must be a symbol, got {attribute!r}"
+            )
+        if not symbols.is_value(value):
+            raise WorkingMemoryError(
+                f"value for ^{attribute} must be a symbol or number, "
+                f"got {value!r}"
+            )
+
 
 class WME:
     """One working-memory element: a class name, attribute values, a time tag.
@@ -19,25 +52,29 @@ class WME:
     which the paper's Figure 6 (duplicate ``Mike`` clerks) depends on.
 
     Attributes absent from *values* read as the symbol ``nil``, following
-    OPS5 convention.
+    OPS5 convention.  The constructor checks and copies *values*;
+    working memory builds its elements through :meth:`owning`, which
+    takes a dict it has already checked and nobody else holds.
     """
 
     __slots__ = ("wme_class", "_values", "time_tag")
 
     def __init__(self, wme_class, values, time_tag):
-        for attribute, value in values.items():
-            if not symbols.is_symbol(attribute):
-                raise WorkingMemoryError(
-                    f"attribute name must be a symbol, got {attribute!r}"
-                )
-            if not symbols.is_value(value):
-                raise WorkingMemoryError(
-                    f"value for ^{attribute} must be a symbol or number, "
-                    f"got {value!r}"
-                )
+        values = dict(values)
+        check_values(values)
         self.wme_class = wme_class
-        self._values = dict(values)
+        self._values = values
         self.time_tag = time_tag
+
+    @classmethod
+    def owning(cls, wme_class, values, time_tag):
+        """A WME over *values* itself: checked, and owned by the caller
+        until now."""
+        wme = object.__new__(cls)
+        wme.wme_class = wme_class
+        wme._values = values
+        wme.time_tag = time_tag
+        return wme
 
     def get(self, attribute):
         """Return the value stored under *attribute* (``nil`` if absent)."""
@@ -74,7 +111,8 @@ class WME:
         return self.time_tag == other.time_tag and self.same_content(other)
 
     def __hash__(self):
-        return hash((self.wme_class, self.time_tag))
+        # Equal WMEs share a time tag, so this agrees with __eq__.
+        return self.time_tag
 
     def __repr__(self):
         pairs = " ".join(

@@ -99,68 +99,14 @@ class TestRouting:
         network.remove_wme(WME("zzz", {}, 1))  # no error
 
 
-class _OddWME:
-    """A WME-shaped object carrying values outside the OPS5 domain.
-
-    Working memory itself only admits symbols and numbers, so the
-    unhashable-value handling in the index helpers is pure defence —
-    exercised here directly since no public path can reach it.
-    """
-
-    def __init__(self, tag, **values):
-        self.wme_class = "c"
-        self.time_tag = tag
-        self._values = values
-
-    def get(self, attribute):
-        return self._values.get(attribute, "nil")
-
-
-class TestUnhashableIndexValues:
-    def _memory(self):
-        memory = AlphaNetwork().memory_for(
-            ce_analysis("(p r (c ^k <v>) --> (halt))")
-        )
-        memory.ensure_index("k")
-        return memory
-
-    def test_unhashable_value_lands_in_sentinel_bucket(self):
-        memory = self._memory()
-        odd = _OddWME(1, k=[1, 2])
-        plain = _OddWME(2, k=5)
-        memory.add(odd)
-        memory.add(plain)
-        # Every probe also returns the sentinel bucket: the join's full
-        # test list post-filters, so results never change.
-        assert set(memory.indexed_wmes("k", 5)) == {plain, odd}
-        assert memory.indexed_wmes("k", 99) == [odd]
-
-    def test_unhashable_probe_value_raises_for_scan_fallback(self):
-        memory = self._memory()
-        memory.add(_OddWME(1, k=5))
-        try:
-            memory.indexed_wmes("k", [5])
-        except TypeError:
-            pass
-        else:
-            raise AssertionError("expected TypeError for scan fallback")
-
-    def test_removal_prunes_sentinel_bucket(self):
-        memory = self._memory()
-        odd = _OddWME(1, k={"a": 1})
-        memory.add(odd)
-        memory.remove(odd)
-        assert memory.indexed_wmes("k", 42) == []
-        assert not memory.indexes["k"]
-
-
 class TestOrderedIndex:
     def _memory(self, *values):
         memory = AlphaNetwork().memory_for(
             ce_analysis("(p r (c ^k <v>) --> (halt))")
         )
         index = memory.ensure_range("k")
-        made = [_OddWME(tag, k=value) for tag, value in enumerate(values)]
+        made = [WME("c", {"k": value}, tag)
+                for tag, value in enumerate(values, 1)]
         for wme in made:
             memory.add(wme)
         return memory, index, made
@@ -177,11 +123,9 @@ class TestOrderedIndex:
 
     def test_only_orderable_numbers_are_filed_or_probed(self):
         nan = float("nan")
-        _, index, made = self._memory(
-            "sym", "nil", nan, True, float("inf"), 0
-        )
+        _, index, made = self._memory("sym", "nil", nan, float("inf"), 0)
         assert index.keys == [0, float("inf")]
-        assert index.select(">=", float("-inf")) == [made[4], made[5]]
+        assert index.select(">=", float("-inf")) == [made[3], made[4]]
         for probe in ("sym", "nil", nan, True, [1]):
             assert index.select("<", probe) == []
 
@@ -195,7 +139,7 @@ class TestOrderedIndex:
         memory = AlphaNetwork().memory_for(
             ce_analysis("(p r (c ^k <v>) --> (halt))")
         )
-        made = [_OddWME(1, k=4), _OddWME(2, k=1)]
+        made = [WME("c", {"k": 4}, 1), WME("c", {"k": 1}, 2)]
         for wme in made:
             memory.add(wme)
         index = memory.ensure_range("k")

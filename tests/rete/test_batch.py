@@ -68,44 +68,6 @@ class TestBatchedJoins:
         per_event.run()
         assert batched.output == per_event.output
 
-    def test_out_of_domain_values_fall_back_safely(self):
-        """Defensive path: WME-shaped objects with non-OPS5 values.
-
-        Working memory only admits symbols and numbers, so (as in
-        test_alpha) the unhashable/None handling of the grouped probe
-        is exercised by feeding the network directly.
-        """
-        from repro.lang import parse_rule
-        from repro.match.base import CountingListener
-        from repro.wm.events import ADD, WMEvent
-
-        class _OddWME:
-            def __init__(self, tag, **values):
-                self.wme_class = "c"
-                self.time_tag = tag
-                self._values = values
-
-            def get(self, attribute):
-                return self._values.get(attribute, "nil")
-
-        rule = parse_rule("(p r (c ^k <v>) (c ^k <v>) --> (halt))")
-        counts = {}
-        for batched in (True, False):
-            network = ReteNetwork(batched=batched)
-            listener = CountingListener()
-            network.set_listener(listener)
-            network.add_rule(rule)
-            network.on_batch([
-                WMEvent(ADD, _OddWME(1, k=[1, 2])),  # unhashable
-                WMEvent(ADD, _OddWME(2, k=None)),  # out of domain
-                WMEvent(ADD, _OddWME(3, k=5)),
-                WMEvent(ADD, _OddWME(4, k=5)),
-            ])
-            counts[batched] = listener.inserts
-        assert counts[True] == counts[False]
-        # The two k=5 WMEs self-join both ways, plus each with itself.
-        assert counts[True] == 4
-
 
 class TestBatchedSNode:
     def test_snode_reevaluates_once_per_batch(self):

@@ -1,14 +1,10 @@
-"""Unit tests for tokens and beta memories, and the join paths that
-working memory cannot reach."""
+"""Unit tests for tokens, beta memories and batched joins."""
 
 from repro import RuleEngine
-from repro.lang import parse_rule
 from repro.match import NaiveMatcher
-from repro.match.base import CountingListener
 from repro.rete import ReteNetwork
 from repro.rete.beta import BetaMemory, DummyToken, Token
 from repro.wm import WME
-from repro.wm.events import ADD, REMOVE, WMEvent
 
 
 def wme(tag, **values):
@@ -117,50 +113,6 @@ class TestBetaMemory:
         first = memory.left_activate(DummyToken(), wme(1), network)
         second = memory.left_activate(DummyToken(), wme(2), network)
         assert memory.active_tokens() == [first, second]
-
-
-class _OddWME:
-    """WME-shaped object carrying values working memory would reject."""
-
-    def __init__(self, tag, **values):
-        self.wme_class = "a"
-        self.time_tag = tag
-        self._values = values
-
-    def get(self, attribute):
-        return self._values.get(attribute)
-
-    def __repr__(self):
-        return f"_OddWME({self.time_tag}, {self._values})"
-
-
-class TestUnhashableJoinKeys:
-    def test_exotic_join_keys_fall_back_to_scans(self):
-        """Lists/None as join keys: the index paths stay exact.
-
-        An unhashable probe value falls back from the index probe to a
-        scan filtered by the full test list; stored unhashable values
-        live in the sentinel bucket every probe also returns.  Neither a
-        list nor None equals anything under OPS5 ``=``, so only the two
-        k=5 WMEs join.
-        """
-        network = ReteNetwork()
-        listener = CountingListener()
-        network.set_listener(listener)
-        network.add_rule(parse_rule("(p self (a ^k <v>) (a ^k <v>) "
-                                    "--> (halt))"))
-        plain_b = _OddWME(4, k=5)
-        network.on_batch([
-            WMEvent(ADD, _OddWME(1, k=[1, 2])),
-            WMEvent(ADD, _OddWME(2, k=None)),
-            WMEvent(ADD, _OddWME(3, k=5)),
-            WMEvent(ADD, plain_b),
-        ])
-        # The two k=5 WMEs self-join both ways, plus each with itself.
-        assert (listener.inserts, listener.retracts) == (4, 0)
-        network.on_batch([WMEvent(REMOVE, plain_b)])
-        # Every pair holding plain_b goes: (3,4), (4,3) and (4,4).
-        assert (listener.inserts, listener.retracts) == (4, 3)
 
 
 class TestBatchedJoinNaN:

@@ -8,7 +8,6 @@ from repro.rete import ReteNetwork
 from repro.rete.beta import JoinNode
 from repro.rete.negative import NegativeNode
 from repro.wm import WorkingMemory
-from repro.wm.events import ADD, REMOVE, WMEvent
 
 from tests.rete.test_network import Listener
 
@@ -132,18 +131,6 @@ def counters(stats, node):
     return dict(stats.nodes[node.stats_key])
 
 
-class _OddWME:
-    """WME-shaped, carrying values working memory itself would refuse."""
-
-    def __init__(self, wme_class, tag, **values):
-        self.wme_class = wme_class
-        self.time_tag = tag
-        self._values = values
-
-    def get(self, attribute):
-        return self._values.get(attribute, "nil")
-
-
 class TestNegativeNodeAccessPath:
     """A negated equality CE probes both indexes (ROADMAP item 1a)."""
 
@@ -211,36 +198,6 @@ class TestNegativeNodeAccessPath:
         assert neg.indexes == {(0, "id"): {}}
         assert neg.amem.indexes == {"id": {}}
         assert net.stats.tokens_created == net.stats.tokens_deleted
-
-    @pytest.mark.parametrize("odd_side", ["task", "lock"])
-    def test_unhashable_value_scans_and_never_matches(self, odd_side):
-        stats = MatchStats()
-        _, net, listener = build(self.RULE, stats=stats)
-        neg = node_of(net, NegativeNode, 1)
-        plain_side = "lock" if odd_side == "task" else "task"
-        net.on_event(WMEvent(ADD, _OddWME(plain_side, 1, id=5)))
-        before = counters(stats, neg)
-        # Its own activation cannot probe with [5]: it scans.
-        odd = _OddWME(odd_side, 2, id=[5])
-        net.on_event(WMEvent(ADD, odd))
-        after = counters(stats, neg)
-        assert after["full_scans"] - before["full_scans"] == 1
-        assert after["index_probes"] == before["index_probes"]
-        assert after["join_tests"] - before["join_tests"] == 1
-        # Stored, it sits in the sentinel bucket every later probe
-        # returns, and the full test list rejects it there too.
-        net.on_event(WMEvent(ADD, _OddWME(plain_side, 3, id=7)))
-        final = counters(stats, neg)
-        assert final["index_probes"] - after["index_probes"] == 1
-        assert final["join_tests"] - after["join_tests"] == 1
-        assert final["join_passed"] == 0
-        assert all(token.active for token in neg.items)
-        net.on_event(WMEvent(REMOVE, odd))
-        odd_index = (
-            neg.indexes[(0, "id")] if odd_side == "task"
-            else neg.amem.indexes["id"]
-        )
-        assert set(odd_index) == set()
 
 
 class TestJoinBelowNegation:

@@ -1,11 +1,16 @@
-"""WorkingMemory.batch(): buffering, netting, and observer delivery."""
+"""WorkingMemory.batch(): buffering, netting, and observer delivery;
+make_all against the make loop it replaces."""
+
+import json
 
 import pytest
 
+from repro import RuleEngine
 from repro.engine.stats import MatchStats
 from repro.errors import WorkingMemoryError
 from repro.wm.events import ADD, REMOVE, DeltaBatch, WMEvent
 from repro.wm.memory import WorkingMemory
+from repro.wm.snapshot import dump_wm
 from repro.wm.wme import WME
 
 
@@ -172,3 +177,122 @@ class TestWorkingMemoryBatch:
         wme = _wme(1)
         assert WMEvent(ADD, wme) == WMEvent(ADD, wme)
         assert WMEvent(ADD, wme) != WMEvent(REMOVE, wme)
+
+
+PROGRAM = """
+(literalize order id qty)
+(p big (order ^id <i> ^qty > 5) --> (write big <i>))
+"""
+
+#: Declared and undeclared classes, empty facts, int/float/symbol values.
+FACTS = [
+    ("order", {"id": "o1", "qty": 7}),
+    ("note", {}),
+    ("order", {"qty": 2.5, "id": "o2"}),
+    ("note", {"text": "hi", "n": -1}),
+    ("order", {"id": "o3", "qty": 9.0}),
+]
+
+#: Facts refused for four different reasons.
+INVALID = [
+    ("order", {"id": "o9", "colour": "red"}),  # undeclared attribute
+    ("note", {"text": ["a"]}),  # value outside the domain
+    ("note", {"flag": True}),  # bool is not a number
+    ("note", {"n": None}),  # None is not nil
+]
+
+
+def _engine(flushed):
+    engine = RuleEngine()
+    engine.load(PROGRAM)
+    engine.make("order", id="o0", qty=6)  # tags do not start at 1
+    engine.wm.attach(lambda event: None, on_batch=flushed.append)
+    return engine
+
+
+def _make_loop(engine, facts):
+    made = []
+    with engine.batch():
+        for wme_class, values in facts:
+            made.append(engine.make(wme_class, **values))
+    return made
+
+
+def _state(engine, flushed):
+    return (
+        [(w.time_tag, w.wme_class, w.as_dict()) for w in engine.wm],
+        engine.wm.latest_time_tag,
+        [[(e.sign, e.wme) for e in batch] for batch in flushed],
+        engine.run(),
+        engine.output,
+    )
+
+
+class TestMakeAll:
+    """``load_facts`` (``WorkingMemory.make_all``) against the ``make``
+    loop it replaces."""
+
+    def test_same_tags_contents_and_events_as_a_make_loop(self):
+        bulk_flushed, loop_flushed = [], []
+        bulk, loop = _engine(bulk_flushed), _engine(loop_flushed)
+        made = bulk.load_facts(FACTS)
+        expected = _make_loop(loop, FACTS)
+        assert [w.time_tag for w in made] == [2, 3, 4, 5, 6]
+        assert made == expected
+        assert len(bulk_flushed) == 1
+        assert _state(bulk, bulk_flushed) == _state(loop, loop_flushed)
+
+    @pytest.mark.parametrize("bad", INVALID, ids=lambda fact: str(fact[1]))
+    def test_invalid_fact_midway_stops_where_the_loop_stops(self, bad):
+        facts = FACTS[:3] + [bad] + FACTS[3:]
+        outcomes = []
+        for run in ("bulk", "loop"):
+            flushed = []
+            engine = _engine(flushed)
+            with pytest.raises(WorkingMemoryError) as raised:
+                if run == "bulk":
+                    engine.load_facts(facts)
+                else:
+                    _make_loop(engine, facts)
+            outcomes.append((str(raised.value), _state(engine, flushed)))
+        assert outcomes[0] == outcomes[1]
+        _, (contents, latest, events, _, _) = outcomes[0]
+        assert latest == 4 and len(contents) == 4
+        assert [e for batch in events for e in batch][-1][1].time_tag == 4
+
+    def test_rollback_leaves_working_memory_byte_identical(self):
+        flushed = []
+        engine = _engine(flushed)
+        wm = engine.wm
+        wm.enable_fingerprint()
+        live = list(wm)
+        before = (json.dumps(dump_wm(wm), sort_keys=True),
+                  wm.content_fingerprint(), wm.latest_time_tag)
+        savepoint = wm.begin_transaction()
+        wm.make_all(FACTS)
+        assert len(wm) == len(live) + len(FACTS)
+        wm.rollback_transaction(savepoint)
+        after = (json.dumps(dump_wm(wm), sort_keys=True),
+                 wm.content_fingerprint(), wm.latest_time_tag)
+        assert after == before
+        assert [id(w) for w in wm] == [id(w) for w in live]
+        assert flushed == [] and not wm.in_batch
+        assert wm.make("note").time_tag == before[2] + 1
+
+    def test_each_fact_owns_one_copy_of_its_values(self):
+        engine = _engine([])
+        values = {"id": "o1", "qty": 7}
+        [wme] = engine.load_facts([("order", values)])
+        values["qty"] = 0
+        values["extra"] = "x"
+        assert wme.as_dict() == {"id": "o1", "qty": 7}
+        assert engine.run() == 2  # o0 and o1 still qualify
+
+    def test_outside_a_batch_make_all_flushes_once(self):
+        wm = WorkingMemory()
+        batches = []
+        wm.attach(lambda event: None, on_batch=batches.append)
+        made = wm.make_all(FACTS)
+        assert not wm.in_batch
+        assert [[e.wme for e in batch] for batch in batches] == [made]
+        assert wm.make_all([]) == [] and len(batches) == 1

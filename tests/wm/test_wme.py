@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import WorkingMemoryError
-from repro.wm import WME
+from repro.wm import WME, WorkingMemory
 
 
 def wme(tag=1, **values):
@@ -43,13 +43,55 @@ class TestWME:
         a = wme(tag=3, name="Jack")
         b = WME("player", {"name": "Jack"}, 3)
         assert a == b
-        assert hash(a) == hash(b)
+        assert hash(a) == hash(b) == a.time_tag == 3
+
+    def test_content_equal_wmes_are_distinct_dict_members(self):
+        # Working memory is a multiset: same content, different tags.
+        first, second = wme(tag=1, name="Mike"), wme(tag=2, name="Mike")
+        members = {first: "first", second: "second"}
+        assert len(members) == 2
+        assert (members[first], members[second]) == ("first", "second")
+        assert members[WME("player", {"name": "Mike"}, 2)] == "second"
 
     def test_rejects_non_value_attribute(self):
         with pytest.raises(WorkingMemoryError):
             WME("player", {"name": [1, 2]}, 1)
         with pytest.raises(WorkingMemoryError):
             WME("player", {3: "x"}, 1)
+
+    def test_every_construction_path_admits_only_symbols_and_numbers(self):
+        """No WME holds a value outside ``str``/``int``/``float``, so every
+        value the Rete indexes file or probe is hashable; the indexes keep
+        no fallback for one that is not."""
+        for bad in ([5], {"a": 1}, None, True):
+            wm = WorkingMemory()
+            wm.make("c", k=1)
+            attempts = {
+                "make": lambda: wm.make("c", k=bad),
+                "make_all": lambda: wm.make_all([("c", {"k": 1}),
+                                                 ("c", {"k": bad})]),
+                "ingest": lambda: wm.ingest("c", {"k": bad}, 99),
+                "WME": lambda: WME("c", {"k": bad}, 99),
+            }
+            for path, attempt in attempts.items():
+                with pytest.raises(WorkingMemoryError,
+                                   match="must be a symbol or number"):
+                    attempt()
+            assert all(type(w.get("k")) is int for w in wm), bad
+
+    def test_subclass_values_take_the_per_pair_check(self):
+        class Atom(str):
+            pass
+
+        wm = WorkingMemory()
+        made = wm.make_all([("c", {"k": Atom("x"), "n": 2.5})])
+        assert made[0].get("k") == "x"
+        with pytest.raises(WorkingMemoryError,
+                           match=r"value for \^k must be .* got False"):
+            wm.make_all([("c", {"k": False})])
+        with pytest.raises(WorkingMemoryError,
+                           match="attribute name must be a symbol, got 3"):
+            wm.make_all([("c", {3: "x"})])
 
     def test_repr_contains_tag_and_class(self):
         text = repr(wme(tag=7, name="Jack"))
