@@ -12,6 +12,7 @@ from repro import symbols
 from repro.analysis import JoinTest, RuleAnalysis
 from repro.lang.parser import parse_rule
 from repro.rete import kernels
+from repro.wm.wme import NIL
 
 VALUES = [0, 1, 2, 2.0, -1, 0.5, True, "a", "b", None]
 PREDICATES = ["=", "<>", "<", "<=", ">", ">=", "<=>"]
@@ -20,9 +21,10 @@ PREDICATES = ["=", "<>", "<", "<=", ">", ">=", "<=>"]
 class StubWME:
     """WME-shaped stand-in that admits out-of-domain values.
 
-    Working memory only accepts symbols and numbers; the defensive
-    paths (bools, None, lists) are exercised by feeding the predicates
-    directly, as the alpha/batch tests do.
+    Working memory only accepts symbols and numbers; this stub lets the
+    grid feed the predicates bools and None as well, to check that they
+    agree with the interpreter on those too.  ``get`` answers ``nil``
+    for an absent attribute, as :meth:`repro.wm.wme.WME.get` does.
     """
 
     def __init__(self, time_tag, **values):
@@ -31,7 +33,7 @@ class StubWME:
         self._values = values
 
     def get(self, attribute):
-        return self._values.get(attribute)
+        return self._values.get(attribute, NIL)
 
 
 def ce_analysis(source, index=0):
