@@ -2,7 +2,7 @@
 """Benchmark regression gate: match-work counters vs. a committed baseline.
 
 Runs a fixed set of deterministic scenarios with :class:`MatchStats`
-attached, writes the counters to ``BENCH_26.json``, and — under
+attached, writes the counters to ``BENCH_29.json``, and — under
 ``--check`` — fails if any gated work
 counter regressed more than 10% against the newest committed
 ``benchmarks/BENCH_<n>.json`` report (falling back to
@@ -43,10 +43,10 @@ import time
 from pathlib import Path
 
 from repro import MatchStats, RuleEngine
-from repro.rete import ReteNetwork, ShardedReteNetwork
+from repro.rete import ReteNetwork
 
 BASELINE_PATH = Path(__file__).parent / "BENCH_baseline.json"
-DEFAULT_OUTPUT = Path("BENCH_26.json")
+DEFAULT_OUTPUT = Path("BENCH_29.json")
 
 
 def latest_reference(exclude=None):
@@ -202,23 +202,6 @@ def scenario_churn_batched():
                 )
                 engine.remove(scratch)
     engine.run()
-    return stats
-
-
-def scenario_sharded_match():
-    # Sharded propagation runs serially while MatchStats is attached,
-    # so these counters are deterministic and gateable: sharding must
-    # perform exactly the work of the plain network, just partitioned.
-    stats = MatchStats()
-    engine = RuleEngine(
-        matcher=ShardedReteNetwork(shards=SHARD_COUNT), stats=stats
-    )
-    engine.load(SHARD_PROGRAM)
-    for d in range(N_DEPTS):
-        engine.make("dept", name=f"d{d}")
-    engine.load_facts(_facts())
-    engine.run()
-    engine.close()
     return stats
 
 
@@ -558,7 +541,6 @@ SCENARIOS = {
     "bulk_load_per_event": scenario_bulk_load_per_event,
     "bulk_load_batched": scenario_bulk_load_batched,
     "churn_batched": scenario_churn_batched,
-    "sharded_match": scenario_sharded_match,
     "storage_1m_memory": scenario_storage_1m_memory,
     "storage_1m_sqlite": scenario_storage_1m_sqlite,
     "dips_update_stream": scenario_dips_update_stream,
@@ -567,20 +549,6 @@ SCENARIOS = {
     "service_chaos_keyed": scenario_service_chaos_keyed,
     "service_reload": scenario_service_reload,
 }
-
-# Rules over three distinct CE-class sets ({dept,emp}, {emp}, {dept})
-# so the sharded scenarios exercise three busy shards, not one.
-SHARD_PROGRAM = PROGRAM + """
-(p rich { [emp ^salary > 1500] <R> }
-  :test ((count <R>) >= 1)
-  -->
-  (write rich (count <R>)))
-(p depts { [dept] <D> }
-  :test ((count <D>) >= 1)
-  -->
-  (write depts (count <D>)))
-"""
-SHARD_COUNT = 4
 
 
 def run_scenarios():

@@ -37,7 +37,7 @@ from repro.durability import DurabilityConfig
 from repro.engine import MatchStats, NullStats, RuleEngine
 from repro.lang import RuleBuilder, parse_program, parse_rule
 from repro.match import NaiveMatcher, TreatMatcher
-from repro.rete import ReteNetwork, ShardedReteNetwork
+from repro.rete import ReteNetwork
 from repro.wm import WME, WorkingMemory
 
 __version__ = "1.0.0"
@@ -50,7 +50,6 @@ __all__ = [
     "ReteNetwork",
     "RuleBuilder",
     "RuleEngine",
-    "ShardedReteNetwork",
     "TreatMatcher",
     "WME",
     "WorkingMemory",

@@ -3,10 +3,10 @@
 Usage::
 
     python -m repro.cli [program.ops]
-                        [--matcher rete|treat|naive|dips|sharded]
+                        [--matcher rete|treat|naive|dips]
                         [--backend memory|sqlite|sqlite:PATH]
                         [--strategy lex|mea] [--run N] [--watch LEVEL]
-                        [--on-error POLICY] [--workers N]
+                        [--on-error POLICY]
                         [--profile] [--profile-json FILE]
                         [--wal-dir DIR] [--fsync always|batch|off]
                         [--checkpoint]
@@ -21,7 +21,7 @@ matchers ignore it.  See ``docs/STORAGE.md``.
 
 The ``--matcher`` names come from the registry in :mod:`repro.match`;
 the flags the three commands share (``--matcher``, ``--backend``,
-``--strategy``, ``--on-error``, ``--workers``) are declared once, in
+``--strategy``, ``--on-error``) are declared once, in
 :func:`_add_engine_options`.
 
 ``--on-error`` sets the engine-wide firing error policy — ``halt``
@@ -79,7 +79,6 @@ command                   effect
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from repro.engine.conflict import strategy_named
@@ -110,8 +109,7 @@ class ReplSession:
 
     def __init__(self, matcher="rete", strategy="lex", watch=1,
                  profile=False, wal_dir=None, fsync="batch",
-                 on_error="halt", engine=None, workers=None,
-                 backend=None):
+                 on_error="halt", engine=None, backend=None):
         from repro.engine.stats import MatchStats
 
         self.profile_stats = None
@@ -133,8 +131,7 @@ class ReplSession:
                                      strategy=strategy,
                                      stats=self.profile_stats,
                                      durability=durability,
-                                     on_error=on_error,
-                                     workers=workers)
+                                     on_error=on_error)
         self.watch = watch
         self._pending = ""
         self.engine.wm.attach(self._wm_observer)
@@ -489,15 +486,13 @@ def _run_session(session, options):
         session.close()
 
 
-def _add_engine_options(parser, *, matcher, strategy, on_error,
-                        workers=True):
+def _add_engine_options(parser, *, matcher, strategy, on_error):
     """Declare the engine-configuration flags every command shares.
 
     *matcher* / *strategy* / *on_error* are the command's defaults;
     ``recover`` passes None for all three, meaning "what the log
     recorded" (error policies are not persisted, so there None means
-    the engine default).  ``serve`` sizes its own engine pool
-    (``--engine-workers``) and declines ``--workers``.
+    the engine default).
     """
 
     def default_of(value):
@@ -525,12 +520,6 @@ def _add_engine_options(parser, *, matcher, strategy, on_error,
         f"(default: {on_error or 'halt'}; policies are not persisted, "
         "so restate yours when recovering)",
     )
-    if workers:
-        parser.add_argument(
-            "--workers", type=int, metavar="N", default=None,
-            help="firing-pool size for the `parallel` command "
-            "(default: REPRO_WORKERS or 1; 1 = sequential)",
-        )
 
 
 def _recover_parser():
@@ -574,7 +563,6 @@ def _recover_main(argv):
             stats=stats,
             durability=not options.no_wal,
             on_error=options.on_error,
-            workers=options.workers,
         )
     except ReproError as error:
         print(f"error: {error}", file=sys.stderr)
@@ -629,7 +617,7 @@ def _serve_parser():
     )
     # Per-session defaults: a create request may override each one.
     _add_engine_options(parser, matcher="rete", strategy="lex",
-                        on_error="halt", workers=False)
+                        on_error="halt")
     parser.add_argument(
         "--max-sessions", type=int, default=256,
         help="session table size; beyond it the LRU idle session is "
@@ -649,9 +637,8 @@ def _serve_parser():
         help="pending requests admitted server-wide (default 128)",
     )
     parser.add_argument(
-        "--engine-workers", type=int, default=None,
-        help="threads running engine work (default: REPRO_WORKERS "
-        "or 4)",
+        "--engine-workers", type=int, default=4,
+        help="threads running engine work (default 4)",
     )
     parser.add_argument(
         "--run-limit", type=int, default=10_000,
@@ -703,9 +690,6 @@ def _serve_main(argv):
 
     from repro.service.server import RuleService, ServiceConfig
 
-    workers = options.engine_workers
-    if workers is None:
-        workers = int(os.environ.get("REPRO_WORKERS", "0") or 0) or 4
     config = ServiceConfig(
         host=options.host,
         port=options.port,
@@ -719,7 +703,7 @@ def _serve_main(argv):
         idle_ttl=options.idle_ttl,
         session_queue=options.session_queue,
         global_queue=options.global_queue,
-        engine_workers=workers,
+        engine_workers=options.engine_workers,
         run_limit=options.run_limit,
         run_wall_clock=options.run_wall_clock,
         chaos=options.chaos,
@@ -740,7 +724,7 @@ def _serve_main(argv):
         chaos = f", chaos={options.chaos}" if options.chaos else ""
         print(
             f"rule service listening on {host}:{port} "
-            f"({durable}, {workers} engine worker(s), "
+            f"({durable}, {options.engine_workers} engine worker(s), "
             f"max {options.max_sessions} sessions{chaos})",
             flush=True,
         )
@@ -854,7 +838,6 @@ def main(argv=None):
             wal_dir=options.wal_dir,
             fsync=options.fsync,
             on_error=options.on_error,
-            workers=options.workers,
             backend=options.backend,
         )
     except ReproError as error:

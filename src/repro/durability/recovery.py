@@ -83,7 +83,7 @@ class RecoveryReport:
 def recover_engine(engine_cls, path, *, program=None, matcher=None,
                    strategy=None, stats=None, echo=False,
                    durability=True, trace_limit=None, on_error=None,
-                   workers=None, backend=None):
+                   backend=None):
     """Rebuild a :class:`RuleEngine` from the WAL directory *path*.
 
     *matcher* may be a matcher instance or a registry name
@@ -156,7 +156,6 @@ def recover_engine(engine_cls, path, *, program=None, matcher=None,
     # one via *on_error*, defaulting to the engine's own default.
     engine = engine_cls(matcher=matcher, strategy=strategy, echo=echo,
                         stats=stats, trace_limit=trace_limit,
-                        workers=workers,
                         **({} if on_error is None
                            else {"on_error": on_error}))
 

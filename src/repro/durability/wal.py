@@ -220,10 +220,11 @@ class WriteAheadLog:
         self._scope_depth = 0
         self._scope_unsynced = False
         # Appends must be whole-frame atomic with respect to each
-        # other.  The firing pool serialises commits, so in-engine
-        # appends are single-threaded by construction; the lock makes
-        # frame integrity independent of that discipline (e.g. hosts
-        # driving several engines' firings from their own threads).
+        # other.  An engine fires one instantiation at a time, so
+        # in-engine appends are single-threaded by construction; the
+        # lock makes frame integrity independent of that discipline
+        # (e.g. hosts driving several engines' firings from their own
+        # threads).
         self._append_lock = threading.RLock()
         self._open_tail(tail)
 

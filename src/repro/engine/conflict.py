@@ -97,9 +97,7 @@ class ConflictSet(ConflictListener):
         # wins) and tells a member's record from a stale one.
         self._stamps = {}
         self._clock = count()
-        # SOIs admitted or changed since the last select.  Shards add to
-        # it from pool threads in no fixed order, which select's answer
-        # does not depend on: records are totally ordered.
+        # SOIs admitted or changed since the last select.
         self._changed = set()
         self._pending = []
         self._ranked = []

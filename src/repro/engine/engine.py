@@ -26,7 +26,6 @@ conflict-set contents and firing behaviour are identical by contract
 
 from __future__ import annotations
 
-import os
 import threading
 
 from repro.analysis import RuleAnalysis
@@ -39,7 +38,7 @@ from repro.engine.tracing import Tracer
 from repro.errors import EngineError, RuleError
 from repro.lang.ast import Rule
 from repro.lang.parser import parse_program, parse_rule
-from repro.match import build_matcher, matcher_class, matcher_name
+from repro.match import build_matcher, matcher_name
 from repro.wm.memory import WorkingMemory
 
 
@@ -48,7 +47,7 @@ class RuleEngine:
 
     def __init__(self, matcher=None, strategy="lex", echo=False,
                  stats=None, trace_limit=None, durability=None,
-                 on_error="halt", workers=None):
+                 on_error="halt"):
         """*stats*: a :class:`repro.engine.stats.MatchStats` collector,
         wired through the matcher, the tracer, and the cycle timer
         (default: the no-op :data:`~repro.engine.stats.NULL_STATS`).
@@ -60,18 +59,14 @@ class RuleEngine:
         object or spec string (``halt`` / ``skip`` / ``retry[:n[:b]]``
         / ``quarantine[:k]``); see :mod:`repro.engine.reliability` and
         :meth:`set_error_policy` for per-rule overrides.
-        *workers*: firing-pool width for :meth:`parallel_cycle` /
-        :meth:`run_parallel` (default: the ``REPRO_WORKERS``
-        environment variable, else 1 — the sequential simulation);
-        see ``docs/PARALLELISM.md``.
         """
         self.wm = WorkingMemory()
         self.stats = stats if stats is not None else NULL_STATS
+        if matcher is None:
+            matcher = "rete"
         if isinstance(matcher, str):
             matcher = build_matcher(matcher)
-        self.matcher = (
-            matcher if matcher is not None else self._default_matcher()
-        )
+        self.matcher = matcher
         if stats is not None:
             self.matcher.set_stats(stats)
         self.conflict_set = ConflictSet()
@@ -100,9 +95,6 @@ class RuleEngine:
         self.functions = {}
         self.halted = False
         self.cycle_count = 0
-        self.workers = self._default_workers(workers)
-        self._pool = None
-        self._pool_size = 0
         self._close_lock = threading.Lock()
         self.closed = False
         # Request-dedup journal: idempotency key -> the response of the
@@ -111,40 +103,6 @@ class RuleEngine:
         # the entries through the WAL and checkpoint manifest so a
         # crash-and-recover cannot double-apply an acknowledged request.
         self.request_journal = {}
-
-    @staticmethod
-    def _default_matcher():
-        """The default matcher; honours ``REPRO_MATCH_SHARDS``.
-
-        Setting the environment variable to N > 1 makes default-built
-        engines match on a :class:`~repro.rete.sharded.ShardedReteNetwork`
-        of N shards — the lever the CI parallel-soak job pulls to run
-        ordinary suites against the sharded path.
-        """
-        shards = int(os.environ.get("REPRO_MATCH_SHARDS", "0") or 0)
-        if shards > 1:
-            return matcher_class("sharded")(shards=shards)
-        return build_matcher("rete")
-
-    @staticmethod
-    def _default_workers(workers):
-        if workers is not None:
-            return max(1, int(workers))
-        return max(1, int(os.environ.get("REPRO_WORKERS", "1") or 1))
-
-    def _firing_pool(self, workers):
-        """The lazily created speculation pool (resized on demand)."""
-        if self._pool is not None and self._pool_size != workers:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-        if self._pool is None:
-            from concurrent.futures import ThreadPoolExecutor
-
-            self._pool = ThreadPoolExecutor(
-                max_workers=workers, thread_name_prefix="repro-fire"
-            )
-            self._pool_size = workers
-        return self._pool
 
     # -- program definition ---------------------------------------------------
 
@@ -311,7 +269,7 @@ class RuleEngine:
         self.fire(instantiation)
         return instantiation
 
-    def fire(self, instantiation, plan=None):
+    def fire(self, instantiation):
         """Fire *instantiation* atomically (normally via :meth:`step`).
 
         The RHS stages its effects in a working-memory transaction: on
@@ -328,11 +286,9 @@ class RuleEngine:
         (abort) record, so recovery replays the same outcome.
 
         Returns the firing's trace record, or None when the policy
-        abandoned the instantiation.  *plan* is a speculated
-        :class:`~repro.engine.parallel.FiringPlan` to replay instead of
-        evaluating the RHS live (the firing pool's commit path).
+        abandoned the instantiation.
         """
-        return _reliability.fire(self, instantiation, plan=plan)
+        return _reliability.fire(self, instantiation)
 
     def run(self, limit=None, *, wall_clock=None, deadline=None,
             livelock_threshold=None, on_livelock="stop"):
@@ -392,31 +348,25 @@ class RuleEngine:
 
     # -- parallel firing (the DIPS §8.1 execution model, in memory) -------
 
-    def parallel_cycle(self, workers=None):
+    def parallel_cycle(self):
         """Fire every eligible instantiation of one cycle in parallel.
 
         DIPS "attempts to execute all satisfied instantiations
-        concurrently" (paper §8.1).  The eligible set is snapshotted;
-        with *workers* > 1 every member's RHS is speculated
-        concurrently on the firing pool, then the plans commit serially
-        in conflict-resolution order (so time tags, WAL records, and
-        trace output are bit-identical to the sequential path) — unless
-        an earlier firing of the *same cycle* already invalidated a
-        member (retracted it from the conflict set, or changed the SOI
-        it views), in which case it is a *conflict*, the
-        mutual-invalidation case the paper criticises tuple-oriented
-        rules for.  See :mod:`repro.engine.parallel`.
+        concurrently" (paper §8.1).  The eligible set is snapshotted,
+        then its members fire one after another in conflict-resolution
+        order — unless an earlier firing of the *same cycle* already
+        invalidated a member (retracted it from the conflict set, or
+        changed the SOI it views), in which case it is a *conflict*,
+        the mutual-invalidation case the paper criticises
+        tuple-oriented rules for.  See :mod:`repro.engine.parallel`.
 
-        *workers* defaults to the engine's ``workers`` setting.
         Returns a ``CycleResult(fired, conflicted, abandoned)``
         namedtuple; ``abandoned`` counts members whose error policy
         gave up on them (skip/quarantine) — every snapshot member lands
         in exactly one of the three buckets unless a ``halt`` stopped
         the cycle midway.
         """
-        return _parallel.execute_cycle(
-            self, self.workers if workers is None else workers
-        )
+        return _parallel.execute_cycle(self)
 
     def run_parallel(self, max_cycles=None, *, wall_clock=None,
                      deadline=None, firing_budget=None,
@@ -492,7 +442,7 @@ class RuleEngine:
         return recover_engine(cls, path, **kwargs)
 
     def close(self):
-        """Release pools and the durability log (no-op without them).
+        """Release the matcher and the durability log.
 
         Idempotent and thread-safe: the service layer's eviction path
         (idle-TTL sweeps, LRU pressure) can race a client-initiated
@@ -503,10 +453,6 @@ class RuleEngine:
         with self._close_lock:
             if self.closed:
                 return
-            if self._pool is not None:
-                self._pool.shutdown(wait=True)
-                self._pool = None
-                self._pool_size = 0
             closer = getattr(self.matcher, "close", None)
             if closer is not None:
                 closer()

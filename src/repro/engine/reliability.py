@@ -45,7 +45,7 @@ import time
 from contextlib import nullcontext
 from time import monotonic, perf_counter
 
-from repro.engine.parallel import ParallelRunResult, PlanReplayer
+from repro.engine.parallel import ParallelRunResult
 from repro.engine.rhs import RhsExecutor
 from repro.errors import (
     EngineError,
@@ -410,19 +410,13 @@ class _FiringTransaction:
             )
 
 
-def fire(engine, instantiation, plan=None):
+def fire(engine, instantiation):
     """Fire *instantiation* atomically under the rule's error policy.
 
     Returns the :class:`~repro.engine.tracing.FiringRecord` of the
     committed firing, or ``None`` when the policy abandoned it
     (skip/quarantine).  Raises :class:`~repro.errors.FiringError`
     under ``halt`` — after full rollback.
-
-    *plan* is a :class:`~repro.engine.parallel.FiringPlan` speculated
-    by the firing pool: the first attempt replays its recorded actions
-    instead of evaluating the RHS; retries (and everything after a
-    replay failure) fall back to live execution, so policy behaviour
-    is identical either way.
     """
     reliability = engine.reliability
     rule_name = instantiation.rule.name
@@ -438,13 +432,9 @@ def fire(engine, instantiation, plan=None):
             raise EngineError(f"rule {rule_name} is not registered")
         txn = _FiringTransaction(engine, instantiation, record)
         txn.begin()
-        if plan is not None and attempt == 1:
-            executor = PlanReplayer(engine, plan, record)
-        else:
-            executor = RhsExecutor(
-                engine, instantiation.rule, analysis, instantiation,
-                record
-            )
+        executor = RhsExecutor(
+            engine, instantiation.rule, analysis, instantiation, record
+        )
         error = None
         try:
             if engine.stats.enabled:

@@ -112,9 +112,6 @@ class NullStats:
     def snode_batch(self, key, sois, reevals):
         pass
 
-    def shard_batch(self, shards, events):
-        pass
-
     def cycle(self, rule_name, duration):
         pass
 
@@ -209,8 +206,6 @@ class MatchStats(NullStats):
         "group_probe_candidates",
         "snode_batch_sois",
         "snode_batch_reevals",
-        "shard_batches",
-        "shard_events_routed",
     )
 
     def __init__(self, event_sink=None):
@@ -375,11 +370,6 @@ class MatchStats(NullStats):
             node = self.nodes[key]
             node["batch_sois"] += sois
             node["batch_reevals"] += reevals
-
-    def shard_batch(self, shards, events):
-        """A sharded matcher fanned one delta-set out to *shards*."""
-        self.totals["shard_batches"] += 1
-        self.totals["shard_events_routed"] += events
 
     def cycle(self, rule_name, duration):
         self.cycle_count += 1

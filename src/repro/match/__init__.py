@@ -8,7 +8,7 @@
 * :class:`~repro.match.naive.NaiveMatcher` — recompute-everything
   baseline, the reference oracle for differential testing;
 * :mod:`~repro.match.registry` — the one table naming every matcher
-  (these three plus ``dips`` and ``sharded``) and what each takes.
+  (these three plus ``dips``) and what each takes.
 """
 
 from repro.match.base import ConflictListener, Matcher, NullListener

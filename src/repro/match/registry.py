@@ -29,7 +29,6 @@ MATCHERS = {
     "treat": MatcherSpec("repro.match.treat:TreatMatcher", False),
     "naive": MatcherSpec("repro.match.naive:NaiveMatcher", False),
     "dips": MatcherSpec("repro.dips.matcher:DipsMatcher", True),
-    "sharded": MatcherSpec("repro.rete.sharded:ShardedReteNetwork", False),
 }
 
 #: Registry names in documentation order (argparse ``choices``).

@@ -23,7 +23,6 @@ tests a WME.
 """
 
 from repro.rete.network import ReteNetwork
-from repro.rete.sharded import ShardedReteNetwork
 from repro.rete.snode import SNode, SetOrientedInstance
 from repro.rete.aggregates import AggregateSpec, AggregateState
 
@@ -31,7 +30,6 @@ __all__ = [
     "AggregateSpec",
     "AggregateState",
     "ReteNetwork",
-    "ShardedReteNetwork",
     "SNode",
     "SetOrientedInstance",
 ]

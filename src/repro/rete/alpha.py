@@ -249,10 +249,6 @@ class AlphaNetwork:
     def memories(self):
         return list(self._memories.values())
 
-    def handles_class(self, wme_class):
-        """Does any alpha memory admit WMEs of *wme_class*?"""
-        return wme_class in self._by_class
-
     @property
     def memory_count(self):
         return len(self._memories)

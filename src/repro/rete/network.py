@@ -282,14 +282,6 @@ class ReteNetwork(Matcher):
             if token.node is not None:
                 token.node.release_blocker(wme, token)
 
-    def interested_in(self, wme_class):
-        """Does this network's alpha layer admit *wme_class* WMEs?
-
-        The sharded wrapper routes batch events by this predicate, so
-        a shard only sees deltas its own rule subnetwork can react to.
-        """
-        return self.alpha.handles_class(wme_class)
-
     def on_batch(self, events):
         """Propagate one flushed delta-set set-oriented.
 

@@ -23,7 +23,7 @@ The token-arrival algorithm is the paper's Figure 3 verbatim — find the
 SOI and the token's place in it, update aggregates and re-evaluate the
 test, then decide whether to flow ``<S,+>``, ``<S,->`` or ``<S,time>``
 to the P-node.  The first two stages are :class:`GammaMemory`, shared
-with :class:`~repro.match.grouping.SoiGrouper` so all five matchers run
+with :class:`~repro.match.grouping.SoiGrouper` so all four matchers run
 one implementation; the S-node adds the decide stage, its batched form
 and the marks.  One documented amendment: when a ``same-time``
 change flips the test expression from false to true (reachable only

@@ -307,13 +307,13 @@ class ServiceClient:
 
     def create(self, session, program, *, matcher=None, backend=None,
                strategy=None, on_error=None, durable=True, resume=False,
-               workers=None, retry=False, key=None, idempotent=False,
+               retry=False, key=None, idempotent=False,
                deadline_ms=None):
         return self.request(
             "create", session=session, program=program, matcher=matcher,
             backend=backend, strategy=strategy,
             on_error=on_error, durable=durable, resume=resume or None,
-            workers=workers, retry=retry, key=key,
+            retry=retry, key=key,
             idempotent=idempotent, deadline_ms=deadline_ms,
         )
 

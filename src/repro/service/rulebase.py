@@ -74,8 +74,8 @@ class RuleBase:
         this rule base (no reparse).
 
         *engine_kwargs* pass through to the engine constructor
-        (``strategy``, ``durability``, ``on_error``, ``workers``,
-        ``stats``, ``trace_limit``).  With durability attached, the
+        (``strategy``, ``durability``, ``on_error``, ``stats``,
+        ``trace_limit``).  With durability attached, the
         engine's WAL records the same literalize/rule records a
         ``load()`` of the source would — recovery does not care that
         the parse was shared — and the load is one commit unit: under

@@ -718,7 +718,6 @@ class RuleService:
                     on_error=request.get("on_error"),
                     durable=bool(request.get("durable", True)),
                     resume=resume,
-                    workers=request.get("workers"),
                     key=key,
                 )
             )

@@ -384,7 +384,7 @@ class SessionRegistry:
 
     def create(self, session_id, source, *, matcher=None, backend=None,
                strategy=None, on_error=None, durable=True, resume=False,
-               workers=None, key=None):
+               key=None):
         """Admit a new tenant; returns ``(session, rulebase_hit)``.
 
         The engine is stamped out of the shared rule base for
@@ -437,7 +437,6 @@ class SessionRegistry:
 
                 engine = recover_engine(
                     RuleEngine, wal_dir, on_error=on_error,
-                    workers=workers,
                     durability=DurabilityConfig(
                         wal_dir, fsync=self.fsync, label=session_id,
                         fault=fault,
@@ -460,7 +459,7 @@ class SessionRegistry:
                     )
                 engine = base.build_engine(
                     strategy=strategy, durability=durability,
-                    on_error=on_error, workers=workers,
+                    on_error=on_error,
                 )
             session = Session(
                 session_id, engine, rule_base=base, wal_dir=wal_dir,

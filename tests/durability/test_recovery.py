@@ -6,7 +6,12 @@ from repro import DurabilityConfig, RuleEngine
 from repro.durability import FaultInjector, SimulatedCrash
 from repro.durability.faultfs import corrupt_record, tear_tail
 from repro.engine.stats import MatchStats
-from repro.errors import DurabilityError, EngineError, RecoveryError
+from repro.errors import (
+    DurabilityError,
+    EngineError,
+    RecoveryError,
+    ReproError,
+)
 
 PROGRAM = """
 (literalize player name team score)
@@ -278,13 +283,22 @@ class TestDamageHandling:
         with pytest.raises(RecoveryError, match="conflict set"):
             RuleEngine.recover(tmp_path, durability=False)
 
-    def test_unknown_record_kind_is_refused(self, tmp_path):
+    @pytest.mark.parametrize("record, error, message", [
+        ({"k": "zz"}, RecoveryError, "unknown WAL record"),
+        # A session-meta record naming a matcher the registry no longer
+        # has (logs written while a sharded Rete matcher existed).
+        ({"k": "m", "matcher": "sharded", "strategy": "lex"}, ReproError,
+         r"unknown matcher 'sharded' "
+         r"\(expected one of rete, treat, naive, dips\)"),
+    ], ids=["unknown-kind", "removed-matcher"])
+    def test_unreadable_record_is_refused(self, tmp_path, record, error,
+                                          message):
         from repro.durability.wal import WriteAheadLog
 
         wal = WriteAheadLog(tmp_path, fsync="off")
-        wal.append({"k": "zz"})
+        wal.append(record)
         wal.close()
-        with pytest.raises(RecoveryError, match="unknown WAL record"):
+        with pytest.raises(error, match=message):
             RuleEngine.recover(tmp_path, durability=False)
 
 

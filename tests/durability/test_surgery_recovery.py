@@ -28,7 +28,6 @@ from repro.durability.checkpoint import (
 from repro.durability.wal import SEGMENT_SUFFIX
 from repro.match import NaiveMatcher, TreatMatcher
 from repro.rete import ReteNetwork
-from repro.rete.sharded import ShardedReteNetwork
 
 PROGRAM = """
 (literalize item owner v)
@@ -47,7 +46,6 @@ MATCHERS = {
     "treat": TreatMatcher,
     "naive": NaiveMatcher,
     "dips": DipsMatcher,
-    "sharded": lambda: ShardedReteNetwork(shards=2),
 }
 
 

@@ -45,10 +45,8 @@ class TestDoubleClose:
         assert durable_engine.closed
         assert durable_engine.durability is None
 
-    def test_close_after_close_with_workers(self, tmp_path):
-        engine = RuleEngine(
-            durability=DurabilityConfig(tmp_path / "wal"), workers=2
-        )
+    def test_close_after_close_before_any_run(self, tmp_path):
+        engine = RuleEngine(durability=DurabilityConfig(tmp_path / "wal"))
         engine.load(PROGRAM)
         engine.close()
         engine.close()

@@ -1,13 +1,12 @@
 """Unit tests for conflict resolution: LEX, MEA, refraction, SOI ranking."""
 
-import sys
 from itertools import count
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import ReteNetwork, RuleEngine, ShardedReteNetwork
+from repro import RuleEngine
 from repro.core.instantiation import (
     Instantiation,
     MatchToken,
@@ -361,41 +360,3 @@ class TestOrderedSelection:
         assert strategy.calls == 50
         assert conflict_set.ordering_size() <= 2 * len(conflict_set)
 
-
-class TestShardedChangeReports:
-    """Shards report SOI changes from pool threads; a lost report would
-    leave an SOI ranked at an old version and never fire again."""
-
-    CLASSES = [f"c{i}" for i in range(8)]
-
-    def drive(self, matcher):
-        engine = RuleEngine(matcher=matcher)
-        engine.load("\n".join(
-            f"(p watch-{c} {{ [{c} ^v <v>] <S> }} "
-            f"--> (write {c} (count <S>) (sum <S> ^v)))"
-            for c in self.CLASSES
-        ))
-        members = {c: [] for c in self.CLASSES}
-        for round_ in range(40):
-            with engine.batch():
-                for c in self.CLASSES:
-                    members[c].append(engine.make(c, v=round_))
-                    if round_ % 2:
-                        # Below the head: reported with no mark at all.
-                        engine.remove(members[c].pop(0))
-            engine.run()
-        return engine.output
-
-    def test_reports_from_shard_threads_all_arrive(self):
-        sharded = ShardedReteNetwork(shards=4, workers=8)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            output = self.drive(sharded)
-            assert sharded._pool is not None  # shards ran concurrently
-        finally:
-            sys.setswitchinterval(interval)
-            sharded.close()
-        # Every batch changes every SOI once, so each refires once.
-        assert len(output) == 40 * len(self.CLASSES)
-        assert output == self.drive(ReteNetwork())

@@ -1,14 +1,19 @@
 """Unit tests for the parallel-execution cost model."""
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro import RuleEngine
 from repro.bench.workloads import process_set_program, process_tuple_program
 from repro.engine.parallel import (
     firing_latency,
+    measured_schedule,
     run_latency,
     speedup,
     speedup_table,
 )
 from repro.engine.tracing import FiringRecord
+from tests.engine.test_parallel_cycle import PROGRAM, seed
 
 
 def record_with(tags, kind="modify"):
@@ -89,3 +94,48 @@ class TestRunModel:
             engine.tracer, 64
         )
         assert speedup(engine.tracer, 64) == 1.0
+
+
+# -- closed form == measured greedy schedule -----------------------------
+
+
+@st.composite
+def traced_records(draw):
+    record = FiringRecord(1, "r", True, (1,), 1)
+    next_tag = 100
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.sampled_from(["make", "remove", "modify"]))
+        if kind == "make":
+            record.makes += 1
+            record.touch("make")
+        else:
+            tag = draw(st.integers(1, 6))
+            if kind == "remove":
+                record.removes += 1
+                record.touch("remove", tag)
+            else:
+                record.modifies += 1
+                record.touch("modify", tag, next_tag)
+                next_tag += 1
+    return record
+
+
+class TestLatencyModelMatchesSchedule:
+    @given(traced_records(), st.integers(1, 16))
+    @settings(max_examples=200, deadline=None)
+    def test_model_equals_measured_schedule(self, record, workers):
+        assert firing_latency(record, workers) == measured_schedule(
+            record, workers
+        )
+
+    def test_model_on_a_real_traced_run(self):
+        engine = RuleEngine()
+        engine.load(PROGRAM)
+        seed(engine)
+        engine.run(limit=30)
+        for record in engine.tracer.firings:
+            for workers in (1, 2, 4, 100):
+                assert firing_latency(record, workers) == (
+                    measured_schedule(record, workers)
+                )
+        engine.close()

@@ -24,7 +24,7 @@ from repro.dips import DipsMatcher
 from repro.errors import EngineError, ReproError
 from repro.lang.parser import parse_rule
 from repro.match import NaiveMatcher, TreatMatcher
-from repro.rete import ReteNetwork, ShardedReteNetwork
+from repro.rete import ReteNetwork
 from repro.rete.aggregates import AggregateState
 from repro.wm import WorkingMemory
 
@@ -314,6 +314,28 @@ class TestEngineLevelEquivalence:
         )
         assert remaining == [("Jack", "A"), ("Pat", "A"), ("Sue", "B")]
 
+    @pytest.mark.parametrize(
+        "matcher_cls", [ReteNetwork, TreatMatcher, NaiveMatcher, DipsMatcher]
+    )
+    def test_backfill_after_excise_and_readd(self, matcher_cls):
+        """A rule re-added after excise back-fills from live WM, facts
+        asserted while no rule watched their class included."""
+        rule = ("(p watch-item (item ^kind <k> ^v <v>)"
+                " --> (write item <k> <v>))")
+        engine = RuleEngine(matcher=matcher_cls())
+        engine.load("(literalize item kind v)")
+        engine.make("item", kind="a", v=1)
+        engine.make("item", kind="b", v=2)
+        engine.add_rule(rule)
+        assert len(engine.conflict_set) == 2
+        engine.excise("watch-item")
+        assert len(engine.conflict_set) == 0
+        engine.make("item", kind="c", v=9)
+        engine.add_rule(rule)
+        assert len(engine.conflict_set) == 3
+        assert engine.run() == 3
+        assert sorted(engine.output) == ["item a 1", "item b 2", "item c 9"]
+
 
 # -- generated programs ------------------------------------------------------
 
@@ -385,7 +407,6 @@ _SHAPE = st.tuples(
 GENERATED_MATCHERS = {
     "naive": NaiveMatcher,
     "rete": ReteNetwork,
-    "sharded": lambda: ShardedReteNetwork(shards=2),
     "treat": TreatMatcher,
     "dips": DipsMatcher,
 }

@@ -3,7 +3,8 @@
 Matcher names live in :data:`repro.match.MATCHERS`; every surface that
 offers a choice must read them, and the options this lattice used to
 have (a kernel mode in any spelling, a process executor, a columnar
-knob, an alpha-filter hook) must stay gone.
+knob, an alpha-filter hook, a sharded matcher, a firing-pool width)
+must stay gone.
 """
 
 import inspect
@@ -20,7 +21,7 @@ from repro.match import (
     matcher_class,
     matcher_name,
 )
-from repro.rete import ReteNetwork, ShardedReteNetwork
+from repro.rete import ReteNetwork
 from repro.rete.alpha import AlphaMemory, AlphaNetwork
 from repro.service import ServiceClient, ServiceConfig
 from repro.service.session import SessionRegistry
@@ -37,8 +38,8 @@ def _choices(parser, flag):
     return tuple(action.choices)
 
 
-def test_the_lattice_is_five_matchers():
-    assert MATCHER_NAMES == ("rete", "treat", "naive", "dips", "sharded")
+def test_the_lattice_is_four_matchers():
+    assert MATCHER_NAMES == ("rete", "treat", "naive", "dips")
 
 
 @pytest.mark.parametrize("name", MATCHER_NAMES)
@@ -54,6 +55,10 @@ def test_unregistered_matchers_are_typed_errors_or_unnamed():
         build_matcher("oracle")
     with pytest.raises(ReproError, match="unknown matcher"):
         build_matcher(["rete"])
+    with pytest.raises(
+        ReproError, match=r"expected one of rete, treat, naive, dips\)"
+    ):
+        build_matcher("sharded")
     assert matcher_name(object()) is None
 
     class Traced(ReteNetwork):
@@ -77,8 +82,46 @@ def test_kernels_flag_is_a_usage_error(command, capsys):
     assert "unrecognized arguments: --kernels" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", sorted(PARSERS))
+def test_workers_flag_is_a_usage_error(command, capsys):
+    positional = ["wal"] if command == "recover" else []
+    with pytest.raises(SystemExit) as info:
+        PARSERS[command]().parse_args(positional + ["--workers", "2"])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --workers" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", sorted(PARSERS))
+def test_sharded_matcher_is_a_usage_error(command, capsys):
+    positional = ["wal"] if command == "recover" else []
+    with pytest.raises(SystemExit) as info:
+        PARSERS[command]().parse_args(positional + ["--matcher", "sharded"])
+    assert info.value.code == 2
+    assert "invalid choice: 'sharded'" in capsys.readouterr().err
+
+
+def test_serve_engine_workers_default_is_a_constant():
+    # The executor width is a plain default, no longer read from an
+    # environment variable shared with the engine.
+    assert cli._serve_parser().parse_args([]).engine_workers == 4
+    assert cli._serve_parser().parse_args(
+        ["--engine-workers", "2"]
+    ).engine_workers == 2
+
+
+@pytest.mark.parametrize("instance, removed", [
+    (ReteNetwork(), "interested_in"),
+    (AlphaNetwork(), "handles_class"),
+    (RuleEngine(), "workers"),
+    (RuleEngine(), "_pool"),
+], ids=["rete-interested_in", "alpha-handles_class",
+        "engine-workers", "engine-_pool"])
+def test_removed_hooks_stay_removed(instance, removed):
+    assert not hasattr(instance, removed)
+
+
 @pytest.mark.parametrize("callable_, removed", [
-    (ShardedReteNetwork.__init__, "executor"),
+    (ReteNetwork.__init__, "executor"),
     (ReteNetwork.__init__, "columnar"),
     (AlphaNetwork.__init__, "columnar"),
     (ReteNetwork.on_batch, "alpha_filter"),
@@ -94,6 +137,13 @@ def test_kernels_flag_is_a_usage_error(command, capsys):
     (ServiceConfig.__init__, "kernels"),
     (ServiceClient.create, "kernels"),
     (cli.ReplSession.__init__, "kernels"),
+    (RuleEngine.__init__, "workers"),
+    (RuleEngine.parallel_cycle, "workers"),
+    (RuleEngine.fire, "plan"),
+    (recover_engine, "workers"),
+    (SessionRegistry.create, "workers"),
+    (ServiceClient.create, "workers"),
+    (cli.ReplSession.__init__, "workers"),
 ])
 def test_removed_options_stay_removed(callable_, removed):
     assert removed not in inspect.signature(callable_).parameters
@@ -101,12 +151,12 @@ def test_removed_options_stay_removed(callable_, removed):
 
 def test_process_executor_is_not_an_option():
     with pytest.raises(TypeError):
-        ShardedReteNetwork(executor="process")
+        ReteNetwork(executor="process")
 
 
 def test_kernel_mode_is_not_an_option(monkeypatch):
     with pytest.raises(TypeError):
-        ShardedReteNetwork(kernels="off")
+        ReteNetwork(kernels="off")
     # Once a typed error for "exec"; now no code reads the variable.
     monkeypatch.setenv("REPRO_KERNELS", "exec")
     assert ReteNetwork().alpha.memory_count == 0

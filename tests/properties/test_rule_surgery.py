@@ -1,7 +1,7 @@
 """Property: runtime rule surgery is equivalent to building fresh.
 
 Hypothesis interleaves ``add_rule`` / ``excise`` / ``replace_rule``
-with working-memory asserts and retracts across all five matchers.
+with working-memory asserts and retracts across all four matchers.
 After every step the surviving engine must agree with an *oracle*: a
 fresh engine of the same matcher whose final rule set is installed
 first and whose full make/remove history is then replayed in order
@@ -14,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro import RuleEngine, ShardedReteNetwork
+from repro import RuleEngine
 from repro.dips import DipsMatcher
 from repro.errors import ReproError
 from repro.match import NaiveMatcher, TreatMatcher
@@ -56,7 +56,6 @@ MATCHERS = {
     "treat": lambda: TreatMatcher(),
     "naive": lambda: NaiveMatcher(),
     "dips": lambda: DipsMatcher(),
-    "sharded": lambda: ShardedReteNetwork(shards=3),
 }
 
 

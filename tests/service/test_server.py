@@ -168,6 +168,7 @@ class TestErrors:
         ("strategy", ["lex"]),
         ("backend", "oracle"),
         ("backend", 7),
+        ("matcher", "sharded"),  # a matcher the registry no longer has
     ])
     def test_unknown_engine_config_is_the_clients_mistake(
         self, server, client, request, field, value
