@@ -8,7 +8,9 @@ through a per-rule ``tag -> tokens`` index with no query at all; its
 insertions run the rule's instantiation query once per affected
 positive CE with that CE's alias restricted to the inserted tags — the
 incremental-view rewrite ΔR ⋈ S, then R' ⋈ ΔS
-(:func:`repro.dips.soi_query.instantiation_query_sql`).  The one
+(:func:`repro.dips.soi_query.instantiation_query_sql`).  Each such
+query is parsed once per (rule, CE), the first time it runs; a batch
+only binds its tags to the statement's ``IN (?)``.  The one
 fallback is a rule whose *negated* CE gained or lost instance rows:
 that rule re-runs the unrestricted query and diffs it against what it
 holds, as ``add_rule`` backfill and ``end_restore`` do.  SOIs reuse the
@@ -26,12 +28,12 @@ from repro.dips.soi_query import instantiation_query_sql, soi_query_sql
 from repro.errors import DipsError
 from repro.match.base import Matcher
 from repro.match.grouping import SoiGrouper
-from repro.rdb.sql import run_sql
+from repro.rdb.sql import prepare_sql, run_sql
 
 
 class _DipsRule:
     __slots__ = ("rule", "analysis", "grouper", "sql", "negated",
-                 "tokens", "by_tag")
+                 "statements", "tokens", "by_tag")
 
     def __init__(self, rule, analysis, grouper, sql):
         self.rule = rule
@@ -43,11 +45,24 @@ class _DipsRule:
             for ce_analysis in analysis.ce_analyses
             if ce_analysis.ce.negated
         ]
+        #: CE level (None: the full query) -> its prepared instantiation
+        #: query, parsed the first time it runs.
+        self.statements = {}
         #: live token -> its Instantiation (None under a grouper, which
         #: keeps the SOIs); the keys are the objects the grouper holds.
         self.tokens = {}
         #: WME tag -> the live tokens that contain that WME.
         self.by_tag = {}
+
+    def statement(self, level=None):
+        """The rule's full query, or the delta query of the CE at
+        *level* (one ``IN (?)`` parameter: the batch's tags)."""
+        statement = self.statements.get(level)
+        if statement is None:
+            statement = self.statements[level] = prepare_sql(
+                instantiation_query_sql(self.rule, self.analysis, level)
+            )
+        return statement
 
 
 class DipsMatcher(Matcher):
@@ -157,10 +172,10 @@ class DipsMatcher(Matcher):
         inserted = delta.inserted.get(state.rule.name)
         if inserted:
             blockers = self._blocker_rows(state)
-            for restrict in inserted.items():
+            for level, tags in inserted.items():
                 # Two CEs matched in one batch meet in both queries.
                 new.update(dict.fromkeys(
-                    self._query_tokens(state, blockers, restrict)
+                    self._query_tokens(state, blockers, level, tags)
                 ))
         self._replace(state, stale, new)
 
@@ -201,10 +216,10 @@ class DipsMatcher(Matcher):
                 state.tokens[token] = instantiation
                 self.listener.insert(instantiation)
 
-    def _query_tokens(self, state, blockers, restrict=None):
-        """Run the rule's instantiation query — restricted to the
-        ``(level, tags)`` delta when *restrict* is given — and decode
-        its unblocked rows into tokens.
+    def _query_tokens(self, state, blockers, level=None, tags=None):
+        """Run the rule's instantiation query — the CE at *level*
+        restricted to the delta's *tags* when *level* is given — and
+        decode its unblocked rows into tokens.
 
         For set-oriented rules we deliberately query the *ungrouped*
         instantiation relation (the grouping and :test live in the
@@ -212,9 +227,9 @@ class DipsMatcher(Matcher):
         :meth:`soi_rows` for inspection and the figure's reproduction.
         """
         rule = state.rule
-        sql = instantiation_query_sql(rule, state.analysis, restrict)
+        params = () if level is None else (tags,)
         self.match_stats.incr("dips_queries_run")
-        rows = run_sql(self.db, sql)
+        rows = run_sql(self.db, state.statement(level), params)
         self.match_stats.incr("dips_rows_retrieved", len(rows))
         tokens = []
         for row in rows:

@@ -74,35 +74,36 @@ def _from_where(rule, analysis):
     ordinal and instance rows, plus the join conditions."""
     from_parts = []
     where_parts = []
+    rule_id = "'" + rule.name.replace("'", "''") + "'"
     for level, ce in enumerate(rule.ces):
         if ce.negated:
             continue
         alias = _alias(level)
         from_parts.append(f'"{cond_table_name(ce.wme_class)}" AS {alias}')
-        where_parts.append(f"{alias}.rule_id = '{rule.name}'")
+        where_parts.append(f"{alias}.rule_id = {rule_id}")
         where_parts.append(f"{alias}.cen = {level + 1}")
         where_parts.append(f"{alias}.wme_tag IS NOT NULL")
     where_parts.extend(_join_conditions(rule, analysis))
     return f"FROM {', '.join(from_parts)} WHERE {' AND '.join(where_parts)}"
 
 
-def instantiation_query_sql(rule, analysis, restrict=None):
+def instantiation_query_sql(rule, analysis, level=None):
     """The pre-grouping instantiation query: one row per match, the
     positive CEs' tags as ``tag_<ordinal>`` columns.
 
-    *restrict*, a ``(level, tags)`` pair, makes it the delta query of
-    the incremental-view rewrite (ΔR ⋈ S): only matches whose CE at
-    *level* is one of the WMEs *tags* are retrieved.
+    A *level* makes it the delta query of the incremental-view rewrite
+    (ΔR ⋈ S): ``AND c<level>.wme_tag IN (?)`` retrieves only the
+    matches whose CE at *level* is one of the WMEs whose tags are bound
+    to the parameter.
     """
     select_clause = ", ".join(
-        f"{_alias(level)}.wme_tag AS tag_{level + 1}"
-        for level, ce in enumerate(rule.ces)
+        f"{_alias(index)}.wme_tag AS tag_{index + 1}"
+        for index, ce in enumerate(rule.ces)
         if not ce.negated
     )
     sql = f"SELECT {select_clause} {_from_where(rule, analysis)}"
-    if restrict is not None:
-        level, tags = restrict
-        sql += f" AND {_alias(level)}.wme_tag IN ({', '.join(map(str, tags))})"
+    if level is not None:
+        sql += f" AND {_alias(level)}.wme_tag IN (?)"
     return sql
 
 

@@ -12,7 +12,8 @@ scratch:
   join, group/aggregate, project, order, distinct, limit);
 * :mod:`repro.rdb.sql` — a parser for the SQL dialect the paper's
   Figure 6 uses (``SELECT ... FROM ... WHERE ... GROUP BY``, ``IS NOT
-  NULL``, qualified names) plus DML/DDL;
+  NULL``, qualified names) plus DML/DDL, and prepared statements
+  whose ``IN (?)`` lists are bound per run;
 * :mod:`repro.rdb.transaction` — optimistic transactions with
   first-committer-wins conflict detection, the mechanism DIPS relies on
   to serialise conflicting instantiations;
@@ -46,7 +47,7 @@ from repro.rdb.query import (
     Scan,
     execute_plan,
 )
-from repro.rdb.sql import run_sql
+from repro.rdb.sql import Statement, prepare_sql, run_sql
 from repro.rdb.planner import HashJoin, IndexScan, optimize
 from repro.rdb.stats import PlanCounters, plan_counters
 from repro.rdb.transaction import (
@@ -80,6 +81,7 @@ __all__ = [
     "Scan",
     "Schema",
     "SqliteBackend",
+    "Statement",
     "StorageBackend",
     "Table",
     "TableStorage",
@@ -89,5 +91,6 @@ __all__ = [
     "execute_plan",
     "optimize",
     "plan_counters",
+    "prepare_sql",
     "run_sql",
 ]

@@ -15,10 +15,16 @@ Select items are column references (``a.b`` or ``b``), literals, or
 aggregates (``COUNT(*)``, ``COUNT(x)``, ``SUM/MIN/MAX/AVG/COLLECT(x)``),
 optionally ``AS name``.  Conditions combine comparisons
 (``= != <> < <= > >=``), ``IS [NOT] NULL``, ``IN (literal, ...)``
-(the list may be empty), ``AND``/``OR``/``NOT`` and parentheses.
-Identifiers may be double-quoted (``"COND-E"``) to allow the paper's
-hyphenated table names; strings use single quotes; keywords are
-case-insensitive.
+(the list may be empty) or ``IN (?)``, ``AND``/``OR``/``NOT`` and
+parentheses.  Identifiers may be double-quoted (``"COND-E"``) to allow
+the paper's hyphenated table names; strings use single quotes; keywords
+are case-insensitive.
+
+``IN (?)`` is a parameter: :func:`prepare_sql` parses a statement once
+into a :class:`Statement`, and each :func:`run_sql` of it binds one
+list of literals per ``?``, in order of appearance.  Binding puts an
+ordinary ``IN`` list into the parsed tree, so a prepared statement runs
+exactly as the same text with the list written out.
 """
 
 from __future__ import annotations
@@ -36,7 +42,7 @@ _TOKEN_RE = re.compile(
       | (?P<string>'(?:[^']|'')*')
       | (?P<quoted_ident>"[^"]+")
       | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-      | (?P<op><=|>=|<>|!=|=|<|>|\(|\)|,|\*|\.)
+      | (?P<op><=|>=|<>|!=|=|<|>|\(|\)|,|\*|\.|\?)
     )
     """,
     re.VERBOSE,
@@ -96,10 +102,25 @@ def _tokenize(sql):
     return tokens
 
 
+class InParam:
+    """``operand IN (?)``: the *index*-th parameter's list, bound by
+    :meth:`Statement.bind` before anything evaluates or plans it."""
+
+    __slots__ = ("operand", "index")
+
+    def __init__(self, operand, index):
+        self.operand = operand
+        self.index = index
+
+    def __repr__(self):
+        return f"InParam({self.operand!r} IN ?{self.index})"
+
+
 class _SqlParser:
     def __init__(self, sql):
         self.tokens = _tokenize(sql)
         self.pos = 0
+        self.params = 0
 
     def peek(self, offset=0):
         return self.tokens[min(self.pos + offset, len(self.tokens) - 1)]
@@ -262,6 +283,10 @@ class _SqlParser:
             return q.IsNull(left, negated)
         if self.accept("keyword", "in"):
             self.expect("op", "(")
+            if self.accept("op", "?"):
+                self.expect("op", ")")
+                self.params += 1
+                return InParam(left, self.params - 1)
             values = []
             if not self.accept("op", ")"):
                 values.append(self._parse_literal_value())
@@ -428,6 +453,79 @@ def parse_sql(sql):
     return _SqlParser(sql).parse_statement()
 
 
+#: The spec keys that hold a condition, and so may hold an ``IN (?)``.
+_CONDITION_KEYS = ("where", "having")
+
+
+class Statement:
+    """One parsed statement, run any number of times by :func:`run_sql`.
+
+    ``param_count`` is the number of ``IN (?)`` lists each run binds.
+    """
+
+    __slots__ = ("kind", "spec", "param_count")
+
+    def __init__(self, kind, spec):
+        self.kind = kind
+        self.spec = spec
+        self.param_count = sum(
+            _count_params(spec.get(key)) for key in _CONDITION_KEYS
+        )
+
+    def bind(self, params):
+        """The spec with the lists *params* in place of its ``IN (?)``
+        parameters, as ordinary ``IN`` lists; the spec itself when the
+        statement has none."""
+        if len(params) != self.param_count:
+            raise SqlError(
+                f"statement takes {self.param_count} parameter(s), "
+                f"got {len(params)}"
+            )
+        if not params:
+            return self.spec
+        for values in params:
+            if not isinstance(values, (list, tuple)) or not all(
+                value is None or type(value) in (str, int, float)
+                for value in values
+            ):
+                raise SqlError(
+                    f"an IN (?) parameter is a list of literals, "
+                    f"not {values!r}"
+                )
+        spec = dict(self.spec)
+        for key in _CONDITION_KEYS:
+            if spec.get(key) is not None:
+                spec[key] = _bind(spec[key], params)
+        return spec
+
+
+def _count_params(condition):
+    if isinstance(condition, InParam):
+        return 1
+    if isinstance(condition, (q.LogicalAnd, q.LogicalOr)):
+        return _count_params(condition.left) + _count_params(condition.right)
+    if isinstance(condition, q.LogicalNot):
+        return _count_params(condition.operand)
+    return 0
+
+
+def _bind(condition, params):
+    if isinstance(condition, InParam):
+        return q.InList(condition.operand, params[condition.index])
+    if isinstance(condition, (q.LogicalAnd, q.LogicalOr)):
+        return type(condition)(
+            _bind(condition.left, params), _bind(condition.right, params)
+        )
+    if isinstance(condition, q.LogicalNot):
+        return q.LogicalNot(_bind(condition.operand, params))
+    return condition
+
+
+def prepare_sql(sql):
+    """Parse *sql* once into a :class:`Statement` for :func:`run_sql`."""
+    return Statement(*parse_sql(sql))
+
+
 def _build_select_plan(spec):
     plan = None
     for table_name, alias in spec["tables"]:
@@ -497,15 +595,18 @@ def _build_select_plan(spec):
     return plan
 
 
-def run_sql(db, sql, optimize=True):
-    """Parse and execute one statement against *db*.
+def run_sql(db, sql, params=(), optimize=True):
+    """Execute one statement against *db*: SQL text, which is prepared
+    first, or a prepared :class:`Statement`, with one list in *params*
+    per ``IN (?)``.
 
     SELECT returns a list of row dicts; DML returns an affected-row
     count; DDL returns the table.  ``optimize=False`` skips the
     planner rewrites (hash joins, filter pushdown, index scans) — used
     by the ablation benchmark.
     """
-    kind, spec = parse_sql(sql)
+    statement = sql if isinstance(sql, Statement) else prepare_sql(sql)
+    kind, spec = statement.kind, statement.bind(params)
     backend = getattr(db, "backend", None)
     native = backend is not None and getattr(
         backend, "supports_native_sql", False

@@ -5,12 +5,32 @@ import pytest
 from repro import MatchStats, RuleEngine
 from repro.dips import DipsMatcher, soi_query_sql
 from repro.lang.parser import parse_rule
+from repro.rdb import sql
+from repro.rete import ReteNetwork
 
 
 def engine_with(program):
     engine = RuleEngine(matcher=DipsMatcher())
     engine.load(program)
     return engine
+
+
+def dips_and_rete(program, backend):
+    """The same program loaded on DIPS (over *backend*) and on Rete."""
+    engines = (RuleEngine(matcher=DipsMatcher(backend=backend)),
+               RuleEngine(matcher=ReteNetwork()))
+    for engine in engines:
+        engine.load(program)
+    return engines
+
+
+def assert_same_run(dips, rete):
+    """Equal conflict sets, then equal firings, output and WM."""
+    assert dips.conflict_set_size() == rete.conflict_set_size()
+    assert dips.run() == rete.run()
+    assert dips.output == rete.output
+    assert ([(w.time_tag, w.as_dict()) for w in dips.wm]
+            == [(w.time_tag, w.as_dict()) for w in rete.wm])
 
 
 class TestTupleRules:
@@ -111,6 +131,28 @@ class TestQueryGeneration:
         engine.make("a")
         assert stats.counters["dips_queries_run"] >= 1
 
+    def test_rule_name_with_a_quote_stays_one_literal(self):
+        rule = parse_rule("(p it's-a-match (a ^x <v>) (b ^x <v>) --> (halt))")
+        sql_text = soi_query_sql(rule)
+        assert "c1.rule_id = 'it''s-a-match'" in sql_text
+        assert sql.parse_sql(sql_text)[0] == "select"
+
+    @pytest.mark.parametrize("backend", ["memory", "sqlite"])
+    def test_rule_name_with_a_quote_matches_like_rete(self, backend):
+        dips, rete = dips_and_rete(
+            "(p it's-a-match (a ^x <v>) (b ^x <v>) --> (write hit <v>))",
+            backend,
+        )
+        for engine in (dips, rete):
+            engine.make("a", x=1)
+            engine.make("b", x=1)
+            engine.make("b", x=2)
+        assert_same_run(dips, rete)
+        assert dips.output == ["hit 1"]
+        [row] = dips.matcher.soi_rows("it's-a-match")
+        assert set(row) == {"tag_1", "tag_2"}
+        dips.close()
+
 
 class TestDeltaRetrieval:
     """The matcher queries the delta, not the table (ISSUE 23)."""
@@ -171,6 +213,74 @@ class TestDeltaRetrieval:
         engine.make("E", name="free")
         assert engine.conflict_set_size() == 1
         assert counters["dips_full_refreshes"] == 2
+
+    @pytest.fixture
+    def parses(self, monkeypatch):
+        """Every SQL text parsed while the test runs."""
+        texts = []
+        parse = sql.parse_sql
+
+        def spy(text):
+            texts.append(text)
+            return parse(text)
+
+        monkeypatch.setattr(sql, "parse_sql", spy)
+        return texts
+
+    @pytest.mark.parametrize("backend", ["memory", "sqlite"])
+    def test_add_rule_parses_once_per_rule(self, backend, parses):
+        engine = RuleEngine(matcher=DipsMatcher(backend=backend))
+        engine.load(self.JOIN + "(p s (W ^name <x>) --> (write w))")
+        # Each rule's full query, run as add_rule's backfill; no delta
+        # statement is prepared before it first runs.
+        assert len(parses) == 2
+        assert not any("IN (?)" in text for text in parses)
+
+    @pytest.mark.parametrize("backend", ["memory", "sqlite"])
+    def test_prepared_batches_parse_nothing(self, backend, parses):
+        # Setup's single-fact batches ran both CEs' delta statements.
+        engine, counters = self.engine(self.JOIN, backend)
+        assert sum("IN (?)" in text for text in parses) == 2
+        parses.clear()
+        for index in range(20):
+            with engine.batch():
+                engine.make("E", name=f"n{index}")
+                engine.make("E", name=f"fresh{index}")
+                engine.make("W", name=f"fresh{index}")
+        assert parses == []
+        assert engine.conflict_set_size() == 20 + 20 * 2
+        # As in the single batch above: 2 queries and 3 rows a batch.
+        assert counters["dips_queries_run"] == 20 * 2
+        assert counters["dips_rows_retrieved"] == 20 * 3
+        assert "dips_full_refreshes" not in counters
+
+    @pytest.mark.parametrize("backend", ["memory", "sqlite"])
+    def test_widened_cond_table_keeps_prepared_statements(self, backend):
+        dips, rete = dips_and_rete(self.JOIN, backend)
+        for engine in (dips, rete):
+            for index in range(3):
+                engine.make("E", name=f"n{index}", age=index)
+                engine.make("W", name=f"n{index}")
+        table = dips.matcher.store.cond_table("E")
+        assert not table.schema.has_column("age")
+        # A later rule reads ^age: the COND-E table is dropped and
+        # rebuilt wider under the earlier rule's prepared statements.
+        for engine in (dips, rete):
+            engine.add_rule(
+                "(p old (E ^name <x> ^age > 0) (W ^name <x>) --> (write old))"
+            )
+        assert dips.matcher.store.cond_table("E").schema.has_column("age")
+        assert dips.matcher.store.cond_table("E") is not table
+        for engine in (dips, rete):
+            with engine.batch():
+                engine.make("E", name="n0", age=5)
+                engine.make("W", name="n2")
+                engine.make("E", name="late", age=1)
+                engine.make("W", name="late")
+        assert_same_run(dips, rete)
+        # n1 and n2 (backfilled), then n0 aged 5, n2's second W, late.
+        assert dips.output.count("old") == 5
+        dips.close()
 
 
 class TestUnsupportedPredicates:

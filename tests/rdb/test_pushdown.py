@@ -15,7 +15,7 @@ from repro.errors import DatabaseError
 from repro.rdb import Database
 from repro.rdb.memory_backend import MemoryBackend
 from repro.rdb.pushdown import build_select
-from repro.rdb.sql import parse_sql, run_sql
+from repro.rdb.sql import parse_sql, prepare_sql, run_sql
 from repro.rdb.sqlite_backend import _MAX_PARAMS, SqliteBackend
 
 PLAYERS = [
@@ -176,6 +176,78 @@ class TestDmlDifferential:
         assert run_sql(memory, stmt) == run_sql(sqlite, stmt)
         probe = "SELECT name, rank FROM player WHERE team = 'D'"
         assert run_sql(memory, probe) == run_sql(sqlite, probe)
+
+
+def inlined(sql, values):
+    """*sql* with its ``IN (?)`` written out as a literal list."""
+    literals = [
+        "NULL" if value is None
+        else "'" + value.replace("'", "''") + "'" if isinstance(value, str)
+        else str(value)
+        for value in values
+    ]
+    return sql.replace("IN (?)", f"IN ({', '.join(literals)})")
+
+
+#: (sql with one ``IN (?)``, the list bound to it)
+PREPARED = [
+    ("SELECT name FROM player WHERE score IN (?)", []),
+    ("SELECT name FROM player WHERE NOT (score IN (?))", []),
+    ("SELECT name FROM player WHERE score IN (?)", [10]),
+    ("SELECT name FROM player WHERE team IN (?)", ["B", "A", "B", "B"]),
+    ("SELECT name FROM player WHERE score IN (?)",
+     list(range(5, 2 * _MAX_PARAMS + 6))),
+    ("SELECT name FROM player WHERE score IN (?)", [10, None]),
+    ("SELECT name FROM player WHERE NOT (rank IN (?))", [3, None]),
+    ("SELECT p.name, t.coast FROM player AS p, team AS t "
+     "WHERE p.team = t.id AND p.score IN (?)", [10, 7, 10]),
+    ("SELECT team, COUNT(*) AS n FROM player WHERE team IN (?) "
+     "GROUP BY team", ["C", "B"]),
+]
+
+
+class TestPreparedDifferential:
+    """A prepared ``IN (?)`` bound to a list runs as the same query
+    with the list inlined: same rows, same order, on both backends."""
+
+    @pytest.mark.parametrize(
+        "sql,values", PREPARED,
+        ids=[f"{s}-{len(v)}" for s, v in PREPARED],
+    )
+    def test_bound_equals_inlined(self, pair, sql, values):
+        statement = prepare_sql(sql)
+        results = []
+        for db in pair:
+            rows = run_sql(db, statement, (values,))
+            assert rows == run_sql(db, inlined(sql, values))
+            results.append(rows)
+        assert results[0] == results[1]
+        spec = statement.bind((values,))
+        assert native_side(pair[1], inlined(sql, values))
+        assert build_select(pair[1], spec) == build_select(
+            pair[1], parse_sql(inlined(sql, values))[1]
+        )
+
+    def test_one_statement_serves_many_lists(self, pair):
+        memory, sqlite = pair
+        sql = "SELECT name FROM player WHERE score IN (?)"
+        statement = prepare_sql(sql)
+        for values in ([10], [], [2, 5], [7, None]):
+            rows = run_sql(sqlite, statement, (values,))
+            assert rows == run_sql(memory, statement, (values,))
+            assert rows == run_sql(memory, inlined(sql, values))
+
+    @pytest.mark.parametrize("sql", [
+        "DELETE FROM player WHERE score IN (?)",
+        "UPDATE player SET rank = 0 WHERE team IN (?)",
+    ])
+    def test_dml_binds_like_select(self, pair, sql):
+        values = [10, "B", None]
+        memory, sqlite = pair
+        assert (run_sql(memory, sql, (values,))
+                == run_sql(sqlite, sql, (values,)))
+        assert (run_sql(memory, "SELECT * FROM player")
+                == run_sql(sqlite, "SELECT * FROM player"))
 
 
 class TestPushdownInternals:

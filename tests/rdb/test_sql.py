@@ -3,7 +3,8 @@
 import pytest
 
 from repro.errors import SqlError
-from repro.rdb import Database, run_sql
+from repro.rdb import Database, InList, Statement, prepare_sql, run_sql
+from repro.rdb.sql import InParam
 
 
 @pytest.fixture
@@ -85,6 +86,66 @@ class TestSelect:
             run_sql(db, "SELECT name FROM emp WHERE salary IN (salary)")
         with pytest.raises(SqlError):
             run_sql(db, "SELECT name FROM emp WHERE salary IN (1, )")
+
+
+class TestPreparedStatements:
+    def test_in_parameter_binds_a_list(self, db):
+        statement = prepare_sql("SELECT name FROM emp WHERE salary IN (?)")
+        assert isinstance(statement, Statement)
+        assert statement.param_count == 1
+        assert run_sql(db, statement, ([90, 120, 7],)) == [
+            {"name": "ann"}, {"name": "cat"},
+        ]
+        assert run_sql(db, statement, ((),)) == []
+        # Text takes parameters too: it is prepared, then run.
+        assert run_sql(
+            db, "SELECT name FROM emp WHERE dept IN (?)", (["ops"],)
+        ) == [{"name": "cat"}, {"name": "dan"}]
+
+    def test_parameters_bind_in_order_of_appearance(self, db):
+        statement = prepare_sql(
+            "SELECT dept, COUNT(*) AS n FROM emp WHERE name IN (?) "
+            "GROUP BY dept HAVING NOT (dept IN (?))"
+        )
+        assert statement.param_count == 2
+        rows = run_sql(db, statement, (["ann", "cat", "dan"], ["eng"]))
+        assert rows == [{"dept": "ops", "n": 2}]
+
+    def test_binding_leaves_the_statement_unbound(self, db):
+        statement = prepare_sql("SELECT name FROM emp WHERE salary IN (?)")
+        spec = statement.spec
+        run_sql(db, statement, ([90],))
+        assert statement.spec is spec
+        assert isinstance(spec["where"], InParam)
+        assert isinstance(statement.bind(([90],))["where"], InList)
+
+    def test_parameter_count_must_match(self, db):
+        statement = prepare_sql("SELECT name FROM emp WHERE salary IN (?)")
+        with pytest.raises(SqlError, match="1 parameter"):
+            run_sql(db, statement)
+        with pytest.raises(SqlError, match="1 parameter"):
+            run_sql(db, statement, ([1], [2]))
+        with pytest.raises(SqlError, match="0 parameter"):
+            run_sql(db, "SELECT name FROM emp", ([1],))
+
+    @pytest.mark.parametrize("values", [
+        "90", 90, [[90]], [True], [b"x"], {90},
+    ])
+    def test_a_parameter_is_a_list_of_literals(self, db, values):
+        with pytest.raises(SqlError, match="list of literals"):
+            run_sql(db, "SELECT name FROM emp WHERE salary IN (?)",
+                    (values,))
+
+    @pytest.mark.parametrize("sql", [
+        "SELECT name FROM emp WHERE salary IN (?, 1)",
+        "SELECT name FROM emp WHERE salary IN (1, ?)",
+        "SELECT name FROM emp WHERE salary = ?",
+        "SELECT ? FROM emp",
+        "INSERT INTO emp (name) VALUES (?)",
+    ])
+    def test_a_parameter_is_a_whole_in_list(self, db, sql):
+        with pytest.raises(SqlError):
+            prepare_sql(sql)
 
     def test_group_by_with_aggregates(self, db):
         rows = run_sql(
