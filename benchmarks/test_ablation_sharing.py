@@ -66,7 +66,7 @@ def test_sharing_ablation(benchmark):
             (
                 label,
                 net.alpha.memory_count,
-                net.stats.tokens_created,
+                stats.totals["tokens_created"],
                 stats.totals["join_tests_attempted"],
                 f"{elapsed:.4f}",
             )
@@ -84,7 +84,8 @@ def test_sharing_ablation(benchmark):
     # visible directly in the match-work counters, not only in timings.
     assert shared_net.alpha.memory_count < unshared_net.alpha.memory_count
     assert (
-        shared_net.stats.tokens_created < unshared_net.stats.tokens_created
+        shared_stats.totals["tokens_created"]
+        < unshared_stats.totals["tokens_created"]
     )
     assert (
         shared_stats.totals["join_tests_attempted"]

@@ -114,12 +114,13 @@ def test_stats_hook_when_disabled_is_null(benchmark):
 
 def test_match_stats_identical(benchmark):
     """Token/activation counts for the tuple rules are unchanged."""
-    wm_plain, net_plain = build_network(False)
-    run_workload(wm_plain)
-    wm_ext, net_ext = build_network(True)
-    run_workload(wm_ext)
+    from repro.engine.stats import MatchStats
+
+    plain, extended = MatchStats(), MatchStats()
+    run_workload(build_network(False, stats=plain)[0])
+    run_workload(build_network(True, stats=extended)[0])
     rows = [
-        (name, getattr(net_plain.stats, name), getattr(net_ext.stats, name))
+        (name, plain.totals[name], extended.totals[name])
         for name in (
             "tokens_created", "tokens_deleted", "right_activations",
         )

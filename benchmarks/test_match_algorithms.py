@@ -9,6 +9,7 @@ memories), with the gap widening as WM grows.
 
 import time
 
+from repro import MatchStats
 from repro.bench import print_table
 from repro.bench.workloads import chain_events, chain_program
 from repro.lang.parser import parse_program
@@ -75,7 +76,9 @@ def test_join_attempt_counters(benchmark):
 
     def counted(matcher_cls):
         wm = WorkingMemory()
+        stats = MatchStats()
         matcher = matcher_cls()
+        matcher.set_stats(stats)
         matcher.set_listener(NullListener())
         matcher.attach(wm)
         _, rules = parse_program(chain_program(rule_count=4, chain_length=3))
@@ -84,20 +87,20 @@ def test_join_attempt_counters(benchmark):
         wmes = chain_events(wm, lanes=4, nodes=10, seed=5)
         for wme in wmes[::2]:
             wm.remove(wme)
-        return matcher
+        return stats.totals["join_tests_attempted"]
 
     treat = counted(TreatMatcher)
     naive = counted(NaiveMatcher)
     rows = [
-        ("treat join attempts", treat.stats["join_attempts"]),
-        ("naive join attempts", naive.stats["join_attempts"]),
+        ("treat join attempts", treat),
+        ("naive join attempts", naive),
     ]
     print_table(
         "C6 — join-attempt counters (same workload)",
         ["matcher", "join attempts"],
         rows,
     )
-    assert naive.stats["join_attempts"] > treat.stats["join_attempts"]
+    assert naive > treat
 
     benchmark(counted, TreatMatcher)
 

@@ -68,7 +68,7 @@ command                   effect
 ``release RULE``          re-admit a quarantined rule
 ``excise RULE``           remove a rule at runtime (WAL-logged)
 ``replace RULE (p ...)``  atomically swap a rule for one-line source
-``stats``                 matcher/engine counters
+``stats``                 engine counters (+ match totals with --profile)
 ``profile``               per-rule/per-node match-work tables (--profile)
 ``checkpoint``            write a durability checkpoint (--wal-dir)
 ``load FILE``             load a program file
@@ -338,10 +338,9 @@ class ReplSession:
             f"conflict set: {len(self.engine.conflict_set)}",
             f"firings: {self.engine.cycle_count}",
         ]
-        stats = getattr(self.engine.matcher, "stats", None)
-        if stats is not None:
-            as_dict = stats.as_dict() if hasattr(stats, "as_dict") else stats
-            lines.extend(f"{key}: {value}" for key, value in as_dict.items())
+        if self.profile_stats is not None:
+            lines.extend(f"{key}: {value}" for key, value in
+                         self.profile_stats.totals.items())
         return "\n".join(lines)
 
     def _cmd_profile(self, arguments):

@@ -571,23 +571,32 @@ class RunReport:
         )
 
 
-def _make_detector(engine, livelock_threshold):
+def _make_detector(engine, livelock_threshold, on_livelock):
+    if on_livelock not in ("stop", "raise"):
+        raise EngineError(
+            f"on_livelock must be 'stop' or 'raise', got {on_livelock!r}"
+        )
     if livelock_threshold is None:
         return None
     engine.wm.enable_fingerprint()
     return LivelockDetector(livelock_threshold)
 
 
-def _livelock(engine, on_livelock, rule_name, count):
+def _livelock(on_livelock, rule_name, count):
     if on_livelock == "raise":
         raise LivelockError(
             f"livelock: rule {rule_name} fired more than {count} times "
             f"with no net working-memory change"
         )
-    if on_livelock != "stop":
-        raise EngineError(
-            f"on_livelock must be 'stop' or 'raise', got {on_livelock!r}"
-        )
+
+
+def _out_of_time(started, wall_clock, deadline):
+    """``"deadline"`` or ``"wall_clock"`` once that budget is spent."""
+    if deadline is not None and monotonic() >= deadline:
+        return "deadline"
+    if wall_clock is not None and perf_counter() - started >= wall_clock:
+        return "wall_clock"
+    return None
 
 
 def commit_scope(engine):
@@ -607,11 +616,7 @@ def run_guarded(engine, limit=None, *, wall_clock=None, deadline=None,
     from ``"wall_clock"`` so callers can tell a client-imposed cutoff
     from the server-side cap.
     """
-    if on_livelock not in ("stop", "raise"):
-        raise EngineError(
-            f"on_livelock must be 'stop' or 'raise', got {on_livelock!r}"
-        )
-    detector = _make_detector(engine, livelock_threshold)
+    detector = _make_detector(engine, livelock_threshold, on_livelock)
     started = perf_counter()
     fired = 0
     reason = "quiescent"
@@ -621,12 +626,9 @@ def run_guarded(engine, limit=None, *, wall_clock=None, deadline=None,
             if limit is not None and fired >= limit:
                 reason = "limit"
                 break
-            if deadline is not None and monotonic() >= deadline:
-                reason = "deadline"
-                break
-            if (wall_clock is not None
-                    and perf_counter() - started >= wall_clock):
-                reason = "wall_clock"
+            timed_out = _out_of_time(started, wall_clock, deadline)
+            if timed_out is not None:
+                reason = timed_out
                 break
             if engine.halted:
                 reason = "halt"
@@ -643,7 +645,7 @@ def run_guarded(engine, limit=None, *, wall_clock=None, deadline=None,
                 engine.wm.content_fingerprint(),
             ):
                 culprit = instantiation.rule.name
-                _livelock(engine, on_livelock, culprit, detector.threshold)
+                _livelock(on_livelock, culprit, detector.threshold)
                 reason = "livelock"
                 break
     engine.last_run_report = RunReport(
@@ -663,11 +665,7 @@ def run_parallel_guarded(engine, max_cycles=None, *, wall_clock=None,
     is an absolute :func:`time.monotonic` cutoff, as in
     :func:`run_guarded`.
     """
-    if on_livelock not in ("stop", "raise"):
-        raise EngineError(
-            f"on_livelock must be 'stop' or 'raise', got {on_livelock!r}"
-        )
-    detector = _make_detector(engine, livelock_threshold)
+    detector = _make_detector(engine, livelock_threshold, on_livelock)
     started = perf_counter()
     cycles = 0
     total_fired = 0
@@ -677,12 +675,9 @@ def run_parallel_guarded(engine, max_cycles=None, *, wall_clock=None,
     culprit = None
     with commit_scope(engine):
         while max_cycles is None or cycles < max_cycles:
-            if deadline is not None and monotonic() >= deadline:
-                reason = "deadline"
-                break
-            if (wall_clock is not None
-                    and perf_counter() - started >= wall_clock):
-                reason = "wall_clock"
+            timed_out = _out_of_time(started, wall_clock, deadline)
+            if timed_out is not None:
+                reason = timed_out
                 break
             if (firing_budget is not None
                     and total_fired >= firing_budget):
@@ -703,7 +698,7 @@ def run_parallel_guarded(engine, max_cycles=None, *, wall_clock=None,
                 "(cycle)", engine.wm.content_fingerprint()
             ):
                 culprit = "(parallel cycle)"
-                _livelock(engine, on_livelock, culprit, detector.threshold)
+                _livelock(on_livelock, culprit, detector.threshold)
                 reason = "livelock"
                 break
         else:

@@ -79,9 +79,6 @@ class NullStats:
     def join_batch(self, key, attempted, passed):
         pass
 
-    def join_test(self, key, passed):
-        pass
-
     def index_probe(self, key, candidates):
         pass
 
@@ -284,16 +281,6 @@ class MatchStats(NullStats):
             node = self.nodes[key]
             node["join_tests"] += attempted
             node["join_passed"] += passed
-
-    def join_test(self, key, passed):
-        self.totals["join_tests_attempted"] += 1
-        if passed:
-            self.totals["join_tests_passed"] += 1
-        if key is not None:
-            node = self.nodes[key]
-            node["join_tests"] += 1
-            if passed:
-                node["join_passed"] += 1
 
     def index_probe(self, key, candidates):
         self.totals["index_probes"] += 1

@@ -36,24 +36,6 @@ class NullListener(ConflictListener):
         pass
 
 
-class CountingListener(ConflictListener):
-    """Counts deltas; used by tests and the match-cost benchmarks."""
-
-    def __init__(self):
-        self.inserts = 0
-        self.retracts = 0
-        self.repositions = 0
-
-    def insert(self, instantiation):
-        self.inserts += 1
-
-    def retract(self, instantiation):
-        self.retracts += 1
-
-    def reposition(self, instantiation):
-        self.repositions += 1
-
-
 class Matcher:
     """Abstract incremental matcher.
 

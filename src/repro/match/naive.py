@@ -33,7 +33,6 @@ class NaiveMatcher(Matcher):
     def __init__(self):
         super().__init__()
         self._rules = {}
-        self.stats = {"join_attempts": 0, "recomputations": 0}
 
     def add_rule(self, rule):
         if rule.name in self._rules:
@@ -86,7 +85,6 @@ class NaiveMatcher(Matcher):
     # -- full recomputation -------------------------------------------------
 
     def _recompute(self, state):
-        self.stats["recomputations"] += 1
         self.match_stats.incr("naive_recomputations")
         fresh = set(self._compute_tokens(state))
         stale = state.tokens - fresh
@@ -132,23 +130,19 @@ class NaiveMatcher(Matcher):
             lookup = lookup_factory(partial)
             if ce_analysis.ce.negated:
                 for wme in wmes:
-                    self.stats["join_attempts"] += 1
                     ok = ce_analysis.wme_passes_alpha(
                         wme
                     ) and ce_analysis.wme_passes_joins(wme, lookup)
-                    if ms.enabled:
-                        ms.join_test(None, ok)
+                    ms.join_batch(None, 1, ok)
                     if ok:
                         return  # blocked
                 descend(level + 1, partial + [None])
                 return
             for wme in wmes:
-                self.stats["join_attempts"] += 1
                 ok = ce_analysis.wme_passes_alpha(
                     wme
                 ) and ce_analysis.wme_passes_joins(wme, lookup)
-                if ms.enabled:
-                    ms.join_test(None, ok)
+                ms.join_batch(None, 1, ok)
                 if ok:
                     descend(level + 1, partial + [wme])
 

@@ -53,7 +53,6 @@ class TreatMatcher(Matcher):
     def __init__(self):
         super().__init__()
         self._rules = {}
-        self.stats = {"join_attempts": 0, "seeded_joins": 0}
 
     def add_rule(self, rule):
         if rule.name in self._rules:
@@ -67,7 +66,7 @@ class TreatMatcher(Matcher):
         if self.wm is not None:
             for wme in self.wm:
                 self._add_to_amems(state, wme)
-            for token in self._derive_all(state):
+            for token in self._derive(state):
                 self._insert_token(state, token)
 
     def remove_rule(self, rule_name):
@@ -103,9 +102,8 @@ class TreatMatcher(Matcher):
                 if ce_analysis.ce.negated:
                     self._retract_now_blocked(state, level, wme)
                 else:
-                    self.stats["seeded_joins"] += 1
                     self.match_stats.incr("treat_seeded_joins")
-                    for token in self._seeded_join(state, level, wme):
+                    for token in self._derive(state, level, wme):
                         if token not in state.tokens:
                             self._insert_token(state, token)
 
@@ -146,13 +144,12 @@ class TreatMatcher(Matcher):
             for level, wme in blockers:
                 self._retract_now_blocked(state, level, wme)
             for level, wme in seeds:
-                self.stats["seeded_joins"] += 1
                 self.match_stats.incr("treat_seeded_joins")
-                for token in self._seeded_join(state, level, wme):
+                for token in self._derive(state, level, wme):
                     if token not in state.tokens:
                         self._insert_token(state, token)
             if removed_negated:
-                for token in self._derive_all(state):
+                for token in self._derive(state):
                     if token not in state.tokens:
                         self._insert_token(state, token)
 
@@ -169,7 +166,7 @@ class TreatMatcher(Matcher):
             state.tokens_by_wme.pop(wme, None)
             if removed_negated_levels:
                 # A removed blocker may release matches: re-derive.
-                for token in self._derive_all(state):
+                for token in self._derive(state):
                     if token not in state.tokens:
                         self._insert_token(state, token)
 
@@ -217,15 +214,14 @@ class TreatMatcher(Matcher):
                 bound = token.wme_at(level)
                 return None if bound is None else bound.get(attribute)
 
-            self.stats["join_attempts"] += 1
             blocked = ce_analysis.wme_passes_joins(wme, lookup)
-            if ms.enabled:
-                ms.join_test(None, blocked)
+            ms.join_batch(None, 1, blocked)
             if blocked:
                 self._retract_token(state, token)
 
-    def _seeded_join(self, state, seed_level, seed_wme):
-        """All full matches with *seed_wme* fixed in CE *seed_level*."""
+    def _derive(self, state, seed_level=None, seed_wme=None):
+        """All full matches; seeded, only those with *seed_wme* in CE
+        *seed_level*.  Unseeded is back-fill and negation re-derivation."""
         analyses = state.analysis.ce_analyses
         results = []
         ms = self.match_stats
@@ -245,10 +241,8 @@ class TreatMatcher(Matcher):
             lookup = lookup_factory(partial)
             if ce_analysis.ce.negated:
                 for wme in state.amems[level]:
-                    self.stats["join_attempts"] += 1
                     ok = ce_analysis.wme_passes_joins(wme, lookup)
-                    if ms.enabled:
-                        ms.join_test(None, ok)
+                    ms.join_batch(None, 1, ok)
                     if ok:
                         return
                 descend(level + 1, partial + [None])
@@ -257,50 +251,8 @@ class TreatMatcher(Matcher):
                 [seed_wme] if level == seed_level else state.amems[level]
             )
             for wme in candidates:
-                self.stats["join_attempts"] += 1
                 ok = ce_analysis.wme_passes_joins(wme, lookup)
-                if ms.enabled:
-                    ms.join_test(None, ok)
-                if ok:
-                    descend(level + 1, partial + [wme])
-
-        descend(0, [])
-        return results
-
-    def _derive_all(self, state):
-        """Full (unseeded) derivation — used for back-fill and negation."""
-        analyses = state.analysis.ce_analyses
-        results = []
-        ms = self.match_stats
-
-        def lookup_factory(partial):
-            def lookup(level, attribute):
-                wme = partial[level]
-                return None if wme is None else wme.get(attribute)
-
-            return lookup
-
-        def descend(level, partial):
-            if level == len(analyses):
-                results.append(MatchToken(partial))
-                return
-            ce_analysis = analyses[level]
-            lookup = lookup_factory(partial)
-            if ce_analysis.ce.negated:
-                for wme in state.amems[level]:
-                    self.stats["join_attempts"] += 1
-                    ok = ce_analysis.wme_passes_joins(wme, lookup)
-                    if ms.enabled:
-                        ms.join_test(None, ok)
-                    if ok:
-                        return
-                descend(level + 1, partial + [None])
-                return
-            for wme in state.amems[level]:
-                self.stats["join_attempts"] += 1
-                ok = ce_analysis.wme_passes_joins(wme, lookup)
-                if ms.enabled:
-                    ms.join_test(None, ok)
+                ms.join_batch(None, 1, ok)
                 if ok:
                     descend(level + 1, partial + [wme])
 

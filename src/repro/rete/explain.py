@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from repro.rete.beta import JoinNode
 from repro.rete.negative import NegativeNode
-from repro.rete.network import _SNodeCounter
 from repro.rete.pnode import PNode, SetPNode
+from repro.rete.snode import SNode
 
 
 def describe_network(network):
@@ -95,19 +95,18 @@ def _render_aggregate(spec):
 
 def _describe_terminal(terminal, lines, indent):
     pad = "  " * indent
-    if isinstance(terminal, _SNodeCounter):
-        snode = terminal.snode
-        c, p, _, _, test = snode.static_data()
+    if isinstance(terminal, SNode):
+        c, p, _, _, test = terminal.static_data()
         pieces = [f"C={list(c)}", f"P={list(p)}"]
-        if snode.memory.agg_specs:
+        if terminal.memory.agg_specs:
             aggregates = ", ".join(
-                map(_render_aggregate, snode.memory.agg_specs)
+                map(_render_aggregate, terminal.memory.agg_specs)
             )
             pieces.append(f"aggregates=({aggregates})")
         pieces.append(f"test={'yes' if test is not None else 'no'}")
         lines.append(
-            f"{pad}S-node [{snode.rule.name}] {' '.join(pieces)}: "
-            f"{len(snode.gamma)} SOI(s)"
+            f"{pad}S-node [{terminal.rule.name}] {' '.join(pieces)}: "
+            f"{len(terminal.gamma)} SOI(s)"
         )
     elif isinstance(terminal, PNode):
         lines.append(

@@ -23,28 +23,6 @@ from repro.rete.pnode import PNode, SetPNode
 from repro.rete.snode import SNode
 
 
-class ReteStats:
-    """Match-effort counters for the benchmark harness."""
-
-    __slots__ = (
-        "tokens_created",
-        "tokens_deleted",
-        "right_activations",
-        "left_activations",
-        "snode_activations",
-    )
-
-    def __init__(self):
-        self.tokens_created = 0
-        self.tokens_deleted = 0
-        self.right_activations = 0
-        self.left_activations = 0
-        self.snode_activations = 0
-
-    def as_dict(self):
-        return {name: getattr(self, name) for name in self.__slots__}
-
-
 class ReteNetwork(Matcher):
     """The extended Rete match network."""
 
@@ -70,7 +48,6 @@ class ReteNetwork(Matcher):
         self._dummy_token = DummyToken()
         self.dummy_top.items[self._dummy_token] = None
         self.strict_paper_decide = strict_paper_decide
-        self.stats = ReteStats()
         self.productions = {}
         self.snodes = {}
         self._terminals = {}  # rule name -> (host memory, observer)
@@ -90,7 +67,6 @@ class ReteNetwork(Matcher):
     # -- bookkeeping used by the node classes ------------------------------
 
     def register_token(self, token):
-        self.stats.tokens_created += 1
         self.match_stats.token_created()
         if token.wme is not None:
             self._wme_tokens.setdefault(token.wme, set()).add(token)
@@ -115,7 +91,6 @@ class ReteNetwork(Matcher):
         if node is None:
             return
         token.node = None
-        self.stats.tokens_deleted += 1
         self.match_stats.token_deleted()
         node.remove_token(token)
         if token.parent is not None:
@@ -240,7 +215,7 @@ class ReteNetwork(Matcher):
         )
         self.productions[rule.name] = set_pnode
         self.snodes[rule.name] = snode
-        return _SNodeCounter(snode, self.stats)
+        return snode
 
     def remove_rule(self, rule_name):
         """Excise a rule: detach its terminal, retract its instantiations.
@@ -267,7 +242,6 @@ class ReteNetwork(Matcher):
 
     def on_event(self, event):
         if event.is_add:
-            self.stats.right_activations += 1
             self.alpha.add_wme(event.wme)
         else:
             self._remove_wme(event.wme)
@@ -310,7 +284,6 @@ class ReteNetwork(Matcher):
                 else:
                     self._remove_wme(event.wme)
             if adds:
-                self.stats.right_activations += len(adds)
                 self.alpha.add_batch(adds)
         finally:
             for snode in snodes:
@@ -330,21 +303,3 @@ class ReteNetwork(Matcher):
             f"ReteNetwork({len(self.productions)} rules, "
             f"{self.alpha.memory_count} alpha memories)"
         )
-
-
-class _SNodeCounter:
-    """Wraps an S-node to count activations for the stats block."""
-
-    __slots__ = ("snode", "stats")
-
-    def __init__(self, snode, stats):
-        self.snode = snode
-        self.stats = stats
-
-    def token_added(self, token):
-        self.stats.snode_activations += 1
-        self.snode.token_added(token)
-
-    def token_removed(self, token):
-        self.stats.snode_activations += 1
-        self.snode.token_removed(token)

@@ -84,8 +84,8 @@ class TestMatchStatsCounters:
         stats = MatchStats()
         key = stats.register_node("join", "L1")
         stats.join_batch(key, attempted=4, passed=1)
-        stats.join_test(key, passed=True)
-        stats.join_test(key, passed=False)
+        stats.join_batch(key, attempted=1, passed=True)
+        stats.join_batch(key, attempted=1, passed=False)
         assert stats.totals["join_tests_attempted"] == 6
         assert stats.totals["join_tests_passed"] == 2
         assert stats.nodes[key]["join_tests"] == 6

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro import RuleEngine
+from repro import MatchStats, RuleEngine
 
 
 def build_rule_base(engine, families=10):
@@ -49,7 +49,8 @@ class TestScale:
 
     def test_heavy_churn_consistency(self):
         """Add/remove storms leave the matcher internally consistent."""
-        engine = RuleEngine()
+        stats = MatchStats()
+        engine = RuleEngine(stats=stats)
         build_rule_base(engine, families=4)
         rng = random.Random(7)
         live = []
@@ -64,8 +65,7 @@ class TestScale:
                 )
         for wme in list(engine.wm):
             engine.remove(wme)
-        stats = engine.matcher.stats
-        assert stats.tokens_created == stats.tokens_deleted
+        assert stats.totals["tokens_created"] == stats.totals["tokens_deleted"]
         assert engine.conflict_set_size() == 0
 
     @pytest.mark.parametrize("matcher_name", ["rete", "treat"])

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import MatchStats
 from repro.errors import RuleError
 from repro.lang.parser import parse_rule
 from repro.match import NaiveMatcher, TreatMatcher
@@ -94,14 +95,16 @@ class TestBaselineMatching:
 
 class TestTreatSpecifics:
     def test_seeded_join_counts(self):
+        stats = MatchStats()
         matcher = TreatMatcher()
+        matcher.set_stats(stats)
         wm, listener = build(
             matcher, "(p r (a ^x <v>) (b ^y <v>) --> (halt))"
         )
         wm.make("a", x=1)
-        assert matcher.stats["seeded_joins"] == 1
+        assert stats.counters["treat_seeded_joins"] == 1
         wm.make("b", y=1)
-        assert matcher.stats["seeded_joins"] == 2
+        assert stats.counters["treat_seeded_joins"] == 2
 
     def test_self_join_duplicate_suppressed(self):
         # A WME matching two CE slots must not create duplicate tokens
@@ -116,9 +119,11 @@ class TestTreatSpecifics:
 
 class TestNaiveSpecifics:
     def test_recomputation_counter(self):
+        stats = MatchStats()
         matcher = NaiveMatcher()
+        matcher.set_stats(stats)
         wm, listener = build(matcher, "(p r (a) --> (halt))")
-        before = matcher.stats["recomputations"]
+        before = stats.counters["naive_recomputations"]
         wm.make("a")
         wm.make("a")
-        assert matcher.stats["recomputations"] == before + 2
+        assert stats.counters["naive_recomputations"] == before + 2

@@ -3,7 +3,8 @@
 Matcher names live in :data:`repro.match.MATCHERS`; every surface that
 offers a choice must read them, and the options this lattice used to
 have (a kernel mode in any spelling, a process executor, a columnar
-knob, an alpha-filter hook, a sharded matcher, a firing-pool width)
+knob, an alpha-filter hook, a sharded matcher, a firing-pool width,
+match counters kept beside :class:`~repro.engine.stats.MatchStats`)
 must stay gone.
 """
 
@@ -11,12 +12,15 @@ import inspect
 
 import pytest
 
-from repro import RuleEngine, cli
+from repro import MatchStats, RuleEngine, cli
 from repro.durability import recover_engine
 from repro.errors import ReproError
+from repro.match import base as match_base
 from repro.match import (
     MATCHER_NAMES,
     MATCHERS,
+    NaiveMatcher,
+    TreatMatcher,
     build_matcher,
     matcher_class,
     matcher_name,
@@ -114,8 +118,15 @@ def test_serve_engine_workers_default_is_a_constant():
     (AlphaNetwork(), "handles_class"),
     (RuleEngine(), "workers"),
     (RuleEngine(), "_pool"),
+    (ReteNetwork(), "stats"),
+    (TreatMatcher(), "stats"),
+    (NaiveMatcher(), "stats"),
+    (MatchStats(), "join_test"),
+    (match_base, "CountingListener"),
 ], ids=["rete-interested_in", "alpha-handles_class",
-        "engine-workers", "engine-_pool"])
+        "engine-workers", "engine-_pool", "rete-stats", "treat-stats",
+        "naive-stats", "matchstats-join_test",
+        "match_base-CountingListener"])
 def test_removed_hooks_stay_removed(instance, removed):
     assert not hasattr(instance, removed)
 

@@ -12,6 +12,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import MatchStats
 from repro.core.instantiation import MatchToken
 from repro.engine.conflict import ConflictSet, LexStrategy
 from repro.lang.parser import parse_rule
@@ -216,7 +217,8 @@ class TestNoLeaks:
         wm = WorkingMemory()
         conflict_set = ConflictSet()
         strategy = LexStrategy()
-        net = ReteNetwork()
+        stats = MatchStats()
+        net = ReteNetwork(stats=stats)
         net.set_listener(conflict_set)
         net.attach(wm)
         for source in PORTFOLIO:
@@ -234,7 +236,7 @@ class TestNoLeaks:
                 if live:
                     wm.remove(live[op[1] % len(live)])
         wm.clear()
-        assert net.stats.tokens_created == net.stats.tokens_deleted
+        assert stats.totals["tokens_created"] == stats.totals["tokens_deleted"]
         assert not net._wme_tokens
         assert not net._wme_neg_results
         assert net._dummy_token.last_child is None

@@ -101,11 +101,13 @@ class TestNegationPositions:
         assert len(listener.live) == 0  # b still blocks
 
     def test_removing_positive_under_negation(self):
-        wm, net, listener = build("(p r (goal) -(done) --> (halt))")
+        stats = MatchStats()
+        wm, net, listener = build("(p r (goal) -(done) --> (halt))",
+                                  stats=stats)
         goal = wm.make("goal")
         wm.remove(goal)
         assert len(listener.live) == 0
-        assert net.stats.tokens_created == net.stats.tokens_deleted
+        assert stats.totals["tokens_created"] == stats.totals["tokens_deleted"]
 
 
 class TestNegationAndSetRules:
@@ -187,7 +189,8 @@ class TestNegativeNodeAccessPath:
         assert len(listener.live) == 3
 
     def test_token_index_is_empty_after_everything_is_removed(self):
-        wm, net, listener = build(self.RULE)
+        stats = MatchStats()
+        wm, net, listener = build(self.RULE, stats=stats)
         made = [wm.make("task", id=i % 3) for i in range(6)]
         made += [wm.make("lock", id=i) for i in range(2)]
         neg = node_of(net, NegativeNode, 1)
@@ -197,7 +200,7 @@ class TestNegativeNodeAccessPath:
         assert neg.items == {}
         assert neg.indexes == {(0, "id"): {}}
         assert neg.amem.indexes == {"id": {}}
-        assert net.stats.tokens_created == net.stats.tokens_deleted
+        assert stats.totals["tokens_created"] == stats.totals["tokens_deleted"]
 
 
 class TestJoinBelowNegation:

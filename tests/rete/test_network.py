@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import MatchStats
 from repro.errors import RuleError
 from repro.lang.parser import parse_rule
 from repro.rete import ReteNetwork
@@ -25,10 +26,10 @@ class Listener:
         self.events.append(("time", inst.rule.name))
 
 
-def build(*sources, wmes=()):
+def build(*sources, stats=None):
     wm = WorkingMemory()
     listener = Listener()
-    net = ReteNetwork()
+    net = ReteNetwork(stats=stats)
     net.set_listener(listener)
     net.attach(wm)
     for source in sources:
@@ -123,15 +124,16 @@ class TestRemoval:
         assert len(listener.live) == 1
 
     def test_token_cleanup_is_complete(self):
+        stats = MatchStats()
         wm, net, listener = build(
-            "(p r (a ^x <v>) (b ^y <v>) --> (halt))"
+            "(p r (a ^x <v>) (b ^y <v>) --> (halt))", stats=stats
         )
         wmes = [wm.make("a", x=i % 3) for i in range(6)]
         wmes += [wm.make("b", y=i % 3) for i in range(6)]
         for wme in wmes:
             wm.remove(wme)
         assert not listener.live
-        assert net.stats.tokens_created == net.stats.tokens_deleted
+        assert stats.totals["tokens_created"] == stats.totals["tokens_deleted"]
         assert not net._wme_tokens
 
 

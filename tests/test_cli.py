@@ -99,8 +99,25 @@ class TestExecutionCommands:
         session.execute("make goal")
         session.execute("run")
         stats = session.execute("stats")
-        assert "rules: 1" in stats
-        assert "firings: 1" in stats
+        assert stats.splitlines() == [
+            "rules: 1", "wm size: 1", "conflict set: 1", "firings: 1",
+        ]
+
+    def test_stats_with_profile_adds_match_totals(self):
+        session = ReplSession(watch=0, profile=True)
+        session.execute("(p r (goal) --> (write x))")
+        session.execute("make goal")
+        session.execute("make noise")
+        session.execute("run")
+        lines = session.execute("stats").splitlines()
+        assert lines[:4] == [
+            "rules: 1", "wm size: 2", "conflict set: 1", "firings: 1",
+        ]
+        totals = session.profile_stats.totals
+        assert lines[4:] == [f"{key}: {value}"
+                             for key, value in totals.items()]
+        # Join right activations, not WMEs: ``noise`` reaches no join.
+        assert "right_activations: 1" in lines
 
 
 class TestMisc:
