@@ -17,7 +17,8 @@ matcher's COND tables — ``memory`` (default), ``sqlite`` (private
 in-memory database, queries pushed down to real SQL), or
 ``sqlite:PATH`` (out-of-core, file-backed).  The ``REPRO_RDB_BACKEND``
 environment variable supplies the default; the flag wins.  Other
-matchers ignore it.  See ``docs/STORAGE.md``.
+matchers ignore it.  ``serve`` refuses ``sqlite:PATH``: its sessions
+would all share the one file.  See ``docs/STORAGE.md``.
 
 The ``--matcher`` names come from the registry in :mod:`repro.match`;
 the flags the three commands share (``--matcher``, ``--backend``,
@@ -689,28 +690,32 @@ def _serve_main(argv):
 
     from repro.service.server import RuleService, ServiceConfig
 
-    config = ServiceConfig(
-        host=options.host,
-        port=options.port,
-        wal_root=options.wal_root,
-        fsync=options.fsync,
-        matcher=options.matcher,
-        backend=options.backend,
-        strategy=options.strategy,
-        on_error=options.on_error,
-        max_sessions=options.max_sessions,
-        idle_ttl=options.idle_ttl,
-        session_queue=options.session_queue,
-        global_queue=options.global_queue,
-        engine_workers=options.engine_workers,
-        run_limit=options.run_limit,
-        run_wall_clock=options.run_wall_clock,
-        chaos=options.chaos,
-        drain_grace=options.drain_grace,
-        journal_limit=options.journal_limit,
-        breaker_threshold=options.breaker_threshold,
-        breaker_cooldown=options.breaker_cooldown,
-    )
+    try:
+        config = ServiceConfig(
+            host=options.host,
+            port=options.port,
+            wal_root=options.wal_root,
+            fsync=options.fsync,
+            matcher=options.matcher,
+            backend=options.backend,
+            strategy=options.strategy,
+            on_error=options.on_error,
+            max_sessions=options.max_sessions,
+            idle_ttl=options.idle_ttl,
+            session_queue=options.session_queue,
+            global_queue=options.global_queue,
+            engine_workers=options.engine_workers,
+            run_limit=options.run_limit,
+            run_wall_clock=options.run_wall_clock,
+            chaos=options.chaos,
+            drain_grace=options.drain_grace,
+            journal_limit=options.journal_limit,
+            breaker_threshold=options.breaker_threshold,
+            breaker_cooldown=options.breaker_cooldown,
+        )
+    except ReproError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 1
 
     async def _serve():
         service = RuleService(config)

@@ -13,7 +13,7 @@ query is parsed once per (rule, CE), the first time it runs; a batch
 only binds its tags to the statement's ``IN (?)``.  The one
 fallback is a rule whose *negated* CE gained or lost instance rows:
 that rule re-runs the unrestricted query and diffs it against what it
-holds, as ``add_rule`` backfill and ``end_restore`` do.  SOIs reuse the
+holds, as ``add_rule`` backfill does.  SOIs reuse the
 grouped-SOI semantics of :class:`repro.match.grouping.SoiGrouper`, so
 ``:test`` evaluation, ordering, and refire versions match the other
 matchers — the differential tests hold DIPS to the same behaviour as
@@ -72,7 +72,6 @@ class DipsMatcher(Matcher):
         super().__init__()
         self.store = CondStore(db, backend=backend)
         self._rules = {}
-        self._restoring = False
 
     @property
     def db(self):
@@ -86,20 +85,6 @@ class DipsMatcher(Matcher):
     def close(self):
         """Release the storage backend (sqlite connections)."""
         self.store.db.close()
-
-    # -- checkpoint restore --------------------------------------------------
-
-    def begin_restore(self):
-        """Enter restore mode: COND tables were primed from a checkpoint
-        member, so WM events replayed by the restore must not repopulate
-        them (or refresh rules row-by-row)."""
-        self._restoring = True
-
-    def end_restore(self):
-        """Leave restore mode and run every rule's full query once."""
-        self._restoring = False
-        for state in self._rules.values():
-            self._refresh(state)
 
     def add_rule(self, rule):
         if rule.name in self._rules:
@@ -148,7 +133,7 @@ class DipsMatcher(Matcher):
         DELETE/INSERT per table (:meth:`CondStore.apply_batch`); each
         rule then retrieves only what the batch changed for it.
         """
-        if not events or self._restoring:
+        if not events:
             return
         delta = self.store.apply_batch(events)
         self.match_stats.incr("dips_batch_statements", delta.statements)

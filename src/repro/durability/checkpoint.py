@@ -5,18 +5,16 @@ directory holding:
 
 * ``wm.json`` — the working-memory snapshot
   (:func:`repro.wm.snapshot.dump_wm`, time tags preserved).  Matcher
-  state is derived, and recovery normally rebuilds it by replaying the
-  snapshot through the batched propagation path;
-* ``dips.sqlite3`` (only when the matcher runs on the sqlite storage
-  backend) — the whole COND-table database captured through sqlite's
-  backup API, so recovery can prime the matcher instead of recomputing
-  every instance row (ROADMAP item 2's "cheap checkpoints");
+  state — Rete memories, DIPS COND tables on any storage backend — is
+  derived, and recovery rebuilds it by replaying the snapshot through
+  the batched propagation path;
 * ``MANIFEST.json`` — everything recovery needs: format version,
   sequence number, the WAL position the snapshot corresponds to, the
   time-tag counter, the firing count, the matcher and strategy names,
   the program source (rebuilt from the live rule ASTs via the
   pretty-printer, so ``recover()`` can reload it), the refraction
-  stamps of fired instantiations, and a CRC32 per member file.
+  stamps of fired instantiations, the storage backend spec of a DIPS
+  matcher not on the memory backend, and a CRC32 per member file.
 
 Atomicity: members are written into ``checkpoint-N.tmp``, fsynced,
 and the directory is renamed into place; only then is the ``CURRENT``
@@ -43,7 +41,6 @@ CHECKPOINT_PREFIX = "checkpoint-"
 CURRENT_NAME = "CURRENT"
 MANIFEST_NAME = "MANIFEST.json"
 WM_SNAPSHOT_NAME = "wm.json"
-DIPS_DB_NAME = "dips.sqlite3"
 
 
 def checkpoint_dirname(seq):
@@ -72,19 +69,13 @@ def _fsync_file(path):
 def write_checkpoint(directory, *, wm_snapshot, wal_position,
                      next_tag, program, matcher_name, strategy_name,
                      fired, cycle_count, reliability=None,
-                     requests=None, fault=None,
-                     binary_members=None, rdb_backend=None):
+                     requests=None, fault=None, rdb_backend=None):
     """Write one atomic checkpoint; returns its directory path.
 
     The caller (the durability manager) is responsible for syncing the
     WAL up to *wal_position* first and for truncating/pruning after.
-
-    *binary_members* maps member names to raw bytes — e.g. the sqlite
-    database file captured through the backup API when the matcher runs
-    on an out-of-core backend.  They are CRC-checked like JSON members
-    but listed under ``manifest["binary"]`` so loading leaves them as
-    bytes.  *rdb_backend* records the storage backend spec so recovery
-    rebuilds the matcher on the same kind of store.
+    *rdb_backend* records the storage backend spec so recovery rebuilds
+    the matcher on the same kind of store.
     """
     if fault is not None:
         fault.hit("checkpoint.begin")
@@ -107,16 +98,7 @@ def write_checkpoint(directory, *, wm_snapshot, wal_position,
         _fsync_file(path)
         files[member] = zlib.crc32(data)
 
-    def _write_binary_member(member, data):
-        path = os.path.join(tmp_path, member)
-        with open(path, "wb") as handle:
-            handle.write(data)
-        _fsync_file(path)
-        files[member] = zlib.crc32(data)
-
     _write_member(WM_SNAPSHOT_NAME, wm_snapshot)
-    for member, data in (binary_members or {}).items():
-        _write_binary_member(member, data)
     manifest = {
         "version": MANIFEST_VERSION,
         "seq": seq,
@@ -134,8 +116,6 @@ def write_checkpoint(directory, *, wm_snapshot, wal_position,
         "fired": fired,
         "files": files,
     }
-    if binary_members:
-        manifest["binary"] = sorted(binary_members)
     if rdb_backend:
         manifest["rdb_backend"] = rdb_backend
     if reliability:
@@ -206,16 +186,14 @@ def read_current(directory):
 
 
 class LoadedCheckpoint:
-    """A validated checkpoint: manifest, parsed WM snapshot, and any
-    raw binary members (``.binary`` maps member name to bytes)."""
+    """A validated checkpoint: manifest and parsed WM snapshot."""
 
-    __slots__ = ("path", "manifest", "wm_snapshot", "binary")
+    __slots__ = ("path", "manifest", "wm_snapshot")
 
-    def __init__(self, path, manifest, wm_snapshot, binary=None):
+    def __init__(self, path, manifest, wm_snapshot):
         self.path = path
         self.manifest = manifest
         self.wm_snapshot = wm_snapshot
-        self.binary = binary or {}
 
 
 def load_checkpoint(directory):
@@ -224,7 +202,9 @@ def load_checkpoint(directory):
     Every member file is re-read and its CRC checked against the
     manifest before anything is trusted; a mismatch, missing member,
     or unreadable manifest raises
-    :class:`~repro.errors.RecoveryError`.
+    :class:`~repro.errors.RecoveryError`.  Only ``wm.json`` is parsed:
+    any other member (an older writer's copy of derived match state)
+    is checked and then ignored.
     """
     name = read_current(directory)
     if name is None:
@@ -247,9 +227,7 @@ def load_checkpoint(directory):
             f"unsupported checkpoint manifest version "
             f"{manifest.get('version')!r}"
         )
-    binary_names = set(manifest.get("binary", ()))
-    members = {}
-    binary = {}
+    wm_snapshot = None
     for member, crc in manifest.get("files", {}).items():
         member_path = os.path.join(path, member)
         try:
@@ -264,17 +242,13 @@ def load_checkpoint(directory):
                 f"checkpoint {name} member {member} fails its CRC "
                 f"(stored {crc}, computed {zlib.crc32(data)})"
             )
-        if member in binary_names:
-            binary[member] = data
-        else:
-            members[member] = json.loads(data)
-    if WM_SNAPSHOT_NAME not in members:
+        if member == WM_SNAPSHOT_NAME:
+            wm_snapshot = json.loads(data)
+    if wm_snapshot is None:
         raise RecoveryError(
             f"checkpoint {name} has no {WM_SNAPSHOT_NAME} member"
         )
-    return LoadedCheckpoint(
-        path, manifest, members[WM_SNAPSHOT_NAME], binary
-    )
+    return LoadedCheckpoint(path, manifest, wm_snapshot)
 
 
 def rule_base_version(program):

@@ -376,17 +376,11 @@ class DurabilityManager:
         self.wal.sync()
         position = self.wal.tell()
         # COND tables are derived state that restore_wm + tail replay
-        # rebuild exactly, so no separate snapshot is *needed* — but on
-        # a file-backed storage backend (sqlite) the whole database is
-        # one cheap backup-API copy, and recovery can prime the matcher
-        # from it instead of recomputing every instance row.
-        binary_members = {}
-        rdb_backend = None
+        # rebuild exactly, so only the backend they live on is recorded;
+        # memory-backed manifests carry no backend field.
         storage = getattr(engine.matcher, "storage_backend", None)
-        if storage is not None and getattr(
-            storage, "supports_file_backup", False
-        ):
-            binary_members[ckpt.DIPS_DB_NAME] = storage.serialize()
+        rdb_backend = None
+        if storage is not None and storage.name != "memory":
             rdb_backend = storage.spec
         path = ckpt.write_checkpoint(
             self.config.wal_dir,
@@ -406,7 +400,6 @@ class DurabilityManager:
                 ).items()
             ] or None,
             fault=self.config.fault,
-            binary_members=binary_members or None,
             rdb_backend=rdb_backend,
         )
         fault = self.config.fault

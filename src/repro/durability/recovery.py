@@ -167,22 +167,9 @@ def recover_engine(engine_cls, path, *, program=None, matcher=None,
 
     restored = 0
     if loaded is not None:
-        # When the checkpoint carries the matcher's sqlite database
-        # (backup-API member), prime the COND tables from it and have
-        # the WM restore skip repopulating them — the cheap-checkpoint
-        # path.  Only safe when the program was not overridden: the
-        # member's template rows belong to the manifest's program.
-        primed = program is None and _prime_dips(engine, loaded)
-        if primed:
-            engine.matcher.begin_restore()
-        try:
-            restored = len(
-                restore_wm(engine.wm, loaded.wm_snapshot,
-                           stats=engine.stats)
-            )
-        finally:
-            if primed:
-                engine.matcher.end_restore()
+        restored = len(
+            restore_wm(engine.wm, loaded.wm_snapshot, stats=engine.stats)
+        )
         engine.wm._next_tag = max(
             engine.wm._next_tag, manifest.get("next_tag", 1)
         )
@@ -229,27 +216,6 @@ def recover_engine(engine_cls, path, *, program=None, matcher=None,
         end_position,
     )
     return engine
-
-
-def _prime_dips(engine, loaded):
-    """Restore the matcher's database from a checkpoint binary member.
-
-    Returns True when the member existed and the attached matcher runs
-    on a backup-capable storage backend; False means the caller should
-    let the WM restore rebuild COND tables the ordinary way.
-    """
-    from repro.durability.checkpoint import DIPS_DB_NAME
-
-    data = loaded.binary.get(DIPS_DB_NAME)
-    if data is None:
-        return False
-    storage = getattr(engine.matcher, "storage_backend", None)
-    if storage is None or not getattr(
-        storage, "supports_file_backup", False
-    ):
-        return False
-    storage.restore(data)
-    return True
 
 
 def _replay(engine, payloads):

@@ -132,9 +132,6 @@ class StorageBackend:
     name = "abstract"
     #: True when run_sql may push SELECT/DML down as native SQL.
     supports_native_sql = False
-    #: True when the whole database serialises via a file backup API
-    #: (used by the checkpoint subsystem for cheap binary members).
-    supports_file_backup = False
 
     @property
     def spec(self):
@@ -149,16 +146,6 @@ class StorageBackend:
 
     def close(self):
         """Release backend resources (connections); idempotent."""
-
-    # -- optional file-backup hooks (supports_file_backup backends) --------
-
-    def serialize(self):
-        """The whole database as bytes (for checkpoint members)."""
-        raise StorageError(f"backend {self.name} does not serialize")
-
-    def restore(self, data):
-        """Replace the database contents from :meth:`serialize` bytes."""
-        raise StorageError(f"backend {self.name} does not restore")
 
 
 def backend_named(spec):

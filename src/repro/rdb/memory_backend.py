@@ -143,7 +143,6 @@ class MemoryBackend(StorageBackend):
 
     name = "memory"
     supports_native_sql = False
-    supports_file_backup = False
 
     def __init__(self):
         self._tables = {}

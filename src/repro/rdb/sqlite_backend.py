@@ -11,9 +11,9 @@ SELECT.  The SOI-retrieval SELECT itself pushes down natively via
 
 Layout: every table gets an explicit ``"__rid__" INTEGER PRIMARY KEY``
 column carrying the substrate's row id.  Ids are assigned from a
-per-table counter persisted in the ``__repro_meta__`` table, so they
-are monotone and never reused — exactly the memory backend's contract
-(sqlite's own rowid allocator would reuse the max id after a delete).
+per-table counter, so they are monotone and never reused — exactly the
+memory backend's contract (sqlite's own rowid allocator would reuse the
+max id after a delete).
 Columns are declared without type affinity, so values keep their
 storage class and comparisons behave like the mini interpreter's
 type-strict ones.
@@ -25,9 +25,9 @@ lists, objects that the in-memory dicts would happily hold in an
 write happens.
 
 Durability of the *engine* is the WAL's job (see docs/DURABILITY.md),
-so the connection runs with ``synchronous=OFF`` and a memory journal;
-checkpoints capture the whole database through sqlite's backup API
-(:meth:`SqliteBackend.serialize` / :meth:`SqliteBackend.restore`).
+so the connection runs with ``synchronous=OFF`` and a memory journal.
+The tables hold derived match state: a checkpoint stores only the
+working memory, and recovery rebuilds the tables from it.
 
 A fault hook (:meth:`SqliteBackend.set_fault`) runs before every
 statement so tests can inject sqlite-level failures mid-batch and
@@ -36,15 +36,11 @@ assert the all-or-nothing contract.
 
 from __future__ import annotations
 
-import os
 import sqlite3
-import tempfile
 import threading
 
 from repro.errors import StorageError
 from repro.rdb.backend import StorageBackend, TableStorage
-
-_META_TABLE = "__repro_meta__"
 
 #: Stay well under SQLITE_MAX_VARIABLE_NUMBER for IN-list parameters.
 _MAX_PARAMS = 500
@@ -120,7 +116,7 @@ class SqliteTableStorage(TableStorage):
         self.name = name
         self.columns = tuple(columns)
         self._views = {}
-        self._next_id = backend._load_next_id(name)
+        self._next_id = 1
 
     # -- helpers -------------------------------------------------------------
 
@@ -156,7 +152,6 @@ class SqliteTableStorage(TableStorage):
         )
         with self.backend.transaction():
             self.backend.executemany(sql, params)
-            self.backend.save_next_id(self.name, next_id)
         self._next_id = next_id
         return ids
 
@@ -291,23 +286,17 @@ class SqliteTableStorage(TableStorage):
     def indexed_columns(self):
         return sorted(self._views)
 
-    def reload_counter(self):
-        """Re-read the persisted id counter (after a backup restore)."""
-        self._next_id = self.backend._load_next_id(self.name)
-
 
 class SqliteBackend(StorageBackend):
     """Factory/owner of :class:`SqliteTableStorage` over one connection."""
 
     name = "sqlite"
     supports_native_sql = True
-    supports_file_backup = True
 
     def __init__(self, path=None):
         self.path = path
         self._lock = threading.RLock()
         self._fault = None
-        self._storages = {}
         #: SELECT/UPDATE/DELETE statements served natively (not by the
         #: interpreter fallback) — observability for tests and benchmarks.
         self.statements_pushed = 0
@@ -323,10 +312,6 @@ class SqliteBackend(StorageBackend):
         self._conn.execute("PRAGMA journal_mode=MEMORY")
         self._conn.execute("PRAGMA synchronous=OFF")
         self._conn.execute("PRAGMA temp_store=MEMORY")
-        self._conn.execute(
-            f"CREATE TABLE IF NOT EXISTS {quote_ident(_META_TABLE)} "
-            f"(name TEXT PRIMARY KEY, next_id INTEGER NOT NULL)"
-        )
 
     @property
     def spec(self):
@@ -383,23 +368,10 @@ class SqliteBackend(StorageBackend):
                 f"CREATE TABLE {quote_ident(name)} "
                 f'("__rid__" INTEGER PRIMARY KEY, {column_defs})'
             )
-            self.execute(
-                f"INSERT OR REPLACE INTO {quote_ident(_META_TABLE)} "
-                f"(name, next_id) VALUES (?, 1)",
-                (name,),
-            )
-        storage = SqliteTableStorage(self, name, columns)
-        self._storages[name] = storage
-        return storage
+        return SqliteTableStorage(self, name, columns)
 
     def drop_table_storage(self, name):
-        with self._lock:
-            self.execute(f"DROP TABLE IF EXISTS {quote_ident(name)}")
-            self.execute(
-                f"DELETE FROM {quote_ident(_META_TABLE)} WHERE name = ?",
-                (name,),
-            )
-        self._storages.pop(name, None)
+        self.execute(f"DROP TABLE IF EXISTS {quote_ident(name)}")
 
     def close(self):
         with self._lock:
@@ -407,23 +379,6 @@ class SqliteBackend(StorageBackend):
                 self._conn.close()
             except sqlite3.Error:
                 pass
-
-    # -- id counter persistence ----------------------------------------------
-
-    def _load_next_id(self, name):
-        rows = self.query(
-            f"SELECT next_id FROM {quote_ident(_META_TABLE)} "
-            f"WHERE name = ?",
-            (name,),
-        )
-        return rows[0][0] if rows else 1
-
-    def save_next_id(self, name, next_id):
-        self.execute(
-            f"UPDATE {quote_ident(_META_TABLE)} SET next_id = ? "
-            f"WHERE name = ?",
-            (next_id, name),
-        )
 
     # -- native SQL pushdown -------------------------------------------------
 
@@ -450,43 +405,6 @@ class SqliteBackend(StorageBackend):
         if result is not None:
             self.statements_pushed += 1
         return result
-
-    # -- whole-database backup (checkpoint members) --------------------------
-
-    def serialize(self):
-        with self._lock:
-            fd, tmp = tempfile.mkstemp(suffix=".sqlite3")
-            os.close(fd)
-            try:
-                dest = sqlite3.connect(tmp)
-                try:
-                    self._conn.backup(dest)
-                finally:
-                    dest.close()
-                with open(tmp, "rb") as handle:
-                    return handle.read()
-            except sqlite3.Error as exc:
-                raise StorageError(f"sqlite backup failed: {exc}") from exc
-            finally:
-                os.unlink(tmp)
-
-    def restore(self, data):
-        with self._lock:
-            fd, tmp = tempfile.mkstemp(suffix=".sqlite3")
-            try:
-                with os.fdopen(fd, "wb") as handle:
-                    handle.write(data)
-                source = sqlite3.connect(tmp)
-                try:
-                    source.backup(self._conn)
-                finally:
-                    source.close()
-            except sqlite3.Error as exc:
-                raise StorageError(f"sqlite restore failed: {exc}") from exc
-            finally:
-                os.unlink(tmp)
-            for storage in self._storages.values():
-                storage.reload_counter()
 
 
 class _SqliteTransaction:

@@ -90,12 +90,21 @@ from repro.service.protocol import (
 )
 
 
-def _check_backend(spec):
-    # Imported on use: only dips tenants need the relational substrate
-    # loaded into the server process.
-    from repro.rdb.backend import resolve_backend
+#: Storage backends a served session may name.  A file-backed
+#: ``sqlite:PATH`` is not one: every DIPS session would open that same
+#: file and re-create the same COND tables, and a client could make the
+#: server create a file at any path it can write.
+SERVICE_BACKENDS = ("memory", "sqlite")
 
-    resolve_backend(spec).close()
+
+def _check_backend(spec):
+    # Checked by name: opening a backend to validate it would create
+    # the file a ``sqlite:PATH`` spec names.
+    if spec not in SERVICE_BACKENDS:
+        raise ServiceError(
+            f"unknown backend {spec!r} (the service runs "
+            f"{' or '.join(SERVICE_BACKENDS)})"
+        )
 
 
 #: ``create`` fields naming engine configuration, each with the call
@@ -127,7 +136,8 @@ class ServiceConfig:
     disables durability);
     *fsync* — the sessions' WAL fsync policy;
     *matcher*/*backend*/*strategy*/*on_error* — per-session
-    defaults a ``create`` may override;
+    defaults a ``create`` may override (*backend* must be None or one
+    of :data:`SERVICE_BACKENDS`);
     *max_sessions*/*idle_ttl*/*sweep_interval* — registry sizing and
     the idle-eviction cadence (seconds);
     *session_queue*/*global_queue* — admission bounds (pending
@@ -166,6 +176,8 @@ class ServiceConfig:
         self.wal_root = wal_root
         self.fsync = fsync
         self.matcher = matcher
+        if backend is not None:
+            _check_backend(backend)
         self.backend = backend
         self.strategy = strategy
         self.on_error = on_error

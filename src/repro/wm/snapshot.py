@@ -1,11 +1,11 @@
 """Working-memory snapshots: persist and restore WM state.
 
 Rule systems merging with databases want "concurrency control and
-persistence as found in database systems" (paper §8).  The relational
-side persists via :mod:`repro.rdb.storage`; this module does the same
-for working memory itself: a JSON-compatible dump of every live WME
+persistence as found in database systems" (paper §8).  This module
+persists working memory: a JSON-compatible dump of every live WME
 *with its time tag preserved*, so recency-based conflict resolution
-behaves identically after a restore.
+behaves identically after a restore.  Matcher state, DIPS COND tables
+included, is derived and rebuilt from the restored elements.
 
 Restoring replays the elements oldest-first *in one batch* through the
 set-oriented propagation path — attached matchers receive the whole

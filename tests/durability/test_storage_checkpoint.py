@@ -1,29 +1,31 @@
-"""Checkpoints on the sqlite storage backend: binary members + priming.
+"""Checkpoints of a DIPS engine on the sqlite storage backend.
 
-A DIPS engine on the sqlite backend checkpoints its whole COND-table
-database as one ``dips.sqlite3`` member (captured through sqlite's
-backup API), and the manifest records the backend spec.  Recovery must
+COND tables are derived state on every backend: a checkpoint stores
+``wm.json`` alone, and recovery rebuilds the tables by replaying it and
+then the WAL tail.  The manifest records a non-memory backend spec so
+the rebuild runs on the same kind of store.  Recovery must
 
-* prime the matcher from the member instead of recomputing every
-  instance row, yet end up in *exactly* the state full recomputation
-  yields;
 * rebuild on the recorded backend when the caller does not say
   otherwise, and honour an explicit override;
-* CRC-check binary members like any other;
-* keep memory-backed checkpoints byte-compatible with before (no
-  ``binary`` section at all).
+* end up in *exactly* the live engine's state, row ids included;
+* keep memory-backed manifests as they were (no backend field);
+* still load a checkpoint written with a ``dips.sqlite3`` member (the
+  whole COND database, as older writers stored it): the member is
+  CRC-checked and otherwise ignored.
 """
 
 import json
 import os
+import sqlite3
+import zlib
 
 import pytest
 
 from repro import DurabilityConfig, RuleEngine
 from repro.dips import DipsMatcher
 from repro.durability.checkpoint import (
-    DIPS_DB_NAME,
     MANIFEST_NAME,
+    WM_SNAPSHOT_NAME,
     read_current,
 )
 from repro.errors import RecoveryError
@@ -42,6 +44,9 @@ PROGRAM = """
   (make tally ^owner <o> ^total (sum <S> ^v))
   (write tallied <o>))
 """
+
+#: The member older writers added on the sqlite backend.
+OLD_MEMBER = "dips.sqlite3"
 
 
 def wm_state(engine):
@@ -83,15 +88,21 @@ def _manifest(wal_dir):
         return json.load(fh), os.path.join(str(wal_dir), current)
 
 
-class TestSqliteCheckpointMember:
-    def test_manifest_records_member_and_backend(self, tmp_path):
+def _tallies(engine):
+    return sorted(
+        w.get("total") for w in engine.wm if w.wme_class == "tally"
+    )
+
+
+class TestManifest:
+    def test_manifest_records_backend_and_wm_only(self, tmp_path):
         engine = _workload(tmp_path, SqliteBackend())
         engine.checkpoint()
         manifest, path = _manifest(tmp_path)
-        assert manifest["binary"] == [DIPS_DB_NAME]
         assert manifest["rdb_backend"] == "sqlite"
-        assert DIPS_DB_NAME in manifest["files"]
-        assert os.path.exists(os.path.join(path, DIPS_DB_NAME))
+        assert list(manifest["files"]) == [WM_SNAPSHOT_NAME]
+        assert "binary" not in manifest
+        assert sorted(os.listdir(path)) == [MANIFEST_NAME, WM_SNAPSHOT_NAME]
         engine.close()
 
     def test_file_backed_spec_recorded(self, tmp_path):
@@ -107,14 +118,13 @@ class TestSqliteCheckpointMember:
     def test_memory_checkpoint_unchanged(self, tmp_path):
         engine = _workload(tmp_path, MemoryBackend())
         engine.checkpoint()
-        manifest, path = _manifest(tmp_path)
-        assert "binary" not in manifest
+        manifest, _ = _manifest(tmp_path)
         assert "rdb_backend" not in manifest
-        assert not os.path.exists(os.path.join(path, DIPS_DB_NAME))
+        assert list(manifest["files"]) == [WM_SNAPSHOT_NAME]
         engine.close()
 
 
-class TestPrimedRecovery:
+class TestRebuiltRecovery:
     def test_recovery_rebuilds_on_recorded_backend(self, tmp_path,
                                                    monkeypatch):
         monkeypatch.delenv("REPRO_RDB_BACKEND", raising=False)
@@ -129,24 +139,24 @@ class TestPrimedRecovery:
         recovered.close()
         engine.close()
 
-    def test_primed_state_equals_recomputed_state(self, tmp_path):
-        engine = _workload(tmp_path / "a", SqliteBackend())
+    def test_rebuilt_state_is_the_same_on_either_backend(self, tmp_path):
+        engine = _workload(tmp_path, SqliteBackend())
         engine.checkpoint()
-        primed = RuleEngine.recover(tmp_path / "a", durability=False)
-        # Force the rebuild path by recovering onto the memory backend:
-        # the member is ignored and COND tables recompute from the WM
-        # snapshot.  Instance rows must agree row-for-row (ids too).
-        rebuilt = RuleEngine.recover(
-            tmp_path / "a", durability=False, backend="memory"
+        on_sqlite = RuleEngine.recover(tmp_path, durability=False)
+        on_memory = RuleEngine.recover(
+            tmp_path, durability=False, backend="memory"
         )
-        assert isinstance(rebuilt.matcher.storage_backend, MemoryBackend)
-        assert cond_state(primed.matcher) == cond_state(rebuilt.matcher)
-        assert wm_state(primed) == wm_state(rebuilt)
-        primed.close()
-        rebuilt.close()
+        assert isinstance(on_memory.matcher.storage_backend, MemoryBackend)
+        assert cond_state(on_sqlite.matcher) == cond_state(
+            on_memory.matcher
+        )
+        assert cond_state(on_sqlite.matcher) == cond_state(engine.matcher)
+        assert wm_state(on_sqlite) == wm_state(on_memory)
+        on_sqlite.close()
+        on_memory.close()
         engine.close()
 
-    def test_primed_recovery_preserves_refraction(self, tmp_path):
+    def test_recovery_preserves_refraction(self, tmp_path):
         engine = _workload(tmp_path, SqliteBackend())
         engine.checkpoint()
         recovered = RuleEngine.recover(tmp_path, durability=False)
@@ -155,7 +165,7 @@ class TestPrimedRecovery:
         recovered.close()
         engine.close()
 
-    def test_primed_recovery_continues_matching(self, tmp_path):
+    def test_recovery_continues_matching(self, tmp_path):
         engine = _workload(tmp_path, SqliteBackend())
         engine.checkpoint()
         engine.close()
@@ -184,25 +194,10 @@ class TestPrimedRecovery:
         recovered.close()
         engine.close()
 
-    def test_corrupt_binary_member_detected(self, tmp_path):
+    def test_program_override(self, tmp_path):
         engine = _workload(tmp_path, SqliteBackend())
         engine.checkpoint()
         engine.close()
-        _, path = _manifest(tmp_path)
-        member = os.path.join(path, DIPS_DB_NAME)
-        with open(member, "r+b") as fh:
-            fh.seek(100)
-            fh.write(b"\xff\xff\xff\xff")
-        with pytest.raises(RecoveryError):
-            RuleEngine.recover(tmp_path, durability=False)
-
-    def test_program_override_skips_priming(self, tmp_path):
-        engine = _workload(tmp_path, SqliteBackend())
-        engine.checkpoint()
-        engine.close()
-        # An explicit program override invalidates the member's
-        # template rows; recovery must recompute COND state instead of
-        # priming, and still match.
         recovered = RuleEngine.recover(
             tmp_path, durability=False, program=PROGRAM
         )
@@ -212,5 +207,52 @@ class TestPrimedRecovery:
         assert cond_state(recovered.matcher) == cond_state(
             reference.matcher
         )
+        assert recovered.run() == 0
         recovered.close()
         reference.close()
+
+
+def _add_old_member(wal_dir):
+    """Rewrite the CURRENT checkpoint as an older writer left it: a
+    sqlite database member listed in ``files`` and ``binary``."""
+    manifest, path = _manifest(wal_dir)
+    member = os.path.join(path, OLD_MEMBER)
+    conn = sqlite3.connect(member)
+    conn.execute('CREATE TABLE "COND-item" (__rid__ INTEGER PRIMARY KEY)')
+    conn.execute('INSERT INTO "COND-item" VALUES (1)')
+    conn.commit()
+    conn.close()
+    with open(member, "rb") as fh:
+        manifest["files"][OLD_MEMBER] = zlib.crc32(fh.read())
+    manifest["binary"] = [OLD_MEMBER]
+    with open(os.path.join(path, MANIFEST_NAME), "w") as fh:
+        json.dump(manifest, fh)
+    return member
+
+
+class TestOlderCheckpointFormat:
+    def test_checkpoint_with_database_member_recovers(self, tmp_path):
+        engine = _workload(tmp_path, SqliteBackend())
+        engine.checkpoint()
+        _add_old_member(tmp_path)
+        recovered = RuleEngine.recover(tmp_path, durability=False)
+        assert isinstance(
+            recovered.matcher.storage_backend, SqliteBackend
+        )
+        assert wm_state(recovered) == wm_state(engine)
+        assert cond_state(recovered.matcher) == cond_state(engine.matcher)
+        assert recovered.run() == 0
+        assert _tallies(recovered) == [2, 4]
+        recovered.close()
+        engine.close()
+
+    def test_corrupt_database_member_is_refused(self, tmp_path):
+        engine = _workload(tmp_path, SqliteBackend())
+        engine.checkpoint()
+        engine.close()
+        member = _add_old_member(tmp_path)
+        with open(member, "r+b") as fh:
+            fh.seek(100)
+            fh.write(b"\xff\xff\xff\xff")
+        with pytest.raises(RecoveryError):
+            RuleEngine.recover(tmp_path, durability=False)

@@ -9,11 +9,16 @@ must stay gone.
 """
 
 import inspect
+import pkgutil
+import types
 
 import pytest
 
+import repro.rdb
 from repro import MatchStats, RuleEngine, cli
-from repro.durability import recover_engine
+from repro.dips import DipsMatcher
+from repro.durability import checkpoint, recover_engine
+from repro.durability import recovery
 from repro.errors import ReproError
 from repro.match import base as match_base
 from repro.match import (
@@ -25,6 +30,8 @@ from repro.match import (
     matcher_class,
     matcher_name,
 )
+from repro.rdb.backend import StorageBackend
+from repro.rdb.sqlite_backend import SqliteBackend, SqliteTableStorage
 from repro.rete import ReteNetwork
 from repro.rete.alpha import AlphaMemory, AlphaNetwork
 from repro.service import ServiceClient, ServiceConfig
@@ -123,10 +130,31 @@ def test_serve_engine_workers_default_is_a_constant():
     (NaiveMatcher(), "stats"),
     (MatchStats(), "join_test"),
     (match_base, "CountingListener"),
+    (SqliteBackend, "serialize"),
+    (SqliteBackend, "restore"),
+    (SqliteBackend, "save_next_id"),
+    (SqliteTableStorage, "reload_counter"),
+    (StorageBackend, "supports_file_backup"),
+    (StorageBackend, "serialize"),
+    (StorageBackend, "restore"),
+    (DipsMatcher, "begin_restore"),
+    (DipsMatcher, "end_restore"),
+    (checkpoint, "DIPS_DB_NAME"),
+    (recovery, "_prime_dips"),
+    (types.SimpleNamespace(**{
+        module.name: module
+        for module in pkgutil.iter_modules(repro.rdb.__path__)
+    }), "storage"),
 ], ids=["rete-interested_in", "alpha-handles_class",
         "engine-workers", "engine-_pool", "rete-stats", "treat-stats",
         "naive-stats", "matchstats-join_test",
-        "match_base-CountingListener"])
+        "match_base-CountingListener", "sqlite-serialize",
+        "sqlite-restore", "sqlite-save_next_id",
+        "sqlite_storage-reload_counter",
+        "backend-supports_file_backup", "backend-serialize",
+        "backend-restore", "dips-begin_restore", "dips-end_restore",
+        "checkpoint-DIPS_DB_NAME", "recovery-_prime_dips",
+        "rdb-storage-module"])
 def test_removed_hooks_stay_removed(instance, removed):
     assert not hasattr(instance, removed)
 
@@ -155,6 +183,7 @@ def test_removed_hooks_stay_removed(instance, removed):
     (SessionRegistry.create, "workers"),
     (ServiceClient.create, "workers"),
     (cli.ReplSession.__init__, "workers"),
+    (checkpoint.write_checkpoint, "binary_members"),
 ])
 def test_removed_options_stay_removed(callable_, removed):
     assert removed not in inspect.signature(callable_).parameters

@@ -5,6 +5,8 @@ pinned here for the memory and sqlite backends alike, so a third
 backend can be dropped in and qualified by running this file.
 """
 
+import sqlite3
+
 import pytest
 
 from repro.errors import StorageError
@@ -170,45 +172,30 @@ class TestBackendRegistry:
         db.close()
 
 
-class TestSqliteBackup:
-    def test_serialize_restore_round_trip(self):
-        source = SqliteBackend()
-        db = Database(source)
-        table = db.create_table("t", ["a"])
-        table.create_index("a")
-        table.insert_many([{"a": i} for i in range(4)])
-        table.delete(2)
-        data = db.backend.serialize()
-
-        target_backend = SqliteBackend()
-        target = Database(target_backend)
-        clone = target.create_table("t", ["a"])
-        target_backend.restore(data)
-        assert clone.scan() == table.scan()
-        # The id counter travelled with the backup: no reuse.
-        assert clone.insert({"a": 9}) == table.insert({"a": 9})
-        db.close()
-        target.close()
-
-    def test_memory_backend_has_no_backup(self):
-        backend = MemoryBackend()
-        assert not backend.supports_file_backup
-        with pytest.raises(StorageError):
-            backend.serialize()
-        with pytest.raises(StorageError):
-            backend.restore(b"")
-
+class TestSqliteFile:
     def test_file_backed_database_persists(self, tmp_path):
         path = str(tmp_path / "out.db")
         db = Database(f"sqlite:{path}")
         db.create_table("t", ["a"]).insert_many([{"a": 1}, {"a": 2}])
         db.close()
         reopened = Database(f"sqlite:{path}")
-        # A fresh create_table drops stale homonyms: out-of-core reuse
-        # goes through restore()/recovery, not implicit table adoption.
+        # A fresh create_table drops stale homonyms: a reopened file
+        # never adopts an earlier run's table.
         table = reopened.create_table("t", ["a"])
         assert len(table) == 0
         reopened.close()
+
+
+    def test_file_holds_only_the_tables_made(self, tmp_path):
+        path = str(tmp_path / "out.db")
+        db = Database(f"sqlite:{path}")
+        db.create_table("t", ["a"]).insert_many([{"a": 1}])
+        db.close()
+        with sqlite3.connect(path) as conn:
+            names = [row[0] for row in conn.execute(
+                "SELECT name FROM sqlite_master WHERE type = 'table'")]
+        conn.close()
+        assert names == ["t"]
 
 
 class TestDropTable:

@@ -7,6 +7,7 @@ import time
 
 import pytest
 
+from repro.errors import ServiceError
 from repro.service import (
     ServiceBusyError,
     ServiceClient,
@@ -168,11 +169,16 @@ class TestErrors:
         ("strategy", ["lex"]),
         ("backend", "oracle"),
         ("backend", 7),
+        # A file-backed sqlite would be one file shared by every session.
+        pytest.param("backend", "sqlite:<tmp>/t.db",
+                     id="backend-sqlite-path"),
         ("matcher", "sharded"),  # a matcher the registry no longer has
     ])
     def test_unknown_engine_config_is_the_clients_mistake(
-        self, server, client, request, field, value
+        self, server, client, request, tmp_path, field, value
     ):
+        if isinstance(value, str):
+            value = value.replace("<tmp>", str(tmp_path))
         # Past the breaker threshold (5): were these engine failures,
         # the id's breaker would be open by the final valid create.
         sid = "badcfg-" + request.node.callspec.id
@@ -189,8 +195,17 @@ class TestErrors:
         ].get("engine_errors", 0)
         assert after["breakers"] == before["breakers"]
         assert sid not in server.service._breakers
+        assert not (tmp_path / "t.db").exists()
         assert client.create(sid, PROGRAM, durable=False)["rules"] == 1
         client.close_session(sid)
+
+    def test_config_refuses_a_file_backed_backend(self, tmp_path):
+        path = tmp_path / "t.db"
+        with pytest.raises(ServiceError, match="backend"):
+            ServiceConfig(backend=f"sqlite:{path}")
+        assert not path.exists()
+        assert ServiceConfig(backend="sqlite").backend == "sqlite"
+        assert ServiceConfig(backend="memory").backend == "memory"
 
     def test_rete_tenants_differing_only_in_backend_share_one_compile(
         self, client, request

@@ -248,6 +248,13 @@ class TestReliabilityCommands:
 
 
 class TestServeCommand:
+    def test_file_backed_backend_is_refused(self, tmp_path, capsys):
+        path = tmp_path / "t.db"
+        assert main(["serve", "--port", "0", "--run-seconds", "0",
+                     "--backend", f"sqlite:{path}"]) == 1
+        assert "backend" in capsys.readouterr().err
+        assert not path.exists()
+
     def test_sigterm_drain_with_idle_connection_prints_no_traceback(self):
         # A handler parked in readline used to be cancelled by
         # asyncio.run at exit, one CancelledError traceback apiece.
