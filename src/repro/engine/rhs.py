@@ -327,18 +327,22 @@ class RhsExecutor:
             attribute: self._eval(expression)
             for attribute, expression in action.assignments
         }
-        for wme in self.members_of(level):
+        members = self.members_of(level)
+        for wme in members:
             self._check_live(wme)
-            replacement = self.engine.wm.modify(wme, **updates)
-            self.record.modifies += 1
+        replacements = self.engine.wm.modify_all(members, updates)
+        self.record.modifies += len(members)
+        for wme, replacement in zip(members, replacements):
             self.record.touch("modify", wme.time_tag, replacement.time_tag)
 
     def _do_set_remove(self, action):
         level = self._set_level(action.target, "set-remove")
-        for wme in self.members_of(level):
+        members = self.members_of(level)
+        for wme in members:
             self._check_live(wme)
-            self.engine.wm.remove(wme)
-            self.record.removes += 1
+        self.engine.wm.remove_all(members)
+        self.record.removes += len(members)
+        for wme in members:
             self.record.touch("remove", wme.time_tag)
 
     # -- foreach ------------------------------------------------------------------

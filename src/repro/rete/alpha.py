@@ -178,15 +178,23 @@ class AlphaMemory:
         for successor in self.successors:
             successor.right_activate_batch(wmes)
 
-    def remove(self, wme):
-        self.items.pop(wme, None)
+    def remove_batch(self, wmes):
+        """Drop the members of a removed delta group from ``items`` and
+        the indexes in one pass — one activation, as ``add_batch``.
+        Successors are not told: the network's token cascade is."""
+        items = self.items
+        leaving = list(filter(items.__contains__, wmes))
+        if not leaving:
+            return
+        for wme in leaving:
+            del items[wme]
         for attribute, index in self.indexes.items():
-            _index_discard(index, wme.get(attribute), wme)
+            for wme in leaving:
+                _index_discard(index, wme.get(attribute), wme)
         for attribute, index in self.ranges.items():
-            index.discard(wme.get(attribute), wme)
-        self.stats.alpha_activation(self.stats_key, "-", len(self.items))
-        for successor in self.successors:
-            successor.right_retract(wme)
+            for wme in leaving:
+                index.discard(wme.get(attribute), wme)
+        self.stats.alpha_activation(self.stats_key, "-", len(items))
 
     def __contains__(self, wme):
         return wme in self.items
@@ -287,8 +295,12 @@ class AlphaNetwork:
                 if passing:
                     memory.add_batch(passing)
 
-    def remove_wme(self, wme):
-        """Retract a WME from every alpha memory containing it."""
-        for memory in self._by_class.get(wme.wme_class, []):
-            if wme in memory:
-                memory.remove(wme)
+    def remove_batch(self, wmes):
+        """Retract a delta-set from the alpha memories, partitioned by
+        class: each memory drops its share as one group."""
+        by_class = {}
+        for wme in wmes:
+            by_class.setdefault(wme.wme_class, []).append(wme)
+        for wme_class, group in by_class.items():
+            for memory in self._by_class.get(wme_class, ()):
+                memory.remove_batch(group)

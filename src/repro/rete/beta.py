@@ -381,9 +381,6 @@ class TwoInputNode:
             stats.full_scan(key, candidates)
         stats.join_batch(key, candidates, passed)
 
-    def right_retract(self, wme):
-        """WME left the alpha memory; the token cascade handles cleanup."""
-
 
 class JoinNode(TwoInputNode):
     """Joins a left token store with a right alpha memory.

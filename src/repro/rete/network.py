@@ -244,28 +244,33 @@ class ReteNetwork(Matcher):
         if event.is_add:
             self.alpha.add_wme(event.wme)
         else:
-            self._remove_wme(event.wme)
+            self._remove_batch((event.wme,))
 
-    def _remove_wme(self, wme):
-        self.alpha.remove_wme(wme)
-        for token in list(self._wme_tokens.get(wme, ())):
-            if token.node is not None:
-                self.delete_token(token)
-        self._wme_tokens.pop(wme, None)
-        for token in list(self._wme_neg_results.pop(wme, ())):
-            if token.node is not None:
-                token.node.release_blocker(wme, token)
+    def _remove_batch(self, wmes):
+        """Retract *wmes* as a delta-set: out of the alpha memories at
+        once, then each one's token cascade and blocker release, in
+        order, so a released token's joins miss the whole set."""
+        self.alpha.remove_batch(wmes)
+        wme_tokens = self._wme_tokens
+        for wme in wmes:
+            for token in list(wme_tokens.pop(wme, ())):
+                if token.node is not None:
+                    self.delete_token(token)
+            for token in list(self._wme_neg_results.pop(wme, ())):
+                if token.node is not None:
+                    token.node.release_blocker(wme, token)
 
     def on_batch(self, events):
         """Propagate one flushed delta-set set-oriented.
 
-        Removes run first (per WME — deletion is a token cascade), then
-        the surviving adds flow through the alpha network as grouped
-        delta-sets.  Every S-node stages token arrivals for the whole
-        batch and runs its test/decide stages once per touched SOI at
-        flush.  The outcome — conflict set, firing order, refire
-        eligibility — is the atomic net-delta semantics the per-event
-        replay of the same flushed batch produces.
+        Removes run first, as one delta-set (:meth:`_remove_batch`),
+        then the surviving adds flow through the alpha network as
+        grouped delta-sets.  Every S-node stages token arrivals and
+        departures for the whole batch and runs its test/decide stages
+        once per touched SOI at flush.  The outcome — conflict set,
+        firing order, refire eligibility — is the atomic net-delta
+        semantics the per-event replay of the same flushed batch
+        produces.
         """
         if not self.batched or self.strict_paper_decide:
             # strict_paper_decide is a per-event ablation of Figure 3's
@@ -277,12 +282,11 @@ class ReteNetwork(Matcher):
         for snode in snodes:
             snode.begin_batch()
         try:
-            adds = []
+            adds, removes = [], []
             for event in events:
-                if event.is_add:
-                    adds.append(event.wme)
-                else:
-                    self._remove_wme(event.wme)
+                (adds if event.is_add else removes).append(event.wme)
+            if removes:
+                self._remove_batch(removes)
             if adds:
                 self.alpha.add_batch(adds)
         finally:

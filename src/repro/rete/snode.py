@@ -288,24 +288,36 @@ class GammaMemory:
             state.add_token(token)
         return soi, chg
 
+    def soi_of(self, token):
+        """The SOI *token* belongs in, or None when it is not here."""
+        return self.sois.get(self._key_of(token))
+
     def remove(self, token):
         """Take a departing token out; returns ``(soi, chg)``, or None
         when its SOI is not here.  An emptied SOI (``chg`` delete)
         leaves γ-memory at once, so a later same-key arrival builds a
         fresh one — the delete-then-recreate a per-event replay of a
         batch would produce."""
-        key = self._key_of(token)
-        soi = self.sois.get(key)
-        if soi is None:
-            return None
+        soi = self.soi_of(token)
+        return None if soi is None else self.take(soi, token)
+
+    def take(self, soi, token):
+        """Take departing *token* out of its *soi*; ``(soi, chg)``."""
         self._touch(soi)
         was_head = soi.remove_token(token)
         if not len(soi):
-            del self.sois[key]
+            del self.sois[soi.key]
             return soi, CHG_DELETE
         for state in soi.agg_states:
             state.remove_token(token)
         return soi, CHG_NEW_TIME if was_head else CHG_SAME_TIME
+
+    def evict(self, soi):
+        """Drop *soi*, all of whose tokens are leaving, from γ-memory
+        whole: no per-token bisect, no aggregate fold."""
+        self._touch(soi)
+        del self.sois[soi.key]
+        soi._tokens, soi._keys = [], []
 
     def passes(self, soi):
         """Does *soi* satisfy ``:test`` (true when there is none)?"""
@@ -330,6 +342,8 @@ class SNode:
         # skip test evaluation and decide-flow; flush_batch() runs them
         # once per touched SOI.
         self._batch_depth = 0
+        # Staged departures (SOI -> leaving tokens), batched mode only.
+        self._departing = {}
         self.attach_stats(stats if stats is not None else NULL_STATS)
 
     def attach_stats(self, stats):
@@ -339,18 +353,36 @@ class SNode:
     # -- observer protocol (terminal node) --------------------------------
 
     def token_added(self, token):
+        if self._departing:
+            self._settle_departures()
         soi, chg = self.memory.add(token)
         self._token_total += 1
         if not self._batch_depth:
             self._settle(soi, chg)
 
     def token_removed(self, token):
+        if self._batch_depth:
+            soi = self.memory.soi_of(token)
+            if soi is not None:
+                self._departing.setdefault(soi, []).append(token)
+            return
         placed = self.memory.remove(token)
         if placed is None:
             return
         self._token_total -= 1
-        if not self._batch_depth:
-            self._settle(*placed)
+        self._settle(*placed)
+
+    def _settle_departures(self):
+        """Settle staged departures: evict an SOI they all leave."""
+        departing, self._departing = self._departing, {}
+        memory = self.memory
+        for soi, tokens in departing.items():
+            self._token_total -= len(tokens)
+            if len(tokens) == len(soi):
+                memory.evict(soi)
+            else:
+                for token in tokens:
+                    memory.take(soi, token)
 
     def _settle(self, soi, chg):
         """Per-event Figure 3: re-evaluate the test, decide the flow."""
@@ -382,6 +414,7 @@ class SNode:
         self._batch_depth -= 1
         if self._batch_depth > 0:
             return
+        self._settle_departures()
         staged, self.memory.journal = self.memory.journal, None
         reevals = 0
         for soi, (status0, head0) in staged.items():

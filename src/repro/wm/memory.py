@@ -310,9 +310,29 @@ class WorkingMemory:
 
     # -- mutation ------------------------------------------------------
 
+    def _check(self, wme_class, updates):
+        """Refuse a modify's *updates* for a *wme_class* element unless
+        its declared attributes and the value domain admit them."""
+        declared = self.registry.attribute_sets.get(wme_class)
+        if declared is not None and not declared.issuperset(updates):
+            self.registry.validate(wme_class, updates)  # raises, naming it
+        check_values(updates, names_declared=declared is not None)
+
+    def _live_members(self, wmes):
+        """*wmes* as a list, refused unless each is a distinct live
+        element."""
+        wmes = list(wmes)
+        dead = [w for w in wmes if self._by_tag.get(w.time_tag) is not w]
+        if dead or len({w.time_tag for w in wmes}) != len(wmes):
+            raise WorkingMemoryError(
+                f"WME {dead[0]!r} is not in working memory" if dead
+                else "a WME is listed twice"
+            )
+        return wmes
+
     def _stamp(self, wme_class, values, time_tag):
-        """The one construction path of ``make``, ``make_all``,
-        ``ingest`` and ``modify``: check *values* — a dict nobody else
+        """The per-fact construction path of ``make``, ``make_all``
+        and ``ingest``: check *values* — a dict nobody else
         holds, which the new WME keeps — against the class's declared
         attribute set and the value domain, file the WME under
         *time_tag* and move the tag counter past it.  A refused fact
@@ -391,22 +411,72 @@ class WorkingMemory:
         self._emit(REMOVE, wme)
         return wme
 
+    def remove_all(self, wmes):
+        """Remove every WME of *wmes* as one batch, in one pass: the
+        contents, fingerprint and flushed events of a ``remove`` loop
+        inside ``batch()``, but a dead or repeated member is refused
+        before anything changes."""
+        wmes = self._live_members(wmes)
+        by_tag = self._by_tag
+        with self.batch():
+            record = self._batch.record
+            for wme in wmes:
+                del by_tag[wme.time_tag]
+                record(REMOVE, wme)
+            if self._fp is not None:
+                for wme in wmes:
+                    self._fp = (self._fp - _content_hash(wme)) & _FP_MASK
+        return wmes
+
     def modify(self, wme, **updates):
         """OPS5 modify: remove *wme*, re-make it with *updates* applied.
 
         The replacement receives a fresh time tag (it is the most recent
-        element afterwards), exactly as OPS5 specifies.
+        element afterwards), exactly as OPS5 specifies.  Refused
+        *updates* leave *wme* in place.
         """
         if isinstance(wme, int):
             resolved = self._by_tag.get(wme)
             if resolved is None:
                 raise WorkingMemoryError("no WME with that time tag is live")
             wme = resolved
-        new_values = wme.with_updates(updates)
-        self.remove(wme)
-        replacement = self._stamp(wme.wme_class, new_values, self._next_tag)
-        self._emit(ADD, replacement)
-        return replacement
+        if self._by_tag.get(wme.time_tag) is not wme:
+            raise WorkingMemoryError(f"WME {wme!r} is not in working memory")
+        self._check(wme.wme_class, updates)
+        return self._replace((wme,), updates, self._emit)[0]
+
+    def modify_all(self, wmes, updates):
+        """Modify every WME of *wmes* by the dict *updates* as one batch,
+        in one pass; return the replacements.  The tags, contents,
+        fingerprint and flushed ``-w, +w'`` events of a ``modify`` loop
+        inside ``batch()``, but the updates (once per class) and the
+        members are checked before anything changes."""
+        wmes = self._live_members(wmes)
+        for wme_class in {wme.wme_class for wme in wmes}:
+            self._check(wme_class, updates)
+        with self.batch():
+            return self._replace(wmes, updates, self._batch.record)
+
+    def _replace(self, wmes, updates, emit):
+        """Swap each live WME of *wmes* for a copy with the checked
+        *updates* under the next tag, emitting ``-w`` then ``+w'``."""
+        by_tag = self._by_tag
+        replacements = []
+        for wme in wmes:
+            del by_tag[wme.time_tag]
+            if self._fp is not None:
+                self._fp = (self._fp - _content_hash(wme)) & _FP_MASK
+            emit(REMOVE, wme)
+            tag = self._next_tag
+            replacement = by_tag[tag] = WME.owning(
+                wme.wme_class, wme.with_updates(updates), tag
+            )
+            self._next_tag = tag + 1
+            if self._fp is not None:
+                self._fp = (self._fp + _content_hash(replacement)) & _FP_MASK
+            emit(ADD, replacement)
+            replacements.append(replacement)
+        return replacements
 
     def clear(self):
         """Remove every live WME (emitting ``-`` for each, oldest first)."""

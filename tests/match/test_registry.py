@@ -4,8 +4,8 @@ Matcher names live in :data:`repro.match.MATCHERS`; every surface that
 offers a choice must read them, and the options this lattice used to
 have (a kernel mode in any spelling, a process executor, a columnar
 knob, an alpha-filter hook, a sharded matcher, a firing-pool width,
-match counters kept beside :class:`~repro.engine.stats.MatchStats`)
-must stay gone.
+match counters kept beside :class:`~repro.engine.stats.MatchStats`,
+a per-WME removal path beside the delta-set one) must stay gone.
 """
 
 import inspect
@@ -34,6 +34,7 @@ from repro.rdb.backend import StorageBackend
 from repro.rdb.sqlite_backend import SqliteBackend, SqliteTableStorage
 from repro.rete import ReteNetwork
 from repro.rete.alpha import AlphaMemory, AlphaNetwork
+from repro.rete.beta import TwoInputNode
 from repro.service import ServiceClient, ServiceConfig
 from repro.service.session import SessionRegistry
 
@@ -141,6 +142,10 @@ def test_serve_engine_workers_default_is_a_constant():
     (DipsMatcher, "end_restore"),
     (checkpoint, "DIPS_DB_NAME"),
     (recovery, "_prime_dips"),
+    (ReteNetwork(), "_remove_wme"),
+    (AlphaNetwork(), "remove_wme"),
+    (AlphaMemory, "remove"),
+    (TwoInputNode, "right_retract"),
     (types.SimpleNamespace(**{
         module.name: module
         for module in pkgutil.iter_modules(repro.rdb.__path__)
@@ -154,7 +159,8 @@ def test_serve_engine_workers_default_is_a_constant():
         "backend-supports_file_backup", "backend-serialize",
         "backend-restore", "dips-begin_restore", "dips-end_restore",
         "checkpoint-DIPS_DB_NAME", "recovery-_prime_dips",
-        "rdb-storage-module"])
+        "rete-_remove_wme", "alpha-remove_wme", "alpha_memory-remove",
+        "two_input-right_retract", "rdb-storage-module"])
 def test_removed_hooks_stay_removed(instance, removed):
     assert not hasattr(instance, removed)
 

@@ -37,6 +37,7 @@ remove a negated CE's blocker (the one case DIPS answers by re-running
 its full query).
 """
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -105,7 +106,7 @@ _scenario = st.lists(
 )
 
 
-def _build_engines():
+def _build_engines(program=PROGRAM):
     configs = {
         "rete-batched": ReteNetwork(batched=True),
         "rete-replay": ReteNetwork(batched=False),
@@ -118,7 +119,7 @@ def _build_engines():
     for name, matcher in configs.items():
         engine = RuleEngine(matcher=matcher, stats=MatchStats(),
                             on_error="skip")
-        engine.load(PROGRAM)
+        engine.load(program)
         engines[name] = engine
     return engines
 
@@ -129,6 +130,18 @@ def _assert_kept_equals_fresh(output):
     for index, line in enumerate(lines):
         if line[0] == "kept":
             assert lines[index + 1] == ["fresh"] + line[1:], (index, output)
+
+
+#: A negated CE followed by a join and by a set CE on the same owner.
+GUARDED = """
+(literalize item owner v k)
+(literalize owner name)
+(p guarded (item ^owner <o> ^v 1) -(owner ^name <o>)
+  (item ^owner <o> ^v 2) --> (write guarded <o>))
+(p sweep (item ^owner <o> ^v 1) -(owner ^name <o>)
+  { [item ^owner <o> ^v <v>] <S> }
+  --> (write sweep <o> (count <S>) (sum <S> ^v)))
+"""
 
 
 def _apply_ops(engine, ops, made):
@@ -169,6 +182,47 @@ def _conflict_order(engine):
     ]
 
 
+def _check_scenario(program, scenario):
+    """Run *scenario* on every matcher; each must match the per-event
+    reference after every step and in its final drain."""
+    engines = _build_engines(program)
+    mades = {name: [] for name in engines}
+    fired = {name: [] for name in engines}
+    for step in scenario:
+        for name, engine in engines.items():
+            if step is True:
+                engine.run()
+                fired[name] = [
+                    (f.rule_name, f.time_tags)
+                    for f in engine.tracer.firings
+                ]
+            else:
+                _apply_batch(engine, step, mades[name])
+        orders = {
+            name: _conflict_order(engine)
+            for name, engine in engines.items()
+        }
+        baseline = orders["rete-replay"]
+        for name, order in orders.items():
+            assert order == baseline, (name, order, baseline)
+        baseline_fired = fired["rete-replay"]
+        for name, sequence in fired.items():
+            assert sequence == baseline_fired, name
+
+    # Final drain: identical firing sequences and outputs.
+    outputs = {}
+    for name, engine in engines.items():
+        engine.run()
+        outputs[name] = (
+            [(f.rule_name, f.time_tags) for f in engine.tracer.firings],
+            engine.output,
+        )
+    baseline = outputs["rete-replay"]
+    for name, result in outputs.items():
+        assert result == baseline, name
+    _assert_kept_equals_fresh(baseline[1])
+
+
 _A1 = ("item", "a", 1)
 
 
@@ -184,46 +238,42 @@ class TestBatchEquivalence:
     # A negated CE's blocker added, then removed beside a positive change.
     @example([[_A1, ("item", "b", 2)], True, [("owner", "a", 0)], True,
               [("remove", 2, 0), ("item", "b", 3)], True])
+    # Every token of SOI a leaves in one batch, then its key comes back.
+    @example([[_A1, _A1, ("item", "b", 2), ("owner", "a", 0)], True,
+              [("remove", 0, 0), ("remove", 0, 0), _A1], True])
+    # Every member of SOI a modified in one batch (set-modify's shape).
+    @example([[_A1, ("item", "a", 2)], True,
+              [("modify", 0, 3), ("modify", 0, 0.1)], True])
+    # Part of SOI a leaves: one removed, one modified, one kept.
+    @example([[_A1, ("item", "a", 2), ("item", "a", 3)], True,
+              [("remove", 1, 0), ("modify", 0, 0.1)], True])
+    # A negated CE's blocker removed together with its join partner,
+    # in both orders.
+    @example([[_A1, ("owner", "a", 0), ("item", "b", 2)], True,
+              [("remove", 1, 0), ("remove", 0, 0)], True])
+    @example([[_A1, ("owner", "a", 0), ("item", "b", 2)], True,
+              [("remove", 0, 0), ("remove", 0, 0)], True])
     @given(_scenario)
     @settings(max_examples=60, deadline=None)
     def test_identical_conflict_sets_and_firings(self, scenario):
-        engines = _build_engines()
-        mades = {name: [] for name in engines}
-        fired = {name: [] for name in engines}
-        for step in scenario:
-            for name, engine in engines.items():
-                if step is True:
-                    engine.run()
-                    fired[name] = [
-                        (f.rule_name, f.time_tags)
-                        for f in engine.tracer.firings
-                    ]
-                else:
-                    _apply_batch(engine, step, mades[name])
-            orders = {
-                name: _conflict_order(engine)
-                for name, engine in engines.items()
-            }
-            baseline = orders["rete-replay"]
-            for name, order in orders.items():
-                assert order == baseline, (name, order, baseline)
-            baseline_fired = fired["rete-replay"]
-            for name, sequence in fired.items():
-                assert sequence == baseline_fired, name
+        _check_scenario(PROGRAM, scenario)
 
-        # Final drain: identical firing sequences and outputs.
-        outputs = {}
-        for name, engine in engines.items():
-            engine.run()
-            outputs[name] = (
-                [(f.rule_name, f.time_tags) for f in engine.tracer.firings],
-                engine.output,
-            )
-        baseline = outputs["rete-replay"]
-        for name, result in outputs.items():
-            assert result == baseline, name
-        _assert_kept_equals_fresh(baseline[1])
-
+    @pytest.mark.parametrize("scenario", [
+        # The blocker and both downstream partners leave in one batch;
+        # then they come back.
+        [[("remove", 3, 0), ("remove", 1, 0), ("remove", 1, 0)], True,
+         [("item", "a", 2), ("owner", "a", 0)], True],
+        # The blocker and the upstream partner leave in one batch.
+        [[("remove", 3, 0), ("remove", 0, 0)], True],
+        # The blocker leaves while every set member is modified.
+        [[("remove", 3, 0), ("modify", 1, 2), ("modify", 1, 2)], True],
+    ], ids=["downstream", "upstream", "modified"])
+    def test_blocker_leaves_with_its_partners(self, scenario):
+        """A negated CE with a join and a set CE after it: a released
+        blocker's token joins only what survives the batch."""
+        setup = [[("item", "a", 1), ("item", "a", 2), ("item", "a", 2),
+                  ("owner", "a", 0)], True]
+        _check_scenario(GUARDED, setup + scenario)
     @given(st.lists(_op, min_size=1, max_size=8))
     @settings(max_examples=40, deadline=None)
     def test_single_batch_equals_incremental(self, ops):

@@ -1,6 +1,7 @@
 """Unit tests for the alpha network."""
 
 from repro.analysis import RuleAnalysis
+from repro.engine.stats import MatchStats
 from repro.lang.parser import parse_rule
 from repro.rete.alpha import AlphaNetwork
 from repro.wm import WME
@@ -11,15 +12,14 @@ def ce_analysis(source, index=0):
 
 
 class _Recorder:
+    """A successor that hears only right activations: removal has no
+    successor hook (the network's token cascade does that work)."""
+
     def __init__(self):
         self.added = []
-        self.removed = []
 
     def right_activate(self, wme):
         self.added.append(wme)
-
-    def right_retract(self, wme):
-        self.removed.append(wme)
 
 
 class TestAlphaSharing:
@@ -80,7 +80,7 @@ class TestRouting:
         assert miss not in memory
         assert len(other) == 1
 
-    def test_successors_notified(self):
+    def test_successors_hear_adds_not_removes(self):
         network = AlphaNetwork()
         memory = network.memory_for(
             ce_analysis("(p r (a) --> (halt))")
@@ -89,14 +89,39 @@ class TestRouting:
         memory.successors.append(recorder)
         wme = WME("a", {}, 1)
         network.add_wme(wme)
-        network.remove_wme(wme)
+        network.remove_batch([wme])
         assert recorder.added == [wme]
-        assert recorder.removed == [wme]
+        assert wme not in memory
 
     def test_remove_unknown_wme_is_noop(self):
         network = AlphaNetwork()
-        network.memory_for(ce_analysis("(p r (a) --> (halt))"))
-        network.remove_wme(WME("zzz", {}, 1))  # no error
+        memory = network.memory_for(ce_analysis("(p r (a) --> (halt))"))
+        kept = WME("a", {}, 2)
+        network.add_wme(kept)
+        network.remove_batch([WME("zzz", {}, 1), WME("a", {}, 3)])
+        assert list(memory) == [kept]
+
+    def test_remove_batch_is_one_activation_per_memory(self):
+        stats = MatchStats()
+        network = AlphaNetwork(stats=stats)
+        a_all = network.memory_for(ce_analysis("(p r (a ^k <v>) --> (halt))"))
+        a_one = network.memory_for(ce_analysis("(p r2 (a ^k 1) --> (halt))"))
+        b_all = network.memory_for(ce_analysis("(p r3 (b) --> (halt))"))
+        a_all.ensure_index("k")
+        a_all.ensure_range("k")
+        made = [WME("a", {"k": k}, tag) for tag, k in enumerate((1, 2, 1), 1)]
+        made.append(WME("b", {}, 4))
+        network.add_batch(made)
+        before = stats.totals["alpha_activations"]
+        network.remove_batch([made[0], made[3], made[1]])
+        # a_all, a_one and b_all each drop their share as one group.
+        assert stats.totals["alpha_activations"] - before == 3
+        assert list(a_all) == [made[2]]
+        assert list(a_one) == [made[2]]
+        assert len(b_all) == 0
+        assert a_all.indexed_wmes("k", 1) == [made[2]]
+        assert a_all.indexed_wmes("k", 2) == []
+        assert a_all.ranges["k"].select(">", 0) == [made[2]]
 
 
 class TestOrderedIndex:
@@ -131,8 +156,7 @@ class TestOrderedIndex:
 
     def test_removal_prunes_keys_and_buckets(self):
         memory, index, made = self._memory(2, 2.0, 7, "x")
-        for wme in made:
-            memory.remove(wme)
+        memory.remove_batch(made)
         assert (index.keys, index.buckets) == ([], {})
 
     def test_backfills_existing_members_once(self):

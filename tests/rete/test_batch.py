@@ -1,7 +1,10 @@
 """Batched delta propagation through the Rete network."""
 
+import pytest
+
 from repro import MatchStats, RuleEngine
 from repro.rete import ReteNetwork
+from repro.rete.aggregates import AggregateState
 
 SELF_JOIN = """
 (literalize pair v)
@@ -85,19 +88,57 @@ class TestBatchedSNode:
 
     def test_soi_emptied_and_recreated_within_batch(self):
         engine = _engine(SET_RULE)
+        gamma = engine.matcher.snode_for("big-dept").gamma
         engine.make("dept", name="sales")
         first = [
             engine.make("emp", dept="sales", salary=i) for i in range(3)
         ]
         engine.run()
         assert engine.output == ["big sales 3"]
+        [emptied] = gamma.values()
         with engine.batch():
             for wme in first:
                 engine.remove(wme)
             for i in range(2):
                 engine.make("emp", dept="sales", salary=10 + i)
+        # The departures settle before the first arrival: the key gets
+        # a fresh SOI, as the per-event replay builds one.
+        [fresh] = gamma.values()
+        assert fresh is not emptied and len(emptied) == 0
         engine.run()
         assert engine.output == ["big sales 3", "big sales 2"]
+
+    @pytest.mark.parametrize("leaving, folds", [(5, 0), (2, 2)],
+                             ids=["whole-soi", "part-of-soi"])
+    def test_departures_are_staged_per_soi(self, monkeypatch, leaving,
+                                           folds):
+        """Removes in one batch: one alpha activation for the emp
+        memory, one staged SOI; an SOI every token leaves is dropped
+        whole, without folding its aggregate per token."""
+        stats = MatchStats()
+        engine = _engine(SET_RULE, stats=stats)
+        engine.make("dept", name="sales")
+        staff = engine.load_facts(
+            [("emp", {"dept": "sales", "salary": i}) for i in range(5)]
+        )
+        engine.run()
+        removed = []
+        monkeypatch.setattr(
+            AggregateState, "remove_token",
+            lambda state, token: removed.append(token),
+        )
+        before = dict(stats.totals)
+        with engine.batch():
+            for wme in staff[:leaving]:
+                engine.remove(wme)
+        moved = {name: stats.totals[name] - before.get(name, 0)
+                 for name in ("alpha_activations", "snode_batch_sois")}
+        assert moved == {"alpha_activations": 1, "snode_batch_sois": 1}
+        assert len(removed) == folds
+        gamma = engine.matcher.snode_for("big-dept").gamma
+        assert [len(soi) for soi in gamma.values()] == (
+            [5 - leaving] if leaving < 5 else []
+        )
 
     def test_batch_refire_only_when_set_touched(self):
         engine = _engine(SET_RULE)

@@ -296,3 +296,90 @@ class TestMakeAll:
         assert not wm.in_batch
         assert [[e.wme for e in batch] for batch in batches] == [made]
         assert wm.make_all([]) == [] and len(batches) == 1
+
+
+#: The FACTS members a set action takes, deliberately not in tag order
+#: and across a declared and an undeclared class.
+MEMBERS = (4, 0, 2, 1)
+
+
+def _loaded(flushed):
+    """An engine over FACTS, its content fingerprint maintained, with
+    nothing flushed yet; returns it and the chosen members."""
+    engine = _engine(flushed)
+    made = engine.load_facts(FACTS)
+    engine.wm.enable_fingerprint()
+    flushed.clear()
+    return engine, [made[index] for index in MEMBERS]
+
+
+def _set_state(engine, flushed):
+    return (engine.wm.content_fingerprint(),) + _state(engine, flushed)
+
+
+class TestModifyAllRemoveAll:
+    """``set-modify``/``set-remove`` (``WorkingMemory.modify_all`` /
+    ``remove_all``) against the loop inside ``batch()`` they replace."""
+
+    def test_modify_all_same_as_a_modify_loop(self):
+        bulk_flushed, loop_flushed = [], []
+        bulk, bulk_members = _loaded(bulk_flushed)
+        loop, loop_members = _loaded(loop_flushed)
+        replaced = bulk.wm.modify_all(bulk_members, {"qty": 3})
+        with loop.batch():
+            expected = [loop.modify(w, qty=3) for w in loop_members]
+        assert [w.time_tag for w in replaced] == [7, 8, 9, 10]
+        assert replaced == expected
+        assert len(bulk_flushed) == 1
+        assert [e.sign for e in bulk_flushed[0]] == [REMOVE, ADD] * 4
+        assert _set_state(bulk, bulk_flushed) == _set_state(
+            loop, loop_flushed
+        )
+
+    def test_remove_all_same_as_a_remove_loop(self):
+        bulk_flushed, loop_flushed = [], []
+        bulk, bulk_members = _loaded(bulk_flushed)
+        loop, loop_members = _loaded(loop_flushed)
+        assert bulk.wm.remove_all(bulk_members) == bulk_members
+        with loop.batch():
+            for wme in loop_members:
+                loop.remove(wme)
+        assert [e.wme for e in bulk_flushed[0]] == bulk_members
+        assert _set_state(bulk, bulk_flushed) == _set_state(
+            loop, loop_flushed
+        )
+
+    @pytest.mark.parametrize("bad", [{"colour": "red"}, {"qty": ["a"]}],
+                             ids=["undeclared-attribute", "list-value"])
+    def test_refused_update_removes_nothing(self, bad):
+        flushed = []
+        engine, members = _loaded(flushed)
+        before = _set_state(engine, flushed)
+        engine, members = _loaded(flushed)
+        with pytest.raises(WorkingMemoryError) as bulk:
+            engine.wm.modify_all(members, bad)
+        with pytest.raises(WorkingMemoryError) as single:
+            engine.modify(members[0], **bad)  # an order: refused too
+        assert str(bulk.value) == str(single.value)
+        assert all(wme in engine.wm for wme in members)
+        assert _set_state(engine, flushed) == before
+
+    @pytest.mark.parametrize("action", ["modify_all", "remove_all"])
+    def test_dead_or_repeated_member_is_refused_first(self, action):
+        flushed = []
+        engine, members = _loaded(flushed)
+        engine.remove(members[2])
+        flushed.clear()
+        before = _set_state(engine, flushed)
+        engine, members = _loaded(flushed)
+        engine.remove(members[2])
+        flushed.clear()
+        call = getattr(engine.wm, action)
+        extra = ({"qty": 3},) if action == "modify_all" else ()
+        with pytest.raises(WorkingMemoryError, match="not in working memory"):
+            call(members, *extra)
+        live = members[:2] + members[3:]
+        with pytest.raises(WorkingMemoryError, match="listed twice"):
+            call(live + live[:1], *extra)
+        assert all(wme in engine.wm for wme in live)
+        assert _set_state(engine, flushed) == before

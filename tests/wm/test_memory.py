@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import RuleEngine
 from repro.errors import WorkingMemoryError
 from repro.wm import WMClassRegistry, WorkingMemory
 from repro.wm.events import ADD, REMOVE
@@ -170,3 +171,43 @@ class TestPrependObserver:
         with wm.batch():
             wm.make("a")
         assert order == ["wal-batch", "matcher-batch"]
+
+
+class TestRefusedModify:
+    """A ``modify`` whose updates are refused leaves everything as it
+    was: the element, the conflict set and the content fingerprint."""
+
+    PROGRAM = """
+    (literalize order id qty)
+    (p big (order ^id <i> ^qty > 5) --> (write big <i>))
+    """
+
+    @pytest.mark.parametrize("bad", [
+        {"colour": "red"},  # undeclared attribute
+        {"qty": [7]},  # value outside the domain
+    ], ids=["undeclared-attribute", "list-value"])
+    def test_refused_updates_change_nothing(self, bad):
+        engine = RuleEngine()
+        engine.load(self.PROGRAM)
+        order = engine.make("order", id="o1", qty=6)
+        engine.wm.enable_fingerprint()
+
+        def state():
+            return (
+                list(engine.wm),
+                engine.wm.latest_time_tag,
+                engine.wm.content_fingerprint(),
+                [(inst.rule.name, inst.recency_key())
+                 for inst in engine.conflict_set.ordered(engine.strategy)],
+            )
+
+        before = state()
+        with pytest.raises(WorkingMemoryError) as made:
+            engine.make("order", **{"id": "o1", "qty": 6, **bad})
+        with pytest.raises(WorkingMemoryError) as modified:
+            engine.modify(order, **bad)
+        assert str(modified.value) == str(made.value)
+        assert order in engine.wm
+        assert state() == before
+        assert engine.run() == 1
+        assert engine.output == ["big o1"]
