@@ -14,7 +14,9 @@ residual-test volume.  The S-node runs its Figure-3 stages once per
 (department, batch) instead of once per employee.
 """
 
+import gc
 import time
+import tracemalloc
 
 from repro import MatchStats, RuleEngine
 from repro.bench import print_table
@@ -122,6 +124,35 @@ def test_batched_bulk_load_halves_join_tests(benchmark):
     )
 
     benchmark(_load, True, 1000)
+
+
+#: Bound on what a batched ``load_facts`` allocates and frees again,
+#: per fact: the delta-set buffer is one log of the flushed events, so
+#: the transient is that log plus what the matcher's flush needs.
+TRANSIENT_BYTES_PER_FACT = 150
+
+
+def test_batched_bulk_load_transient_memory_per_fact():
+    """tracemalloc peak minus retained bytes of the 10k-fact
+    ``load_facts``, per fact."""
+    engine = RuleEngine(matcher=ReteNetwork(batched=True))
+    engine.load(PROGRAM)
+    for d in range(N_DEPTS):
+        engine.make("dept", name=f"d{d}")
+    facts = _facts()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        engine.load_facts(facts)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(engine.wm) == N_EMPLOYEES + N_DEPTS
+    transient = (peak - retained) / N_EMPLOYEES
+    print(f"\nload_facts: {transient:.0f} B/fact transient, "
+          f"{(retained - before) / N_EMPLOYEES:.0f} B/fact retained")
+    assert transient < TRANSIENT_BYTES_PER_FACT
 
 
 def test_batched_high_churn_matches_per_event(benchmark):

@@ -69,10 +69,14 @@ ERROR_CODES = ("protocol", "busy", "no_session", "bad_request",
 RETRYABLE_CODES = frozenset({"busy", "deadline", "unavailable"})
 
 
+#: The one compact encoder every line goes through: ``json.dumps`` with
+#: non-default arguments would build a new encoder per call.
+_ENCODER = json.JSONEncoder(separators=(",", ":"), ensure_ascii=False)
+
+
 def encode_line(obj):
     """*obj* as one NDJSON line (bytes, trailing newline)."""
-    return (json.dumps(obj, separators=(",", ":"),
-                       ensure_ascii=False) + "\n").encode("utf-8")
+    return (_ENCODER.encode(obj) + "\n").encode("utf-8")
 
 
 def decode_line(data):

@@ -7,12 +7,13 @@ as its own sign — OPS5 semantics define it as remove-then-make, and
 
 :class:`DeltaBatch` is the buffering side of batched propagation
 (``WorkingMemory.batch()`` / ``RuleEngine.batch()``): it collects the
-signed deltas of one atomic working-memory transition and *nets out
-cancelling pairs* — a WME made and removed inside the same batch never
-existed as far as matching is concerned.  The surviving deltas keep
-their original relative order (stable netting), so per-event replay of
-a flushed batch is a well-defined fallback for matchers without a
-set-oriented batch entry point.
+signed deltas of one atomic working-memory transition as a log of the
+very events observers receive, and at flush *nets out cancelling
+pairs* — a WME made and removed inside the same batch never existed as
+far as matching is concerned.  The surviving deltas keep their original
+relative order (stable netting), so per-event replay of a flushed batch
+is a well-defined fallback for matchers without a set-oriented batch
+entry point.
 """
 
 from __future__ import annotations
@@ -55,102 +56,73 @@ class WMEvent:
 
 
 class DeltaBatch:
-    """One atomic set of signed WM deltas, with stable netting.
+    """One atomic set of signed WM deltas: an append-only log of the
+    :class:`WMEvent` objects observers receive, netted once, at flush.
 
-    ``record`` appends a delta; a ``-`` for a WME whose ``+`` is still
-    buffered cancels the pair in place (both deltas count as
-    *coalesced*).  ``events()`` returns the net delta-set as
-    :class:`WMEvent` objects in original (surviving) order.
+    ``events()`` returns the net delta-set: a WME whose ``+`` and ``-``
+    are both in the log was made and removed inside the batch, so both
+    entries drop out (*coalesced*) and the survivors keep their
+    original order (stable netting).  With no removes or no adds it is
+    the log itself.  Netting is exact because time tags are never
+    reused while the log holds them: a make creates a fresh WME, and a
+    rollback truncates the log together with the tag counter.
 
-    Netting is exact because time tags are never reused: a make always
-    creates a fresh WME, so the only cancelling pattern is
-    ``+w ... -w`` for a WME born inside the batch.
-
-    A batch also journals every mutation it records, so a savepoint
-    taken with :meth:`mark` can be rolled back with :meth:`rewind` —
-    the staging half of atomic rule firings
-    (:mod:`repro.engine.reliability`): RHS effects buffered here never
-    reached an observer, so discarding them plus undoing the
-    working-memory multiset restores the exact pre-fire state.
+    A savepoint taken with :meth:`mark` is the log's length, and
+    :meth:`rewind` truncates back to it — the staging half of atomic
+    rule firings (:mod:`repro.engine.reliability`): RHS effects
+    buffered here never reached an observer, so discarding them plus
+    undoing the working-memory multiset restores the exact pre-fire
+    state.
     """
 
-    __slots__ = ("_deltas", "_pending_adds", "_ops", "submitted",
-                 "coalesced")
+    __slots__ = ("_log",)
 
     def __init__(self):
-        # List of [sign, wme] entries; a cancelled add is tombstoned to
-        # None so surviving deltas keep their original relative order.
-        self._deltas = []
-        self._pending_adds = {}  # wme -> index into _deltas
-        # Undo journal: ("delta", sign, wme) for an appended entry,
-        # ("cancel", index, wme) for a remove that tombstoned index.
-        self._ops = []
-        self.submitted = 0
-        self.coalesced = 0
+        self._log = []
 
     def record(self, sign, wme):
-        self.submitted += 1
-        if sign == REMOVE:
-            index = self._pending_adds.pop(wme, None)
-            if index is not None:
-                self._deltas[index] = None
-                self.coalesced += 2
-                self._ops.append(("cancel", index, wme))
-                return
-        else:
-            self._pending_adds[wme] = len(self._deltas)
-        self._deltas.append((sign, wme))
-        self._ops.append(("delta", sign, wme))
+        self._log.append(WMEvent(sign, wme))
+
+    @property
+    def submitted(self):
+        """Number of deltas recorded, before netting."""
+        return len(self._log)
+
+    @property
+    def coalesced(self):
+        """Number of recorded deltas netting drops."""
+        return len(self._log) - len(self.events())
 
     # -- savepoints ----------------------------------------------------
 
     def mark(self):
         """An opaque savepoint: everything recorded so far is kept."""
-        return len(self._ops)
+        return len(self._log)
 
     def rewind(self, mark):
-        """Undo every mutation recorded after *mark*.
+        """Truncate the log back to *mark*.
 
         Returns the undone mutations as ``(sign, wme)`` pairs, newest
         first, so the caller (:meth:`WorkingMemory.rollback_transaction
         <repro.wm.memory.WorkingMemory.rollback_transaction>`) can
-        apply the inverse of each to the WME multiset.  A ``cancel``
-        journal entry undoes to its original ``-`` mutation: the
-        tombstoned ``+`` entry is restored in place.
+        apply the inverse of each to the WME multiset.
         """
-        undone = []
-        while len(self._ops) > mark:
-            op = self._ops.pop()
-            if op[0] == "delta":
-                _, sign, wme = op
-                self._deltas.pop()
-                if sign == ADD:
-                    del self._pending_adds[wme]
-                undone.append((sign, wme))
-            else:
-                _, index, wme = op
-                self._deltas[index] = (ADD, wme)
-                self._pending_adds[wme] = index
-                self.coalesced -= 2
-                undone.append((REMOVE, wme))
-            self.submitted -= 1
+        undone = [(e.sign, e.wme) for e in reversed(self._log[mark:])]
+        del self._log[mark:]
         return undone
 
     def events(self):
         """The net delta-set, in original order, as WMEvents."""
-        return [
-            WMEvent(sign, wme)
-            for entry in self._deltas
-            if entry is not None
-            for sign, wme in (entry,)
-        ]
+        log = self._log
+        removed = {e.wme for e in log if e.sign == REMOVE}
+        if not removed or len(removed) == len(log):
+            return log
+        born = {e.wme for e in log if e.sign == ADD and e.wme in removed}
+        return [e for e in log if e.wme not in born] if born else log
 
     def __len__(self):
         """Number of surviving (net) deltas."""
-        return len(self._deltas) - (self.coalesced // 2)
+        return len(self.events())
 
     def __repr__(self):
-        return (
-            f"DeltaBatch({len(self)} net deltas, "
-            f"{self.coalesced} coalesced)"
-        )
+        return f"DeltaBatch({len(self)} net, {self.coalesced} coalesced)"

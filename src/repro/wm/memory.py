@@ -96,7 +96,7 @@ class WorkingMemory:
     ``batch()`` opens an atomic delta-set: mutations still apply to the
     WME multiset immediately (time tags stay monotone, ``find`` sees the
     change), but observer delivery is buffered in a :class:`DeltaBatch`
-    and flushed on exit with cancelling make/remove pairs netted out.
+    log, flushed on exit with cancelling make/remove pairs netted out.
     Observers that registered a batch handler via
     ``attach(observer, on_batch=...)`` receive the whole net delta list
     in one call; plain observers get a per-event replay of the same net
@@ -197,7 +197,8 @@ class WorkingMemory:
                 raise
             delivered += 1
         if stats is not None:
-            stats.batch_flush(batch.submitted, len(events), batch.coalesced)
+            submitted = batch.submitted
+            stats.batch_flush(submitted, len(events), submitted - len(events))
 
     # -- transactions --------------------------------------------------
 
@@ -225,11 +226,11 @@ class WorkingMemory:
     def rollback_transaction(self, savepoint, stats=None):
         """Undo every mutation since the matching :meth:`begin_transaction`.
 
-        Buffered deltas are rewound from the batch journal, the inverse
-        of each is applied to the WME multiset (newest first), and the
-        time-tag counter is restored — afterwards working memory is
-        byte-identical to the savepoint and no observer ever heard of
-        the rolled-back mutations.
+        The batch's delta log is truncated back to the savepoint, the
+        inverse of each dropped delta is applied to the WME multiset
+        (newest first), and the time-tag counter is restored —
+        afterwards working memory is byte-identical to the savepoint and
+        no observer ever heard of the rolled-back mutations.
         """
         next_tag, batch_mark = savepoint
         for sign, wme in self._batch.rewind(batch_mark):
@@ -262,7 +263,9 @@ class WorkingMemory:
 
     def of_class(self, wme_class):
         """Return live WMEs of *wme_class*, in time-tag order."""
-        return [w for w in self if w.wme_class == wme_class]
+        members = [w for w in self._by_tag.values()
+                   if w.wme_class == wme_class]
+        return sorted(members, key=lambda w: w.time_tag)
 
     def find(self, wme_class, **values):
         """Return live WMEs of *wme_class* whose attributes equal *values*."""

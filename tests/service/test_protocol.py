@@ -99,3 +99,25 @@ class TestEventPayloads:
         assert line["tag"] == 11
         assert line["values"] == {"name": "sue"}
         json.dumps(line)
+
+
+class _AccentedWme(_Wme):
+    @staticmethod
+    def as_dict():
+        return {"name": "zoë", "salary": 1.5}
+
+
+class TestSharedEncoder:
+    """``encode_line`` reuses one encoder; its bytes are those of
+    ``json.dumps`` with the same arguments."""
+
+    @pytest.mark.parametrize("line", [
+        firing_event(5, _Record()),
+        fact_event(5, "+", _AccentedWme()),
+        event_line(9, "write", text="staffed d1 3"),
+        ok_response(42, fired=3, quiescent=True, halted=False),
+    ], ids=["firing", "fact-non-ascii", "write", "ok"])
+    def test_bytes_match_json_dumps(self, line):
+        expected = json.dumps(line, separators=(",", ":"),
+                              ensure_ascii=False) + "\n"
+        assert encode_line(line) == expected.encode("utf-8")

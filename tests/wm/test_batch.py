@@ -4,6 +4,8 @@ make_all against the make loop it replaces."""
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import RuleEngine
 from repro.engine.stats import MatchStats
@@ -48,6 +50,112 @@ class TestDeltaBatch:
         assert [(e.sign, e.wme) for e in batch.events()] == [
             (ADD, a), (ADD, c)
         ]
+
+
+class _EagerDeltaBatch:
+    """Reference netting: a ``-`` for a WME whose ``+`` is buffered
+    tombstones the pair in place, and an undo journal rewinds it."""
+
+    def __init__(self):
+        self.deltas = []  # (sign, wme), or None for a cancelled add
+        self.pending_adds = {}  # wme -> index into deltas
+        self.ops = []  # ("delta", sign, wme) or ("cancel", index, wme)
+        self.submitted = 0
+        self.coalesced = 0
+
+    def record(self, sign, wme):
+        self.submitted += 1
+        if sign == REMOVE and wme in self.pending_adds:
+            index = self.pending_adds.pop(wme)
+            self.deltas[index] = None
+            self.coalesced += 2
+            self.ops.append(("cancel", index, wme))
+            return
+        if sign == ADD:
+            self.pending_adds[wme] = len(self.deltas)
+        self.deltas.append((sign, wme))
+        self.ops.append(("delta", sign, wme))
+
+    def mark(self):
+        return len(self.ops)
+
+    def rewind(self, mark):
+        undone = []
+        while len(self.ops) > mark:
+            kind, key, wme = self.ops.pop()
+            if kind == "delta":
+                self.deltas.pop()
+                if key == ADD:
+                    del self.pending_adds[wme]
+                undone.append((key, wme))
+            else:
+                self.deltas[key] = (ADD, wme)
+                self.pending_adds[wme] = key
+                self.coalesced -= 2
+                undone.append((REMOVE, wme))
+            self.submitted -= 1
+        return undone
+
+    def events(self):
+        return [entry for entry in self.deltas if entry is not None]
+
+
+#: One step of a batch: make a fresh WME, remove a live one, take a
+#: savepoint, or rewind to one; the integer picks the member or mark.
+_batch_steps = st.lists(
+    st.tuples(st.sampled_from(["make", "remove", "mark", "rewind"]),
+              st.integers(0, 1000)),
+    max_size=60,
+)
+
+
+class TestDeltaLogNetting:
+    """The log nets at flush exactly as in-place netting did."""
+
+    @given(st.integers(0, 5), _batch_steps)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_eager_netting(self, preexisting, steps):
+        batch, reference = DeltaBatch(), _EagerDeltaBatch()
+        # Working-memory rules: makes take the next id, removes take a
+        # live id, and a rewind restores the id counter and the live
+        # set, so ids made after the savepoint are reused.
+        live = list(range(preexisting))
+        next_id = preexisting
+        marks = []
+        for step, pick in steps:
+            if step == "make":
+                batch.record(ADD, next_id)
+                reference.record(ADD, next_id)
+                live.append(next_id)
+                next_id += 1
+            elif step == "remove" and live:
+                wme = live.pop(pick % len(live))
+                batch.record(REMOVE, wme)
+                reference.record(REMOVE, wme)
+            elif step == "mark":
+                marks.append(
+                    (batch.mark(), reference.mark(), next_id, list(live))
+                )
+            elif step == "rewind" and marks:
+                del marks[pick % len(marks) + 1:]
+                mark, reference_mark, next_id, live = marks[-1]
+                live = list(live)
+                assert batch.rewind(mark) == reference.rewind(reference_mark)
+            net = batch.events()
+            assert [(e.sign, e.wme) for e in net] == reference.events()
+            assert batch.submitted == reference.submitted
+            assert len(batch) == len(net)
+            assert batch.coalesced == reference.coalesced
+            if reference.coalesced == 0:
+                assert net is batch._log
+
+    def test_events_is_the_log_without_removes_or_adds(self):
+        adds, removes = DeltaBatch(), DeltaBatch()
+        for tag in range(3):
+            adds.record(ADD, _wme(tag))
+            removes.record(REMOVE, _wme(tag))
+        assert adds.events() is adds._log
+        assert removes.events() is removes._log
 
 
 class TestWorkingMemoryBatch:

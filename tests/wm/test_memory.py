@@ -80,6 +80,22 @@ class TestWorkingMemory:
         assert a not in wm
         assert b in wm
 
+    def test_of_class_in_time_tag_order_after_rollback(self):
+        wm = WorkingMemory()
+        first = wm.make("item", n=1)
+        other = wm.make("other", n=2)
+        second = wm.make("item", n=3)
+        savepoint = wm.begin_transaction()
+        wm.remove(first)
+        wm.rollback_transaction(savepoint)
+        # The rollback re-filed the oldest WME after the others.
+        assert list(wm._by_tag) == [other.time_tag, second.time_tag,
+                                    first.time_tag]
+        assert wm.of_class("item") == [first, second]
+        assert wm.find("item", n=1) == [first]
+        assert wm.of_class("other") == [other]
+        assert wm.of_class("missing") == []
+
     def test_find_with_numeric_coercion(self):
         wm = WorkingMemory()
         wm.make("item", n=2)
