@@ -2,7 +2,7 @@
 """Benchmark regression gate: match-work counters vs. a committed baseline.
 
 Runs a fixed set of deterministic scenarios with :class:`MatchStats`
-attached, writes the counters to ``BENCH_34.json``, and — under
+attached, writes the counters to ``BENCH_36.json``, and — under
 ``--check`` — fails if any gated work
 counter regressed more than 10% against the newest committed
 ``benchmarks/BENCH_<n>.json`` report (falling back to
@@ -46,7 +46,7 @@ from repro import MatchStats, RuleEngine
 from repro.rete import ReteNetwork
 
 BASELINE_PATH = Path(__file__).parent / "BENCH_baseline.json"
-DEFAULT_OUTPUT = Path("BENCH_34.json")
+DEFAULT_OUTPUT = Path("BENCH_36.json")
 
 
 def latest_reference(exclude=None):
@@ -587,9 +587,10 @@ def compare(report, baseline):
                 continue
             limit = want * (1 + TOLERANCE)
             if got > limit and got - want > 1:
+                growth = f"+{(got - want) / want:.0%}" if want else "from 0"
                 regressions.append(
                     f"{name}.{counter}: {got} > {want} "
-                    f"(+{(got - want) / want:.0%}, limit +{TOLERANCE:.0%})"
+                    f"({growth}, limit +{TOLERANCE:.0%})"
                 )
             elif want and got < want * (1 - TOLERANCE):
                 improvements.append(

@@ -6,7 +6,7 @@ Two flavours (paper section 4):
   positive CE.
 * :class:`SetInstantiation` — a *set-oriented instantiation* (SOI): a
   live view onto an aggregation of regular instantiations, produced by
-  an S-node (or by the grouping layer of the baseline matchers).  Its
+  the S-node every matcher ends a set-oriented rule in.  Its
   contents can change while it sits in the conflict set ("only a pointer
   is passed", section 5); a version counter implements the paper's
   refire-on-change semantics.

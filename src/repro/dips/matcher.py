@@ -13,32 +13,33 @@ query is parsed once per (rule, CE), the first time it runs; a batch
 only binds its tags to the statement's ``IN (?)``.  The one
 fallback is a rule whose *negated* CE gained or lost instance rows:
 that rule re-runs the unrestricted query and diffs it against what it
-holds, as ``add_rule`` backfill does.  SOIs reuse the
-grouped-SOI semantics of :class:`repro.match.grouping.SoiGrouper`, so
-``:test`` evaluation, ordering, and refire versions match the other
-matchers — the differential tests hold DIPS to the same behaviour as
-Rete.
+holds, as ``add_rule`` backfill does.  Retrieved tokens feed the
+terminal nodes Rete uses (:func:`repro.rete.pnode.build_terminal`),
+staged once per delta-set, so a set-oriented rule's ``:test``
+evaluation, ordering, and refire versions are the S-node's own — the
+differential tests hold DIPS to the same behaviour as Rete.
 """
 
 from __future__ import annotations
 
-from repro.core.instantiation import Instantiation, MatchToken
+from repro.core.instantiation import MatchToken
 from repro.dips.cond import CondStore
 from repro.dips.soi_query import instantiation_query_sql, soi_query_sql
 from repro.errors import DipsError
 from repro.match.base import Matcher
-from repro.match.grouping import SoiGrouper
 from repro.rdb.sql import prepare_sql, run_sql
+from repro.rete.pnode import build_terminal
 
 
 class _DipsRule:
-    __slots__ = ("rule", "analysis", "grouper", "sql", "negated",
-                 "statements", "tokens", "by_tag")
+    __slots__ = ("rule", "analysis", "production", "terminal", "sql",
+                 "negated", "statements", "tokens", "by_tag")
 
-    def __init__(self, rule, analysis, grouper, sql):
+    def __init__(self, rule, analysis, production, terminal, sql):
         self.rule = rule
         self.analysis = analysis
-        self.grouper = grouper
+        self.production = production
+        self.terminal = terminal
         self.sql = sql
         self.negated = [
             ce_analysis
@@ -48,9 +49,8 @@ class _DipsRule:
         #: CE level (None: the full query) -> its prepared instantiation
         #: query, parsed the first time it runs.
         self.statements = {}
-        #: live token -> its Instantiation (None under a grouper, which
-        #: keeps the SOIs); the keys are the objects the grouper holds.
-        self.tokens = {}
+        #: The live tokens: the very objects the terminal holds.
+        self.tokens = set()
         #: WME tag -> the live tokens that contain that WME.
         self.by_tag = {}
 
@@ -90,18 +90,18 @@ class DipsMatcher(Matcher):
         if rule.name in self._rules:
             raise DipsError(f"rule {rule.name} already added")
         analysis = self.store.add_rule(rule)
-        grouper = None
-        if rule.is_set_oriented:
-            grouper = SoiGrouper(rule, analysis, self.listener)
-        sql = soi_query_sql(rule, analysis)
-        self._rules[rule.name] = _DipsRule(rule, analysis, grouper, sql)
+        state = self._rules[rule.name] = _DipsRule(
+            rule, analysis, *build_terminal(rule, analysis, self),
+            soi_query_sql(rule, analysis),
+        )
         if self.wm is not None:
             # Backfill only the NEW rule's instance rows: wme_added
             # spans every registered rule and would duplicate the
             # existing rules' rows (corrupting the Figure 6 grouped
             # aggregates, which COUNT/SUM over instance rows).
             self.store.backfill_rule(rule.name, list(self.wm))
-            self._refresh(self._rules[rule.name])
+            with self.staged():
+                self._refresh(state)
 
     def remove_rule(self, rule_name):
         """Excise a rule: drop its COND rows and live instantiations."""
@@ -109,17 +109,8 @@ class DipsMatcher(Matcher):
         if state is None:
             raise DipsError(f"no rule named {rule_name}")
         self.store.remove_rule(rule_name)
-        if state.grouper is not None:
-            state.grouper.retract_all()
-        else:
-            for instantiation in state.tokens.values():
-                self.listener.retract(instantiation)
-
-    def set_listener(self, listener):
-        super().set_listener(listener)
-        for state in self._rules.values():
-            if state.grouper is not None:
-                state.grouper.listener = listener
+        self.snodes.pop(rule_name, None)
+        state.production.retract_all()
 
     # -- events ------------------------------------------------------------
 
@@ -131,20 +122,23 @@ class DipsMatcher(Matcher):
 
         The whole batch updates the COND tables as one grouped
         DELETE/INSERT per table (:meth:`CondStore.apply_batch`); each
-        rule then retrieves only what the batch changed for it.
+        rule then retrieves only what the batch changed for it, and the
+        staged S-nodes decide once per touched SOI.
         """
         if not events:
             return
         delta = self.store.apply_batch(events)
         self.match_stats.incr("dips_batch_statements", delta.statements)
-        for state in self._rules.values():
-            if state.rule.name in delta.negated:
-                # A blocker came or went: which held tokens that blocks
-                # or frees is not a function of the delta's tags.
-                self.match_stats.incr("dips_full_refreshes")
-                self._refresh(state)
-            else:
-                self._apply_delta(state, delta)
+        with self.staged():
+            for state in self._rules.values():
+                if state.rule.name in delta.negated:
+                    # A blocker came or went: which held tokens that
+                    # blocks or frees is not a function of the delta's
+                    # tags.
+                    self.match_stats.incr("dips_full_refreshes")
+                    self._refresh(state)
+                else:
+                    self._apply_delta(state, delta)
 
     # -- retrieval ---------------------------------------------------------
 
@@ -176,30 +170,22 @@ class DipsMatcher(Matcher):
     def _replace(self, state, stale, new):
         """Retract the *stale* tokens, then admit the *new* ones, both
         in time-tag order.  *stale* must hold the very objects in
-        ``state.tokens``: the grouper removes by identity."""
-        grouper = state.grouper
+        ``state.tokens``: the terminal nodes remove by identity."""
+        terminal = state.terminal
         for token in sorted(stale, key=MatchToken.time_tags):
-            instantiation = state.tokens.pop(token)
+            state.tokens.remove(token)
             # A self-join can hold one WME at two levels: unlink once.
             for tag in set(token.time_tags()):
                 bucket = state.by_tag[tag]
                 bucket.discard(token)
                 if not bucket:
                     del state.by_tag[tag]
-            if grouper is not None:
-                grouper.remove_token(token)
-            else:
-                self.listener.retract(instantiation)
+            terminal.token_removed(token)
         for token in sorted(new, key=MatchToken.time_tags):
             for tag in token.time_tags():
                 state.by_tag.setdefault(tag, set()).add(token)
-            if grouper is not None:
-                state.tokens[token] = None
-                grouper.add_token(token)
-            else:
-                instantiation = Instantiation(state.rule, token)
-                state.tokens[token] = instantiation
-                self.listener.insert(instantiation)
+            state.tokens.add(token)
+            terminal.token_added(token)
 
     def _query_tokens(self, state, blockers, level=None, tags=None):
         """Run the rule's instantiation query — the CE at *level*
@@ -208,7 +194,7 @@ class DipsMatcher(Matcher):
 
         For set-oriented rules we deliberately query the *ungrouped*
         instantiation relation (the grouping and :test live in the
-        shared SoiGrouper); the grouped Figure 6 query is exposed via
+        rule's S-node); the grouped Figure 6 query is exposed via
         :meth:`soi_rows` for inspection and the figure's reproduction.
         """
         rule = state.rule

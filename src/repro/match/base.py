@@ -43,23 +43,35 @@ class Matcher:
     each production, :meth:`attach` to a working memory (existing WMEs
     are back-filled), then WM changes stream in via the observer hook.
     Rules may also be added after attachment; matchers must back-fill.
+
+    Every matcher ends each rule in the terminal nodes of
+    :func:`repro.rete.pnode.build_terminal`; a set-oriented rule's
+    S-node is kept in :attr:`snodes`, rule name -> S-node.
     """
 
     def __init__(self):
         self.listener = NullListener()
         self.wm = None
         self.match_stats = NULL_STATS
+        self.snodes = {}
 
     def set_listener(self, listener):
         self.listener = listener
 
     def set_stats(self, stats):
-        """Attach a :class:`repro.engine.stats.MatchStats` hook.
-
-        The base implementation just swaps the reference; matchers with
-        per-node instrumentation (Rete) also re-register their nodes.
-        """
+        """Attach a :class:`repro.engine.stats.MatchStats` hook and
+        re-register every S-node with it; Rete also re-registers its
+        alpha and beta nodes."""
         self.match_stats = stats
+        for snode in self.snodes.values():
+            snode.attach_stats(stats)
+
+    def staged(self):
+        """Stage every S-node around one delta-set (a ``with`` block):
+        token arrivals and departures only update γ-memory, and on exit
+        each S-node runs Figure 3's test and decide once per SOI the
+        delta-set touched, evicting an SOI all of whose tokens left."""
+        return _Staged(self.snodes.values())
 
     def attach(self, wm):
         """Subscribe to *wm* and back-fill its current contents."""
@@ -89,3 +101,19 @@ class Matcher:
         """
         for event in events:
             self.on_event(event)
+
+
+class _Staged(tuple):
+    """The context :meth:`Matcher.staged` returns: the S-nodes it
+    stages.  A tuple, not a generator: it wraps every flushed
+    delta-set, so entering it costs two calls and no ``__init__``."""
+
+    __slots__ = ()
+
+    def __enter__(self):
+        for snode in self:
+            snode.begin_batch()
+
+    def __exit__(self, *exc_info):
+        for snode in self:
+            snode.flush_batch()

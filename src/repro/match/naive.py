@@ -10,21 +10,21 @@ avoid — which the match-cost benchmark (experiment C6) quantifies.
 from __future__ import annotations
 
 from repro.analysis import RuleAnalysis
-from repro.core.instantiation import Instantiation, MatchToken
+from repro.core.instantiation import MatchToken
 from repro.errors import RuleError
 from repro.match.base import Matcher
-from repro.match.grouping import SoiGrouper
+from repro.rete.pnode import build_terminal
 
 
 class _RuleState:
-    __slots__ = ("rule", "analysis", "grouper", "tokens", "instantiations")
+    __slots__ = ("rule", "analysis", "production", "terminal", "tokens")
 
-    def __init__(self, rule, analysis, grouper):
+    def __init__(self, rule, analysis, production, terminal):
         self.rule = rule
         self.analysis = analysis
-        self.grouper = grouper
+        self.production = production
+        self.terminal = terminal
         self.tokens = set()
-        self.instantiations = {}
 
 
 class NaiveMatcher(Matcher):
@@ -38,32 +38,20 @@ class NaiveMatcher(Matcher):
         if rule.name in self._rules:
             raise RuleError(f"rule {rule.name} already added")
         analysis = RuleAnalysis(rule)
-        grouper = None
-        if rule.is_set_oriented:
-            grouper = SoiGrouper(rule, analysis, self._grouper_listener())
-        self._rules[rule.name] = _RuleState(rule, analysis, grouper)
+        state = self._rules[rule.name] = _RuleState(
+            rule, analysis, *build_terminal(rule, analysis, self)
+        )
         if self.wm is not None:
-            self._recompute(self._rules[rule.name])
-
-    def _grouper_listener(self):
-        return self.listener
+            with self.staged():
+                self._recompute(state)
 
     def remove_rule(self, rule_name):
         """Excise a rule and retract its live instantiations."""
         state = self._rules.pop(rule_name, None)
         if state is None:
             raise RuleError(f"no rule named {rule_name}")
-        if state.grouper is not None:
-            state.grouper.retract_all()
-        else:
-            for instantiation in state.instantiations.values():
-                self.listener.retract(instantiation)
-
-    def set_listener(self, listener):
-        super().set_listener(listener)
-        for state in self._rules.values():
-            if state.grouper is not None:
-                state.grouper.listener = listener
+        self.snodes.pop(rule_name, None)
+        state.production.retract_all()
 
     def on_event(self, event):
         for state in self._rules.values():
@@ -74,13 +62,15 @@ class NaiveMatcher(Matcher):
 
         Working memory already reflects the whole batch when the flush
         arrives, so a single diff against the previous token set gives
-        the atomic net-delta result directly.
+        the atomic net-delta result directly, and the staged S-nodes
+        decide once per touched SOI.
         """
         if not events:
             return
         self.match_stats.incr("naive_batches")
-        for state in self._rules.values():
-            self._recompute(state)
+        with self.staged():
+            for state in self._rules.values():
+                self._recompute(state)
 
     # -- full recomputation -------------------------------------------------
 
@@ -89,24 +79,14 @@ class NaiveMatcher(Matcher):
         fresh = set(self._compute_tokens(state))
         stale = state.tokens - fresh
         new = fresh - state.tokens
-        # Keep the ORIGINAL objects for surviving tokens: the grouper
-        # removes by identity, so handing it freshly-built equal tokens
-        # later would not match.
+        # Keep the ORIGINAL objects for surviving tokens: the terminal
+        # nodes remove by identity, so handing them freshly-built equal
+        # tokens later would not match.
         state.tokens = (state.tokens - stale) | new
-        if state.grouper is not None:
-            for token in stale:
-                state.grouper.remove_token(token)
-            for token in sorted(new, key=lambda t: t.time_tags()):
-                state.grouper.add_token(token)
-            return
         for token in stale:
-            instantiation = state.instantiations.pop(token, None)
-            if instantiation is not None:
-                self.listener.retract(instantiation)
-        for token in new:
-            instantiation = Instantiation(state.rule, token)
-            state.instantiations[token] = instantiation
-            self.listener.insert(instantiation)
+            state.terminal.token_removed(token)
+        for token in sorted(new, key=MatchToken.time_tags):
+            state.terminal.token_added(token)
 
     def _compute_tokens(self, state):
         """All full matches of *state*'s rule against current WM."""

@@ -12,38 +12,40 @@ removed blocker triggers re-derivation of the rule's matches (we use
 re-derivation instead of Miranker's negation counts; behaviourally
 identical, simpler, and only exercised on blocker removal).
 
-Set-oriented rules are supported through the shared
-:class:`~repro.match.grouping.SoiGrouper`, demonstrating that the
-paper's constructs are not Rete-specific.
+Every rule ends in the terminal nodes Rete uses
+(:func:`~repro.rete.pnode.build_terminal`): a P-node, or for a
+set-oriented rule an S-node running the paper's Figure 3, staged once
+per delta-set — demonstrating that the paper's constructs are not
+Rete-specific.
 """
 
 from __future__ import annotations
 
 from repro.analysis import RuleAnalysis
-from repro.core.instantiation import Instantiation, MatchToken
+from repro.core.instantiation import MatchToken
 from repro.errors import RuleError
 from repro.match.base import Matcher
-from repro.match.grouping import SoiGrouper
+from repro.rete.pnode import build_terminal
 
 
 class _TreatRule:
     __slots__ = (
         "rule",
         "analysis",
-        "grouper",
+        "production",
+        "terminal",
         "amems",
         "tokens",
-        "instantiations",
         "tokens_by_wme",
     )
 
-    def __init__(self, rule, analysis, grouper):
+    def __init__(self, rule, analysis, production, terminal):
         self.rule = rule
         self.analysis = analysis
-        self.grouper = grouper
+        self.production = production
+        self.terminal = terminal
         self.amems = [dict() for _ in analysis.ce_analyses]
         self.tokens = set()
-        self.instantiations = {}
         self.tokens_by_wme = {}
 
 
@@ -58,33 +60,24 @@ class TreatMatcher(Matcher):
         if rule.name in self._rules:
             raise RuleError(f"rule {rule.name} already added")
         analysis = RuleAnalysis(rule)
-        grouper = None
-        if rule.is_set_oriented:
-            grouper = SoiGrouper(rule, analysis, self.listener)
-        state = _TreatRule(rule, analysis, grouper)
+        state = _TreatRule(
+            rule, analysis, *build_terminal(rule, analysis, self)
+        )
         self._rules[rule.name] = state
         if self.wm is not None:
             for wme in self.wm:
                 self._add_to_amems(state, wme)
-            for token in self._derive(state):
-                self._insert_token(state, token)
+            with self.staged():
+                for token in self._derive(state):
+                    self._insert_token(state, token)
 
     def remove_rule(self, rule_name):
         """Excise a rule and retract its live instantiations."""
         state = self._rules.pop(rule_name, None)
         if state is None:
             raise RuleError(f"no rule named {rule_name}")
-        if state.grouper is not None:
-            state.grouper.retract_all()
-        else:
-            for instantiation in state.instantiations.values():
-                self.listener.retract(instantiation)
-
-    def set_listener(self, listener):
-        super().set_listener(listener)
-        for state in self._rules.values():
-            if state.grouper is not None:
-                state.grouper.listener = listener
+        self.snodes.pop(rule_name, None)
+        state.production.retract_all()
 
     # -- events ------------------------------------------------------------
 
@@ -116,42 +109,44 @@ class TreatMatcher(Matcher):
         the complete batch in the amems, and the ``token not in
         state.tokens`` guard keeps cross-seeded duplicates out.  A
         single re-derivation covers *all* negated-level removals,
-        instead of one per removal event.
+        instead of one per removal event.  The S-nodes are staged
+        across all rules, so each decides once per touched SOI.
         """
         removes = [e.wme for e in events if e.is_remove]
         adds = [e.wme for e in events if e.is_add]
-        for state in self._rules.values():
-            ce_analyses = state.analysis.ce_analyses
-            removed_negated = False
-            for wme in removes:
-                for level, amem in enumerate(state.amems):
-                    if wme in amem:
-                        del amem[wme]
+        with self.staged():
+            for state in self._rules.values():
+                ce_analyses = state.analysis.ce_analyses
+                removed_negated = False
+                for wme in removes:
+                    for level, amem in enumerate(state.amems):
+                        if wme in amem:
+                            del amem[wme]
+                            if ce_analyses[level].ce.negated:
+                                removed_negated = True
+                seeds = []
+                blockers = []
+                for wme in adds:
+                    for level in self._add_to_amems(state, wme):
                         if ce_analyses[level].ce.negated:
-                            removed_negated = True
-            seeds = []
-            blockers = []
-            for wme in adds:
-                for level in self._add_to_amems(state, wme):
-                    if ce_analyses[level].ce.negated:
-                        blockers.append((level, wme))
-                    else:
-                        seeds.append((level, wme))
-            for wme in removes:
-                for token in list(state.tokens_by_wme.get(wme, ())):
-                    self._retract_token(state, token)
-                state.tokens_by_wme.pop(wme, None)
-            for level, wme in blockers:
-                self._retract_now_blocked(state, level, wme)
-            for level, wme in seeds:
-                self.match_stats.incr("treat_seeded_joins")
-                for token in self._derive(state, level, wme):
-                    if token not in state.tokens:
-                        self._insert_token(state, token)
-            if removed_negated:
-                for token in self._derive(state):
-                    if token not in state.tokens:
-                        self._insert_token(state, token)
+                            blockers.append((level, wme))
+                        else:
+                            seeds.append((level, wme))
+                for wme in removes:
+                    for token in list(state.tokens_by_wme.get(wme, ())):
+                        self._retract_token(state, token)
+                    state.tokens_by_wme.pop(wme, None)
+                for level, wme in blockers:
+                    self._retract_now_blocked(state, level, wme)
+                for level, wme in seeds:
+                    self.match_stats.incr("treat_seeded_joins")
+                    for token in self._derive(state, level, wme):
+                        if token not in state.tokens:
+                            self._insert_token(state, token)
+                if removed_negated:
+                    for token in self._derive(state):
+                        if token not in state.tokens:
+                            self._insert_token(state, token)
 
     def _on_remove(self, wme):
         for state in self._rules.values():
@@ -185,12 +180,7 @@ class TreatMatcher(Matcher):
         for wme in token.wmes():
             if wme is not None:
                 state.tokens_by_wme.setdefault(wme, set()).add(token)
-        if state.grouper is not None:
-            state.grouper.add_token(token)
-        else:
-            instantiation = Instantiation(state.rule, token)
-            state.instantiations[token] = instantiation
-            self.listener.insert(instantiation)
+        state.terminal.token_added(token)
 
     def _retract_token(self, state, token):
         state.tokens.discard(token)
@@ -199,12 +189,7 @@ class TreatMatcher(Matcher):
                 bucket = state.tokens_by_wme.get(wme)
                 if bucket is not None:
                     bucket.discard(token)
-        if state.grouper is not None:
-            state.grouper.remove_token(token)
-        else:
-            instantiation = state.instantiations.pop(token, None)
-            if instantiation is not None:
-                self.listener.retract(instantiation)
+        state.terminal.token_removed(token)
 
     def _retract_now_blocked(self, state, neg_level, wme):
         ce_analysis = state.analysis.ce_analyses[neg_level]

@@ -10,7 +10,9 @@ Structure follows the classic dataflow design:
 * **terminal nodes**: a :class:`~repro.rete.pnode.PNode` per regular
   rule, and for set-oriented rules an :class:`~repro.rete.snode.SNode`
   implementing the paper's Figure 3 algorithm feeding a
-  :class:`~repro.rete.pnode.SetPNode`.
+  :class:`~repro.rete.pnode.SetPNode` — built by
+  :func:`~repro.rete.pnode.build_terminal`, which every other matcher
+  calls too.
 
 The paper's key structural claim — "leaving the network untouched,
 except at the end of the network for each set-oriented rule" — is

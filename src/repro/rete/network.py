@@ -12,6 +12,8 @@ memory and its P-node; nothing upstream changes.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
+
 from repro.analysis import RuleAnalysis
 from repro.engine.stats import NULL_STATS
 from repro.errors import RuleError
@@ -19,8 +21,7 @@ from repro.match.base import Matcher
 from repro.rete.alpha import AlphaNetwork
 from repro.rete.beta import BetaMemory, DummyToken, JoinNode
 from repro.rete.negative import NegativeNode
-from repro.rete.pnode import PNode, SetPNode
-from repro.rete.snode import SNode
+from repro.rete.pnode import build_terminal
 
 
 class ReteNetwork(Matcher):
@@ -49,7 +50,6 @@ class ReteNetwork(Matcher):
         self.dummy_top.items[self._dummy_token] = None
         self.strict_paper_decide = strict_paper_decide
         self.productions = {}
-        self.snodes = {}
         self._terminals = {}  # rule name -> (host memory, observer)
         self._wme_tokens = {}
         # blocker WME -> {negative-node token: None}, in blocking order
@@ -57,12 +57,10 @@ class ReteNetwork(Matcher):
 
     def set_stats(self, stats):
         """Swap in a (possibly live) stats hook, re-registering all nodes."""
-        self.match_stats = stats
+        super().set_stats(stats)
         self.alpha.attach_stats(stats)
         for node in self._beta_nodes:
             node.attach_stats(stats)
-        for snode in self.snodes.values():
-            snode.attach_stats(stats)
 
     # -- bookkeeping used by the node classes ------------------------------
 
@@ -115,7 +113,10 @@ class ReteNetwork(Matcher):
                 current = self._attach_negative(current, amem, ce_analysis)
             else:
                 current = self._attach_join(current, amem, ce_analysis)
-        terminal = self._build_terminal(rule, analysis)
+        production, terminal = build_terminal(
+            rule, analysis, self, self.strict_paper_decide
+        )
+        self.productions[rule.name] = production
         current.observers.append(terminal)
         self._terminals[rule.name] = (current, terminal)
         # Backfill from the live beta memory through the staged S-node
@@ -123,15 +124,8 @@ class ReteNetwork(Matcher):
         # exactly one test/decide per touched SOI — the same counters
         # and firings a fresh build over the same WM produces — not one
         # decide per token.
-        snode = self.snodes.get(rule.name)
-        if snode is not None and self.batched and not self.strict_paper_decide:
-            snode.begin_batch()
-            try:
-                for token in current.active_tokens():
-                    terminal.token_added(token)
-            finally:
-                snode.flush_batch()
-        else:
+        batching = self.batched and not self.strict_paper_decide
+        with self.staged() if batching else nullcontext():
             for token in current.active_tokens():
                 terminal.token_added(token)
         return analysis
@@ -200,23 +194,6 @@ class ReteNetwork(Matcher):
             node.left_activate(token)
         return node
 
-    def _build_terminal(self, rule, analysis):
-        if not rule.is_set_oriented:
-            terminal = PNode(rule, self)
-            self.productions[rule.name] = terminal
-            return terminal
-        set_pnode = SetPNode(rule, self)
-        snode = SNode(
-            rule,
-            analysis,
-            emit=set_pnode.receive,
-            strict_paper_decide=self.strict_paper_decide,
-            stats=self.match_stats,
-        )
-        self.productions[rule.name] = set_pnode
-        self.snodes[rule.name] = snode
-        return snode
-
     def remove_rule(self, rule_name):
         """Excise a rule: detach its terminal, retract its instantiations.
 
@@ -227,16 +204,8 @@ class ReteNetwork(Matcher):
             raise RuleError(f"no rule named {rule_name} in the network")
         memory, observer = self._terminals.pop(rule_name)
         memory.observers.remove(observer)
-        production = self.productions.pop(rule_name)
-        snode = self.snodes.pop(rule_name, None)
-        if snode is not None:
-            for soi in list(snode.gamma.values()):
-                production.receive("-", soi)
-            snode.gamma.clear()
-        else:
-            for instantiation in list(production._instantiations.values()):
-                self.listener.retract(instantiation)
-            production._instantiations.clear()
+        self.snodes.pop(rule_name, None)
+        self.productions.pop(rule_name).retract_all()
 
     # -- event dispatch ---------------------------------------------------------
 
@@ -278,10 +247,7 @@ class ReteNetwork(Matcher):
             for event in events:
                 self.on_event(event)
             return
-        snodes = list(self.snodes.values())
-        for snode in snodes:
-            snode.begin_batch()
-        try:
+        with self.staged():
             adds, removes = [], []
             for event in events:
                 (adds if event.is_add else removes).append(event.wme)
@@ -289,9 +255,6 @@ class ReteNetwork(Matcher):
                 self._remove_batch(removes)
             if adds:
                 self.alpha.add_batch(adds)
-        finally:
-            for snode in snodes:
-                snode.flush_batch()
 
     # -- inspection --------------------------------------------------------------
 

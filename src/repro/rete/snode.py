@@ -22,10 +22,12 @@ maintains.
 The token-arrival algorithm is the paper's Figure 3 verbatim — find the
 SOI and the token's place in it, update aggregates and re-evaluate the
 test, then decide whether to flow ``<S,+>``, ``<S,->`` or ``<S,time>``
-to the P-node.  The first two stages are :class:`GammaMemory`, shared
-with :class:`~repro.match.grouping.SoiGrouper` so all four matchers run
-one implementation; the S-node adds the decide stage, its batched form
-and the marks.  One documented amendment: when a ``same-time``
+to the P-node.  The first two stages are :class:`GammaMemory`; the
+S-node adds the decide stage, its batched form and the marks.  Every
+matcher — Rete, TREAT, naive, DIPS — ends a set-oriented rule in an
+S-node built by :func:`repro.rete.pnode.build_terminal` and stages it
+around each delta-set (:meth:`repro.match.base.Matcher.staged`), so
+all four run this one implementation.  One documented amendment: when a ``same-time``
 change flips the test expression from false to true (reachable only
 when two tokens of one WM change share the newest time tag), the SOI is
 activated; the paper's figure leaves it inactive, which contradicts its
@@ -209,8 +211,7 @@ class GammaMemory:
     :meth:`add` / :meth:`remove` find the token's SOI, place the token
     in it and fold the aggregates; :meth:`passes` evaluates ``:test``
     over the maintained values.  What to tell the conflict set (stage 3)
-    is the caller's: the S-node's decide table and marks, or the
-    grouper's listener reconcile.
+    is the owning :class:`SNode`'s decide table and marks.
 
     While :attr:`journal` is a dict (the S-node's batched propagation),
     each SOI's pre-image ``(status, head)`` is recorded at first touch

@@ -5,7 +5,8 @@ offers a choice must read them, and the options this lattice used to
 have (a kernel mode in any spelling, a process executor, a columnar
 knob, an alpha-filter hook, a sharded matcher, a firing-pool width,
 match counters kept beside :class:`~repro.engine.stats.MatchStats`,
-a per-WME removal path beside the delta-set one) must stay gone.
+a per-WME removal path beside the delta-set one, a second Figure 3
+decide stage beside the S-node's) must stay gone.
 """
 
 import inspect
@@ -14,6 +15,7 @@ import types
 
 import pytest
 
+import repro.match
 import repro.rdb
 from repro import MatchStats, RuleEngine, cli
 from repro.dips import DipsMatcher
@@ -37,6 +39,19 @@ from repro.rete.alpha import AlphaMemory, AlphaNetwork
 from repro.rete.beta import TwoInputNode
 from repro.service import ServiceClient, ServiceConfig
 from repro.service.session import SessionRegistry
+
+
+def _modules(package):
+    """A namespace of *package*'s submodules: what it can import."""
+    return types.SimpleNamespace(**{
+        module.name: module
+        for module in pkgutil.iter_modules(package.__path__)
+    })
+
+
+def _own(cls):
+    """A namespace of what *cls* itself defines, inherited names aside."""
+    return types.SimpleNamespace(**vars(cls))
 
 PARSERS = {
     "main": cli._main_parser,
@@ -146,10 +161,14 @@ def test_serve_engine_workers_default_is_a_constant():
     (AlphaNetwork(), "remove_wme"),
     (AlphaMemory, "remove"),
     (TwoInputNode, "right_retract"),
-    (types.SimpleNamespace(**{
-        module.name: module
-        for module in pkgutil.iter_modules(repro.rdb.__path__)
-    }), "storage"),
+    (_modules(repro.rdb), "storage"),
+    (_modules(repro.match), "grouping"),
+    (_own(TreatMatcher), "set_listener"),
+    (_own(NaiveMatcher), "set_listener"),
+    (_own(DipsMatcher), "set_listener"),
+    (_own(TreatMatcher), "_grouper_listener"),
+    (_own(NaiveMatcher), "_grouper_listener"),
+    (_own(DipsMatcher), "_grouper_listener"),
 ], ids=["rete-interested_in", "alpha-handles_class",
         "engine-workers", "engine-_pool", "rete-stats", "treat-stats",
         "naive-stats", "matchstats-join_test",
@@ -160,7 +179,11 @@ def test_serve_engine_workers_default_is_a_constant():
         "backend-restore", "dips-begin_restore", "dips-end_restore",
         "checkpoint-DIPS_DB_NAME", "recovery-_prime_dips",
         "rete-_remove_wme", "alpha-remove_wme", "alpha_memory-remove",
-        "two_input-right_retract", "rdb-storage-module"])
+        "two_input-right_retract", "rdb-storage-module",
+        "match-grouping-module", "treat-set_listener",
+        "naive-set_listener", "dips-set_listener",
+        "treat-_grouper_listener", "naive-_grouper_listener",
+        "dips-_grouper_listener"])
 def test_removed_hooks_stay_removed(instance, removed):
     assert not hasattr(instance, removed)
 

@@ -10,7 +10,8 @@ The reference is ``ReteNetwork(batched=False)``: it receives the same
 flushed *net* delta-sets but replays them one event at a time, which is
 the semantics ``docs/BATCHING.md`` documents (a batch applies its net
 delta atomically).  TREAT, naive, and DIPS run their own set-oriented
-batch entry points and are held to the same behaviour.
+batch entry points and are held to the same behaviour, down to the
+``+`` / ``-`` / ``time`` marks their S-nodes send (``rete-batched``'s).
 
 The portfolio spans a positive join rule, a negated-CE rule, and a
 set-oriented rule with an aggregate ``:test`` — so grouped join
@@ -221,6 +222,19 @@ def _check_scenario(program, scenario):
     for name, result in outputs.items():
         assert result == baseline, name
     _assert_kept_equals_fresh(baseline[1])
+
+    # One Figure 3 decide stage: every matcher's S-nodes send the marks
+    # Rete's do.  The SOIs a batch touches may differ (Rete can create
+    # and delete one token inside a batch), so those are not compared.
+    marks = {name: _snode_marks(engine) for name, engine in engines.items()}
+    for name in ("treat", "naive", "dips", "dips-sqlite"):
+        assert marks[name] == marks["rete-batched"], (name, marks)
+
+
+def _snode_marks(engine):
+    totals = engine.stats.totals
+    return {kind: totals.get(f"snode_marks_{kind}", 0)
+            for kind in ("add", "remove", "time")}
 
 
 _A1 = ("item", "a", 1)

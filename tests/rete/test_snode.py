@@ -6,10 +6,16 @@ sequences — the direct reproduction of the algorithm's state machine.
 """
 
 
+import pytest
+
+from repro.analysis import RuleAnalysis
+from repro.core.instantiation import MatchToken
 from repro.lang.parser import parse_rule
+from repro.match.base import Matcher
 from repro.rete import ReteNetwork
+from repro.rete.pnode import build_terminal
 from repro.rete.snode import ACTIVE, INACTIVE
-from repro.wm import WorkingMemory
+from repro.wm import WME, WorkingMemory
 
 from tests.rete.test_network import Listener
 
@@ -260,3 +266,45 @@ class _OneLevel:
 
     def time_tags(self):
         return (self._wme.time_tag,)
+
+
+class TestTerminalWithoutNetwork:
+    """The terminal nodes :func:`build_terminal` gives TREAT, naive and
+    DIPS, driven with plain :class:`MatchToken`s and no network."""
+
+    OWNED = "(p r [item ^owner <o>] :scalar (<o>) --> (halt))"
+
+    @staticmethod
+    def _terminal(source):
+        rule = parse_rule(source)
+        matcher = Matcher()
+        listener = Listener()
+        matcher.set_listener(listener)
+        _, snode = build_terminal(rule, RuleAnalysis(rule), matcher)
+        assert matcher.snodes == {"r": snode}
+        return matcher, snode, listener
+
+    @staticmethod
+    def _token(tag, **values):
+        return MatchToken([WME("item", values, tag)])
+
+    def test_p_value_exposed(self):
+        _, snode, listener = self._terminal(self.OWNED)
+        snode.token_added(self._token(1, owner="x"))
+        [instantiation] = listener.live
+        assert instantiation.p_value("o") == "x"
+
+    @pytest.mark.parametrize("staged", [False, True],
+                             ids=["per-event", "staged"])
+    def test_remove_unknown_token_is_a_noop(self, staged):
+        matcher, snode, listener = self._terminal(self.OWNED)
+        known = self._token(1, owner="x")
+        snode.token_added(known)
+        events = list(listener.events)
+        if staged:
+            with matcher.staged():
+                snode.token_removed(self._token(9, owner="y"))
+        else:
+            snode.token_removed(self._token(9, owner="y"))
+        assert listener.events == events
+        assert [soi.snapshot() for soi in snode.gamma.values()] == [[known]]

@@ -84,6 +84,25 @@ class TestLatestReference:
         )
 
 
+class TestCompare:
+    @pytest.mark.parametrize("want, got, regressions", [
+        # A zero reference cannot bound growth relatively: past the
+        # slack of 1 it is a regression "from 0", not a division by 0.
+        (0, 480, ["s.snode_batch_reevals: 480 > 0 (from 0, limit +10%)"]),
+        (0, 1, []),
+        (100, 150, ["s.snode_batch_reevals: 150 > 100 (+50%, limit +10%)"]),
+    ], ids=["zero-reference-grows", "zero-reference-slack", "relative"])
+    def test_growth_is_gated(self, bench_report, want, got, regressions):
+        def report(value):
+            return {"scenarios": {
+                "s": {"counters": {"snode_batch_reevals": value}},
+            }}
+
+        assert bench_report.compare(report(got), report(want)) == (
+            regressions, []
+        )
+
+
 class TestCheckWithoutBaseline:
     @pytest.fixture
     def stub_scenarios(self, bench_report, monkeypatch):
