@@ -152,6 +152,41 @@ def test_run_is_one_commit_unit(tmp_path):
     ) == 3 * RUN_FIRINGS
 
 
+TALLY_PROGRAM = """
+(literalize item n)
+(p tally { [item] <S> } --> (write items (count <S>)))
+"""
+
+
+def test_soi_stamp_bytes_do_not_grow_with_the_set(tmp_path):
+    from repro.durability.wal import encode_record, read_log_tail
+
+    rows = []
+    sizes = {}
+    for n in (100, 2000):
+        wal_dir = tmp_path / f"tally-{n}"
+        engine = RuleEngine(
+            durability=DurabilityConfig(wal_dir, fsync="off")
+        )
+        engine.load(TALLY_PROGRAM)
+        with engine.batch():
+            for i in range(n):
+                engine.make("item", n=i)
+        assert engine.run() == 1
+        engine.close()
+        payloads, _, _ = read_log_tail(str(wal_dir))
+        (stamp,) = [p for p in payloads if p["k"] == "f"]
+        assert stamp["t"][0] == n
+        sizes[n] = len(encode_record(stamp))
+        rows.append((n, sizes[n]))
+    print()
+    print_table("SOI refraction stamp", ["members", "f frame (B)"], rows)
+    assert max(sizes.values()) < 200
+    # Only the numbers' decimal widths may differ: one digit each for
+    # the count and the head tag, two for the 64-bit digest.
+    assert abs(sizes[2000] - sizes[100]) <= 4
+
+
 def test_recovery_time_tracks_wal_tail_length(tmp_path, benchmark):
     sizes = (500, 2000, 8000)
     rows = []

@@ -29,6 +29,15 @@ def recency_key(time_tags):
     return tuple(sorted(time_tags, reverse=True))
 
 
+def ce_tags(token):
+    """*token*'s time tags in CE order, negated levels skipped.
+
+    Unlike the recency key this keeps positions, so two instantiations
+    matching the same WMEs in swapped CEs stay distinct.
+    """
+    return [wme.time_tag for wme in token.wmes() if wme is not None]
+
+
 class MatchToken:
     """A matcher-independent regular instantiation body.
 
@@ -138,7 +147,8 @@ class SetInstantiation:
 
     *soi* must provide: ``head()`` (the dominant token, None when
     empty), ``snapshot()`` (a copy of the tokens ordered like the
-    conflict set, head first), ``len()``, ``version`` (int bumped on
+    conflict set, head first), ``len()``, ``digest`` (the membership
+    digest the refraction stamp carries), ``version`` (int bumped on
     every content change), ``on_change`` (None, or a callable the
     holding conflict set installs: every ``version`` bump must call it,
     or the conflict set keeps ranking the SOI at its older version),

@@ -36,7 +36,7 @@ import zlib
 from repro.durability.wal import fsync_dir
 from repro.errors import RecoveryError
 
-MANIFEST_VERSION = 1
+MANIFEST_VERSION = 2
 CHECKPOINT_PREFIX = "checkpoint-"
 CURRENT_NAME = "CURRENT"
 MANIFEST_NAME = "MANIFEST.json"
@@ -225,7 +225,8 @@ def load_checkpoint(directory):
     if manifest.get("version") != MANIFEST_VERSION:
         raise RecoveryError(
             f"unsupported checkpoint manifest version "
-            f"{manifest.get('version')!r}"
+            f"{manifest.get('version')!r}; this build reads version "
+            f"{MANIFEST_VERSION} only"
         )
     wm_snapshot = None
     for member, crc in manifest.get("files", {}).items():

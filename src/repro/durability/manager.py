@@ -22,6 +22,7 @@ second decode of the final segment.
 
 from __future__ import annotations
 
+from repro.core.instantiation import ce_tags
 from repro.engine.stats import NULL_STATS
 from repro.errors import DurabilityError
 from repro.wm.events import ADD
@@ -75,15 +76,20 @@ def _cause_summary(error):
 
 
 def fired_signature(instantiation):
-    """Content identity of a fired instantiation, as JSON-safe data.
+    """The refraction stamp of a fired instantiation, as JSON-safe data.
 
-    The sorted list of each token's time-tag tuple: time tags are
-    never reused, so this pins the exact WME combination (regular
-    instantiations) or set contents (SOIs) that fired.
+    A regular instantiation's stamp is its time tags in CE order: time
+    tags are never reused, so it pins the exact WME combination.  An
+    SOI's is ``[member count, membership digest, head token's tags in
+    CE order]`` — O(1) in the size of the set; the digest
+    (:attr:`~repro.rete.snode.SetOrientedInstance.digest`) is
+    maintained as tokens enter and leave.  The ``f`` frame, the
+    checkpoint manifest's ``fired`` list and dead letters all carry it.
     """
-    return sorted(
-        list(token.time_tags()) for token in instantiation.tokens()
-    )
+    if not instantiation.is_set_oriented:
+        return ce_tags(instantiation.token)
+    soi = instantiation.soi
+    return [len(soi), soi.digest, ce_tags(soi.head())]
 
 
 def collect_fired(engine):
@@ -233,10 +239,13 @@ class DurabilityManager:
         return payload
 
     def log_meta(self, matcher_name, strategy_name):
-        """Record the session's matcher/strategy for checkpoint-free
-        recovery (the checkpoint manifest also carries them)."""
+        """Record the log's format version and the session's
+        matcher/strategy for checkpoint-free recovery (the checkpoint
+        manifest also carries them)."""
+        from repro.durability.wal import FORMAT_VERSION
+
         self.wal.append(
-            {"k": "m", "matcher": matcher_name,
+            {"k": "m", "v": FORMAT_VERSION, "matcher": matcher_name,
              "strategy": strategy_name},
             batch=False,
         )

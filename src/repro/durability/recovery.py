@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import os
 
+from repro.core.instantiation import recency_key
 from repro.errors import RecoveryError, WorkingMemoryError
 
 
@@ -99,7 +100,9 @@ def recover_engine(engine_cls, path, *, program=None, matcher=None,
     """
     from repro.durability.checkpoint import load_checkpoint
     from repro.durability.manager import DurabilityConfig, DurabilityManager
-    from repro.durability.wal import read_log_tail, truncate_after
+    from repro.durability.wal import (
+        FORMAT_VERSION, read_log_tail, truncate_after,
+    )
     from repro.match import build_matcher, matcher_name
     from repro.wm.snapshot import restore_wm
 
@@ -135,10 +138,19 @@ def recover_engine(engine_cls, path, *, program=None, matcher=None,
 
     # Session-meta records in the tail are newer than the manifest (a
     # resumed session may have overridden the matcher), so they win.
+    # Each carries the log's format version; an older log is refused
+    # whole rather than decoded by a second reader.
     meta = {}
     for payload in payloads:
         if payload.get("k") == "m":
             meta = payload
+            version = payload.get("v", 1)
+            if version != FORMAT_VERSION:
+                raise RecoveryError(
+                    f"write-ahead log at {os.fspath(path)!r} is format "
+                    f"version {version!r}; this build reads version "
+                    f"{FORMAT_VERSION} only"
+                )
     if matcher is None:
         matcher = (
             meta.get("matcher") or manifest.get("matcher") or "rete"
@@ -416,6 +428,13 @@ def _apply_delta(wm, entry):
 def _mark_fired(engine, entry):
     """Re-stamp refraction for one fired-instantiation record.
 
+    The stamp (:func:`~repro.durability.manager.fired_signature`) is a
+    regular instantiation's CE-order tags, or an SOI's ``[count,
+    digest, head tags]``.  Candidates are matched on rule, set flag and
+    the head's recency first, which filters exactly, so one candidate
+    is signed and its count and digest compared: a replayed SOI whose
+    membership differs from the logged one is not found.
+
     Returns ``(instantiation, prior_refraction_state)`` so an abort
     terminator can restore the stamp the way the live rollback did.
     Parked (quarantined) instantiations are searched too — their
@@ -426,9 +445,7 @@ def _mark_fired(engine, entry):
     rule_name = entry["r"]
     wants_soi = bool(entry["s"])
     signature = entry["t"]
-    # The head token's tags are the signature's largest entry, so
-    # comparing them first filters exactly and signs one candidate.
-    head = tuple(signature[-1]) if signature else ()
+    head = recency_key(signature[2] if wants_soi else signature)
     candidates = engine.conflict_set.of_rule(rule_name)
     candidates.extend(engine.conflict_set.parked_of_rule(rule_name))
     for instantiation in candidates:
@@ -441,6 +458,6 @@ def _mark_fired(engine, entry):
             return instantiation, prior
     raise RecoveryError(
         f"fired instantiation of rule {rule_name!r} is not in the "
-        f"recovered conflict set (tags {signature}); the log and the "
+        f"recovered conflict set (stamp {signature}); the log and the "
         f"rule base disagree"
     )

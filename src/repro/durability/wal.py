@@ -1,6 +1,6 @@
 """The segmented, CRC32-framed write-ahead log.
 
-On-disk format (version 1; full spec in ``docs/DURABILITY.md``):
+On-disk format (version 2; full spec in ``docs/DURABILITY.md``):
 
 * A log is a directory of **segment** files named ``%08d.wal`` with
   strictly consecutive sequence numbers; appends go to the
@@ -18,14 +18,20 @@ On-disk format (version 1; full spec in ``docs/DURABILITY.md``):
   magic hit must still validate (plausible header, CRC-valid payload)
   before it counts as a record.
 
-* Payload kinds: ``{"k": "d", "n": next_tag, "e": [[sign, class,
-  tag, values], ...]}`` for a working-memory delta-set (one record
-  per flushed batch, or per single event outside a batch);
-  ``{"k": "f", "r": rule, "s": 0|1, "t": [[tags...], ...]}`` opening
-  a firing (refraction stamp) whose RHS delta records follow; and
-  ``{"k": "e"}`` terminating that firing.  A log that ends inside an
-  ``f``…``e`` window holds an incomplete firing, which recovery rolls
-  back wholesale (:mod:`repro.durability.recovery`).
+* Payload kinds include ``{"k": "m", "v": 2, "matcher": ...,
+  "strategy": ...}``, the session-meta record that opens every
+  session's records and names the format version (recovery refuses
+  any other); ``{"k": "d", "n": next_tag, "e": [[sign, class, tag,
+  values], ...]}`` for a working-memory delta-set (one record per
+  flushed batch, or per single event outside a batch); ``{"k": "f",
+  "r": rule, "s": 0|1, "t": stamp}`` opening a firing whose RHS delta
+  records follow, where the refraction stamp is a regular
+  instantiation's time tags in CE order or an SOI's ``[count, digest,
+  head tags]`` (:func:`repro.durability.manager.fired_signature`) —
+  a few dozen bytes whatever the set's size; and ``{"k": "e"}``
+  terminating that firing.  A log that ends inside an ``f``…``e``
+  window holds an incomplete firing, which recovery rolls back
+  wholesale (:mod:`repro.durability.recovery`).
 
 Damage classification, shared by append-open and recovery:
 
@@ -66,6 +72,9 @@ import zlib
 from repro.engine.stats import NULL_STATS
 from repro.errors import RecoveryError, WalError
 
+#: The record format this build writes and reads, named by every ``m``
+#: record (see :func:`repro.durability.recovery.recover_engine`).
+FORMAT_VERSION = 2
 MAGIC = b"\xabWAL"
 HEADER = struct.Struct("<4sII")
 SEGMENT_SUFFIX = ".wal"
@@ -177,9 +186,14 @@ def _valid_record_after(data, search_from):
     return False
 
 
+#: The one compact encoder every frame goes through: ``json.dumps``
+#: with non-default arguments would build a new encoder per call.
+_ENCODER = json.JSONEncoder(separators=(",", ":"))
+
+
 def encode_record(payload):
     """Frame one payload dict as magic + length + crc + JSON bytes."""
-    data = json.dumps(payload, separators=(",", ":")).encode("utf-8")
+    data = _ENCODER.encode(payload).encode("utf-8")
     return HEADER.pack(MAGIC, len(data), zlib.crc32(data)) + data
 
 

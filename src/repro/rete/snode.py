@@ -61,6 +61,26 @@ MARK_ADD = "+"
 MARK_REMOVE = "-"
 MARK_TIME = "time"
 
+# Membership digest: 64-bit FNV-1a over a token's time tags.
+_MASK = (1 << 64) - 1
+_FNV_OFFSET = 0xCBF29CE484222325
+_FNV_PRIME = 0x100000001B3
+
+
+def tags_mix(tags):
+    """A stable 64-bit mix of one token's time tags.
+
+    FNV-1a with one time tag per step; the closing xorshift folds high
+    bits into the low ones, which FNV's multiply alone leaves
+    depending on the tags' low bits only.  The value is written to the
+    log, so it is defined here, never by Python's per-process
+    ``hash()``.
+    """
+    mixed = _FNV_OFFSET
+    for tag in tags:
+        mixed = ((mixed ^ tag) * _FNV_PRIME) & _MASK
+    return mixed ^ (mixed >> 29)
+
 
 class SetOrientedInstance:
     """One candidate SOI in a γ-memory.
@@ -69,12 +89,20 @@ class SetOrientedInstance:
     :class:`repro.core.instantiation.SetInstantiation`: ``head()``,
     ``snapshot()``, ``len()``, ``version``, ``on_change``,
     ``key_wme(level)``, ``p_value(name)``, ``aggregate_state(identity)``.
+
+    ``digest`` names the membership: the sum, mod 2**64, of
+    :func:`tags_mix` over the tokens' recency keys (the bisect keys,
+    already at hand), kept as tokens enter and leave.  With ``len()``
+    and the head it is the SOI's refraction stamp
+    (:func:`repro.durability.manager.fired_signature`), so a logged
+    set-oriented firing costs the same bytes whatever the set's size.
     """
 
     __slots__ = (
         "key",
         "status",
         "version",
+        "digest",
         "on_change",
         "agg_states",
         "_tokens",
@@ -87,6 +115,7 @@ class SetOrientedInstance:
         self.key = key
         self.status = INACTIVE
         self.version = 0
+        self.digest = 0
         self.on_change = None
         self.agg_states = agg_states
         self._key_wmes = key_wmes
@@ -143,6 +172,7 @@ class SetOrientedInstance:
         index = bisect_left(self._keys, key)
         self._keys.insert(index, key)
         self._tokens.insert(index, token)
+        self.digest = (self.digest + tags_mix(key)) & _MASK
         return index == len(self._tokens) - 1
 
     def remove_token(self, token):
@@ -154,6 +184,7 @@ class SetOrientedInstance:
             if tokens[index] is token:
                 del tokens[index]
                 del self._keys[index]
+                self.digest = (self.digest - tags_mix(key)) & _MASK
                 return index == len(tokens)
             index += 1
         raise EngineError("token not present in SOI")
@@ -319,6 +350,7 @@ class GammaMemory:
         self._touch(soi)
         del self.sois[soi.key]
         soi._tokens, soi._keys = [], []
+        soi.digest = 0
 
     def passes(self, soi):
         """Does *soi* satisfy ``:test`` (true when there is none)?"""

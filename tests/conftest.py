@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro import RuleEngine
+from repro.core.instantiation import ce_tags
 from repro.dips import DipsMatcher
 from repro.match import NaiveMatcher, TreatMatcher
 from repro.rete import ReteNetwork
@@ -46,6 +47,27 @@ def make_engine():
         return RuleEngine(matcher=matcher, **kwargs)
 
     return factory
+
+
+def cs_state(engine, instantiations=None):
+    """The conflict-set oracle: one sorted row per instantiation.
+
+    Each row is ``(rule, set flag, members, eligible)`` where *members*
+    is every token's CE-order time tags, sorted — the instantiation's
+    full content, not its refraction stamp, so an SOI compares member
+    by member.  *instantiations* defaults to the live conflict set.
+    """
+    if instantiations is None:
+        instantiations = engine.conflict_set.instantiations()
+    return sorted(
+        (
+            inst.rule.name,
+            inst.is_set_oriented,
+            tuple(sorted(tuple(ce_tags(token)) for token in inst.tokens())),
+            inst.eligible(),
+        )
+        for inst in instantiations
+    )
 
 
 def load_roster(engine, roster=None):

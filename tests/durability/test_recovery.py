@@ -1,6 +1,8 @@
 """Recovery: checkpoint restore + WAL replay rebuild identical state."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import DurabilityConfig, RuleEngine
 from repro.durability import FaultInjector, SimulatedCrash
@@ -12,6 +14,8 @@ from repro.errors import (
     RecoveryError,
     ReproError,
 )
+
+from tests.conftest import cs_state
 
 PROGRAM = """
 (literalize player name team score)
@@ -27,20 +31,6 @@ def wm_state(engine):
     return sorted(
         (w.time_tag, w.wme_class, tuple(sorted(w.as_dict().items())))
         for w in engine.wm
-    )
-
-
-def cs_state(engine):
-    from repro.durability.manager import fired_signature
-
-    return sorted(
-        (
-            inst.rule.name,
-            inst.is_set_oriented,
-            tuple(map(tuple, fired_signature(inst))),
-            inst.eligible(),
-        )
-        for inst in engine.conflict_set.instantiations()
     )
 
 
@@ -244,6 +234,134 @@ class TestBasicRecovery:
         assert cs_state(recovered) == cs_state(engine)
 
 
+TALLY = """
+(literalize item n)
+(p tally { [item] <S> } --> (write items (count <S>)))
+"""
+
+
+class TestRefractionStamps:
+    def test_swapped_ce_instantiations_recover_apart(self, tmp_path):
+        # (1 2) and (2 1) match the same WMEs in swapped CEs and share a
+        # recency key; each must stamp only itself on replay.
+        engine = RuleEngine(
+            durability=DurabilityConfig(tmp_path, fsync="off")
+        )
+        engine.load("""
+        (literalize a x)
+        (p pair (a ^x <v>) (a ^x <w>) --> (write pair <v> <w>))
+        """)
+        engine.make("a", x=1)
+        engine.make("a", x=2)
+        assert engine.run(limit=3) == 3
+        recovered = RuleEngine.recover(tmp_path, durability=False)
+        assert cs_state(recovered) == cs_state(engine)
+        engine.tracer.output.clear()
+        recovered.tracer.output.clear()
+        engine.run()
+        recovered.run()
+        assert recovered.output == engine.output == ["pair 1 1"]
+
+    def test_soi_stamp_is_count_digest_and_head(self, tmp_path):
+        from repro.durability.manager import fired_signature
+        from repro.durability.wal import read_log_tail
+
+        engine = RuleEngine(
+            durability=DurabilityConfig(tmp_path, fsync="off")
+        )
+        engine.load(TALLY)
+        with engine.batch():
+            for n in range(50):
+                engine.make("item", n=n)
+        engine.run()
+        soi = engine.conflict_set.of_rule("tally")[0]
+        stamp = fired_signature(soi)
+        assert stamp == [50, soi.soi.digest, [50]]
+        payloads, _, _ = read_log_tail(str(tmp_path))
+        fired = [p for p in payloads if p["k"] == "f"]
+        assert fired == [{"k": "f", "r": "tally", "s": 1, "t": stamp}]
+
+    @pytest.mark.parametrize("checkpoint", [False, True],
+                             ids=["log", "manifest"])
+    def test_override_narrowing_a_set_ce_is_refused(self, tmp_path,
+                                                    checkpoint):
+        engine = RuleEngine(
+            durability=DurabilityConfig(tmp_path, fsync="off")
+        )
+        engine.load(TALLY)
+        with engine.batch():
+            for n in range(5):
+                engine.make("item", n=n)
+        assert engine.run() == 1
+        if checkpoint:
+            engine.checkpoint()
+        engine.close()
+        # The head (n 4) still matches; count and digest do not.
+        narrowed = TALLY.replace("[item]", "[item ^n > 1]")
+        with pytest.raises(RecoveryError, match="conflict set"):
+            RuleEngine.recover(tmp_path, program=narrowed,
+                               durability=False)
+
+    def test_older_manifest_is_refused(self, tmp_path):
+        import json
+        import os
+
+        engine = _workload(tmp_path)
+        path = engine.checkpoint()
+        engine.close()
+        manifest_path = os.path.join(path, "MANIFEST.json")
+        with open(manifest_path, encoding="utf-8") as handle:
+            manifest = json.load(handle)
+        manifest["version"] = 1
+        with open(manifest_path, "w", encoding="utf-8") as handle:
+            json.dump(manifest, handle)
+        with pytest.raises(RecoveryError,
+                           match="manifest version 1; this build reads "
+                                 "version 2 only"):
+            RuleEngine.recover(tmp_path, durability=False)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_digest_ignores_arrival_order(self, data):
+        from repro.core.instantiation import MatchToken
+        from repro.rete.snode import SetOrientedInstance
+        from repro.wm.wme import WME
+
+        def token(tags):
+            return MatchToken(WME("a", {}, tag) for tag in tags)
+
+        pairs = st.tuples(st.integers(1, 9), st.integers(1, 9))
+        members = data.draw(st.sets(pairs, min_size=1, max_size=12))
+        transient = data.draw(st.sets(pairs, max_size=8))
+        # One stream of inserts, each transient token's removal drawn
+        # somewhere after its insert.
+        ops = data.draw(st.permutations(
+            [("+", tags, False) for tags in members]
+            + [("+", tags, True) for tags in transient]
+        ))
+        for tags in transient:
+            after = next(i for i, op in enumerate(ops)
+                         if op[1] == tags and op[2])
+            at = data.draw(st.integers(after + 1, len(ops)))
+            ops.insert(at, ("-", tags, True))
+
+        def build(stream):
+            soi = SetOrientedInstance((), {}, {}, [])
+            live = {}
+            for sign, tags, extra in stream:
+                if sign == "+":
+                    live[tags, extra] = token(tags)
+                    soi.insert_token(live[tags, extra])
+                else:
+                    soi.remove_token(live.pop((tags, extra)))
+            return soi
+
+        shuffled = build(ops)
+        ordered = build(("+", tags, False) for tags in sorted(members))
+        assert len(shuffled) == len(ordered) == len(members)
+        assert shuffled.digest == ordered.digest
+
+
 class TestDamageHandling:
     def test_torn_tail_loses_only_unflushed_tail(self, tmp_path):
         engine = _workload(tmp_path)
@@ -277,7 +395,7 @@ class TestDamageHandling:
         wal.append({"k": "d", "n": 2, "e": [
             ["+", "player", 1, {"name": "a", "team": "A", "score": 10}],
         ]})
-        wal.append({"k": "f", "r": "promote", "s": 0, "t": [[99]]})
+        wal.append({"k": "f", "r": "promote", "s": 0, "t": [99]})
         wal.append({"k": "e"})  # terminated: a *completed* bogus firing
         wal.close()
         with pytest.raises(RecoveryError, match="conflict set"):
@@ -287,10 +405,15 @@ class TestDamageHandling:
         ({"k": "zz"}, RecoveryError, "unknown WAL record"),
         # A session-meta record naming a matcher the registry no longer
         # has (logs written while a sharded Rete matcher existed).
-        ({"k": "m", "matcher": "sharded", "strategy": "lex"}, ReproError,
+        ({"k": "m", "v": 2, "matcher": "sharded", "strategy": "lex"},
+         ReproError,
          r"unknown matcher 'sharded' "
          r"\(expected one of rete, treat, naive, dips\)"),
-    ], ids=["unknown-kind", "removed-matcher"])
+        # A log written before the meta record named its format: its
+        # stamps list every SOI member, which no decoder reads now.
+        ({"k": "m", "matcher": "rete", "strategy": "lex"}, RecoveryError,
+         r"is format version 1; this build reads version 2 only"),
+    ], ids=["unknown-kind", "removed-matcher", "format-v1"])
     def test_unreadable_record_is_refused(self, tmp_path, record, error,
                                           message):
         from repro.durability.wal import WriteAheadLog
@@ -406,7 +529,7 @@ class TestIncompleteFiring:
         wal.append({"k": "d", "n": 2, "e": [
             ["+", "player", 1, {"name": "a", "team": "A", "score": 10}],
         ]})
-        wal.append({"k": "f", "r": "promote", "s": 0, "t": [[1]]})
+        wal.append({"k": "f", "r": "promote", "s": 0, "t": [1]})
         wal.append({"k": "d", "n": 2, "e": [["-", "player", 1, None]]})
         wal.append({"k": "d", "n": 3, "e": [
             ["+", "player", 2, {"name": "a", "team": "B", "score": 10}],
@@ -415,7 +538,7 @@ class TestIncompleteFiring:
         wal.append({"k": "d", "n": 4, "e": [
             ["+", "player", 3, {"name": "b", "team": "A", "score": 10}],
         ]})
-        wal.append({"k": "f", "r": "promote", "s": 0, "t": [[3]]})
+        wal.append({"k": "f", "r": "promote", "s": 0, "t": [3]})
         wal.append({"k": "d", "n": 4, "e": [["-", "player", 3, None]]})
         wal.close()
         recovered = RuleEngine.recover(tmp_path, durability=False)

@@ -19,6 +19,8 @@ from repro import DurabilityConfig, RuleEngine
 from repro.durability.wal import list_segments, read_log_tail
 from repro.errors import EngineError, FiringError
 
+from tests.conftest import cs_state
+
 PROGRAM = """
 (literalize item n)
 (literalize out n)
@@ -35,19 +37,6 @@ def wm_state(engine):
     return sorted(
         (w.time_tag, w.wme_class, tuple(sorted(w.as_dict().items())))
         for w in engine.wm
-    )
-
-
-def cs_state(engine):
-    from repro.durability.manager import fired_signature
-
-    return sorted(
-        (
-            inst.rule.name,
-            tuple(map(tuple, fired_signature(inst))),
-            inst.eligible(),
-        )
-        for inst in engine.conflict_set.instantiations()
     )
 
 
@@ -165,17 +154,12 @@ class TestQuarantineRecords:
         assert section["failures"]["bad"] >= 2
         assert len(section["dead_letters"]) == 2
         def parked_state(e):
-            from repro.durability.manager import fired_signature
-
-            return sorted(
-                (tuple(map(tuple, fired_signature(i))), i.eligible())
-                for i in e.conflict_set.parked_of_rule("bad")
-            )
+            return cs_state(e, e.conflict_set.parked_of_rule("bad"))
 
         live = (wm_state(engine), cs_state(engine), parked_state(engine))
         # Two pairs were attempted (consumed stamps, dead-lettered);
         # the third was never selected and is still eligible — parked.
-        assert [e for _, e in parked_state(engine)].count(False) == 2
+        assert [e for *_, e in parked_state(engine)].count(False) == 2
         engine.close()
         recovered = RuleEngine.recover(tmp_path, durability=False)
         assert set(recovered.quarantined_rules()) == {"bad"}

@@ -7,6 +7,7 @@ import pytest
 from repro.durability.faultfs import FaultInjector, SimulatedCrash
 from repro.durability.wal import (
     DEFAULT_SEGMENT_BYTES,
+    HEADER,
     MAGIC,
     WriteAheadLog,
     encode_record,
@@ -25,7 +26,36 @@ def _payloads(n, size=0):
     return [{"k": "d", "i": i, "pad": pad} for i in range(n)]
 
 
+#: One payload of every frame kind the engine writes, with the awkward
+#: values a log carries: non-ASCII text, floats, nested lists.
+FRAME_KINDS = [
+    {"k": "d", "n": 4, "e": [
+        ["+", "reading", 3, {"sensor": "s\u00e9", "value": 2.5}],
+        ["-", "reading", 1, None],
+    ], "q": "req-\u2603"},
+    {"k": "f", "r": "tally", "s": 1, "t": [2000, 2 ** 64 - 1, [2000]]},
+    {"k": "e"},
+    {"k": "a", "o": "skip", "r": "bad", "c": 3, "n": 2, "i": [0, 1],
+     "err": "ZeroDivisionError: division by zero"},
+    {"k": "j", "key": "k1", "resp": {"fired": 2, "out": ["caf\u00e9"]}},
+    {"k": "m", "v": 2, "matcher": "rete", "strategy": "lex"},
+    {"k": "l", "c": "reading", "a": ["sensor", "value"]},
+    {"k": "p", "src": "(p r (a ^x <x>) --> (write \"<x>\"))"},
+]
+
+
 class TestFraming:
+    @pytest.mark.parametrize("payload", FRAME_KINDS,
+                             ids=[p["k"] for p in FRAME_KINDS])
+    def test_encoding_matches_json_dumps(self, payload):
+        import json
+        import zlib
+
+        data = json.dumps(payload, separators=(",", ":")).encode("utf-8")
+        assert encode_record(payload) == HEADER.pack(
+            MAGIC, len(data), zlib.crc32(data)
+        ) + data
+
     def test_encode_scan_round_trip(self):
         records = _payloads(5)
         data = b"".join(encode_record(p) for p in records)

@@ -5,7 +5,9 @@ import pytest
 from repro import RuleEngine
 from repro.dips import DipsMatcher
 from repro.durability import DurabilityConfig
-from repro.durability.wal import encode_record, scan_segment
+from repro.durability.wal import (
+    FORMAT_VERSION, encode_record, scan_segment,
+)
 from repro.match import NaiveMatcher, TreatMatcher, matcher_name
 from repro.rete import ReteNetwork
 
@@ -343,8 +345,8 @@ class TestMatcherIndependence:
             data = wal_bytes(wal_dir)
             payloads, _, damage = scan_segment(data)
             assert damage is None
-            assert payloads[0] == {"k": "m", "matcher": name,
-                                   "strategy": "lex"}
+            assert payloads[0] == {"k": "m", "v": FORMAT_VERSION,
+                                   "matcher": name, "strategy": "lex"}
             assert any(payload["k"] == "f" for payload in payloads)
             tails.append(data[len(encode_record(payloads[0])):])
         assert tails[0] == tails[1]

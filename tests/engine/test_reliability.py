@@ -30,24 +30,13 @@ from repro.errors import EngineError, FiringError, LivelockError
 from repro.wm.events import ADD, REMOVE, DeltaBatch
 from repro.wm.memory import WorkingMemory
 
+from tests.conftest import cs_state
+
 
 def wm_state(engine):
     return sorted(
         (w.time_tag, w.wme_class, tuple(sorted(w.as_dict().items())))
         for w in engine.wm
-    )
-
-
-def cs_state(engine):
-    from repro.durability.manager import fired_signature
-
-    return sorted(
-        (
-            inst.rule.name,
-            tuple(map(tuple, fired_signature(inst))),
-            inst.eligible(),
-        )
-        for inst in engine.conflict_set.instantiations()
     )
 
 

@@ -41,6 +41,8 @@ from repro.dips.matcher import DipsMatcher
 from repro.match import NaiveMatcher, TreatMatcher
 from repro.rete import ReteNetwork
 
+from tests.conftest import cs_state
+
 PROGRAM = """
 (literalize item owner v)
 (literalize owner name)
@@ -118,20 +120,6 @@ def wm_state(engine):
     return sorted(
         (w.time_tag, w.wme_class, tuple(sorted(w.as_dict().items())))
         for w in engine.wm
-    )
-
-
-def cs_state(engine):
-    from repro.durability.manager import fired_signature
-
-    return sorted(
-        (
-            inst.rule.name,
-            inst.is_set_oriented,
-            tuple(map(tuple, fired_signature(inst))),
-            inst.eligible(),
-        )
-        for inst in engine.conflict_set.instantiations()
     )
 
 

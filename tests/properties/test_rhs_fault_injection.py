@@ -32,7 +32,7 @@ from repro.durability import FaultInjector, SimulatedCrash
 from repro.engine.rhs import RhsExecutor
 from repro.errors import FiringError
 
-from tests.conftest import MATCHER_FACTORIES
+from tests.conftest import MATCHER_FACTORIES, cs_state
 
 FAULT_EXAMPLES = int(os.environ.get("FAULT_INJECTION_EXAMPLES", "25"))
 
@@ -82,20 +82,6 @@ def wm_state(engine):
     return sorted(
         (w.time_tag, w.wme_class, tuple(sorted(w.as_dict().items())))
         for w in engine.wm
-    )
-
-
-def cs_state(engine):
-    from repro.durability.manager import fired_signature
-
-    return sorted(
-        (
-            inst.rule.name,
-            inst.is_set_oriented,
-            tuple(map(tuple, fired_signature(inst))),
-            inst.eligible(),
-        )
-        for inst in engine.conflict_set.instantiations()
     )
 
 

@@ -116,8 +116,9 @@ def _committed_firings(wal_dir):
 
     ``f`` opens a firing bracket, ``e`` commits it, ``a`` rolls it
     back — exactly the semantics recovery replays.  Only committed
-    brackets count; signatures are (rule, time-tag tuples), which pin
-    the precise WME combination that fired.
+    brackets count; a signature is (rule, set flag, refraction stamp):
+    a regular firing's CE-order time tags pin the precise WME
+    combination, an SOI's ``[count, digest, head tags]`` its members.
     """
     payloads, _end, damage = read_log_tail(str(wal_dir))
     assert damage is None
@@ -127,7 +128,11 @@ def _committed_firings(wal_dir):
         kind = record.get("k")
         if kind == "f":
             assert pending is None, "firing brackets never nest"
-            pending = (record["r"], tuple(map(tuple, record["t"])))
+            stamp = record["t"]
+            if record["s"]:
+                count, digest, head = stamp
+                stamp = (count, digest, tuple(head))
+            pending = (record["r"], record["s"], tuple(stamp))
         elif kind == "e":
             assert pending is not None
             committed.append(pending)
