@@ -20,6 +20,10 @@ The builders:
   are read once, then each candidate's attributes, in the memory's
   insertion order.
 
+Every builder reads a WME's value as ``wme.row[wme.shape.get(attribute,
+-1)]`` (see :class:`repro.wm.wme.WME`): a dict lookup and a tuple index,
+no Python call per test.
+
 The comparators reproduce OPS5's truth table
 (:func:`repro.symbols.apply_predicate`): numbers compare by value
 across ``int``/``float``, symbols by string equality, comparisons
@@ -146,19 +150,21 @@ def alpha(analysis):
         ((attribute, test),) = values
 
         def single(wme):
-            return wme.wme_class == wme_class and test(wme.get(attribute))
+            return (wme.wme_class == wme_class
+                    and test(wme.row[wme.shape.get(attribute, -1)]))
 
         return single
 
     def chain(wme):
         if wme.wme_class != wme_class:
             return False
-        get = wme.get
+        row, index = wme.row, wme.shape.get
         for attribute, test in values:
-            if not test(get(attribute)):
+            if not test(row[index(attribute, -1)]):
                 return False
         for attribute, comparator, other in pairs:
-            if not comparator(get(attribute), get(other)):
+            if not comparator(row[index(attribute, -1)],
+                              row[index(other, -1)]):
                 return False
         return True
 
@@ -185,14 +191,16 @@ def join(tests):
         ((attribute, comparator, level, bound),) = compiled
 
         def single(wme, lookup):
-            return comparator(wme.get(attribute), lookup(level, bound))
+            return comparator(wme.row[wme.shape.get(attribute, -1)],
+                              lookup(level, bound))
 
         return single
 
     def chain(wme, lookup):
-        get = wme.get
+        row, index = wme.row, wme.shape.get
         for attribute, comparator, level, bound in compiled:
-            if not comparator(get(attribute), lookup(level, bound)):
+            if not comparator(row[index(attribute, -1)],
+                              lookup(level, bound)):
                 return False
         return True
 
@@ -215,7 +223,8 @@ def scan(tests):
         def single(lookup, wmes):
             target = lookup(level, bound)
             return [wme for wme in wmes
-                    if comparator(wme.get(attribute), target)]
+                    if comparator(wme.row[wme.shape.get(attribute, -1)],
+                                  target)]
 
         return single
 
@@ -224,9 +233,9 @@ def scan(tests):
                   for attribute, comparator, level, bound in compiled]
         passing = []
         for wme in wmes:
-            get = wme.get
+            row, index = wme.row, wme.shape.get
             for attribute, comparator, target in checks:
-                if not comparator(get(attribute), target):
+                if not comparator(row[index(attribute, -1)], target):
                     break
             else:
                 passing.append(wme)

@@ -12,28 +12,21 @@ from repro import symbols
 from repro.analysis import JoinTest, RuleAnalysis
 from repro.lang.parser import parse_rule
 from repro.rete import kernels
-from repro.wm.wme import NIL
+from repro.wm.wme import NIL, WME, shape_of
 
 VALUES = [0, 1, 2, 2.0, -1, 0.5, True, "a", "b", None]
 PREDICATES = ["=", "<>", "<", "<=", ">", ">=", "<=>"]
 
 
-class StubWME:
-    """WME-shaped stand-in that admits out-of-domain values.
+def unchecked_wme(time_tag, **values):
+    """A class-``a`` WME over *values* as they are.
 
-    Working memory only accepts symbols and numbers; this stub lets the
-    grid feed the predicates bools and None as well, to check that they
-    agree with the interpreter on those too.  ``get`` answers ``nil``
-    for an absent attribute, as :meth:`repro.wm.wme.WME.get` does.
+    Working memory only accepts symbols and numbers; the unchecked
+    constructor lets the grid feed the predicates bools and None as
+    well, to check that they agree with the interpreter on those too.
     """
-
-    def __init__(self, time_tag, **values):
-        self.wme_class = "a"
-        self.time_tag = time_tag
-        self._values = values
-
-    def get(self, attribute):
-        return self._values.get(attribute, NIL)
+    return WME.unchecked("a", shape_of(values), (*values.values(), NIL),
+                         time_tag)
 
 
 def ce_analysis(source, index=0):
@@ -61,7 +54,7 @@ class TestPredicateSemantics:
             {"k": None, "n": None, "s": None},
         ]
         for values in probes:
-            wme = StubWME(1, **values)
+            wme = unchecked_wme(1, **values)
             assert kernel(wme) == analysis.wme_passes_alpha(wme), values
 
     def test_equality_respects_ops_value_categories(self):
@@ -100,7 +93,7 @@ class TestPredicateSemantics:
         kernel = kernels.join((test,))
         for left in VALUES:
             for right in VALUES:
-                wme = StubWME(1, x=left)
+                wme = unchecked_wme(1, x=left)
                 expected = symbols.apply_predicate(predicate, left, right)
                 assert kernel(wme, lambda lv, at: right) == expected, (
                     predicate, left, right,
@@ -110,7 +103,7 @@ class TestPredicateSemantics:
     def test_scan_keeps_order_and_agrees_with_join(self, count):
         tests = (JoinTest("x", ">", 0, "y"), JoinTest("z", "<>", 0, "y"))
         tests = tests[:count]
-        wmes = [StubWME(i, x=value, z=value)
+        wmes = [unchecked_wme(i, x=value, z=value)
                 for i, value in enumerate(VALUES + VALUES[::-1])]
         for bound in VALUES:
             lookup = lambda lv, at: bound

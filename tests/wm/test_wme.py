@@ -1,7 +1,10 @@
 """Unit tests for WMEs."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro import symbols
 from repro.errors import WorkingMemoryError
 from repro.wm import WME, WorkingMemory
 
@@ -96,3 +99,80 @@ class TestWME:
     def test_repr_contains_tag_and_class(self):
         text = repr(wme(tag=7, name="Jack"))
         assert "7" in text and "player" in text and "^name Jack" in text
+
+
+#: Attribute names a generated fact draws from; some are left out of
+#: each fact, so reads of absent attributes are exercised too.
+_NAMES = ("a", "b", "c", "d", "e")
+_VALUES = st.one_of(
+    st.integers(-3, 3), st.sampled_from([0.0, 1.0, 2.5, -1.5]),
+    st.sampled_from(["nil", "x", "y"]),
+)
+
+
+@st.composite
+def _fact(draw):
+    """An attribute dict in a random order, with its values."""
+    names = draw(st.permutations(_NAMES))
+    names = names[:draw(st.integers(0, len(_NAMES)))]
+    return {name: draw(_VALUES) for name in names}
+
+
+def _reference_repr(wme_class, values, tag):
+    pairs = " ".join(f"^{a} {symbols.format_value(v)}"
+                     for a, v in sorted(values.items()))
+    return f"{tag}: ({f'{wme_class} {pairs}'.rstrip()})"
+
+
+def _reference_hash(wme_class, values):
+    return hash((wme_class, tuple(sorted(values.items()))))
+
+
+class TestLayoutAgreesWithADict:
+    """A WME made through working memory behaves as if it held its
+    values in a plain dict, whatever order they were given in."""
+
+    @given(st.lists(_fact(), min_size=1, max_size=6), _fact(),
+           st.randoms(use_true_random=False))
+    @settings(max_examples=200, deadline=None)
+    def test_reads_compare_and_digest_like_a_dict(self, facts, updates,
+                                                  rng):
+        wm = WorkingMemory()
+        made = wm.make_all([("k", values) for values in facts])
+        for wme, values in zip(made, facts):
+            for name in _NAMES:
+                assert wme.get(name) == values.get(name, "nil")
+            assert wme.attributes() == tuple(values)
+            copy = wme.as_dict()
+            assert copy == values and list(copy) == list(values)
+            copy["a"] = "changed"
+            assert wme.get("a") == values.get("a", "nil")
+            merged = {**values, **updates}
+            assert wme.with_updates(updates) == merged
+            assert list(wme.with_updates(updates)) == list(merged)
+            assert hash(wme) == wme.time_tag
+            assert repr(wme) == _reference_repr("k", values, wme.time_tag)
+
+            shuffled = list(values.items())
+            rng.shuffle(shuffled)
+            permuted = wm.make("k", **dict(shuffled))
+            assert wme.same_content(permuted)
+            assert wme == WME("k", dict(shuffled), wme.time_tag)
+            assert wme != permuted  # a different time tag
+            assert not wme.same_content(WME("k", dict(shuffled, a="z"), 0))
+            assert not wme.same_content(WME("j", values, 0))
+            wm.remove(permuted)
+
+            replacement = wm.modify(wme, **updates)
+            assert replacement.as_dict() == merged
+            assert replacement.attributes() == tuple(merged)
+
+        expected = sum(_reference_hash("k", {**values, **updates})
+                       for values in facts) & ((1 << 64) - 1)
+        assert wm.content_fingerprint() == (len(facts), expected)
+        wm.enable_fingerprint()
+        wm.make_all([("k", values) for values in facts])
+        expected += sum(_reference_hash("k", values) for values in facts)
+        assert wm.content_fingerprint() == (
+            2 * len(facts), expected & ((1 << 64) - 1),
+        )
