@@ -14,7 +14,7 @@ test:
 
 bench-smoke:
 	$(PYTHON) -m pytest benchmarks/ -q -p no:cacheprovider \
-	  -k "ablation or no_regression or snode_scaling or batch or durability or claim_firings or dips_work or match_algorithms or fig3"
+	  -k "ablation or no_regression or snode_scaling or batch or durability or claim_firings or dips_work or match_algorithms or fig3 or claim_parallel"
 
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only -s

@@ -15,11 +15,13 @@ residual-test volume.  The S-node runs its Figure-3 stages once per
 """
 
 import gc
+import sys
 import time
 import tracemalloc
 
 from repro import MatchStats, RuleEngine
 from repro.bench import print_table
+from repro.engine.tracing import FiringRecord
 from repro.rete import ReteNetwork
 from repro.wm import WorkingMemory
 
@@ -164,24 +166,118 @@ def test_batched_bulk_load_transient_memory_per_fact():
 RESIDENT_BYTES_PER_FACT = 230
 
 
+def _retained_bytes(load):
+    """``load()``'s result and the tracemalloc bytes it leaves behind
+    after a collection."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = load()
+        gc.collect()
+        return result, tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+
+
 def test_working_memory_resident_bytes_per_fact():
     """tracemalloc bytes a 10k-fact ``make_all`` leaves behind, per fact
     (the facts' values exist before the load and are not counted)."""
     wm = WorkingMemory()
     facts = _facts()
-    gc.collect()
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        made = wm.make_all(facts)
-        gc.collect()
-        retained = tracemalloc.get_traced_memory()[0]
-    finally:
-        tracemalloc.stop()
+    made, retained = _retained_bytes(lambda: wm.make_all(facts))
     assert len(wm) == len(made) == N_EMPLOYEES
-    resident = (retained - before) / N_EMPLOYEES
+    resident = retained / N_EMPLOYEES
     print(f"\nworking memory: {resident:.0f} B/fact resident")
     assert resident < RESIDENT_BYTES_PER_FACT
+
+
+#: Retained tracemalloc bytes per member of a 10k-fact ``load_facts``
+#: under one set-oriented CE: the fact, its alpha-memory entries, its
+#: one token and the S-node's record of it.  The network finds a
+#: WME's tokens through the head of an intrusive chain, not a set per
+#: WME (about 216 B more).
+LOADED_BYTES_PER_MEMBER = 540
+
+ONE_SET_CE = """
+(literalize emp name dept salary)
+(p payroll
+  { [emp] <staff> }
+  -->
+  (halt))
+"""
+
+
+def test_load_facts_resident_bytes_per_member():
+    """tracemalloc bytes a 10k-fact ``load_facts`` under a one-set-CE
+    rule leaves behind, per member."""
+    engine = RuleEngine(matcher=ReteNetwork(batched=True))
+    engine.load(ONE_SET_CE)
+    facts = _facts()
+    _, retained = _retained_bytes(lambda: engine.load_facts(facts))
+    assert len(engine.conflict_set) == 1
+    resident = retained / N_EMPLOYEES
+    print(f"\nload_facts under one set CE: {resident:.0f} B/member resident")
+    assert resident < LOADED_BYTES_PER_MEMBER
+
+
+#: Bytes a set-modify firing's record holds for its WM actions, per
+#: member: three flat list entries per action plus the old and new time
+#: tags.  A tuple per action would add about 64 B.
+RECORD_BYTES_PER_MEMBER = 120
+
+SET_MODIFY = """
+(literalize item status value)
+(literalize control phase)
+(p process-all
+  (control ^phase start)
+  { [item ^status raw] <Items> }
+  -->
+  (set-modify <Items> ^status done)
+  (modify 1 ^phase finished))
+"""
+
+
+def _deep_size(*roots):
+    """``sys.getsizeof`` summed over every object reachable from *roots*
+    through lists, tuples and dicts, each object counted once."""
+    seen = set()
+    total = 0
+    stack = list(roots)
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        total += sys.getsizeof(obj)
+        if isinstance(obj, dict):
+            stack.extend(obj)
+            stack.extend(obj.values())
+        elif isinstance(obj, (list, tuple)):
+            stack.extend(obj)
+    return total
+
+
+def test_set_modify_record_bytes_per_member():
+    """Deep size of what a 10k-member set-modify firing's record holds
+    besides the instantiation's time tags, per member."""
+    engine = RuleEngine()
+    engine.load(SET_MODIFY)
+    engine.load_facts(
+        ("item", {"status": "raw", "value": i}) for i in range(N_EMPLOYEES)
+    )
+    engine.make("control", phase="start")
+    engine.run()
+    [record] = engine.tracer.firings_of("process-all")
+    assert record.modifies == N_EMPLOYEES + 1
+    held = _deep_size(*(
+        getattr(record, name)
+        for name in FiringRecord.__slots__
+        if name != "time_tags"
+    ))
+    per_member = held / N_EMPLOYEES
+    print(f"\nset-modify firing record: {per_member:.0f} B/member")
+    assert per_member < RECORD_BYTES_PER_MEMBER
 
 
 def test_batched_high_churn_matches_per_event(benchmark):

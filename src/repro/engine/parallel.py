@@ -16,8 +16,8 @@ Two layers live here:
   and a modify is remove+insert of the same element — a two-unit chain
   link (``UNIT_COST``).  Actions touching one logical element form a
   chain keyed by the element's *chain root* tag (a modify re-tags, so
-  the tracer maps replacement tags back — see
-  :meth:`~repro.engine.tracing.FiringRecord.touch`).
+  a firing record maps replacement tags back when it is read — see
+  :attr:`~repro.engine.tracing.FiringRecord.touched_ops`).
   :func:`measured_schedule` is an event-driven greedy scheduler over
   the same chains; the property suite checks the closed form against
   it on traced runs.

@@ -35,9 +35,7 @@ class FiringRecord:
         "modifies",
         "writes",
         "binds",
-        "touched_tags",
-        "touched_ops",
-        "_chain_roots",
+        "actions",
         "outcome",
         "error",
         "note",
@@ -55,20 +53,11 @@ class FiringRecord:
         self.modifies = 0
         self.writes = 0
         self.binds = 0
-        # One entry per WM action: the touched element's *chain root*
-        # time tag, or None for a make (used by the parallel-execution
-        # cost model).  A modify re-tags its element, so the chain root
-        # — the tag the element had when this firing first touched its
-        # lineage — is recorded instead of the momentary tag: two
-        # modifies of the same logical element form one dependency
-        # chain even though the second one sees a fresh tag.
-        self.touched_tags = []
-        # Parallel list of (kind, root) pairs, kind in
-        # {"make", "remove", "modify"}; the cost model needs the kind
-        # because the executor performs a modify as remove+insert on
-        # the same element (a 2-unit chain link).
-        self.touched_ops = []
-        self._chain_roots = {}
+        # The WM actions for the parallelism model, flat: three entries
+        # per action, ``kind, tag, new_tag`` (see :meth:`touch`).  One
+        # list, not a tuple or a dict entry per action, because a
+        # set-oriented firing touches every member of its set.
+        self.actions = []
         # Reliability layer: "fired", or the abort outcome of a rolled
         # back attempt (halt/skip/retry/quarantine) plus the error; the
         # rolled-back WM action counts above describe staged effects
@@ -82,19 +71,39 @@ class FiringRecord:
     def touch(self, kind, tag=None, new_tag=None):
         """Record one WM action for the parallelism model.
 
-        *tag* is the time tag of the element the action removed or
-        modified (None for a make).  *new_tag*, for a modify, is the
-        replacement element's tag: it joins the original element's
-        dependency chain, so a later action on the replacement is
-        correctly charged to the same chain.
+        *kind* is ``"make"``, ``"remove"`` or ``"modify"``.  *tag* is
+        the time tag of the element the action removed or modified
+        (None for a make).  *new_tag*, for a modify, is the replacement
+        element's tag: it joins the original element's dependency
+        chain, so a later action on the replacement is charged to the
+        same chain (:attr:`touched_ops`).
         """
-        root = None
-        if tag is not None:
-            root = self._chain_roots.get(tag, tag)
-        self.touched_tags.append(root)
-        self.touched_ops.append((kind, root))
-        if new_tag is not None and root is not None:
-            self._chain_roots[new_tag] = root
+        self.actions.extend((kind, tag, new_tag))
+
+    @property
+    def touched_ops(self):
+        """One ``(kind, root)`` pair per WM action, in action order.
+
+        *root* is the touched element's *chain root* time tag, or None
+        for a make.  A modify re-tags its element, so the chain root —
+        the tag the element had when this firing first touched its
+        lineage — stands in for the momentary tag: two modifies of the
+        same logical element form one dependency chain even though the
+        second one sees a fresh tag.  The cost model needs the kind
+        because the executor performs a modify as remove+insert on the
+        same element (a 2-unit chain link).
+        """
+        ops = []
+        roots = {}
+        actions = iter(self.actions)
+        for kind, tag, new_tag in zip(actions, actions, actions):
+            root = None
+            if tag is not None:
+                root = roots.get(tag, tag)
+            ops.append((kind, root))
+            if new_tag is not None and root is not None:
+                roots[new_tag] = root
+        return ops
 
     @property
     def aborted(self):

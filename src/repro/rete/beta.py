@@ -4,8 +4,13 @@ Tokens form the classic parent-linked chains: a token at level *i* pairs
 its parent (levels ``< i``) with the WME matching CE *i* (``None`` at a
 negated level).  Deletion is tree-structured — removing a WME deletes
 every token carrying it plus all descendants — following the
-Rete/UL-style bookkeeping of intrusive child chains (O(1) unlink) and
-per-WME token indexes kept by :class:`repro.rete.network.ReteNetwork`.
+Rete/UL-style bookkeeping of intrusive chains, so no token or WME owns
+a container of its own: a token's children hang off ``last_child``
+through ``prev_sibling``/``next_sibling``, and the tokens holding one
+WME hang off :class:`repro.rete.network.ReteNetwork`'s per-WME head
+through ``wme_prev``/``wme_next``.  Both unlink in O(1).  Only a
+negative node's :class:`NegToken` carries blockers and an ``active``
+flag; every other token is active by its class.
 
 Join and negative nodes with an equality test probe hash indexes on
 both inputs, and those with only an order test (``<``, ``<=``, ``>``,
@@ -55,10 +60,13 @@ class Token:
         "last_child",
         "prev_sibling",
         "next_sibling",
-        "neg_results",
-        "active",
+        "wme_prev",
+        "wme_next",
         "_tags",
     )
+
+    #: Only a :class:`NegToken` can be blocked.
+    active = True
 
     def __init__(self, parent, wme, node, level):
         self.parent = parent
@@ -68,11 +76,9 @@ class Token:
         # Children are an intrusive doubly linked chain, newest at
         # ``last_child``: O(1) append and unlink whatever the fan-out.
         self.last_child = self.prev_sibling = self.next_sibling = None
-        # Negative-node tokens only: ``{wme: None}`` of the alpha WMEs
-        # blocking this token (the "join results"), in arrival order.
-        self.neg_results = None
-        # For negative-node tokens: propagated downstream iff active.
-        self.active = True
+        # The chain of tokens holding ``wme``, newest first; the network
+        # links and unlinks it (``register_token`` / ``delete_token``).
+        self.wme_prev = self.wme_next = None
         self._tags = None
         if parent is not None:
             older = self.prev_sibling = parent.last_child
@@ -130,6 +136,20 @@ class Token:
             "-" if w is None else str(w.time_tag) for w in self.wmes()
         )
         return f"Token[{tags}]@L{self.level}"
+
+
+class NegToken(Token):
+    """A negative node's token: it propagates downstream only while no
+    alpha WME blocks it."""
+
+    __slots__ = ("neg_results", "active")
+
+    def __init__(self, parent, node, level):
+        super().__init__(parent, None, node, level)
+        # ``{wme: None}`` of the alpha WMEs blocking this token (the
+        # "join results"), in arrival order.
+        self.neg_results = {}
+        self.active = True
 
 
 class DummyToken(Token):

@@ -1,10 +1,10 @@
 """Negative nodes: support for negated condition elements ``-(...)``.
 
 A negative node sits in the beta chain at its CE's level.  For each left
-token it stores a token of its own (``wme=None``) along with the *join
-results* — the alpha WMEs currently satisfying the negated pattern
-against the token's bindings.  The token propagates downstream only
-while it has no join results.
+token it stores a :class:`~repro.rete.beta.NegToken` of its own
+(``wme=None``) along with the *join results* — the alpha WMEs currently
+satisfying the negated pattern against the token's bindings.  The token
+propagates downstream only while it has no join results.
 
 When a blocking WME appears the token *deactivates* (its downstream
 descendants are deleted); when the last blocker disappears it
@@ -13,7 +13,7 @@ descendants are deleted); when the last blocker disappears it
 
 from __future__ import annotations
 
-from repro.rete.beta import Token, TokenStore, TwoInputNode
+from repro.rete.beta import NegToken, TokenStore, TwoInputNode
 
 
 class NegativeNode(TwoInputNode, TokenStore):
@@ -47,8 +47,7 @@ class NegativeNode(TwoInputNode, TokenStore):
         """A new token arrived in the left memory."""
         if not parent_token.active:
             return
-        token = Token(parent_token, None, self, self.level)
-        token.neg_results = {}
+        token = NegToken(parent_token, self, self.level)
         self.network.register_token(token)
         self.items[token] = None
         self._index_token(token)

@@ -51,6 +51,8 @@ class ReteNetwork(Matcher):
         self.strict_paper_decide = strict_paper_decide
         self.productions = {}
         self._terminals = {}  # rule name -> (host memory, observer)
+        # WME -> the newest token holding it, the head of that WME's
+        # token chain (``Token.wme_next`` leads to older ones)
         self._wme_tokens = {}
         # blocker WME -> {negative-node token: None}, in blocking order
         self._wme_neg_results = {}
@@ -65,9 +67,16 @@ class ReteNetwork(Matcher):
     # -- bookkeeping used by the node classes ------------------------------
 
     def register_token(self, token):
+        """Count *token* and link it in at the head of its WME's chain."""
         self.match_stats.token_created()
-        if token.wme is not None:
-            self._wme_tokens.setdefault(token.wme, set()).add(token)
+        wme = token.wme
+        if wme is not None:
+            heads = self._wme_tokens
+            older = heads.get(wme)
+            if older is not None:
+                older.wme_prev = token
+                token.wme_next = older
+            heads[wme] = token
 
     def register_neg_result(self, wme, token):
         """*wme* now blocks *token*: record it on both sides, O(1)."""
@@ -93,12 +102,18 @@ class ReteNetwork(Matcher):
         node.remove_token(token)
         if token.parent is not None:
             token.unlink()
-        if token.wme is not None:
-            bucket = self._wme_tokens.get(token.wme)
-            if bucket is not None:
-                bucket.discard(token)
-                if not bucket:
-                    del self._wme_tokens[token.wme]
+        wme = token.wme
+        if wme is not None:
+            older, newer = token.wme_next, token.wme_prev
+            if newer is not None:
+                newer.wme_next = older
+            elif older is not None:
+                self._wme_tokens[wme] = older
+            else:
+                del self._wme_tokens[wme]
+            if older is not None:
+                older.wme_prev = newer
+            token.wme_prev = token.wme_next = None
 
     # -- rule compilation ----------------------------------------------------
 
@@ -222,9 +237,14 @@ class ReteNetwork(Matcher):
         self.alpha.remove_batch(wmes)
         wme_tokens = self._wme_tokens
         for wme in wmes:
-            for token in list(wme_tokens.pop(wme, ())):
-                if token.node is not None:
-                    self.delete_token(token)
+            # Delete the chain's head until the chain is empty.  A
+            # self-join puts one WME in a token and in that token's
+            # descendant, so one cascade can unlink several members;
+            # re-reading the head holds no link across a cascade.
+            token = wme_tokens.get(wme)
+            while token is not None:
+                self.delete_token(token)
+                token = wme_tokens.get(wme)
             for token in list(self._wme_neg_results.pop(wme, ())):
                 if token.node is not None:
                     token.node.release_blocker(wme, token)

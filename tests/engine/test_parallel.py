@@ -1,6 +1,6 @@
 """Unit tests for the parallel-execution cost model."""
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import RuleEngine
@@ -118,6 +118,63 @@ def traced_records(draw):
                 record.touch("modify", tag, next_tag)
                 next_tag += 1
     return record
+
+
+class EagerRoots:
+    """Reference for ``FiringRecord.touched_ops``: each action's chain
+    root resolved when the action is recorded, a replacement's tag
+    mapped to its original's root as the modify happens."""
+
+    def __init__(self):
+        self.ops = []
+        self.roots = {}
+
+    def touch(self, kind, tag=None, new_tag=None):
+        root = None
+        if tag is not None:
+            root = self.roots.get(tag, tag)
+        self.ops.append((kind, root))
+        if new_tag is not None and root is not None:
+            self.roots[new_tag] = root
+
+
+@st.composite
+def firing_actions(draw):
+    """A firing's WM actions over elements 1..4, each aimed at a live
+    element: an original, a fact made this firing or a replacement an
+    earlier modify of this firing made."""
+    live = [1, 2, 3, 4]
+    next_tag = 100
+    actions = []
+    for _ in range(draw(st.integers(0, 16))):
+        kind = draw(st.sampled_from(["make", "remove", "modify"]))
+        if kind == "make" or not live:
+            actions.append(("make", None, None))
+            live.append(next_tag)
+            next_tag += 1
+            continue
+        tag = live.pop(draw(st.integers(0, len(live) - 1)))
+        if kind == "remove":
+            actions.append(("remove", tag, None))
+        else:
+            actions.append(("modify", tag, next_tag))
+            live.append(next_tag)
+            next_tag += 1
+    return actions
+
+
+class TestTouchedOps:
+    @given(firing_actions())
+    @example([("modify", 5, 1001), ("make", None, None),
+              ("remove", 1001, None)])
+    @settings(max_examples=200, deadline=None)
+    def test_equals_eager_chain_roots(self, actions):
+        record = FiringRecord(1, "r", True, (1,), 1)
+        reference = EagerRoots()
+        for kind, tag, new_tag in actions:
+            record.touch(kind, tag, new_tag)
+            reference.touch(kind, tag, new_tag)
+        assert record.touched_ops == reference.ops
 
 
 class TestLatencyModelMatchesSchedule:

@@ -18,6 +18,7 @@ from repro.engine.conflict import ConflictSet, LexStrategy
 from repro.lang.parser import parse_rule
 from repro.match.base import NullListener
 from repro.rete import ReteNetwork
+from repro.rete.beta import BetaMemory
 from repro.rete.negative import NegativeNode
 from repro.rete.aggregates import AggregateSpec, AggregateState
 from repro.wm import WME, WorkingMemory
@@ -132,6 +133,8 @@ PORTFOLIO = [
     "(p j (item ^owner <o>) (owner ^name <o>) --> (halt))",
     "(p n (item ^owner <o>) -(owner ^name <o>) --> (halt))",
     "(p s { [item ^v <v>] <S> } :test ((count <S>) >= 2) --> (halt))",
+    # A self-join: one item sits in a token and in that token's child.
+    "(p d (item ^owner <o>) (item ^owner <o>) --> (halt))",
 ]
 
 
@@ -210,6 +213,29 @@ class TestIncrementalEqualsBatch:
 # ---------------------------------------------------------------------------
 
 
+def assert_token_chains_intact(net):
+    """Every live token holding a WME is on that WME's chain exactly
+    once, and no chain holds a deleted token."""
+    chained = []
+    for wme, token in net._wme_tokens.items():
+        newer = None
+        while token is not None:
+            assert token.wme is wme
+            assert token.node is not None, "a deleted token is chained"
+            assert token.wme_prev is newer
+            chained.append(token)
+            newer, token = token, token.wme_next
+    live = [
+        token
+        for node in net._beta_nodes
+        if isinstance(node, BetaMemory)
+        for token in node.items
+        if token.wme is not None
+    ]
+    assert len(chained) == len(set(chained))
+    assert set(chained) == set(live)
+
+
 class TestNoLeaks:
     @given(_wm_ops)
     @settings(max_examples=60, deadline=None)
@@ -235,6 +261,7 @@ class TestNoLeaks:
                 live = [w for w in made if w in wm]
                 if live:
                     wm.remove(live[op[1] % len(live)])
+            assert_token_chains_intact(net)
         wm.clear()
         assert stats.totals["tokens_created"] == stats.totals["tokens_deleted"]
         assert not net._wme_tokens
