@@ -4,7 +4,8 @@ A checkpoint is a directory ``checkpoint-%08d`` inside the WAL
 directory holding:
 
 * ``wm.json`` — the working-memory snapshot
-  (:func:`repro.wm.snapshot.dump_wm`, time tags preserved).  Matcher
+  (:func:`repro.wm.snapshot.dump_wm`: each shape once, then one row
+  per WME, time tags preserved).  Matcher
   state — Rete memories, DIPS COND tables on any storage backend — is
   derived, and recovery rebuilds it by replaying the snapshot through
   the batched propagation path;
@@ -36,7 +37,7 @@ import zlib
 from repro.durability.wal import fsync_dir
 from repro.errors import RecoveryError
 
-MANIFEST_VERSION = 2
+MANIFEST_VERSION = 3
 CHECKPOINT_PREFIX = "checkpoint-"
 CURRENT_NAME = "CURRENT"
 MANIFEST_NAME = "MANIFEST.json"
@@ -250,6 +251,11 @@ def load_checkpoint(directory):
             f"checkpoint {name} has no {WM_SNAPSHOT_NAME} member"
         )
     return LoadedCheckpoint(path, manifest, wm_snapshot)
+
+
+def checkpoint_size(path):
+    """Bytes on disk of the checkpoint directory *path*'s members."""
+    return sum(entry.stat().st_size for entry in os.scandir(path))
 
 
 def rule_base_version(program):

@@ -11,6 +11,13 @@ records as they happen, and :meth:`DurabilityManager.log_fire_end`
 after — so recovery can restore refraction stamps and roll back a
 firing the crash cut short.
 
+A durable engine checkpoints itself: once the log written since its
+last checkpoint passes ``max(FLOOR, MULTIPLE × that checkpoint's
+bytes)`` (:meth:`DurabilityManager.checkpoint_due`), the end of a
+committed ``run()`` — or, served, the end of the request — writes a
+new one.  Recovery time and log length are then bounded by a multiple
+of working memory's size instead of growing with uptime.
+
 A manager opened on a directory that already holds a previous
 session's records refuses to attach: time tags would restart at 1 and
 a later recovery would replay two interleaved histories.  Recovery
@@ -26,6 +33,15 @@ from repro.core.instantiation import ce_tags
 from repro.engine.stats import NULL_STATS
 from repro.errors import DurabilityError
 from repro.wm.events import ADD
+
+#: Log bytes a session may write before its first checkpoint is due;
+#: also the least it writes between any two.
+FLOOR = 128 * 1024
+#: A checkpoint is due once the log since the last one is this many
+#: times that checkpoint's size: replaying the tail then costs about
+#: as much as loading the snapshot, and rewriting the snapshot costs
+#: a fixed share of the log it retires.
+MULTIPLE = 2
 
 
 class DurabilityConfig:
@@ -198,6 +214,13 @@ class DurabilityManager:
             tail=None if isinstance(resume, bool) else resume,
         )
         self.wm = None
+        #: Checkpoints this manager wrote, and the bytes of the latest
+        #: (or of the one recovery loaded).
+        self.checkpoints = 0
+        self.checkpoint_bytes = 0
+        # ``wal.bytes`` when that checkpoint was taken; recovery sets it
+        # negative by the tail it replayed, which the log still holds.
+        self._wal_mark = 0
         # Idempotency key of the request whose delta record is about to
         # be written.  The service layer sets it immediately before a
         # keyed assert; the next delta record consumes it, embedding the
@@ -367,6 +390,33 @@ class DurabilityManager:
 
     # -- checkpointing -----------------------------------------------------
 
+    @property
+    def wal_bytes_since_checkpoint(self):
+        """Log bytes a recovery would replay past the last checkpoint."""
+        return self.wal.bytes - self._wal_mark
+
+    def resume_from(self, checkpoint_bytes, tail_bytes):
+        """Seed the self-checkpoint bound of a recovered session: the
+        loaded checkpoint's size and the log tail it replayed."""
+        self.checkpoint_bytes = checkpoint_bytes
+        self._wal_mark = self.wal.bytes - tail_bytes
+
+    def checkpoint_due(self):
+        """Has the log since the last checkpoint outgrown its bound?"""
+        return self.wal.bytes - self._wal_mark > max(
+            FLOOR, MULTIPLE * self.checkpoint_bytes
+        )
+
+    def checkpoint_if_due(self, engine):
+        """The self-checkpoint: write one if :meth:`checkpoint_due`,
+        but only outside every commit scope and batch — so never
+        inside a served request, a firing, or before the caller's
+        frames are synced.  Returns its path, or None."""
+        if (self.wal.in_commit_scope or engine.wm.in_batch
+                or not self.checkpoint_due()):
+            return None
+        return self.checkpoint(engine)
+
     def checkpoint(self, engine):
         """Write an atomic checkpoint of *engine*; returns its path.
 
@@ -418,6 +468,9 @@ class DurabilityManager:
         ckpt.prune_checkpoints(
             self.config.wal_dir, self.config.retain_checkpoints
         )
+        self.checkpoints += 1
+        self.checkpoint_bytes = ckpt.checkpoint_size(path)
+        self._wal_mark = self.wal.bytes
         self.stats.incr("checkpoints")
         return path
 

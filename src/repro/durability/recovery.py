@@ -98,10 +98,10 @@ def recover_engine(engine_cls, path, *, program=None, matcher=None,
     the policy).  The recovered engine carries a
     :class:`RecoveryReport` as ``engine.recovery_report``.
     """
-    from repro.durability.checkpoint import load_checkpoint
+    from repro.durability.checkpoint import checkpoint_size, load_checkpoint
     from repro.durability.manager import DurabilityConfig, DurabilityManager
     from repro.durability.wal import (
-        FORMAT_VERSION, read_log_tail, truncate_after,
+        FORMAT_VERSION, bytes_between, read_log_tail, truncate_after,
     )
     from repro.match import build_matcher, matcher_name
     from repro.wm.snapshot import restore_wm
@@ -212,6 +212,12 @@ def recover_engine(engine_cls, path, *, program=None, matcher=None,
                 end_position = cut
         manager = DurabilityManager(config, stats=engine.stats,
                                     resume=end_position)
+        # The resumed session keeps the bound it had: the tail just
+        # replayed counts toward its next self-checkpoint.
+        manager.resume_from(
+            checkpoint_size(loaded.path) if loaded is not None else 0,
+            bytes_between(path, start, end_position),
+        )
         manager.attach(engine.wm)
         manager.log_meta(matcher_name(engine.matcher),
                          engine.strategy.name)
@@ -418,7 +424,7 @@ def _replay_replace(engine, old_name, source):
 def _apply_delta(wm, entry):
     sign, wme_class, tag, values = entry
     if sign == "+":
-        wm.ingest(wme_class, values, tag)
+        wm.restore(wme_class, tuple(values), values.values(), tag)
     elif sign == "-":
         wm.remove(tag)
     else:

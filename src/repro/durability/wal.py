@@ -205,8 +205,9 @@ class WriteAheadLog:
     on a valid frame boundary; corruption *followed by* valid frames
     raises :class:`~repro.errors.WalError` (run recovery instead).
     *tail* is the ``(seq, offset)`` end recovery has already validated:
-    the final segment is cut there, not decoded again.  ``records`` and
-    ``fsyncs`` are plain-int counts kept whatever the stats sink.
+    the final segment is cut there, not decoded again.  ``records``,
+    ``bytes`` (of frames appended) and ``fsyncs`` are plain-int counts
+    kept whatever the stats sink.
     """
 
     def __init__(self, directory, fsync="batch",
@@ -229,6 +230,7 @@ class WriteAheadLog:
         self._seq = 0
         self._offset = 0
         self.records = 0
+        self.bytes = 0
         self.fsyncs = 0
         # commit_scope() nesting, and whether a frame awaits its fsync.
         self._scope_depth = 0
@@ -330,6 +332,7 @@ class WriteAheadLog:
             self._file.flush()
             self._offset += len(frame)
             self.records += 1
+            self.bytes += len(frame)
             self.stats.incr("wal_appends")
             self.stats.incr("wal_bytes", len(frame))
             if self.fsync == "batch" and self._scope_depth:
@@ -371,6 +374,11 @@ class WriteAheadLog:
                 dead = self.fault is not None and self.fault.crashed
                 if self._scope_unsynced and not self._scope_depth and not dead:
                     self.sync()
+
+    @property
+    def in_commit_scope(self):
+        """Is a :meth:`commit_scope` open?"""
+        return self._scope_depth > 0
 
     def tell(self):
         """``(segment_seq, offset)`` of the append position."""
@@ -466,6 +474,20 @@ def read_log_tail(directory, start=None):
         end_position = (seq, end)
         tail_damage = damage
     return payloads, end_position, tail_damage
+
+
+def bytes_between(directory, start, end):
+    """Log bytes from position *start* (None: the first segment's
+    start) up to position *end*, across segment boundaries."""
+    start_seq, start_offset = start if start is not None else (0, 0)
+    end_seq, end_offset = end
+    total = 0
+    for seq, path in list_segments(directory):
+        if seq < start_seq or seq > end_seq:
+            continue
+        size = end_offset if seq == end_seq else os.path.getsize(path)
+        total += size - (start_offset if seq == start_seq else 0)
+    return total
 
 
 def _record_spans(data, start=0):

@@ -304,6 +304,12 @@ class RuleEngine:
         *on_livelock* (``"stop"``/``"raise"``).  Why the run stopped
         is recorded in ``self.last_run_report``.  Returns the number
         of firings.
+
+        With durability attached, a run that leaves the log past its
+        bound checkpoints the engine once its frames are synced
+        (:meth:`~repro.durability.manager.DurabilityManager.checkpoint_due`);
+        a run inside a batch, a firing or an open commit scope leaves
+        that to whoever closes the scope.
         """
         return _reliability.run_guarded(
             self, limit, wall_clock=wall_clock, deadline=deadline,

@@ -606,6 +606,14 @@ def commit_scope(engine):
     return nullcontext() if durability is None else durability.commit_scope()
 
 
+def _checkpoint_if_due(engine):
+    """After a run's commit scope has closed (its frames synced): the
+    log's self-checkpoint, if one is due.  A failure raises to the
+    run's caller; the run's firings are already durable."""
+    if engine.durability is not None:
+        engine.durability.checkpoint_if_due(engine)
+
+
 def run_guarded(engine, limit=None, *, wall_clock=None, deadline=None,
                 livelock_threshold=None, on_livelock="stop"):
     """``RuleEngine.run`` with budgets and the livelock watchdog.
@@ -651,6 +659,7 @@ def run_guarded(engine, limit=None, *, wall_clock=None, deadline=None,
     engine.last_run_report = RunReport(
         fired, reason, perf_counter() - started, livelock_rule=culprit
     )
+    _checkpoint_if_due(engine)
     return fired
 
 
@@ -708,6 +717,7 @@ def run_parallel_guarded(engine, max_cycles=None, *, wall_clock=None,
         conflicted=total_conflicted, abandoned=total_abandoned,
         livelock_rule=culprit,
     )
+    _checkpoint_if_due(engine)
     return ParallelRunResult(
         cycles, total_fired, total_conflicted, total_abandoned
     )

@@ -51,7 +51,8 @@ class ChaosConfig:
     *wal_error* — arm a one-shot ``ENOSPC`` on a new session's WAL;
     *evict_crash* — arm a one-shot crash inside a new session's first
     checkpoint attempt (the eviction path swallows it, leaving a
-    ``.tmp`` checkpoint for recovery to ignore);
+    ``.tmp`` checkpoint for recovery to ignore; after a deferred
+    self-checkpoint the server drops the dead session, to be resumed);
     *delay_s* — the maximum injected delay;
     *seed* — the deterministic RNG seed.
     """

@@ -276,6 +276,9 @@ class RuleService:
         self._breakers = {}
         self.global_pending = 0
         self.counters = Counter()
+        # Deferred self-checkpoints in flight (asyncio keeps only weak
+        # references to tasks).
+        self._deferred = set()
         self._server = None
         self._sweeper = None
         self._connections = {}  # handler task -> its StreamWriter
@@ -367,6 +370,7 @@ class RuleService:
             await self._server.wait_closed()
             self._server = None
         await self._close_connections()
+        await asyncio.gather(*self._deferred, return_exceptions=True)
         if not self._closed:
             self._closed = True
             await asyncio.get_running_loop().run_in_executor(
@@ -463,14 +467,22 @@ class RuleService:
             )
         return key
 
-    async def _chaos_kill(self, session_id):
-        """Lifecycle fault: tear the session down mid-request."""
-        def kill():
+    async def _drop_session(self, session_id):
+        """Close a session without a checkpoint, as a crash would; its
+        next request answers ``no_session`` and a resume recovers it
+        from its log."""
+        def drop():
             with contextlib.suppress(ServiceError):
                 self.registry.close_session(session_id)
 
-        await self._in_executor(kill)
+        await self._in_executor(drop)
         self._session_locks.pop(session_id, None)
+
+    async def _chaos_kill(self, session_id):
+        """Lifecycle fault: tear the session down mid-request (behind
+        a deferred checkpoint that holds its lock)."""
+        async with self._session_lock(session_id):
+            await self._drop_session(session_id)
         self.counters["chaos_kills"] += 1
 
     # -- connection handling ----------------------------------------------
@@ -518,6 +530,10 @@ class RuleService:
                 pass
 
     async def _dispatch(self, request, writer):
+        # Keys with a leading underscore are the server's own (the
+        # anchored deadline, a deferred checkpoint's event).
+        for key in [key for key in request if key.startswith("_")]:
+            del request[key]
         request_id = request.get("id")
         op = request.get("op")
         handler = getattr(self, f"_op_{op}", None) if op else None
@@ -602,6 +618,12 @@ class RuleService:
                 request_id, "internal",
                 f"{type(error).__name__}: {error}",
             ))
+        finally:
+            # The response is written (or never will be): release a
+            # checkpoint _with_session deferred until now.
+            responded = request.get("_responded")
+            if responded is not None:
+                responded.set()
 
     async def _send(self, writer, obj):
         await self._send_lines(writer, (obj,))
@@ -649,7 +671,10 @@ class RuleService:
         an admitted request; a request that loses the race gets a
         clean ``no_session`` before any work happens.  The op runs in
         the session's commit scope: its one fsync follows its last WAL
-        frame and precedes the first response byte, or fails it.
+        frame and precedes the first response byte, or fails it.  If
+        the op left the session's log past its self-checkpoint bound,
+        the lock passes to :meth:`_deferred_checkpoint` instead of
+        being released.
         """
         session_id = request.get("session")
         if not isinstance(session_id, str):
@@ -666,7 +691,10 @@ class RuleService:
         )
         self.global_pending += 1
         try:
-            async with self._session_lock(session_id):
+            lock = self._session_lock(session_id)
+            await lock.acquire()
+            deferred = False
+            try:
                 deadline = request.get("_deadline")
                 if deadline is not None and monotonic() >= deadline:
                     raise DeadlineError(
@@ -679,8 +707,55 @@ class RuleService:
                         f"no session named {session_id!r}"
                     )
                 session.requests += 1
-                return await self._in_executor(_committed, fn, session)
+                result = await self._in_executor(_committed, fn, session)
+                if session.checkpoint_due():
+                    deferred = self._defer_checkpoint(
+                        session, lock, request
+                    )
+                return result
+            finally:
+                if not deferred:
+                    lock.release()
         finally:
+            self.global_pending -= 1
+            self.registry.checkin(session)
+
+    def _defer_checkpoint(self, session, lock, request):
+        """Hand *session*'s held lock to a task that checkpoints it
+        once this request's response is written, so the checkpoint
+        runs before the session's next request and delays no other
+        session.  The task holds a checkout and a
+        ``global_pending`` claim, as a request does, so neither
+        eviction nor drain closes the session under it.  Returns False
+        (nothing deferred) if the session is gone already."""
+        try:
+            self.registry.checkout(session.id)
+        except ServiceError:
+            return False
+        self.global_pending += 1
+        responded = request["_responded"] = asyncio.Event()
+        task = asyncio.get_running_loop().create_task(
+            self._deferred_checkpoint(session, lock, responded)
+        )
+        self._deferred.add(task)
+        task.add_done_callback(self._deferred.discard)
+        return True
+
+    async def _deferred_checkpoint(self, session, lock, responded):
+        """Checkpoint on the executor after the response; a failure is
+        counted, never a request's."""
+        try:
+            await responded.wait()
+            if not session.closed:
+                await self._in_executor(session.engine.checkpoint)
+                self.counters["self_checkpoints"] += 1
+        except Exception:
+            self.registry.count_checkpoint_failure()
+            if session.crashed:
+                # A simulated crash (chaos) killed the session's log.
+                await self._drop_session(session.id)
+        finally:
+            lock.release()
             self.global_pending -= 1
             self.registry.checkin(session)
 
@@ -751,6 +826,7 @@ class RuleService:
             wm_size=len(session.engine.wm),
             durable=session.wal_dir is not None,
             **({"deduped": True} if deduped else {}),
+            **_recovered(session),
         ))
 
     @staticmethod
@@ -986,12 +1062,17 @@ class RuleService:
         if not isinstance(session_id, str):
             raise ServiceError("close needs a 'session' field")
         checkpoint = bool(request.get("checkpoint", False))
-        await self._in_executor(
-            lambda: self.registry.close_session(
-                session_id, checkpoint=checkpoint
-            )
-        )
-        self._session_locks.pop(session_id, None)
+        # Behind the session's lock: a pipelined close waits for a
+        # deferred checkpoint (and any queued request) to finish.
+        try:
+            async with self._session_lock(session_id):
+                await self._in_executor(
+                    lambda: self.registry.close_session(
+                        session_id, checkpoint=checkpoint
+                    )
+                )
+        finally:
+            self._session_locks.pop(session_id, None)
         self._breakers.pop(session_id, None)
         self.counters["sessions_closed"] += 1
         await self._send(writer, ok_response(
@@ -1018,6 +1099,15 @@ class RuleService:
                 if self.chaos is not None else {}
             ),
         ))
+
+
+def _recovered(session):
+    """A resumed session's ``restored`` WMEs and ``replayed`` records."""
+    report = session.engine.recovery_report if session.resumed else None
+    if report is None:
+        return {}
+    return {"restored": report.restored_wmes,
+            "replayed": report.replayed_records}
 
 
 def _committed(fn, session):

@@ -238,32 +238,53 @@ class Session:
                     engine.durability.log_request(key, response)
         return response, False
 
+    @property
+    def crashed(self):
+        """Has a simulated crash (a chaos fault) killed this session's
+        log?  Every later append would fail."""
+        durability = self.engine.durability
+        fault = None if durability is None else durability.config.fault
+        return fault is not None and fault.crashed
+
+    def checkpoint_due(self):
+        """Has this durable session's log outgrown its self-checkpoint
+        bound?"""
+        durability = self.engine.durability
+        return durability is not None and durability.checkpoint_due()
+
     def close(self, checkpoint=False):
         """Close the tenant's engine (idempotent).
 
         *checkpoint* writes a durability checkpoint first when the
         session has a WAL — the eviction path's default, so a later
         resume replays a short tail instead of the whole history.
-        Checkpoint failure never blocks the close.
+        Checkpoint failure never blocks the close: it is returned (None
+        when there was none) for the caller to count.
         """
+        failure = None
         if checkpoint and self.engine.durability is not None:
             try:
                 self.engine.checkpoint()
-            except Exception:
-                pass
+            except Exception as error:
+                failure = error
         self.engine.close()
+        return failure
 
     def info(self):
         """JSON-safe session summary for the stats surface.
 
-        A durable session adds ``wal_records`` and ``wal_fsyncs``: under
-        ``fsync=batch`` the second tracks its mutating requests (group
-        commit), not its firings.
+        A durable session adds ``wal_records`` and ``wal_fsyncs`` (under
+        ``fsync=batch`` the second tracks its mutating requests — group
+        commit — not its firings), ``wal_bytes_since_checkpoint`` (what
+        a recovery would replay) and ``checkpoints`` written.
         """
         durability = self.engine.durability
         wal = {} if durability is None else {
             "wal_records": durability.wal.records,
             "wal_fsyncs": durability.wal.fsyncs,
+            "wal_bytes_since_checkpoint":
+                durability.wal_bytes_since_checkpoint,
+            "checkpoints": durability.checkpoints,
         }
         return {
             "session": self.id,
@@ -316,6 +337,7 @@ class SessionRegistry:
         self.evicted_idle = 0
         self.evicted_lru = 0
         self.closed = 0
+        self.checkpoint_failures = 0
 
     # -- lookup ------------------------------------------------------------
 
@@ -473,13 +495,24 @@ class SessionRegistry:
 
     # -- eviction ----------------------------------------------------------
 
+    def count_checkpoint_failure(self):
+        """Count a checkpoint that failed where no request reports it:
+        on a close, an eviction, a drain, or deferred after a response
+        (any thread)."""
+        with self._lock:
+            self.checkpoint_failures += 1
+
+    def _close(self, session, checkpoint):
+        if session.close(checkpoint=checkpoint) is not None:
+            self.count_checkpoint_failure()
+
     def close_session(self, session_id, checkpoint=False):
         """Close and drop one session (client-initiated)."""
         with self._lock:
             session = self._sessions.pop(session_id, None)
         if session is None:
             raise ServiceError(f"no session named {session_id!r}")
-        session.close(checkpoint=checkpoint)
+        self._close(session, checkpoint)
         self.closed += 1
         return session
 
@@ -497,7 +530,7 @@ class SessionRegistry:
             )
         victim = min(candidates, key=lambda s: s.last_used)
         del self._sessions[victim.id]
-        victim.close(checkpoint=True)
+        self._close(victim, True)
         self.evicted_lru += 1
         return victim.id
 
@@ -518,7 +551,7 @@ class SessionRegistry:
             for session in expired:
                 del self._sessions[session.id]
         for session in expired:
-            session.close(checkpoint=True)
+            self._close(session, True)
             self.evicted_idle += 1
         return [s.id for s in expired]
 
@@ -533,7 +566,7 @@ class SessionRegistry:
             sessions = list(self._sessions.values())
             self._sessions.clear()
         for session in sessions:
-            session.close(checkpoint=checkpoint)
+            self._close(session, checkpoint)
             self.closed += 1
 
     def stats(self):
@@ -546,6 +579,7 @@ class SessionRegistry:
                 "evicted_idle": self.evicted_idle,
                 "evicted_lru": self.evicted_lru,
                 "closed": self.closed,
+                "checkpoint_failures": self.checkpoint_failures,
                 "max_sessions": self.max_sessions,
                 "idle_ttl": self.idle_ttl,
             }

@@ -402,11 +402,10 @@ class WorkingMemory:
         return shape
 
     def _stamp(self, wme_class, values, time_tag):
-        """The per-fact construction path of ``make``, ``make_all``
-        and ``ingest``: check the dict *values* — read, not kept —
-        against the class's declared attribute set (once per shape) and
-        the value domain, file a WME over its shape and row under
-        *time_tag* and move the tag counter past it.  A refused fact
+        """The per-fact construction path of ``make`` and ``make_all``:
+        check the dict *values* — read, not kept — against the class's
+        declared attribute set (once per shape) and the value domain,
+        then :meth:`_file` the fact under *time_tag*.  A refused fact
         changes nothing."""
         try:
             shape = self._shapes[wme_class][tuple(values)]
@@ -415,6 +414,12 @@ class WorkingMemory:
         row = (*values.values(), NIL)
         if not _plain(map(type, row)):
             check_values(values, names_declared=True)  # raises, naming it
+        return self._file(wme_class, shape, row, time_tag)
+
+    def _file(self, wme_class, shape, row, time_tag):
+        """File a new WME over *shape* and *row* under *time_tag* and
+        move the tag counter past it: the last step of :meth:`_stamp`
+        and :meth:`restore`."""
         # WME.unchecked, inlined: this runs once per fact.
         wme = _new(WME)
         wme.wme_class = wme_class
@@ -455,21 +460,35 @@ class WorkingMemory:
             self._exit_batch()
         return made
 
-    def ingest(self, wme_class, values, time_tag):
-        """Re-create a WME under a *historical* time tag, emit ``+``.
+    def restore(self, wme_class, attributes, values, time_tag):
+        """Re-create a *recorded* WME — a snapshot row or a logged
+        delta — under its time tag, emit ``+``.
 
-        The replay path of snapshot restore and WAL recovery: the tag
-        is pinned to the recorded one so recency ordering (and with it
-        LEX/MEA conflict resolution) survives a round trip.  Tags must
-        still arrive strictly increasing; the counter advances past the
-        ingested tag so subsequent ``make`` calls stay monotone.
+        *attributes* is a tuple of names and *values* theirs, in that
+        order.  The names are not held to the class's declaration
+        again: they were when the fact was made, and a fact made
+        before its class was declared keeps names the declaration
+        lacks through every later modify, so its shape is found the
+        way a modify finds one.  The class name and the values are
+        still checked.  The tag is pinned so recency ordering (and
+        with it LEX/MEA conflict resolution) survives the round trip;
+        tags must arrive strictly increasing, and the counter moves
+        past each so later ``make`` calls stay monotone.
         """
         if time_tag < self._next_tag:
             raise WorkingMemoryError(
-                f"cannot ingest time tag {time_tag}: tags up to "
+                f"cannot restore time tag {time_tag}: tags up to "
                 f"{self._next_tag - 1} are already assigned"
             )
-        wme = self._stamp(wme_class, values, time_tag)
+        if not symbols.is_symbol(wme_class):
+            raise WorkingMemoryError(
+                f"class name must be a symbol, got {wme_class!r}"
+            )
+        shape = self._merged_shape(wme_class, attributes)
+        row = (*values, NIL)
+        if not _plain(map(type, row)):
+            check_values(dict(zip(attributes, values)))  # raises
+        wme = self._file(wme_class, shape, row, time_tag)
         self._emit(ADD, wme)
         return wme
 

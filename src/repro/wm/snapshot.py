@@ -7,6 +7,17 @@ persists working memory: a JSON-compatible dump of every live WME
 behaves identically after a restore.  Matcher state, DIPS COND tables
 included, is derived and rebuilt from the restored elements.
 
+The dump is laid out as rows, like the WMEs themselves (format 2)::
+
+    {"version": 2, "next_tag": 9,
+     "shapes": [["player", ["name", "team"]], ...],
+     "wmes": [[0, 3, "Jack", "A"], ...]}
+
+Each distinct (class, attribute order) is written once under
+``shapes``; a WME is ``[shape index, time tag, *values]``, its values
+in that shape's order.  Any other version is refused: there is one
+decoder.
+
 Restoring replays the elements oldest-first *in one batch* through the
 set-oriented propagation path — attached matchers receive the whole
 restore as a single net delta-set instead of one event per WME, so a
@@ -18,25 +29,30 @@ restored tag.
 from __future__ import annotations
 
 import json
+from operator import itemgetter
 
 from repro.errors import WorkingMemoryError
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 def dump_wm(wm):
-    """Serialise *wm* to a JSON-compatible dict."""
+    """Serialise *wm* to a JSON-compatible dict of shapes and rows."""
+    shapes = []
+    index_of = {}
+    rows = []
+    for wme in wm:
+        key = (wme.wme_class, id(wme.shape))
+        index = index_of.get(key)
+        if index is None:
+            index = index_of[key] = len(shapes)
+            shapes.append([wme.wme_class, list(wme.shape)])
+        rows.append([index, wme.time_tag, *wme.row[:-1]])
     return {
         "version": FORMAT_VERSION,
         "next_tag": wm.latest_time_tag + 1,
-        "wmes": [
-            {
-                "class": wme.wme_class,
-                "tag": wme.time_tag,
-                "values": wme.as_dict(),
-            }
-            for wme in wm
-        ],
+        "shapes": shapes,
+        "wmes": rows,
     }
 
 
@@ -44,7 +60,7 @@ def restore_wm(wm, snapshot, stats=None):
     """Load a snapshot into *wm* (which must be empty).
 
     Works through :meth:`~repro.wm.memory.WorkingMemory.batch` +
-    :meth:`~repro.wm.memory.WorkingMemory.ingest`: attached matchers
+    :meth:`~repro.wm.memory.WorkingMemory.restore`: attached matchers
     receive one set-oriented delta-set covering the whole restore, with
     every WME under its original time tag (monotone by construction,
     since the dump is tag-ordered).
@@ -56,14 +72,21 @@ def restore_wm(wm, snapshot, stats=None):
     version = snapshot.get("version")
     if version != FORMAT_VERSION:
         raise WorkingMemoryError(
-            f"unsupported WM snapshot version {version!r}"
+            f"unsupported WM snapshot version {version!r}; this build "
+            f"reads version {FORMAT_VERSION} only"
         )
-    entries = sorted(snapshot.get("wmes", ()), key=lambda e: e["tag"])
+    shapes = [
+        (wme_class, tuple(attributes))
+        for wme_class, attributes in snapshot["shapes"]
+    ]
+    rows = sorted(snapshot["wmes"], key=itemgetter(1))
     restored = []
+    restore = wm.restore
     with wm.batch(stats=stats):
-        for entry in entries:
+        for row in rows:
+            wme_class, attributes = shapes[row[0]]
             restored.append(
-                wm.ingest(entry["class"], entry["values"], entry["tag"])
+                restore(wme_class, attributes, row[2:], row[1])
             )
     wm._next_tag = max(wm._next_tag, snapshot.get("next_tag", 1))
     return restored

@@ -5,9 +5,11 @@ import os
 
 import pytest
 
-from repro import RuleEngine
+from repro import DurabilityConfig, RuleEngine
+from repro.durability import manager
 from repro.durability.checkpoint import (
     checkpoint_dirname,
+    checkpoint_size,
     list_checkpoints,
     load_checkpoint,
     program_source,
@@ -153,4 +155,88 @@ class TestEngineSupport:
         engine.make("a", x=1)
         _write(tmp_path, wm_snapshot=dump_wm(engine.wm))
         loaded = load_checkpoint(str(tmp_path))
-        assert loaded.wm_snapshot["wmes"][0]["values"] == {"x": 1}
+        assert loaded.wm_snapshot["shapes"] == [["a", ["x"]]]
+        assert loaded.wm_snapshot["wmes"] == [[0, 1, 1]]
+
+
+MARK_PROGRAM = """
+(literalize item v)
+(literalize done v)
+(p mark (item ^v <v>) -(done ^v <v>) --> (make done ^v <v>))
+"""
+
+
+class TestSelfCheckpoint:
+    """A durable run checkpoints itself once the log since the last
+    checkpoint passes ``max(FLOOR, MULTIPLE x that checkpoint's
+    bytes)``."""
+
+    @pytest.fixture
+    def bound(self, monkeypatch):
+        monkeypatch.setattr(manager, "FLOOR", 1024)
+        monkeypatch.setattr(manager, "MULTIPLE", 2)
+        return manager
+
+    def _engine(self, tmp_path):
+        engine = RuleEngine(durability=DurabilityConfig(tmp_path))
+        engine.load(MARK_PROGRAM)
+        return engine
+
+    def test_floor_then_multiple_of_the_checkpoint(self, bound, tmp_path):
+        engine = self._engine(tmp_path)
+        durability = engine.durability
+        while durability.wal_bytes_since_checkpoint <= bound.FLOOR:
+            assert not durability.checkpoint_due()
+            engine.make("item", v=durability.wal.records)
+        assert durability.checkpoint_due()
+        engine.run()
+        assert durability.checkpoints == 1
+        assert durability.wal_bytes_since_checkpoint == 0
+        path = os.path.join(str(tmp_path), read_current(str(tmp_path)))
+        assert durability.checkpoint_bytes == checkpoint_size(path)
+        assert 2 * durability.checkpoint_bytes > bound.FLOOR
+        while (durability.wal_bytes_since_checkpoint
+               <= 2 * durability.checkpoint_bytes):
+            assert not durability.checkpoint_due()
+            engine.make("item", v=-durability.wal.records)
+        assert durability.checkpoint_due()
+        engine.close()
+
+    def test_run_waits_for_the_outermost_commit_scope(self, bound,
+                                                      tmp_path):
+        engine = self._engine(tmp_path)
+        with engine.batch():
+            for v in range(200):
+                engine.make("item", v=v)
+        assert engine.durability.checkpoint_due()
+        with engine.durability.commit_scope():
+            assert engine.run() == 200
+        assert engine.durability.checkpoints == 0
+        assert list_checkpoints(str(tmp_path)) == []
+        engine.run()
+        assert engine.durability.checkpoints == 1
+        engine.close()
+
+    def test_recovery_keeps_the_bound_and_writes_nothing(self, bound,
+                                                         tmp_path):
+        engine = self._engine(tmp_path)
+        engine.load_facts([("item", {"v": v}) for v in range(200)])
+        engine.run()
+        path = engine.checkpoint()
+        for v in range(10):
+            engine.make("item", v=1000 + v)
+        since = engine.durability.wal_bytes_since_checkpoint
+        engine.close()
+
+        recovered = RuleEngine.recover(str(tmp_path))
+        durability = recovered.durability
+        assert durability.checkpoints == 0
+        assert durability.checkpoint_bytes == checkpoint_size(path)
+        # The replayed tail, plus the meta frame logging resumed with.
+        assert (durability.wal_bytes_since_checkpoint
+                == since + durability.wal.bytes)
+        assert [os.path.basename(p) for _, p in
+                list_checkpoints(str(tmp_path))][-1] == (
+            os.path.basename(path)
+        )
+        recovered.close()

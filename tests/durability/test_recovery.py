@@ -13,6 +13,7 @@ from repro.errors import (
     EngineError,
     RecoveryError,
     ReproError,
+    WorkingMemoryError,
 )
 
 from tests.conftest import cs_state
@@ -240,6 +241,28 @@ TALLY = """
 """
 
 
+class TestWidenedFact:
+    """A fact made before its class was declared keeps the attributes
+    the declaration lacks through a modify; recovery brings it back
+    from the log and from a checkpoint alike."""
+
+    @pytest.mark.parametrize("checkpoint", [False, True])
+    def test_modify_after_literalize_recovers(self, checkpoint, tmp_path):
+        engine = RuleEngine(durability=DurabilityConfig(tmp_path))
+        sue = engine.make("player", name="Sue", salary=3)
+        engine.literalize("player", "name", "team")
+        engine.make("player", name="Ann", team="y")
+        engine.modify(sue, team="x")
+        if checkpoint:
+            engine.checkpoint()
+        before = wm_state(engine)
+        engine.close()
+        recovered = RuleEngine.recover(tmp_path, durability=False)
+        assert wm_state(recovered) == before
+        with pytest.raises(WorkingMemoryError, match=r"\^salary"):
+            recovered.make("player", name="Bo", salary=3)
+
+
 class TestRefractionStamps:
     def test_swapped_ce_instantiations_recover_apart(self, tmp_path):
         # (1 2) and (2 1) match the same WMEs in swapped CEs and share a
@@ -312,12 +335,12 @@ class TestRefractionStamps:
         manifest_path = os.path.join(path, "MANIFEST.json")
         with open(manifest_path, encoding="utf-8") as handle:
             manifest = json.load(handle)
-        manifest["version"] = 1
+        manifest["version"] = 2
         with open(manifest_path, "w", encoding="utf-8") as handle:
             json.dump(manifest, handle)
         with pytest.raises(RecoveryError,
-                           match="manifest version 1; this build reads "
-                                 "version 2 only"):
+                           match="manifest version 2; this build reads "
+                                 "version 3 only"):
             RuleEngine.recover(tmp_path, durability=False)
 
     @settings(max_examples=60, deadline=None)

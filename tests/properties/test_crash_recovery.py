@@ -13,13 +13,15 @@ the last durable WAL record.  Three crash models are exercised:
   frame (``FaultInjector(torn_append=...)``); the recovered engine
   equals the state just before the torn operation;
 * **crash inside checkpointing** — at each named checkpoint fault
-  point; recovery must land on the full pre-checkpoint state whether
-  or not the new checkpoint became CURRENT.
+  point, in an explicit checkpoint and in the self-checkpoint that
+  ends a ``run()``; recovery must land on the full pre-checkpoint
+  state whether or not the new checkpoint became CURRENT.
 
 Workloads are randomized (seeded for the cross-matcher matrix,
 hypothesis-driven for Rete) over makes, modifies, removes, and
-interleaved ``run()`` calls, against a rule portfolio with a join, a
-negation, and a set-oriented aggregate.
+interleaved ``run()`` calls — some of them with the self-checkpoint
+bound at zero, so the run checkpoints itself — against a rule
+portfolio with a join, a negation, and a set-oriented aggregate.
 
 Every model runs under each fsync policy: ``always`` (a sync per
 record) is the oracle for ``batch`` (one sync per batch, ``run()`` or
@@ -30,13 +32,14 @@ leaves.  :class:`TestGroupCommit` pins that down for one ``run()``.
 import random
 import shutil
 import tempfile
+from contextlib import contextmanager
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import DurabilityConfig, MatchStats, RuleEngine
-from repro.durability import FaultInjector, SimulatedCrash
+from repro.durability import FaultInjector, SimulatedCrash, manager
 from repro.dips.matcher import DipsMatcher
 from repro.match import NaiveMatcher, TreatMatcher
 from repro.rete import ReteNetwork
@@ -84,9 +87,29 @@ def _random_ops(rng, n):
                 ("make", "item", rng.choice("ab"), rng.randrange(4))
                 for _ in range(rng.randrange(1, 4))
             ]))
-        else:
+        elif kind < 0.95:
             ops.append(("run", rng.randrange(1, 5)))
+        else:
+            ops.append(("selfckpt", rng.randrange(1, 5)))
     return ops
+
+
+def _plain_runs(ops):
+    """*ops* with each self-checkpointing run made a plain run, for
+    tests that count the hits of checkpoint fault points."""
+    return [("run", op[1]) if op[0] == "selfckpt" else op for op in ops]
+
+
+@contextmanager
+def _checkpoint_due():
+    """The self-checkpoint bound at zero: a durable ``run()`` that has
+    logged anything since the last checkpoint ends by writing one."""
+    saved = manager.FLOOR, manager.MULTIPLE
+    manager.FLOOR = manager.MULTIPLE = 0
+    try:
+        yield
+    finally:
+        manager.FLOOR, manager.MULTIPLE = saved
 
 
 def _apply_op(engine, op):
@@ -112,6 +135,9 @@ def _apply_op(engine, op):
                 _apply_op(engine, sub)
     elif kind == "run":
         engine.run(limit=op[1])
+    elif kind == "selfckpt":
+        with _checkpoint_due():
+            engine.run(limit=op[1])
     else:  # pragma: no cover - workload generator bug
         raise AssertionError(op)
 
@@ -180,7 +206,8 @@ class TestTornAppend:
         # Pure-WM workload, every op wrapped in a batch: each op emits
         # at most ONE WAL record (the net delta-set), so the op whose
         # record tears is exactly the op whose effects are lost.
-        ops = [op for op in _random_ops(rng, 30) if op[0] != "run"]
+        ops = [op for op in _random_ops(rng, 30)
+               if op[0] not in ("run", "selfckpt")]
         # Skip past the session prelude (meta + literalize + rules).
         tear_at = rng.randrange(8, 8 + len(ops) // 2)
         fault = FaultInjector(torn_append=(tear_at, 0.5))
@@ -220,7 +247,7 @@ class TestCheckpointCrashes:
     @pytest.mark.parametrize("fsync", FSYNC)
     def test_any_checkpoint_crash_preserves_state(self, point, fsync,
                                                   tmp_path):
-        ops = _random_ops(random.Random(99), 20)
+        ops = _plain_runs(_random_ops(random.Random(99), 20))
         fault = FaultInjector(crash_at={point: 1})
         durable = RuleEngine(
             durability=DurabilityConfig(tmp_path, fsync=fsync,
@@ -238,8 +265,8 @@ class TestCheckpointCrashes:
         # First checkpoint succeeds; the second crashes mid-rename.
         # Recovery must use whichever checkpoint CURRENT names plus the
         # WAL tail, landing on the same state either way.
-        ops = _random_ops(random.Random(123), 15)
-        more = _random_ops(random.Random(124), 10)
+        ops = _plain_runs(_random_ops(random.Random(123), 15))
+        more = _plain_runs(_random_ops(random.Random(124), 10))
         fault = FaultInjector(crash_at={"checkpoint.rename": 2})
         durable = RuleEngine(
             durability=DurabilityConfig(tmp_path, fsync="off",
@@ -257,6 +284,37 @@ class TestCheckpointCrashes:
         _assert_equal_state(recovered, _reference_run(ops + more))
 
 
+class TestSelfCheckpointCrashes:
+    @pytest.mark.parametrize("point", [
+        "checkpoint.begin",
+        "checkpoint.files",
+        "checkpoint.rename",
+        "checkpoint.current",
+        "checkpoint.truncate",
+    ])
+    @pytest.mark.parametrize("fsync", FSYNC)
+    def test_crash_in_the_checkpoint_ending_a_run(self, point, fsync,
+                                                  tmp_path):
+        # The run's frames are synced before its self-checkpoint
+        # starts, so a crash anywhere inside it recovers the whole run.
+        ops = _plain_runs(_random_ops(random.Random(99), 20))
+        fault = FaultInjector(crash_at={point: 1})
+        durable = RuleEngine(
+            durability=DurabilityConfig(tmp_path, fsync=fsync,
+                                        fault=fault)
+        )
+        durable.load(PROGRAM)
+        for op in ops:
+            _apply_op(durable, op)
+        assert fault.counts.get(point, 0) == 0
+        with pytest.raises(SimulatedCrash):
+            _apply_op(durable, ("selfckpt", None))
+        assert fault.counts[point] == 1
+        assert durable.last_run_report.reason == "quiescent"
+        recovered = RuleEngine.recover(tmp_path, durability=False)
+        _assert_equal_state(recovered, _reference_run(ops + [("run", None)]))
+
+
 _op = st.one_of(
     st.tuples(st.just("make"), st.just("item"),
               st.sampled_from(["a", "b"]), st.integers(0, 3)),
@@ -265,6 +323,7 @@ _op = st.one_of(
     st.tuples(st.just("modify"), st.integers(1, 30), st.integers(0, 3)),
     st.tuples(st.just("remove"), st.integers(1, 30)),
     st.tuples(st.just("run"), st.integers(1, 4)),
+    st.tuples(st.just("selfckpt"), st.integers(1, 4)),
 )
 
 

@@ -8,6 +8,7 @@ import errno
 
 import pytest
 
+from repro.durability import manager
 from repro.durability.faultfs import FaultInjector
 from repro.errors import ServiceError
 from repro.service import (
@@ -221,6 +222,32 @@ class TestLiveWireChaos:
                 assert stats["server"]["chaos_kills"] >= 1
                 assert kills_seen >= 1
                 assert stats["registry"]["resumed"] >= 1
+
+    def test_crash_in_a_deferred_checkpoint_drops_the_session(
+            self, tmp_path, monkeypatch):
+        # evict_crash arms a crash inside the session's first
+        # checkpoint, here the one a request's log growth defers past
+        # its response.  The request was answered; the dead session is
+        # dropped and resumes from its log intact.
+        monkeypatch.setattr(manager, "FLOOR", 1024)
+        with ServiceThread(ServiceConfig(
+            port=0, wal_root=str(tmp_path / "wal"), engine_workers=1,
+            chaos="evict_crash=1.0,seed=3",
+        )) as thread:
+            with ServiceClient(*thread.address) as client:
+                client.create("fragile", PROGRAM, durable=True)
+                orders = [("order", {"id": i, "status": "held"})
+                          for i in range(40)]
+                assert client.assert_facts(
+                    "fragile", orders)["ingested"] == 40
+                with pytest.raises(ServiceClientError) as info:
+                    client.facts("fragile")
+                assert info.value.code == "no_session"
+                assert client.stats()["registry"][
+                    "checkpoint_failures"] == 1
+                resumed = client.create("fragile", "", resume=True)
+                assert resumed["wm_size"] == 40
+                assert resumed["replayed"] > 0
 
     def test_wal_enospc_is_retryable_and_exactly_once(self, tmp_path):
         # wal_error=1.0 arms a one-shot ENOSPC on the session's 2nd-12th

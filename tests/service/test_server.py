@@ -3,10 +3,16 @@ session lifecycle driven end to end through :class:`ServiceClient`."""
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import repro
+from repro.durability import FaultInjector, manager
 from repro.errors import ServiceError
 from repro.service import (
     ServiceBusyError,
@@ -269,6 +275,27 @@ class TestErrors:
             response = raw._read_line()
             assert response["error"] == "protocol"
 
+    def test_close_of_unknown_session_keeps_no_lock(self, server, client):
+        with pytest.raises(ServiceClientError) as info:
+            client.close_session("never-created")
+        assert info.value.code == "no_session"
+        assert "never-created" not in server.service._session_locks
+
+    def test_underscore_keys_are_not_the_clients(self, client, request):
+        # The server keeps its own per-request state under leading
+        # underscores; a client's such keys are dropped, not trusted.
+        sid = _unique(request)
+        client.create(sid, PROGRAM, durable=False)
+        client._sock.sendall(
+            encode_line({"op": "ping", "id": 1, "_responded": 1})
+            + encode_line({"op": "facts", "id": 2, "session": sid,
+                           "_deadline": 0})
+        )
+        assert client._read_line()["pong"] is True
+        assert client._read_line()["ok"] is True
+        assert client.ping()["pong"] is True
+        client.close_session(sid)
+
 
 class TestDurableSessions:
     def test_checkpoint_and_wire_resume(self, server, request):
@@ -288,6 +315,9 @@ class TestDurableSessions:
             resumed = client.create(sid, "", resume=True)
             assert resumed["resumed"] is True
             assert resumed["wm_size"] == 2  # order + shipped
+            # Both came from the checkpoint; no record followed it.
+            assert resumed["restored"] == 2
+            assert resumed["replayed"] == 0
             response, _ = client.run(sid)
             assert response["fired"] == 0  # refraction survived
             client.close_session(sid)
@@ -323,6 +353,181 @@ class TestDurableSessions:
                 [session] = client.stats()["sessions"]
         assert session["wal_records"] == 4
         assert session["wal_fsyncs"] == fsyncs
+        assert session["wal_bytes_since_checkpoint"] > 0
+        assert session["checkpoints"] == 0
+
+    def test_fresh_create_reports_no_recovery(self, server, request):
+        sid = _unique(request)
+        with ServiceClient(*server.address) as client:
+            created = client.create(sid, PROGRAM)
+            assert "restored" not in created and "replayed" not in created
+            client.close_session(sid)
+
+
+def _serve_process(wal_root):
+    """``repro.cli serve`` in a child process; ``.address`` is set."""
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(repro.__file__).resolve().parents[1]))
+    process = subprocess.Popen(
+        [sys.executable, "-m", "repro.cli", "serve", "--port", "0",
+         "--wal-root", str(wal_root), "--engine-workers", "1"],
+        env=env, stdin=subprocess.DEVNULL, stdout=subprocess.PIPE,
+        stderr=subprocess.DEVNULL,
+    )
+    line = process.stdout.readline().decode()
+    if "listening on" not in line:
+        process.kill()
+        pytest.fail(f"server did not start: {line!r}")
+    host, port = line.split("listening on ")[1].split()[0].split(":")
+    process.address = (host, int(port))
+    return process
+
+
+def _orders(first, count):
+    return [("order", {"id": i, "status": "open"})
+            for i in range(first, first + count)]
+
+
+class TestSelfCheckpoint:
+    """A request that leaves a durable session's log past its bound is
+    answered first; the checkpoint follows under the session lock,
+    before that session's next request."""
+
+    @pytest.fixture
+    def bound(self, monkeypatch):
+        monkeypatch.setattr(manager, "FLOOR", 2048)
+        monkeypatch.setattr(manager, "MULTIPLE", 2)
+
+    def _session(self, stats, sid):
+        [info] = [s for s in stats["sessions"] if s["session"] == sid]
+        return info
+
+    def test_checkpoint_follows_the_response(self, bound, tmp_path):
+        with ServiceThread(ServiceConfig(
+            port=0, wal_root=str(tmp_path), engine_workers=1,
+        )) as srv:
+            with ServiceClient(*srv.address) as client:
+                client.create("t1", PROGRAM)
+                client.assert_facts("t1", _orders(0, 5))
+                assert self._session(client.stats(), "t1")[
+                    "checkpoints"] == 0
+                response, _ = client.run("t1")
+                assert response["fired"] == 5
+                client.assert_facts("t1", _orders(100, 40))
+                # Queued behind the deferred checkpoint on the lock.
+                client.facts("t1")
+                stats = client.stats()
+                info = self._session(stats, "t1")
+                assert info["checkpoints"] == 1
+                assert info["wal_bytes_since_checkpoint"] == 0
+                assert stats["server"]["self_checkpoints"] == 1
+                assert stats["registry"]["checkpoint_failures"] == 0
+                wm_size = info["wm_size"]
+                client.close_session("t1")
+                resumed = client.create("t1", "", resume=True)
+                assert resumed["restored"] == wm_size
+                assert resumed["replayed"] == 0
+
+    def test_sigkill_after_a_deferred_checkpoint(self, tmp_path):
+        # A real server process at the real bound: one request's log
+        # passes it, the checkpoint is deferred past the response, a
+        # short tail follows, and SIGKILL ends the process.
+        wal_root = tmp_path / "wal"
+        server = _serve_process(wal_root)
+        try:
+            with ServiceClient(*server.address) as client:
+                client.create("k1", PROGRAM)
+                batch = manager.FLOOR // 80
+                client.assert_facts("k1", _orders(0, batch))
+                response, _ = client.run("k1")
+                assert response["fired"] == batch
+                client.facts("k1")  # after the deferred checkpoint
+                [info] = client.stats()["sessions"]
+                assert info["checkpoints"] >= 1
+                assert info["wal_bytes_since_checkpoint"] == 0
+                client.assert_facts("k1", _orders(batch, 3))
+                response, _ = client.run("k1")
+                assert response["fired"] == 3
+                _, before = client.facts("k1")
+        finally:
+            server.kill()
+            server.wait()
+        server = _serve_process(wal_root)
+        try:
+            with ServiceClient(*server.address) as client:
+                resumed = client.create("k1", "", resume=True)
+                assert resumed["restored"] == 2 * batch
+                assert 0 < resumed["replayed"] < 20
+                _, after = client.facts("k1")
+        finally:
+            server.kill()
+            server.wait()
+        def dump(events):
+            return [(e["class"], e["tag"], e["values"]) for e in events]
+
+        assert dump(after) == dump(before)
+        assert len(before) == 2 * batch + 6
+
+    def test_pipelined_close_waits_for_the_deferred_checkpoint(
+            self, bound, tmp_path):
+        # The assert crosses the bound and the close follows on the
+        # same connection before its answer is read; with several
+        # engine workers the close must still queue behind the
+        # checkpoint rather than run beside it.
+        with ServiceThread(ServiceConfig(
+            port=0, wal_root=str(tmp_path), engine_workers=4,
+        )) as srv:
+            with ServiceClient(*srv.address) as client:
+                client.create("t1", PROGRAM)
+                client._sock.sendall(
+                    encode_line({"op": "assert", "id": 1, "session": "t1",
+                                 "facts": [[c, v] for c, v
+                                           in _orders(0, 60)]})
+                    + encode_line({"op": "close", "id": 2,
+                                   "session": "t1", "checkpoint": True})
+                )
+                assert client._read_line()["ingested"] == 60
+                assert client._read_line()["closed"] == "t1"
+                stats = client.stats()
+                assert stats["registry"]["checkpoint_failures"] == 0
+                assert stats["server"]["self_checkpoints"] == 1
+                resumed = client.create("t1", "", resume=True)
+                assert resumed["restored"] == 60
+                assert resumed["replayed"] == 0
+
+    def test_failed_checkpoints_are_counted_not_answered(
+            self, bound, tmp_path):
+        with ServiceThread(ServiceConfig(
+            port=0, wal_root=str(tmp_path), engine_workers=1,
+        )) as srv:
+            srv.service.registry.fault_factory = (
+                lambda session_id: FaultInjector(
+                    error_at={"checkpoint.begin": 1}
+                )
+            )
+            with ServiceClient(*srv.address) as client:
+                client.create("t1", PROGRAM)
+                client.assert_facts("t1", _orders(0, 60))
+                # The deferred checkpoint failed; the next request is
+                # still served and retries it, this time successfully.
+                response, _ = client.run("t1")
+                assert response["fired"] == 60
+                client.facts("t1")
+                stats = client.stats()
+                assert stats["registry"]["checkpoint_failures"] == 1
+                assert self._session(stats, "t1")["checkpoints"] == 1
+
+                # A failed close checkpoint is counted too; the close
+                # goes ahead.
+                client.create("t2", PROGRAM)
+                client.close_session("t2", checkpoint=True)
+                assert client.stats()["registry"][
+                    "checkpoint_failures"] == 2
+
+                # So is a failed drain checkpoint.
+                client.create("t3", PROGRAM)
+            srv.drain()
+            assert srv.service.registry.checkpoint_failures == 3
 
 
 class TestBackpressure:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.durability import FaultInjector
 from repro.errors import AdmissionError, DurabilityError, ServiceError
 from repro.service.rulebase import RuleBaseCache
 from repro.service.session import SessionRegistry, validate_session_id
@@ -129,6 +130,38 @@ class TestLruEviction:
         from repro.durability.checkpoint import list_checkpoints
 
         assert list_checkpoints(str(session.wal_dir))
+
+
+class TestCheckpointFootprint:
+    def test_info_counts_log_since_checkpoint(self, registry):
+        session, _ = registry.create("t1", PROGRAM)
+        session.engine.load_facts([("item", {"name": "a", "qty": 1})])
+        info = session.info()
+        assert info["checkpoints"] == 0
+        assert info["wal_bytes_since_checkpoint"] == (
+            session.engine.durability.wal.bytes
+        ) > 0
+        session.engine.checkpoint()
+        info = session.info()
+        assert info["checkpoints"] == 1
+        assert info["wal_bytes_since_checkpoint"] == 0
+
+    def test_non_durable_info_has_no_log_fields(self, registry):
+        session, _ = registry.create("t1", PROGRAM, durable=False)
+        assert "checkpoints" not in session.info()
+        assert not session.checkpoint_due()
+
+    def test_failed_close_checkpoint_is_counted(self, tmp_path, clock):
+        registry = SessionRegistry(
+            RuleBaseCache(), wal_root=tmp_path / "wal", clock=clock,
+            fault_factory=lambda session_id: FaultInjector(
+                error_at={"checkpoint.begin": 1}
+            ),
+        )
+        session, _ = registry.create("t1", PROGRAM)
+        registry.close_session("t1", checkpoint=True)
+        assert registry.stats()["checkpoint_failures"] == 1
+        assert session.closed  # the close went ahead
 
 
 class TestIdleSweep:

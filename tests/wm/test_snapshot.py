@@ -1,5 +1,7 @@
 """Unit tests for working-memory snapshots."""
 
+import json
+
 import pytest
 
 from repro import RuleEngine
@@ -45,11 +47,57 @@ class TestRoundTrip:
         wm = WorkingMemory()
         wm.make("a")
         with pytest.raises(WorkingMemoryError):
-            restore_wm(wm, {"version": 1, "wmes": []})
+            restore_wm(wm, {"version": 2, "shapes": [], "wmes": []})
 
     def test_version_check(self):
         with pytest.raises(WorkingMemoryError):
             restore_wm(WorkingMemory(), {"version": 9, "wmes": []})
+
+    def test_dict_per_fact_format_is_refused(self):
+        old = {"version": 1, "next_tag": 2,
+               "wmes": [{"class": "a", "tag": 1, "values": {"x": 1}}]}
+        with pytest.raises(WorkingMemoryError, match="version 1"):
+            restore_wm(WorkingMemory(), old)
+
+    def test_each_shape_written_once(self):
+        wm = WorkingMemory()
+        wm.make_all([("a", {"x": i, "y": "s"}) for i in range(3)])
+        wm.make("a", y="t", x=9)
+        wm.make("b")
+        snapshot = dump_wm(wm)
+        assert snapshot["shapes"] == [
+            ["a", ["x", "y"]], ["a", ["y", "x"]], ["b", []],
+        ]
+        assert snapshot["wmes"] == [
+            [0, 1, 0, "s"], [0, 2, 1, "s"], [0, 3, 2, "s"],
+            [1, 4, "t", 9], [2, 5],
+        ]
+
+    def test_one_class_two_shapes_round_trip(self):
+        # A modify that widens a fact made before its class was
+        # literalized keeps the attribute the declaration lacks; the
+        # JSON round trip must bring it back, beside a fact of the
+        # declared shape, with values and time tags intact.
+        wm = WorkingMemory()
+        sue = wm.make("player", name="Sue", salary=3)
+        wm.registry.literalize("player", ["name", "team"])
+        wm.make("player", name="Ann", team="y")
+        widened = wm.modify(sue, team="x")
+        snapshot = json.loads(json.dumps(dump_wm(wm)))
+        assert len(snapshot["shapes"]) == 2
+
+        clone = WorkingMemory()
+        clone.registry.literalize("player", ["name", "team"])
+        restore_wm(clone, snapshot)
+        assert [(w.time_tag, w.as_dict()) for w in clone] == [
+            (2, {"name": "Ann", "team": "y"}),
+            (widened.time_tag,
+             {"name": "Sue", "salary": 3, "team": "x"}),
+        ]
+        assert clone.latest_time_tag == widened.time_tag
+        # A new fact is still held to the declaration.
+        with pytest.raises(WorkingMemoryError, match=r"\^salary"):
+            clone.make("player", name="Bo", salary=3)
 
 
 class TestEngineRestart:
@@ -99,9 +147,11 @@ class TestEngineRestart:
 
         per_event = RuleEngine(stats=MatchStats())
         per_event.load(program)
-        for entry in snapshot["wmes"]:
-            per_event.wm._next_tag = entry["tag"]
-            per_event.wm.make(entry["class"], **entry["values"])
+        shapes = snapshot["shapes"]
+        for index, tag, *values in snapshot["wmes"]:
+            wme_class, attributes = shapes[index]
+            per_event.wm._next_tag = tag
+            per_event.wm.make(wme_class, **dict(zip(attributes, values)))
 
         batched = RuleEngine(stats=MatchStats())
         batched.load(program)
@@ -133,14 +183,12 @@ class TestEngineRestart:
 
     def test_non_monotone_snapshot_refused(self):
         snapshot = {
-            "version": 1,
+            "version": 2,
             "next_tag": 3,
-            "wmes": [
-                {"class": "a", "tag": 2, "values": {}},
-                {"class": "a", "tag": 2, "values": {}},
-            ],
+            "shapes": [["a", []]],
+            "wmes": [[0, 2], [0, 2]],
         }
-        with pytest.raises(WorkingMemoryError, match="ingest"):
+        with pytest.raises(WorkingMemoryError, match="restore"):
             restore_wm(WorkingMemory(), snapshot)
 
     def test_soi_state_rebuilt(self, tmp_path):

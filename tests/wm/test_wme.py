@@ -73,7 +73,7 @@ class TestWME:
                 "make": lambda: wm.make("c", k=bad),
                 "make_all": lambda: wm.make_all([("c", {"k": 1}),
                                                  ("c", {"k": bad})]),
-                "ingest": lambda: wm.ingest("c", {"k": bad}, 99),
+                "restore": lambda: wm.restore("c", ("k",), (bad,), 99),
                 "WME": lambda: WME("c", {"k": bad}, 99),
             }
             for path, attempt in attempts.items():
