@@ -44,6 +44,7 @@ from pathlib import Path
 
 from repro import MatchStats, RuleEngine
 from repro.rete import ReteNetwork
+from repro.wm.wme import NIL, WME, shape_of
 
 BASELINE_PATH = Path(__file__).parent / "BENCH_baseline.json"
 DEFAULT_OUTPUT = Path("BENCH_36.json")
@@ -224,18 +225,15 @@ STORAGE_RETRIEVAL = (
 )
 
 
-class _BenchWme:
-    """Minimal WME protocol (class, tag, get) for CondStore streaming."""
+#: The one shape every streamed ``item`` fact shares, as in a
+#: working memory.
+_ITEM_SHAPE = shape_of(("owner", "v"))
 
-    __slots__ = ("wme_class", "time_tag", "_values")
 
-    def __init__(self, tag, owner, v):
-        self.wme_class = "item"
-        self.time_tag = tag
-        self._values = {"owner": owner, "v": v}
-
-    def get(self, attribute):
-        return self._values.get(attribute, "nil")
+def _bench_wme(tag, owner, v):
+    """An ``item`` WME built without a working memory, for CondStore
+    streaming."""
+    return WME.unchecked("item", _ITEM_SHAPE, (owner, v, NIL), tag)
 
 
 class _BenchEvent:
@@ -260,7 +258,7 @@ def _storage_scenario(backend):
     load_start = time.perf_counter()
     for base in range(0, N_STORAGE_WMES, STORAGE_CHUNK):
         statements += store.apply_batch([
-            _BenchEvent(True, _BenchWme(
+            _BenchEvent(True, _bench_wme(
                 base + i + 1,
                 f"o{(base + i) % N_STORAGE_OWNERS}",
                 (base + i) % 97,
@@ -273,8 +271,8 @@ def _storage_scenario(backend):
         events = []
         for i in range(STORAGE_UPDATE_CHUNK):
             old_tag = base + i + 1
-            events.append(_BenchEvent(False, _BenchWme(old_tag, "", 0)))
-            events.append(_BenchEvent(True, _BenchWme(
+            events.append(_BenchEvent(False, _bench_wme(old_tag, "", 0)))
+            events.append(_BenchEvent(True, _bench_wme(
                 N_STORAGE_WMES + old_tag,
                 f"o{old_tag % N_STORAGE_OWNERS}",
                 old_tag % 97,
@@ -433,8 +431,8 @@ def scenario_service_shared_rete():
 
 
 def scenario_service_mixed_matchers():
-    # Half rete, half treat: exactly two rule bases, shared 4 ways each.
-    return _service_scenario("svc-mixed", ("rete", "treat"))
+    # Half rete, half naive: exactly two rule bases, shared 4 ways each.
+    return _service_scenario("svc-mixed", ("rete", "naive"))
 
 
 #: Seeded fault injection: roughly every tenth response line is torn

@@ -16,14 +16,13 @@ from repro import RuleEngine
 from repro.dips import DipsMatcher
 from repro.engine.stats import MatchStats
 from repro.lang.parser import parse_rule
-from repro.match import NaiveMatcher, TreatMatcher
+from repro.match import NaiveMatcher
 from repro.match.base import NullListener
 from repro.rete import ReteNetwork
 from repro.wm import WorkingMemory
 
 MATCHERS = {
     "rete": ReteNetwork,
-    "treat": TreatMatcher,
     "naive": NaiveMatcher,
     "dips": DipsMatcher,
 }

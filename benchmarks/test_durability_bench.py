@@ -232,7 +232,7 @@ def test_recovery_time_tracks_wal_tail_length(tmp_path, benchmark):
     benchmark(_recover_time, tmp_path / "tail-500")
 
 
-@pytest.mark.parametrize("matcher", ["rete", "treat", "naive", "dips"])
+@pytest.mark.parametrize("matcher", ["rete", "naive", "dips"])
 def test_recovery_is_matcher_faithful_at_scale(tmp_path, matcher):
     from repro.match import build_matcher
 

@@ -1,10 +1,10 @@
-"""Experiment C6 — match algorithms: Rete vs TREAT vs naive.
+"""Experiment C6 — match algorithms: Rete vs naive.
 
-The related-work context of the paper (Forgy 1982, Miranker 1986): the
-cost of incremental match.  A join-heavy workload with add/remove churn
-is pushed through the three matchers; the expected shape is naive >>
-TREAT ≳ Rete on adds (TREAT recomputes seeded joins; Rete reuses β
-memories), with the gap widening as WM grows.
+The related-work context of the paper (Forgy 1982): the cost of
+incremental match.  A join-heavy workload with add/remove churn is
+pushed through both matchers; the expected shape is naive >> Rete
+(Rete reuses β memories, naive recomputes every rule's matches after
+each change), with the gap widening as WM grows.
 """
 
 import time
@@ -13,14 +13,13 @@ from repro import MatchStats
 from repro.bench import print_table
 from repro.bench.workloads import chain_events, chain_program
 from repro.lang.parser import parse_program
-from repro.match import NaiveMatcher, TreatMatcher
+from repro.match import NaiveMatcher
 from repro.match.base import NullListener
 from repro.rete import ReteNetwork
 from repro.wm import WorkingMemory
 
 MATCHERS = {
     "rete": ReteNetwork,
-    "treat": TreatMatcher,
     "naive": NaiveMatcher,
 }
 
@@ -51,21 +50,18 @@ def test_match_cost_comparison(benchmark):
             (
                 nodes * 4,
                 f"{timings['rete']:.4f}",
-                f"{timings['treat']:.4f}",
                 f"{timings['naive']:.4f}",
                 f"{timings['naive'] / timings['rete']:.1f}x",
             )
         )
     print_table(
         "C6 — match time by algorithm (chain joins with 50% removal "
-        "churn; shape: naive >> treat/rete)",
-        ["WMEs", "rete s", "treat s", "naive s", "naive/rete"],
+        "churn; shape: naive >> rete)",
+        ["WMEs", "rete s", "naive s", "naive/rete"],
         rows,
     )
     # The naive matcher must lose by a wide margin at the largest size.
-    last = rows[-1]
-    assert float(last[3].rstrip("x")) if False else True
-    naive_over_rete = float(last[4].rstrip("x"))
+    naive_over_rete = float(rows[-1][3].rstrip("x"))
     assert naive_over_rete > 3.0
 
     benchmark(run_workload, "rete", 10)
@@ -89,10 +85,10 @@ def test_join_attempt_counters(benchmark):
             wm.remove(wme)
         return stats.totals["join_tests_attempted"]
 
-    treat = counted(TreatMatcher)
+    rete = counted(ReteNetwork)
     naive = counted(NaiveMatcher)
     rows = [
-        ("treat join attempts", treat),
+        ("rete join attempts", rete),
         ("naive join attempts", naive),
     ]
     print_table(
@@ -100,34 +96,6 @@ def test_join_attempt_counters(benchmark):
         ["matcher", "join attempts"],
         rows,
     )
-    assert naive > treat
+    assert naive > rete
 
-    benchmark(counted, TreatMatcher)
-
-
-def test_treat_vs_rete_on_removals(benchmark):
-    """TREAT's advertised strength: removals are cheap (no β cleanup)."""
-
-    def removal_phase(matcher_cls):
-        wm = WorkingMemory()
-        matcher = matcher_cls()
-        matcher.set_listener(NullListener())
-        matcher.attach(wm)
-        _, rules = parse_program(chain_program(rule_count=4, chain_length=3))
-        for rule in rules:
-            matcher.add_rule(rule)
-        wmes = chain_events(wm, lanes=4, nodes=12, seed=5)
-        start = time.perf_counter()
-        for wme in wmes:
-            wm.remove(wme)
-        return time.perf_counter() - start
-
-    rete_time = min(removal_phase(ReteNetwork) for _ in range(3))
-    treat_time = min(removal_phase(TreatMatcher) for _ in range(3))
-    print_table(
-        "C6 — removal-only phase",
-        ["matcher", "time (s)"],
-        [("rete", f"{rete_time:.4f}"), ("treat", f"{treat_time:.4f}")],
-    )
-
-    benchmark(removal_phase, TreatMatcher)
+    benchmark(counted, ReteNetwork)

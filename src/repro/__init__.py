@@ -27,8 +27,8 @@ Quick start::
     engine.run(limit=1)
 
 Subsystems: :mod:`repro.lang` (the rule language), :mod:`repro.rete`
-(the extended match network), :mod:`repro.match` (TREAT/naive
-baselines), :mod:`repro.engine` (conflict resolution + RHS),
+(the extended match network), :mod:`repro.match` (the
+naive oracle), :mod:`repro.engine` (conflict resolution + RHS),
 :mod:`repro.rdb` (the relational substrate), :mod:`repro.dips` (DBMS
 matching, section 8), :mod:`repro.bench` (workloads and harness).
 """
@@ -36,7 +36,7 @@ matching, section 8), :mod:`repro.bench` (workloads and harness).
 from repro.durability import DurabilityConfig
 from repro.engine import MatchStats, NullStats, RuleEngine
 from repro.lang import RuleBuilder, parse_program, parse_rule
-from repro.match import NaiveMatcher, TreatMatcher
+from repro.match import NaiveMatcher
 from repro.rete import ReteNetwork
 from repro.wm import WME, WorkingMemory
 
@@ -50,7 +50,6 @@ __all__ = [
     "ReteNetwork",
     "RuleBuilder",
     "RuleEngine",
-    "TreatMatcher",
     "WME",
     "WorkingMemory",
     "__version__",

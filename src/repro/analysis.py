@@ -1,7 +1,7 @@
 """Static analysis of rules: binding sites and match tests.
 
-Every matcher (Rete, TREAT, naive, DIPS) needs the same decomposition of
-a rule's LHS:
+Every matcher (Rete, naive, DIPS) needs the same decomposition of a
+rule's LHS:
 
 * **constant tests** — checks against literals/disjunctions, evaluable
   on a lone WME (they parameterise the alpha network);

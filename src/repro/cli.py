@@ -3,7 +3,7 @@
 Usage::
 
     python -m repro.cli [program.ops]
-                        [--matcher rete|treat|naive|dips]
+                        [--matcher rete|naive|dips]
                         [--backend memory|sqlite|sqlite:PATH]
                         [--strategy lex|mea] [--run N] [--watch LEVEL]
                         [--on-error POLICY]

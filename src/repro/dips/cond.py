@@ -27,6 +27,7 @@ from repro.errors import DipsError
 from repro.lang import ast
 from repro.rdb.database import Database
 from repro.rdb.schema import Column, Schema
+from repro.rete import kernels
 
 
 def cond_table_name(wme_class):
@@ -39,14 +40,21 @@ def _variable_marker(name):
 
 
 class _CondCE:
-    """Static info for one (rule, CE) pair."""
+    """Static info for one (rule, CE) pair.
 
-    __slots__ = ("rule", "level", "ce", "attributes", "pattern", "rce")
+    ``matches(wme)`` is the CE's single-WME test (class, constants,
+    predicates, intra tests), compiled once by :func:`kernels.alpha`:
+    the same predicate a Rete alpha memory admits with.
+    """
 
-    def __init__(self, rule, level, ce):
+    __slots__ = ("rule", "level", "ce", "attributes", "pattern", "rce",
+                 "matches")
+
+    def __init__(self, rule, ce_analysis):
         self.rule = rule
-        self.level = level
-        self.ce = ce
+        self.level = level = ce_analysis.level
+        self.ce = ce = ce_analysis.ce
+        self.matches = kernels.alpha(ce_analysis)
         self.attributes = tuple(test.attribute for test in ce.tests)
         self.pattern = self._build_pattern(ce)
         self.rce = ", ".join(
@@ -70,10 +78,6 @@ class _CondCE:
                         test.attribute, _variable_marker(check.operand.name)
                     )
         return pattern
-
-    def matches(self, wme, analysis):
-        """Full single-WME test (constants, predicates, intra tests)."""
-        return analysis.ce_analyses[self.level].wme_passes_alpha(wme)
 
 
 class BatchDelta:
@@ -101,7 +105,7 @@ class CondStore:
     def __init__(self, db=None, backend=None):
         self.db = db if db is not None else Database(backend)
         self._class_attributes = {}
-        self._cond_ces = {}  # wme_class -> [(rule, analysis, _CondCE)]
+        self._cond_ces = {}  # wme_class -> [_CondCE]
         self._rules = {}
 
     # -- schema construction ------------------------------------------------
@@ -111,12 +115,11 @@ class CondStore:
             raise DipsError(f"rule {rule.name} already added to DIPS")
         analysis = RuleAnalysis(rule)
         self._rules[rule.name] = (rule, analysis)
-        for level, ce in enumerate(rule.ces):
-            cond_ce = _CondCE(rule, level, ce)
-            self._register_class(ce.wme_class, cond_ce.attributes)
-            self._cond_ces.setdefault(ce.wme_class, []).append(
-                (rule, analysis, cond_ce)
-            )
+        for ce_analysis in analysis.ce_analyses:
+            cond_ce = _CondCE(rule, ce_analysis)
+            wme_class = cond_ce.ce.wme_class
+            self._register_class(wme_class, cond_ce.attributes)
+            self._cond_ces.setdefault(wme_class, []).append(cond_ce)
             self._insert_template(cond_ce)
         return analysis
 
@@ -169,11 +172,10 @@ class CondStore:
         if entry is None:
             raise DipsError(f"no rule named {rule_name} in DIPS")
         rule, _ = entry
-        for wme_class, registrations in list(self._cond_ces.items()):
+        for wme_class, cond_ces in list(self._cond_ces.items()):
             self._cond_ces[wme_class] = [
-                registration
-                for registration in registrations
-                if registration[0].name != rule_name
+                cond_ce for cond_ce in cond_ces
+                if cond_ce.rule.name != rule_name
             ]
         for ce in rule.ces:
             table_name = cond_table_name(ce.wme_class)
@@ -185,9 +187,9 @@ class CondStore:
     # -- WME maintenance -------------------------------------------------------
 
     @staticmethod
-    def _instance_row(rule, cond_ce, wme):
+    def _instance_row(cond_ce, wme):
         row = {
-            "rule_id": rule.name,
+            "rule_id": cond_ce.rule.name,
             "cen": cond_ce.level + 1,
             "rce": cond_ce.rce,
             "wme_tag": wme.time_tag,
@@ -199,13 +201,11 @@ class CondStore:
     def wme_added(self, wme):
         """Compare *wme* against its class's templates; insert instances."""
         inserted = 0
-        for rule, analysis, cond_ce in self._cond_ces.get(
-            wme.wme_class, ()
-        ):
-            if not cond_ce.matches(wme, analysis):
+        for cond_ce in self._cond_ces.get(wme.wme_class, ()):
+            if not cond_ce.matches(wme):
                 continue
             self.cond_table(wme.wme_class).insert(
-                self._instance_row(rule, cond_ce, wme)
+                self._instance_row(cond_ce, wme)
             )
             inserted += 1
         return inserted
@@ -228,18 +228,18 @@ class CondStore:
             by_class.setdefault(wme.wme_class, []).append(wme)
         inserted = 0
         for wme_class, group in by_class.items():
-            registrations = [
-                registration
-                for registration in self._cond_ces.get(wme_class, ())
-                if registration[0].name == rule_name
+            cond_ces = [
+                cond_ce for cond_ce in self._cond_ces.get(wme_class, ())
+                if cond_ce.rule.name == rule_name
             ]
-            if not registrations:
+            if not cond_ces:
                 continue
-            rows = []
-            for wme in group:
-                for rule, analysis, cond_ce in registrations:
-                    if cond_ce.matches(wme, analysis):
-                        rows.append(self._instance_row(rule, cond_ce, wme))
+            rows = [
+                self._instance_row(cond_ce, wme)
+                for wme in group
+                for cond_ce in cond_ces
+                if cond_ce.matches(wme)
+            ]
             if rows:
                 self.cond_table(wme_class).insert_many(rows)
                 inserted += len(rows)
@@ -274,11 +274,9 @@ class CondStore:
                 continue
             removed_tags.setdefault(wme.wme_class, set()).add(wme.time_tag)
             delta.removed.append(wme.time_tag)
-            for rule, analysis, cond_ce in self._cond_ces.get(
-                wme.wme_class, ()
-            ):
-                if cond_ce.ce.negated and cond_ce.matches(wme, analysis):
-                    delta.negated.add(rule.name)
+            for cond_ce in self._cond_ces.get(wme.wme_class, ()):
+                if cond_ce.ce.negated and cond_ce.matches(wme):
+                    delta.negated.add(cond_ce.rule.name)
         for wme_class, tags in removed_tags.items():
             table_name = cond_table_name(wme_class)
             if not self.db.has_table(table_name):
@@ -286,19 +284,20 @@ class CondStore:
             self.db.table(table_name).delete_in("wme_tag", sorted(tags))
             delta.statements += 1
         for wme_class, wmes in added.items():
-            registrations = self._cond_ces.get(wme_class, ())
-            if not registrations:
+            cond_ces = self._cond_ces.get(wme_class, ())
+            if not cond_ces:
                 continue
             rows = []
             for wme in wmes:
-                for rule, analysis, cond_ce in registrations:
-                    if not cond_ce.matches(wme, analysis):
+                for cond_ce in cond_ces:
+                    if not cond_ce.matches(wme):
                         continue
-                    rows.append(self._instance_row(rule, cond_ce, wme))
+                    rows.append(self._instance_row(cond_ce, wme))
+                    name = cond_ce.rule.name
                     if cond_ce.ce.negated:
-                        delta.negated.add(rule.name)
+                        delta.negated.add(name)
                     else:
-                        delta.inserted.setdefault(rule.name, {}).setdefault(
+                        delta.inserted.setdefault(name, {}).setdefault(
                             cond_ce.level, []
                         ).append(wme.time_tag)
             if rows:

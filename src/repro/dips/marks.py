@@ -36,12 +36,11 @@ class MarkBitCondStore:
             raise DipsError(f"rule {rule.name} already added")
         analysis = RuleAnalysis(rule)
         self._rules[rule.name] = (rule, analysis)
-        for level, ce in enumerate(rule.ces):
-            cond_ce = _CondCE(rule, level, ce)
-            self._register_class(ce.wme_class, cond_ce.attributes)
-            self._cond_ces.setdefault(ce.wme_class, []).append(
-                (rule, analysis, cond_ce)
-            )
+        for ce_analysis in analysis.ce_analyses:
+            cond_ce = _CondCE(rule, ce_analysis)
+            wme_class = cond_ce.ce.wme_class
+            self._register_class(wme_class, cond_ce.attributes)
+            self._cond_ces.setdefault(wme_class, []).append(cond_ce)
             self._insert_template(cond_ce)
         return analysis
 
@@ -93,10 +92,8 @@ class MarkBitCondStore:
         the multiplicity is lost.
         """
         changed = 0
-        for rule, analysis, cond_ce in self._cond_ces.get(
-            wme.wme_class, ()
-        ):
-            if not cond_ce.matches(wme, analysis):
+        for cond_ce in self._cond_ces.get(wme.wme_class, ()):
+            if not cond_ce.matches(wme):
                 continue
             table = self.cond_table(wme.wme_class)
             values = {
@@ -106,7 +103,7 @@ class MarkBitCondStore:
             existing = [
                 (row_id, row)
                 for row_id, row in table.rows()
-                if row.get("rule_id") == rule.name
+                if row.get("rule_id") == cond_ce.rule.name
                 and row.get("cen") == cond_ce.level + 1
                 and row.get("mark") == 1
                 and all(
@@ -116,7 +113,7 @@ class MarkBitCondStore:
             if existing:
                 continue  # the bit is already set; duplicate is invisible
             row = {
-                "rule_id": rule.name,
+                "rule_id": cond_ce.rule.name,
                 "cen": cond_ce.level + 1,
                 "rce": cond_ce.rce,
                 "mark": 1,
@@ -133,17 +130,15 @@ class MarkBitCondStore:
             return 0
         table = self.db.table(table_name)
         removed = 0
-        for rule, analysis, cond_ce in self._cond_ces.get(
-            wme.wme_class, ()
-        ):
-            if not cond_ce.matches(wme, analysis):
+        for cond_ce in self._cond_ces.get(wme.wme_class, ()):
+            if not cond_ce.matches(wme):
                 continue
             values = {
                 attribute: wme.get(attribute)
                 for attribute in cond_ce.attributes
             }
             removed += table.delete_where(
-                lambda row: row.get("rule_id") == rule.name
+                lambda row: row.get("rule_id") == cond_ce.rule.name
                 and row.get("cen") == cond_ce.level + 1
                 and row.get("mark") == 1
                 and all(

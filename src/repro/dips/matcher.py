@@ -28,6 +28,7 @@ from repro.dips.soi_query import instantiation_query_sql, soi_query_sql
 from repro.errors import DipsError
 from repro.match.base import Matcher
 from repro.rdb.sql import prepare_sql, run_sql
+from repro.rete import kernels
 from repro.rete.pnode import build_terminal
 
 
@@ -41,8 +42,9 @@ class _DipsRule:
         self.production = production
         self.terminal = terminal
         self.sql = sql
+        #: Per negated CE, its analysis and its compiled join test.
         self.negated = [
-            ce_analysis
+            (ce_analysis, kernels.join(ce_analysis.join_tests))
             for ce_analysis in analysis.ce_analyses
             if ce_analysis.ce.negated
         ]
@@ -221,18 +223,21 @@ class DipsMatcher(Matcher):
         return tokens
 
     def _blocker_rows(self, state):
-        """Per negated CE, its instance rows: the blocker candidates
-        (rule_id, cen, wme_tag NOT NULL) in the class's COND table,
-        fetched through the ``rule_id`` index."""
+        """Per negated CE, its compiled join test and the blocker
+        candidates: the WMEs its instance rows (rule_id, cen, wme_tag
+        NOT NULL) name in the class's COND table, fetched through the
+        ``rule_id`` index and resolved through working memory as
+        :meth:`_query_tokens` resolves positive CEs."""
         blockers = []
-        for ce_analysis in state.negated:
+        for ce_analysis, test in state.negated:
             table = self.store.cond_table(ce_analysis.ce.wme_class)
-            blockers.append((ce_analysis, [
-                _RowView(row)
+            wmes = [
+                self.wm.get(row["wme_tag"])
                 for row in table.lookup("rule_id", state.rule.name)
                 if row["cen"] == ce_analysis.level + 1
                 and row["wme_tag"] is not None
-            ]))
+            ]
+            blockers.append((test, [wme for wme in wmes if wme is not None]))
         return blockers
 
     def soi_rows(self, rule_name):
@@ -246,28 +251,14 @@ class DipsMatcher(Matcher):
 
 
 def _blocked(token, blockers):
-    """Residual negation: does any blocker row's stored attribute
-    values pass its CE's join tests against *token*'s bindings?"""
+    """Residual negation: does any blocker WME pass its CE's compiled
+    join test against *token*'s bindings?"""
 
     def binding(level, attribute):
-        wme = token.wme_at(level)
-        return None if wme is None else wme.get(attribute)
+        return token.wme_at(level).get(attribute)
 
-    for ce_analysis, rows in blockers:
-        for blocker in rows:
-            if ce_analysis.wme_passes_joins(blocker, binding):
+    for test, wmes in blockers:
+        for blocker in wmes:
+            if test(blocker, binding):
                 return True
     return False
-
-
-class _RowView:
-    """Adapts a COND instance row to the WME ``get`` protocol."""
-
-    __slots__ = ("row",)
-
-    def __init__(self, row):
-        self.row = row
-
-    def get(self, attribute):
-        value = self.row.get(attribute)
-        return "nil" if value is None else value

@@ -19,7 +19,7 @@ COND tables included, is derived and rebuilt by replay:
   after which obsolete segments are truncated;
 * :mod:`repro.durability.recovery` — **recovery**: load the latest
   checkpoint, then replay the WAL tail *through the batched
-  propagation path*, so any matcher (Rete, TREAT, naive, DIPS)
+  propagation path*, so any matcher (Rete, naive, DIPS)
   rebuilds identical match state; a torn/truncated final record is
   tolerated (the unflushed tail is lost), a corrupt middle raises a
   typed :class:`~repro.errors.RecoveryError`;

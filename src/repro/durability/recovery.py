@@ -34,7 +34,7 @@ nested through RHS ``call`` actions roll back as a unit.
 
 Because every matcher consumes the same batched delta stream, the
 recovered conflict set, dominance order, refire eligibility, and WM
-contents are identical whichever of Rete/TREAT/naive/DIPS is attached
+contents are identical whichever of Rete/naive/DIPS is attached
 — the crash-recovery property tests assert exactly that.
 """
 

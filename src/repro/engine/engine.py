@@ -19,7 +19,7 @@ Typical use::
     print(engine.tracer.output)
 
 The matcher defaults to the extended Rete network; pass
-``matcher=TreatMatcher()`` or ``NaiveMatcher()`` to swap algorithms —
+``matcher="naive"`` or ``"dips"`` to swap algorithms —
 conflict-set contents and firing behaviour are identical by contract
 (and by differential test).
 """

@@ -4,8 +4,8 @@ Three layers, bottom up:
 
 * **Atomic firings** — :func:`fire` wraps every RHS in a working-memory
   transaction (:meth:`~repro.wm.memory.WorkingMemory.begin_transaction`):
-  effects stage in the batch buffer, so no matcher — Rete, TREAT,
-  naive, or DIPS — ever propagates a delta the firing did not commit.
+  effects stage in the batch buffer, so no matcher — Rete, naive,
+  or DIPS — ever propagates a delta the firing did not commit.
   On any contained exception the transaction rewinds the WME multiset,
   the time-tag counter, the tracer output, the ``halted`` flag, and
   (under ``halt``) the refraction stamp, leaving the engine exactly as

@@ -3,12 +3,10 @@
 * :class:`~repro.match.base.Matcher` — the abstract contract;
 * :class:`~repro.rete.ReteNetwork` — the primary, incremental matcher
   (the paper's extended Rete);
-* :class:`~repro.match.treat.TreatMatcher` — Miranker's TREAT: alpha
-  memories only, joins recomputed seeded by each change;
 * :class:`~repro.match.naive.NaiveMatcher` — recompute-everything
   baseline, the reference oracle for differential testing;
 * :mod:`~repro.match.registry` — the one table naming every matcher
-  (these three plus ``dips``) and what each takes.
+  (these two plus ``dips``) and what each takes.
 """
 
 from repro.match.base import ConflictListener, Matcher, NullListener
@@ -21,7 +19,6 @@ from repro.match.registry import (
     matcher_name,
     matcher_spec,
 )
-from repro.match.treat import TreatMatcher
 
 __all__ = [
     "ConflictListener",
@@ -30,7 +27,6 @@ __all__ = [
     "Matcher",
     "NaiveMatcher",
     "NullListener",
-    "TreatMatcher",
     "build_matcher",
     "matcher_class",
     "matcher_name",

@@ -1,4 +1,4 @@
-"""The matcher contract shared by Rete, TREAT, naive, and DIPS."""
+"""The matcher contract shared by Rete, naive, and DIPS."""
 
 from __future__ import annotations
 

@@ -26,7 +26,6 @@ class MatcherSpec(NamedTuple):
 
 MATCHERS = {
     "rete": MatcherSpec("repro.rete.network:ReteNetwork", False),
-    "treat": MatcherSpec("repro.match.treat:TreatMatcher", False),
     "naive": MatcherSpec("repro.match.naive:NaiveMatcher", False),
     "dips": MatcherSpec("repro.dips.matcher:DipsMatcher", True),
 }

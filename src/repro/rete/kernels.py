@@ -28,10 +28,12 @@ The comparators reproduce OPS5's truth table
 (:func:`repro.symbols.apply_predicate`): numbers compare by value
 across ``int``/``float``, symbols by string equality, comparisons
 across categories are false, and order predicates hold only between
-two numbers.  ``apply_predicate`` and the ``matches`` methods of
-:mod:`repro.analysis` stay the implementation the treat and naive
-matchers use, so the differential suites check these builders against
-an independent one.
+two numbers.  DIPS tests its COND templates and residual blockers
+with these builders too.  The ``matches`` methods of
+:mod:`repro.analysis`, over ``apply_predicate``, are the one
+interpretive implementation of CE tests, used by the naive matcher
+alone, so the differential suites and ``tests/rete/test_kernels.py``
+check these builders against an independent one.
 """
 
 from __future__ import annotations

@@ -11,7 +11,7 @@ conflict set, but must be repositioned".  Because only a pointer to the
 live SOI is passed, γ-memory updates to an active SOI transparently
 update the conflict-set entry.
 
-:func:`build_terminal` builds them for Rete, TREAT, naive and DIPS
+:func:`build_terminal` builds them for Rete, naive and DIPS
 alike, so Figure 3's decide stage exists once: a matcher only feeds
 tokens to the terminal it gets back.
 """

@@ -24,15 +24,15 @@ SOI and the token's place in it, update aggregates and re-evaluate the
 test, then decide whether to flow ``<S,+>``, ``<S,->`` or ``<S,time>``
 to the P-node.  The first two stages are :class:`GammaMemory`; the
 S-node adds the decide stage, its batched form and the marks.  Every
-matcher — Rete, TREAT, naive, DIPS — ends a set-oriented rule in an
+matcher — Rete, naive, DIPS — ends a set-oriented rule in an
 S-node built by :func:`repro.rete.pnode.build_terminal` and stages it
 around each delta-set (:meth:`repro.match.base.Matcher.staged`), so
-all four run this one implementation.  One documented amendment: when a ``same-time``
-change flips the test expression from false to true (reachable only
-when two tokens of one WM change share the newest time tag), the SOI is
-activated; the paper's figure leaves it inactive, which contradicts its
-own test semantics.  Set ``strict_paper_decide=True`` to get the
-figure's literal behaviour.
+all three run this one implementation.  One documented amendment:
+when a ``same-time`` change flips the test expression from false to
+true (reachable only when two tokens of one WM change share the newest
+time tag), the SOI is activated; the paper's figure leaves it inactive,
+which contradicts its own test semantics.  Set
+``strict_paper_decide=True`` to get the figure's literal behaviour.
 """
 
 from __future__ import annotations

@@ -144,7 +144,6 @@ class ServiceConfig:
     requests per session / server-wide);
     *engine_workers* — executor threads running engine calls;
     *run_limit*/*run_wall_clock* — per-request watchdog caps;
-    *trace_limit* — per-session tracer ring bound;
     *chaos* — a :class:`~repro.service.chaos.ChaosConfig` (or spec
     string) enabling fault injection, None for a quiet server;
     *breaker_threshold*/*breaker_cooldown* — consecutive failures that
@@ -158,8 +157,8 @@ class ServiceConfig:
                  "backend", "strategy", "on_error",
                  "max_sessions", "idle_ttl", "sweep_interval",
                  "session_queue", "global_queue", "engine_workers",
-                 "run_limit", "run_wall_clock", "trace_limit",
-                 "chaos", "breaker_threshold", "breaker_cooldown",
+                 "run_limit", "run_wall_clock", "chaos",
+                 "breaker_threshold", "breaker_cooldown",
                  "journal_limit", "drain_grace")
 
     def __init__(self, host="127.0.0.1", port=0, wal_root=None,
@@ -167,10 +166,9 @@ class ServiceConfig:
                  strategy="lex", on_error="halt",
                  max_sessions=256, idle_ttl=300.0, sweep_interval=5.0,
                  session_queue=16, global_queue=128, engine_workers=4,
-                 run_limit=10_000, run_wall_clock=30.0,
-                 trace_limit=10_000, chaos=None, breaker_threshold=5,
-                 breaker_cooldown=1.0, journal_limit=512,
-                 drain_grace=10.0):
+                 run_limit=10_000, run_wall_clock=30.0, chaos=None,
+                 breaker_threshold=5, breaker_cooldown=1.0,
+                 journal_limit=512, drain_grace=10.0):
         self.host = host
         self.port = port
         self.wal_root = wal_root
@@ -189,7 +187,6 @@ class ServiceConfig:
         self.engine_workers = engine_workers
         self.run_limit = run_limit
         self.run_wall_clock = run_wall_clock
-        self.trace_limit = trace_limit
         self.chaos = chaos
         self.breaker_threshold = breaker_threshold
         self.breaker_cooldown = breaker_cooldown

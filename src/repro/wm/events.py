@@ -1,6 +1,6 @@
 """Working-memory change events and batched delta-sets.
 
-Match algorithms (Rete, TREAT, naive, DIPS) consume a stream of signed
+Match algorithms (Rete, naive, DIPS) consume a stream of signed
 deltas: ``+`` for a make, ``-`` for a remove.  ``modify`` never appears
 as its own sign — OPS5 semantics define it as remove-then-make, and
 :class:`~repro.wm.memory.WorkingMemory` emits exactly that pair.

@@ -5,8 +5,11 @@ import pytest
 from repro import MatchStats, RuleEngine
 from repro.dips import DipsMatcher, soi_query_sql
 from repro.lang.parser import parse_rule
+from repro.match import NaiveMatcher
 from repro.rdb import sql
 from repro.rete import ReteNetwork
+
+from tests.conftest import cs_state
 
 
 def engine_with(program):
@@ -280,6 +283,42 @@ class TestDeltaRetrieval:
         assert_same_run(dips, rete)
         # n1 and n2 (backfilled), then n0 aged 5, n2's second W, late.
         assert dips.output.count("old") == 5
+        dips.close()
+
+
+class TestResidualNegation:
+    """A blocker is the live WME its COND row names, tested with the
+    negated CE's compiled join: ``2`` meets ``2.0`` and an attribute
+    the blocker lacks reads ``nil``, as in the naive oracle."""
+
+    PROGRAM = """
+    (literalize a k m)
+    (p lone (a ^k <k> ^m <m>) -(b ^k <k> ^m <m>) --> (write lone <k> <m>))
+    """
+
+    @pytest.mark.parametrize("backend", ["memory", "sqlite"])
+    def test_blocking_agrees_with_naive(self, backend):
+        dips = RuleEngine(matcher=DipsMatcher(backend=backend))
+        naive = RuleEngine(matcher=NaiveMatcher())
+        for engine in (dips, naive):
+            engine.load(self.PROGRAM)
+
+        def both(step):
+            for engine in (dips, naive):
+                step(engine)
+            assert cs_state(dips) == cs_state(naive)
+            return len(dips.conflict_set)
+
+        assert both(lambda e: e.make("a", k=2)) == 1  # ^m nil
+        assert both(lambda e: e.make("a", k=2.0, m="x")) == 2
+        assert both(lambda e: e.make("a", k=3)) == 3
+        # No ^m on either side: 2 = 2.0 and nil = nil, so it blocks.
+        assert both(lambda e: e.make("b", k=2.0)) == 2
+        assert both(lambda e: e.make("b", k=2, m="x")) == 1
+        assert both(lambda e: e.make("b", k=3, m="x")) == 1  # nil <> x
+        assert both(lambda e: e.remove(4)) == 2
+        assert dips.run() == naive.run() == 2
+        assert dips.output == naive.output == ["lone 3 nil", "lone 2 nil"]
         dips.close()
 
 

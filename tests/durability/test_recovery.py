@@ -200,10 +200,10 @@ class TestBasicRecovery:
         del engine
 
     def test_strategy_and_matcher_from_checkpoint(self, tmp_path):
-        from repro.match import TreatMatcher
+        from repro.match import NaiveMatcher
 
         engine = RuleEngine(
-            matcher=TreatMatcher(),
+            matcher=NaiveMatcher(),
             strategy="mea",
             durability=DurabilityConfig(tmp_path, fsync="off"),
         )
@@ -211,7 +211,7 @@ class TestBasicRecovery:
         engine.make("player", name="a", team="A", score=10)
         engine.checkpoint()
         recovered = RuleEngine.recover(tmp_path, durability=False)
-        assert type(recovered.matcher) is TreatMatcher
+        assert type(recovered.matcher) is NaiveMatcher
         assert recovered.strategy.name == "mea"
 
     def test_dips_checkpoint_needs_no_rdb_snapshot(self, tmp_path):
@@ -431,12 +431,18 @@ class TestDamageHandling:
         ({"k": "m", "v": 2, "matcher": "sharded", "strategy": "lex"},
          ReproError,
          r"unknown matcher 'sharded' "
-         r"\(expected one of rete, treat, naive, dips\)"),
+         r"\(expected one of rete, naive, dips\)"),
+        # A log written while the TREAT matcher existed: the same typed
+        # error (TestRemovedMatcher recovers such a log by naming one).
+        ({"k": "m", "v": 2, "matcher": "treat", "strategy": "lex"},
+         ReproError,
+         r"unknown matcher 'treat' \(expected one of rete, naive, dips\)"),
         # A log written before the meta record named its format: its
         # stamps list every SOI member, which no decoder reads now.
         ({"k": "m", "matcher": "rete", "strategy": "lex"}, RecoveryError,
          r"is format version 1; this build reads version 2 only"),
-    ], ids=["unknown-kind", "removed-matcher", "format-v1"])
+    ], ids=["unknown-kind", "removed-matcher", "removed-matcher-treat",
+            "format-v1"])
     def test_unreadable_record_is_refused(self, tmp_path, record, error,
                                           message):
         from repro.durability.wal import WriteAheadLog
@@ -446,6 +452,56 @@ class TestDamageHandling:
         wal.close()
         with pytest.raises(error, match=message):
             RuleEngine.recover(tmp_path, durability=False)
+
+
+class TestRemovedMatcher:
+    """A log's contents do not depend on the matcher, so a log or
+    checkpoint that names the removed ``treat`` matcher is refused with
+    the registry's typed error, and recovers once the caller names a
+    matcher that exists."""
+
+    @pytest.mark.parametrize("matcher", ["naive", "rete"])
+    def test_treat_log_recovers_with_an_explicit_matcher(self, tmp_path,
+                                                         matcher):
+        from repro.durability.wal import WriteAheadLog, read_log_tail
+
+        engine = _workload(tmp_path / "live", matcher="naive")
+        payloads, _, _ = read_log_tail(tmp_path / "live", None)
+        assert payloads[0]["k"] == "m"
+        wal = WriteAheadLog(tmp_path / "treat", fsync="off")
+        for payload in payloads:
+            if payload["k"] == "m":
+                payload = dict(payload, matcher="treat")
+            wal.append(payload)
+        wal.close()
+        with pytest.raises(ReproError, match="unknown matcher 'treat'"):
+            RuleEngine.recover(tmp_path / "treat", durability=False)
+        recovered = RuleEngine.recover(tmp_path / "treat", matcher=matcher,
+                                       durability=False)
+        assert wm_state(recovered) == wm_state(engine)
+        assert cs_state(recovered) == cs_state(engine)
+        assert recovered.run() == 0  # refraction replayed too
+
+    def test_treat_manifest_recovers_with_an_explicit_matcher(self,
+                                                              tmp_path):
+        import json
+        import os
+
+        engine = _workload(tmp_path, matcher="naive")
+        path = engine.checkpoint()
+        manifest_path = os.path.join(path, "MANIFEST.json")
+        with open(manifest_path, encoding="utf-8") as handle:
+            manifest = json.load(handle)
+        assert manifest["matcher"] == "naive"
+        manifest["matcher"] = "treat"
+        with open(manifest_path, "w", encoding="utf-8") as handle:
+            json.dump(manifest, handle)
+        with pytest.raises(ReproError, match="unknown matcher 'treat'"):
+            RuleEngine.recover(tmp_path, durability=False)
+        recovered = RuleEngine.recover(tmp_path, matcher="naive",
+                                       durability=False)
+        assert wm_state(recovered) == wm_state(engine)
+        assert cs_state(recovered) == cs_state(engine)
 
 
 class TestInjectedCrashes:

@@ -26,7 +26,7 @@ from repro.durability.checkpoint import (
     rule_base_version,
 )
 from repro.durability.wal import SEGMENT_SUFFIX
-from repro.match import NaiveMatcher, TreatMatcher
+from repro.match import NaiveMatcher
 from repro.rete import ReteNetwork
 
 PROGRAM = """
@@ -43,7 +43,6 @@ EXTRA = "(p solo (owner ^name <o>) --> (write solo <o>))"
 
 MATCHERS = {
     "rete": ReteNetwork,
-    "treat": TreatMatcher,
     "naive": NaiveMatcher,
     "dips": DipsMatcher,
 }

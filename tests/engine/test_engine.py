@@ -134,8 +134,8 @@ class TestTracing:
 
 
 class TestEngineWithAllMatchers:
-    def test_same_behaviour(self, make_engine, any_matcher_name):
-        engine = make_engine(any_matcher_name)
+    def test_same_behaviour(self, make_engine, matcher_name):
+        engine = make_engine(matcher_name)
         engine.load(
             """
             (literalize task state)

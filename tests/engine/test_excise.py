@@ -6,8 +6,8 @@ from repro.errors import ReproError
 
 
 class TestExcise:
-    def test_instantiations_retracted(self, make_engine, any_matcher_name):
-        engine = make_engine(any_matcher_name)
+    def test_instantiations_retracted(self, make_engine, matcher_name):
+        engine = make_engine(matcher_name)
         engine.add_rule("(p doomed (item) --> (write x))")
         engine.add_rule("(p keeper (item) --> (write y))")
         engine.make("item")
@@ -17,8 +17,8 @@ class TestExcise:
         assert engine.conflict_set.instantiations()[0].rule.name == "keeper"
         assert "doomed" not in engine.rules
 
-    def test_set_rule_sois_retracted(self, make_engine, any_matcher_name):
-        engine = make_engine(any_matcher_name)
+    def test_set_rule_sois_retracted(self, make_engine, matcher_name):
+        engine = make_engine(matcher_name)
         engine.add_rule("(p doomed [item ^v <v>] --> (write x))")
         engine.make("item", v=1)
         engine.make("item", v=2)
@@ -26,8 +26,8 @@ class TestExcise:
         engine.excise("doomed")
         assert engine.conflict_set_size() == 0
 
-    def test_excised_rule_stays_dead(self, make_engine, any_matcher_name):
-        engine = make_engine(any_matcher_name)
+    def test_excised_rule_stays_dead(self, make_engine, matcher_name):
+        engine = make_engine(matcher_name)
         engine.add_rule("(p doomed (item) --> (write x))")
         engine.excise("doomed")
         engine.make("item")
@@ -35,8 +35,8 @@ class TestExcise:
         assert engine.run(limit=5) == 0
 
     def test_name_reusable_after_excise(self, make_engine,
-                                        any_matcher_name):
-        engine = make_engine(any_matcher_name)
+                                        matcher_name):
+        engine = make_engine(matcher_name)
         engine.add_rule("(p r (item) --> (write old))")
         engine.excise("r")
         engine.add_rule("(p r (item) --> (write new))")
@@ -44,8 +44,8 @@ class TestExcise:
         engine.run(limit=2)
         assert engine.output == ["new"]
 
-    def test_unknown_rule_raises(self, make_engine, any_matcher_name):
-        engine = make_engine(any_matcher_name)
+    def test_unknown_rule_raises(self, make_engine, matcher_name):
+        engine = make_engine(matcher_name)
         with pytest.raises(ReproError):
             engine.excise("ghost")
 

@@ -8,10 +8,10 @@ from repro.durability import DurabilityConfig
 from repro.durability.wal import (
     FORMAT_VERSION, encode_record, scan_segment,
 )
-from repro.match import NaiveMatcher, TreatMatcher, matcher_name
+from repro.match import NaiveMatcher, matcher_name
 from repro.rete import ReteNetwork
 
-MATCHERS = [ReteNetwork, TreatMatcher, NaiveMatcher, DipsMatcher]
+MATCHERS = [ReteNetwork, NaiveMatcher, DipsMatcher]
 
 # Scalar rules, a set-oriented rule with set-modify, writes, and a
 # mutual-invalidation dedup workload (the §8.1 conflict case) in one

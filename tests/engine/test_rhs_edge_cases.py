@@ -242,7 +242,7 @@ class TestMaintainedAggregates:
         assert calls == [["2 9"], ["2 9"]]
         assert engine.output == ["2 9"]
 
-    @pytest.mark.parametrize("matcher", ["rete", "treat"])
+    @pytest.mark.parametrize("matcher", ["rete", "naive"])
     def test_firing_folds_no_token(self, matcher, monkeypatch):
         """(count <S>) over 1 000 tokens costs the firing no add_token:
         through both users of the shared γ-memory."""

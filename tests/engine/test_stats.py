@@ -14,7 +14,7 @@ import pytest
 from repro import MatchStats, NullStats, RuleEngine
 from repro.engine.stats import NULL_STATS
 from repro.engine.tracing import Tracer
-from repro.match import NaiveMatcher, TreatMatcher
+from repro.match import NaiveMatcher
 
 PROGRAM = """
 (literalize item owner v)
@@ -139,9 +139,9 @@ class TestMatchStatsCounters:
 
     def test_incr_free_counters(self):
         stats = MatchStats()
-        stats.incr("treat_seeded_joins")
-        stats.incr("treat_seeded_joins", 4)
-        assert stats.counters == {"treat_seeded_joins": 5}
+        stats.incr("dips_queries_run")
+        stats.incr("dips_queries_run", 4)
+        assert stats.counters == {"dips_queries_run": 5}
 
 
 # ---------------------------------------------------------------------------
@@ -216,12 +216,11 @@ class TestEngineIntegration:
         assert "tally" in engine.stats.rules
         assert engine.stats.rules["tally"]["time"] >= 0.0
 
-    def test_treat_and_naive_share_the_hook(self):
-        for matcher in (TreatMatcher(), NaiveMatcher()):
-            engine = run_program(stats=MatchStats(), matcher=matcher)
-            totals = engine.stats.totals
-            assert totals["join_tests_attempted"] > 0
-            assert engine.stats.cycle_count > 0
+    def test_naive_shares_the_hook(self):
+        engine = run_program(stats=MatchStats(), matcher=NaiveMatcher())
+        totals = engine.stats.totals
+        assert totals["join_tests_attempted"] > 0
+        assert engine.stats.cycle_count > 0
 
     def test_stats_attached_after_construction(self):
         """set_stats re-registers already-built nodes (Engine wires an

@@ -10,8 +10,8 @@ import pytest
 
 class TestOrderFulfilment:
     def test_orders_ship_when_lines_covered(self, make_engine,
-                                            any_matcher_name):
-        engine = make_engine(any_matcher_name)
+                                            matcher_name):
+        engine = make_engine(matcher_name)
         engine.load(
             """
             (literalize order id status)

@@ -68,7 +68,7 @@ class TestScale:
         assert stats.totals["tokens_created"] == stats.totals["tokens_deleted"]
         assert engine.conflict_set_size() == 0
 
-    @pytest.mark.parametrize("matcher_name", ["rete", "treat"])
+    @pytest.mark.parametrize("matcher_name", ["rete", "dips"])
     def test_big_soi(self, make_engine, matcher_name):
         """One SOI with 1000 members builds and fires cleanly."""
         engine = make_engine(matcher_name)

@@ -1,10 +1,10 @@
-"""Differential testing: all four matchers must agree, always.
+"""Differential testing: all three matchers must agree, always.
 
 Rete is incremental and clever; the naive matcher recomputes from
 scratch and is "obviously correct".  Hypothesis drives random WM
 operation sequences through a fixed rule portfolio and asserts the
 conflict sets (as comparable snapshots) stay identical across Rete,
-TREAT, naive, and DIPS.  A second axis generates the rules themselves
+naive, and DIPS.  A second axis generates the rules themselves
 (:class:`TestGeneratedPrograms`): random constant and join predicates,
 operands and disjunctions, so Rete's compiled predicates are held to
 naive's interpreted ones on every test shape.
@@ -23,7 +23,7 @@ from repro import RuleEngine
 from repro.dips import DipsMatcher
 from repro.errors import EngineError, ReproError
 from repro.lang.parser import parse_rule
-from repro.match import NaiveMatcher, TreatMatcher
+from repro.match import NaiveMatcher
 from repro.rete import ReteNetwork
 from repro.rete.aggregates import AggregateState
 from repro.wm import WorkingMemory
@@ -249,17 +249,6 @@ class TestIncrementalEquivalence:
             NaiveMatcher(), RULES, ops
         )
 
-    @given(operation_sequences())
-    @settings(
-        max_examples=60,
-        deadline=None,
-        suppress_health_check=[HealthCheck.too_slow],
-    )
-    def test_treat_equals_naive(self, ops):
-        assert drive(TreatMatcher(), RULES, ops) == drive(
-            NaiveMatcher(), RULES, ops
-        )
-
     @pytest.mark.parametrize("backend", ["memory", "sqlite"])
     @_delta_examples
     @given(operation_sequences())
@@ -297,7 +286,7 @@ class TestEngineLevelEquivalence:
     """
 
     @pytest.mark.parametrize(
-        "matcher_cls", [ReteNetwork, TreatMatcher, NaiveMatcher, DipsMatcher]
+        "matcher_cls", [ReteNetwork, NaiveMatcher, DipsMatcher]
     )
     def test_remove_dups_program(self, matcher_cls):
         engine = RuleEngine(matcher=matcher_cls())
@@ -315,7 +304,7 @@ class TestEngineLevelEquivalence:
         assert remaining == [("Jack", "A"), ("Pat", "A"), ("Sue", "B")]
 
     @pytest.mark.parametrize(
-        "matcher_cls", [ReteNetwork, TreatMatcher, NaiveMatcher, DipsMatcher]
+        "matcher_cls", [ReteNetwork, NaiveMatcher, DipsMatcher]
     )
     def test_backfill_after_excise_and_readd(self, matcher_cls):
         """A rule re-added after excise back-fills from live WM, facts
@@ -407,7 +396,6 @@ _SHAPE = st.tuples(
 GENERATED_MATCHERS = {
     "naive": NaiveMatcher,
     "rete": ReteNetwork,
-    "treat": TreatMatcher,
     "dips": DipsMatcher,
 }
 

@@ -1,11 +1,11 @@
-"""Unit tests for the TREAT and naive baseline matchers."""
+"""Unit tests for the naive oracle matcher."""
 
 import pytest
 
 from repro import MatchStats
 from repro.errors import RuleError
 from repro.lang.parser import parse_rule
-from repro.match import NaiveMatcher, TreatMatcher
+from repro.match import NaiveMatcher
 from repro.wm import WorkingMemory
 
 from tests.rete.test_network import Listener
@@ -21,7 +21,7 @@ def build(matcher, *sources):
     return wm, listener
 
 
-@pytest.fixture(params=[TreatMatcher, NaiveMatcher])
+@pytest.fixture(params=[NaiveMatcher])
 def matcher_cls(request):
     return request.param
 
@@ -90,30 +90,6 @@ class TestBaselineMatching:
         wm.make("a", x=1)
         wm.make("b", y=1)
         matcher.add_rule(parse_rule("(p r (a ^x <v>) (b ^y <v>) --> (halt))"))
-        assert len(listener.live) == 1
-
-
-class TestTreatSpecifics:
-    def test_seeded_join_counts(self):
-        stats = MatchStats()
-        matcher = TreatMatcher()
-        matcher.set_stats(stats)
-        wm, listener = build(
-            matcher, "(p r (a ^x <v>) (b ^y <v>) --> (halt))"
-        )
-        wm.make("a", x=1)
-        assert stats.counters["treat_seeded_joins"] == 1
-        wm.make("b", y=1)
-        assert stats.counters["treat_seeded_joins"] == 2
-
-    def test_self_join_duplicate_suppressed(self):
-        # A WME matching two CE slots must not create duplicate tokens
-        # when seeded from each slot.
-        matcher = TreatMatcher()
-        wm, listener = build(
-            matcher, "(p r (a ^x <v>) (a ^x <v>) --> (halt))"
-        )
-        wm.make("a", x=1)
         assert len(listener.live) == 1
 
 

@@ -2,11 +2,12 @@
 
 Matcher names live in :data:`repro.match.MATCHERS`; every surface that
 offers a choice must read them, and the options this lattice used to
-have (a kernel mode in any spelling, a process executor, a columnar
-knob, an alpha-filter hook, a sharded matcher, a firing-pool width,
-match counters kept beside :class:`~repro.engine.stats.MatchStats`,
-a per-WME removal path beside the delta-set one, a second Figure 3
-decide stage beside the S-node's) must stay gone.
+have (a TREAT matcher, a kernel mode in any spelling, a process
+executor, a columnar knob, an alpha-filter hook, a sharded matcher, a
+firing-pool width, match counters kept beside
+:class:`~repro.engine.stats.MatchStats`, a per-WME removal path beside
+the delta-set one, a second Figure 3 decide stage beside the S-node's)
+must stay gone.
 """
 
 import inspect
@@ -15,6 +16,7 @@ import types
 
 import pytest
 
+import repro
 import repro.match
 import repro.rdb
 from repro import MatchStats, RuleEngine, cli
@@ -27,7 +29,6 @@ from repro.match import (
     MATCHER_NAMES,
     MATCHERS,
     NaiveMatcher,
-    TreatMatcher,
     build_matcher,
     matcher_class,
     matcher_name,
@@ -65,8 +66,8 @@ def _choices(parser, flag):
     return tuple(action.choices)
 
 
-def test_the_lattice_is_four_matchers():
-    assert MATCHER_NAMES == ("rete", "treat", "naive", "dips")
+def test_the_lattice_is_three_matchers():
+    assert MATCHER_NAMES == ("rete", "naive", "dips")
 
 
 @pytest.mark.parametrize("name", MATCHER_NAMES)
@@ -83,9 +84,14 @@ def test_unregistered_matchers_are_typed_errors_or_unnamed():
     with pytest.raises(ReproError, match="unknown matcher"):
         build_matcher(["rete"])
     with pytest.raises(
-        ReproError, match=r"expected one of rete, treat, naive, dips\)"
+        ReproError, match=r"expected one of rete, naive, dips\)"
     ):
         build_matcher("sharded")
+    with pytest.raises(ReproError, match=r"^unknown matcher 'treat' "
+                       r"\(expected one of rete, naive, dips\)$"):
+        build_matcher("treat")
+    with pytest.raises(ReproError, match="unknown matcher 'treat'"):
+        RuleEngine(matcher="treat")
     assert matcher_name(object()) is None
 
     class Traced(ReteNetwork):
@@ -142,7 +148,6 @@ def test_serve_engine_workers_default_is_a_constant():
     (RuleEngine(), "workers"),
     (RuleEngine(), "_pool"),
     (ReteNetwork(), "stats"),
-    (TreatMatcher(), "stats"),
     (NaiveMatcher(), "stats"),
     (MatchStats(), "join_test"),
     (match_base, "CountingListener"),
@@ -163,14 +168,15 @@ def test_serve_engine_workers_default_is_a_constant():
     (TwoInputNode, "right_retract"),
     (_modules(repro.rdb), "storage"),
     (_modules(repro.match), "grouping"),
-    (_own(TreatMatcher), "set_listener"),
+    (_modules(repro.match), "treat"),
+    (repro.match, "TreatMatcher"),
+    (repro, "TreatMatcher"),
     (_own(NaiveMatcher), "set_listener"),
     (_own(DipsMatcher), "set_listener"),
-    (_own(TreatMatcher), "_grouper_listener"),
     (_own(NaiveMatcher), "_grouper_listener"),
     (_own(DipsMatcher), "_grouper_listener"),
 ], ids=["rete-interested_in", "alpha-handles_class",
-        "engine-workers", "engine-_pool", "rete-stats", "treat-stats",
+        "engine-workers", "engine-_pool", "rete-stats",
         "naive-stats", "matchstats-join_test",
         "match_base-CountingListener", "sqlite-serialize",
         "sqlite-restore", "sqlite-save_next_id",
@@ -180,9 +186,9 @@ def test_serve_engine_workers_default_is_a_constant():
         "checkpoint-DIPS_DB_NAME", "recovery-_prime_dips",
         "rete-_remove_wme", "alpha-remove_wme", "alpha_memory-remove",
         "two_input-right_retract", "rdb-storage-module",
-        "match-grouping-module", "treat-set_listener",
-        "naive-set_listener", "dips-set_listener",
-        "treat-_grouper_listener", "naive-_grouper_listener",
+        "match-grouping-module", "match-treat-module",
+        "match-TreatMatcher", "repro-TreatMatcher",
+        "naive-set_listener", "dips-set_listener", "naive-_grouper_listener",
         "dips-_grouper_listener"])
 def test_removed_hooks_stay_removed(instance, removed):
     assert not hasattr(instance, removed)
@@ -213,6 +219,7 @@ def test_removed_hooks_stay_removed(instance, removed):
     (ServiceClient.create, "workers"),
     (cli.ReplSession.__init__, "workers"),
     (checkpoint.write_checkpoint, "binary_members"),
+    (ServiceConfig.__init__, "trace_limit"),
 ])
 def test_removed_options_stay_removed(callable_, removed):
     assert removed not in inspect.signature(callable_).parameters

@@ -9,7 +9,7 @@ on the same time tags in the same order as the per-event reference.
 The reference is ``ReteNetwork(batched=False)``: it receives the same
 flushed *net* delta-sets but replays them one event at a time, which is
 the semantics ``docs/BATCHING.md`` documents (a batch applies its net
-delta atomically).  TREAT, naive, and DIPS run their own set-oriented
+delta atomically).  Naive and DIPS run their own set-oriented
 batch entry points and are held to the same behaviour, down to the
 ``+`` / ``-`` / ``time`` marks their S-nodes send (``rete-batched``'s).
 
@@ -44,7 +44,7 @@ from hypothesis import strategies as st
 
 from repro import MatchStats, RuleEngine
 from repro.dips.matcher import DipsMatcher
-from repro.match import NaiveMatcher, TreatMatcher
+from repro.match import NaiveMatcher
 from repro.rete import ReteNetwork
 
 PROGRAM = """
@@ -111,7 +111,6 @@ def _build_engines(program=PROGRAM):
     configs = {
         "rete-batched": ReteNetwork(batched=True),
         "rete-replay": ReteNetwork(batched=False),
-        "treat": TreatMatcher(),
         "naive": NaiveMatcher(),
         "dips": DipsMatcher(backend="memory"),
         "dips-sqlite": DipsMatcher(backend="sqlite"),
@@ -227,7 +226,7 @@ def _check_scenario(program, scenario):
     # Rete's do.  The SOIs a batch touches may differ (Rete can create
     # and delete one token inside a batch), so those are not compared.
     marks = {name: _snode_marks(engine) for name, engine in engines.items()}
-    for name in ("treat", "naive", "dips", "dips-sqlite"):
+    for name in ("naive", "dips", "dips-sqlite"):
         assert marks[name] == marks["rete-batched"], (name, marks)
 
 

@@ -41,7 +41,7 @@ from hypothesis import strategies as st
 from repro import DurabilityConfig, MatchStats, RuleEngine
 from repro.durability import FaultInjector, SimulatedCrash, manager
 from repro.dips.matcher import DipsMatcher
-from repro.match import NaiveMatcher, TreatMatcher
+from repro.match import NaiveMatcher
 from repro.rete import ReteNetwork
 
 from tests.conftest import cs_state
@@ -62,7 +62,6 @@ FSYNC = ("off", "batch", "always")
 
 MATCHERS = {
     "rete": ReteNetwork,
-    "treat": TreatMatcher,
     "naive": NaiveMatcher,
     "dips": DipsMatcher,
 }

@@ -1,7 +1,7 @@
 """Property: runtime rule surgery is equivalent to building fresh.
 
 Hypothesis interleaves ``add_rule`` / ``excise`` / ``replace_rule``
-with working-memory asserts and retracts across all four matchers.
+with working-memory asserts and retracts across all three matchers.
 After every step the surviving engine must agree with an *oracle*: a
 fresh engine of the same matcher whose final rule set is installed
 first and whose full make/remove history is then replayed in order
@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from repro import RuleEngine
 from repro.dips import DipsMatcher
 from repro.errors import ReproError
-from repro.match import NaiveMatcher, TreatMatcher
+from repro.match import NaiveMatcher
 from repro.rete import ReteNetwork
 
 LITERALIZE = """
@@ -53,7 +53,6 @@ RULE_NAMES = sorted(PORTFOLIO)
 
 MATCHERS = {
     "rete": lambda: ReteNetwork(),
-    "treat": lambda: TreatMatcher(),
     "naive": lambda: NaiveMatcher(),
     "dips": lambda: DipsMatcher(),
 }

@@ -100,5 +100,5 @@ class TestCliNetworkCommand:
     def test_network_requires_rete(self):
         from repro.cli import ReplSession
 
-        session = ReplSession(matcher="treat", watch=0)
+        session = ReplSession(matcher="naive", watch=0)
         assert "only available" in session.execute("network")

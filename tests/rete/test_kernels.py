@@ -1,7 +1,9 @@
 """The compiled predicates every Rete node matches with.
 
-They are the network's only match path, so this grid is the one direct
-check of them: every predicate and operand shape against the
+They are the network's only match path, and DIPS tests its COND
+templates with them too, so this grid is the one direct check of them:
+every predicate and operand shape, through the kernels and through a
+:class:`~repro.dips.cond.CondStore`'s compiled CE test, against the
 interpreter's :func:`repro.symbols.apply_predicate` and
 :meth:`repro.analysis.CEAnalysis.wme_passes_alpha`.
 """
@@ -10,6 +12,7 @@ import pytest
 
 from repro import symbols
 from repro.analysis import JoinTest, RuleAnalysis
+from repro.dips.cond import CondStore
 from repro.lang.parser import parse_rule
 from repro.rete import kernels
 from repro.wm.wme import NIL, WME, shape_of
@@ -33,12 +36,34 @@ def ce_analysis(source, index=0):
     return RuleAnalysis(parse_rule(source)).ce_analyses[index]
 
 
+def cond_test(source):
+    """The compiled test a :class:`CondStore` gives the rule's only
+    CE, which is over class ``a``."""
+    store = CondStore(backend="memory")
+    store.add_rule(parse_rule(source))
+    (cond_ce,) = store._cond_ces["a"]
+    return cond_ce.matches
+
+
+#: VALUES that a rule's source can spell as an operand.
+SOURCE_OPERANDS = [v for v in VALUES if isinstance(v, (int, float, str))
+                   and not isinstance(v, bool)]
+
+
+def assert_alpha_paths_agree(source, probes):
+    """Rete's alpha kernel and DIPS's COND test both equal the
+    interpreter on every probe."""
+    analysis = ce_analysis(source)
+    kernel, cond = kernels.alpha(analysis), cond_test(source)
+    for values in probes:
+        wme = unchecked_wme(1, **values)
+        expected = analysis.wme_passes_alpha(wme)
+        assert kernel(wme) == expected, (source, values)
+        assert cond(wme) == expected, (source, values)
+
+
 class TestPredicateSemantics:
     def test_alpha_kernel_agrees_with_the_interpreter(self):
-        analysis = ce_analysis(
-            "(p r (a ^k << red 2 >> ^n { > 2 <= 9 } ^s blue) --> (halt))"
-        )
-        kernel = kernels.alpha(analysis)
         probes = [
             {"k": "red", "n": 5, "s": "blue"},
             {"k": 2, "n": 5, "s": "blue"},
@@ -53,9 +78,23 @@ class TestPredicateSemantics:
             {"k": "red", "n": 5, "s": "red"},
             {"k": None, "n": None, "s": None},
         ]
-        for values in probes:
-            wme = unchecked_wme(1, **values)
-            assert kernel(wme) == analysis.wme_passes_alpha(wme), values
+        assert_alpha_paths_agree(
+            "(p r (a ^k << red 2 >> ^n { > 2 <= 9 } ^s blue) --> (halt))",
+            probes,
+        )
+
+    @pytest.mark.parametrize("predicate", PREDICATES)
+    def test_constant_and_intra_grid_through_alpha_and_cond(self,
+                                                            predicate):
+        for operand in SOURCE_OPERANDS:
+            assert_alpha_paths_agree(
+                f"(p r (a ^x {predicate} {operand}) --> (halt))",
+                [{"x": value} for value in VALUES],
+            )
+        assert_alpha_paths_agree(
+            f"(p r (a ^y <v> ^x {predicate} <v>) --> (halt))",
+            [{"y": right, "x": left} for left in VALUES for right in VALUES],
+        )
 
     def test_equality_respects_ops_value_categories(self):
         eq = kernels.constant("=", 2)

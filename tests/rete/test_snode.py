@@ -269,8 +269,8 @@ class _OneLevel:
 
 
 class TestTerminalWithoutNetwork:
-    """The terminal nodes :func:`build_terminal` gives TREAT, naive and
-    DIPS, driven with plain :class:`MatchToken`s and no network."""
+    """The terminal nodes :func:`build_terminal` gives naive and DIPS,
+    driven with plain :class:`MatchToken`s and no network."""
 
     OWNED = "(p r [item ^owner <o>] :scalar (<o>) --> (halt))"
 

@@ -116,7 +116,7 @@ class TestRunLoad:
             host, port = server.address
             report = run_load(
                 host, port, sessions=3, ticks=2, facts_per_tick=5,
-                matchers=("rete", "treat"),
+                matchers=("rete", "naive"),
             )
         assert report["errors"] == []
         assert report["events_total"] == 3 * 2 * 5

@@ -28,7 +28,7 @@ class TestKey:
 
     def test_matcher_changes_key(self):
         assert (rule_base_key(PROGRAM, matcher="rete")
-                != rule_base_key(PROGRAM, matcher="treat"))
+                != rule_base_key(PROGRAM, matcher="naive"))
 
     def test_backend_irrelevant_for_matchers_that_take_none(self):
         # Only dips runs on the relational substrate; a rete tenant
@@ -82,8 +82,8 @@ class TestRuleBaseCache:
     def test_distinct_configs_do_not_collide(self):
         cache = RuleBaseCache()
         rete, _ = cache.get(PROGRAM, matcher="rete")
-        treat, _ = cache.get(PROGRAM, matcher="treat")
-        assert rete is not treat
+        naive, _ = cache.get(PROGRAM, matcher="naive")
+        assert rete is not naive
         assert len(cache) == 2
 
     def test_stats_aggregate(self):

@@ -179,6 +179,7 @@ class TestErrors:
         pytest.param("backend", "sqlite:<tmp>/t.db",
                      id="backend-sqlite-path"),
         ("matcher", "sharded"),  # a matcher the registry no longer has
+        ("matcher", "treat"),  # nor this one
     ])
     def test_unknown_engine_config_is_the_clients_mistake(
         self, server, client, request, tmp_path, field, value

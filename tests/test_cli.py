@@ -162,7 +162,7 @@ class TestBatchMode:
         program = tmp_path / "prog.ops"
         program.write_text("(p r (goal) --> (write hi))")
         assert main(
-            [str(program), "--run", "1", "--matcher", "treat"]
+            [str(program), "--run", "1", "--matcher", "naive"]
         ) == 0
 
 

@@ -42,7 +42,7 @@ class TestExports:
         import repro
 
         for symbol in (
-            "RuleEngine", "ReteNetwork", "TreatMatcher", "NaiveMatcher",
+            "RuleEngine", "ReteNetwork", "NaiveMatcher",
             "WorkingMemory", "WME", "parse_rule", "parse_program",
             "RuleBuilder",
         ):
