@@ -20,9 +20,9 @@ bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only -s
 
 # Regression gate: measure match-work counters for the benchmark
-# scenarios, write BENCH_36.json, and fail if a gated counter regresses
+# scenarios, write BENCH_44.json, and fail if a gated counter regresses
 # more than 10% against the newest committed report,
-# benchmarks/BENCH_36.json.
+# benchmarks/BENCH_44.json.
 bench-report:
 	$(PYTHON) benchmarks/bench_report.py --check
 

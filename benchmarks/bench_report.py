@@ -2,7 +2,7 @@
 """Benchmark regression gate: match-work counters vs. a committed baseline.
 
 Runs a fixed set of deterministic scenarios with :class:`MatchStats`
-attached, writes the counters to ``BENCH_36.json``, and — under
+attached, writes the counters to ``BENCH_44.json``, and — under
 ``--check`` — fails if any gated work
 counter regressed more than 10% against the newest committed
 ``benchmarks/BENCH_<n>.json`` report (falling back to
@@ -47,7 +47,7 @@ from repro.rete import ReteNetwork
 from repro.wm.wme import NIL, WME, shape_of
 
 BASELINE_PATH = Path(__file__).parent / "BENCH_baseline.json"
-DEFAULT_OUTPUT = Path("BENCH_36.json")
+DEFAULT_OUTPUT = Path("BENCH_44.json")
 
 
 def latest_reference(exclude=None):
@@ -102,6 +102,9 @@ GATED_COUNTERS = (
     "service_firings",
     "service_rulebase_compiles",
     "service_sessions_built",
+    # What the server wrote back: batch lines keep these low.
+    "service_response_lines",
+    "service_response_bytes",
     # Chaos scenario: exactly-once semantics make ingest/firing totals
     # deterministic even under seeded fault injection.
     "service_chaos_facts_ingested",
@@ -124,6 +127,10 @@ EXACT_COUNTERS = (
     # N sessions of one program must cost exactly one parse/compile.
     "service_rulebase_compiles",
     "service_sessions_built",
+    # A fixed fleet gets the same responses, byte for byte: a wire that
+    # grows back toward a line per event shows here first.
+    "service_response_lines",
+    "service_response_bytes",
     # Keyed retries must dedup: any drift here is a lost or
     # double-applied batch, not noise.
     "service_chaos_facts_ingested",
@@ -422,6 +429,12 @@ def _service_scenario(label, matchers):
         "service_sessions_built": stats["rule_bases"][
             "sessions_built"
         ],
+        "service_response_lines": stats["server"].get(
+            "response_lines", 0
+        ),
+        "service_response_bytes": stats["server"].get(
+            "response_bytes", 0
+        ),
     })
 
 

@@ -33,8 +33,10 @@ Resilience semantics (``retry=True``):
   keyless client's WAL stream is byte-identical to an embedded
   engine's.
 
-Streaming ops (``run``, ``facts``) collect the event lines that
-precede the terminal response and return them alongside it; retries
+Streaming ops (``run``, ``facts``) collect the events that precede
+the terminal response and return them alongside it, one dict per
+firing, write or fact: the client expands the server's row-encoded
+batch lines (:func:`~repro.service.protocol.expand_batch`).  Retries
 clear and refill the event list (a deduplicated retry streams none).
 """
 
@@ -50,6 +52,7 @@ from repro.service.protocol import (
     RETRYABLE_CODES,
     decode_line,
     encode_line,
+    expand_batch,
 )
 
 #: Ops that mutate session state; everything else can always be
@@ -196,8 +199,9 @@ class ServiceClient:
                 key=None, idempotent=False, deadline_ms=None, **fields):
         """Send one request; return the terminal response object.
 
-        *events*, if a list, collects the event lines streamed before
-        the terminal response.  *retry* resends through retryable
+        *events*, if a list, collects the events streamed before the
+        terminal response, each batch line expanded to one dict per
+        event.  *retry* resends through retryable
         error responses (``busy``/``deadline``/``unavailable``,
         honouring their ``retry_after``) within the retry budgets.
         Connection failures reconnect and resend independently of
@@ -288,7 +292,7 @@ class ServiceClient:
             line = self._read_line()
             if "event" in line:
                 if events is not None:
-                    events.append(line)
+                    events += expand_batch(line)
                 continue
             if line.get("ok"):
                 return line
@@ -319,16 +323,22 @@ class ServiceClient:
 
     def assert_facts(self, session, facts, *, retry=False, key=None,
                      idempotent=False, deadline_ms=None):
-        """*facts* is a list of ``(wme_class, {attribute: value})``."""
+        """*facts* is a list of ``(wme_class, {attribute: value})``; a
+        dict is sent as it is, any other mapping as a dict of it."""
         return self.request(
             "assert", session=session,
-            facts=[[c, dict(v)] for c, v in facts], retry=retry,
+            facts=[
+                fact if isinstance(fact[1], dict)
+                else (fact[0], dict(fact[1]))
+                for fact in facts
+            ],
+            retry=retry,
             key=key, idempotent=idempotent, deadline_ms=deadline_ms,
         )
 
     def run(self, session, *, limit=None, wall_clock=None, parallel=False,
             retry=False, key=None, idempotent=False, deadline_ms=None):
-        """``(terminal_response, event_lines)`` for one run request."""
+        """``(terminal_response, events)`` for one run request."""
         events = []
         response = self.request(
             "run", session=session, limit=limit, wall_clock=wall_clock,

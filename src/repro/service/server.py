@@ -61,7 +61,7 @@ import contextlib
 import threading
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from itertools import chain, islice
+from itertools import chain
 from time import monotonic
 
 from repro.engine.conflict import strategy_named
@@ -81,11 +81,9 @@ from repro.service.session import SessionRegistry, journal_put
 from repro.service.protocol import (
     MAX_LINE_BYTES,
     PROTOCOL_VERSION,
+    batch_lines,
     encode_line,
     error_response,
-    event_line,
-    fact_event,
-    firing_event,
     ok_response,
 )
 
@@ -118,10 +116,11 @@ _ENGINE_CONFIG_CHECKS = (
 #: Ops served even while draining and never load-shed.
 _CONTROL_OPS = frozenset({"ping", "health", "stats", "close"})
 
-#: Response lines per socket write (and ``drain``): amortises the
-#: syscall over a ``run``'s events while keeping the transport buffer
-#: of a large ``facts`` dump bounded.
-_LINES_PER_WRITE = 128
+#: Response bytes gathered per socket write (and ``drain``): a
+#: ``run``'s response goes out in one write, and a large ``facts``
+#: dump in writes of about this size, with the event loop free between
+#: them.
+_WRITE_BYTES = 64 * 1024
 
 #: Session-scoped work ops whose failures feed the circuit breaker.
 _SESSION_OPS = frozenset({"assert", "run", "facts", "checkpoint",
@@ -495,11 +494,10 @@ class RuleService:
                     # Oversized line: unrecoverable framing, drop the
                     # connection after telling the client why.
                     self.counters["protocol_errors"] += 1
-                    writer.write(encode_line(error_response(
+                    await self._send(writer, error_response(
                         None, "protocol",
                         f"request line exceeds {MAX_LINE_BYTES} bytes",
-                    )))
-                    await writer.drain()
+                    ))
                     break
                 if not line:
                     break
@@ -510,10 +508,9 @@ class RuleService:
                     request = protocol.decode_line(stripped)
                 except ValueError as error:
                     self.counters["protocol_errors"] += 1
-                    writer.write(encode_line(error_response(
+                    await self._send(writer, error_response(
                         None, "protocol", f"malformed request: {error}",
-                    )))
-                    await writer.drain()
+                    ))
                     continue
                 await self._dispatch(request, writer)
         except (ConnectionResetError, BrokenPipeError):
@@ -623,40 +620,50 @@ class RuleService:
                 responded.set()
 
     async def _send(self, writer, obj):
-        await self._send_lines(writer, (obj,))
+        await self._send_lines(writer, (encode_line(obj),))
 
-    async def _send_lines(self, writer, objs):
-        """Encode *objs* lazily and write them at most
-        :data:`_LINES_PER_WRITE` lines per ``write`` + ``drain``.
+    async def _send_lines(self, writer, lines):
+        """Write the encoded *lines*, taken one at a time, in writes of
+        about :data:`_WRITE_BYTES`; the event loop runs between two
+        writes of one response."""
+        group = []
+        size = 0
+        for line in lines:
+            if size >= _WRITE_BYTES:
+                await self._write(writer, group, size)
+                await asyncio.sleep(0)
+                group = []
+                size = 0
+            group.append(line)
+            size += len(line)
+        if group:
+            await self._write(writer, group, size)
+
+    async def _write(self, writer, lines, size):
+        """One ``write`` + ``drain`` of *lines*, *size* bytes in all.
 
         A chaos wire fault is drawn once per write; a ``partial`` one
         keeps a prefix that ends inside a line.
         """
-        objs = iter(objs)
-        while True:
-            data = b"".join(
-                map(encode_line, islice(objs, _LINES_PER_WRITE))
-            )
-            if not data:
-                return
-            if self.chaos is not None:
-                fault = self.chaos.wire_fault()
-                if fault == "delay":
-                    await asyncio.sleep(self.chaos.delay_seconds())
-                elif fault is not None:
-                    if fault == "partial":
-                        cut = self.chaos.partial_prefix(len(data))
-                        if data[cut - 1:cut] == b"\n":
-                            cut -= 1
-                        writer.write(data[:cut])
-                        with contextlib.suppress(Exception):
-                            await writer.drain()
-                    writer.close()
-                    raise ConnectionResetError(
-                        f"chaos wire fault: {fault}"
-                    )
-            writer.write(data)
-            await writer.drain()
+        data = b"".join(lines)
+        if self.chaos is not None:
+            fault = self.chaos.wire_fault()
+            if fault == "delay":
+                await asyncio.sleep(self.chaos.delay_seconds())
+            elif fault is not None:
+                if fault == "partial":
+                    cut = self.chaos.partial_prefix(size)
+                    if data[cut - 1:cut] == b"\n":
+                        cut -= 1
+                    writer.write(data[:cut])
+                    with contextlib.suppress(Exception):
+                        await writer.drain()
+                writer.close()
+                raise ConnectionResetError(f"chaos wire fault: {fault}")
+        writer.write(data)
+        self.counters["response_lines"] += len(lines)
+        self.counters["response_bytes"] += size
+        await writer.drain()
 
     async def _with_session(self, request, fn):
         """Admit, check out, lock, and run ``fn(session)`` on the
@@ -922,6 +929,7 @@ class RuleService:
             engine.tracer.firings.clear()
             outputs = list(engine.tracer.output)
             engine.tracer.output.clear()
+            derived = [(event.sign, event.wme) for event in derived]
             session.firings += fired
             report = engine.last_run_report
             summary = {
@@ -949,15 +957,10 @@ class RuleService:
                 request_id, deduped=True, **summary,
             ))
             return
-        records, outputs, derived = events
         self.counters["firings"] += summary["fired"]
         await self._send_lines(writer, chain(
-            (firing_event(request_id, record) for record in records),
-            (event_line(request_id, "write", text=text)
-             for text in outputs),
-            (fact_event(request_id, event.sign, event.wme)
-             for event in derived),
-            (ok_response(request_id, **summary),),
+            batch_lines(request_id, *events),
+            (encode_line(ok_response(request_id, **summary)),),
         ))
 
     async def _op_facts(self, request, request_id, writer):
@@ -965,17 +968,13 @@ class RuleService:
 
         def dump(session):
             wm = session.engine.wm
-            wmes = (
-                wm.of_class(wme_class) if wme_class else list(wm)
-            )
-            return [(w.wme_class, w.time_tag, w.as_dict()) for w in wmes]
+            wmes = wm.of_class(wme_class) if wme_class else wm
+            return [("+", wme) for wme in wmes]
 
-        rows = await self._with_session(request, dump)
+        facts = await self._with_session(request, dump)
         await self._send_lines(writer, chain(
-            (event_line(request_id, "fact", sign="+",
-                        **{"class": wme_class_}, tag=tag, values=values)
-             for wme_class_, tag, values in rows),
-            (ok_response(request_id, count=len(rows)),),
+            batch_lines(request_id, (), (), facts),
+            (encode_line(ok_response(request_id, count=len(facts))),),
         ))
 
     # -- runtime rule surgery ----------------------------------------------

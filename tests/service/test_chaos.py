@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import asyncio
 import errno
+from itertools import accumulate
 
 import pytest
 
@@ -20,7 +21,7 @@ from repro.service import (
     ServiceThread,
 )
 from repro.service.protocol import encode_line
-from repro.service.server import RuleService
+from repro.service.server import _WRITE_BYTES, RuleService
 
 PROGRAM = """
 (literalize order id status)
@@ -126,9 +127,9 @@ class _Sink:
 class TestTornWrites:
     def test_partial_fault_cuts_a_group_of_lines_inside_a_line(self):
         service = RuleService(ServiceConfig(chaos="partial=1.0,seed=3"))
-        lines = [{"event": "fact", "n": i} for i in range(5)]
-        whole = b"".join(map(encode_line, lines))
-        boundary = len(encode_line(lines[0])) + len(encode_line(lines[1]))
+        lines = [encode_line({"event": "batch", "n": i}) for i in range(5)]
+        whole = b"".join(lines)
+        boundary = len(lines[0]) + len(lines[1])
         try:
             # A cut that falls between two lines moves back into the
             # first of them; any other stays where the dice put it.
@@ -143,6 +144,31 @@ class TestTornWrites:
                 assert not sink.sent.endswith(b"\n")
         finally:
             service._executor.shutdown()
+
+    def test_a_fault_tears_only_the_write_it_falls_on(self):
+        # Past the write budget a response leaves in several writes: a
+        # fault on the second keeps the first whole and cuts the second
+        # inside a line.
+        service = RuleService(ServiceConfig(chaos="partial=1.0,seed=3"))
+        lines = [encode_line({"event": "batch", "n": i, "pad": "x" * 1000})
+                 for i in range(100)]
+        whole = b"".join(lines)
+        first = next(size for size in accumulate(map(len, lines))
+                     if size >= _WRITE_BYTES)
+        faults = iter((None, "partial"))
+        service.chaos.wire_fault = lambda: next(faults)
+        service.chaos.partial_prefix = lambda size: size // 2
+        sink = _Sink()
+        try:
+            with pytest.raises(ConnectionResetError):
+                asyncio.run(service._send_lines(sink, lines))
+        finally:
+            service._executor.shutdown()
+        assert first < len(whole)
+        assert whole.startswith(sink.sent)
+        assert first < len(sink.sent) < len(whole)
+        assert not sink.sent.endswith(b"\n")
+        assert service.counters["response_bytes"] == first
 
 
 class TestLiveWireChaos:

@@ -8,14 +8,20 @@ import pytest
 
 from repro.service.protocol import (
     ERROR_CODES,
+    MAX_LINE_BYTES,
+    PROTOCOL_VERSION,
+    ROWS_PER_LINE,
+    batch_lines,
     decode_line,
     encode_line,
     error_response,
     event_line,
+    expand_batch,
     fact_event,
     firing_event,
     ok_response,
 )
+from repro.wm import WorkingMemory
 
 
 class TestFraming:
@@ -121,3 +127,96 @@ class TestSharedEncoder:
         expected = json.dumps(line, separators=(",", ":"),
                               ensure_ascii=False) + "\n"
         assert encode_line(line) == expected.encode("utf-8")
+
+
+class _Firing:
+    def __init__(self, rule_name, cycle, is_set_oriented, time_tags):
+        self.rule_name = rule_name
+        self.cycle = cycle
+        self.is_set_oriented = is_set_oriented
+        self.time_tags = time_tags
+        self.outcome = "fired"
+
+
+def _facts():
+    """``(sign, wme)`` pairs over several classes and shapes: a fact
+    widened by ``modify``, floats, negatives, absent attributes."""
+    wm = WorkingMemory()
+    wm.registry.literalize("emp", ("name", "dept", "salary", "bonus"))
+    sue = wm.make("emp", name="sue", dept="d0", salary=1200.5)
+    bob = wm.make("emp", name="bob", salary=-3)
+    wide = wm.modify(sue, bonus=-0.25)
+    note = wm.make("note", text="zoë", n=-7)
+    return [("+", sue), ("+", bob), ("-", sue), ("+", wide),
+            ("+", note), ("-", bob)]
+
+
+def _expanded(lines):
+    return [event for line in lines
+            for event in expand_batch(decode_line(line))]
+
+
+def _v1(request_id, records, writes, facts):
+    return [
+        *(firing_event(request_id, record) for record in records),
+        *(event_line(request_id, "write", text=text) for text in writes),
+        *(fact_event(request_id, sign, wme) for sign, wme in facts),
+    ]
+
+
+class TestBatchLines:
+    """Batch lines expand to exactly the events version 1 sent."""
+
+    def test_protocol_version(self):
+        assert PROTOCOL_VERSION == 2
+
+    def test_expansion_equals_v1(self):
+        records = [_Firing("dept-size", 1, True, (4, 2, 7)),
+                   _Firing("greet", 2, False, (3,))]
+        writes = ["staffed d0 2", "hello zoë"]
+        facts = _facts()
+        lines = list(batch_lines(5, records, writes, facts))
+        assert len(lines) == 1
+        assert _expanded(lines) == _v1(5, records, writes, facts)
+
+    def test_a_line_lists_the_shapes_its_facts_use(self):
+        facts = _facts()
+        (line,) = map(decode_line, batch_lines("x", [], [], facts))
+        assert set(line) == {"event", "id", "shapes", "facts"}
+        assert line["shapes"] == [["emp", ["name", "dept", "salary"]],
+                                  ["emp", ["name", "salary"]],
+                                  ["emp", ["name", "dept", "salary",
+                                           "bonus"]],
+                                  ["note", ["text", "n"]]]
+        assert line["facts"][3] == ["+", 2, 3, "sue", "d0", 1200.5, -0.25]
+
+    def test_order_holds_across_line_boundaries(self):
+        records = [_Firing(f"r{i}", i, i % 3 == 0, (i,))
+                   for i in range(ROWS_PER_LINE - 2)]
+        writes = [f"w{i}" for i in range(5)]
+        facts = _facts() * 60
+        lines = list(batch_lines(1, records, writes, facts))
+        decoded = [decode_line(line) for line in lines]
+        assert [sum(len(d.get(k, ())) for k in ("firings", "writes", "facts"))
+                for d in decoded] == [ROWS_PER_LINE, ROWS_PER_LINE, 107]
+        # The first line ends the firings and begins the writes.
+        assert "writes" in decoded[0] and "facts" in decoded[1]
+        assert _expanded(lines) == _v1(1, records, writes, facts)
+
+    def test_no_rows_no_lines(self):
+        assert list(batch_lines(1, [], [], [])) == []
+
+    def test_an_oversized_line_splits_in_half_until_it_fits(self):
+        wm = WorkingMemory()
+        facts = [("+", wm.make("blob", n=i, text="x" * 40_000))
+                 for i in range(ROWS_PER_LINE)]
+        lines = list(batch_lines(1, [], [], facts))
+        assert len(lines) == 2
+        assert max(map(len, lines)) <= MAX_LINE_BYTES
+        assert _expanded(lines) == _v1(1, [], [], facts)
+
+    def test_a_single_row_over_the_cap_goes_out_whole(self):
+        wm = WorkingMemory()
+        facts = [("+", wm.make("blob", text="x" * MAX_LINE_BYTES))]
+        (line,) = batch_lines(1, [], [], facts)
+        assert len(line) > MAX_LINE_BYTES

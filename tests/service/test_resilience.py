@@ -60,7 +60,7 @@ class TestHealth:
         assert health["healthy"] is True
         assert health["ready"] is True
         assert health["draining"] is False
-        assert health["protocol"] == 1
+        assert health["protocol"] == 2
         assert isinstance(health["sessions"], int)
         assert isinstance(health["open_breakers"], int)
 

@@ -6,12 +6,14 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
 import pytest
 
 import repro
+from repro import RuleEngine
 from repro.durability import FaultInjector, manager
 from repro.errors import ServiceError
 from repro.service import (
@@ -21,7 +23,16 @@ from repro.service import (
     ServiceConfig,
     ServiceThread,
 )
-from repro.service.protocol import encode_line
+from repro.service.protocol import (
+    MAX_LINE_BYTES,
+    ROWS_PER_LINE,
+    decode_line,
+    encode_line,
+    event_line,
+    expand_batch,
+    fact_event,
+    firing_event,
+)
 
 PROGRAM = """
 (literalize order id status)
@@ -58,7 +69,7 @@ class TestBasicOps:
     def test_ping(self, client):
         response = client.ping()
         assert response["pong"] is True
-        assert response["protocol"] == 1
+        assert response["protocol"] == 2
 
     def test_create_assert_run_round_trip(self, client, request):
         sid = _unique(request)
@@ -107,8 +118,9 @@ class TestBasicOps:
     def test_long_responses_arrive_complete_and_in_order(
         self, client, request
     ):
-        # Event lines leave the server in groups of 128; a response of
-        # several groups and a remainder must read as one stream.
+        # Events leave the server as batch lines of ROWS_PER_LINE
+        # rows; a response of several lines and a remainder must read
+        # as one stream.
         sid = _unique(request)
         client.create(sid, PROGRAM, durable=False)
         client.assert_facts(sid, [
@@ -144,6 +156,182 @@ class TestBasicOps:
         assert stats["registry"]["sessions"] >= 1
         assert stats["rule_bases"]["rule_bases"] >= 1
         assert any(s["session"] == sid for s in stats["sessions"])
+        client.close_session(sid)
+
+
+#: Set-oriented and regular firings; derived facts of three shapes,
+#: one widened by ``modify`` past the shape it was made with; float and
+#: negative values; attributes left absent (``emp ^bonus`` until the
+#: modify, ``dept ^floor`` always).
+BATCH_PROGRAM = """
+(literalize emp name dept salary bonus)
+(literalize dept name floor)
+(literalize stat dept n mean)
+(p dept-stats
+  (dept ^name <d>)
+  { [emp ^dept <d>] <staff> }
+  :test ((count <staff>) >= 1)
+  -(stat ^dept <d>)
+  -->
+  (make stat ^dept <d> ^n (count <staff>) ^mean (avg <staff> ^salary))
+  (write staffed <d> (count <staff>)))
+(p bonus
+  (emp ^name <n> ^salary <s> ^bonus nil)
+  -->
+  (modify 1 ^bonus (compute 0 - <s>))
+  (write bonus for <n>))
+"""
+
+BATCH_TICKS = [
+    [("dept", {"name": "d0"}), ("dept", {"name": "d1"}),
+     ("emp", {"name": "zoë", "dept": "d0", "salary": 1200.5}),
+     ("emp", {"name": "al", "dept": "d0", "salary": -3})],
+    # 100 firings, 100 writes and 201 facts: two line boundaries.
+    [("emp", {"name": f"e{i}", "dept": "d1", "salary": i})
+     for i in range(100)],
+]
+
+
+def _embedded_runs(program, ticks):
+    """An in-process engine fed *ticks* as the service is, with what
+    each tick's run drained: ``(records, writes, derived events)``."""
+    engine = RuleEngine()
+    engine.load(program)
+    runs = []
+    for facts in ticks:
+        engine.load_facts(facts)
+        derived = []
+        engine.wm.attach(derived.append)
+        engine.run()
+        engine.wm.detach(derived.append)
+        runs.append((list(engine.tracer.firings),
+                     list(engine.tracer.output), derived))
+        engine.tracer.firings.clear()
+        engine.tracer.output.clear()
+    return engine, runs
+
+
+def _v1_events(request_id, records, writes, derived):
+    """The events of one ``run`` response as version 1 sent them."""
+    return [
+        *(firing_event(request_id, record) for record in records),
+        *(event_line(request_id, "write", text=text) for text in writes),
+        *(fact_event(request_id, event.sign, event.wme)
+          for event in derived),
+    ]
+
+
+def _raw_response(connection, **request):
+    """Send *request* on *connection*'s socket; every line of the
+    response, as bytes, through the terminal one."""
+    connection._sock.sendall(encode_line(request))
+    lines = []
+    while True:
+        line = connection._reader.readline(MAX_LINE_BYTES + 1)
+        assert line.endswith(b"\n")
+        lines.append(line)
+        if "ok" in decode_line(line):
+            return lines
+
+
+class TestBatchWire:
+    """``run`` and ``facts`` answer in batch lines; the client expands
+    them into exactly the events version 1 sent, in the same order."""
+
+    def test_run_expands_to_the_v1_events(self, client, request):
+        sid = _unique(request)
+        engine, runs = _embedded_runs(BATCH_PROGRAM, BATCH_TICKS)
+        client.create(sid, BATCH_PROGRAM, durable=False)
+        for facts, drained in zip(BATCH_TICKS, runs):
+            client.assert_facts(sid, facts)
+            response, events = client.run(sid)
+            assert events == _v1_events(response["id"], *drained)
+        assert {record.is_set_oriented for records, _, _ in runs
+                for record in records} == {True, False}
+        assert any("zoë" in text for _, writes, _ in runs
+                   for text in writes)
+        response, events = client.facts(sid)
+        assert events == [
+            fact_event(response["id"], "+", wme) for wme in engine.wm
+        ]
+        response, events = client.facts(sid, "stat")
+        assert response["count"] == 2
+        assert events == [
+            fact_event(response["id"], "+", wme)
+            for wme in engine.wm.of_class("stat")
+        ]
+        client.close_session(sid)
+
+    def test_batch_lines_on_the_wire(self, client, request):
+        sid = _unique(request)
+        _, [drained] = _embedded_runs(
+            BATCH_PROGRAM, [BATCH_TICKS[0] + BATCH_TICKS[1]]
+        )
+        total = sum(map(len, drained))
+        client.create(sid, BATCH_PROGRAM, durable=False)
+        for facts in BATCH_TICKS:
+            client.assert_facts(sid, facts)
+        *batches, terminal = map(decode_line, _raw_response(
+            client, op="run", id="r", session=sid,
+        ))
+        assert terminal["ok"] is True
+        assert total > ROWS_PER_LINE
+        kinds = ("firings", "writes", "facts")
+        assert [sum(len(b.get(kind, ())) for kind in kinds)
+                for b in batches] == [ROWS_PER_LINE, total - ROWS_PER_LINE]
+        for batch in batches:
+            assert batch["event"] == "batch" and batch["id"] == "r"
+            # A line lists the shapes its facts use, and only those.
+            used = sorted({row[1] for row in batch.get("facts", ())})
+            assert used == list(range(len(batch.get("shapes", ()))))
+        # One line ends the writes and begins the facts.
+        assert "writes" in batches[0] and "facts" in batches[0]
+        assert set(batches[1]) == {"event", "id", "shapes", "facts"}
+        client.close_session(sid)
+
+    def test_deduped_run_gets_its_terminal_line_only(self, client, request):
+        sid = _unique(request)
+        client.create(sid, BATCH_PROGRAM, durable=False)
+        client.assert_facts(sid, BATCH_TICKS[0])
+        first, events = client.run(sid, key="k1")
+        assert events
+        lines = _raw_response(client, op="run", id=9, session=sid,
+                              key="k1")
+        assert len(lines) == 1
+        again = decode_line(lines[0])
+        assert again["deduped"] is True
+        assert again["fired"] == first["fired"]
+        client.close_session(sid)
+
+    def test_large_dump_is_complete_and_in_tag_order(self, client, request):
+        sid = _unique(request)
+        count = 2 * ROWS_PER_LINE + 7
+        client.create(sid, PROGRAM, durable=False)
+        client.assert_facts(sid, [
+            ("order", {"id": i, "status": "held"}) for i in range(count)
+        ])
+        response, events = client.facts(sid)
+        assert response["count"] == count
+        assert [e["tag"] for e in events] == list(range(1, count + 1))
+        assert [e["values"]["id"] for e in events] == list(range(count))
+        client.close_session(sid)
+
+    def test_long_symbols_split_a_line_below_the_cap(self, client, request):
+        # 300 facts of 40 KB each: a full line would be ~10 MB.
+        sid = _unique(request)
+        client.create(sid, PROGRAM, durable=False)
+        for start in range(0, 300, 100):
+            client.assert_facts(sid, [
+                ("order", {"id": i, "status": f"s{i}-" + "x" * 40_000})
+                for i in range(start, start + 100)
+            ])
+        lines = _raw_response(client, op="facts", id=1, session=sid)
+        assert len(lines) > 3
+        assert max(map(len, lines)) <= MAX_LINE_BYTES
+        events = [event for line in lines[:-1]
+                  for event in expand_batch(decode_line(line))]
+        assert [e["values"]["id"] for e in events] == list(range(300))
+        assert decode_line(lines[-1])["count"] == 300
         client.close_session(sid)
 
 
@@ -585,6 +773,86 @@ class TestIdleEviction:
                 resumed = client.create("t1", "", resume=True)
                 assert resumed["resumed"] is True
                 assert resumed["wm_size"] == 1
+
+
+SPIN_PROGRAM = """
+(literalize counter n)
+(p spin (counter ^n <n>) --> (modify 1 ^n (compute <n> + 1)))
+"""
+
+
+class TestLoopResponsiveness:
+    """Encoding a large response on the event loop must not stall the
+    other tenants: the loop runs between a response's writes."""
+
+    BOUND_S = 0.5
+
+    def _worst_latency(self, address, busy):
+        """Ping and assert to session B while *busy* runs on a thread;
+        the slowest answer, in seconds."""
+        errors = []
+
+        def run():
+            try:
+                busy()
+            except Exception as error:  # surfaced below
+                errors.append(error)
+
+        worker = threading.Thread(target=run)
+        worst = 0.0
+        samples = 0
+        with ServiceClient(*address) as other:
+            other.create("B", PROGRAM, durable=False)
+            worker.start()
+            while worker.is_alive() or samples < 3:
+                started = time.perf_counter()
+                other.ping()
+                other.assert_facts(
+                    "B", [("order", {"id": samples, "status": "held"})]
+                )
+                worst = max(worst, time.perf_counter() - started)
+                samples += 1
+            worker.join()
+            other.close_session("B")
+        assert errors == []
+        return worst
+
+    def test_a_large_dump_does_not_stall_the_loop(self):
+        with ServiceThread(ServiceConfig(port=0)) as srv:
+            with ServiceClient(*srv.address) as a:
+                a.create("A", PROGRAM, durable=False)
+                a.assert_facts("A", [
+                    ("order", {"id": i, "status": "held"})
+                    for i in range(20_000)
+                ])
+
+                def dump():
+                    for _ in range(3):
+                        response, events = a.facts("A")
+                        assert response["count"] == len(events) == 20_000
+
+                assert self._worst_latency(srv.address, dump) < (
+                    self.BOUND_S
+                )
+
+    def test_a_spinning_run_does_not_stall_the_loop(self):
+        config = ServiceConfig(port=0, run_wall_clock=2.0,
+                               run_limit=10_000_000)
+        with ServiceThread(config) as srv:
+            with ServiceClient(*srv.address) as a:
+                a.create("A", SPIN_PROGRAM, durable=False)
+                a.assert_facts("A", [("counter", {"n": 0})])
+                outcome = {}
+
+                def spin():
+                    outcome["response"], outcome["events"] = a.run("A")
+
+                assert self._worst_latency(srv.address, spin) < (
+                    self.BOUND_S
+                )
+                response = outcome["response"]
+                assert response["stopped"] == "wall_clock"
+                assert len(outcome["events"]) == 3 * response["fired"]
 
 
 class TestConcurrentTenants:
