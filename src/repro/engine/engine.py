@@ -250,8 +250,7 @@ class RuleEngine:
         one pass of working memory's own that builds, checks, tags and
         buffers the facts (:meth:`~repro.wm.memory.WorkingMemory.make_all`).
         """
-        with self.batch():
-            return self.wm.make_all(facts)
+        return self.wm.make_all(facts, self.stats)
 
     # -- the cycle ------------------------------------------------------------
 

@@ -53,6 +53,7 @@ from repro.errors import (
     LivelockError,
     WalError,
 )
+from repro.wm.memory import pause_collector, resume_collector
 
 
 def _is_contained(exc):
@@ -417,7 +418,22 @@ def fire(engine, instantiation):
     committed firing, or ``None`` when the policy abandoned it
     (skip/quarantine).  Raises :class:`~repro.errors.FiringError`
     under ``halt`` — after full rollback.
+
+    The cyclic collector is paused over a set-sized firing
+    (:func:`~repro.wm.memory.pause_collector`): a set action's members,
+    the rest of its RHS and the flush are one unit, which no collection
+    splits.
     """
+    if not instantiation.is_set_oriented:
+        return _fire(engine, instantiation)
+    was = pause_collector(len(instantiation.soi))
+    try:
+        return _fire(engine, instantiation)
+    finally:
+        resume_collector(was)
+
+
+def _fire(engine, instantiation):
     reliability = engine.reliability
     rule_name = instantiation.rule.name
     policy = reliability.policy_for(rule_name)

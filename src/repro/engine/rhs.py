@@ -39,23 +39,15 @@ class _Narrow:
         self.fixed_wmes = fixed_wmes  # CE level -> single WME
 
 
-class _RhsResolver:
-    """Expression resolver delegating to the executor's scopes."""
-
-    __slots__ = ("executor",)
-
-    def __init__(self, executor):
-        self.executor = executor
-
-    def var(self, name):
-        return self.executor.value_of(name)
-
-    def aggregate(self, node):
-        return self.executor.aggregate_value(node)
-
-
 class RhsExecutor:
-    """Executes one rule firing."""
+    """Executes one rule firing, and is the resolver its expressions
+    evaluate against (:meth:`var`, :meth:`aggregate`).
+
+    Nothing the executor holds refers back to it, so a firing, its
+    instantiation and the members a set action retracted are freed by
+    reference counting as soon as the firing returns: a firing leaves
+    no cycle for the collector.
+    """
 
     def __init__(self, engine, rule, analysis, instantiation, record):
         self.engine = engine
@@ -67,7 +59,6 @@ class RhsExecutor:
         self.frames = [{}]
         self.narrows = []
         self.element_vars = rule.element_vars()
-        self._resolver = _RhsResolver(self)
         # Index path of the action being dispatched, outermost block
         # first; left at the failure point when the RHS raises, so
         # FiringError can name the poison action.
@@ -83,7 +74,7 @@ class RhsExecutor:
     def _error(self, message):
         raise EngineError(f"rule {self.rule.name}: {message}")
 
-    def value_of(self, name):
+    def var(self, name):
         """Resolve ``<name>`` through binds, narrows, then the match."""
         for frame in reversed(self.frames):
             if name in frame:
@@ -169,7 +160,7 @@ class RhsExecutor:
             f"use set-remove/set-modify or iterate with foreach"
         )
 
-    def aggregate_value(self, node):
+    def aggregate(self, node):
         """The value of an RHS aggregate over the current subinstantiation.
 
         Outside any ``foreach`` that is the whole SOI, whose aggregates
@@ -197,7 +188,7 @@ class RhsExecutor:
         return state.value()
 
     def _eval(self, expression):
-        return evaluate(expression, self._resolver)
+        return evaluate(expression, self)
 
     # -- execution ------------------------------------------------------------
 

@@ -90,41 +90,42 @@ class NaiveMatcher(Matcher):
 
     def _compute_tokens(self, state):
         """All full matches of *state*'s rule against current WM."""
-        analyses = state.analysis.ce_analyses
         wmes = list(self.wm) if self.wm is not None else []
         results = []
+        self._descend(state.analysis.ce_analyses, wmes, 0, [], results)
+        return results
+
+    def _descend(self, analyses, wmes, level, partial, results):
+        """Extend *partial*, the WMEs matching CEs before *level*, by
+        every WME of *wmes* that matches the rest, onto *results*.  A
+        method, not a nested function calling itself, so a match builds
+        no reference cycle."""
+        if level == len(analyses):
+            results.append(MatchToken(partial))
+            return
         ms = self.match_stats
+        ce_analysis = analyses[level]
 
-        def lookup_factory(partial):
-            def lookup(level, attribute):
-                wme = partial[level]
-                return None if wme is None else wme.get(attribute)
+        def lookup(at, attribute):
+            wme = partial[at]
+            return None if wme is None else wme.get(attribute)
 
-            return lookup
-
-        def descend(level, partial):
-            if level == len(analyses):
-                results.append(MatchToken(partial))
-                return
-            ce_analysis = analyses[level]
-            lookup = lookup_factory(partial)
-            if ce_analysis.ce.negated:
-                for wme in wmes:
-                    ok = ce_analysis.wme_passes_alpha(
-                        wme
-                    ) and ce_analysis.wme_passes_joins(wme, lookup)
-                    ms.join_batch(None, 1, ok)
-                    if ok:
-                        return  # blocked
-                descend(level + 1, partial + [None])
-                return
+        if ce_analysis.ce.negated:
             for wme in wmes:
                 ok = ce_analysis.wme_passes_alpha(
                     wme
                 ) and ce_analysis.wme_passes_joins(wme, lookup)
                 ms.join_batch(None, 1, ok)
                 if ok:
-                    descend(level + 1, partial + [wme])
-
-        descend(0, [])
-        return results
+                    return  # blocked
+            self._descend(analyses, wmes, level + 1, partial + [None],
+                          results)
+            return
+        for wme in wmes:
+            ok = ce_analysis.wme_passes_alpha(
+                wme
+            ) and ce_analysis.wme_passes_joins(wme, lookup)
+            ms.join_batch(None, 1, ok)
+            if ok:
+                self._descend(analyses, wmes, level + 1, partial + [wme],
+                              results)

@@ -58,6 +58,7 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
+import gc
 import threading
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
@@ -1078,7 +1079,12 @@ class RuleService:
     async def _op_stats(self, request, request_id, writer):
         await self._send(writer, ok_response(
             request_id,
-            server=dict(self.counters),
+            server=dict(
+                self.counters,
+                # The process's cyclic-collector runs, youngest
+                # generation first.
+                gc_collections=[g["collections"] for g in gc.get_stats()],
+            ),
             pending=self.global_pending,
             draining=self._draining,
             registry=self.registry.stats(),

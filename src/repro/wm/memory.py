@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import gc
+import threading
+
 from repro import symbols
 from repro.errors import WorkingMemoryError
 from repro.wm.events import ADD, REMOVE, DeltaBatch, WMEvent
@@ -21,6 +24,55 @@ _plain = PLAIN_TYPES.issuperset
 #: directly does, so a session that keeps inventing classes or
 #: attribute orders cannot grow the cache without bound.
 SHAPE_LIMIT = 512
+
+
+#: Makes a pause's read of the collector's state and its switch-off one
+#: step with respect to another thread's resume: read apart, a pause
+#: could read "off" while another pause ends, then switch the collector
+#: off after that one switched it back on, and leave it off for good.
+#: Taken with acquire/release, not ``with``, which allocates (a bound
+#: ``__exit__``, an argument tuple) and so could itself start a
+#: collection on the edge of a pause.
+_collector_lock = threading.Lock()
+
+
+def pause_collector(size=None):
+    """Switch CPython's cyclic collector off for a set-sized step; return
+    whether it was on, for :func:`resume_collector`.
+
+    The collector fires on allocation counts, not on garbage: a
+    delta-set allocates its facts, events and match state in one burst,
+    so left on it runs many young and some full collections mid-set,
+    and a full one walks the whole match state.  A firing builds no
+    reference cycle, so a pause holds back no garbage the engine made.
+    The switch is process-wide: another thread's pause may end this one
+    early, which is harmless.
+
+    A step whose *size* (deltas or members) is known and below the
+    young generation's threshold is not paused: it starts at most one
+    collection either way, so a pause would only add its own cost to
+    every small flush and firing.
+    """
+    if size is not None and size < gc.get_threshold()[0]:
+        return False
+    _collector_lock.acquire()
+    try:
+        was = gc.isenabled()
+        gc.disable()
+    finally:
+        _collector_lock.release()
+    return was
+
+
+def resume_collector(was):
+    """Switch the collector back on if :func:`pause_collector` found it
+    on; a caller that switched it off itself keeps it off."""
+    if was:
+        _collector_lock.acquire()
+        try:
+            gc.enable()
+        finally:
+            _collector_lock.release()
 
 
 def _content_hash(wme):
@@ -209,24 +261,29 @@ class WorkingMemory:
             return
         batch, self._batch = self._batch, None
         events = batch.events()
-        delivered = 0
-        for observer in list(self._observers) if events else ():
-            handler = self._batch_handlers.get(observer)
-            try:
-                if handler is not None:
-                    handler(events)
-                else:
-                    for event in events:
-                        observer(event)
-            except BaseException:
-                if delivered == 0:
-                    # No observer saw the flush yet (the write-ahead log
-                    # delivers first): reopen the batch so the caller can
-                    # still rewind to a savepoint and roll back safely.
-                    self._batch = batch
-                    self._batch_depth += 1
-                raise
-            delivered += 1
+        was = pause_collector(len(events))
+        try:
+            delivered = 0
+            for observer in list(self._observers) if events else ():
+                handler = self._batch_handlers.get(observer)
+                try:
+                    if handler is not None:
+                        handler(events)
+                    else:
+                        for event in events:
+                            observer(event)
+                except BaseException:
+                    if delivered == 0:
+                        # No observer saw the flush yet (the write-ahead
+                        # log delivers first): reopen the batch so the
+                        # caller can still rewind to a savepoint and
+                        # roll back safely.
+                        self._batch = batch
+                        self._batch_depth += 1
+                    raise
+                delivered += 1
+        finally:
+            resume_collector(was)
         if stats is not None:
             submitted = batch.submitted
             stats.batch_flush(submitted, len(events), submitted - len(events))
@@ -438,26 +495,31 @@ class WorkingMemory:
         self._emit(ADD, wme)
         return wme
 
-    def make_all(self, facts):
+    def make_all(self, facts, stats=None):
         """Make every ``(wme_class, values)`` pair of *facts* as one
         batch; return the new WMEs in order.
 
         Same tags, contents and flushed events as a ``make`` loop inside
         ``batch()``, including on a refused fact: the ones before it
         stay made and the error propagates.  Each values dict is read,
-        not kept.
+        not kept.  One collector pause covers the stamping and, outside
+        an open batch, the flush; *stats* is :meth:`batch`'s.
         """
         made = []
         stamp = self._stamp
-        self._enter_batch()
+        was = pause_collector()
         try:
-            for wme_class, values in facts:
-                made.append(stamp(wme_class, values, self._next_tag))
+            self._enter_batch()
+            try:
+                for wme_class, values in facts:
+                    made.append(stamp(wme_class, values, self._next_tag))
+            finally:
+                record = self._batch.record
+                for wme in made:
+                    record(ADD, wme)
+                self._exit_batch(stats)
         finally:
-            record = self._batch.record
-            for wme in made:
-                record(ADD, wme)
-            self._exit_batch()
+            resume_collector(was)
         return made
 
     def restore(self, wme_class, attributes, values, time_tag):
@@ -491,6 +553,19 @@ class WorkingMemory:
         wme = self._file(wme_class, shape, row, time_tag)
         self._emit(ADD, wme)
         return wme
+
+    def restore_all(self, records, stats=None):
+        """:meth:`restore` every ``(wme_class, attributes, values,
+        time_tag)`` of *records* as one batch, the collector paused as
+        for :meth:`make_all`; return the WMEs in order.  *stats* is
+        :meth:`batch`'s."""
+        restore = self.restore
+        was = pause_collector()
+        try:
+            with self.batch(stats):
+                return [restore(*record) for record in records]
+        finally:
+            resume_collector(was)
 
     def remove(self, wme):
         """Remove a live WME (by object or time tag), emit ``-``."""
@@ -552,8 +627,12 @@ class WorkingMemory:
         wmes = self._live_members(wmes)
         for wme_class in {wme.wme_class for wme in wmes}:
             self._check(wme_class, updates)
-        with self.batch():
-            return self._replace(wmes, updates, self._batch.record)
+        was = pause_collector()
+        try:
+            with self.batch():
+                return self._replace(wmes, updates, self._batch.record)
+        finally:
+            resume_collector(was)
 
     def _replace(self, wmes, updates, emit):
         """Swap each live WME of *wmes* for a copy with the checked

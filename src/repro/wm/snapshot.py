@@ -59,8 +59,9 @@ def dump_wm(wm):
 def restore_wm(wm, snapshot, stats=None):
     """Load a snapshot into *wm* (which must be empty).
 
-    Works through :meth:`~repro.wm.memory.WorkingMemory.batch` +
-    :meth:`~repro.wm.memory.WorkingMemory.restore`: attached matchers
+    Works through :meth:`~repro.wm.memory.WorkingMemory.restore_all`,
+    one batch of :meth:`~repro.wm.memory.WorkingMemory.restore`
+    calls with the collector paused: attached matchers
     receive one set-oriented delta-set covering the whole restore, with
     every WME under its original time tag (monotone by construction,
     since the dump is tag-ordered).
@@ -80,14 +81,9 @@ def restore_wm(wm, snapshot, stats=None):
         for wme_class, attributes in snapshot["shapes"]
     ]
     rows = sorted(snapshot["wmes"], key=itemgetter(1))
-    restored = []
-    restore = wm.restore
-    with wm.batch(stats=stats):
-        for row in rows:
-            wme_class, attributes = shapes[row[0]]
-            restored.append(
-                restore(wme_class, attributes, row[2:], row[1])
-            )
+    restored = wm.restore_all(
+        ((*shapes[row[0]], row[2:], row[1]) for row in rows), stats
+    )
     wm._next_tag = max(wm._next_tag, snapshot.get("next_tag", 1))
     return restored
 

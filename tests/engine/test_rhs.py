@@ -1,4 +1,7 @@
-"""Unit tests for RHS execution: actions, foreach, scoping, targets."""
+"""Unit tests for RHS execution: actions, foreach, scoping, targets,
+and the garbage a firing leaves."""
+
+import gc
 
 import pytest
 
@@ -290,3 +293,126 @@ class TestSetVariableScalarUse:
             engine.make("item")
         engine.run(limit=2)
         assert engine.wm.find("report", n=5)
+
+
+#: One firing per item, with a conflict set of N (paper §7.1).
+TUPLE_RUN = """
+(literalize item status value)
+(literalize control phase)
+(p start (control ^phase start) --> (modify 1 ^phase run))
+(p process-one
+  (control ^phase run)
+  (item ^status raw ^value <value>)
+  -->
+  (bind <n> (<value> + 1))
+  (modify 2 ^status done ^value <n>))
+(p finish (control ^phase run) -(item ^status raw) --> (modify 1 ^phase end))
+"""
+
+#: The same items in one firing each way: set-modify, then set-remove.
+SET_ACTIONS = """
+(literalize item status value)
+(p mark-all { [item ^status raw] <Items> } --> (set-modify <Items> ^status done))
+(p drop-all
+  { [item ^status done] <Items> }
+  :test ((count <Items>) >= 1)
+  -->
+  (write dropping (count <Items>))
+  (set-remove <Items>))
+"""
+
+#: A sliding window: a roll-up S-node, a negated CE, and expiry by
+#: set-remove, so every tick makes, fires and retracts.
+WINDOW_TICKS = """
+(literalize dept name)
+(literalize emp name dept salary tick)
+(literalize seen name tick)
+(literalize expire before)
+(p rollup
+  (dept ^name <d>)
+  { [emp ^dept <d>] <staff> }
+  -->
+  (write rollup <d> (count <staff>) (avg <staff> ^salary)))
+(p note-emp
+  (emp ^name <n> ^salary > 1500 ^tick <t>)
+  -(seen ^name <n>)
+  -->
+  (make seen ^name <n> ^tick <t>))
+(p expire-emps
+  (expire ^before <k>)
+  { [emp ^tick < <k>] <old> }
+  -->
+  (set-remove <old>))
+(p expire-seen
+  (expire ^before <k>)
+  { [seen ^tick < <k>] <old> }
+  -->
+  (set-remove <old>))
+(p expire-done { (expire) <marker> } --> (remove <marker>))
+"""
+
+
+def _window_ticks(engine, ticks=8, facts=12, window=3):
+    for tick in range(ticks):
+        engine.load_facts([
+            ("emp", {"name": f"e{tick * facts + i}", "dept": f"d{i % 3}",
+                     "salary": 1000 + 150 * i, "tick": tick})
+            for i in range(facts)
+        ] + [("expire", {"before": tick - window + 1})])
+        engine.run()
+
+
+class TestFiringsLeaveNoCycle:
+    """A firing frees itself, its instantiation and a set action's
+    retracted members by reference counting: with the collector off, a
+    collection afterwards finds no garbage."""
+
+    @pytest.fixture
+    def collector_off(self):
+        gc.collect()
+        was = gc.isenabled()
+        gc.disable()
+        try:
+            yield
+        finally:
+            if was:
+                gc.enable()
+
+    def _engine(self, make_engine, matcher_name, program):
+        engine = make_engine(matcher_name)
+        engine.load(program)
+        return engine
+
+    def test_tuple_oriented_run(self, make_engine, matcher_name,
+                                collector_off):
+        engine = self._engine(make_engine, matcher_name, TUPLE_RUN)
+        engine.load_facts(
+            [("item", {"status": "raw", "value": i}) for i in range(50)]
+            + [("control", {"phase": "start"})]
+        )
+        gc.collect()
+        assert engine.run() == 52
+        assert gc.collect() == 0
+
+    def test_set_modify_and_set_remove(self, make_engine, matcher_name,
+                                       collector_off):
+        engine = self._engine(make_engine, matcher_name, SET_ACTIONS)
+        engine.load_facts(
+            ("item", {"status": "raw", "value": i}) for i in range(1000)
+        )
+        gc.collect()
+        assert engine.run(limit=1) == 1  # the 1 000-member set-modify
+        assert gc.collect() == 0
+        assert engine.run() == 1  # the 1 000-member set-remove
+        assert engine.output == ["dropping 1000"]
+        assert len(engine.wm) == 0
+        assert gc.collect() == 0
+
+    def test_window_ticks(self, make_engine, matcher_name, collector_off):
+        engine = self._engine(make_engine, matcher_name, WINDOW_TICKS)
+        engine.load_facts(("dept", {"name": f"d{i}"}) for i in range(3))
+        _window_ticks(engine, ticks=2)
+        gc.collect()
+        _window_ticks(engine)
+        assert engine.wm.of_class("emp")
+        assert gc.collect() == 0

@@ -3,6 +3,7 @@ session lifecycle driven end to end through :class:`ServiceClient`."""
 
 from __future__ import annotations
 
+import gc
 import os
 import subprocess
 import sys
@@ -151,12 +152,51 @@ class TestBasicOps:
     def test_stats_surface(self, client, request):
         sid = _unique(request)
         client.create(sid, PROGRAM, durable=False)
+        before = [g["collections"] for g in gc.get_stats()]
         stats = client.stats()
+        after = [g["collections"] for g in gc.get_stats()]
         assert stats["server"]["connections"] >= 1
         assert stats["registry"]["sessions"] >= 1
         assert stats["rule_bases"]["rule_bases"] >= 1
         assert any(s["session"] == sid for s in stats["sessions"])
+        # The server runs in this process: its collector is this one.
+        collections = stats["server"]["gc_collections"]
+        assert len(collections) == len(before) == 3
+        assert all(b <= n <= a for b, n, a in zip(before, collections, after))
         client.close_session(sid)
+
+    def test_concurrent_asserts_leave_the_collector_on(
+        self, server, request,
+    ):
+        """Two sessions' delta-sets flush on the executor's two threads
+        at once, each pausing the process-wide collector; it is on
+        again once both are done."""
+        assert gc.isenabled()
+        sids = [f"{_unique(request)}-{n}" for n in range(2)]
+        errors = []
+
+        def load(sid):
+            try:
+                with ServiceClient(*server.address) as own:
+                    own.create(sid, PROGRAM, durable=False)
+                    for batch in range(20):
+                        own.assert_facts(sid, [
+                            ("order", {"id": batch * 300 + i,
+                                       "status": "open"})
+                            for i in range(300)
+                        ])
+                    own.close_session(sid)
+            except BaseException as error:  # reported below
+                errors.append(error)
+
+        threads = [threading.Thread(target=load, args=(sid,))
+                   for sid in sids]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert errors == []
+        assert gc.isenabled()
 
 
 #: Set-oriented and regular firings; derived facts of three shapes,

@@ -1,6 +1,7 @@
 """WorkingMemory.batch(): buffering, netting, and observer delivery;
 make_all against the make loop it replaces."""
 
+import gc
 import json
 
 import pytest
@@ -9,10 +10,10 @@ from hypothesis import strategies as st
 
 from repro import RuleEngine
 from repro.engine.stats import MatchStats
-from repro.errors import WorkingMemoryError
+from repro.errors import FiringError, WorkingMemoryError
 from repro.wm.events import ADD, REMOVE, DeltaBatch, WMEvent
 from repro.wm.memory import WorkingMemory
-from repro.wm.snapshot import dump_wm
+from repro.wm.snapshot import dump_wm, restore_wm
 from repro.wm.wme import WME
 
 
@@ -491,3 +492,127 @@ class TestModifyAllRemoveAll:
             call(live + live[:1], *extra)
         assert all(wme in engine.wm for wme in live)
         assert _set_state(engine, flushed) == before
+
+
+@pytest.fixture(params=[True, False], ids=["collector-on", "collector-off"])
+def collector(request):
+    """Run a test with the cyclic collector on, or switched off by the
+    caller; yields the state every path must leave it in."""
+    was = gc.isenabled()
+    if request.param:
+        gc.enable()
+    else:
+        gc.disable()
+    try:
+        yield request.param
+    finally:
+        if was:
+            gc.enable()
+        else:
+            gc.disable()
+
+
+SET_PROGRAM = """
+(literalize item status value)
+(literalize control phase)
+(p process-all
+  (control ^phase start)
+  { [item ^status raw] <Items> }
+  -->
+  (set-modify <Items> ^status done)
+  (call boom)
+  (modify 1 ^phase finished))
+"""
+
+
+class TestCollectorPause:
+    """A delta-set's stamping, set modify and flush run with CPython's
+    cyclic collector off, and every path, raising ones too, leaves it
+    as the caller had it."""
+
+    def test_a_set_sized_flush_delivers_with_the_collector_off(
+        self, collector,
+    ):
+        wm = WorkingMemory()
+        seen = []
+        wm.attach(lambda event: None,
+                  on_batch=lambda events: seen.append(gc.isenabled()))
+        wm.make_all(FACTS)  # make_all pauses whatever its size
+        with wm.batch():
+            for n in range(gc.get_threshold()[0]):
+                wm.make("note", n=n)
+        # Under the young generation's threshold a flush starts at most
+        # one collection either way, so it is not paused.
+        with wm.batch():
+            wm.make("note")
+        assert seen == [False, False, collector]
+        assert gc.isenabled() is collector
+
+    def test_plain_and_nested_batches(self, collector):
+        wm = WorkingMemory()
+        flushed = []
+        wm.attach(lambda event: None, on_batch=flushed.append)
+        with wm.batch():
+            wm.make("note", n=1)
+        assert gc.isenabled() is collector
+        with wm.batch():
+            with wm.batch():
+                wm.make("note", n=2)
+            assert gc.isenabled() is collector
+            wm.make("note", n=3)
+        assert len(flushed) == 2
+        assert gc.isenabled() is collector
+
+    def test_make_all_with_a_refused_fact_midway(self, collector):
+        engine = _engine([])
+        with pytest.raises(WorkingMemoryError):
+            engine.load_facts(FACTS[:3] + [INVALID[0]] + FACTS[3:])
+        assert len(engine.wm) == 4
+        assert gc.isenabled() is collector
+
+    def test_an_observer_raising_in_the_flush_then_the_rollback(
+        self, collector,
+    ):
+        wm = WorkingMemory()
+
+        def refuse(events):
+            raise RuntimeError("observer down")
+
+        wm.attach(lambda event: None, on_batch=refuse)
+        savepoint = wm.begin_transaction()
+        wm.make_all(FACTS)
+        with pytest.raises(RuntimeError, match="observer down"):
+            wm.commit_transaction(savepoint)
+        assert wm.in_batch  # reopened: no observer saw the flush
+        assert gc.isenabled() is collector
+        wm.rollback_transaction(savepoint)
+        assert len(wm) == 0 and not wm.in_batch
+        assert gc.isenabled() is collector
+
+    def test_an_rhs_error_in_a_set_modify_rolls_back(self, collector):
+        engine = RuleEngine()
+        engine.load(SET_PROGRAM)
+
+        def boom():
+            raise RuntimeError("rhs down")
+
+        engine.register_function("boom", boom)
+        engine.load_facts(  # a set-sized firing: paused as a whole
+            ("item", {"status": "raw", "value": i})
+            for i in range(gc.get_threshold()[0])
+        )
+        engine.make("control", phase="start")
+        before = [(w.time_tag, w.as_dict()) for w in engine.wm]
+        with pytest.raises(FiringError):
+            engine.run()
+        assert [(w.time_tag, w.as_dict()) for w in engine.wm] == before
+        assert gc.isenabled() is collector
+
+    def test_modify_all_and_restore_all(self, collector):
+        engine, members = _loaded([])
+        engine.wm.modify_all(members, {"qty": 1})
+        assert gc.isenabled() is collector
+        copy = WorkingMemory()
+        restore_wm(copy, dump_wm(engine.wm))
+        assert len(copy) == len(engine.wm)
+        assert gc.isenabled() is collector
