@@ -13,7 +13,7 @@ test:
 	$(PYTHON) -m pytest -x -q
 
 bench-smoke:
-	$(PYTHON) -m pytest benchmarks/ -q -p no:cacheprovider \
+	$(PYTHON) -m pytest benchmarks/ -q -rfE -p no:cacheprovider \
 	  -k "ablation or no_regression or snode_scaling or batch or durability or claim_firings or dips_work or match_algorithms or fig3 or claim_parallel"
 
 bench:

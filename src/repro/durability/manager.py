@@ -32,7 +32,7 @@ from __future__ import annotations
 from repro.core.instantiation import ce_tags
 from repro.engine.stats import NULL_STATS
 from repro.errors import DurabilityError
-from repro.wm.events import ADD
+from repro.wm.wme import encode_rows
 
 #: Log bytes a session may write before its first checkpoint is due;
 #: also the least it writes between any two.
@@ -247,15 +247,11 @@ class DurabilityManager:
         self.wal.append(self._delta_payload(events), batch=True)
 
     def _delta_payload(self, events):
-        payload = {
-            "k": "d",
-            "n": self.wm.latest_time_tag + 1,
-            "e": [
-                [event.sign, event.wme.wme_class, event.wme.time_tag,
-                 event.wme.as_dict()]
-                for event in events
-            ],
-        }
+        shapes, rows = encode_rows(
+            ((event.sign, event.wme) for event in events), signed=True
+        )
+        payload = {"k": "d", "n": self.wm.latest_time_tag + 1,
+                   "s": shapes, "e": rows}
         if self.pending_request_key is not None:
             payload["q"] = self.pending_request_key
             self.pending_request_key = None
@@ -381,12 +377,6 @@ class DurabilityManager:
         """Group commit — everything logged inside shares one fsync
         (:meth:`~repro.durability.wal.WriteAheadLog.commit_scope`)."""
         return self.wal.commit_scope()
-
-    @staticmethod
-    def decode_delta(entry):
-        """``[sign, class, tag, values]`` → usable fields."""
-        sign, wme_class, tag, values = entry
-        return sign == ADD, wme_class, tag, values
 
     # -- checkpointing -----------------------------------------------------
 

@@ -43,7 +43,9 @@ from __future__ import annotations
 import os
 
 from repro.core.instantiation import recency_key
+from repro.durability.wal import FORMAT_VERSION
 from repro.errors import RecoveryError, WorkingMemoryError
+from repro.wm.wme import decode_shapes
 
 
 class RecoveryReport:
@@ -101,7 +103,7 @@ def recover_engine(engine_cls, path, *, program=None, matcher=None,
     from repro.durability.checkpoint import checkpoint_size, load_checkpoint
     from repro.durability.manager import DurabilityConfig, DurabilityManager
     from repro.durability.wal import (
-        FORMAT_VERSION, bytes_between, read_log_tail, truncate_after,
+        bytes_between, read_log_tail, truncate_after,
     )
     from repro.match import build_matcher, matcher_name
     from repro.wm.snapshot import restore_wm
@@ -261,10 +263,19 @@ def _replay(engine, payloads):
 
     def apply_record(record):
         nonlocal deltas
+        if "s" not in record:  # a tail past a checkpoint has no ``m``
+            raise RecoveryError("WAL delta frame has no shape table: the "
+                                f"log predates format {FORMAT_VERSION}")
+        shapes = decode_shapes(record["s"])
         try:
             with wm.batch(stats=engine.stats):
-                for entry in record["e"]:
-                    _apply_delta(wm, entry)
+                for sign, shape, tag, *values in record["e"]:
+                    if sign == "+":
+                        wm.restore(*shapes[shape], values, tag)
+                    elif sign == "-":
+                        wm.remove(tag)
+                    else:
+                        raise RecoveryError(f"unknown delta sign {sign!r}")
                     deltas += 1
         except WorkingMemoryError as error:
             raise RecoveryError(
@@ -280,9 +291,7 @@ def _replay(engine, payloads):
         key = record.get("q")
         if key is not None:
             engine.request_journal[key] = {
-                "ingested": sum(
-                    1 for entry in record["e"] if entry[0] == "+"
-                ),
+                "ingested": sum(row[0] == "+" for row in record["e"]),
                 "wm_size": len(wm),
                 "recovered": True,
             }
@@ -419,16 +428,6 @@ def _replay_replace(engine, old_name, source):
         engine.excise(old_name)
     if rule.name not in engine.rules:
         engine.add_rule(rule)
-
-
-def _apply_delta(wm, entry):
-    sign, wme_class, tag, values = entry
-    if sign == "+":
-        wm.restore(wme_class, tuple(values), values.values(), tag)
-    elif sign == "-":
-        wm.remove(tag)
-    else:
-        raise RecoveryError(f"unknown delta sign {sign!r}")
 
 
 def _mark_fired(engine, entry):

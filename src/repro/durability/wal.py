@@ -1,6 +1,6 @@
 """The segmented, CRC32-framed write-ahead log.
 
-On-disk format (version 2; full spec in ``docs/DURABILITY.md``):
+On-disk format (version 3; full spec in ``docs/DURABILITY.md``):
 
 * A log is a directory of **segment** files named ``%08d.wal`` with
   strictly consecutive sequence numbers; appends go to the
@@ -18,12 +18,12 @@ On-disk format (version 2; full spec in ``docs/DURABILITY.md``):
   magic hit must still validate (plausible header, CRC-valid payload)
   before it counts as a record.
 
-* Payload kinds include ``{"k": "m", "v": 2, "matcher": ...,
+* Payload kinds include ``{"k": "m", "v": 3, "matcher": ...,
   "strategy": ...}``, the session-meta record that opens every
   session's records and names the format version (recovery refuses
-  any other); ``{"k": "d", "n": next_tag, "e": [[sign, class, tag,
-  values], ...]}`` for a working-memory delta-set (one record per
-  flushed batch, or per single event outside a batch); ``{"k": "f",
+  any other); ``{"k": "d", "n": next_tag, "s": shapes, "e": rows}``
+  for a delta-set in the row codec (:func:`repro.wm.wme.encode_rows`),
+  one per flushed batch or single event outside one; ``{"k": "f",
   "r": rule, "s": 0|1, "t": stamp}`` opening a firing whose RHS delta
   records follow, where the refraction stamp is a regular
   instantiation's time tags in CE order or an SOI's ``[count, digest,
@@ -74,7 +74,7 @@ from repro.errors import RecoveryError, WalError
 
 #: The record format this build writes and reads, named by every ``m``
 #: record (see :func:`repro.durability.recovery.recover_engine`).
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 MAGIC = b"\xabWAL"
 HEADER = struct.Struct("<4sII")
 SEGMENT_SUFFIX = ".wal"

@@ -26,8 +26,9 @@ and a line holds at most :data:`ROWS_PER_LINE` of them, so one line
 may end one kind and begin the next.  A fact names its class and
 attributes by an index into its own line's ``shapes`` (a line lists
 only the shapes its facts use) and carries its values in that shape's
-order, as a working-memory row holds them.  :func:`expand_batch` turns
-a batch line back into the per-event objects (``firing`` / ``write`` /
+order, as a working-memory row holds them (the row codec,
+:func:`repro.wm.wme.encode_rows`).  :func:`expand_batch` turns a batch
+line back into the per-event objects (``firing`` / ``write`` /
 ``fact``, built by :func:`firing_event`, :func:`event_line` and
 :func:`fact_event`) that version 1 sent one line each.  The terminal
 line carries ``"ok"``:
@@ -66,6 +67,8 @@ tables.
 from __future__ import annotations
 
 import json
+
+from repro.wm.wme import decode_shapes, encode_rows
 
 #: Bumped on incompatible protocol changes; ``ping`` reports it.
 PROTOCOL_VERSION = 2
@@ -208,19 +211,9 @@ def _batch(request_id, records, writes, facts, low, high):
         line["writes"] = writes[max(low, fired) - fired:
                                 min(high, written) - fired]
     if high > written:
-        shapes = []
-        index_of = {}
-        rows = []
-        for sign, wme in facts[max(low, written) - written:
-                               high - written]:
-            key = (wme.wme_class, id(wme.shape))
-            index = index_of.get(key)
-            if index is None:
-                index = index_of[key] = len(shapes)
-                shapes.append([wme.wme_class, list(wme.shape)])
-            rows.append([sign, index, wme.time_tag, *wme.row[:-1]])
-        line["shapes"] = shapes
-        line["facts"] = rows
+        line["shapes"], line["facts"] = encode_rows(
+            facts[max(low, written) - written:high - written], signed=True
+        )
     return line
 
 
@@ -239,7 +232,7 @@ def expand_batch(line):
         {"event": "write", "id": request_id, "text": text}
         for text in line.get("writes", ())
     ]
-    shapes = line.get("shapes", ())
+    shapes = decode_shapes(line.get("shapes", ()))
     events += [
         {"event": "fact", "id": request_id, "sign": sign,
          "class": shapes[shape][0], "tag": tag,

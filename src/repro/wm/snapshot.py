@@ -15,8 +15,8 @@ The dump is laid out as rows, like the WMEs themselves (format 2)::
 
 Each distinct (class, attribute order) is written once under
 ``shapes``; a WME is ``[shape index, time tag, *values]``, its values
-in that shape's order.  Any other version is refused: there is one
-decoder.
+in that shape's order (the row codec, :func:`repro.wm.wme.encode_rows`).
+Any other version is refused: there is one decoder.
 
 Restoring replays the elements oldest-first *in one batch* through the
 set-oriented propagation path — attached matchers receive the whole
@@ -32,22 +32,14 @@ import json
 from operator import itemgetter
 
 from repro.errors import WorkingMemoryError
+from repro.wm.wme import decode_shapes, encode_rows
 
 FORMAT_VERSION = 2
 
 
 def dump_wm(wm):
     """Serialise *wm* to a JSON-compatible dict of shapes and rows."""
-    shapes = []
-    index_of = {}
-    rows = []
-    for wme in wm:
-        key = (wme.wme_class, id(wme.shape))
-        index = index_of.get(key)
-        if index is None:
-            index = index_of[key] = len(shapes)
-            shapes.append([wme.wme_class, list(wme.shape)])
-        rows.append([index, wme.time_tag, *wme.row[:-1]])
+    shapes, rows = encode_rows(wm)
     return {
         "version": FORMAT_VERSION,
         "next_tag": wm.latest_time_tag + 1,
@@ -76,10 +68,7 @@ def restore_wm(wm, snapshot, stats=None):
             f"unsupported WM snapshot version {version!r}; this build "
             f"reads version {FORMAT_VERSION} only"
         )
-    shapes = [
-        (wme_class, tuple(attributes))
-        for wme_class, attributes in snapshot["shapes"]
-    ]
+    shapes = decode_shapes(snapshot["shapes"])
     rows = sorted(snapshot["wmes"], key=itemgetter(1))
     restored = wm.restore_all(
         ((*shapes[row[0]], row[2:], row[1]) for row in rows), stats

@@ -48,6 +48,34 @@ def shape_of(attributes):
     return {attribute: index for index, attribute in enumerate(attributes)}
 
 
+def encode_rows(facts, signed=False):
+    """The row codec: *facts* (WMEs or, *signed*, ``(sign, wme)``
+    pairs) as ``(shapes, rows)``, the layout of ``wm.json``, the wire's
+    batch lines and the WAL's ``d`` frames.  ``shapes`` holds each
+    (class, attribute order) once, as ``[class, [attribute, ...]]``,
+    in first-use order; a row is ``[*sign, shape index, time tag,
+    *values]``, its values in that shape's order."""
+    shapes = []
+    index_of = {}
+    rows = []
+    for fact in facts:
+        sign, wme = fact if signed else (None, fact)
+        key = (wme.wme_class, id(wme.shape))
+        index = index_of.get(key)
+        if index is None:
+            index = index_of[key] = len(shapes)
+            shapes.append([wme.wme_class, list(wme.shape)])
+        row = [index, wme.time_tag, *wme.row[:-1]]
+        rows.append([sign, *row] if signed else row)
+    return shapes, rows
+
+
+def decode_shapes(shapes):
+    """The codec's decoder: a shape table as ``(class, attributes)``
+    pairs, ready for :meth:`~repro.wm.memory.WorkingMemory.restore`."""
+    return [(wme_class, tuple(names)) for wme_class, names in shapes]
+
+
 class WME:
     """One working-memory element: a class name, attribute values, a time tag.
 

@@ -84,3 +84,27 @@ def roster_engine(make_engine, matcher_name):
         return engine
 
     return factory
+
+
+def make_codec_cases(engine):
+    """Make in *engine* the facts the row codec
+    (:func:`repro.wm.wme.encode_rows`) must carry unchanged, and return
+    their ``(sign, wme)`` events in order: a fact made before its
+    class's ``literalize`` (it keeps ``^salary``, which the declaration
+    lacks), one class made in two attribute orders, floats and
+    negative numbers, and the ``-`` then ``+`` of a modify."""
+    sue = engine.make("player", name="Sue", salary=3)
+    engine.literalize("player", "name", "team")
+    ann = engine.make("player", name="Ann", team="y")
+    nan = engine.make("player", team="z", name="Nan")
+    reading = engine.make("reading", value=-2.5, n=-7, at=1e-3)
+    widened = engine.modify(sue, team="x")
+    return [("+", sue), ("+", ann), ("+", nan), ("+", reading),
+            ("-", sue), ("+", widened)]
+
+
+def wm_rows(engine):
+    """Working memory as ``(tag, class, attribute/value pairs)`` rows,
+    attribute order kept."""
+    return [(w.time_tag, w.wme_class, list(zip(w.shape, w.row)))
+            for w in engine.wm]

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from repro import DurabilityConfig, RuleEngine
 from repro.durability import FaultInjector, SimulatedCrash
 from repro.durability.faultfs import corrupt_record, tear_tail
+from repro.durability.wal import FORMAT_VERSION, WriteAheadLog
 from repro.engine.stats import MatchStats
 from repro.errors import (
     DurabilityError,
@@ -15,8 +16,9 @@ from repro.errors import (
     ReproError,
     WorkingMemoryError,
 )
+from repro.wm.wme import WME, encode_rows
 
-from tests.conftest import cs_state
+from tests.conftest import cs_state, make_codec_cases, wm_rows
 
 PROGRAM = """
 (literalize player name team score)
@@ -33,6 +35,21 @@ def wm_state(engine):
         (w.time_tag, w.wme_class, tuple(sorted(w.as_dict().items())))
         for w in engine.wm
     )
+
+
+def _player(tag, name, team, score=10):
+    return WME("player", {"name": name, "team": team, "score": score}, tag)
+
+
+def _delta(next_tag, *events):
+    """A ``d`` frame of *events*, ``(sign, wme)`` pairs, written
+    through the row codec as the durability manager writes it."""
+    shapes, rows = encode_rows(events, signed=True)
+    return {"k": "d", "n": next_tag, "s": shapes, "e": rows}
+
+
+def _meta(version=FORMAT_VERSION):
+    return {"k": "m", "v": version, "matcher": "rete", "strategy": "lex"}
 
 
 def _workload(wal_dir, fsync="off", **kwargs):
@@ -263,6 +280,36 @@ class TestWidenedFact:
             recovered.make("player", name="Bo", salary=3)
 
 
+class TestRowCodecReplay:
+    """Delta frames are written by the row codec, so the facts a
+    snapshot and a batch line must carry unchanged replay unchanged."""
+
+    def test_codec_cases_replay(self, tmp_path):
+        from repro.durability.wal import read_log_tail
+
+        engine = RuleEngine(durability=DurabilityConfig(tmp_path))
+        ann = make_codec_cases(engine)[1][1]
+        # A keyed assert with a removal in its batch: the key rides in
+        # that batch's frame, and only its ``+`` rows are ingested.
+        engine.durability.pending_request_key = "k1"
+        with engine.batch():
+            engine.make("reading", n=-1, value=0.5)
+            engine.make("reading", value=1.5, n=-2)
+            engine.remove(ann)
+        before = wm_rows(engine)
+        engine.close()
+        payloads, _, _ = read_log_tail(tmp_path)
+        [keyed] = [p for p in payloads if "q" in p]
+        assert [row[:2] for row in keyed["e"]] == [
+            ["+", 0], ["+", 1], ["-", 2],
+        ]
+        recovered = RuleEngine.recover(tmp_path, durability=False)
+        assert wm_rows(recovered) == before
+        assert recovered.request_journal["k1"]["ingested"] == 2
+        with pytest.raises(WorkingMemoryError, match=r"\^salary"):
+            recovered.make("player", name="Bo", salary=3)
+
+
 class TestRefractionStamps:
     def test_swapped_ce_instantiations_recover_apart(self, tmp_path):
         # (1 2) and (2 1) match the same WMEs in swapped CEs and share a
@@ -406,8 +453,6 @@ class TestDamageHandling:
             RuleEngine.recover(tmp_path / "nothing")
 
     def test_fire_record_without_match_is_refused(self, tmp_path):
-        from repro.durability.wal import WriteAheadLog
-
         # A log whose firing record names tags that never existed: the
         # log and the rule base disagree, which recovery must surface.
         wal = WriteAheadLog(tmp_path, fsync="off")
@@ -415,9 +460,7 @@ class TestDamageHandling:
                     "a": ["name", "team", "score"]})
         wal.append({"k": "p",
                     "src": "(p promote (player ^team A) --> (halt))"})
-        wal.append({"k": "d", "n": 2, "e": [
-            ["+", "player", 1, {"name": "a", "team": "A", "score": 10}],
-        ]})
+        wal.append(_delta(2, ("+", _player(1, "a", "A"))))
         wal.append({"k": "f", "r": "promote", "s": 0, "t": [99]})
         wal.append({"k": "e"})  # terminated: a *completed* bogus firing
         wal.close()
@@ -428,29 +471,59 @@ class TestDamageHandling:
         ({"k": "zz"}, RecoveryError, "unknown WAL record"),
         # A session-meta record naming a matcher the registry no longer
         # has (logs written while a sharded Rete matcher existed).
-        ({"k": "m", "v": 2, "matcher": "sharded", "strategy": "lex"},
+        ({**_meta(), "matcher": "sharded"},
          ReproError,
          r"unknown matcher 'sharded' "
          r"\(expected one of rete, naive, dips\)"),
         # A log written while the TREAT matcher existed: the same typed
         # error (TestRemovedMatcher recovers such a log by naming one).
-        ({"k": "m", "v": 2, "matcher": "treat", "strategy": "lex"},
+        ({**_meta(), "matcher": "treat"},
          ReproError,
          r"unknown matcher 'treat' \(expected one of rete, naive, dips\)"),
         # A log written before the meta record named its format: its
         # stamps list every SOI member, which no decoder reads now.
         ({"k": "m", "matcher": "rete", "strategy": "lex"}, RecoveryError,
-         r"is format version 1; this build reads version 2 only"),
+         rf"is format version 1; this build reads version "
+         rf"{FORMAT_VERSION} only"),
     ], ids=["unknown-kind", "removed-matcher", "removed-matcher-treat",
             "format-v1"])
     def test_unreadable_record_is_refused(self, tmp_path, record, error,
                                           message):
-        from repro.durability.wal import WriteAheadLog
-
         wal = WriteAheadLog(tmp_path, fsync="off")
         wal.append(record)
         wal.close()
         with pytest.raises(error, match=message):
+            RuleEngine.recover(tmp_path, durability=False)
+
+    def test_format_v2_log_is_refused(self, tmp_path):
+        # Version 2 wrote a delta as one attribute dict per event; no
+        # decoder reads that layout now.
+        wal = WriteAheadLog(tmp_path, fsync="off")
+        wal.append(_meta(2))
+        wal.append({"k": "d", "n": 2, "e": [
+            ["+", "player", 1, {"name": "a", "team": "A", "score": 10}],
+        ]})
+        wal.close()
+        with pytest.raises(
+            RecoveryError,
+            match=rf"is format version 2; this build reads version "
+                  rf"{FORMAT_VERSION} only",
+        ):
+            RuleEngine.recover(tmp_path, durability=False)
+
+    def test_v2_delta_past_a_checkpoint_is_refused(self, tmp_path):
+        # The tail past a checkpoint holds no ``m`` frame to name its
+        # version; an older build's delta frame is still refused,
+        # typed, rather than misread.
+        engine = _workload(tmp_path)
+        engine.checkpoint()
+        engine.close()
+        wal = WriteAheadLog(tmp_path, fsync="off")
+        wal.append({"k": "d", "n": 99, "e": [
+            ["+", "player", 98, {"name": "z", "team": "A", "score": 1}],
+        ]})
+        wal.close()
+        with pytest.raises(RecoveryError, match="no shape table"):
             RuleEngine.recover(tmp_path, durability=False)
 
 
@@ -595,30 +668,23 @@ class TestIncompleteFiring:
         assert cs_state(second) == cs
 
     def test_only_the_unterminated_firing_is_dropped(self, tmp_path):
-        from repro.durability.wal import WriteAheadLog
-
         # One completed firing (f…e), then an orphaned stamp with a
         # trailing delta: only the open transaction rolls back.
+        a, b = _player(1, "a", "A"), _player(3, "b", "A")
         wal = WriteAheadLog(tmp_path, fsync="off")
         wal.append({"k": "l", "c": "player",
                     "a": ["name", "team", "score"]})
         wal.append({"k": "p", "src":
                     "(p promote (player ^name <n> ^team A ^score 10) "
                     "--> (modify 1 ^team B) (write promoted <n>))"})
-        wal.append({"k": "d", "n": 2, "e": [
-            ["+", "player", 1, {"name": "a", "team": "A", "score": 10}],
-        ]})
+        wal.append(_delta(2, ("+", a)))
         wal.append({"k": "f", "r": "promote", "s": 0, "t": [1]})
-        wal.append({"k": "d", "n": 2, "e": [["-", "player", 1, None]]})
-        wal.append({"k": "d", "n": 3, "e": [
-            ["+", "player", 2, {"name": "a", "team": "B", "score": 10}],
-        ]})
+        wal.append(_delta(2, ("-", a)))
+        wal.append(_delta(3, ("+", _player(2, "a", "B"))))
         wal.append({"k": "e"})
-        wal.append({"k": "d", "n": 4, "e": [
-            ["+", "player", 3, {"name": "b", "team": "A", "score": 10}],
-        ]})
+        wal.append(_delta(4, ("+", b)))
         wal.append({"k": "f", "r": "promote", "s": 0, "t": [3]})
-        wal.append({"k": "d", "n": 4, "e": [["-", "player", 3, None]]})
+        wal.append(_delta(4, ("-", b)))
         wal.close()
         recovered = RuleEngine.recover(tmp_path, durability=False)
         report = recovered.recovery_report

@@ -7,6 +7,7 @@ import pytest
 from repro.durability.faultfs import FaultInjector, SimulatedCrash
 from repro.durability.wal import (
     DEFAULT_SEGMENT_BYTES,
+    FORMAT_VERSION,
     HEADER,
     MAGIC,
     WriteAheadLog,
@@ -29,16 +30,16 @@ def _payloads(n, size=0):
 #: One payload of every frame kind the engine writes, with the awkward
 #: values a log carries: non-ASCII text, floats, nested lists.
 FRAME_KINDS = [
-    {"k": "d", "n": 4, "e": [
-        ["+", "reading", 3, {"sensor": "s\u00e9", "value": 2.5}],
-        ["-", "reading", 1, None],
+    {"k": "d", "n": 4, "s": [["reading", ["sensor", "value"]]], "e": [
+        ["+", 0, 3, "s\u00e9", 2.5],
+        ["-", 0, 1, "s\u00e9", -1.0],
     ], "q": "req-\u2603"},
     {"k": "f", "r": "tally", "s": 1, "t": [2000, 2 ** 64 - 1, [2000]]},
     {"k": "e"},
     {"k": "a", "o": "skip", "r": "bad", "c": 3, "n": 2, "i": [0, 1],
      "err": "ZeroDivisionError: division by zero"},
     {"k": "j", "key": "k1", "resp": {"fired": 2, "out": ["caf\u00e9"]}},
-    {"k": "m", "v": 2, "matcher": "rete", "strategy": "lex"},
+    {"k": "m", "v": FORMAT_VERSION, "matcher": "rete", "strategy": "lex"},
     {"k": "l", "c": "reading", "a": ["sensor", "value"]},
     {"k": "p", "src": "(p r (a ^x <x>) --> (write \"<x>\"))"},
 ]

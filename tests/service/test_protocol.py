@@ -21,7 +21,10 @@ from repro.service.protocol import (
     firing_event,
     ok_response,
 )
+from repro import RuleEngine
 from repro.wm import WorkingMemory
+
+from tests.conftest import make_codec_cases
 
 
 class TestFraming:
@@ -189,6 +192,16 @@ class TestBatchLines:
                                            "bonus"]],
                                   ["note", ["text", "n"]]]
         assert line["facts"][3] == ["+", 2, 3, "sue", "d0", 1200.5, -0.25]
+
+    def test_codec_cases_expand_to_v1(self):
+        facts = make_codec_cases(RuleEngine())
+        (line,) = batch_lines(3, [], [], facts)
+        expanded = _expanded([line])
+        assert expanded == _v1(3, [], [], facts)
+        # Each fact's attributes come back in the order it holds them.
+        assert [list(event["values"].items()) for event in expanded] == [
+            list(zip(wme.shape, wme.row)) for _, wme in facts
+        ]
 
     def test_order_holds_across_line_boundaries(self):
         records = [_Firing(f"r{i}", i, i % 3 == 0, (i,))

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro import RuleEngine
+from repro import DurabilityConfig, RuleEngine
 from repro.durability import FaultInjector, manager
 from repro.errors import ServiceError
 from repro.service import (
@@ -617,6 +617,24 @@ def _orders(first, count):
             for i in range(first, first + count)]
 
 
+def _log_growth(directory, count, run=False):
+    """Bytes a fresh durable session on PROGRAM logs for an assert of
+    ``_orders(0, count)`` and, with *run*, the firings that ship them:
+    measured embedded, which writes the frames a served session does,
+    so a bound sized from it holds whatever a frame's encoding."""
+    engine = RuleEngine(durability=DurabilityConfig(directory,
+                                                    fsync="off"))
+    engine.load(PROGRAM)
+    wal = engine.durability.wal
+    start = wal.bytes
+    engine.wm.make_all(_orders(0, count))
+    if run:
+        engine.run()
+    grown = wal.bytes - start
+    engine.close()
+    return grown
+
+
 class TestSelfCheckpoint:
     """A request that leaves a durable session's log past its bound is
     answered first; the checkpoint follows under the session lock,
@@ -625,6 +643,14 @@ class TestSelfCheckpoint:
     @pytest.fixture
     def bound(self, monkeypatch):
         monkeypatch.setattr(manager, "FLOOR", 2048)
+        monkeypatch.setattr(manager, "MULTIPLE", 2)
+
+    @pytest.fixture
+    def bound_under_60_orders(self, monkeypatch, tmp_path_factory):
+        """A bound one byte under the frame of an assert of 60 orders:
+        that assert crosses it, a session's create alone does not."""
+        floor = _log_growth(tmp_path_factory.mktemp("measure"), 60) - 1
+        monkeypatch.setattr(manager, "FLOOR", floor)
         monkeypatch.setattr(manager, "MULTIPLE", 2)
 
     def _session(self, stats, sid):
@@ -666,7 +692,11 @@ class TestSelfCheckpoint:
         try:
             with ServiceClient(*server.address) as client:
                 client.create("k1", PROGRAM)
-                batch = manager.FLOOR // 80
+                # Enough orders that their assert and run log twice
+                # the bound, their assert alone a fraction of it.
+                batch = 2 * manager.FLOOR * 100 // _log_growth(
+                    tmp_path / "measure", 100, run=True
+                )
                 client.assert_facts("k1", _orders(0, batch))
                 response, _ = client.run("k1")
                 assert response["fired"] == batch
@@ -698,7 +728,7 @@ class TestSelfCheckpoint:
         assert len(before) == 2 * batch + 6
 
     def test_pipelined_close_waits_for_the_deferred_checkpoint(
-            self, bound, tmp_path):
+            self, bound_under_60_orders, tmp_path):
         # The assert crosses the bound and the close follows on the
         # same connection before its answer is read; with several
         # engine workers the close must still queue behind the
@@ -725,7 +755,7 @@ class TestSelfCheckpoint:
                 assert resumed["replayed"] == 0
 
     def test_failed_checkpoints_are_counted_not_answered(
-            self, bound, tmp_path):
+            self, bound_under_60_orders, tmp_path):
         with ServiceThread(ServiceConfig(
             port=0, wal_root=str(tmp_path), engine_workers=1,
         )) as srv:

@@ -9,6 +9,8 @@ from repro.errors import WorkingMemoryError
 from repro.wm import WorkingMemory
 from repro.wm.snapshot import dump_wm, load_wm, restore_wm, save_wm
 
+from tests.conftest import make_codec_cases, wm_rows
+
 
 class TestRoundTrip:
     def test_time_tags_preserved(self):
@@ -96,6 +98,22 @@ class TestRoundTrip:
         ]
         assert clone.latest_time_tag == widened.time_tag
         # A new fact is still held to the declaration.
+        with pytest.raises(WorkingMemoryError, match=r"\^salary"):
+            clone.make("player", name="Bo", salary=3)
+
+    def test_codec_cases_round_trip(self):
+        engine = RuleEngine()
+        make_codec_cases(engine)
+        snapshot = json.loads(json.dumps(dump_wm(engine.wm)))
+        assert snapshot["shapes"] == [
+            ["player", ["name", "team"]], ["player", ["team", "name"]],
+            ["reading", ["value", "n", "at"]],
+            ["player", ["name", "salary", "team"]],
+        ]
+        clone = RuleEngine()
+        clone.literalize("player", "name", "team")
+        restore_wm(clone.wm, snapshot)
+        assert wm_rows(clone) == wm_rows(engine)
         with pytest.raises(WorkingMemoryError, match=r"\^salary"):
             clone.make("player", name="Bo", salary=3)
 
