@@ -7,7 +7,7 @@ PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
 .PHONY: test bench-smoke bench bench-report perf-quick batch-demo \
-	profile-demo durability-demo
+	profile-demo durability-demo durability-props
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -25,6 +25,15 @@ bench:
 # benchmarks/BENCH_44.json.
 bench-report:
 	$(PYTHON) benchmarks/bench_report.py --check
+
+# The durability unit suite (WAL, checkpoint, fault injection), then
+# the crash-at-any-point and refused-append recovery properties on
+# every matcher and fsync policy.  CI's crash-injection job runs
+# exactly this.
+durability-props:
+	$(PYTHON) -m pytest tests/durability -q -p no:cacheprovider
+	$(PYTHON) -m pytest tests/properties/test_crash_recovery.py \
+	  tests/test_cli_durability.py -q -p no:cacheprovider
 
 # The repository benchmark's correctness checks (perf/README.md): a
 # --quick pass of all five workloads, then the instrument's self-tests.

@@ -53,8 +53,8 @@ appended inside the outermost one (``RuleEngine.run()`` and a served
 request each open one, so their ``d``/``f``/``e``/``j`` frames share
 one fsync, issued after the last frame and before the caller is
 answered) — and on sync points (checkpoint, segment rollover, close);
-``off`` never fsyncs — data still reaches the OS on every append via
-``flush``, so it survives a process crash, just not a power failure.
+``off`` never fsyncs — each frame still reaches the OS as it is
+appended, so it survives a process crash, just not a power failure.
 Under ``always`` and ``batch``, segment rollover fsyncs the outgoing
 segment and then the directory entry of the new one, so a durable
 record in segment N+1 implies all of segment N is durable.
@@ -69,8 +69,9 @@ import struct
 import threading
 import zlib
 
+from repro.durability.faultfs import SimulatedCrash
 from repro.engine.stats import NULL_STATS
-from repro.errors import RecoveryError, WalError
+from repro.errors import AppendRefused, RecoveryError, WalError
 
 #: The record format this build writes and reads, named by every ``m``
 #: record (see :func:`repro.durability.recovery.recover_engine`).
@@ -270,20 +271,22 @@ class WriteAheadLog:
         if os.path.getsize(path) > end:
             with open(path, "r+b") as handle:
                 handle.truncate(end)
-        self._file = open(path, "ab")
+        self._file = open(path, "ab", buffering=0)
         self._seq = seq
         self._offset = end
 
     def _start_segment(self, seq):
-        if self._file is not None:
-            # A durable record in the new segment must imply the whole
-            # outgoing segment is durable, or recovery would find a
-            # damaged non-final segment and refuse the entire log.
-            if self.fsync != "off":
-                self.sync()
-            self._file.close()
+        # A durable record in the new segment must imply the whole
+        # outgoing segment is durable, or recovery would find a damaged
+        # non-final segment and refuse the entire log.  A rollover that
+        # fails leaves the outgoing segment current.
+        if self._file is not None and self.fsync != "off":
+            self.sync()
         path = os.path.join(self.directory, segment_name(seq))
-        self._file = open(path, "ab")
+        segment = open(path, "ab", buffering=0)
+        if self._file is not None:
+            self._file.close()
+        self._file = segment
         self._seq = seq
         self._offset = 0
         if self.fsync != "off":
@@ -297,48 +300,57 @@ class WriteAheadLog:
         """Frame and append one record; returns the position after it.
 
         *batch* marks the record as a delta-batch for the ``batch``
-        fsync policy.  The frame is flushed to the OS on every append;
-        fsync happens per policy.
+        fsync policy.  The segment file is unbuffered, so the frame
+        reaches the OS on every append.  An append is whole or refused:
+        one whose write or policy fsync fails cuts its frame back off
+        and raises :class:`~repro.errors.AppendRefused`.
         """
         with self._append_lock:
             if self._file is None:
-                raise WalError("write-ahead log is closed")
+                raise AppendRefused("write-ahead log is closed")
             if self.fault is not None and self.fault.crashed:
                 # A dead process writes nothing: once a simulated crash
                 # has fired, later appends (e.g. from a ``finally``)
                 # must not scribble valid frames after the torn one.
-                from repro.durability.faultfs import SimulatedCrash
-
                 raise SimulatedCrash("the process already crashed")
             frame = encode_record(payload)
-            if (self._offset
-                    and self._offset + len(frame) > self.segment_bytes):
-                self._start_segment(self._seq + 1)
-            if self.fault is not None:
-                self.fault.hit("wal.append.before")
-                partial = self.fault.partial_write(
-                    "wal.append", len(frame)
-                )
-                if partial is not None:
-                    self._file.write(frame[:partial])
-                    self._file.flush()
-                    self.fault.crashed = True
-                    from repro.durability.faultfs import SimulatedCrash
-
-                    raise SimulatedCrash(
-                        f"torn write: {partial}/{len(frame)} bytes"
+            try:
+                if (self._offset
+                        and self._offset + len(frame) > self.segment_bytes):
+                    self._start_segment(self._seq + 1)
+                if self.fault is not None:
+                    self.fault.hit("wal.append.before")
+                    partial = self.fault.partial_write(
+                        "wal.append", len(frame)
                     )
-            self._file.write(frame)
-            self._file.flush()
+                    if partial is not None:
+                        self._file.write(frame[:partial])
+                        self.fault.crashed = True
+                        raise SimulatedCrash(
+                            f"torn write: {partial}/{len(frame)} bytes"
+                        )
+                view = memoryview(frame)
+                while view:
+                    view = view[self._file.write(view):]
+                if self.fsync == "batch" and self._scope_depth:
+                    self._scope_unsynced = True
+                elif self.fsync == "always" or (
+                        self.fsync == "batch" and batch):
+                    self.sync()
+            except OSError as error:
+                try:  # cut the frame back off: the log is as it was
+                    os.ftruncate(self._file.fileno(), self._offset)
+                except OSError:
+                    # It may hold part of the frame: append nothing after.
+                    self._file.close()
+                    self._file = None
+                    raise error
+                raise AppendRefused(*error.args) from error
             self._offset += len(frame)
             self.records += 1
             self.bytes += len(frame)
             self.stats.incr("wal_appends")
             self.stats.incr("wal_bytes", len(frame))
-            if self.fsync == "batch" and self._scope_depth:
-                self._scope_unsynced = True
-            elif self.fsync == "always" or (self.fsync == "batch" and batch):
-                self.sync()
             return (self._seq, self._offset)
 
     def sync(self):
@@ -408,7 +420,6 @@ class WriteAheadLog:
         with self._append_lock:
             if self._file is None:
                 return
-            self._file.flush()
             if self.fsync != "off":
                 self.sync()
             self._file.close()

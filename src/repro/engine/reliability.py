@@ -326,23 +326,14 @@ class _FiringTransaction:
                 # The bracket never opened: nothing durable happened, so
                 # undo the in-memory half and let the failure escape raw
                 # (an unusable log is infrastructure, not a rule fault).
-                self.restore_refraction()
-                engine.wm.rollback_transaction(self.savepoint, engine.stats)
+                self.rewind(refraction=True)
                 raise
 
     def commit(self):
-        """Flush staged effects (WAL first), then close the bracket."""
+        """Flush staged effects (WAL first), then close the bracket.  A
+        flush the log refuses raises, already undone by working memory."""
         engine = self.engine
-        try:
-            engine.wm.commit_transaction(self.savepoint, engine.stats)
-        except (WalError, OSError):
-            if not engine.wm.in_batch:
-                raise  # an observer already consumed the flush
-            # The write-ahead append refused before any observer saw the
-            # flush and the batch was reopened: unwind it and let the
-            # caller decide (FiringError with stage="commit").
-            engine.wm.rollback_transaction(self.savepoint, engine.stats)
-            raise
+        engine.wm.commit_transaction(self.savepoint, engine.stats)
         if engine.durability is not None:
             try:
                 engine.durability.log_fire_end()
@@ -356,39 +347,29 @@ class _FiringTransaction:
                 )
 
     def roll_back(self):
-        """Rewind memory, output, and the halt flag to the snapshot."""
-        engine = self.engine
+        """:meth:`rewind` for a contained RHS failure, between the
+        ``fire.rollback`` and ``fire.abort`` fault points."""
         if self.fault is not None:
             self.fault.hit("fire.rollback")
-        engine.wm.rollback_transaction(self.savepoint, engine.stats)
-        engine.halted = self.halted
-        output = engine.tracer.output
-        while len(output) > self.output_mark:
-            output.pop()
+        self.rewind()
         if self.fault is not None:
             self.fault.hit("fire.abort")
 
-    def unwind_raw(self):
-        """Rollback for an *uncontained* exception escaping the RHS.
-
-        Same in-memory rewind as :meth:`roll_back` — the staged batch
-        must not leak into later operations — but with no fault-point
-        hits (a simulated crash must not cascade) and no WAL record:
-        the bracket stays open in the log, so recovery rolls the
-        firing back wholesale, agreeing with memory.
-        """
+    def rewind(self, memory=True, refraction=False):
+        """Put back working memory (unless it undid a refused flush
+        itself), tracer output, the halt flag and, with *refraction*,
+        the refraction stamp.  No fault point, no log record: a failure
+        escaping raw leaves the bracket open for recovery to roll back."""
         engine = self.engine
-        engine.wm.rollback_transaction(self.savepoint, engine.stats)
+        if memory:
+            engine.wm.rollback_transaction(self.savepoint, engine.stats)
         engine.halted = self.halted
         output = engine.tracer.output
         while len(output) > self.output_mark:
             output.pop()
-        self.restore_refraction()
-
-    def restore_refraction(self):
-        self.engine.conflict_set.restore_refraction(
-            self.instantiation, self.refraction
-        )
+        if refraction:
+            engine.conflict_set.restore_refraction(self.instantiation,
+                                                   self.refraction)
 
     def log_abort(self, outcome, error):
         """Close the WAL bracket as rolled back, recording the outcome.
@@ -463,7 +444,7 @@ def _fire(engine, instantiation):
             if not _is_contained(exc):
                 # Simulated crash / interrupt: no policy applies, but
                 # the staged batch must not leak into later operations.
-                txn.unwind_raw()
+                txn.rewind(refraction=True)
                 raise
             txn.roll_back()
             error = FiringError(
@@ -478,12 +459,7 @@ def _fire(engine, instantiation):
             try:
                 txn.commit()
             except (WalError, OSError) as exc:
-                if engine.wm.in_batch:
-                    raise  # commit could not unwind; don't double-handle
-                engine.halted = txn.halted
-                output = engine.tracer.output
-                while len(output) > txn.output_mark:
-                    output.pop()
+                txn.rewind(memory=False)
                 error = FiringError(
                     f"rule {rule_name} failed publishing its effects: "
                     f"{_summarize(exc)}",
@@ -501,7 +477,8 @@ def _fire(engine, instantiation):
         record.error = _summarize(error.__cause__)
         engine.stats.incr("firing_aborts")
         if outcome == "halt":
-            txn.restore_refraction()
+            engine.conflict_set.restore_refraction(instantiation,
+                                                   txn.refraction)
             txn.log_abort("halt", error)
             raise error
         if outcome == "retry":

@@ -154,6 +154,11 @@ class WalError(DurabilityError):
     """
 
 
+class AppendRefused(WalError, OSError):
+    """A write-ahead append failed and left none of its frame in the
+    log; it carries the errno of the failure behind it."""
+
+
 class RecoveryError(DurabilityError):
     """Recovery cannot reconstruct a consistent state.
 

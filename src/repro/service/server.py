@@ -591,8 +591,8 @@ class RuleService:
             raise
         except (WalError, OSError) as error:
             # Transient I/O (ENOSPC on a WAL append, a torn segment):
-            # the mutation was rolled back, so the request is safe to
-            # retry once the condition clears.
+            # working memory undid the delta-set the log refused, so
+            # the request is safe to retry once the condition clears.
             self.counters["unavailable_errors"] += 1
             self._breaker_failure(session_id)
             await self._send(writer, error_response(

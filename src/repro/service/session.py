@@ -131,12 +131,10 @@ class Session:
         effects and the dedup marker are one atomic frame: either both
         survive a crash or neither does.
 
-        The batch itself runs under a WM transaction.  If the WAL
-        append fails mid-flush (ENOSPC, torn segment), the working
-        memory may be left in a reopened batch with the failed events
-        still staged; the rollback below rewinds them, so the request
-        fails cleanly (retryable) instead of leaving a half-applied
-        batch behind.
+        The batch is applied whole or not at all: a refused fact rolls
+        back the transaction below, and working memory undoes a flush
+        the WAL refuses (ENOSPC, torn segment), so the request fails
+        cleanly (retryable) instead of leaving a half-applied batch.
         """
         engine = self.engine
         if key is not None:
@@ -150,18 +148,12 @@ class Session:
         wm = engine.wm
         savepoint = wm.begin_transaction()
         try:
-            try:
-                made = wm.make_all(pairs)
-            except BaseException:
-                wm.rollback_transaction(savepoint, engine.stats)
-                raise
-            try:
-                wm.commit_transaction(savepoint, engine.stats)
-            except (WalError, OSError):
-                if not wm.in_batch:
-                    raise  # an observer already consumed the flush
-                wm.rollback_transaction(savepoint, engine.stats)
-                raise
+            made = wm.make_all(pairs)
+        except BaseException:
+            wm.rollback_transaction(savepoint, engine.stats)
+            raise
+        else:
+            wm.commit_transaction(savepoint, engine.stats)
         finally:
             if durability is not None:
                 durability.pending_request_key = None

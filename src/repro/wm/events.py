@@ -103,9 +103,8 @@ class DeltaBatch:
         """Truncate the log back to *mark*.
 
         Returns the undone mutations as ``(sign, wme)`` pairs, newest
-        first, so the caller (:meth:`WorkingMemory.rollback_transaction
-        <repro.wm.memory.WorkingMemory.rollback_transaction>`) can
-        apply the inverse of each to the WME multiset.
+        first, so working memory (a rollback, or a flush the log
+        refused) can apply the inverse of each to the WME multiset.
         """
         undone = [(e.sign, e.wme) for e in reversed(self._log[mark:])]
         del self._log[mark:]

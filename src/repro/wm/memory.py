@@ -6,7 +6,7 @@ import gc
 import threading
 
 from repro import symbols
-from repro.errors import WorkingMemoryError
+from repro.errors import AppendRefused, WorkingMemoryError
 from repro.wm.events import ADD, REMOVE, DeltaBatch, WMEvent
 from repro.wm.wme import (
     NIL, PLAIN_TYPES, SYMBOL_TYPES, WME, check_values, shape_of,
@@ -194,6 +194,7 @@ class WorkingMemory:
         self._batch_handlers = {}
         self._batch = None
         self._batch_depth = 0
+        self._batch_tag = None  # the tag counter where the batch opened
         self._fp = None  # incremental content fingerprint; None = off
 
     # -- observation ---------------------------------------------------
@@ -229,9 +230,30 @@ class WorkingMemory:
         if self._batch is not None:
             self._batch.record(sign, wme)
             return
-        event = WMEvent(sign, wme)
-        for observer in list(self._observers):
-            observer(event)
+        self._deliver((WMEvent(sign, wme),))
+
+    def _deliver(self, events, batch=None):
+        """Send *events* to every observer, whole to a batch handler
+        when *batch* (the flushing :class:`DeltaBatch`) is given.  What
+        the log refuses (:class:`~repro.errors.AppendRefused`) before
+        any observer took it is undone, then the error propagates."""
+        for taken, observer in enumerate(list(self._observers)):
+            handler = batch is not None and self._batch_handlers.get(observer)
+            try:
+                if handler:
+                    handler(events)
+                else:
+                    for event in events:
+                        observer(event)
+            except AppendRefused:
+                if not taken and batch is not None:
+                    self._undo(batch.rewind(0), self._batch_tag)
+                elif not taken:
+                    [event] = events
+                    self._undo(((event.sign, event.wme),),
+                               event.wme.time_tag if event.sign == ADD
+                               else self._next_tag)
+                raise
 
     # -- batching ------------------------------------------------------
 
@@ -240,7 +262,9 @@ class WorkingMemory:
 
         Re-entrant: nested ``batch()`` blocks extend the outermost batch,
         which flushes once when the outermost block exits (even on
-        exception — mutations already applied are always reported).
+        exception — mutations already applied are always reported).  A
+        flush the write-ahead log refuses is undone whole: the multiset
+        and the tag counter go back to where the outermost block opened.
         *stats* may be a :class:`~repro.engine.stats.MatchStats`; the
         flush reports submitted/net/coalesced delta counts to it.
         """
@@ -253,6 +277,7 @@ class WorkingMemory:
     def _enter_batch(self):
         if self._batch_depth == 0:
             self._batch = DeltaBatch()
+            self._batch_tag = self._next_tag
         self._batch_depth += 1
 
     def _exit_batch(self, stats=None):
@@ -263,25 +288,8 @@ class WorkingMemory:
         events = batch.events()
         was = pause_collector(len(events))
         try:
-            delivered = 0
-            for observer in list(self._observers) if events else ():
-                handler = self._batch_handlers.get(observer)
-                try:
-                    if handler is not None:
-                        handler(events)
-                    else:
-                        for event in events:
-                            observer(event)
-                except BaseException:
-                    if delivered == 0:
-                        # No observer saw the flush yet (the write-ahead
-                        # log delivers first): reopen the batch so the
-                        # caller can still rewind to a savepoint and
-                        # roll back safely.
-                        self._batch = batch
-                        self._batch_depth += 1
-                    raise
-                delivered += 1
+            if events:
+                self._deliver(events, batch)
         finally:
             resume_collector(was)
         if stats is not None:
@@ -321,7 +329,14 @@ class WorkingMemory:
         no observer ever heard of the rolled-back mutations.
         """
         next_tag, batch_mark = savepoint
-        for sign, wme in self._batch.rewind(batch_mark):
+        self._undo(self._batch.rewind(batch_mark), next_tag)
+        self._exit_batch(stats)
+
+    def _undo(self, undone, next_tag):
+        """Apply the inverse of each ``(sign, wme)`` of *undone* (newest
+        first) and put the tag counter back at *next_tag*: the undo of a
+        rollback, a refused flush and a refused single change."""
+        for sign, wme in undone:
             if sign == ADD:
                 del self._by_tag[wme.time_tag]
                 if self._fp is not None:
@@ -331,7 +346,6 @@ class WorkingMemory:
                 if self._fp is not None:
                     self._fp = (self._fp + _content_hash(wme)) & _FP_MASK
         self._next_tag = next_tag
-        self._exit_batch(stats)
 
     # -- inspection ----------------------------------------------------
 

@@ -16,6 +16,7 @@ import os
 import pytest
 
 from repro import DurabilityConfig, RuleEngine
+from repro.durability import FaultInjector
 from repro.durability.wal import list_segments, read_log_tail
 from repro.errors import EngineError, FiringError
 
@@ -267,6 +268,110 @@ class TestWalAppendErrorSatellite:
         recovered = RuleEngine.recover(tmp_path, durability=False)
         assert recovered.recovery_report.dropped_records >= 1
         assert [w.wme_class for w in recovered.wm] == ["item"]
+
+
+MAKES_OUT = """
+(literalize item n)
+(literalize out n)
+(p good (item ^n <n>) -(out ^n <n>) --> (make out ^n <n>))
+"""
+
+
+#: Where a refused append fails, and the fsync policy that gets there:
+#: before its frame is written, or in the fsync that policy issues for
+#: it (the frame is cut back off the log).
+REFUSALS = [("wal.append.before", "off"), ("wal.fsync", "always")]
+
+
+class TestRefusedAppendIsUndone:
+    """A delta-set the write-ahead log refuses leaves working memory as
+    well: afterwards the live engine, its matcher and its log agree, and
+    the engine keeps working."""
+
+    @pytest.fixture
+    def refusing(self, tmp_path, make_engine, matcher_name):
+        """``refusing(point, fsync)``: an engine whose first *point* hit
+        after ``load()`` fails with ENOSPC, and its log directory."""
+        def durable(wal_dir, fsync, fault):
+            engine = make_engine(matcher_name, durability=DurabilityConfig(
+                wal_dir, fsync=fsync, fault=fault,
+            ))
+            engine.load(MAKES_OUT)
+            return engine
+
+        def factory(point, fsync):
+            probe = FaultInjector()
+            probed = durable(tmp_path / "probe", fsync, probe)
+            first = probe.counts.get(point, 0) + 1
+            probed.close()
+            fault = FaultInjector(error_at={point: first})
+            return durable(tmp_path / "wal", fsync, fault), tmp_path / "wal"
+
+        return factory
+
+    @staticmethod
+    def _agrees_with_recovery(engine, wal_dir):
+        live = wm_state(engine), cs_state(engine)
+        engine.close()
+        recovered = RuleEngine.recover(wal_dir, durability=False)
+        assert (wm_state(recovered), cs_state(recovered)) == live
+
+    @pytest.mark.parametrize("point, fsync",
+                             REFUSALS + [("wal.fsync", "batch")])
+    def test_a_refused_load_facts(self, refusing, point, fsync):
+        engine, wal_dir = refusing(point, fsync)
+        with pytest.raises(OSError):
+            engine.load_facts([("item", {"n": 1}), ("item", {"n": 2})])
+        assert not engine.wm.in_batch
+        assert wm_state(engine) == [] and cs_state(engine) == []
+        engine.load_facts([("item", {"n": 3})])
+        assert engine.run() == 1
+        # The refused delta-set burned no time tag.
+        assert [tag for tag, _, _ in wm_state(engine)] == [1, 2]
+        self._agrees_with_recovery(engine, wal_dir)
+
+    @pytest.mark.parametrize("point, fsync", REFUSALS)
+    def test_a_refused_make(self, refusing, point, fsync):
+        engine, wal_dir = refusing(point, fsync)
+        with pytest.raises(OSError):
+            engine.make("item", n=1)
+        assert wm_state(engine) == [] and cs_state(engine) == []
+        engine.make("item", n=2)
+        assert engine.run() == 1
+        assert [w.as_dict() for w in engine.wm.of_class("out")] == [{"n": 2}]
+        self._agrees_with_recovery(engine, wal_dir)
+
+    @pytest.mark.parametrize("point, fsync", REFUSALS)
+    def test_a_refused_remove(self, refusing, point, fsync):
+        engine, wal_dir = refusing(point, fsync)
+        fault = engine.durability.config.fault
+        nth, code = fault.error_at[point]
+        fault.error_at[point] = (nth + 1, code)  # let the make through
+        item = engine.make("item", n=1)
+        with pytest.raises(OSError):
+            engine.remove(item)
+        assert [w.time_tag for w in engine.wm] == [item.time_tag]
+        engine.remove(item)  # once, not twice, in the log
+        assert wm_state(engine) == [] and engine.run() == 0
+        self._agrees_with_recovery(engine, wal_dir)
+
+    @pytest.mark.parametrize("point, fsync", REFUSALS)
+    def test_a_refused_firing_commit(self, refusing, point, fsync):
+        engine, wal_dir = refusing(point, fsync)
+        fault = engine.durability.config.fault
+        # Let the item and the firing's ``f`` stamp through; refuse the
+        # firing's own delta-set.
+        nth, code = fault.error_at[point]
+        fault.error_at[point] = (nth + 2, code)
+        engine.make("item", n=1)
+        before = wm_state(engine)
+        with pytest.raises(FiringError) as info:
+            engine.run()
+        assert info.value.stage == "commit"
+        assert wm_state(engine) == before and not engine.wm.in_batch
+        # Under ``halt`` the stamp is restored: the firing can run again.
+        assert engine.run() == 1
+        self._agrees_with_recovery(engine, wal_dir)
 
 
 class TestUsedDirGuardStillHolds:

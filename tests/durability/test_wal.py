@@ -1,5 +1,6 @@
 """Unit tests for the segmented, CRC32-framed write-ahead log."""
 
+import errno
 import os
 
 import pytest
@@ -19,7 +20,7 @@ from repro.durability.wal import (
     truncate_after,
 )
 from repro.engine.stats import MatchStats
-from repro.errors import RecoveryError, WalError
+from repro.errors import AppendRefused, RecoveryError, WalError
 
 
 def _payloads(n, size=0):
@@ -202,6 +203,43 @@ class TestAppend:
         wal = WriteAheadLog(tmp_path, fsync="off")
         wal.close()
         with pytest.raises(WalError, match="closed"):
+            wal.append({"k": "d"})
+
+    @pytest.mark.parametrize("fsync, point", [
+        ("off", "wal.append.before"),
+        # The frame is written, its policy fsync fails: it is cut back.
+        ("always", "wal.fsync"),
+        ("batch", "wal.fsync"),
+    ])
+    def test_a_failed_append_is_refused_whole(self, tmp_path, fsync, point):
+        fault = FaultInjector(error_at={point: 2})
+        wal = WriteAheadLog(tmp_path, fsync=fsync, fault=fault)
+        wal.append({"k": "d", "i": 1}, batch=True)
+        end = wal.tell()
+        with pytest.raises(AppendRefused, match=f"injected at {point}") as info:
+            wal.append({"k": "d", "i": 2}, batch=True)
+        assert info.value.errno == errno.ENOSPC
+        assert wal.tell() == end and wal.records == 1
+        assert os.path.getsize(list_segments(tmp_path)[-1][1]) == end[1]
+        wal.append({"k": "d", "i": 3}, batch=True)
+        wal.close()
+        payloads, _, damage = read_log_tail(tmp_path)
+        assert [p["i"] for p in payloads] == [1, 3] and damage is None
+
+    def test_a_failed_append_it_cannot_cut_back_closes_the_log(
+            self, tmp_path, monkeypatch):
+        def refuse(fd, length):
+            raise OSError(errno.EIO, "cannot truncate")
+
+        fault = FaultInjector(error_at={"wal.fsync": 1})
+        wal = WriteAheadLog(tmp_path, fsync="always", fault=fault)
+        monkeypatch.setattr("repro.durability.wal.os.ftruncate", refuse)
+        with pytest.raises(OSError, match="injected") as info:
+            wal.append({"k": "d"})
+        # The frame may be in the log: not a refusal, and no more
+        # appends after it.
+        assert not isinstance(info.value, AppendRefused)
+        with pytest.raises(AppendRefused, match="closed"):
             wal.append({"k": "d"})
 
     def test_bad_policy_and_segment_size(self, tmp_path):

@@ -17,6 +17,11 @@ the last durable WAL record.  Three crash models are exercised:
   ends a ``run()``; recovery must land on the full pre-checkpoint
   state whether or not the new checkpoint became CURRENT.
 
+A survivable fault is exercised too: a **refused append**
+(``FaultInjector(error_at=...)``, ENOSPC) that the process outlives.
+Working memory undoes whatever the log refused, so the live engine
+must equal its own recovery afterwards.
+
 Workloads are randomized (seeded for the cross-matcher matrix,
 hypothesis-driven for Rete) over makes, modifies, removes, and
 interleaved ``run()`` calls — some of them with the self-checkpoint
@@ -41,6 +46,7 @@ from hypothesis import strategies as st
 from repro import DurabilityConfig, MatchStats, RuleEngine
 from repro.durability import FaultInjector, SimulatedCrash, manager
 from repro.dips.matcher import DipsMatcher
+from repro.errors import FiringError
 from repro.match import NaiveMatcher
 from repro.rete import ReteNetwork
 
@@ -312,6 +318,118 @@ class TestSelfCheckpointCrashes:
         assert durable.last_run_report.reason == "quiescent"
         recovered = RuleEngine.recover(tmp_path, durability=False)
         _assert_equal_state(recovered, _reference_run(ops + [("run", None)]))
+
+
+def _reference_before_firing(ops, cycle):
+    """The uninterrupted run of *ops*, stopped just before the firing
+    of recognize-act cycle *cycle*."""
+    reference = RuleEngine()
+    reference.load(PROGRAM)
+    for op in ops:
+        if op[0] not in ("run", "selfckpt"):
+            _apply_op(reference, op)
+            continue
+        for _ in range(op[1]):
+            if reference.cycle_count + 1 == cycle:
+                reference.tracer.output.clear()
+                return reference
+            if reference.step() is None:
+                break
+    raise AssertionError(f"the run of {ops} has no cycle {cycle}")
+
+
+class TestRefusedAppend:
+    """One WAL append fails with ENOSPC and the process carries on:
+    afterwards the live engine equals ``RuleEngine.recover``'s."""
+
+    @pytest.mark.parametrize("fsync", FSYNC)
+    @pytest.mark.parametrize("matcher", sorted(MATCHERS))
+    @pytest.mark.parametrize("seed", range(8))
+    def test_the_live_engine_equals_its_recovery(self, matcher, seed,
+                                                 fsync, tmp_path):
+        rng = random.Random(seed * 53 + 11)
+        ops = _random_ops(rng, 25)
+
+        def durable(wal_dir, fault):
+            engine = RuleEngine(
+                matcher=MATCHERS[matcher](),
+                durability=DurabilityConfig(wal_dir, fsync=fsync,
+                                            fault=fault),
+            )
+            engine.load(PROGRAM)
+            return engine
+
+        counts = FaultInjector()
+        probe = durable(tmp_path / "probe", counts)
+        setup = dict(counts.counts)
+        kinds = []  # of each append after load(), in order
+        append = probe.durability.wal.append
+
+        def spy(payload, **kwargs):
+            kinds.append(payload["k"])
+            return append(payload, **kwargs)
+
+        probe.durability.wal.append = spy
+        for op in ops:
+            _apply_op(probe, op)
+        # One refused append of each kind: a delta-set, a firing's
+        # ``f`` stamp and its ``e`` terminator; and, where the policy
+        # fsyncs, one failed fsync (an append's, cut back off the log,
+        # or a commit scope's after every frame of it was delivered).
+        refusals = []
+        for kind in "dfe":
+            nths = [setup["wal.append.before"] + 1 + i
+                    for i, k in enumerate(kinds) if k == kind]
+            if nths:
+                refusals.append(("wal.append.before", rng.choice(nths)))
+        syncs = setup.get("wal.fsync", 0), counts.counts.get("wal.fsync", 0)
+        if syncs[1] > syncs[0]:
+            refusals.append(("wal.fsync", rng.randint(syncs[0] + 1,
+                                                      syncs[1])))
+        for point, nth in refusals:
+            wal_dir = tmp_path / f"refuse-{point}-{nth}"
+            fault = FaultInjector(error_at={point: nth})
+            live = durable(wal_dir, fault)
+            checkpoints = None  # written when the append was refused
+            for op in ops:
+                written = live.durability.checkpoints
+                try:
+                    _apply_op(live, op)
+                except (OSError, FiringError):
+                    pass
+                if fault.errors_injected and checkpoints is None:
+                    checkpoints = written
+            assert fault.errors_injected == 1
+            self._assert_agrees(live, ops, checkpoints, wal_dir)
+
+    @staticmethod
+    def _assert_agrees(live, ops, checkpoints, wal_dir):
+        recovered = RuleEngine.recover(wal_dir, durability=False)
+        unterminated = [
+            record for record in live.tracer.firings
+            if record.note and "fire-end append failed" in record.note
+        ]
+        live.tracer.output.clear()
+        if unterminated and live.durability.checkpoints == checkpoints:
+            # The one divergence left (ROADMAP item 12(b)): the firing
+            # whose ``e`` terminator was refused stays applied live,
+            # while recovery rolls it back; live is the uninterrupted
+            # run.
+            [record] = unterminated
+            _assert_equal_state(live, _reference_run(ops))
+            # Pins the FOUND entry on ``recover_engine``'s ``drop_from``
+            # scan (CHANGES.md): recovery also drops every record after
+            # the open bracket, so it lands on the run stopped before
+            # that firing.  Mending the scan, or 12(b)'s fail-stop,
+            # changes this expectation.
+            _assert_equal_state(
+                recovered, _reference_before_firing(ops, record.cycle)
+            )
+        else:
+            # A refused delta-set or ``f`` stamp was undone live too; a
+            # failed commit-scope fsync refused nothing; a checkpoint
+            # written after a refused terminator holds the live state.
+            _assert_equal_state(recovered, live)
 
 
 _op = st.one_of(

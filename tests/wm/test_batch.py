@@ -1,6 +1,7 @@
 """WorkingMemory.batch(): buffering, netting, and observer delivery;
 make_all against the make loop it replaces."""
 
+import errno
 import gc
 import json
 
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from repro import RuleEngine
 from repro.engine.stats import MatchStats
-from repro.errors import FiringError, WorkingMemoryError
+from repro.errors import AppendRefused, FiringError, WorkingMemoryError
 from repro.wm.events import ADD, REMOVE, DeltaBatch, WMEvent
 from repro.wm.memory import WorkingMemory
 from repro.wm.snapshot import dump_wm, restore_wm
@@ -281,6 +282,80 @@ class TestWorkingMemoryBatch:
         assert stats.totals["batch_deltas_submitted"] == 3
         assert stats.totals["batch_deltas_net"] == 1
         assert stats.totals["deltas_coalesced"] == 2
+
+    @staticmethod
+    def _refusal():
+        return AppendRefused(errno.ENOSPC, "log full")
+
+    def test_a_refused_flush_is_undone_and_the_next_one_delivers(self):
+        wm = WorkingMemory()
+        refusals, flushed = [self._refusal()], []
+
+        def refuse_once(events):
+            if refusals:
+                raise refusals.pop()
+            flushed.append([(e.sign, e.wme.time_tag) for e in events])
+
+        wm.attach(lambda event: None, on_batch=refuse_once)
+        with pytest.raises(AppendRefused, match="log full"):
+            with wm.batch():
+                wm.make("thing", v=1)
+                wm.make("thing", v=2)
+        assert not wm.in_batch
+        assert len(wm) == 0 and flushed == []
+        with wm.batch():
+            wm.make("thing", v=3)
+        # The refused delta-set burned no time tag.
+        assert flushed == [[(ADD, 1)]]
+
+    def test_a_refused_single_change_is_undone(self):
+        wm = WorkingMemory()
+        seen, refuse = [], set()
+
+        def log(event):
+            if event.sign in refuse:
+                refuse.clear()
+                raise self._refusal()
+
+        wm.attach(seen.append)
+        wm.attach(log, prepend=True)
+        kept = wm.make("thing", v=1)
+        refuse.add(ADD)
+        with pytest.raises(OSError):
+            wm.make("thing", v=2)
+        refuse.add(REMOVE)
+        with pytest.raises(OSError):
+            wm.remove(kept)
+        assert list(wm) == [kept] and wm.latest_time_tag == 1
+        assert [(e.sign, e.wme) for e in seen] == [(ADD, kept)]
+        # A modify outside a batch is two changes: when its ``+w'`` is
+        # refused, the ``-w`` every observer took stays applied.
+        refuse.add(ADD)
+        with pytest.raises(OSError):
+            wm.modify(kept, v=5)
+        assert len(wm) == 0 and wm.latest_time_tag == 1
+        assert [(e.sign, e.wme) for e in seen] == [
+            (ADD, kept), (REMOVE, kept),
+        ]
+
+    @pytest.mark.parametrize("took_it, error", [
+        (True, AppendRefused(errno.ENOSPC, "log full")),
+        (False, RuntimeError("observer down")),
+    ])
+    def test_only_a_refusal_before_delivery_is_undone(self, took_it, error):
+        # A refusal after an observer took the flush, or any other
+        # error, leaves the change applied: some observer may hold it.
+        def fail(events):
+            raise error
+
+        wm = WorkingMemory()
+        if took_it:
+            wm.attach(lambda event: None, on_batch=lambda events: None)
+        wm.attach(lambda event: None, on_batch=fail)
+        with pytest.raises(type(error)):
+            wm.make_all([("thing", {"v": 1}), ("thing", {"v": 2})])
+        assert not wm.in_batch
+        assert [w.time_tag for w in wm] == [1, 2]
 
     def test_event_equality_reexported(self):
         wme = _wme(1)
@@ -570,23 +645,20 @@ class TestCollectorPause:
         assert len(engine.wm) == 4
         assert gc.isenabled() is collector
 
-    def test_an_observer_raising_in_the_flush_then_the_rollback(
-        self, collector,
-    ):
+    def test_a_refused_flush_is_undone(self, collector):
         wm = WorkingMemory()
 
         def refuse(events):
-            raise RuntimeError("observer down")
+            raise AppendRefused(errno.ENOSPC, "log full")
 
         wm.attach(lambda event: None, on_batch=refuse)
         savepoint = wm.begin_transaction()
         wm.make_all(FACTS)
-        with pytest.raises(RuntimeError, match="observer down"):
+        with pytest.raises(AppendRefused, match="log full"):
             wm.commit_transaction(savepoint)
-        assert wm.in_batch  # reopened: no observer saw the flush
-        assert gc.isenabled() is collector
-        wm.rollback_transaction(savepoint)
-        assert len(wm) == 0 and not wm.in_batch
+        # No observer took the flush, so working memory undid it.
+        assert not wm.in_batch
+        assert len(wm) == 0
         assert gc.isenabled() is collector
 
     def test_an_rhs_error_in_a_set_modify_rolls_back(self, collector):
